@@ -218,9 +218,12 @@ class LossFamily:
     """A family of convex losses, one instance per data point.
 
     ``norm_kind`` names the primal norm under which every member is
-    1-Lipschitz in the hypothesis (given unit-ball features). Scalar methods
-    serve the per-round path; the vectorized methods serve oracles and
-    metrics, and the two are required to agree.
+    1-Lipschitz in the hypothesis (given unit-ball features). The row-range
+    kernel ``loss_delta_rows`` serves the mechanism's array windows and the
+    scalar methods serve the rounds it plays one by one; for the families a
+    config can select (hinge and linear-simplex) the two agree bit for bit.
+    The whole-dataset methods serve oracles and metrics and agree to
+    rounding.
     """
 
     kind: str = ""
@@ -240,9 +243,27 @@ class LossFamily:
     def grad_dual_norm(self, w: np.ndarray, point: DataPoint) -> float:
         return self.loss_delta(w, point)[1]
 
+    def loss_delta_rows(
+        self, w: np.ndarray, instance, start: int, stop: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``loss_delta`` of every arrival ``start <= t < stop`` of a
+        ``ProblemInstance`` at one hypothesis, as two arrays."""
+        raise NotImplementedError
+
 
 class FeatureLoss(LossFamily):
-    """Margin losses phi(y * <w, x>) over labelled feature vectors."""
+    """Margin losses phi(y * <w, x>) over labelled feature vectors.
+
+    The per-round margin is the row sum ``(x * w).sum()``, and the row-range
+    kernel ``loss_delta_rows`` takes ``(X * w).sum(axis=1)`` over a block of
+    rows: numpy reduces each row of the block in the same order as the lone
+    row, so the two agree bit for bit at every dimension and block size (a
+    test pins this).
+    ``np.dot`` (and BLAS matvec) sums in a different order and differs from
+    both in the last digits for a large share of rows. The whole-dataset
+    forms (``values``, ``grad_norms``, ``mean_grad``) that the offline oracle
+    and the risk metrics call many times keep the faster ``X @ w``.
+    """
 
     norm_kind = "l2"
 
@@ -263,19 +284,24 @@ class FeatureLoss(LossFamily):
     def loss(self, w, point):
         if point.features is None:
             return 1.0
-        return self._value(point.label * float(np.dot(point.features, w)))
+        return self._value(point.label * float((point.features * w).sum()))
 
     def grad(self, w, point):
         if point.features is None:
             return np.zeros_like(w)
-        m = point.label * float(np.dot(point.features, w))
+        m = point.label * float((point.features * w).sum())
         return (self._slope(m) * point.label) * point.features
 
     def loss_delta(self, w, point):
         if point.features is None:
             return 1.0, 0.0
-        m = point.label * float(np.dot(point.features, w))
+        m = point.label * float((point.features * w).sum())
         return self._value(m), abs(self._slope(m)) * point.feature_norm
+
+    def loss_delta_rows(self, w, instance, start, stop):
+        m = instance.labels[start:stop] * (instance.features[start:stop] * w).sum(axis=1)
+        delta = np.abs(self.margin_slope(m)) * instance.feature_norms[start:stop]
+        return self.margin_value(m), delta
 
     # batch forms over a dataset (X rows already unit-ball normalized)
     def values(self, w, X, y) -> np.ndarray:
@@ -386,6 +412,10 @@ class VertexLoss(LossFamily):
         if i < 0:
             return 1.0, 0.0
         return 1.0 - float(w[i]), 1.0
+
+    def loss_delta_rows(self, w, instance, start, stop):
+        outcomes = instance.outcomes[start:stop]
+        return self.values(w, outcomes), self.grad_norms(outcomes)
 
     def values(self, w, outcomes) -> np.ndarray:
         out = np.ones(len(outcomes))

@@ -22,7 +22,6 @@ from .core import (
     LossFamily,
     NULL_OUTCOME,
     VertexLoss,
-    feature_point,
     make_family,
     null_point,
     outcome_point,
@@ -132,9 +131,10 @@ def attach_costs(
 class ProblemInstance:
     """An arrival sequence plus optional held-out test data.
 
-    Payload arrays: feature tasks populate (features, labels); vertex tasks
-    populate outcomes, with -1 marking filler points. Treat all arrays as
-    read-only once built.
+    Payload arrays: feature tasks populate (features, labels, feature_norms),
+    with every row in the unit ball and its norm, capped at 1, stored beside
+    it; vertex tasks populate outcomes, with -1 marking filler points. Treat
+    all arrays as read-only once built.
     """
 
     space: HypothesisSpace
@@ -159,10 +159,15 @@ class ProblemInstance:
         return self.test_features is not None and len(self.test_features) > 0
 
     def data_point(self, t: int) -> DataPoint:
+        """Arrival ``t``'s data: the stored row and norm, not re-normalized."""
         if self.outcomes is not None:
             idx = int(self.outcomes[t])
             return null_point() if idx == NULL_OUTCOME else outcome_point(idx)
-        return feature_point(self.features[t], int(self.labels[t]))
+        return DataPoint(
+            features=self.features[t],
+            label=int(self.labels[t]),
+            feature_norm=float(self.feature_norms[t]),
+        )
 
     def arrival(self, t: int) -> Arrival:
         return Arrival(float(self.costs[t]), self.data_point(t))
@@ -448,7 +453,7 @@ def digit_task(
         costs=costs,
         features=X[train_idx],
         labels=y[train_idx],
-        feature_norms=np.linalg.norm(X[train_idx], axis=1),
+        feature_norms=np.minimum(np.linalg.norm(X[train_idx], axis=1), 1.0),
         groups=digits[train_idx],
         test_features=X[test_idx],
         test_labels=y[test_idx],

@@ -15,6 +15,20 @@ additionally forces the posted price to zero once spend reaches the budget
 ``naive`` offers the maximum price to every arrival until the budget cannot
 cover another purchase, then posts price zero; ``baseline`` acquires every
 arrival and pays nothing (the unconstrained reference).
+
+``Mechanism.run`` is event-driven. The learner keeps its state in the
+gradient sum and a rejected round feeds nothing, so the posted hypothesis,
+the spend and the estimate change only when an arrival is bought. Where
+purchases are sparse, the run jumps from purchase to purchase: a window of
+upcoming rounds is computed as arrays over the instance's columns at one
+hypothesis (loss and delta from the loss family's row-range kernel, the
+scale, the price from the uniforms drawn up front, q and acceptance), and
+only the first accepted round reaches the learner. Where they are dense, as
+for ``baseline``, for ``naive`` while its budget lasts, and for ``priced``
+where much of the data is free, numpy's fixed cost per call outweighs the
+rounds a window saves, so rounds go one by one through the scalar kernels.
+The run picks between the two from the purchase rate it measures, and
+both give the same transcript and totals bit for bit.
 """
 
 from __future__ import annotations
@@ -40,6 +54,16 @@ BASELINE = "baseline"
 POLICIES = (PRICED, NAIVE, BASELINE)
 
 SCALE_CAP = 1e6
+
+# Rounds between purchases are evaluated as arrays when purchases are
+# expected at least VECTOR_GAP rounds apart, where numpy's fixed cost per
+# call is repaid; denser purchases go round by round. The expected gap comes
+# from a running mean over about RATE_MEMORY rounds, long enough that its
+# noise rarely sends a dense stretch to the array path. Windows are capped
+# so that a (window x dim) block stays a few hundred kilobytes.
+VECTOR_GAP = 12
+RATE_MEMORY = 48
+WINDOW_ELEMENTS = 1 << 15
 
 
 class MechanismStateError(RuntimeError):
@@ -242,6 +266,18 @@ class Transcript:
         self.loss.append(loss)
         self.cum_spend.append(cum_spend)
 
+    def extend(self, delta, cost, price, q, loss, cum_spend):
+        """Append rejected rounds given as arrays, at one cumulative spend."""
+        n = len(loss)
+        self.delta.extend(delta.tolist())
+        self.cost.extend(cost.tolist())
+        self.price.extend(price.tolist())
+        self.accepted.extend([False] * n)
+        self.q.extend(q.tolist())
+        self.payment.extend([0.0] * n)
+        self.loss.extend(loss.tolist())
+        self.cum_spend.extend([cum_spend] * n)
+
     def __len__(self) -> int:
         return len(self.loss)
 
@@ -284,6 +320,30 @@ def priced_round(
     return price, q, accepted
 
 
+def priced_rounds(
+    delta: np.ndarray,
+    cost: np.ndarray,
+    u: np.ndarray,
+    price_scale: Union[float, np.ndarray],
+    c_max: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``priced_round`` over arrays of rounds, with the same arithmetic, so
+    each element equals the scalar decision bit for bit. ``price_scale`` is
+    one scale for every round or one per round."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # such rows are overwritten below
+        atom = np.minimum(1.0, delta / (price_scale * math.sqrt(c_max)))
+        p = delta / (price_scale * (1.0 - u))
+        q = np.minimum(1.0, delta / (price_scale * np.sqrt(cost)))
+    price = np.where(u >= 1.0 - atom, c_max, p * p)  # 0 where delta == 0
+    q[cost <= 0.0] = 1.0
+    q[delta <= 0.0] = 0.0
+    zero_scale = np.asarray(price_scale) == 0.0
+    if zero_scale.any():
+        price = np.where(zero_scale, c_max, price)
+        q = np.where(zero_scale, 1.0, q)
+    return price, q, (q > 0.0) & (price >= cost)
+
+
 # ---------------------------------------------------------------------------
 # Mechanism
 # ---------------------------------------------------------------------------
@@ -305,8 +365,11 @@ class Mechanism:
             raise InvalidConfigError(
                 f"configured horizon {horizon} != instance length {instance.horizon}"
             )
-        if float(instance.costs.max(initial=0.0)) > config.c_max + 1e-12:
-            raise InvalidConfigError("instance contains costs above c_max")
+        costs = instance.costs
+        if not np.all((costs >= 0.0) & (costs <= config.c_max)):  # NaN fails both
+            raise InvalidConfigError(
+                f"instance costs must be finite and lie in [0, {config.c_max}]"
+            )
         self.config = config
         self.instance = instance
         self.horizon = horizon
@@ -350,6 +413,7 @@ class Mechanism:
         self.hypothesis_sum = np.zeros(instance.space.dim)
         self.transcript = Transcript() if record_transcript else None
         self.hypotheses: Optional[list[np.ndarray]] = [] if record_hypotheses else None
+        self._last_purchase = -1  # round of the latest purchase
         self._finished = False
 
     # -- estimates -----------------------------------------------------------
@@ -370,100 +434,196 @@ class Mechanism:
         remaining_budget = max(self.config.budget - self.spend, floor)
         return min(cap, self.value_cost_estimate() * remaining_rounds / remaining_budget)
 
+    def adapted_scales(self, start: int, stop: int) -> np.ndarray:
+        """``adapted_scale`` for each round ``start <= t < stop`` at the
+        current spend and estimate, with the same arithmetic."""
+        policy = self.config.price_scale
+        cap = policy.cap if isinstance(policy, AdaptiveScale) else SCALE_CAP
+        rounds_done = np.arange(start, stop)
+        estimate = self.estimate_total / np.maximum(rounds_done, 1)
+        estimate = np.minimum(1.0, np.maximum(0.0, estimate))
+        if start == 0:
+            estimate[0] = 0.0  # value_cost_estimate before any round
+        floor = 1e-6 * self.config.budget
+        remaining_budget = max(self.config.budget - self.spend, floor)
+        return np.minimum(cap, estimate * (self.horizon - rounds_done) / remaining_budget)
+
     # -- execution ------------------------------------------------------------
 
     def run(self, rng: np.random.Generator) -> "Mechanism":
-        """Execute all rounds, consuming one uniform draw per round."""
+        """Execute all rounds, consuming one uniform draw per round.
+
+        The purchase rate is tracked as a running mean of the acceptance
+        probability q, with a memory of about RATE_MEMORY rounds. While it
+        puts purchases less than VECTOR_GAP rounds apart, rounds go one by
+        one, VECTOR_GAP at a time. Otherwise the next window is evaluated as
+        arrays; it spans twice the expected gap or the current dry spell,
+        whichever is longer, so it doubles while nothing is bought, and it
+        ends at the first purchase.
+        """
         if self._finished:
             raise MechanismStateError("mechanism already ran its full sequence")
-        cfg = self.config
-        instance = self.instance
-        learner = self.learner
-        family = instance.family
         horizon = self.horizon
-        policy = cfg.purchase_policy
-        at_cost = cfg.payment_mode == AT_COST
-        c_max = cfg.c_max
-        budget = cfg.budget
-        hard_stop = cfg.hard_stop
-        adaptive = isinstance(cfg.price_scale, AdaptiveScale)
-        scale = self.price_scale
-
-        costs = instance.costs.tolist()
-        points = [instance.data_point(t) for t in range(horizon)]
-        us = rng.random(horizon)
-
-        transcript = self.transcript
-        hypotheses = self.hypotheses
-        spend = self.spend
-        purchases = self.purchases
-        loss_total = self.loss_total
-        vc_total = self.value_cost_total
-        v_total = self.value_total
-        est_total = self.estimate_total
-        hyp_sum = self.hypothesis_sum
-        sqrt = math.sqrt
-
-        for t in range(horizon):
-            w = learner.coords
-            cost = costs[t]
-            point = points[t]
-            loss, dlt = family.loss_delta(w, point)
-
-            if policy == PRICED:
-                if hard_stop and spend >= budget:
-                    price = 0.0
-                    q = 1.0 if cost <= 0.0 else 0.0
-                    accepted = q > 0.0
-                else:
-                    price, q, accepted = priced_round(dlt, cost, us[t], scale, c_max)
-            elif policy == NAIVE:
-                price = c_max if spend + c_max <= budget else 0.0
-                accepted = price >= cost
-                q = 1.0 if accepted else 0.0
-            else:  # baseline: acquires everything, pays nothing
-                price = c_max
-                q = 1.0
-                accepted = True
-
-            if accepted:
-                if policy == BASELINE:
-                    payment = 0.0
-                else:
-                    payment = cost if at_cost else price
-                learner.iw_feed(q, True, family.grad(w, point), dlt)
-                spend += payment
-                purchases += 1
-                est_total += dlt * sqrt(cost) / q
+        uniforms = rng.random(horizon)
+        costs = self.instance.costs.tolist()
+        max_window = max(2 * VECTOR_GAP, WINDOW_ELEMENTS // self.instance.space.dim)
+        keep = 1.0 - 1.0 / RATE_MEMORY
+        rate, t = 1.0 / VECTOR_GAP, 0  # the first window measures the rate
+        while t < horizon:
+            if rate * VECTOR_GAP > 1.0:
+                stop = min(horizon, t + VECTOR_GAP)
+                after, q_sum = self._rounds_one_by_one(t, stop, uniforms, costs)
             else:
-                payment = 0.0
-                learner.feed_zero()
-
-            hyp_sum += w
-            loss_total += loss
-            vc_total += dlt * sqrt(cost)
-            v_total += dlt
-            self.rounds_done = t + 1
-
-            if transcript is not None:
-                transcript.append(dlt, cost, price, accepted, q, payment, loss, spend)
-            if hypotheses is not None:
-                hypotheses.append(w)
-
-            if adaptive:
-                self.spend = spend
-                self.estimate_total = est_total
-                scale = self.adapted_scale()
-
-        self.spend = spend
-        self.purchases = purchases
-        self.loss_total = loss_total
-        self.value_cost_total = vc_total
-        self.value_total = v_total
-        self.estimate_total = est_total
-        self.price_scale = scale
+                dry_spell = t - 1 - self._last_purchase
+                window = 2.0 * max(dry_spell, 1.0 / rate) if rate > 0.0 else max_window
+                stop = min(horizon, t + int(min(max_window, window)))
+                after, q_sum = self._rounds_at_once(t, stop, uniforms)
+            decay = keep ** (after - t)
+            rate = decay * rate + (1.0 - decay) * q_sum / (after - t)
+            t = after
+        self.rounds_done = horizon
+        if isinstance(self.config.price_scale, AdaptiveScale):
+            self.price_scale = self.adapted_scale()
         self._finished = True
         return self
+
+    def _rounds_one_by_one(self, start, stop, uniforms, costs) -> tuple[int, float]:
+        """Play rounds ``start <= t < stop`` through the scalar kernels;
+        return ``stop`` and the sum of the acceptance probabilities q."""
+        cfg = self.config
+        data_point = self.instance.data_point
+        loss_delta = self.instance.family.loss_delta
+        transcript = self.transcript
+        hypotheses = self.hypotheses
+        adaptive = isinstance(cfg.price_scale, AdaptiveScale)
+        # the hypothesis, the spend and so the policy's choice change only
+        # on a purchase
+        w = self.learner.coords
+        policy = self._posting_policy()
+        flat_price = self._flat_price()
+        q_sum = 0.0
+        for t in range(start, stop):
+            cost = costs[t]
+            point = data_point(t)
+            loss, dlt = loss_delta(w, point)
+            if policy == BASELINE:
+                price, q, accepted = cfg.c_max, 1.0, True
+            elif policy == NAIVE:
+                price = flat_price
+                accepted = price >= cost
+                q = 1.0 if accepted else 0.0
+            else:
+                if adaptive:
+                    self.rounds_done = t
+                    scale = self.adapted_scale()
+                else:
+                    scale = self.price_scale
+                price, q, accepted = priced_round(dlt, cost, uniforms[t], scale, cfg.c_max)
+
+            q_sum += q
+            self.hypothesis_sum += w
+            self.loss_total += loss
+            self.value_cost_total += dlt * math.sqrt(cost)
+            self.value_total += dlt
+            if hypotheses is not None:
+                hypotheses.append(w)
+            if accepted:
+                self._buy(t, point, w, loss, dlt, cost, price, q)
+                w = self.learner.coords
+                policy = self._posting_policy()
+                flat_price = self._flat_price()
+            elif transcript is not None:
+                transcript.append(dlt, cost, price, False, q, 0.0, loss, self.spend)
+        return stop, q_sum
+
+    def _rounds_at_once(self, start, stop, uniforms) -> tuple[int, float]:
+        """``_rounds_one_by_one`` computed as arrays at the posted hypothesis,
+        bit for bit the same, up to the first purchase or ``stop``; return
+        the next round and the sum of q over the rounds played."""
+        cfg = self.config
+        instance = self.instance
+        dim = instance.space.dim
+        w = self.learner.coords
+        loss, dlt = instance.family.loss_delta_rows(w, instance, start, stop)
+        cost = instance.costs[start:stop]
+        policy = self._posting_policy()
+        if policy == BASELINE:
+            n = stop - start
+            price, q, accepted = np.full(n, cfg.c_max), np.ones(n), np.ones(n, dtype=bool)
+        elif policy == NAIVE:
+            price = np.full(stop - start, self._flat_price())
+            accepted = price >= cost
+            q = accepted.astype(np.float64)
+        else:
+            if isinstance(cfg.price_scale, AdaptiveScale):
+                scale = self.adapted_scales(start, stop)
+            else:
+                scale = self.price_scale
+            price, q, accepted = priced_rounds(dlt, cost, uniforms[start:stop], scale, cfg.c_max)
+        j = int(accepted.argmax())
+        bought = bool(accepted[j])
+        n = j + 1 if bought else stop - start
+
+        # cumsum along axis 0 adds the rows in order, so these sums are bit
+        # for bit those of one round at a time
+        block = np.empty((n + 1, dim + 3))
+        block[0, :dim] = self.hypothesis_sum
+        block[0, dim:] = (self.loss_total, self.value_cost_total, self.value_total)
+        block[1:, :dim] = w
+        block[1:, dim] = loss[:n]
+        block[1:, dim + 1] = dlt[:n] * np.sqrt(cost[:n])
+        block[1:, dim + 2] = dlt[:n]
+        totals = block.cumsum(axis=0)[-1]
+        self.hypothesis_sum = totals[:dim].copy()
+        self.loss_total, self.value_cost_total, self.value_total = totals[dim:].tolist()
+        if self.hypotheses is not None:
+            self.hypotheses.extend([w] * n)
+
+        unbought = n - 1 if bought else n
+        if self.transcript is not None:
+            self.transcript.extend(
+                dlt[:unbought], cost[:unbought], price[:unbought], q[:unbought],
+                loss[:unbought], self.spend,
+            )
+        if bought:
+            t = start + j
+            self._buy(
+                t, instance.data_point(t), w, float(loss[j]), float(dlt[j]),
+                float(cost[j]), float(price[j]), float(q[j]),
+            )
+        return start + n, float(q[:n].sum())
+
+    def _posting_policy(self) -> str:
+        """The policy that posts prices until the next purchase: a priced run
+        past its hard stop posts a flat price, as naive does."""
+        cfg = self.config
+        if cfg.purchase_policy == PRICED and cfg.hard_stop and self.spend >= cfg.budget:
+            return NAIVE
+        return cfg.purchase_policy
+
+    def _flat_price(self) -> float:
+        """Naive posts c_max while the budget covers it, then 0; a hard stop
+        posts 0."""
+        cfg = self.config
+        if cfg.purchase_policy == NAIVE and self.spend + cfg.c_max <= cfg.budget:
+            return cfg.c_max
+        return 0.0
+
+    def _buy(self, t, point, w, loss, dlt, cost, price, q) -> None:
+        """Pay for, feed and record the accepted round ``t`` at hypothesis
+        ``w``."""
+        cfg = self.config
+        self._last_purchase = t
+        if cfg.purchase_policy == BASELINE:
+            payment = 0.0
+        else:
+            payment = cost if cfg.payment_mode == AT_COST else price
+        self.learner.iw_feed(q, True, self.instance.family.grad(w, point), dlt)
+        self.spend += payment
+        self.purchases += 1
+        self.estimate_total += dlt * math.sqrt(cost) / q
+        if self.transcript is not None:
+            self.transcript.append(dlt, cost, price, True, q, payment, loss, self.spend)
 
     def finalize(self) -> Hypothesis:
         """Mean of the posted hypotheses, the run's single prediction."""

@@ -28,6 +28,8 @@ from procure_learn.core import (
     simplex_projection,
 )
 
+from procure_learn.environment import UniformCost, linear_task, padded_coin_sequence
+
 coords = st.lists(st.floats(-5, 5), min_size=2, max_size=6)
 
 
@@ -286,6 +288,41 @@ def test_scalar_and_batch_forms_agree(rng):
     np.testing.assert_allclose(
         vfam.grad_norms(outcomes), [vfam.loss_delta(wv, p)[1] for p in pts]
     )
+
+
+def _assert_row_ranges_match_scalar(instance, w, rng):
+    family, T = instance.family, instance.horizon
+    scalar = np.array([family.loss_delta(w, instance.data_point(t)) for t in range(T)])
+    cuts = np.sort(rng.choice(np.arange(1, T), size=15, replace=False)).tolist()
+    bounds = [0, *cuts, T]
+    splits = {
+        "whole": [(0, T)],
+        "arbitrary": list(zip(bounds, bounds[1:])),
+        "single rows": [(t, t + 1) for t in range(T)],
+    }
+    for name, pieces in splits.items():
+        rows = [family.loss_delta_rows(w, instance, a, b) for a, b in pieces]
+        loss = np.concatenate([r[0] for r in rows])
+        delta = np.concatenate([r[1] for r in rows])
+        assert loss.tobytes() == scalar[:, 0].tobytes(), name
+        assert delta.tobytes() == scalar[:, 1].tobytes(), name
+    return scalar
+
+
+@pytest.mark.parametrize("dim", [2, 24, 32, 784])
+def test_feature_row_range_kernel_matches_scalar_bitwise(dim, rng):
+    # the run loop evaluates windows with the row-range kernel and purchases
+    # with the scalar form; both must give the same bits on every row
+    instance = linear_task(dim, 2, 0.6, 400, 1, UniformCost(), dim)
+    v = (instance.labels[:, None] * instance.features).mean(axis=0)
+    w = v / np.median(instance.labels * (instance.features * v).sum(axis=1))
+    scalar = _assert_row_ranges_match_scalar(instance, w, rng)
+    assert (scalar[:, 1] == 0.0).any() and (scalar[:, 1] > 0.0).any()  # both hinge branches
+
+
+def test_vertex_row_range_kernel_matches_scalar_bitwise(rng):
+    instance = padded_coin_sequence(400, 0.5, 0.1, "heads", 3)
+    _assert_row_ranges_match_scalar(instance, rng.dirichlet(np.ones(2)), rng)
 
 
 def test_make_family_pairing():

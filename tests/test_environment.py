@@ -270,3 +270,13 @@ def test_digit_task_split(idx_files):
     again = digit_task(img_path, lab_path, UniformCost(), 5)
     assert inst.features.tobytes() == again.features.tobytes()
     assert inst.costs.tobytes() == again.costs.tobytes()
+
+
+def test_digit_task_norms_capped(idx_files):
+    img_path, lab_path, _, _ = idx_files
+    inst = digit_task(img_path, lab_path, UniformCost(), 5)
+    norms = np.linalg.norm(inst.features, axis=1)
+    assert (norms > 1.0).any()  # a unit-normalized row rounds above 1 here
+    np.testing.assert_array_equal(inst.feature_norms, np.minimum(norms, 1.0))
+    # data_point hands out the stored norm, so delta stays in [0, 1]
+    assert all(0.0 <= inst.data_point(t).feature_norm <= 1.0 for t in range(inst.horizon))

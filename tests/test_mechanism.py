@@ -23,6 +23,7 @@ from procure_learn.mechanism import (
     TheoryRate,
     choose_price_scale,
     priced_round,
+    priced_rounds,
     theory_learning_rate,
 )
 from procure_learn.metrics import mean_round_risk, risk
@@ -109,6 +110,39 @@ def test_priced_round_tie_accepts():
 def test_priced_round_zero_scale_buys_at_max_price():
     price, q, accepted = priced_round(0.0, 0.7, 0.2, 0.0)
     assert price == 1.0 and q == 1.0 and accepted
+
+
+def test_priced_rounds_match_priced_round_bitwise(rng):
+    for trial in range(400):
+        n = int(rng.integers(1, 40))
+        c_max = float(rng.choice([1.0, 2.0]))
+        delta = np.where(rng.random(n) < 0.3, 0.0, rng.random(n))
+        cost = c_max * np.where(rng.random(n) < 0.3, 0.0, rng.random(n))
+        u = rng.random(n)
+        if trial % 2:  # one scale per round, some of them zero
+            scale = np.where(rng.random(n) < 0.2, 0.0, 5.0 * rng.random(n))
+        else:
+            scale = float(rng.choice([0.0, 0.5, 3.0, 50.0]))
+        price, q, accepted = priced_rounds(delta, cost, u, scale, c_max)
+        scales = np.broadcast_to(scale, (n,))
+        for i in range(n):
+            expected = priced_round(float(delta[i]), float(cost[i]), float(u[i]), float(scales[i]), c_max)
+            assert (price[i], q[i], accepted[i]) == expected
+            assert not np.signbit(price[i]) and not np.signbit(q[i])  # no -0.0 in the CSV
+
+
+def test_adapted_scales_match_adapted_scale():
+    inst = coin_sequence(1000, 0.1, "heads", 1)
+    cfg = MechanismConfig(budget=50.0, price_scale=AdaptiveScale(cap=40.0), learning_rate=FixedRate(0.1))
+    mech = Mechanism(cfg, inst)
+    for estimate_total, spend in ((0.0, 0.0), (3.7, 12.5), (900.0, 3.0), (2.0, 50.0)):
+        mech.estimate_total, mech.spend = estimate_total, spend
+        for start, stop in ((0, 1), (0, 40), (1, 2), (13, 400), (990, 1000)):
+            expected = []
+            for r in range(start, stop):
+                mech.rounds_done = r
+                expected.append(mech.adapted_scale())
+            assert mech.adapted_scales(start, stop).tolist() == expected
 
 
 def test_priced_round_acceptance_rate_matches_q():
@@ -361,6 +395,16 @@ def test_config_validation():
         Mechanism(
             MechanismConfig(budget=1.0, c_max=0.5, learning_rate=FixedRate(0.1)), inst
         )
+
+
+@pytest.mark.parametrize("bad_cost", [math.nan, -0.5, math.inf])
+def test_costs_must_be_finite_and_within_range(bad_cost):
+    # NaN used to run silently to avg_value_cost = nan, and -0.5 to die
+    # mid-run in math.sqrt
+    inst = coin_sequence(50, 0.1, "heads", 2)
+    inst.costs[17] = bad_cost
+    with pytest.raises(InvalidConfigError):
+        Mechanism(MechanismConfig(budget=5.0, learning_rate=FixedRate(0.1)), inst)
 
 
 def test_run_determinism():

@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 from procure_learn.core import eval_gradient, eval_loss
-from procure_learn.environment import TwoPointCost, UniformCost, coin_sequence, linear_task
+from procure_learn.environment import (
+    TwoPointCost,
+    UniformCost,
+    coin_sequence,
+    linear_task,
+    padded_coin_sequence,
+)
 from procure_learn.ftrl import FtrlLearner
 from procure_learn.mechanism import (
     AdaptiveScale,
@@ -83,6 +89,68 @@ def reference_run(config, instance, rng):
     return rows
 
 
+def reference_end_state(config, instance, rows):
+    """The end state a reference transcript implies, accumulated one round at
+    a time: the learner is replayed on the accepted rounds."""
+    setup = Mechanism(config, instance)
+    learner = FtrlLearner(instance.space, setup.learner.learning_rate)
+    T = instance.horizon
+    hypothesis_sum = np.zeros(instance.space.dim)
+    loss_total = value_cost_total = value_total = estimate_total = 0.0
+    for t, (value, cost, price, accepted, q, payment, loss, spend) in enumerate(rows):
+        h = learner.post()
+        hypothesis_sum += h.coords
+        loss_total += loss
+        value_cost_total += value * math.sqrt(cost)
+        value_total += value
+        if accepted:
+            estimate_total += value * math.sqrt(cost) / q
+            learner.iw_feed(q, True, eval_gradient(instance.family, h, instance.arrivals[t].data), value)
+    price_scale = setup.price_scale
+    if isinstance(config.price_scale, AdaptiveScale):  # the update after the last round
+        t = T - 1
+        estimate = min(1.0, max(0.0, estimate_total / (t + 1)))
+        remaining = max(config.budget - rows[-1][-1], 1e-6 * config.budget)
+        price_scale = min(config.price_scale.cap, estimate * (T - t - 1) / remaining)
+    return {
+        "loss_total": loss_total,
+        "value_cost_total": value_cost_total,
+        "value_total": value_total,
+        "estimate_total": estimate_total,
+        "purchases": sum(row[3] for row in rows),
+        "spend": rows[-1][-1],
+        "price_scale": price_scale,
+        "hypothesis_sum": hypothesis_sum.tolist(),
+        "coords": learner.coords.tolist(),
+    }
+
+
+def end_state(mech):
+    return {
+        "loss_total": mech.loss_total,
+        "value_cost_total": mech.value_cost_total,
+        "value_total": mech.value_total,
+        "estimate_total": mech.estimate_total,
+        "purchases": mech.purchases,
+        "spend": mech.spend,
+        "price_scale": mech.price_scale,
+        "hypothesis_sum": mech.hypothesis_sum.tolist(),
+        "coords": mech.learner.coords.tolist(),
+    }
+
+
+# T=150 is short; the T=3000 instances let windows between purchases grow
+INSTANCES = {
+    "coin": lambda: coin_sequence(150, 0.15, "heads", 42),
+    "linear": lambda: linear_task(3, 2, 0.6, 150, 20, UniformCost(), 42),
+    "coin-3000": lambda: coin_sequence(3000, 0.15, "heads", 42),
+    "padded-coin-3000": lambda: padded_coin_sequence(3000, 0.3, 0.1, "heads", 42),
+    "linear-d32-uniform": lambda: linear_task(32, 2, 0.35, 3000, 10, UniformCost(), 42, noise=0.2),
+    "linear-d24-correlated": lambda: linear_task(
+        24, 4, 0.8, 3000, 10, TwoPointCost(0.2, 1.0, (0, 4)), 42, noise=0.14
+    ),
+}
+
 CONFIGS = [
     MechanismConfig(budget=12.0, price_scale=FixedScale(2.0), learning_rate=FixedRate(0.2)),
     MechanismConfig(
@@ -101,12 +169,9 @@ CONFIGS = [
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.purchase_policy}-{c.payment_mode}")
-@pytest.mark.parametrize("kind", ["coin", "linear"])
+@pytest.mark.parametrize("kind", list(INSTANCES))
 def test_run_loop_matches_reference(config, kind):
-    if kind == "coin":
-        instance = coin_sequence(150, 0.15, "heads", 42)
-    else:
-        instance = linear_task(3, 2, 0.6, 150, 20, UniformCost(), 42)
+    instance = INSTANCES[kind]()
     expected = reference_run(config, instance, np.random.default_rng(9))
     mech = Mechanism(config, instance).run(np.random.default_rng(9))
     tr = mech.transcript
@@ -119,7 +184,7 @@ def test_run_loop_matches_reference(config, kind):
         assert tr.payment[t] == payment
         assert tr.loss[t] == loss
         assert tr.cum_spend[t] == spend
-    assert mech.spend == expected[-1][-1]
+    assert end_state(mech) == reference_end_state(config, instance, expected)
 
 
 def test_run_loop_matches_reference_two_point_costs():
@@ -130,3 +195,32 @@ def test_run_loop_matches_reference_two_point_costs():
     assert list(zip(mech.transcript.delta, mech.transcript.price, mech.transcript.cum_spend)) == [
         (row[0], row[2], row[7]) for row in expected
     ]
+    assert end_state(mech) == reference_end_state(config, instance, expected)
+
+
+def _play_all_one_by_one(self, start, stop, uniforms):
+    return self._rounds_one_by_one(start, stop, uniforms, self.instance.costs.tolist())
+
+
+FORCED_PATHS = {
+    # no expected gap is shorter than one round, so every window is arrays
+    "all-arrays": {"VECTOR_GAP": 1, "Mechanism._rounds_one_by_one": None},
+    "all-one-by-one": {"Mechanism._rounds_at_once": _play_all_one_by_one},
+}
+
+
+@pytest.mark.parametrize("path", list(FORCED_PATHS))
+@pytest.mark.parametrize("kind", ["coin-3000", "padded-coin-3000", "linear-d24-correlated"])
+def test_window_evaluation_does_not_change_results(monkeypatch, path, kind):
+    """Forcing every window through the array path, or every round through
+    the scalar path, reproduces the default run bit for bit."""
+    instance = INSTANCES[kind]()
+    for config in CONFIGS:
+        default = Mechanism(config, instance).run(np.random.default_rng(9))
+        for name, value in FORCED_PATHS[path].items():
+            monkeypatch.setattr(f"procure_learn.mechanism.{name}", value)  # None: a call raises
+        forced = Mechanism(config, instance).run(np.random.default_rng(9))
+        monkeypatch.undo()
+        for column in forced.transcript.COLUMNS[1:]:
+            assert getattr(forced.transcript, column) == getattr(default.transcript, column)
+        assert end_state(forced) == end_state(default)
