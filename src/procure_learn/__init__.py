@@ -36,7 +36,7 @@ from .environment import (
     load_digit_dataset,
     padded_coin_sequence,
 )
-from .ftrl import FtrlLearner, WeightedFeed
+from .ftrl import FtrlLearner
 from .mechanism import (
     AdaptiveScale,
     FixedRate,

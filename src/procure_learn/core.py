@@ -218,10 +218,14 @@ class LossFamily:
     """A family of convex losses, one instance per data point.
 
     ``norm_kind`` names the primal norm under which every member is
-    1-Lipschitz in the hypothesis (given unit-ball features). The row-range
-    kernel ``loss_delta_rows`` serves the mechanism's array windows and the
-    scalar methods serve the rounds it plays one by one; for the families a
-    config can select (hinge and linear-simplex) the two agree bit for bit.
+    1-Lipschitz in the hypothesis (given unit-ball features). The mechanism
+    reads arrivals straight from a ``ProblemInstance``'s columns: the
+    row-range kernel ``loss_delta_rows`` serves its array windows and the
+    one-row kernel ``loss_delta_row`` the rounds it plays one by one. Both
+    return the loss, delta and gradient coefficient from one margin per row,
+    and ``row_gradient`` turns a coefficient into the gradient. For the
+    families a config can select (hinge and linear-simplex) they agree bit
+    for bit with each other and with the scalar methods on a ``DataPoint``.
     The whole-dataset methods serve oracles and metrics and agree to
     rounding.
     """
@@ -243,11 +247,21 @@ class LossFamily:
     def grad_dual_norm(self, w: np.ndarray, point: DataPoint) -> float:
         return self.loss_delta(w, point)[1]
 
+    def loss_delta_row(self, w: np.ndarray, instance, t: int) -> tuple[float, float, float]:
+        """``loss_delta`` of arrival ``t`` of a ``ProblemInstance``, and the
+        coefficient that ``row_gradient`` scales into its gradient."""
+        raise NotImplementedError
+
     def loss_delta_rows(
         self, w: np.ndarray, instance, start: int, stop: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``loss_delta`` of every arrival ``start <= t < stop`` of a
-        ``ProblemInstance`` at one hypothesis, as two arrays."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``loss_delta_row`` of every arrival ``start <= t < stop`` at one
+        hypothesis, as three arrays."""
+        raise NotImplementedError
+
+    def row_gradient(self, instance, t: int, coefficient: float) -> np.ndarray:
+        """The gradient at arrival ``t`` whose coefficient ``loss_delta_row``
+        gave; it is zero when the coefficient is."""
         raise NotImplementedError
 
 
@@ -258,11 +272,12 @@ class FeatureLoss(LossFamily):
     kernel ``loss_delta_rows`` takes ``(X * w).sum(axis=1)`` over a block of
     rows: numpy reduces each row of the block in the same order as the lone
     row, so the two agree bit for bit at every dimension and block size (a
-    test pins this).
+    test pins this). The gradient coefficient is ``slope * label``, and the
+    gradient is that coefficient times the row, as in ``grad``.
     ``np.dot`` (and BLAS matvec) sums in a different order and differs from
     both in the last digits for a large share of rows. The whole-dataset
-    forms (``values``, ``grad_norms``, ``mean_grad``) that the offline oracle
-    and the risk metrics call many times keep the faster ``X @ w``.
+    forms (``values``, ``grad_norms``, ``mean_grad``) that the risk metrics
+    call, and the offline oracle, keep the faster ``X @ w``.
     """
 
     norm_kind = "l2"
@@ -298,10 +313,22 @@ class FeatureLoss(LossFamily):
         m = point.label * float((point.features * w).sum())
         return self._value(m), abs(self._slope(m)) * point.feature_norm
 
+    def loss_delta_row(self, w, instance, t):
+        y = int(instance.labels[t])
+        m = y * float((instance.features[t] * w).sum())
+        slope = self._slope(m)
+        return self._value(m), abs(slope) * float(instance.feature_norms[t]), slope * y
+
     def loss_delta_rows(self, w, instance, start, stop):
-        m = instance.labels[start:stop] * (instance.features[start:stop] * w).sum(axis=1)
-        delta = np.abs(self.margin_slope(m)) * instance.feature_norms[start:stop]
-        return self.margin_value(m), delta
+        y = instance.labels[start:stop]
+        m = y * (instance.features[start:stop] * w).sum(axis=1)
+        slope = self.margin_slope(m)
+        delta = np.abs(slope) * instance.feature_norms[start:stop]
+        return self.margin_value(m), delta, slope * y
+
+    def row_gradient(self, instance, t, coefficient):
+        # the arithmetic of ``grad``: (slope * label) * x
+        return coefficient * instance.features[t]
 
     # batch forms over a dataset (X rows already unit-ball normalized)
     def values(self, w, X, y) -> np.ndarray:
@@ -413,9 +440,21 @@ class VertexLoss(LossFamily):
             return 1.0, 0.0
         return 1.0 - float(w[i]), 1.0
 
+    def loss_delta_row(self, w, instance, t):
+        i = int(instance.outcomes[t])
+        if i < 0:
+            return 1.0, 0.0, 0.0
+        return 1.0 - float(w[i]), 1.0, -1.0
+
     def loss_delta_rows(self, w, instance, start, stop):
         outcomes = instance.outcomes[start:stop]
-        return self.values(w, outcomes), self.grad_norms(outcomes)
+        delta = self.grad_norms(outcomes)
+        return self.values(w, outcomes), delta, -delta  # -0.0 on null rows
+
+    def row_gradient(self, instance, t, coefficient):
+        g = np.zeros(instance.space.dim)
+        g[instance.outcomes[t]] = coefficient
+        return g
 
     def values(self, w, outcomes) -> np.ndarray:
         out = np.ones(len(outcomes))

@@ -15,7 +15,6 @@ partial observation its expectation matches the guaranteed bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -33,31 +32,6 @@ EUCLIDEAN = "euclidean"
 NEG_ENTROPY = "neg-entropy"
 
 _PAIRING = {L2_BALL: EUCLIDEAN, "simplex": NEG_ENTROPY}
-
-
-@dataclass(frozen=True)
-class WeightedFeed:
-    """An importance-weighted observation, or the zero function when empty.
-
-    ``delta`` is the dual norm of the unweighted gradient; the weighted
-    function's own delta is delta * inverse_weight.
-    """
-
-    gradient: Optional[np.ndarray] = None
-    inverse_weight: float = 1.0
-    delta: float = 0.0
-
-    def __post_init__(self):
-        if self.gradient is not None and self.inverse_weight < 1.0 - 1e-12:
-            raise ValueError("inverse weight must be at least 1")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.gradient is None
-
-    @classmethod
-    def zero(cls) -> "WeightedFeed":
-        return cls()
 
 
 class FtrlLearner:
@@ -97,12 +71,6 @@ class FtrlLearner:
     def post(self) -> Hypothesis:
         """The hypothesis played this round."""
         return Hypothesis(self.space, self._coords)
-
-    def feed(self, feed: WeightedFeed) -> None:
-        if feed.is_zero:
-            self.feed_zero()
-        else:
-            self.feed_gradient(feed.gradient, feed.inverse_weight, feed.delta)
 
     def feed_zero(self) -> None:
         """Observe the zero function: state is unchanged by construction."""

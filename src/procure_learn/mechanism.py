@@ -21,14 +21,27 @@ gradient sum and a rejected round feeds nothing, so the posted hypothesis,
 the spend and the estimate change only when an arrival is bought. Where
 purchases are sparse, the run jumps from purchase to purchase: a window of
 upcoming rounds is computed as arrays over the instance's columns at one
-hypothesis (loss and delta from the loss family's row-range kernel, the
-scale, the price from the uniforms drawn up front, q and acceptance), and
-only the first accepted round reaches the learner. Where they are dense, as
-for ``baseline``, for ``naive`` while its budget lasts, and for ``priced``
-where much of the data is free, numpy's fixed cost per call outweighs the
-rounds a window saves, so rounds go one by one through the scalar kernels.
-The run picks between the two from the purchase rate it measures, and
-both give the same transcript and totals bit for bit.
+hypothesis (loss, delta and gradient coefficient from the loss family's
+row-range kernel, the scale, the price from the uniforms drawn up front, q
+and acceptance), and only the first accepted round reaches the learner.
+Where they are dense, as for ``baseline``, for ``naive`` while its budget
+lasts, and for ``priced`` where much of the data is free, numpy's fixed
+cost per call outweighs the rounds a window saves, so rounds go one by one
+through the family's one-row kernel. The run picks between the two from
+the purchase rate it measures, and both give the same transcript and
+totals bit for bit.
+
+Either way each round's margin is computed once, straight from the
+instance's columns: the kernel returns the loss, delta and the gradient
+coefficient (slope times label; -1 or 0 on the simplex), and a purchase
+builds its gradient from that coefficient with the arithmetic of the
+family's ``grad``. A purchase whose coefficient is exactly zero (an
+inactive hinge, a null outcome) updates spend, counters and estimate but
+skips the feed. That is exact: the gradient sum starts at +0.0 and can
+never hold -0.0, so adding a zero gradient changes none of its bits, nor
+the bound sum (delta is 0 too) or the hypothesis recomputed from them. (A
+fresh learner on the ball posts +0.0 where a recompute would give -0.0,
+but there every margin is 0, the hinge is active and nothing is skipped.)
 """
 
 from __future__ import annotations
@@ -109,7 +122,8 @@ def choose_price_scale(
     available (avg_value_cost, else avg_sqrt_cost, else sqrt(avg_cost)).
     Posted-price: (horizon / budget) * (2 * avg_value * sqrt(c_max) -
     avg_value_cost), degrading by substituting sqrt(c_max) bounds for unknown
-    statistics.
+    statistics. A scale of 0 would buy every arrival at ``c_max``, which no
+    budget promise covers, so knowledge that gives a scale <= 0 is refused.
     """
     if not budget > 0:
         raise InvalidConfigError("budget must be positive")
@@ -119,20 +133,31 @@ def choose_price_scale(
     k = knowledge
     if payment_mode == AT_COST:
         if k.avg_value_cost is not None:
-            return ratio * k.avg_value_cost
-        if k.avg_sqrt_cost is not None:
-            return ratio * k.avg_sqrt_cost
-        if k.avg_cost is not None:
-            return ratio * math.sqrt(k.avg_cost)
-        raise InvalidConfigError("no usable prior statistic supplied")
-    root = math.sqrt(c_max)
-    if k.avg_value_cost is not None and k.avg_value is not None:
-        return ratio * (2.0 * k.avg_value * root - k.avg_value_cost)
-    if k.avg_value_cost is not None:
-        return ratio * (2.0 * root - k.avg_value_cost)
-    if k.avg_sqrt_cost is not None or k.avg_cost is not None:
-        return ratio * 2.0 * root
-    raise InvalidConfigError("no usable prior statistic supplied")
+            used, scale = "avg_value_cost", ratio * k.avg_value_cost
+        elif k.avg_sqrt_cost is not None:
+            used, scale = "avg_sqrt_cost", ratio * k.avg_sqrt_cost
+        elif k.avg_cost is not None:
+            used, scale = "avg_cost", ratio * math.sqrt(k.avg_cost)
+        else:
+            raise InvalidConfigError("no usable prior statistic supplied")
+    else:
+        root = math.sqrt(c_max)
+        if k.avg_value_cost is not None and k.avg_value is not None:
+            used = "avg_value and avg_value_cost"
+            scale = ratio * (2.0 * k.avg_value * root - k.avg_value_cost)
+        elif k.avg_value_cost is not None:
+            used, scale = "avg_value_cost", ratio * (2.0 * root - k.avg_value_cost)
+        elif k.avg_sqrt_cost is not None or k.avg_cost is not None:
+            used = "avg_sqrt_cost" if k.avg_sqrt_cost is not None else "avg_cost"
+            scale = ratio * 2.0 * root
+        else:
+            raise InvalidConfigError("no usable prior statistic supplied")
+    if not scale > 0.0:
+        raise InvalidConfigError(
+            f"prior knowledge {used} gives price scale {scale}; from-knowledge "
+            "scales must be positive (a zero scale buys every arrival at c_max)"
+        )
+    return scale
 
 
 def theory_learning_rate(
@@ -488,11 +513,11 @@ class Mechanism:
         return self
 
     def _rounds_one_by_one(self, start, stop, uniforms, costs) -> tuple[int, float]:
-        """Play rounds ``start <= t < stop`` through the scalar kernels;
+        """Play rounds ``start <= t < stop`` through the one-row kernels;
         return ``stop`` and the sum of the acceptance probabilities q."""
         cfg = self.config
-        data_point = self.instance.data_point
-        loss_delta = self.instance.family.loss_delta
+        instance = self.instance
+        loss_delta_row = instance.family.loss_delta_row
         transcript = self.transcript
         hypotheses = self.hypotheses
         adaptive = isinstance(cfg.price_scale, AdaptiveScale)
@@ -504,8 +529,7 @@ class Mechanism:
         q_sum = 0.0
         for t in range(start, stop):
             cost = costs[t]
-            point = data_point(t)
-            loss, dlt = loss_delta(w, point)
+            loss, dlt, coefficient = loss_delta_row(w, instance, t)
             if policy == BASELINE:
                 price, q, accepted = cfg.c_max, 1.0, True
             elif policy == NAIVE:
@@ -528,7 +552,7 @@ class Mechanism:
             if hypotheses is not None:
                 hypotheses.append(w)
             if accepted:
-                self._buy(t, point, w, loss, dlt, cost, price, q)
+                self._buy(t, coefficient, loss, dlt, cost, price, q)
                 w = self.learner.coords
                 policy = self._posting_policy()
                 flat_price = self._flat_price()
@@ -544,7 +568,7 @@ class Mechanism:
         instance = self.instance
         dim = instance.space.dim
         w = self.learner.coords
-        loss, dlt = instance.family.loss_delta_rows(w, instance, start, stop)
+        loss, dlt, coefficient = instance.family.loss_delta_rows(w, instance, start, stop)
         cost = instance.costs[start:stop]
         policy = self._posting_policy()
         if policy == BASELINE:
@@ -588,7 +612,7 @@ class Mechanism:
         if bought:
             t = start + j
             self._buy(
-                t, instance.data_point(t), w, float(loss[j]), float(dlt[j]),
+                t, float(coefficient[j]), float(loss[j]), float(dlt[j]),
                 float(cost[j]), float(price[j]), float(q[j]),
             )
         return start + n, float(q[:n].sum())
@@ -609,16 +633,18 @@ class Mechanism:
             return cfg.c_max
         return 0.0
 
-    def _buy(self, t, point, w, loss, dlt, cost, price, q) -> None:
-        """Pay for, feed and record the accepted round ``t`` at hypothesis
-        ``w``."""
+    def _buy(self, t, coefficient, loss, dlt, cost, price, q) -> None:
+        """Pay for, feed and record the accepted round ``t``, whose gradient
+        coefficient at the posted hypothesis is ``coefficient``."""
         cfg = self.config
         self._last_purchase = t
         if cfg.purchase_policy == BASELINE:
             payment = 0.0
         else:
             payment = cost if cfg.payment_mode == AT_COST else price
-        self.learner.iw_feed(q, True, self.instance.family.grad(w, point), dlt)
+        if coefficient != 0.0:  # a zero gradient would leave the learner as it is
+            gradient = self.instance.family.row_gradient(self.instance, t, coefficient)
+            self.learner.iw_feed(q, True, gradient, dlt)
         self.spend += payment
         self.purchases += 1
         self.estimate_total += dlt * math.sqrt(cost) / q

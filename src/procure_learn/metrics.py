@@ -55,7 +55,10 @@ def offline_best(
     Vertex losses: exact minimizer by vertex enumeration. Feature losses:
     multi-pass projected (sub)gradient descent with step radius/sqrt(k),
     stopping once the best objective stops improving by a relative ``tol``
-    for ``patience`` consecutive passes.
+    for ``patience`` consecutive passes. Each pass computes the margins
+    ``y * (X @ w)`` once: their ``margin_value`` is the objective at ``w``
+    and their ``margin_slope`` the next pass's gradient, the same arithmetic
+    as ``values`` and ``mean_grad`` on the same margins.
     """
     space, family = instance.space, instance.family
     if isinstance(family, VertexLoss):
@@ -70,14 +73,16 @@ def offline_best(
     X, y = instance.features, instance.labels
     n = len(y)
     w = np.zeros(space.dim)
+    m = y * (X @ w)
     best_w = w
-    best_obj = float(family.values(w, X, y).mean())
+    best_obj = float(family.margin_value(m).mean())
     stale = 0
     k = 0
     for k in range(1, iterations + 1):
-        g = family.mean_grad(w, X, y)
+        g = (X.T @ (family.margin_slope(m) * y)) / n
         w = project_coords(space, w - (space.radius / math.sqrt(k)) * g)
-        obj = float(family.values(w, X, y).mean())
+        m = y * (X @ w)
+        obj = float(family.margin_value(m).mean())
         if obj < best_obj - tol * max(1.0, abs(best_obj)):
             best_obj, best_w, stale = obj, w, 0
         else:

@@ -315,6 +315,28 @@ def _trial_stats(
     )
 
 
+def _scored_run(
+    mcfg: MechanismConfig,
+    instance: ProblemInstance,
+    mech_ss: np.random.SeedSequence,
+    *,
+    record_transcript: bool = False,
+) -> tuple[Mechanism, float, float]:
+    """Run one mechanism on a trial's instance and mechanism stream; return
+    it with the surrogate and zero-one test risks of its final hypothesis
+    (nan without a test set)."""
+    mech = Mechanism(mcfg, instance, record_transcript=record_transcript)
+    mech.run(np.random.default_rng(mech_ss))
+    final = mech.finalize()
+    if instance.has_test_set:
+        fam = instance.family
+        risk_s = risk(fam, final, instance.test_features, instance.test_labels, "surrogate")
+        risk_01 = risk(fam, final, instance.test_features, instance.test_labels, "zero-one")
+    else:
+        risk_s = risk_01 = math.nan
+    return mech, risk_s, risk_01
+
+
 def run_trial(
     config: ExperimentConfig,
     trial: int,
@@ -325,17 +347,9 @@ def run_trial(
     start = time.perf_counter()
     instance_ss, mech_ss, trial_seed = trial_streams(config.seed, trial)
     instance = build_instance(config.instance, instance_ss)
-    mech = Mechanism(config.mechanism, instance, record_transcript=record_transcript)
-    mech.run(np.random.default_rng(mech_ss))
-    final = mech.finalize()
-
-    if instance.has_test_set:
-        fam = instance.family
-        risk_s = risk(fam, final, instance.test_features, instance.test_labels, "surrogate")
-        risk_01 = risk(fam, final, instance.test_features, instance.test_labels, "zero-one")
-    else:
-        risk_s = risk_01 = math.nan
-
+    mech, risk_s, risk_01 = _scored_run(
+        config.mechanism, instance, mech_ss, record_transcript=record_transcript
+    )
     solution = offline_best(instance, config.oracle_iterations) if compute_regret else None
     regret_value = mech.loss_total - solution.total_loss if solution else math.nan
 
@@ -407,37 +421,28 @@ class SweepRow:
 
 
 def _sweep_trial_job(args) -> list[SweepCell]:
+    """Every (policy, budget) cell of one trial. ``baseline`` neither spends
+    nor prices, and its learning rate does not depend on the budget, so it
+    runs once and its scores fill every budget's cell."""
     config, trial, policies = args
     instance_ss, mech_ss, _ = trial_streams(config.seed, trial)
     instance = build_instance(config.instance, instance_ss)
-    solution = offline_best(instance, config.oracle_iterations)
-    oracle_total = solution.total_loss
+    oracle_total = offline_best(instance, config.oracle_iterations).total_loss
     cells = []
+    baseline = None  # (regret, risk_surrogate, risk_zero_one, spend)
     for policy in policies:
         for budget in config.budget_grid:
-            mcfg = dataclasses.replace(
+            mcfg = dataclasses.replace(  # validates every budget of the grid
                 config.mechanism, purchase_policy=policy, budget=budget
             )
-            mech = Mechanism(mcfg, instance, record_transcript=False)
-            mech.run(np.random.default_rng(mech_ss))
-            final = mech.finalize()
-            if instance.has_test_set:
-                fam = instance.family
-                r_s = risk(fam, final, instance.test_features, instance.test_labels, "surrogate")
-                r_01 = risk(fam, final, instance.test_features, instance.test_labels, "zero-one")
+            if policy == BASELINE and baseline is not None:
+                scores = baseline
             else:
-                r_s = r_01 = math.nan
-            cells.append(
-                SweepCell(
-                    trial=trial,
-                    policy=policy,
-                    budget=budget,
-                    regret=mech.loss_total - oracle_total,
-                    risk_surrogate=r_s,
-                    risk_zero_one=r_01,
-                    spend=mech.spend,
-                )
-            )
+                mech, risk_s, risk_01 = _scored_run(mcfg, instance, mech_ss)
+                scores = (mech.loss_total - oracle_total, risk_s, risk_01, mech.spend)
+                if policy == BASELINE:
+                    baseline = scores
+            cells.append(SweepCell(trial, policy, budget, *scores))
     return cells
 
 

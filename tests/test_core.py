@@ -293,6 +293,11 @@ def test_scalar_and_batch_forms_agree(rng):
 def _assert_row_ranges_match_scalar(instance, w, rng):
     family, T = instance.family, instance.horizon
     scalar = np.array([family.loss_delta(w, instance.data_point(t)) for t in range(T)])
+    one_row = np.array([family.loss_delta_row(w, instance, t) for t in range(T)])
+    assert one_row[:, :2].tobytes() == scalar.tobytes()
+    for t in range(T):  # one margin serves the loss, delta and gradient
+        gradient = family.row_gradient(instance, t, one_row[t, 2])
+        assert gradient.tobytes() == family.grad(w, instance.data_point(t)).tobytes()
     cuts = np.sort(rng.choice(np.arange(1, T), size=15, replace=False)).tolist()
     bounds = [0, *cuts, T]
     splits = {
@@ -304,8 +309,11 @@ def _assert_row_ranges_match_scalar(instance, w, rng):
         rows = [family.loss_delta_rows(w, instance, a, b) for a, b in pieces]
         loss = np.concatenate([r[0] for r in rows])
         delta = np.concatenate([r[1] for r in rows])
+        coefficient = np.concatenate([r[2] for r in rows])
         assert loss.tobytes() == scalar[:, 0].tobytes(), name
         assert delta.tobytes() == scalar[:, 1].tobytes(), name
+        # equal in value: a zero coefficient, whatever its sign, is never fed
+        assert np.array_equal(coefficient, one_row[:, 2]), name
     return scalar
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from procure_learn.core import InvalidConfigError, l2_ball, simplex
 from procure_learn.environment import UniformCost, coin_sequence, linear_task
-from procure_learn.ftrl import FtrlLearner, WeightedFeed
+from procure_learn.ftrl import FtrlLearner
 from procure_learn.mechanism import FixedRate, FixedScale, Mechanism, MechanismConfig
 from procure_learn.metrics import offline_best
 
@@ -58,16 +58,23 @@ def test_inverse_weight_scales_accumulator():
     learner = FtrlLearner(l2_ball(2, 1.0), 0.5)
     learner.feed_gradient(np.array([1.0, 0.0]), inverse_weight=4.0)
     np.testing.assert_allclose(learner.grad_sum, [4.0, 0.0])
+    assert learner.bound_sum == pytest.approx(16.0)  # (delta * inverse weight)^2
 
 
-def test_weighted_feed_objects():
-    learner = FtrlLearner(l2_ball(2, 1.0), 0.5)
-    learner.feed(WeightedFeed.zero())
-    np.testing.assert_array_equal(learner.coords, [0.0, 0.0])
-    learner.feed(WeightedFeed(np.array([1.0, 0.0]), 2.0, 1.0))
-    assert learner.bound_sum == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        WeightedFeed(np.array([1.0, 0.0]), 0.5, 1.0)
+@pytest.mark.parametrize("space", [l2_ball(4, 1.0), simplex(4)], ids=["euclidean", "neg-entropy"])
+def test_zero_gradient_feed_changes_nothing(space):
+    # the mechanism skips feeding a purchase whose gradient is exactly zero;
+    # that is exact because grad_sum starts at +0.0, never holds -0.0, and
+    # adding +-0.0 to it changes no bit. (A fresh ball learner posts +0.0
+    # where a recompute gives -0.0, but there every margin is 0, the hinge
+    # is active and the first purchase's gradient is never zero.)
+    learner = FtrlLearner(space, 0.4)
+    learner.feed_gradient(np.array([0.3, 0.0, -0.2, 0.0]), inverse_weight=2.0)
+    before = (learner.grad_sum.tobytes(), learner.bound_sum, learner.coords.tobytes())
+    for zero in (np.zeros(4), np.array([-0.0, 0.0, -0.0, -0.0])):
+        learner.feed_gradient(zero, inverse_weight=3.0, delta=0.0)
+        learner.iw_feed(0.25, True, 0.0 * np.array([1.0, -1.0, 0.5, -0.5]), 0.0)
+        assert (learner.grad_sum.tobytes(), learner.bound_sum, learner.coords.tobytes()) == before
 
 
 def test_iw_feed_semantics():
@@ -95,6 +102,8 @@ def test_feed_rejects_bad_gradients():
         learner.feed_gradient(np.array([np.nan, 0.0]))
     with pytest.raises(ValueError):
         learner.feed_gradient(np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(ValueError):
+        learner.feed_gradient(np.array([1.0, 0.0]), inverse_weight=0.5)
 
 
 def test_regret_bound_values():
@@ -128,7 +137,7 @@ def test_zero_feed_neutrality(pattern):
     for zeros, g in zip(pattern, grads):
         plain.feed_gradient(g)
         for _ in range(zeros):
-            padded.feed(WeightedFeed.zero())
+            padded.feed_zero()
         padded.feed_gradient(g)
         np.testing.assert_array_equal(plain.coords, padded.coords)
 

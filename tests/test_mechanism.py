@@ -78,6 +78,26 @@ def test_choose_scale_validation():
         PriorKnowledge(avg_value_cost=1.2)
 
 
+@pytest.mark.parametrize(
+    "payment_mode, knowledge, statistic",
+    [
+        ("at-cost", PriorKnowledge(avg_value_cost=0.0), "avg_value_cost"),
+        ("at-cost", PriorKnowledge(avg_sqrt_cost=0.0), "avg_sqrt_cost"),
+        ("posted-price", PriorKnowledge(avg_value_cost=0.0, avg_value=0.0), "avg_value"),
+        ("posted-price", PriorKnowledge(avg_value_cost=0.3, avg_value=0.1), "avg_value"),
+    ],
+)
+def test_choose_scale_refuses_knowledge_giving_zero_scale(payment_mode, knowledge, statistic):
+    # a zero scale would buy every arrival at c_max, whatever the budget
+    with pytest.raises(InvalidConfigError, match=statistic):
+        choose_price_scale(knowledge, 1000, 100, payment_mode)
+    config = MechanismConfig(
+        budget=5.0, payment_mode=payment_mode, price_scale=KnowledgeScale(knowledge)
+    )
+    with pytest.raises(InvalidConfigError, match=statistic):
+        Mechanism(config, coin_sequence(50, 0.1, "heads", 0))
+
+
 def test_theory_learning_rate_examples():
     assert theory_learning_rate(1.0, 10_000, 100, 3.0) == pytest.approx(0.01)
     assert theory_learning_rate(1.0, 400, 100, 0.0) == pytest.approx(1.0 / 20.0)

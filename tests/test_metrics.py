@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from procure_learn.core import project_coords
 from procure_learn.environment import (
     ConstantCost,
     TwoPointCost,
@@ -78,6 +81,51 @@ def test_offline_best_flags_iteration_cap():
     sol = offline_best(inst, iterations=3)
     assert not sol.converged
     assert sol.iterations == 3
+
+
+def _two_pass_offline_best(instance, iterations, tol=1e-8, patience=50):
+    """The feature-loss oracle as it was written before its passes were
+    fused: the gradient and the objective each compute their own margins."""
+    space, family = instance.space, instance.family
+    X, y = instance.features, instance.labels
+    w = np.zeros(space.dim)
+    best_w = w
+    best_obj = float(family.values(w, X, y).mean())
+    stale = 0
+    k = 0
+    for k in range(1, iterations + 1):
+        g = family.mean_grad(w, X, y)
+        w = project_coords(space, w - (space.radius / math.sqrt(k)) * g)
+        obj = float(family.values(w, X, y).mean())
+        if obj < best_obj - tol * max(1.0, abs(best_obj)):
+            best_obj, best_w, stale = obj, w, 0
+        else:
+            stale += 1
+            if stale >= patience:
+                break
+    return best_w, best_obj * len(y), stale >= patience, k
+
+
+@pytest.mark.parametrize(
+    "build, converges",
+    [
+        (lambda: linear_task(32, 2, 0.35, 8000, 0, UniformCost(), 1, noise=0.2), True),
+        (
+            lambda: linear_task(
+                24, 4, 0.8, 1000, 0, TwoPointCost(0.2, 1.0, (0, 4)), 1, spread=0.35, noise=0.14
+            ),
+            False,
+        ),
+    ],
+    ids=["d32-T8000-converges", "d24-T1000-hits-cap"],
+)
+def test_fused_oracle_matches_two_pass_loop_bitwise(build, converges):
+    instance = build()
+    sol = offline_best(instance, 1500)
+    coords, total, converged, iterations = _two_pass_offline_best(instance, 1500)
+    assert converged == converges
+    assert sol.hypothesis.coords.tobytes() == coords.tobytes()
+    assert (sol.total_loss, sol.converged, sol.iterations) == (total, converged, iterations)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from procure_learn.mechanism import (
     TheoryRate,
 )
 from procure_learn.runner import (
+    SWEEP_POLICIES,
     CoinSpec,
     IdxSpec,
     LinearTaskSpec,
@@ -26,6 +28,7 @@ from procure_learn.runner import (
     run_sweep,
     run_trials,
     trial_streams,
+    _sweep_trial_job,
 )
 
 
@@ -189,6 +192,37 @@ def test_sweep_cells_are_instance_paired():
     # spending respects each budget for the constrained policies
     assert by_key[("naive", 10.0)].spend_mean == 10.0
     assert by_key[("naive", 40.0)].spend_mean == 40.0
+
+
+def test_sweep_trial_runs_baseline_once(monkeypatch):
+    config = parse_config(
+        _base_config(
+            budget_grid=[10.0, 20.0, 40.0],
+            instance={
+                "kind": "linear",
+                "T": 300,
+                "T_test": 50,
+                "dim": 4,
+                "cost_model": {"kind": "uniform"},
+            },
+        )
+    )
+    runs = []
+    real_run = Mechanism.run
+
+    def counted_run(self, rng):
+        runs.append(self.config.purchase_policy)
+        return real_run(self, rng)
+
+    monkeypatch.setattr(Mechanism, "run", counted_run)
+    cells = _sweep_trial_job((config, 0, SWEEP_POLICIES))
+    grid = config.budget_grid
+    assert len(runs) == (len(SWEEP_POLICIES) - 1) * len(grid) + 1
+    assert runs.count("baseline") == 1
+    baseline = [c for c in cells if c.policy == "baseline"]
+    assert [c.budget for c in baseline] == list(grid)
+    assert len({dataclasses.replace(c, budget=0.0) for c in baseline}) == 1
+    assert not math.isnan(baseline[0].risk_zero_one)  # the linear task has a test set
 
 
 def test_fallback_knowledge_runs_end_to_end():
