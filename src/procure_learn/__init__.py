@@ -6,20 +6,13 @@ online-to-batch prediction, and a seeded experiment harness.
 """
 
 from .core import (
-    Arrival,
-    DataPoint,
     Hypothesis,
     HypothesisSpace,
     InvalidConfigError,
     LossFamily,
     dual_norm,
-    eval_gradient,
-    eval_loss,
-    feature_point,
     l2_ball,
     make_family,
-    null_point,
-    outcome_point,
     project,
     simplex,
 )
@@ -29,7 +22,6 @@ from .environment import (
     ProblemInstance,
     TwoPointCost,
     UniformCost,
-    attach_costs,
     coin_sequence,
     digit_task,
     linear_task,
@@ -46,7 +38,6 @@ from .mechanism import (
     MechanismConfig,
     MechanismStateError,
     PriorKnowledge,
-    RoundRecord,
     TheoryRate,
     Transcript,
     choose_price_scale,
@@ -62,8 +53,6 @@ from .metrics import (
     sequence_stats,
 )
 from .pricing import (
-    PricingQuote,
-    delta,
     expected_payment,
     price_cdf,
     reserve,

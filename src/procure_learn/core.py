@@ -1,8 +1,9 @@
-"""Domain types: bounded hypothesis sets, data points, convex loss families.
+"""Domain types: bounded hypothesis sets and convex loss families.
 
 Everything here is immutable after construction and safe to share across
-threads. Feature vectors are normalized to the unit ball on ingestion so that
-every loss family is 1-Lipschitz in the hypothesis under its space's norm.
+threads. Loss families read their data from a ``ProblemInstance``'s columns,
+whose feature rows lie in the unit ball, so every family is 1-Lipschitz in
+the hypothesis under its space's norm.
 """
 
 from __future__ import annotations
@@ -114,14 +115,6 @@ def dual_norm(norm_kind: str, v: np.ndarray) -> float:
     raise ValueError(f"unknown norm kind {norm_kind!r}")
 
 
-def primal_norm(norm_kind: str, v: np.ndarray) -> float:
-    if norm_kind == "l2":
-        return float(np.linalg.norm(v))
-    if norm_kind == "l1":
-        return float(np.sum(np.abs(v)))
-    raise ValueError(f"unknown norm kind {norm_kind!r}")
-
-
 def simplex_projection(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex (sort-based)."""
     v = np.asarray(v, dtype=np.float64)
@@ -151,62 +144,20 @@ def project(space: HypothesisSpace, v: np.ndarray) -> Hypothesis:
 
 
 # ---------------------------------------------------------------------------
-# Data points and arrivals
+# Data points
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class DataPoint:
-    """One observable data item.
-
-    Exactly one payload form is populated: a labelled feature vector, a vertex
-    outcome index, or nothing at all (a filler point whose loss is identically
-    one and whose gradient vanishes).
-    """
+    """One arrival's data as ``ProblemInstance.data_point`` hands it out: a
+    labelled feature row with its norm, an outcome index, or neither (a
+    filler point)."""
 
     features: Optional[np.ndarray] = None
     label: int = 0
     outcome: int = NULL_OUTCOME
     feature_norm: float = 0.0
-
-    @property
-    def is_null(self) -> bool:
-        return self.features is None and self.outcome == NULL_OUTCOME
-
-
-def feature_point(x: np.ndarray, y: int) -> DataPoint:
-    """Build a labelled feature point, scaling the vector into the unit ball."""
-    if y not in (-1, 1):
-        raise ValueError("label must be -1 or +1")
-    x = np.array(x, dtype=np.float64)
-    norm = float(np.linalg.norm(x))
-    if norm > 1.0:
-        x /= norm
-        norm = 1.0
-    x.setflags(write=False)
-    return DataPoint(features=x, label=int(y), feature_norm=norm)
-
-
-def outcome_point(index: int) -> DataPoint:
-    if index < 0:
-        raise ValueError("outcome index must be nonnegative")
-    return DataPoint(outcome=int(index))
-
-
-def null_point() -> DataPoint:
-    return DataPoint()
-
-
-@dataclass(frozen=True)
-class Arrival:
-    """One agent's (cost, data) pair."""
-
-    cost: float
-    data: DataPoint
-
-    def __post_init__(self):
-        if not self.cost >= 0.0:
-            raise ValueError("arrival cost must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -215,40 +166,25 @@ class Arrival:
 
 
 class LossFamily:
-    """A family of convex losses, one instance per data point.
+    """A family of convex losses, one member per arrival.
 
     ``norm_kind`` names the primal norm under which every member is
     1-Lipschitz in the hypothesis (given unit-ball features). The mechanism
     reads arrivals straight from a ``ProblemInstance``'s columns: the
     row-range kernel ``loss_delta_rows`` serves its array windows and the
     one-row kernel ``loss_delta_row`` the rounds it plays one by one. Both
-    return the loss, delta and gradient coefficient from one margin per row,
-    and ``row_gradient`` turns a coefficient into the gradient. For the
-    families a config can select (hinge and linear-simplex) they agree bit
-    for bit with each other and with the scalar methods on a ``DataPoint``.
-    The whole-dataset methods serve oracles and metrics and agree to
+    return the loss, delta (the dual norm of the gradient) and gradient
+    coefficient from one margin per row, and agree bit for bit;
+    ``row_gradient`` turns a coefficient into the gradient. The
+    whole-dataset methods serve oracles and metrics and agree with them to
     rounding.
     """
 
     kind: str = ""
     norm_kind: str = "l2"
 
-    def loss(self, w: np.ndarray, point: DataPoint) -> float:
-        raise NotImplementedError
-
-    def grad(self, w: np.ndarray, point: DataPoint) -> np.ndarray:
-        raise NotImplementedError
-
-    def loss_delta(self, w: np.ndarray, point: DataPoint) -> tuple[float, float]:
-        """Loss value and dual norm of the gradient, without materializing it."""
-        value = self.loss(w, point)
-        return value, dual_norm(self.norm_kind, self.grad(w, point))
-
-    def grad_dual_norm(self, w: np.ndarray, point: DataPoint) -> float:
-        return self.loss_delta(w, point)[1]
-
     def loss_delta_row(self, w: np.ndarray, instance, t: int) -> tuple[float, float, float]:
-        """``loss_delta`` of arrival ``t`` of a ``ProblemInstance``, and the
+        """Loss and delta of arrival ``t`` of a ``ProblemInstance``, and the
         coefficient that ``row_gradient`` scales into its gradient."""
         raise NotImplementedError
 
@@ -273,7 +209,7 @@ class FeatureLoss(LossFamily):
     rows: numpy reduces each row of the block in the same order as the lone
     row, so the two agree bit for bit at every dimension and block size (a
     test pins this). The gradient coefficient is ``slope * label``, and the
-    gradient is that coefficient times the row, as in ``grad``.
+    gradient is that coefficient times the row.
     ``np.dot`` (and BLAS matvec) sums in a different order and differs from
     both in the last digits for a large share of rows. The whole-dataset
     forms (``values``, ``grad_norms``, ``mean_grad``) that the risk metrics
@@ -296,23 +232,6 @@ class FeatureLoss(LossFamily):
     def margin_slope(self, m: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def loss(self, w, point):
-        if point.features is None:
-            return 1.0
-        return self._value(point.label * float((point.features * w).sum()))
-
-    def grad(self, w, point):
-        if point.features is None:
-            return np.zeros_like(w)
-        m = point.label * float((point.features * w).sum())
-        return (self._slope(m) * point.label) * point.features
-
-    def loss_delta(self, w, point):
-        if point.features is None:
-            return 1.0, 0.0
-        m = point.label * float((point.features * w).sum())
-        return self._value(m), abs(self._slope(m)) * point.feature_norm
-
     def loss_delta_row(self, w, instance, t):
         y = int(instance.labels[t])
         m = y * float((instance.features[t] * w).sum())
@@ -327,7 +246,7 @@ class FeatureLoss(LossFamily):
         return self.margin_value(m), delta, slope * y
 
     def row_gradient(self, instance, t, coefficient):
-        # the arithmetic of ``grad``: (slope * label) * x
+        # (slope * label) * x
         return coefficient * instance.features[t]
 
     # batch forms over a dataset (X rows already unit-ball normalized)
@@ -360,85 +279,11 @@ class HingeLoss(FeatureLoss):
         return np.where(m < 1.0, -1.0, 0.0)
 
 
-class LogisticLoss(FeatureLoss):
-    kind = "logistic"
-
-    def _value(self, m):
-        if m < -35.0:
-            return -m
-        return math.log1p(math.exp(-m))
-
-    def _slope(self, m):
-        if m > 35.0:
-            return -math.exp(-m)
-        return -1.0 / (1.0 + math.exp(m))
-
-    def margin_value(self, m):
-        return np.logaddexp(0.0, -np.asarray(m, dtype=np.float64))
-
-    def margin_slope(self, m):
-        return -1.0 / (1.0 + np.exp(np.clip(m, -500.0, 500.0)))
-
-
-class SquaredHingeLoss(FeatureLoss):
-    """Squared hinge scaled by 1/(2(1+radius)) so it stays 1-Lipschitz on the ball.
-
-    The raw squared hinge has gradient norm up to 2(1+radius) on a ball of the
-    given radius; the scaling restores the Lipschitz contract and keeps the
-    loss smooth (gradient itself 1-Lipschitz).
-    """
-
-    kind = "squared-hinge"
-
-    def __init__(self, radius: float):
-        if not radius > 0:
-            raise InvalidConfigError("squared hinge needs the ball radius")
-        self.scale = 1.0 / (2.0 * (1.0 + radius))
-
-    def _value(self, m):
-        gap = 1.0 - m
-        return self.scale * gap * gap if gap > 0.0 else 0.0
-
-    def _slope(self, m):
-        gap = 1.0 - m
-        return -2.0 * self.scale * gap if gap > 0.0 else 0.0
-
-    def margin_value(self, m):
-        gap = np.maximum(0.0, 1.0 - m)
-        return self.scale * gap * gap
-
-    def margin_slope(self, m):
-        return -2.0 * self.scale * np.maximum(0.0, 1.0 - m)
-
-
 class VertexLoss(LossFamily):
     """Linear loss 1 - w[outcome] on the simplex; filler points cost 1 flat."""
 
     kind = "linear-simplex"
     norm_kind = "l1"
-
-    def loss(self, w, point):
-        i = point.outcome
-        if i < 0:
-            return 1.0
-        if i >= len(w):
-            raise ValueError("outcome index exceeds dimension")
-        return 1.0 - float(w[i])
-
-    def grad(self, w, point):
-        g = np.zeros_like(w)
-        i = point.outcome
-        if i >= 0:
-            if i >= len(w):
-                raise ValueError("outcome index exceeds dimension")
-            g[i] = -1.0
-        return g
-
-    def loss_delta(self, w, point):
-        i = point.outcome
-        if i < 0:
-            return 1.0, 0.0
-        return 1.0 - float(w[i]), 1.0
 
     def loss_delta_row(self, w, instance, t):
         i = int(instance.outcomes[t])
@@ -466,9 +311,6 @@ class VertexLoss(LossFamily):
         return (outcomes >= 0).astype(np.float64)
 
 
-_FEATURE_FAMILIES = {"hinge": HingeLoss, "logistic": LogisticLoss}
-
-
 def make_family(kind: str, space: HypothesisSpace) -> LossFamily:
     """Instantiate a loss family compatible with the given space."""
     if kind == "linear-simplex":
@@ -477,29 +319,6 @@ def make_family(kind: str, space: HypothesisSpace) -> LossFamily:
         return VertexLoss()
     if space.kind != L2_BALL:
         raise InvalidConfigError(f"{kind} losses need an l2-ball space")
-    if kind == "squared-hinge":
-        return SquaredHingeLoss(space.radius)
-    if kind in _FEATURE_FAMILIES:
-        return _FEATURE_FAMILIES[kind]()
+    if kind == "hinge":
+        return HingeLoss()
     raise InvalidConfigError(f"unknown loss family {kind!r}")
-
-
-def eval_loss(family: LossFamily, h: Hypothesis, z: DataPoint) -> float:
-    """Loss of hypothesis ``h`` on data point ``z``."""
-    _check_compat(family, h, z)
-    return family.loss(h.coords, z)
-
-
-def eval_gradient(family: LossFamily, h: Hypothesis, z: DataPoint) -> np.ndarray:
-    """A subgradient of the loss at ``h``."""
-    _check_compat(family, h, z)
-    return family.grad(h.coords, z)
-
-
-def _check_compat(family: LossFamily, h: Hypothesis, z: DataPoint) -> None:
-    if z.features is not None and z.features.shape != h.coords.shape:
-        raise ValueError(
-            f"feature length {z.features.shape[0]} does not match dimension {h.coords.shape[0]}"
-        )
-    if z.outcome >= h.space.dim:
-        raise ValueError("outcome index exceeds dimension")

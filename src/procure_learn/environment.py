@@ -9,13 +9,12 @@ streams so that changing the cost model never perturbs the data."""
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .core import (
-    Arrival,
     DataPoint,
     HypothesisSpace,
     InvalidConfigError,
@@ -23,8 +22,6 @@ from .core import (
     NULL_OUTCOME,
     VertexLoss,
     make_family,
-    null_point,
-    outcome_point,
     simplex,
 )
 
@@ -112,16 +109,6 @@ class TwoPointCost:
 CostModel = Union[ConstantCost, UniformCost, TwoPointCost]
 
 
-def attach_costs(
-    n: int,
-    model: CostModel,
-    seed: SeedLike,
-    groups: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Draw one cost per data item, deterministically under the seed."""
-    return model.draw(as_rng(seed), n, groups)
-
-
 # ---------------------------------------------------------------------------
 # Problem instances
 # ---------------------------------------------------------------------------
@@ -133,8 +120,10 @@ class ProblemInstance:
 
     Payload arrays: feature tasks populate (features, labels, feature_norms),
     with every row in the unit ball and its norm, capped at 1, stored beside
-    it; vertex tasks populate outcomes, with -1 marking filler points. Treat
-    all arrays as read-only once built.
+    it; vertex tasks populate outcomes, with -1 marking filler points. The
+    payload is checked when the instance is built; the costs are checked
+    against ``c_max`` by the mechanism that runs on it. Treat all arrays as
+    read-only once built.
     """
 
     space: HypothesisSpace
@@ -147,8 +136,28 @@ class ProblemInstance:
     groups: Optional[np.ndarray] = None
     test_features: Optional[np.ndarray] = None
     test_labels: Optional[np.ndarray] = None
-    meta: dict = field(default_factory=dict)
-    _arrivals: Optional[list[Arrival]] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        T, dim = len(self.costs), self.space.dim
+        if self.outcomes is None and self.features is None:
+            raise InvalidConfigError("an instance needs features or outcomes")
+        columns = ("features", "labels", "feature_norms", "outcomes", "groups")
+        for name in columns:
+            column = getattr(self, name)
+            if column is not None and len(column) != T:
+                raise InvalidConfigError(f"{name} has {len(column)} rows, costs {T}")
+        if self.outcomes is not None:
+            if not np.all((self.outcomes >= NULL_OUTCOME) & (self.outcomes < dim)):
+                raise InvalidConfigError(f"outcomes must lie in [{NULL_OUTCOME}, {dim})")
+        if self.features is not None:
+            if self.labels is None or self.feature_norms is None:
+                raise InvalidConfigError("feature tasks need labels and feature norms")
+            if self.features.shape != (T, dim) or not np.all(np.isfinite(self.features)):
+                raise InvalidConfigError(f"features must be finite, of shape ({T}, {dim})")
+            if not np.all((self.labels == 1) | (self.labels == -1)):
+                raise InvalidConfigError("labels must be -1 or +1")
+            if not np.all((self.feature_norms >= 0.0) & (self.feature_norms <= 1.0)):
+                raise InvalidConfigError("feature norms must lie in [0, 1]")
 
     @property
     def horizon(self) -> int:
@@ -159,24 +168,18 @@ class ProblemInstance:
         return self.test_features is not None and len(self.test_features) > 0
 
     def data_point(self, t: int) -> DataPoint:
-        """Arrival ``t``'s data: the stored row and norm, not re-normalized."""
+        """The data of arrival ``t``: the stored row and norm, not re-normalized.
+
+        The run reads the columns through the loss family's row kernels and
+        never calls this; the benchmark's tracer still names it as a target.
+        """
         if self.outcomes is not None:
-            idx = int(self.outcomes[t])
-            return null_point() if idx == NULL_OUTCOME else outcome_point(idx)
+            return DataPoint(outcome=int(self.outcomes[t]))
         return DataPoint(
             features=self.features[t],
             label=int(self.labels[t]),
             feature_norm=float(self.feature_norms[t]),
         )
-
-    def arrival(self, t: int) -> Arrival:
-        return Arrival(float(self.costs[t]), self.data_point(t))
-
-    @property
-    def arrivals(self) -> list[Arrival]:
-        if self._arrivals is None:
-            self._arrivals = [self.arrival(t) for t in range(self.horizon)]
-        return self._arrivals
 
     def losses_at(self, w: np.ndarray) -> np.ndarray:
         """Per-round loss of a fixed hypothesis over the whole sequence."""
@@ -216,7 +219,6 @@ def coin_sequence(
         family=VertexLoss(),
         costs=np.ones(T),
         outcomes=outcomes,
-        meta={"kind": "coin", "epsilon": epsilon, "bias": bias},
     )
 
 
@@ -246,13 +248,6 @@ def padded_coin_sequence(
         family=flips.family,
         costs=costs,
         outcomes=outcomes,
-        meta={
-            "kind": "padded-coin",
-            "coin_fraction": coin_fraction,
-            "epsilon": epsilon,
-            "bias": bias,
-            "n_coins": n_coins,
-        },
     )
 
 
@@ -316,13 +311,6 @@ def linear_task(
         groups=groups[:T],
         test_features=X[T:],
         test_labels=y[T:],
-        meta={
-            "kind": "linear",
-            "dim": dim,
-            "clusters": clusters,
-            "separation": separation,
-            "cost_model": repr(cost_model),
-        },
     )
 
 
@@ -457,11 +445,4 @@ def digit_task(
         groups=digits[train_idx],
         test_features=X[test_idx],
         test_labels=y[test_idx],
-        meta={
-            "kind": "idx",
-            "train_size": len(train_idx),
-            "test_size": len(test_idx),
-            "positive_digits": tuple(positive_digits),
-            "negative_digits": tuple(negative_digits),
-        },
     )

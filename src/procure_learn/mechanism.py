@@ -34,8 +34,8 @@ totals bit for bit.
 Either way each round's margin is computed once, straight from the
 instance's columns: the kernel returns the loss, delta and the gradient
 coefficient (slope times label; -1 or 0 on the simplex), and a purchase
-builds its gradient from that coefficient with the arithmetic of the
-family's ``grad``. A purchase whose coefficient is exactly zero (an
+builds its gradient from that coefficient with the family's
+``row_gradient``. A purchase whose coefficient is exactly zero (an
 inactive hinge, a null outcome) updates spend, counters and estimate but
 skips the feed. That is exact: the gradient sum starts at +0.0 and can
 never hold -0.0, so adding a zero gradient changes none of its bits, nor
@@ -190,7 +190,8 @@ class KnowledgeScale:
 class AdaptiveScale:
     """Track the burn rate: scale_t = estimate_t * rounds_left / budget_left.
 
-    Starts at zero (buy everything at the maximum price) and re-estimates the
+    Starts at zero (buy every arrival with delta > 0 at the maximum price;
+    worthless ones are never bought) and re-estimates the
     value-cost statistic from purchases, importance-weighted by 1/q. The
     budget-left denominator is floored and the scale capped so spending shuts
     off rather than dividing by zero near exhaustion.
@@ -248,26 +249,12 @@ class MechanismConfig:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """One audit row. ``accepted`` holds exactly when the posted price met the
-    cost and the acceptance probability q was positive (worthless arrivals
-    post the degenerate price 0 and are never bought); ``payment`` is the
-    price (posted-price), the cost (at-cost), or 0 (rejected or baseline)."""
-
-    t: int
-    delta: float
-    cost: float
-    price: float
-    accepted: bool
-    q: float
-    payment: float
-    loss: float
-    cum_spend: float
-
-
 class Transcript:
-    """Column-oriented per-round audit log."""
+    """Column-oriented per-round audit log. ``accepted`` holds exactly when
+    the posted price met the cost and the acceptance probability q was
+    positive (worthless arrivals post the degenerate price 0 and are never
+    bought); ``payment`` is the price (posted-price), the cost (at-cost), or
+    0 (rejected or baseline)."""
 
     COLUMNS = ("t", "delta", "cost", "price", "accepted", "q", "payment", "loss", "cum_spend")
 
@@ -306,22 +293,6 @@ class Transcript:
     def __len__(self) -> int:
         return len(self.loss)
 
-    def row(self, t: int) -> RoundRecord:
-        return RoundRecord(
-            t,
-            self.delta[t],
-            self.cost[t],
-            self.price[t],
-            self.accepted[t],
-            self.q[t],
-            self.payment[t],
-            self.loss[t],
-            self.cum_spend[t],
-        )
-
-    def __iter__(self):
-        return (self.row(t) for t in range(len(self)))
-
 
 # ---------------------------------------------------------------------------
 # Round decision (pure)
@@ -332,12 +303,13 @@ def priced_round(
     delta: float, cost: float, u: float, price_scale: float, c_max: float = 1.0
 ) -> tuple[float, float, bool]:
     """One posted-price decision: (price, acceptance probability at the
-    revealed cost, accepted). Ties accept. ``price_scale == 0`` posts the
-    fixed maximum price."""
-    if price_scale == 0.0:
-        price, q = c_max, 1.0
-    elif delta <= 0.0:
+    revealed cost, accepted). Ties accept. A worthless arrival posts price 0
+    and is never bought; otherwise ``price_scale == 0`` posts the fixed
+    maximum price."""
+    if delta <= 0.0:
         price, q = 0.0, 0.0
+    elif price_scale == 0.0:
+        price, q = c_max, 1.0
     else:
         price = sample_price(delta, price_scale, u, c_max)
         q = survival(delta, price_scale, cost, c_max)
@@ -363,9 +335,10 @@ def priced_rounds(
     q[cost <= 0.0] = 1.0
     q[delta <= 0.0] = 0.0
     zero_scale = np.asarray(price_scale) == 0.0
-    if zero_scale.any():
-        price = np.where(zero_scale, c_max, price)
-        q = np.where(zero_scale, 1.0, q)
+    if zero_scale.any():  # c_max at q = 1, but worthless rounds stay at price 0
+        worth = delta > 0.0
+        price = np.where(zero_scale, np.where(worth, c_max, 0.0), price)
+        q = np.where(zero_scale & worth, 1.0, q)
     return price, q, (q > 0.0) & (price >= cost)
 
 

@@ -1,39 +1,28 @@
-"""The randomized posted-price law and the per-arrival data-value quantity.
+"""The randomized posted-price law.
 
 A quote is parameterized by ``delta`` (dual norm of the loss gradient at the
 posted hypothesis — simultaneously the difficulty and the worth of the
-arrival) and a normalization ``price_scale``. The survival function
+arrival; the loss family's row kernels compute it) and a normalization
+``price_scale``. The survival function
 Pr[price >= c] = min(1, delta / (price_scale * sqrt(c))) is realized by a
 distribution with reserve delta^2 / price_scale^2, density
 delta / (2 * price_scale * p^(3/2)) in between, and a point mass at ``c_max``.
 
-``price_scale == 0`` is the buy-everything regime: survival is one and the
-mechanism posts the fixed price ``c_max`` instead of sampling. Worthless
-arrivals (``delta == 0``) get the degenerate price 0 and are never bought.
+The mechanism decides the two degenerate cases in this order. First,
+worthless arrivals (``delta == 0``) get the degenerate price 0 and are never
+bought, at every scale, 0 included. Second, ``price_scale == 0`` is the
+buy-everything regime for the rest: survival is one and the mechanism posts
+the fixed price ``c_max`` instead of sampling. Deciding the scale first
+would pay ``c_max`` for worthless data, which the expected-payment bound
+(a multiple of delta) does not cover.
 Randomness is injected as an explicit uniform draw; nothing here holds state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-from .core import DataPoint, Hypothesis, LossFamily, dual_norm
-
-
-def delta(
-    family: LossFamily,
-    h: Hypothesis | np.ndarray,
-    z: DataPoint,
-    norm_kind: str | None = None,
-) -> float:
-    """Dual norm of the loss gradient at ``h``; in [0, 1] for normalized data."""
-    w = h.coords if isinstance(h, Hypothesis) else np.asarray(h, dtype=np.float64)
-    if norm_kind is None or norm_kind == family.norm_kind:
-        return family.grad_dual_norm(w, z)
-    return dual_norm(norm_kind, family.grad(w, z))
 
 
 def survival(delta: float, price_scale: float, cost: float, c_max: float = 1.0) -> float:
@@ -118,38 +107,3 @@ def expected_payment(
         return c_max
     effective = max(cost, low)
     return (delta / price_scale) * (2.0 * math.sqrt(c_max) - math.sqrt(effective))
-
-
-@dataclass(frozen=True)
-class PricingQuote:
-    """The per-round price law for one (delta, price_scale) pair."""
-
-    delta: float
-    price_scale: float
-    c_max: float = 1.0
-
-    def __post_init__(self):
-        if self.delta < 0.0:
-            raise ValueError("delta must be nonnegative")
-        if self.price_scale < 0.0:
-            raise ValueError("price scale must be nonnegative")
-        if not self.c_max > 0.0:
-            raise ValueError("maximum price must be positive")
-
-    def survival(self, cost: float) -> float:
-        return survival(self.delta, self.price_scale, cost, self.c_max)
-
-    def reserve(self) -> float:
-        return reserve(self.delta, self.price_scale, self.c_max)
-
-    def cdf(self, price: float) -> float:
-        return price_cdf(self.delta, self.price_scale, price, self.c_max)
-
-    def sample(self, u: float) -> float:
-        return sample_price(self.delta, self.price_scale, u, self.c_max)
-
-    def sample_many(self, u: np.ndarray) -> np.ndarray:
-        return sample_prices(self.delta, self.price_scale, u, self.c_max)
-
-    def expected_payment(self, cost: float) -> float:
-        return expected_payment(self.delta, self.price_scale, cost, self.c_max)

@@ -505,32 +505,27 @@ def run_sweep(
 
 
 def _fmt(x) -> str:
+    if type(x) is float:  # nearly every value written
+        return f"{x:.17g}"
     if isinstance(x, bool):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
+    if isinstance(x, str):
+        return x
     return f"{float(x):.17g}"
 
 
-def write_transcript_csv(path, transcript) -> None:
-    lines = [",".join(transcript.COLUMNS)]
-    for t in range(len(transcript)):
-        lines.append(
-            ",".join(
-                (
-                    str(t),
-                    _fmt(transcript.delta[t]),
-                    _fmt(transcript.cost[t]),
-                    _fmt(transcript.price[t]),
-                    _fmt(transcript.accepted[t]),
-                    _fmt(transcript.q[t]),
-                    _fmt(transcript.payment[t]),
-                    _fmt(transcript.loss[t]),
-                    _fmt(transcript.cum_spend[t]),
-                )
-            )
-        )
+def _write_csv(path, columns: Sequence[str], rows) -> None:
+    """A header and one line per row, every value formatted by ``_fmt``."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_transcript_csv(path, transcript) -> None:
+    columns = [getattr(transcript, name) for name in transcript.COLUMNS[1:]]
+    _write_csv(path, transcript.COLUMNS, zip(range(len(transcript)), *columns))
 
 
 SUMMARY_COLUMNS = (
@@ -541,71 +536,24 @@ SUMMARY_COLUMNS = (
     "regret",
     "risk_surrogate",
     "risk_zero_one",
-    "avg_value_cost",
-    "avg_value",
-    "avg_sqrt_cost",
-    "avg_cost",
-    "opt_value_cost",
+    *(f.name for f in dataclasses.fields(SequenceStats)),
 )
 
 
 def write_summary_csv(path, results: Sequence[TrialResult]) -> None:
-    lines = [",".join(SUMMARY_COLUMNS)]
-    for r in results:
-        lines.append(
-            ",".join(
-                (
-                    str(r.trial),
-                    str(r.seed),
-                    _fmt(r.spend),
-                    str(r.purchases),
-                    _fmt(r.regret),
-                    _fmt(r.risk_surrogate),
-                    _fmt(r.risk_zero_one),
-                    _fmt(r.stats.avg_value_cost),
-                    _fmt(r.stats.avg_value),
-                    _fmt(r.stats.avg_sqrt_cost),
-                    _fmt(r.stats.avg_cost),
-                    _fmt(r.stats.opt_value_cost),
-                )
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(
+        path,
+        SUMMARY_COLUMNS,
+        (
+            (r.trial, r.seed, r.spend, r.purchases, r.regret, r.risk_surrogate,
+             r.risk_zero_one, *dataclasses.astuple(r.stats))
+            for r in results
+        ),
+    )
 
 
-SWEEP_COLUMNS = (
-    "policy",
-    "budget",
-    "trials",
-    "regret_mean",
-    "regret_se",
-    "risk_zero_one_mean",
-    "risk_zero_one_se",
-    "risk_surrogate_mean",
-    "risk_surrogate_se",
-    "spend_mean",
-    "spend_se",
-)
+SWEEP_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
 
 
 def write_sweep_csv(path, rows: Sequence[SweepRow]) -> None:
-    lines = [",".join(SWEEP_COLUMNS)]
-    for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    r.policy,
-                    _fmt(r.budget),
-                    str(r.trials),
-                    _fmt(r.regret_mean),
-                    _fmt(r.regret_se),
-                    _fmt(r.risk_zero_one_mean),
-                    _fmt(r.risk_zero_one_se),
-                    _fmt(r.risk_surrogate_mean),
-                    _fmt(r.risk_surrogate_se),
-                    _fmt(r.spend_mean),
-                    _fmt(r.spend_se),
-                )
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(path, SWEEP_COLUMNS, map(dataclasses.astuple, rows))

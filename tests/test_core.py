@@ -6,29 +6,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from procure_learn.core import (
-    Arrival,
+    NULL_OUTCOME,
     HingeLoss,
     Hypothesis,
     InvalidConfigError,
-    LogisticLoss,
-    SquaredHingeLoss,
     VertexLoss,
     dual_norm,
-    eval_gradient,
-    eval_loss,
-    feature_point,
     l2_ball,
     make_family,
-    null_point,
-    outcome_point,
-    primal_norm,
     project,
     project_coords,
     simplex,
     simplex_projection,
 )
 
-from procure_learn.environment import UniformCost, linear_task, padded_coin_sequence
+from procure_learn.environment import (
+    ProblemInstance,
+    UniformCost,
+    linear_task,
+    padded_coin_sequence,
+)
 
 coords = st.lists(st.floats(-5, 5), min_size=2, max_size=6)
 
@@ -83,6 +80,10 @@ def test_dual_norm_examples():
         dual_norm("linf", np.zeros(2))
 
 
+def _primal(norm_kind, v):
+    return float(np.linalg.norm(v)) if norm_kind == "l2" else float(np.abs(v).sum())
+
+
 @settings(max_examples=200)
 @given(coords, coords)
 def test_holder_inequality(u, v):
@@ -90,7 +91,7 @@ def test_holder_inequality(u, v):
     u, v = np.array(u[:n]), np.array(v[:n])
     inner = abs(float(u @ v))
     for kind in ("l2", "l1"):
-        assert inner <= primal_norm(kind, u) * dual_norm(kind, v) + 1e-9
+        assert inner <= _primal(kind, u) * dual_norm(kind, v) + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -133,83 +134,86 @@ def test_project_idempotent_and_contractive(rng):
 
 
 # ---------------------------------------------------------------------------
-# data points
+# loss values and gradients, read from an instance's columns
 # ---------------------------------------------------------------------------
 
 
-def test_feature_point_normalizes():
-    p = feature_point(np.array([3.0, 4.0]), 1)
-    assert np.linalg.norm(p.features) == pytest.approx(1.0)
-    assert p.feature_norm == pytest.approx(1.0)
-    q = feature_point(np.array([0.3, 0.4]), -1)
-    np.testing.assert_allclose(q.features, [0.3, 0.4])
-    assert q.feature_norm == pytest.approx(0.5)
+def _feature_instance(X, y, radius=2.0):
+    X = np.asarray(X, dtype=np.float64)
+    return ProblemInstance(
+        space=l2_ball(X.shape[1], radius),
+        family=HingeLoss(),
+        costs=np.zeros(len(X)),
+        features=X,
+        labels=np.asarray(y),
+        feature_norms=np.minimum(np.linalg.norm(X, axis=1), 1.0),
+    )
 
 
-def test_feature_point_label_checked():
-    with pytest.raises(ValueError):
-        feature_point(np.array([1.0, 0.0]), 2)
+def _vertex_instance(outcomes, dim):
+    return ProblemInstance(
+        space=simplex(dim),
+        family=VertexLoss(),
+        costs=np.zeros(len(outcomes)),
+        outcomes=np.asarray(outcomes),
+    )
 
 
-def test_arrival_cost_checked():
-    with pytest.raises(ValueError):
-        Arrival(-0.1, null_point())
-
-
-# ---------------------------------------------------------------------------
-# loss values and gradients
-# ---------------------------------------------------------------------------
+def _at(instance, w, t):
+    """Loss, delta and gradient of arrival ``t`` at ``w`` from the row kernels."""
+    loss, delta, coefficient = instance.family.loss_delta_row(np.asarray(w), instance, t)
+    return loss, delta, instance.family.row_gradient(instance, t, coefficient)
 
 
 def test_hinge_examples():
-    fam = HingeLoss()
-    space = l2_ball(2, 10.0)
-    h0 = Hypothesis(space, np.zeros(2))
-    z = feature_point(np.array([0.6, 0.8]), 1)
-    assert eval_loss(fam, h0, z) == 1.0
-    np.testing.assert_allclose(eval_gradient(fam, h0, z), [-0.6, -0.8])
+    inst = _feature_instance([[0.6, 0.8]], [1], radius=10.0)
+    loss, _, g = _at(inst, [0.0, 0.0], 0)
+    assert loss == 1.0
+    np.testing.assert_allclose(g, [-0.6, -0.8])
     # flat region: margin 2
-    h = Hypothesis(space, np.array([1.2, 1.6]))
-    assert eval_loss(fam, h, z) == 0.0
-    np.testing.assert_allclose(eval_gradient(fam, h, z), [0.0, 0.0])
+    loss, _, g = _at(inst, [1.2, 1.6], 0)
+    assert loss == 0.0
+    np.testing.assert_allclose(g, [0.0, 0.0])
     # kink: margin exactly 1 -> zero subgradient
-    hk = Hypothesis(space, np.array([0.6, 0.8]))
-    np.testing.assert_allclose(eval_gradient(fam, hk, z), [0.0, 0.0])
+    np.testing.assert_allclose(_at(inst, [0.6, 0.8], 0)[2], [0.0, 0.0])
 
 
 def test_vertex_examples():
-    fam = VertexLoss()
-    sp = simplex(2)
-    heads = Hypothesis(sp, np.array([1.0, 0.0]))
-    mid = Hypothesis(sp, np.array([0.5, 0.5]))
-    assert eval_loss(fam, heads, outcome_point(0)) == 0.0
-    assert eval_loss(fam, mid, outcome_point(0)) == 0.5
-    assert eval_loss(fam, mid, outcome_point(1)) == 0.5
-    np.testing.assert_allclose(eval_gradient(fam, mid, outcome_point(1)), [0.0, -1.0])
+    inst = _vertex_instance([0, 1, NULL_OUTCOME], 2)
+    heads, mid = [1.0, 0.0], [0.5, 0.5]
+    assert _at(inst, heads, 0)[0] == 0.0
+    assert _at(inst, mid, 0)[0] == 0.5
+    loss, _, g = _at(inst, mid, 1)
+    assert loss == 0.5
+    np.testing.assert_allclose(g, [0.0, -1.0])
     # filler point: constant loss one, zero gradient
-    assert eval_loss(fam, mid, null_point()) == 1.0
-    np.testing.assert_allclose(eval_gradient(fam, mid, null_point()), [0.0, 0.0])
+    loss, _, g = _at(inst, mid, 2)
+    assert loss == 1.0
+    np.testing.assert_allclose(g, [0.0, 0.0])
 
 
 def test_dimension_mismatch_errors():
-    fam = HingeLoss()
-    h = Hypothesis(l2_ball(3, 1.0), np.zeros(3))
-    z = feature_point(np.array([1.0, 0.0]), 1)
-    with pytest.raises(ValueError):
-        eval_loss(fam, h, z)
-    with pytest.raises(ValueError):
-        eval_gradient(fam, h, z)
-    with pytest.raises(ValueError):
-        eval_loss(VertexLoss(), Hypothesis(simplex(2), [0.5, 0.5]), outcome_point(5))
+    # rows are checked against the space when the instance is built
+    with pytest.raises(InvalidConfigError):
+        ProblemInstance(
+            space=l2_ball(3, 1.0),
+            family=HingeLoss(),
+            costs=np.zeros(1),
+            features=np.array([[1.0, 0.0]]),
+            labels=np.array([1]),
+            feature_norms=np.array([1.0]),
+        )
+    with pytest.raises(InvalidConfigError):
+        _vertex_instance([2], 2)  # outcome index == dimension
 
 
-def _families(radius=2.0):
-    space = l2_ball(3, radius)
+def _instances(rng, n, radius=2.0):
+    """A hinge and a vertex instance of ``n`` random arrivals in dimension 3."""
+    X = rng.normal(size=(n, 3))
+    X /= np.maximum(1.0, np.linalg.norm(X, axis=1))[:, None]
     return [
-        (HingeLoss(), space),
-        (LogisticLoss(), space),
-        (SquaredHingeLoss(radius), space),
-        (VertexLoss(), simplex(3)),
+        _feature_instance(X, rng.choice([-1, 1], size=n), radius),
+        _vertex_instance(rng.integers(NULL_OUTCOME, 3, size=n), 3),
     ]
 
 
@@ -223,81 +227,58 @@ def _random_pair(space, rng):
     return rng.dirichlet(np.ones(space.dim), size=2)
 
 
-def _random_point(space, rng):
-    if space.kind == "l2-ball":
-        x = rng.normal(size=space.dim)
-        x /= max(1.0, np.linalg.norm(x))
-        return feature_point(x, int(rng.choice([-1, 1])))
-    return outcome_point(int(rng.integers(space.dim)))
-
-
 def test_one_lipschitz_everywhere(rng):
-    for fam, space in _families():
-        for _ in range(1000):
-            a, b = _random_pair(space, rng)
-            z = _random_point(space, rng)
-            gap = abs(fam.loss(a, z) - fam.loss(b, z))
-            assert gap <= primal_norm(fam.norm_kind, a - b) + 1e-9, fam.kind
+    for inst in _instances(rng, 1000):
+        fam = inst.family
+        for t in range(inst.horizon):
+            a, b = _random_pair(inst.space, rng)
+            gap = abs(fam.loss_delta_row(a, inst, t)[0] - fam.loss_delta_row(b, inst, t)[0])
+            assert gap <= _primal(fam.norm_kind, a - b) + 1e-9, fam.kind
 
 
 def test_gradient_matches_finite_differences(rng):
-    for fam, space in _families():
-        for _ in range(60):
-            w = _random_pair(space, rng)[0]
-            z = _random_point(space, rng)
-            if fam.kind == "hinge" and z.features is not None:
-                margin = z.label * float(z.features @ w)
+    for inst in _instances(rng, 60):
+        fam, dim = inst.family, inst.space.dim
+        for t in range(inst.horizon):
+            w = _random_pair(inst.space, rng)[0]
+            if fam.kind == "hinge":
+                margin = inst.labels[t] * float(inst.features[t] @ w)
                 if abs(margin - 1.0) < 1e-3:  # keep away from the kink
                     continue
-            g = fam.grad(w, z)
+            g = _at(inst, w, t)[2]
             step = 1e-5
-            for j in range(space.dim):
-                e = np.zeros(space.dim)
+            for j in range(dim):
+                e = np.zeros(dim)
                 e[j] = step
-                numeric = (fam.loss(w + e, z) - fam.loss(w - e, z)) / (2 * step)
+                numeric = (_at(inst, w + e, t)[0] - _at(inst, w - e, t)[0]) / (2 * step)
                 assert numeric == pytest.approx(g[j], abs=1e-4)
 
 
 def test_scalar_and_batch_forms_agree(rng):
-    space = l2_ball(4, 2.0)
     X = rng.normal(size=(50, 4))
     X /= np.maximum(1.0, np.linalg.norm(X, axis=1))[:, None]
-    y = rng.choice([-1, 1], size=50)
-    norms = np.linalg.norm(X, axis=1)
+    inst = _feature_instance(X, rng.choice([-1, 1], size=50))
+    fam = inst.family
     w = rng.normal(size=4)
     w /= max(1.0, np.linalg.norm(w) / 2.0)
-    for fam in (HingeLoss(), LogisticLoss(), SquaredHingeLoss(2.0)):
-        points = [feature_point(X[i], int(y[i])) for i in range(50)]
-        np.testing.assert_allclose(
-            fam.values(w, X, y), [fam.loss(w, p) for p in points], atol=1e-12
-        )
-        np.testing.assert_allclose(
-            fam.grad_norms(w, X, y, norms),
-            [fam.loss_delta(w, p)[1] for p in points],
-            atol=1e-12,
-        )
-        grads = np.array([fam.grad(w, p) for p in points])
-        np.testing.assert_allclose(fam.mean_grad(w, X, y), grads.mean(axis=0), atol=1e-12)
+    rows = [_at(inst, w, t) for t in range(50)]
+    y, norms = inst.labels, inst.feature_norms
+    np.testing.assert_allclose(fam.values(w, X, y), [r[0] for r in rows], atol=1e-12)
+    np.testing.assert_allclose(fam.grad_norms(w, X, y, norms), [r[1] for r in rows], atol=1e-12)
+    grads = np.array([r[2] for r in rows])
+    np.testing.assert_allclose(fam.mean_grad(w, X, y), grads.mean(axis=0), atol=1e-12)
 
-    vfam = VertexLoss()
-    sp = simplex(4)
     outcomes = np.array([0, 2, -1, 3, 1, -1])
+    vinst = _vertex_instance(outcomes, 4)
     wv = rng.dirichlet(np.ones(4))
-    pts = [null_point() if o < 0 else outcome_point(int(o)) for o in outcomes]
-    np.testing.assert_allclose(vfam.values(wv, outcomes), [vfam.loss(wv, p) for p in pts])
-    np.testing.assert_allclose(
-        vfam.grad_norms(outcomes), [vfam.loss_delta(wv, p)[1] for p in pts]
-    )
+    vrows = [_at(vinst, wv, t) for t in range(len(outcomes))]
+    np.testing.assert_allclose(vinst.family.values(wv, outcomes), [r[0] for r in vrows])
+    np.testing.assert_allclose(vinst.family.grad_norms(outcomes), [r[1] for r in vrows])
 
 
 def _assert_row_ranges_match_scalar(instance, w, rng):
     family, T = instance.family, instance.horizon
-    scalar = np.array([family.loss_delta(w, instance.data_point(t)) for t in range(T)])
     one_row = np.array([family.loss_delta_row(w, instance, t) for t in range(T)])
-    assert one_row[:, :2].tobytes() == scalar.tobytes()
-    for t in range(T):  # one margin serves the loss, delta and gradient
-        gradient = family.row_gradient(instance, t, one_row[t, 2])
-        assert gradient.tobytes() == family.grad(w, instance.data_point(t)).tobytes()
     cuts = np.sort(rng.choice(np.arange(1, T), size=15, replace=False)).tolist()
     bounds = [0, *cuts, T]
     splits = {
@@ -310,11 +291,11 @@ def _assert_row_ranges_match_scalar(instance, w, rng):
         loss = np.concatenate([r[0] for r in rows])
         delta = np.concatenate([r[1] for r in rows])
         coefficient = np.concatenate([r[2] for r in rows])
-        assert loss.tobytes() == scalar[:, 0].tobytes(), name
-        assert delta.tobytes() == scalar[:, 1].tobytes(), name
+        assert loss.tobytes() == one_row[:, 0].tobytes(), name
+        assert delta.tobytes() == one_row[:, 1].tobytes(), name
         # equal in value: a zero coefficient, whatever its sign, is never fed
         assert np.array_equal(coefficient, one_row[:, 2]), name
-    return scalar
+    return one_row
 
 
 @pytest.mark.parametrize("dim", [2, 24, 32, 784])

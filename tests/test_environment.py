@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
 
-from procure_learn.core import InvalidConfigError, NULL_OUTCOME
+from procure_learn.core import (
+    NULL_OUTCOME,
+    HingeLoss,
+    InvalidConfigError,
+    VertexLoss,
+    l2_ball,
+    simplex,
+)
 from procure_learn.environment import (
     ConstantCost,
     FormatError,
+    ProblemInstance,
     TwoPointCost,
     UniformCost,
-    attach_costs,
     coin_sequence,
     digit_task,
     linear_task,
@@ -98,17 +105,17 @@ def test_padded_coin_vanishing_fraction_is_all_filler():
 
 
 def test_constant_costs():
-    np.testing.assert_array_equal(attach_costs(5, ConstantCost(0.5), 0), [0.5] * 5)
+    np.testing.assert_array_equal(ConstantCost(0.5).draw(np.random.default_rng(0), 5), [0.5] * 5)
 
 
 def test_uniform_cost_mean():
-    costs = attach_costs(100_000, UniformCost(0.0, 1.0), 42)
+    costs = UniformCost(0.0, 1.0).draw(np.random.default_rng(42), 100_000)
     assert float(costs.mean()) == pytest.approx(0.5, abs=0.005)
     assert costs.min() >= 0.0 and costs.max() <= 1.0
 
 
 def test_two_point_independent_marginal():
-    costs = attach_costs(50_000, TwoPointCost(0.2, 1.0), 13)
+    costs = TwoPointCost(0.2, 1.0).draw(np.random.default_rng(13), 50_000)
     assert set(np.unique(costs)) <= {0.0, 1.0}
     assert float(np.mean(costs == 1.0)) == pytest.approx(0.2, abs=0.01)
 
@@ -160,9 +167,10 @@ def test_linear_task_free_costs_always_bought():
     cfg = MechanismConfig(budget=50.0, price_scale=FixedScale(5.0))
     mech = Mechanism(cfg, inst).run(np.random.default_rng(1))
     # survival is 1 at cost 0, so every nonzero-delta arrival is purchased
-    for rec in mech.transcript:
-        if rec.delta > 0:
-            assert rec.accepted and rec.q == 1.0
+    tr = mech.transcript
+    for delta, accepted, q in zip(tr.delta, tr.accepted, tr.q):
+        if delta > 0:
+            assert accepted and q == 1.0
 
 
 def test_linear_task_group_tags_and_two_point_marginal():
@@ -186,12 +194,49 @@ def test_generator_determinism():
     assert c.outcomes.tobytes() == d.outcomes.tobytes()
 
 
-def test_arrival_views():
-    inst = padded_coin_sequence(10, 0.5, 0.1, "heads", 1)
-    arrivals = inst.arrivals
-    assert len(arrivals) == 10
-    assert arrivals[0].data.is_null and arrivals[0].cost == 0.0
-    assert arrivals[-1].data.outcome in (0, 1) and arrivals[-1].cost == 1.0
+# ---------------------------------------------------------------------------
+# instance validation
+# ---------------------------------------------------------------------------
+
+
+def _valid_columns(kind):
+    if kind == "vertex":
+        return dict(
+            space=simplex(2), family=VertexLoss(), costs=np.ones(3), outcomes=np.array([0, 1, -1])
+        )
+    return dict(
+        space=l2_ball(2, 1.0),
+        family=HingeLoss(),
+        costs=np.ones(3),
+        features=np.array([[0.6, 0.8], [0.0, 0.5], [-0.3, 0.0]]),
+        labels=np.array([1, -1, 1]),
+        feature_norms=np.array([1.0, 0.5, 0.3]),
+    )
+
+
+INVALID_PAYLOADS = {
+    "no-payload": ("vertex", {"outcomes": None}),
+    "outcome-below-null": ("vertex", {"outcomes": np.array([0, -2, 1])}),
+    "outcomes-too-long": ("vertex", {"outcomes": np.array([0, 1, -1, 0])}),
+    "groups-too-short": ("vertex", {"groups": np.array([0, 1])}),
+    "label-zero": ("feature", {"labels": np.array([1, 0, -1])}),
+    "labels-missing": ("feature", {"labels": None}),
+    "labels-too-short": ("feature", {"labels": np.array([1, -1])}),
+    "feature-nan": ("feature", {"features": np.array([[0.6, 0.8], [np.nan, 0.5], [-0.3, 0.0]])}),
+    "feature-inf": ("feature", {"features": np.array([[0.6, 0.8], [0.0, np.inf], [-0.3, 0.0]])}),
+    "norm-above-one": ("feature", {"feature_norms": np.array([1.0, 1.5, 0.3])}),
+    "norm-negative": ("feature", {"feature_norms": np.array([1.0, -0.5, 0.3])}),
+    "norm-nan": ("feature", {"feature_norms": np.array([1.0, np.nan, 0.3])}),
+}
+
+
+@pytest.mark.parametrize("case", list(INVALID_PAYLOADS))
+def test_instance_rejects_invalid_payload(case):
+    kind, override = INVALID_PAYLOADS[case]
+    columns = _valid_columns(kind)
+    ProblemInstance(**columns)  # the unmodified columns build
+    with pytest.raises(InvalidConfigError):
+        ProblemInstance(**{**columns, **override})
 
 
 # ---------------------------------------------------------------------------
@@ -278,5 +323,6 @@ def test_digit_task_norms_capped(idx_files):
     norms = np.linalg.norm(inst.features, axis=1)
     assert (norms > 1.0).any()  # a unit-normalized row rounds above 1 here
     np.testing.assert_array_equal(inst.feature_norms, np.minimum(norms, 1.0))
-    # data_point hands out the stored norm, so delta stays in [0, 1]
-    assert all(0.0 <= inst.data_point(t).feature_norm <= 1.0 for t in range(inst.horizon))
+    # the rows hand out the stored norm, so delta stays in [0, 1]
+    deltas = inst.family.loss_delta_rows(np.zeros(inst.space.dim), inst, 0, inst.horizon)[1]
+    assert np.all((deltas >= 0.0) & (deltas <= 1.0))

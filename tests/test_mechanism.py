@@ -128,8 +128,11 @@ def test_priced_round_tie_accepts():
 
 
 def test_priced_round_zero_scale_buys_at_max_price():
-    price, q, accepted = priced_round(0.0, 0.7, 0.2, 0.0)
+    price, q, accepted = priced_round(0.3, 0.7, 0.2, 0.0)
     assert price == 1.0 and q == 1.0 and accepted
+    # a worthless arrival is not bought, not even at scale 0
+    price, q, accepted = priced_round(0.0, 0.7, 0.2, 0.0)
+    assert price == 0.0 and q == 0.0 and not accepted
 
 
 def test_priced_rounds_match_priced_round_bitwise(rng):
@@ -201,15 +204,16 @@ def _coin_mech(T=400, budget=40.0, seed=3, **overrides):
 
 def test_transcript_consistency():
     _, mech = _coin_mech()
+    tr = mech.transcript
     running = 0.0
-    for rec in mech.transcript:
-        assert rec.accepted == (rec.price >= rec.cost and rec.q > 0.0)
-        if rec.accepted:
-            assert rec.payment == rec.price  # posted-price mode
+    for t in range(len(tr)):
+        assert tr.accepted[t] == (tr.price[t] >= tr.cost[t] and tr.q[t] > 0.0)
+        if tr.accepted[t]:
+            assert tr.payment[t] == tr.price[t]  # posted-price mode
         else:
-            assert rec.payment == 0.0
-        running += rec.payment
-        assert rec.cum_spend == pytest.approx(running, abs=1e-12)
+            assert tr.payment[t] == 0.0
+        running += tr.payment[t]
+        assert tr.cum_spend[t] == pytest.approx(running, abs=1e-12)
     assert mech.spend == pytest.approx(running)
     assert mech.purchases == sum(mech.transcript.accepted)
     assert mech.purchases <= len(mech.transcript)
@@ -368,7 +372,8 @@ def test_adaptive_estimate_unweighted_when_q_is_one():
         budget=1000.0, price_scale=FixedScale(0.0), learning_rate=FixedRate(0.1)
     )
     mech = Mechanism(cfg, inst).run(np.random.default_rng(5))
-    # every round accepted at q=1: the estimate is the plain running mean
+    # every round with delta > 0 accepted at q=1 (the others add nothing):
+    # the estimate is the plain running mean
     deltas = np.array(mech.transcript.delta)
     expected = float(np.mean(deltas * np.sqrt(0.25)))
     assert mech.value_cost_estimate() == pytest.approx(min(1.0, expected))

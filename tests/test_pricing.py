@@ -5,18 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from procure_learn.core import (
-    HingeLoss,
-    Hypothesis,
-    VertexLoss,
-    feature_point,
-    l2_ball,
-    outcome_point,
-    simplex,
-)
+from procure_learn.core import HingeLoss, VertexLoss, l2_ball, simplex
+from procure_learn.environment import ProblemInstance
 from procure_learn.pricing import (
-    PricingQuote,
-    delta,
     expected_payment,
     price_cdf,
     reserve,
@@ -32,30 +23,30 @@ from procure_learn.pricing import (
 
 
 def test_delta_examples():
-    hinge = HingeLoss()
-    h0 = Hypothesis(l2_ball(2, 10.0), np.zeros(2))
-    unit = feature_point(np.array([0.6, 0.8]), 1)
-    assert delta(hinge, h0, unit) == pytest.approx(1.0)
+    # delta, the value a quote is parameterized by, is the second output of
+    # the loss family's row kernel
+    def delta(instance, w):
+        return instance.family.loss_delta_row(np.array(w), instance, 0)[1]
+
+    unit = ProblemInstance(
+        space=l2_ball(2, 10.0),
+        family=HingeLoss(),
+        costs=np.zeros(1),
+        features=np.array([[0.6, 0.8]]),
+        labels=np.array([1]),
+        feature_norms=np.array([1.0]),
+    )
+    assert delta(unit, [0.0, 0.0]) == pytest.approx(1.0)
 
     # any outcome under the max-norm pairing
-    mid = Hypothesis(simplex(2), np.array([0.5, 0.5]))
-    assert delta(VertexLoss(), mid, outcome_point(0)) == 1.0
-    assert delta(VertexLoss(), mid, outcome_point(1)) == 1.0
+    for outcome in (0, 1):
+        coin = ProblemInstance(
+            space=simplex(2), family=VertexLoss(), costs=np.zeros(1), outcomes=np.array([outcome])
+        )
+        assert delta(coin, [0.5, 0.5]) == 1.0
 
     # flat hinge region
-    far = Hypothesis(l2_ball(2, 10.0), np.array([1.2, 1.6]))
-    assert delta(hinge, far, unit) == 0.0
-
-
-def test_delta_explicit_norm_matches_fast_path(rng):
-    hinge = HingeLoss()
-    space = l2_ball(3, 2.0)
-    for _ in range(50):
-        w = rng.normal(size=3)
-        w /= max(1.0, np.linalg.norm(w) / 2.0)
-        z = feature_point(rng.normal(size=3), int(rng.choice([-1, 1])))
-        h = Hypothesis(space, w)
-        assert delta(hinge, h, z) == pytest.approx(delta(hinge, h, z, norm_kind="l2"))
+    assert delta(unit, [1.2, 1.6]) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -168,29 +159,3 @@ def test_expected_payment_monte_carlo(rng):
 def test_expected_payment_continuous_at_atom_boundary():
     # delta / scale == sqrt(c_max): formula and atom-only value coincide
     assert expected_payment(2.0, 2.0, 0.5) == pytest.approx(1.0)
-
-
-# ---------------------------------------------------------------------------
-# quote objects
-# ---------------------------------------------------------------------------
-
-
-def test_quote_delegates():
-    q = PricingQuote(0.5, 2.0)
-    assert q.survival(0.25) == survival(0.5, 2.0, 0.25)
-    assert q.reserve() == reserve(0.5, 2.0)
-    assert q.cdf(0.25) == price_cdf(0.5, 2.0, 0.25)
-    assert q.sample(0.5) == sample_price(0.5, 2.0, 0.5)
-    assert q.expected_payment(0.1) == expected_payment(0.5, 2.0, 0.1)
-    np.testing.assert_array_equal(
-        q.sample_many(np.array([0.1, 0.6])), sample_prices(0.5, 2.0, np.array([0.1, 0.6]))
-    )
-
-
-def test_quote_validation():
-    with pytest.raises(ValueError):
-        PricingQuote(-0.1, 1.0)
-    with pytest.raises(ValueError):
-        PricingQuote(0.5, -1.0)
-    with pytest.raises(ValueError):
-        PricingQuote(0.5, 1.0, c_max=0.0)

@@ -1,8 +1,11 @@
 """The optimized run loop must match a plain reference loop bitwise.
 
-The reference below is written directly against the public scalar operations
-(eval_loss / eval_gradient / delta / sample_price / survival / iw_feed) with
-no shortcuts, so any drift in the production loop's fast paths shows up as a
+The reference below reads the instance's columns (costs, labels, features,
+feature norms, outcomes) itself and computes each round's loss, delta and
+gradient in plain Python, then decides the round with the public price law
+(sample_price / survival) and feeds the learner through iw_feed, with no
+shortcuts. It calls none of the loss family's row kernels, so any drift in
+those kernels or in the production loop's fast paths shows up as a
 transcript mismatch."""
 
 import math
@@ -10,7 +13,6 @@ import math
 import numpy as np
 import pytest
 
-from procure_learn.core import eval_gradient, eval_loss
 from procure_learn.environment import (
     TwoPointCost,
     UniformCost,
@@ -28,7 +30,27 @@ from procure_learn.mechanism import (
     MechanismConfig,
     PriorKnowledge,
 )
-from procure_learn.pricing import delta, sample_price, survival
+from procure_learn.pricing import sample_price, survival
+
+
+def reference_row(instance, w, t):
+    """Loss, delta (dual norm of the gradient) and gradient of arrival ``t``
+    at hypothesis ``w``: the hinge loss of margin y * <x, w> on feature
+    tasks, the linear loss 1 - w[outcome] on the simplex (filler points cost
+    1 flat and have no gradient)."""
+    if instance.outcomes is not None:
+        g = np.zeros_like(w)
+        i = int(instance.outcomes[t])
+        if i < 0:
+            return 1.0, 0.0, g
+        g[i] = -1.0
+        return 1.0 - float(w[i]), 1.0, g
+    assert instance.family.kind == "hinge"
+    x, y = instance.features[t], int(instance.labels[t])
+    m = y * float((x * w).sum())
+    value = 1.0 - m if m < 1.0 else 0.0
+    slope = -1.0 if m < 1.0 else 0.0
+    return value, abs(slope) * float(instance.feature_norms[t]), (slope * y) * x
 
 
 def reference_run(config, instance, rng):
@@ -36,7 +58,6 @@ def reference_run(config, instance, rng):
     setup = Mechanism(config, instance)  # reuse scale / learning-rate selection
     scale = setup.price_scale
     learner = FtrlLearner(instance.space, setup.learner.learning_rate)
-    family = instance.family
     T = instance.horizon
     budget, c_max = config.budget, config.c_max
     at_cost = config.payment_mode == "at-cost"
@@ -46,42 +67,42 @@ def reference_run(config, instance, rng):
     rows = []
     spend = 0.0
     estimate_sum = 0.0
-    for t, arrival in enumerate(instance.arrivals):
+    for t in range(T):
+        cost = float(instance.costs[t])
         h = learner.post()
-        loss = eval_loss(family, h, arrival.data)
-        value = delta(family, h, arrival.data)
+        loss, value, gradient = reference_row(instance, h.coords, t)
 
         if config.purchase_policy == "priced":
             if config.hard_stop and spend >= budget:
                 price = 0.0
-                q = 1.0 if arrival.cost <= 0.0 else 0.0
+                q = 1.0 if cost <= 0.0 else 0.0
+            elif value <= 0.0:  # worthless: never bought, whatever the scale
+                price, q = 0.0, 0.0
             elif scale == 0.0:
                 price, q = c_max, 1.0
-            elif value <= 0.0:
-                price, q = 0.0, 0.0
             else:
                 price = sample_price(value, scale, uniforms[t], c_max)
-                q = survival(value, scale, arrival.cost, c_max)
-            accepted = q > 0.0 and price >= arrival.cost
+                q = survival(value, scale, cost, c_max)
+            accepted = q > 0.0 and price >= cost
         elif config.purchase_policy == "naive":
             price = c_max if spend + c_max <= budget else 0.0
-            accepted = price >= arrival.cost
+            accepted = price >= cost
             q = 1.0 if accepted else 0.0
         else:
             price, q, accepted = c_max, 1.0, True
 
         if accepted:
             payment = 0.0 if config.purchase_policy == "baseline" else (
-                arrival.cost if at_cost else price
+                cost if at_cost else price
             )
-            learner.iw_feed(q, True, eval_gradient(family, h, arrival.data), value)
+            learner.iw_feed(q, True, gradient, value)
             spend += payment
-            estimate_sum += value * math.sqrt(arrival.cost) / q
+            estimate_sum += value * math.sqrt(cost) / q
         else:
             payment = 0.0
             learner.iw_feed(q, False)
 
-        rows.append((value, arrival.cost, price, accepted, q, payment, loss, spend))
+        rows.append((value, cost, price, accepted, q, payment, loss, spend))
         if adaptive:
             estimate = min(1.0, max(0.0, estimate_sum / (t + 1)))
             remaining = max(budget - spend, 1e-6 * budget)
@@ -105,7 +126,7 @@ def reference_end_state(config, instance, rows):
         value_total += value
         if accepted:
             estimate_total += value * math.sqrt(cost) / q
-            learner.iw_feed(q, True, eval_gradient(instance.family, h, instance.arrivals[t].data), value)
+            learner.iw_feed(q, True, reference_row(instance, h.coords, t)[2], value)
     price_scale = setup.price_scale
     if isinstance(config.price_scale, AdaptiveScale):  # the update after the last round
         t = T - 1

@@ -1,7 +1,9 @@
 import dataclasses
+import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,6 +243,21 @@ def test_fallback_knowledge_runs_end_to_end():
     assert mech.price_scale == pytest.approx(400 / 30.0)
     mech.run(np.random.default_rng(1))
     assert mech.spend <= 2.0 * 30.0  # loose sanity bound on one realization
+
+
+SHIPPED_CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+
+
+@pytest.mark.parametrize("payment_mode", ["posted-price", "at-cost"])
+def test_adaptive_scale_keeps_padded_coin_within_budget(payment_mode):
+    # 70% of the shipped padded-coin stream is free filler with delta == 0;
+    # the adaptive scale starts at 0 and must not buy that filler at c_max
+    d = json.loads((SHIPPED_CONFIGS / "padded_coin_budget.json").read_text())
+    d["mechanism"].update(price_scale={"mode": "adaptive"}, payment_mode=payment_mode)
+    d["trials"] = 5
+    config = parse_config(d)
+    spends = [r.spend for r in run_trials(config, compute_regret=False)]
+    assert np.mean(spends) <= 1.05 * config.mechanism.budget
 
 
 def test_reference_policies_ignore_budget_in_theory_rate():
