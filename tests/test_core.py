@@ -26,6 +26,7 @@ from procure_learn.environment import (
     linear_task,
     padded_coin_sequence,
 )
+from procure_learn.mechanism import Mechanism, MechanismConfig
 
 coords = st.lists(st.floats(-5, 5), min_size=2, max_size=6)
 
@@ -157,6 +158,14 @@ def _vertex_instance(outcomes, dim):
         costs=np.zeros(len(outcomes)),
         outcomes=np.asarray(outcomes),
     )
+
+
+def test_arrival_cost_checked():
+    # an arrival's cost is checked when a mechanism takes the instance
+    inst = _vertex_instance([0, 1, 0], 2)
+    inst.costs[1] = -0.1
+    with pytest.raises(ValueError):
+        Mechanism(MechanismConfig(budget=1.0), inst)
 
 
 def _at(instance, w, t):
