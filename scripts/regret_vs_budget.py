@@ -11,30 +11,22 @@ import math
 
 import numpy as np
 
-from procure_learn import PriorKnowledge, coin_sequence
-from procure_learn.mechanism import KnowledgeScale, Mechanism, MechanismConfig, TheoryRate
-from procure_learn.metrics import offline_best
-from procure_learn.runner import trial_streams
+from procure_learn import PriorKnowledge
+from procure_learn.mechanism import KnowledgeScale, MechanismConfig, TheoryRate
+from procure_learn.runner import CoinSpec, ExperimentConfig, mean_se, run_trials
 
 
 def run_budget(budget, T, trials, seed):
-    config = MechanismConfig(
+    mechanism = MechanismConfig(
         budget=float(budget),
         payment_mode="at-cost",
         price_scale=KnowledgeScale(PriorKnowledge(avg_value_cost=1.0)),
         learning_rate=TheoryRate(),
     )
-    epsilon = 1.0 / math.sqrt(budget)
-    regrets, spends = [], []
-    for trial in range(trials):
-        instance_ss, mech_ss, _ = trial_streams(seed, trial)
-        instance = coin_sequence(T, epsilon, "heads", instance_ss)
-        mech = Mechanism(config, instance, record_transcript=False)
-        mech.run(np.random.default_rng(mech_ss))
-        regrets.append(mech.loss_total - offline_best(instance).total_loss)
-        spends.append(mech.spend)
-    regrets = np.array(regrets)
-    return regrets.mean(), regrets.std(ddof=1) / math.sqrt(trials), float(np.mean(spends))
+    config = ExperimentConfig(CoinSpec(T, 1.0 / math.sqrt(budget)), mechanism, trials, seed)
+    results = run_trials(config)
+    mean, se = mean_se(np.array([r.regret for r in results]))
+    return mean, se, float(np.mean([r.spend for r in results]))
 
 
 def main():

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -29,9 +28,10 @@ from .metrics import offline_best
 from .runner import (
     ExperimentConfig,
     build_instance,
+    hindsight_stats,
     load_config,
+    mean_se,
     run_sweep,
-    run_trial,
     run_trials,
     trial_streams,
     write_summary_csv,
@@ -65,8 +65,7 @@ def _mean_se_line(name: str, values) -> str:
     values = values[~np.isnan(values)]
     if len(values) == 0:
         return f"{name}: n/a"
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
+    mean, se = mean_se(values)
     return f"{name}: {mean:.6g} +/- {se:.3g}"
 
 
@@ -75,11 +74,9 @@ def cmd_run(args) -> int:
     out = _prepare_output(config)
     jobs = args.jobs or os.cpu_count() or 1
 
-    first, mech = run_trial(config, 0, record_transcript=True)
-    rest = run_trials(config, jobs, indices=range(1, config.trials))
-    results = [first] + rest
+    results = run_trials(config, jobs, record_transcript=True)
 
-    write_transcript_csv(out / "transcript.csv", mech.transcript)
+    write_transcript_csv(out / "transcript.csv", results[0].transcript)
     write_summary_csv(out / "summary.csv", results)
 
     print(f"wrote {out / 'transcript.csv'} and {out / 'summary.csv'}")
@@ -122,8 +119,6 @@ def cmd_oracle(args) -> int:
     instance = build_instance(config.instance, instance_ss)
     solution = offline_best(instance, config.oracle_iterations)
     coords = solution.hypothesis.coords
-    sqrt_costs = np.sqrt(instance.costs)
-    star = instance.grad_norms_at(coords)
     report = {
         "dimension": int(instance.space.dim),
         "hypothesis_head": [float(x) for x in coords[:8]],
@@ -131,11 +126,7 @@ def cmd_oracle(args) -> int:
         "total_loss": solution.total_loss,
         "converged": solution.converged,
         "iterations": solution.iterations,
-        "stats": {
-            "opt_value_cost": float(np.mean(star * sqrt_costs)),
-            "avg_sqrt_cost": float(np.mean(sqrt_costs)),
-            "avg_cost": float(np.mean(instance.costs)),
-        },
+        "stats": hindsight_stats(instance, solution),
     }
     print(json.dumps(report, indent=2))
     return 0

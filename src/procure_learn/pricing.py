@@ -26,11 +26,12 @@ import numpy as np
 
 
 def survival(delta: float, price_scale: float, cost: float, c_max: float = 1.0) -> float:
-    """Probability the posted price meets cost ``cost``."""
-    if price_scale == 0.0:
+    """Probability the posted price meets cost ``cost``; 0 for a worthless
+    arrival at every scale, as the mechanism decides it."""
+    if delta <= 0.0:
+        return 0.0
+    if price_scale == 0.0 or cost <= 0.0:
         return 1.0
-    if cost <= 0.0:
-        return 1.0 if delta > 0.0 else 0.0
     return min(1.0, delta / (price_scale * math.sqrt(cost)))
 
 

@@ -1,13 +1,16 @@
 """Experiment orchestration: seeded trials, sweeps, and artifact emission.
 
-A trial's randomness is derived entirely from (root seed, trial index) via
-spawn keys, so results are identical regardless of worker count or
-scheduling; runs within a trial are sequential by nature, parallelism is
-across trials only. Sweeps run every (policy, budget) combination of a trial
-on the identical instance and the identical mechanism stream for paired
-comparisons. Emitted CSV bytes are a pure function of (config, seed):
-floats are serialized with 17 significant digits and wall times stay out of
-the files.
+``run`` and ``sweep`` share one trial executor, ``run_trial``. It builds a
+trial's instance and calls the oracle once, then runs and scores each
+mechanism config of a list on that instance and the trial's mechanism
+stream: ``run`` passes its one config, ``sweep`` the policy x budget grid,
+so a sweep's comparisons are paired. One pool helper sends every trial of
+either command through it. A trial's randomness is derived entirely from
+(root seed, trial index) via spawn keys, so results are identical
+regardless of worker count or scheduling; runs within a trial are
+sequential, parallelism is across trials only. Emitted CSV bytes are a pure
+function of (config, seed): floats are serialized with 17 significant
+digits and wall times stay out of the files.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,6 +49,7 @@ from .mechanism import (
     PRICED,
     PriorKnowledge,
     TheoryRate,
+    Transcript,
 )
 from .metrics import OfflineSolution, SequenceStats, offline_best, risk
 
@@ -279,15 +282,20 @@ def load_config(path: str) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialResult:
+    """One mechanism config scored on one trial; ``transcript`` is its run's
+    per-round log when one was recorded."""
+
     trial: int
     seed: int
+    policy: str
+    budget: float
     spend: float
     purchases: int
     regret: float
     risk_surrogate: float
     risk_zero_one: float
     stats: SequenceStats
-    wall_time: float
+    transcript: Optional[Transcript] = field(default=None, compare=False, repr=False)
 
 
 def trial_streams(root_seed: int, trial: int):
@@ -297,112 +305,110 @@ def trial_streams(root_seed: int, trial: int):
     return instance_ss, mech_ss, int(ss.generate_state(1)[0])
 
 
-def _trial_stats(
-    instance: ProblemInstance, mech: Mechanism, solution: Optional[OfflineSolution]
-) -> SequenceStats:
+def hindsight_stats(instance: ProblemInstance, solution: OfflineSolution) -> dict[str, float]:
+    """The entries of ``SequenceStats`` that no run changes: the mean
+    delta * sqrt(cost) at the offline optimum and the two cost summaries."""
     sqrt_costs = np.sqrt(instance.costs)
-    if solution is None:
-        opt = math.nan
-    else:
-        star = instance.grad_norms_at(solution.hypothesis.coords)
-        opt = float(np.mean(star * sqrt_costs))
-    return SequenceStats(
-        avg_value_cost=mech.realized_avg_value_cost,
-        avg_value=mech.realized_avg_value,
-        avg_sqrt_cost=float(np.mean(sqrt_costs)),
-        avg_cost=float(np.mean(instance.costs)),
-        opt_value_cost=opt,
-    )
-
-
-def _scored_run(
-    mcfg: MechanismConfig,
-    instance: ProblemInstance,
-    mech_ss: np.random.SeedSequence,
-    *,
-    record_transcript: bool = False,
-) -> tuple[Mechanism, float, float]:
-    """Run one mechanism on a trial's instance and mechanism stream; return
-    it with the surrogate and zero-one test risks of its final hypothesis
-    (nan without a test set)."""
-    mech = Mechanism(mcfg, instance, record_transcript=record_transcript)
-    mech.run(np.random.default_rng(mech_ss))
-    final = mech.finalize()
-    if instance.has_test_set:
-        fam = instance.family
-        risk_s = risk(fam, final, instance.test_features, instance.test_labels, "surrogate")
-        risk_01 = risk(fam, final, instance.test_features, instance.test_labels, "zero-one")
-    else:
-        risk_s = risk_01 = math.nan
-    return mech, risk_s, risk_01
+    star = instance.grad_norms_at(solution.hypothesis.coords)
+    return {
+        "opt_value_cost": float(np.mean(star * sqrt_costs)),
+        "avg_sqrt_cost": float(np.mean(sqrt_costs)),
+        "avg_cost": float(np.mean(instance.costs)),
+    }
 
 
 def run_trial(
     config: ExperimentConfig,
     trial: int,
-    *,
+    mechanisms: Sequence[MechanismConfig],
     record_transcript: bool = False,
-    compute_regret: bool = True,
-) -> tuple[TrialResult, Mechanism]:
-    start = time.perf_counter()
+) -> list[TrialResult]:
+    """Run and score each mechanism config on one trial, in order.
+
+    The trial's instance is built and the oracle called once; every config
+    runs on that instance and on the same mechanism stream, which pairs
+    them. ``baseline`` neither spends nor prices, and its learning rate does
+    not depend on the budget, so a baseline config that differs from the
+    first one only in its budget takes that run's scores.
+    """
     instance_ss, mech_ss, trial_seed = trial_streams(config.seed, trial)
     instance = build_instance(config.instance, instance_ss)
-    mech, risk_s, risk_01 = _scored_run(
-        config.mechanism, instance, mech_ss, record_transcript=record_transcript
-    )
-    solution = offline_best(instance, config.oracle_iterations) if compute_regret else None
-    regret_value = mech.loss_total - solution.total_loss if solution else math.nan
+    solution = offline_best(instance, config.oracle_iterations)
+    fixed_stats = hindsight_stats(instance, solution)
+    results = []
+    baseline = None  # (config, result) of the first baseline run
+    for mcfg in mechanisms:
+        if (
+            mcfg.purchase_policy == BASELINE
+            and baseline is not None
+            and dataclasses.replace(baseline[0], budget=mcfg.budget) == mcfg
+        ):
+            results.append(dataclasses.replace(baseline[1], budget=mcfg.budget))
+            continue
+        mech = Mechanism(mcfg, instance, record_transcript=record_transcript)
+        mech.run(np.random.default_rng(mech_ss))
+        final = mech.finalize()
+        if instance.has_test_set:
+            fam = instance.family
+            risk_s = risk(fam, final, instance.test_features, instance.test_labels, "surrogate")
+            risk_01 = risk(fam, final, instance.test_features, instance.test_labels, "zero-one")
+        else:
+            risk_s = risk_01 = math.nan
+        result = TrialResult(
+            trial=trial,
+            seed=trial_seed,
+            policy=mcfg.purchase_policy,
+            budget=mcfg.budget,
+            spend=mech.spend,
+            purchases=mech.purchases,
+            regret=mech.loss_total - solution.total_loss,
+            risk_surrogate=risk_s,
+            risk_zero_one=risk_01,
+            stats=SequenceStats(
+                avg_value_cost=mech.realized_avg_value_cost,
+                avg_value=mech.realized_avg_value,
+                **fixed_stats,
+            ),
+            transcript=mech.transcript,
+        )
+        if mcfg.purchase_policy == BASELINE and baseline is None:
+            baseline = (mcfg, result)
+        results.append(result)
+    return results
 
-    result = TrialResult(
-        trial=trial,
-        seed=trial_seed,
-        spend=mech.spend,
-        purchases=mech.purchases,
-        regret=regret_value,
-        risk_surrogate=risk_s,
-        risk_zero_one=risk_01,
-        stats=_trial_stats(instance, mech, solution),
-        wall_time=time.perf_counter() - start,
-    )
-    return result, mech
+
+def _trial_job(args) -> list[TrialResult]:
+    return run_trial(*args)  # the module global, looked up once per trial
 
 
-def _trial_job(args) -> TrialResult:
-    config, trial, compute_regret = args
-    return run_trial(config, trial, compute_regret=compute_regret)[0]
-
-
-def run_trials(
+def _all_trials(
     config: ExperimentConfig,
-    jobs: int = 1,
-    *,
-    compute_regret: bool = True,
-    indices: Optional[Sequence[int]] = None,
-) -> list[TrialResult]:
-    """Trials in index order; byte-identical results for any job count."""
-    if indices is None:
-        indices = range(config.trials)
-    work = [(config, t, compute_regret) for t in indices]
+    mechanisms: Sequence[MechanismConfig],
+    jobs: int,
+    record_first: bool = False,
+) -> list[list[TrialResult]]:
+    """``run_trial`` on every trial of ``config``, in index order, across
+    ``jobs`` worker processes; byte-identical results for any job count.
+    With ``record_first`` trial 0 records its transcripts."""
+    work = [(config, t, mechanisms, record_first and t == 0) for t in range(config.trials)]
     if jobs <= 1 or len(work) <= 1:
         return [_trial_job(w) for w in work]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_trial_job, work, chunksize=1))
 
 
+def run_trials(
+    config: ExperimentConfig, jobs: int = 1, *, record_transcript: bool = False
+) -> list[TrialResult]:
+    """One result of ``config.mechanism`` per trial, in index order. With
+    ``record_transcript`` trial 0's result carries its transcript."""
+    per_trial = _all_trials(config, (config.mechanism,), jobs, record_transcript)
+    return [result for (result,) in per_trial]
+
+
 # ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    trial: int
-    policy: str
-    budget: float
-    regret: float
-    risk_surrogate: float
-    risk_zero_one: float
-    spend: float
 
 
 @dataclass(frozen=True)
@@ -420,33 +426,8 @@ class SweepRow:
     spend_se: float
 
 
-def _sweep_trial_job(args) -> list[SweepCell]:
-    """Every (policy, budget) cell of one trial. ``baseline`` neither spends
-    nor prices, and its learning rate does not depend on the budget, so it
-    runs once and its scores fill every budget's cell."""
-    config, trial, policies = args
-    instance_ss, mech_ss, _ = trial_streams(config.seed, trial)
-    instance = build_instance(config.instance, instance_ss)
-    oracle_total = offline_best(instance, config.oracle_iterations).total_loss
-    cells = []
-    baseline = None  # (regret, risk_surrogate, risk_zero_one, spend)
-    for policy in policies:
-        for budget in config.budget_grid:
-            mcfg = dataclasses.replace(  # validates every budget of the grid
-                config.mechanism, purchase_policy=policy, budget=budget
-            )
-            if policy == BASELINE and baseline is not None:
-                scores = baseline
-            else:
-                mech, risk_s, risk_01 = _scored_run(mcfg, instance, mech_ss)
-                scores = (mech.loss_total - oracle_total, risk_s, risk_01, mech.spend)
-                if policy == BASELINE:
-                    baseline = scores
-            cells.append(SweepCell(trial, policy, budget, *scores))
-    return cells
-
-
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
+def mean_se(values: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of the mean (0 for a single value)."""
     mean = float(np.mean(values))
     if len(values) < 2:
         return mean, 0.0
@@ -461,41 +442,35 @@ def run_sweep(
     """One aggregate row per (policy, budget), all policies on paired trials."""
     if not config.budget_grid:
         raise InvalidConfigError("sweep needs a nonempty budget_grid")
-    work = [(config, t, tuple(policies)) for t in range(config.trials)]
-    if jobs <= 1 or config.trials == 1:
-        per_trial = [_sweep_trial_job(w) for w in work]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_trial = list(pool.map(_sweep_trial_job, work, chunksize=1))
+    grid = [  # built before any trial runs, so a bad budget fails first
+        dataclasses.replace(config.mechanism, purchase_policy=policy, budget=budget)
+        for policy in policies
+        for budget in config.budget_grid
+    ]
+    per_trial = _all_trials(config, grid, jobs)
 
     rows = []
-    for policy in policies:
-        for budget in config.budget_grid:
-            cells = [
-                c
-                for trial_cells in per_trial
-                for c in trial_cells
-                if c.policy == policy and c.budget == budget
-            ]
-            regret_m, regret_se = _mean_se(np.array([c.regret for c in cells]))
-            r01_m, r01_se = _mean_se(np.array([c.risk_zero_one for c in cells]))
-            rs_m, rs_se = _mean_se(np.array([c.risk_surrogate for c in cells]))
-            spend_m, spend_se = _mean_se(np.array([c.spend for c in cells]))
-            rows.append(
-                SweepRow(
-                    policy=policy,
-                    budget=budget,
-                    trials=len(cells),
-                    regret_mean=regret_m,
-                    regret_se=regret_se,
-                    risk_zero_one_mean=r01_m,
-                    risk_zero_one_se=r01_se,
-                    risk_surrogate_mean=rs_m,
-                    risk_surrogate_se=rs_se,
-                    spend_mean=spend_m,
-                    spend_se=spend_se,
-                )
+    for i, mcfg in enumerate(grid):
+        cells = [results[i] for results in per_trial]
+        regret_m, regret_se = mean_se(np.array([c.regret for c in cells]))
+        r01_m, r01_se = mean_se(np.array([c.risk_zero_one for c in cells]))
+        rs_m, rs_se = mean_se(np.array([c.risk_surrogate for c in cells]))
+        spend_m, spend_se = mean_se(np.array([c.spend for c in cells]))
+        rows.append(
+            SweepRow(
+                policy=mcfg.purchase_policy,
+                budget=mcfg.budget,
+                trials=len(cells),
+                regret_mean=regret_m,
+                regret_se=regret_se,
+                risk_zero_one_mean=r01_m,
+                risk_zero_one_se=r01_se,
+                risk_surrogate_mean=rs_m,
+                risk_surrogate_se=rs_se,
+                spend_mean=spend_m,
+                spend_se=spend_se,
             )
+        )
     return rows
 
 

@@ -56,11 +56,16 @@ def test_run_writes_deterministic_artifacts(tmp_path, capsys):
 
 def test_run_jobs_do_not_change_output(tmp_path):
     cfg_path = tmp_path / "config.json"
-    _write_config(cfg_path)
-    assert main(["run", "--config", str(cfg_path), "--jobs", "1"]) == 0
-    one = (tmp_path / "out" / "summary.csv").read_bytes()
-    assert main(["run", "--config", str(cfg_path), "--jobs", "2"]) == 0
-    assert (tmp_path / "out" / "summary.csv").read_bytes() == one
+    _write_config(cfg_path, budget_grid=[10.0, 30.0])
+    out = tmp_path / "out"
+    for command, files in (
+        ("run", ("transcript.csv", "summary.csv")),
+        ("sweep", ("sweep.csv",)),
+    ):
+        assert main([command, "--config", str(cfg_path), "--jobs", "1"]) == 0
+        one = [(out / name).read_bytes() for name in files]
+        assert main([command, "--config", str(cfg_path), "--jobs", "2"]) == 0
+        assert [(out / name).read_bytes() for name in files] == one
 
 
 def test_seed_override_changes_results(tmp_path, monkeypatch):

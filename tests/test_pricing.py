@@ -60,7 +60,8 @@ def test_survival_examples():
     assert survival(0.0, 2.0, 0.3) == 0.0
     assert survival(0.0, 2.0, 0.0) == 0.0
     assert survival(0.7, 2.0, 0.0) == 1.0
-    assert survival(0.0, 0.0, 0.9) == 1.0  # buy-everything regime
+    assert survival(0.0, 0.0, 0.9) == 0.0  # worthless: never bought, scale 0 included
+    assert survival(0.5, 0.0, 0.9) == 1.0  # buy-everything regime
 
 
 def test_reserve_examples():

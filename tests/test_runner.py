@@ -19,6 +19,7 @@ from procure_learn.mechanism import (
     PriorKnowledge,
     TheoryRate,
 )
+from procure_learn import runner
 from procure_learn.runner import (
     SWEEP_POLICIES,
     CoinSpec,
@@ -28,9 +29,9 @@ from procure_learn.runner import (
     build_instance,
     parse_config,
     run_sweep,
+    run_trial,
     run_trials,
     trial_streams,
-    _sweep_trial_job,
 )
 
 
@@ -153,19 +154,21 @@ def test_trial_streams_are_stable_and_distinct():
 
 def test_run_trials_worker_count_invariance():
     config = parse_config(_base_config(trials=4))
-    serial = run_trials(config, jobs=1)
-    pooled = run_trials(config, jobs=2)
+    serial = run_trials(config, jobs=1, record_transcript=True)
+    pooled = run_trials(config, jobs=2, record_transcript=True)
     assert [r.seed for r in serial] == [r.seed for r in pooled]
     assert [r.spend for r in serial] == [r.spend for r in pooled]
     assert [r.regret for r in serial] == [r.regret for r in pooled]
-
-
-def test_run_trials_skip_regret():
-    config = parse_config(_base_config(trials=2))
-    results = run_trials(config, jobs=1, compute_regret=False)
-    assert all(math.isnan(r.regret) for r in results)
-    assert all(math.isnan(r.stats.opt_value_cost) for r in results)
-    assert all(r.spend >= 0.0 for r in results)
+    assert [r.stats for r in serial] == [r.stats for r in pooled]
+    # only trial 0 records its transcript, and it survives the pool
+    assert serial[0].transcript.loss == pooled[0].transcript.loss
+    assert len(serial[0].transcript) == 400
+    assert all(r.transcript is None for r in serial[1:] + pooled[1:])
+    for r in serial:
+        assert (r.policy, r.budget) == ("priced", 20.0)
+        assert r.spend >= 0.0
+        assert math.isfinite(r.regret) and math.isfinite(r.stats.opt_value_cost)
+        assert 0.0 <= r.stats.opt_value_cost <= r.stats.avg_sqrt_cost <= 1.0
 
 
 def test_sweep_cells_are_instance_paired():
@@ -196,6 +199,16 @@ def test_sweep_cells_are_instance_paired():
     assert by_key[("naive", 40.0)].spend_mean == 40.0
 
 
+def _count_calls(monkeypatch, owner, name, log):
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        log.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
 def test_sweep_trial_runs_baseline_once(monkeypatch):
     config = parse_config(
         _base_config(
@@ -209,6 +222,11 @@ def test_sweep_trial_runs_baseline_once(monkeypatch):
             },
         )
     )
+    grid = [
+        dataclasses.replace(config.mechanism, purchase_policy=policy, budget=budget)
+        for policy in SWEEP_POLICIES
+        for budget in config.budget_grid
+    ]
     runs = []
     real_run = Mechanism.run
 
@@ -217,14 +235,40 @@ def test_sweep_trial_runs_baseline_once(monkeypatch):
         return real_run(self, rng)
 
     monkeypatch.setattr(Mechanism, "run", counted_run)
-    cells = _sweep_trial_job((config, 0, SWEEP_POLICIES))
-    grid = config.budget_grid
-    assert len(runs) == (len(SWEEP_POLICIES) - 1) * len(grid) + 1
+    calls = []
+    _count_calls(monkeypatch, runner, "build_instance", calls)
+    _count_calls(monkeypatch, runner, "offline_best", calls)
+    results = run_trial(config, 0, grid)
+    assert calls == ["build_instance", "offline_best"]
+    assert len(runs) == (len(SWEEP_POLICIES) - 1) * len(config.budget_grid) + 1
     assert runs.count("baseline") == 1
-    baseline = [c for c in cells if c.policy == "baseline"]
-    assert [c.budget for c in baseline] == list(grid)
-    assert len({dataclasses.replace(c, budget=0.0) for c in baseline}) == 1
+    assert [(r.policy, r.budget) for r in results] == [(m.purchase_policy, m.budget) for m in grid]
+    baseline = [r for r in results if r.policy == "baseline"]
+    assert [r.budget for r in baseline] == list(config.budget_grid)
+    assert len({dataclasses.replace(r, budget=0.0) for r in baseline}) == 1
     assert not math.isnan(baseline[0].risk_zero_one)  # the linear task has a test set
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_one_instance_and_one_oracle_per_trial(monkeypatch, command):
+    config = parse_config(_base_config(trials=3, budget_grid=[10.0, 40.0]))
+    calls = []
+    _count_calls(monkeypatch, runner, "build_instance", calls)
+    _count_calls(monkeypatch, runner, "offline_best", calls)
+    if command == "run":
+        assert len(run_trials(config, jobs=1)) == 3
+    else:
+        assert len(run_sweep(config, jobs=1)) == len(SWEEP_POLICIES) * 2
+    assert calls == ["build_instance", "offline_best"] * 3
+
+
+def test_sweep_rejects_bad_budget_before_any_trial(monkeypatch):
+    config = parse_config(_base_config(trials=2, budget_grid=[10.0, 0.0]))
+    calls = []
+    _count_calls(monkeypatch, runner, "build_instance", calls)
+    with pytest.raises(InvalidConfigError):
+        run_sweep(config, jobs=1)
+    assert calls == []
 
 
 def test_fallback_knowledge_runs_end_to_end():
@@ -256,7 +300,7 @@ def test_adaptive_scale_keeps_padded_coin_within_budget(payment_mode):
     d["mechanism"].update(price_scale={"mode": "adaptive"}, payment_mode=payment_mode)
     d["trials"] = 5
     config = parse_config(d)
-    spends = [r.spend for r in run_trials(config, compute_regret=False)]
+    spends = [r.spend for r in run_trials(config)]
     assert np.mean(spends) <= 1.05 * config.mechanism.budget
 
 
