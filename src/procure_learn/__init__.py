@@ -13,7 +13,6 @@ from .core import (
     dual_norm,
     l2_ball,
     make_family,
-    project,
     simplex,
 )
 from .environment import (
@@ -43,15 +42,7 @@ from .mechanism import (
     choose_price_scale,
     theory_learning_rate,
 )
-from .metrics import (
-    OfflineSolution,
-    SequenceStats,
-    mean_round_risk,
-    offline_best,
-    regret,
-    risk,
-    sequence_stats,
-)
+from .metrics import OfflineSolution, SequenceStats, offline_best, risk
 from .pricing import (
     expected_payment,
     price_cdf,

@@ -139,10 +139,6 @@ def project_coords(space: HypothesisSpace, v: np.ndarray) -> np.ndarray:
     return simplex_projection(v)
 
 
-def project(space: HypothesisSpace, v: np.ndarray) -> Hypothesis:
-    return Hypothesis(space, project_coords(space, v))
-
-
 # ---------------------------------------------------------------------------
 # Data points
 # ---------------------------------------------------------------------------
@@ -212,8 +208,8 @@ class FeatureLoss(LossFamily):
     gradient is that coefficient times the row.
     ``np.dot`` (and BLAS matvec) sums in a different order and differs from
     both in the last digits for a large share of rows. The whole-dataset
-    forms (``values``, ``grad_norms``, ``mean_grad``) that the risk metrics
-    call, and the offline oracle, keep the faster ``X @ w``.
+    forms (``values``, ``grad_norms``) that the risk metrics call, and the
+    offline oracle, keep the faster ``X @ w``.
     """
 
     norm_kind = "l2"
@@ -255,10 +251,6 @@ class FeatureLoss(LossFamily):
 
     def grad_norms(self, w, X, y, feature_norms) -> np.ndarray:
         return np.abs(self.margin_slope(y * (X @ w))) * feature_norms
-
-    def mean_grad(self, w, X, y) -> np.ndarray:
-        coeff = self.margin_slope(y * (X @ w)) * y
-        return (X.T @ coeff) / len(y)
 
 
 class HingeLoss(FeatureLoss):

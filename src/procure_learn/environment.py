@@ -362,20 +362,6 @@ def load_idx_labels(path: str) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8)
 
 
-def write_idx_images(path: str, images: np.ndarray) -> None:
-    images = np.asarray(images, dtype=np.uint8)
-    with open(path, "wb") as f:
-        f.write(struct.pack(">iiii", IDX_IMAGE_MAGIC, *images.shape))
-        f.write(images.tobytes())
-
-
-def write_idx_labels(path: str, labels: np.ndarray) -> None:
-    labels = np.asarray(labels, dtype=np.uint8)
-    with open(path, "wb") as f:
-        f.write(struct.pack(">ii", IDX_LABEL_MAGIC, len(labels)))
-        f.write(labels.tobytes())
-
-
 def load_digit_dataset(
     images_path: str,
     labels_path: str,

@@ -19,40 +19,21 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (
-    L2_BALL,
-    Hypothesis,
-    HypothesisSpace,
-    InvalidConfigError,
-    dual_norm,
-    project_coords,
-)
+from .core import HypothesisSpace, InvalidConfigError, dual_norm, project_coords
 
 EUCLIDEAN = "euclidean"
-NEG_ENTROPY = "neg-entropy"
-
-_PAIRING = {L2_BALL: EUCLIDEAN, "simplex": NEG_ENTROPY}
 
 
 class FtrlLearner:
-    """Mutable per-run learner state; owned by a single run, never shared."""
+    """Mutable per-run learner state; owned by a single run, never shared.
+    The regularizer is the space's own: euclidean on the ball, negative
+    entropy on the simplex."""
 
-    def __init__(
-        self,
-        space: HypothesisSpace,
-        learning_rate: float,
-        regularizer: Optional[str] = None,
-    ):
-        if regularizer is None:
-            regularizer = _PAIRING[space.kind]
-        if _PAIRING[space.kind] != regularizer:
-            raise InvalidConfigError(
-                f"regularizer {regularizer!r} does not match space kind {space.kind!r}"
-            )
+    def __init__(self, space: HypothesisSpace, learning_rate: float):
         if not learning_rate > 0:
             raise InvalidConfigError("learning rate must be positive")
         self.space = space
-        self.regularizer = regularizer
+        self.regularizer = space.regularizer
         self.learning_rate = learning_rate
         self.grad_sum = np.zeros(space.dim)
         self.bound_sum = 0.0
@@ -65,12 +46,9 @@ class FtrlLearner:
 
     @property
     def coords(self) -> np.ndarray:
-        """Current hypothesis as a raw vector; treat as read-only."""
+        """Current hypothesis as a raw vector; treat as read-only. A feed
+        replaces the array rather than writing into it."""
         return self._coords
-
-    def post(self) -> Hypothesis:
-        """The hypothesis played this round."""
-        return Hypothesis(self.space, self._coords)
 
     def feed_zero(self) -> None:
         """Observe the zero function: state is unchanged by construction."""

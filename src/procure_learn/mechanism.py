@@ -55,7 +55,7 @@ import numpy as np
 from .core import Hypothesis, InvalidConfigError, project_coords
 from .environment import ProblemInstance
 from .ftrl import FtrlLearner
-from .pricing import sample_price, survival
+from .pricing import priced_round, priced_rounds
 
 POSTED_PRICE = "posted-price"
 AT_COST = "at-cost"
@@ -177,8 +177,10 @@ class FixedScale:
     value: float
 
     def __post_init__(self):
-        if self.value < 0:
-            raise InvalidConfigError("price scale must be nonnegative")
+        if not 0.0 <= self.value < math.inf:  # NaN fails both
+            raise InvalidConfigError(f"price scale must be finite and nonnegative, got {self.value}")
+        # -0.0 + 0.0 is +0.0: the window path divides by the scale
+        object.__setattr__(self, "value", self.value + 0.0)
 
 
 @dataclass(frozen=True)
@@ -193,11 +195,9 @@ class AdaptiveScale:
     Starts at zero (buy every arrival with delta > 0 at the maximum price;
     worthless ones are never bought) and re-estimates the
     value-cost statistic from purchases, importance-weighted by 1/q. The
-    budget-left denominator is floored and the scale capped so spending shuts
-    off rather than dividing by zero near exhaustion.
+    budget-left denominator is floored and the scale capped at ``SCALE_CAP``
+    so spending shuts off rather than dividing by zero near exhaustion.
     """
-
-    cap: float = SCALE_CAP
 
 
 ScalePolicy = Union[FixedScale, KnowledgeScale, AdaptiveScale]
@@ -229,7 +229,6 @@ class MechanismConfig:
     learning_rate: RatePolicy = TheoryRate()
     hard_stop: bool = False
     c_max: float = 1.0
-    horizon: Optional[int] = None  # None: take the instance's length
 
     def __post_init__(self):
         if not self.budget > 0:
@@ -240,8 +239,6 @@ class MechanismConfig:
             raise InvalidConfigError(f"unknown purchase policy {self.purchase_policy!r}")
         if not self.c_max > 0:
             raise InvalidConfigError("maximum price must be positive")
-        if self.horizon is not None and self.horizon < 1:
-            raise InvalidConfigError("horizon must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -295,54 +292,6 @@ class Transcript:
 
 
 # ---------------------------------------------------------------------------
-# Round decision (pure)
-# ---------------------------------------------------------------------------
-
-
-def priced_round(
-    delta: float, cost: float, u: float, price_scale: float, c_max: float = 1.0
-) -> tuple[float, float, bool]:
-    """One posted-price decision: (price, acceptance probability at the
-    revealed cost, accepted). Ties accept. A worthless arrival posts price 0
-    and is never bought; otherwise ``price_scale == 0`` posts the fixed
-    maximum price."""
-    if delta <= 0.0:
-        price, q = 0.0, 0.0
-    elif price_scale == 0.0:
-        price, q = c_max, 1.0
-    else:
-        price = sample_price(delta, price_scale, u, c_max)
-        q = survival(delta, price_scale, cost, c_max)
-    accepted = q > 0.0 and price >= cost
-    return price, q, accepted
-
-
-def priced_rounds(
-    delta: np.ndarray,
-    cost: np.ndarray,
-    u: np.ndarray,
-    price_scale: Union[float, np.ndarray],
-    c_max: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``priced_round`` over arrays of rounds, with the same arithmetic, so
-    each element equals the scalar decision bit for bit. ``price_scale`` is
-    one scale for every round or one per round."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # such rows are overwritten below
-        atom = np.minimum(1.0, delta / (price_scale * math.sqrt(c_max)))
-        p = delta / (price_scale * (1.0 - u))
-        q = np.minimum(1.0, delta / (price_scale * np.sqrt(cost)))
-    price = np.where(u >= 1.0 - atom, c_max, p * p)  # 0 where delta == 0
-    q[cost <= 0.0] = 1.0
-    q[delta <= 0.0] = 0.0
-    zero_scale = np.asarray(price_scale) == 0.0
-    if zero_scale.any():  # c_max at q = 1, but worthless rounds stay at price 0
-        worth = delta > 0.0
-        price = np.where(zero_scale, np.where(worth, c_max, 0.0), price)
-        q = np.where(zero_scale & worth, 1.0, q)
-    return price, q, (q > 0.0) & (price >= cost)
-
-
-# ---------------------------------------------------------------------------
 # Mechanism
 # ---------------------------------------------------------------------------
 
@@ -356,13 +305,7 @@ class Mechanism:
         instance: ProblemInstance,
         *,
         record_transcript: bool = True,
-        record_hypotheses: bool = False,
     ):
-        horizon = config.horizon if config.horizon is not None else instance.horizon
-        if horizon != instance.horizon:
-            raise InvalidConfigError(
-                f"configured horizon {horizon} != instance length {instance.horizon}"
-            )
         costs = instance.costs
         if not np.all((costs >= 0.0) & (costs <= config.c_max)):  # NaN fails both
             raise InvalidConfigError(
@@ -370,7 +313,7 @@ class Mechanism:
             )
         self.config = config
         self.instance = instance
-        self.horizon = horizon
+        self.horizon = instance.horizon
 
         if config.purchase_policy != PRICED:
             # naive and baseline never evaluate the price law; a scale would
@@ -381,7 +324,7 @@ class Mechanism:
         elif isinstance(config.price_scale, KnowledgeScale):
             self.price_scale = choose_price_scale(
                 config.price_scale.knowledge,
-                horizon,
+                instance.horizon,
                 config.budget,
                 config.payment_mode,
                 config.c_max,
@@ -394,7 +337,7 @@ class Mechanism:
         else:
             rate = theory_learning_rate(
                 instance.space.reg_bound,
-                horizon,
+                instance.horizon,
                 config.budget,
                 self.price_scale,
                 config.learning_rate.scale,
@@ -410,7 +353,6 @@ class Mechanism:
         self.rounds_done = 0
         self.hypothesis_sum = np.zeros(instance.space.dim)
         self.transcript = Transcript() if record_transcript else None
-        self.hypotheses: Optional[list[np.ndarray]] = [] if record_hypotheses else None
         self._last_purchase = -1  # round of the latest purchase
         self._finished = False
 
@@ -425,18 +367,14 @@ class Mechanism:
 
     def adapted_scale(self) -> float:
         """Burn-rate scale for the next round under the adaptive policy."""
-        policy = self.config.price_scale
-        cap = policy.cap if isinstance(policy, AdaptiveScale) else SCALE_CAP
         remaining_rounds = self.horizon - self.rounds_done
         floor = 1e-6 * self.config.budget
         remaining_budget = max(self.config.budget - self.spend, floor)
-        return min(cap, self.value_cost_estimate() * remaining_rounds / remaining_budget)
+        return min(SCALE_CAP, self.value_cost_estimate() * remaining_rounds / remaining_budget)
 
     def adapted_scales(self, start: int, stop: int) -> np.ndarray:
         """``adapted_scale`` for each round ``start <= t < stop`` at the
         current spend and estimate, with the same arithmetic."""
-        policy = self.config.price_scale
-        cap = policy.cap if isinstance(policy, AdaptiveScale) else SCALE_CAP
         rounds_done = np.arange(start, stop)
         estimate = self.estimate_total / np.maximum(rounds_done, 1)
         estimate = np.minimum(1.0, np.maximum(0.0, estimate))
@@ -444,7 +382,7 @@ class Mechanism:
             estimate[0] = 0.0  # value_cost_estimate before any round
         floor = 1e-6 * self.config.budget
         remaining_budget = max(self.config.budget - self.spend, floor)
-        return np.minimum(cap, estimate * (self.horizon - rounds_done) / remaining_budget)
+        return np.minimum(SCALE_CAP, estimate * (self.horizon - rounds_done) / remaining_budget)
 
     # -- execution ------------------------------------------------------------
 
@@ -480,8 +418,6 @@ class Mechanism:
             rate = decay * rate + (1.0 - decay) * q_sum / (after - t)
             t = after
         self.rounds_done = horizon
-        if isinstance(self.config.price_scale, AdaptiveScale):
-            self.price_scale = self.adapted_scale()
         self._finished = True
         return self
 
@@ -492,7 +428,6 @@ class Mechanism:
         instance = self.instance
         loss_delta_row = instance.family.loss_delta_row
         transcript = self.transcript
-        hypotheses = self.hypotheses
         adaptive = isinstance(cfg.price_scale, AdaptiveScale)
         # the hypothesis, the spend and so the policy's choice change only
         # on a purchase
@@ -522,8 +457,6 @@ class Mechanism:
             self.loss_total += loss
             self.value_cost_total += dlt * math.sqrt(cost)
             self.value_total += dlt
-            if hypotheses is not None:
-                hypotheses.append(w)
             if accepted:
                 self._buy(t, coefficient, loss, dlt, cost, price, q)
                 w = self.learner.coords
@@ -573,8 +506,6 @@ class Mechanism:
         totals = block.cumsum(axis=0)[-1]
         self.hypothesis_sum = totals[:dim].copy()
         self.loss_total, self.value_cost_total, self.value_total = totals[dim:].tolist()
-        if self.hypotheses is not None:
-            self.hypotheses.extend([w] * n)
 
         unbought = n - 1 if bought else n
         if self.transcript is not None:
@@ -632,11 +563,6 @@ class Mechanism:
             self.instance.space,
             project_coords(self.instance.space, self.hypothesis_sum / self.horizon),
         )
-
-    def hypothesis_matrix(self) -> np.ndarray:
-        if self.hypotheses is None:
-            raise MechanismStateError("run was not recording hypotheses")
-        return np.vstack(self.hypotheses)
 
     @property
     def realized_avg_value_cost(self) -> float:

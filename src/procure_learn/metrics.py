@@ -1,9 +1,10 @@
-"""Best-in-hindsight oracle, regret and risk, and monetary-difficulty stats.
+"""Best-in-hindsight oracle, held-out risk, and the record of a run's
+monetary-difficulty statistics.
 
-Pure computations over instances, posted hypotheses, and transcripts. The
-vertex-loss oracle is exact (enumeration); the feature-loss oracle is
-full-gradient projected descent with a best-iterate tracker and a convergence
-flag rather than a hard failure at the iteration cap."""
+Pure computations over instances and hypotheses. The vertex-loss oracle is
+exact (enumeration); the feature-loss oracle is full-gradient projected
+descent with a best-iterate tracker and a convergence flag rather than a
+hard failure at the iteration cap."""
 
 from __future__ import annotations
 
@@ -57,8 +58,7 @@ def offline_best(
     stopping once the best objective stops improving by a relative ``tol``
     for ``patience`` consecutive passes. Each pass computes the margins
     ``y * (X @ w)`` once: their ``margin_value`` is the objective at ``w``
-    and their ``margin_slope`` the next pass's gradient, the same arithmetic
-    as ``values`` and ``mean_grad`` on the same margins.
+    and their ``margin_slope`` gives the next pass's mean gradient.
     """
     space, family = instance.space, instance.family
     if isinstance(family, VertexLoss):
@@ -93,32 +93,6 @@ def offline_best(
     return OfflineSolution(Hypothesis(space, best_w), best_obj * n, converged, k)
 
 
-def regret(transcript, instance: ProblemInstance, h_star: Hypothesis) -> float:
-    """Total posted-hypothesis loss minus the loss of the fixed comparator.
-
-    Losses count every round whether or not the arrival was purchased.
-    """
-    if len(transcript) != instance.horizon:
-        raise ValueError(
-            f"transcript covers {len(transcript)} rounds, instance has {instance.horizon}"
-        )
-    posted = float(np.sum(transcript.loss))
-    return posted - float(instance.losses_at(h_star.coords).sum())
-
-
-def loss_total(instance: ProblemInstance, hypotheses: np.ndarray) -> float:
-    """Recompute the run's total loss from scratch given the posted iterates."""
-    H = np.asarray(hypotheses)
-    if H.shape != (instance.horizon, instance.space.dim):
-        raise ValueError("need one posted hypothesis per round")
-    if instance.outcomes is not None:
-        observed = instance.outcomes >= 0
-        picked = H[observed, instance.outcomes[observed]]
-        return float(instance.horizon - picked.sum())
-    margins = instance.labels * np.einsum("td,td->t", H, instance.features)
-    return float(instance.family.margin_value(margins).sum())
-
-
 def risk(
     family,
     h: Hypothesis | np.ndarray,
@@ -136,41 +110,3 @@ def risk(
     if metric == "zero-one":
         return float(np.mean(y * (X @ w) <= 0.0))
     raise ValueError(f"unknown risk metric {metric!r}")
-
-
-def mean_round_risk(
-    family, hypotheses: np.ndarray, X: np.ndarray, y: np.ndarray, chunk: int = 256
-) -> float:
-    """Mean over rounds of the surrogate test risk of each posted hypothesis."""
-    H = np.asarray(hypotheses)
-    total = 0.0
-    for start in range(0, len(H), chunk):
-        block = H[start : start + chunk]
-        margins = (block @ X.T) * y
-        total += float(family.margin_value(margins).mean(axis=1).sum())
-    return total / len(H)
-
-
-def deltas_along_run(instance: ProblemInstance, hypotheses: np.ndarray) -> np.ndarray:
-    """Per-round gradient dual norms at the posted hypotheses."""
-    H = np.asarray(hypotheses)
-    if instance.outcomes is not None:
-        return instance.family.grad_norms(instance.outcomes)
-    margins = instance.labels * np.einsum("td,td->t", H, instance.features)
-    return np.abs(instance.family.margin_slope(margins)) * instance.feature_norms
-
-
-def sequence_stats(
-    instance: ProblemInstance, hypotheses: np.ndarray, h_star: Hypothesis
-) -> SequenceStats:
-    """Difficulty statistics of an executed run (posted iterates required)."""
-    deltas = deltas_along_run(instance, hypotheses)
-    sqrt_costs = np.sqrt(instance.costs)
-    star_deltas = instance.grad_norms_at(h_star.coords)
-    return SequenceStats(
-        avg_value_cost=float(np.mean(deltas * sqrt_costs)),
-        avg_value=float(np.mean(deltas)),
-        avg_sqrt_cost=float(np.mean(sqrt_costs)),
-        avg_cost=float(np.mean(instance.costs)),
-        opt_value_cost=float(np.mean(star_deltas * sqrt_costs)),
-    )

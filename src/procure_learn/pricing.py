@@ -8,19 +8,27 @@ Pr[price >= c] = min(1, delta / (price_scale * sqrt(c))) is realized by a
 distribution with reserve delta^2 / price_scale^2, density
 delta / (2 * price_scale * p^(3/2)) in between, and a point mass at ``c_max``.
 
-The mechanism decides the two degenerate cases in this order. First,
-worthless arrivals (``delta == 0``) get the degenerate price 0 and are never
-bought, at every scale, 0 included. Second, ``price_scale == 0`` is the
-buy-everything regime for the rest: survival is one and the mechanism posts
-the fixed price ``c_max`` instead of sampling. Deciding the scale first
-would pay ``c_max`` for worthless data, which the expected-payment bound
-(a multiple of delta) does not cover.
+Two degenerate cases are decided here, in this order, and nowhere else.
+First, worthless arrivals (``delta == 0``) get the degenerate price 0 and
+are never bought, at every scale, 0 included. Second, ``price_scale == 0``
+is the buy-everything regime for the rest: the atom takes all the mass, so
+the price is ``c_max`` and survival is one. Deciding the scale first would
+pay ``c_max`` for worthless data, which the expected-payment bound (a
+multiple of delta) does not cover.
+
+A round's decision, ``priced_round``, is the sampled price and the survival
+at the revealed cost; ``priced_rounds`` decides a window of rounds as arrays
+with the same arithmetic, so each element equals the scalar decision bit
+for bit. The mechanism plays rounds one by one where purchases are dense
+and in windows where they are sparse, so it keeps both forms: on a window
+of one round the array form costs several times the scalar one.
 Randomness is injected as an explicit uniform draw; nothing here holds state.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Union
 
 import numpy as np
 
@@ -59,13 +67,14 @@ def price_cdf(delta: float, price_scale: float, price: float, c_max: float = 1.0
 def sample_price(delta: float, price_scale: float, u: float, c_max: float = 1.0) -> float:
     """Inverse-CDF draw from the price law given a uniform ``u`` in [0, 1).
 
-    The top min(1, delta / (price_scale * sqrt(c_max))) quantile mass maps to
-    the point mass at c_max; below it the draw is the continuous inverse CDF.
+    The top min(1, delta / (price_scale * sqrt(c_max))) quantile mass, all
+    of it at scale 0, maps to the point mass at c_max; below it the draw is
+    the continuous inverse CDF.
     """
     if delta <= 0.0:
         return 0.0
     if price_scale == 0.0:
-        raise ValueError("sampling undefined in the buy-everything regime")
+        return c_max
     atom = min(1.0, delta / (price_scale * math.sqrt(c_max)))
     if u >= 1.0 - atom:
         return c_max
@@ -73,18 +82,58 @@ def sample_price(delta: float, price_scale: float, u: float, c_max: float = 1.0)
     return p * p
 
 
+def _prices(delta, price_scale, u, c_max, worthless) -> np.ndarray:
+    """``sample_price`` elementwise, bit for bit, where division by zero is
+    silenced; ``worthless`` is ``delta <= 0``. Shared so that
+    ``priced_rounds`` enters ``np.errstate`` and compares delta once: on
+    short windows those fixed costs are a visible share of the call."""
+    # at scale 0 the atom is inf and so takes all the mass
+    atom = np.minimum(1.0, delta / (price_scale * math.sqrt(c_max)))
+    p = delta / (price_scale * (1.0 - u))
+    price = np.where(u >= 1.0 - atom, c_max, p * p)
+    price[worthless] = 0.0  # p is 0 / 0 at scale 0
+    return price
+
+
 def sample_prices(
-    delta: float, price_scale: float, u: np.ndarray, c_max: float = 1.0
+    delta: Union[float, np.ndarray],
+    price_scale: Union[float, np.ndarray],
+    u: np.ndarray,
+    c_max: float = 1.0,
 ) -> np.ndarray:
-    """Vectorized ``sample_price`` over an array of uniforms."""
-    u = np.asarray(u, dtype=np.float64)
-    if delta <= 0.0:
-        return np.zeros_like(u)
-    if price_scale == 0.0:
-        raise ValueError("sampling undefined in the buy-everything regime")
-    atom = min(1.0, delta / (price_scale * math.sqrt(c_max)))
-    continuous = delta / (price_scale * (1.0 - u))
-    return np.where(u >= 1.0 - atom, c_max, continuous * continuous)
+    """``sample_price`` elementwise, bit for bit; ``delta``, ``price_scale``
+    and ``u`` broadcast against each other."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _prices(delta, price_scale, u, c_max, delta <= 0.0)
+
+
+def priced_round(
+    delta: float, cost: float, u: float, price_scale: float, c_max: float = 1.0
+) -> tuple[float, float, bool]:
+    """One posted-price decision: (price, acceptance probability at the
+    revealed cost, accepted). Ties accept; a round with q = 0 never does."""
+    price = sample_price(delta, price_scale, u, c_max)
+    q = survival(delta, price_scale, cost, c_max)
+    return price, q, q > 0.0 and price >= cost
+
+
+def priced_rounds(
+    delta: np.ndarray,
+    cost: np.ndarray,
+    u: np.ndarray,
+    price_scale: Union[float, np.ndarray],
+    c_max: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``priced_round`` over arrays of rounds, each element bit for bit the
+    scalar decision. ``price_scale`` is one scale for every round or one per
+    round."""
+    worthless = delta <= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # such rows are set below
+        price = _prices(delta, price_scale, u, c_max, worthless)
+        q = np.minimum(1.0, delta / (price_scale * np.sqrt(cost)))
+    q[cost <= 0.0] = 1.0
+    q[worthless] = 0.0
+    return price, q, (q > 0.0) & (price >= cost)
 
 
 def expected_payment(

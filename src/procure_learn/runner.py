@@ -45,15 +45,12 @@ from .mechanism import (
     KnowledgeScale,
     Mechanism,
     MechanismConfig,
-    NAIVE,
-    PRICED,
+    POLICIES,
     PriorKnowledge,
     TheoryRate,
     Transcript,
 )
 from .metrics import OfflineSolution, SequenceStats, offline_best, risk
-
-SWEEP_POLICIES = (PRICED, NAIVE, BASELINE)
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +134,6 @@ def build_instance(spec: InstanceSpec, seed) -> ProblemInstance:
     raise InvalidConfigError(f"unknown instance spec {type(spec).__name__}")
 
 
-def spec_horizon(spec: InstanceSpec) -> Optional[int]:
-    return getattr(spec, "T", None)
-
-
 # ---------------------------------------------------------------------------
 # Experiment configuration (JSON round-trippable)
 # ---------------------------------------------------------------------------
@@ -159,6 +152,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise InvalidConfigError("need at least one trial")
+        if self.oracle_iterations < 1:
+            raise InvalidConfigError("oracle_iterations must be >= 1")
 
 
 def _require(d: dict, key: str, where: str):
@@ -218,7 +213,7 @@ def parse_instance(d: dict) -> InstanceSpec:
     raise InvalidConfigError(f"unknown instance kind {kind!r}")
 
 
-def parse_mechanism(d: dict, horizon: Optional[int]) -> MechanismConfig:
+def parse_mechanism(d: dict) -> MechanismConfig:
     scale_cfg = d.get("price_scale", {"mode": "adaptive"})
     mode = scale_cfg.get("mode", "adaptive")
     if mode == "adaptive":
@@ -251,17 +246,15 @@ def parse_mechanism(d: dict, horizon: Optional[int]) -> MechanismConfig:
         learning_rate=rate,
         hard_stop=bool(d.get("hard_stop", False)),
         c_max=float(d.get("c_max", 1.0)),
-        horizon=horizon,
     )
 
 
 def parse_config(d: dict) -> ExperimentConfig:
     instance = parse_instance(_require(d, "instance", "config"))
-    mechanism = parse_mechanism(_require(d, "mechanism", "config"), spec_horizon(instance))
     grid = d.get("budget_grid")
     return ExperimentConfig(
         instance=instance,
-        mechanism=mechanism,
+        mechanism=parse_mechanism(_require(d, "mechanism", "config")),
         trials=int(d.get("trials", 1)),
         seed=int(d.get("seed", 0)),
         output_dir=str(d.get("output_dir", "out")),
@@ -434,17 +427,13 @@ def mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, float(np.std(values, ddof=1) / math.sqrt(len(values)))
 
 
-def run_sweep(
-    config: ExperimentConfig,
-    jobs: int = 1,
-    policies: Sequence[str] = SWEEP_POLICIES,
-) -> list[SweepRow]:
+def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[SweepRow]:
     """One aggregate row per (policy, budget), all policies on paired trials."""
     if not config.budget_grid:
         raise InvalidConfigError("sweep needs a nonempty budget_grid")
     grid = [  # built before any trial runs, so a bad budget fails first
         dataclasses.replace(config.mechanism, purchase_policy=policy, budget=budget)
-        for policy in policies
+        for policy in POLICIES
         for budget in config.budget_grid
     ]
     per_trial = _all_trials(config, grid, jobs)

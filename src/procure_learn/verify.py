@@ -167,7 +167,6 @@ def check_full_information_bound(instances: int = 50, seed: int = 17) -> CheckRe
             purchase_policy="baseline",
             price_scale=FixedScale(0.0),
             learning_rate=FixedRate(0.05 + 0.3 * gen_rng.random()),
-            horizon=instance.horizon,
         )
         mech = Mechanism(config, instance, record_transcript=False).run(
             np.random.default_rng(child.spawn(1)[0])

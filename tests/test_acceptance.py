@@ -32,9 +32,11 @@ from procure_learn.mechanism import (
     PriorKnowledge,
     TheoryRate,
 )
-from procure_learn.metrics import mean_round_risk, offline_best, risk
+from procure_learn.metrics import offline_best, risk
 from procure_learn.pricing import expected_payment, sample_prices, survival
 from procure_learn.runner import trial_streams
+
+from oracles import mean_round_risk, posted_hypotheses
 
 SEED = 20240701
 
@@ -331,13 +333,13 @@ def test_criterion_8_online_to_batch():
             price_scale=AdaptiveScale(),
             learning_rate=FixedRate(0.12),
         )
-        mech = Mechanism(config, instance, record_transcript=False, record_hypotheses=True)
+        mech = Mechanism(config, instance)
         mech.run(np.random.default_rng(mech_ss))
         averaged = risk(
             instance.family, mech.finalize(), instance.test_features, instance.test_labels, "surrogate"
         )
         per_round = mean_round_risk(
-            instance.family, mech.hypothesis_matrix(), instance.test_features, instance.test_labels
+            instance.family, posted_hypotheses(mech), instance.test_features, instance.test_labels
         )
         assert averaged <= per_round + 1e-12  # convexity, no tolerance
         checked += 1

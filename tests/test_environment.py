@@ -22,10 +22,10 @@ from procure_learn.environment import (
     load_idx_images,
     load_idx_labels,
     padded_coin_sequence,
-    write_idx_images,
-    write_idx_labels,
 )
 from procure_learn.metrics import offline_best, risk
+
+from oracles import write_idx_images, write_idx_labels
 
 
 # ---------------------------------------------------------------------------

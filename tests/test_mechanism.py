@@ -20,14 +20,15 @@ from procure_learn.mechanism import (
     MechanismConfig,
     MechanismStateError,
     PriorKnowledge,
+    SCALE_CAP,
     TheoryRate,
     choose_price_scale,
-    priced_round,
-    priced_rounds,
     theory_learning_rate,
 )
-from procure_learn.metrics import mean_round_risk, risk
-from procure_learn.pricing import survival
+from procure_learn.metrics import risk
+from procure_learn.pricing import priced_round, priced_rounds, survival
+
+from oracles import mean_round_risk, posted_hypotheses
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +157,7 @@ def test_priced_rounds_match_priced_round_bitwise(rng):
 
 def test_adapted_scales_match_adapted_scale():
     inst = coin_sequence(1000, 0.1, "heads", 1)
-    cfg = MechanismConfig(budget=50.0, price_scale=AdaptiveScale(cap=40.0), learning_rate=FixedRate(0.1))
+    cfg = MechanismConfig(budget=50.0, price_scale=AdaptiveScale(), learning_rate=FixedRate(0.1))
     mech = Mechanism(cfg, inst)
     for estimate_total, spend in ((0.0, 0.0), (3.7, 12.5), (900.0, 3.0), (2.0, 50.0)):
         mech.estimate_total, mech.spend = estimate_total, spend
@@ -349,7 +350,7 @@ def test_adaptive_update_rule():
     assert mech.adapted_scale() == pytest.approx(0.3 * 500 / 50.0)
 
     mech.spend = 50.0  # budget exhausted: the scale caps out
-    assert mech.adapted_scale() == pytest.approx(AdaptiveScale().cap)
+    assert mech.adapted_scale() == SCALE_CAP
 
 
 def test_value_cost_estimate_examples():
@@ -387,9 +388,9 @@ def test_adaptive_estimate_unweighted_when_q_is_one():
 def test_finalize_is_hypothesis_average():
     inst = coin_sequence(30, 0.1, "heads", 2)
     cfg = MechanismConfig(budget=5.0, price_scale=FixedScale(2.0), learning_rate=FixedRate(0.3))
-    mech = Mechanism(cfg, inst, record_hypotheses=True).run(np.random.default_rng(1))
+    mech = Mechanism(cfg, inst).run(np.random.default_rng(1))
     final = mech.finalize()
-    np.testing.assert_allclose(final.coords, mech.hypothesis_matrix().mean(axis=0), atol=1e-12)
+    np.testing.assert_allclose(final.coords, posted_hypotheses(mech).mean(axis=0), atol=1e-12)
     assert final.coords.min() >= 0.0
     assert float(final.coords.sum()) == pytest.approx(1.0)
 
@@ -413,8 +414,11 @@ def test_config_validation():
         MechanismConfig(budget=1.0, payment_mode="gratis")
     with pytest.raises(InvalidConfigError):
         MechanismConfig(budget=1.0, purchase_policy="greedy")
-    with pytest.raises(InvalidConfigError):
-        Mechanism(MechanismConfig(budget=1.0, horizon=11, learning_rate=FixedRate(0.1)), inst)
+    # a NaN scale would buy at c_max one by one and never in windows
+    for bad_scale in (-1.0, math.nan, math.inf):
+        with pytest.raises(InvalidConfigError):
+            FixedScale(bad_scale)
+    assert math.copysign(1.0, FixedScale(-0.0).value) == 1.0  # the windows divide by it
     # costs above c_max are rejected up front
     with pytest.raises(InvalidConfigError):
         Mechanism(
@@ -443,10 +447,10 @@ def test_run_determinism():
 def test_averaged_hypothesis_jensen_inequality():
     inst = linear_task(3, 2, 0.6, 400, 200, UniformCost(), 23)
     cfg = MechanismConfig(budget=20.0, price_scale=AdaptiveScale(), learning_rate=FixedRate(0.15))
-    mech = Mechanism(cfg, inst, record_hypotheses=True).run(np.random.default_rng(6))
+    mech = Mechanism(cfg, inst).run(np.random.default_rng(6))
     final = mech.finalize()
     avg = risk(inst.family, final, inst.test_features, inst.test_labels, "surrogate")
     per_round = mean_round_risk(
-        inst.family, mech.hypothesis_matrix(), inst.test_features, inst.test_labels
+        inst.family, posted_hypotheses(mech), inst.test_features, inst.test_labels
     )
     assert avg <= per_round + 1e-12

@@ -19,12 +19,14 @@ from procure_learn.mechanism import (
     Mechanism,
     MechanismConfig,
 )
-from procure_learn.metrics import (
+from procure_learn.metrics import offline_best, risk
+
+from oracles import (
     loss_total,
+    mean_grad,
     mean_round_risk,
-    offline_best,
+    posted_hypotheses,
     regret,
-    risk,
     sequence_stats,
 )
 
@@ -94,7 +96,7 @@ def _two_pass_offline_best(instance, iterations, tol=1e-8, patience=50):
     stale = 0
     k = 0
     for k in range(1, iterations + 1):
-        g = family.mean_grad(w, X, y)
+        g = mean_grad(family, w, X, y)
         w = project_coords(space, w - (space.radius / math.sqrt(k)) * g)
         obj = float(family.values(w, X, y).mean())
         if obj < best_obj - tol * max(1.0, abs(best_obj)):
@@ -139,7 +141,7 @@ def _run(inst, **overrides):
     )
     defaults.update(overrides)
     cfg = MechanismConfig(**defaults)
-    mech = Mechanism(cfg, inst, record_hypotheses=True)
+    mech = Mechanism(cfg, inst)
     return mech.run(np.random.default_rng(7))
 
 
@@ -175,7 +177,7 @@ def test_regret_transcript_matches_recomputation():
     mech = _run(inst)
     sol = offline_best(inst)
     via_transcript = regret(mech.transcript, inst, sol.hypothesis)
-    recomputed = loss_total(inst, mech.hypothesis_matrix()) - sol.total_loss
+    recomputed = loss_total(inst, posted_hypotheses(mech)) - sol.total_loss
     assert via_transcript == pytest.approx(recomputed, abs=1e-9)
 
 
@@ -217,7 +219,7 @@ def test_stats_on_padded_coin():
     inst = padded_coin_sequence(1000, 0.3, 0.1, "heads", 6)
     mech = _run(inst, budget=50.0)
     sol = offline_best(inst)
-    stats = sequence_stats(inst, mech.hypothesis_matrix(), sol.hypothesis)
+    stats = sequence_stats(inst, posted_hypotheses(mech), sol.hypothesis)
     assert stats.avg_value_cost == pytest.approx(0.3)
     assert stats.avg_value == pytest.approx(0.3)
     assert stats.opt_value_cost == pytest.approx(0.3)
@@ -229,7 +231,7 @@ def test_stats_on_padded_coin():
 def test_stats_all_unit_costs_collapse():
     inst = coin_sequence(200, 0.1, "heads", 8)
     mech = _run(inst, budget=10.0)
-    stats = sequence_stats(inst, mech.hypothesis_matrix(), offline_best(inst).hypothesis)
+    stats = sequence_stats(inst, posted_hypotheses(mech), offline_best(inst).hypothesis)
     assert stats.avg_value_cost == pytest.approx(stats.avg_value)
     assert stats.avg_sqrt_cost == 1.0 and stats.avg_cost == 1.0
 
@@ -237,7 +239,7 @@ def test_stats_all_unit_costs_collapse():
 def test_stats_zero_costs():
     inst = linear_task(3, 2, 0.6, 300, 10, ConstantCost(0.0), 4)
     mech = _run(inst, budget=10.0)
-    stats = sequence_stats(inst, mech.hypothesis_matrix(), offline_best(inst).hypothesis)
+    stats = sequence_stats(inst, posted_hypotheses(mech), offline_best(inst).hypothesis)
     assert stats.avg_value_cost == 0.0
     assert stats.avg_cost == 0.0 and stats.avg_sqrt_cost == 0.0
 
@@ -252,7 +254,7 @@ def test_stats_ordering_chain():
     ]
     for inst in specs:
         mech = _run(inst, budget=15.0)
-        stats = sequence_stats(inst, mech.hypothesis_matrix(), offline_best(inst).hypothesis)
+        stats = sequence_stats(inst, posted_hypotheses(mech), offline_best(inst).hypothesis)
         assert stats.avg_value_cost <= stats.avg_value + 1e-12
         assert stats.avg_value_cost <= stats.avg_sqrt_cost + 1e-12
         assert stats.avg_sqrt_cost <= np.sqrt(stats.avg_cost) + 1e-12
@@ -271,6 +273,6 @@ def test_averaged_hypothesis_never_beats_round_mean():
     final = mech.finalize()
     avg_risk = risk(inst.family, final, inst.test_features, inst.test_labels, "surrogate")
     round_mean = mean_round_risk(
-        inst.family, mech.hypothesis_matrix(), inst.test_features, inst.test_labels
+        inst.family, posted_hypotheses(mech), inst.test_features, inst.test_labels
     )
     assert avg_risk <= round_mean + 1e-12

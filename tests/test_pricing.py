@@ -85,8 +85,10 @@ def test_sample_examples():
     assert sample_price(3.0, 2.0, 0.1) == 1.0  # atom swallows everything
     assert sample_price(0.5, 2.0, 0.5) == pytest.approx(0.25)
     assert sample_price(0.0, 2.0, 0.7) == 0.0  # worthless arrival
-    with pytest.raises(ValueError):
-        sample_price(0.5, 0.0, 0.5)
+    # scale 0: the atom takes all the mass, but a worthless arrival stays at 0
+    assert sample_price(0.5, 0.0, 0.5) == 1.0
+    assert sample_price(0.5, 0.0, 0.0, c_max=2.0) == 2.0
+    assert sample_price(0.0, 0.0, 0.5) == 0.0
 
 
 def test_sample_range_and_vector_agreement(rng):
@@ -97,6 +99,19 @@ def test_sample_range_and_vector_agreement(rng):
         assert np.all(vec >= low - 1e-12) and np.all(vec <= 1.0 + 1e-12)
         for u, p in zip(us[:100], vec[:100]):
             assert sample_price(dlt, scale, float(u)) == p
+
+    # delta and scale arrays, zeros included, broadcast against the uniforms
+    deltas = np.where(rng.random(500) < 0.2, 0.0, rng.random(500))
+    scales = np.where(rng.random(500) < 0.2, 0.0, 5.0 * rng.random(500))
+    for c_max in (1.0, 2.0):
+        vec = sample_prices(deltas, scales, us, c_max)
+        for d, s, u, p in zip(deltas, scales, us, vec):
+            assert sample_price(float(d), float(s), float(u), c_max) == p
+            assert not np.signbit(p)
+        for s in (0.0, 0.7):
+            vec = sample_prices(deltas, s, us, c_max)
+            for d, u, p in zip(deltas, us, vec):
+                assert sample_price(float(d), s, float(u), c_max) == p
 
 
 def test_cdf_sample_roundtrip():

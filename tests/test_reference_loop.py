@@ -29,6 +29,7 @@ from procure_learn.mechanism import (
     Mechanism,
     MechanismConfig,
     PriorKnowledge,
+    SCALE_CAP,
 )
 from procure_learn.pricing import sample_price, survival
 
@@ -69,8 +70,8 @@ def reference_run(config, instance, rng):
     estimate_sum = 0.0
     for t in range(T):
         cost = float(instance.costs[t])
-        h = learner.post()
-        loss, value, gradient = reference_row(instance, h.coords, t)
+        w = learner.coords
+        loss, value, gradient = reference_row(instance, w, t)
 
         if config.purchase_policy == "priced":
             if config.hard_stop and spend >= budget:
@@ -106,7 +107,7 @@ def reference_run(config, instance, rng):
         if adaptive:
             estimate = min(1.0, max(0.0, estimate_sum / (t + 1)))
             remaining = max(budget - spend, 1e-6 * budget)
-            scale = min(config.price_scale.cap, estimate * (T - t - 1) / remaining)
+            scale = min(SCALE_CAP, estimate * (T - t - 1) / remaining)
     return rows
 
 
@@ -115,24 +116,17 @@ def reference_end_state(config, instance, rows):
     a time: the learner is replayed on the accepted rounds."""
     setup = Mechanism(config, instance)
     learner = FtrlLearner(instance.space, setup.learner.learning_rate)
-    T = instance.horizon
     hypothesis_sum = np.zeros(instance.space.dim)
     loss_total = value_cost_total = value_total = estimate_total = 0.0
     for t, (value, cost, price, accepted, q, payment, loss, spend) in enumerate(rows):
-        h = learner.post()
-        hypothesis_sum += h.coords
+        w = learner.coords
+        hypothesis_sum += w
         loss_total += loss
         value_cost_total += value * math.sqrt(cost)
         value_total += value
         if accepted:
             estimate_total += value * math.sqrt(cost) / q
-            learner.iw_feed(q, True, reference_row(instance, h.coords, t)[2], value)
-    price_scale = setup.price_scale
-    if isinstance(config.price_scale, AdaptiveScale):  # the update after the last round
-        t = T - 1
-        estimate = min(1.0, max(0.0, estimate_total / (t + 1)))
-        remaining = max(config.budget - rows[-1][-1], 1e-6 * config.budget)
-        price_scale = min(config.price_scale.cap, estimate * (T - t - 1) / remaining)
+            learner.iw_feed(q, True, reference_row(instance, w, t)[2], value)
     return {
         "loss_total": loss_total,
         "value_cost_total": value_cost_total,
@@ -140,7 +134,7 @@ def reference_end_state(config, instance, rows):
         "estimate_total": estimate_total,
         "purchases": sum(row[3] for row in rows),
         "spend": rows[-1][-1],
-        "price_scale": price_scale,
+        "price_scale": setup.price_scale,
         "hypothesis_sum": hypothesis_sum.tolist(),
         "coords": learner.coords.tolist(),
     }

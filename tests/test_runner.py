@@ -16,12 +16,12 @@ from procure_learn.mechanism import (
     KnowledgeScale,
     Mechanism,
     MechanismConfig,
+    POLICIES,
     PriorKnowledge,
     TheoryRate,
 )
 from procure_learn import runner
 from procure_learn.runner import (
-    SWEEP_POLICIES,
     CoinSpec,
     IdxSpec,
     LinearTaskSpec,
@@ -52,7 +52,6 @@ def test_parse_config_defaults():
     assert config.mechanism.purchase_policy == "priced"
     assert isinstance(config.mechanism.price_scale, AdaptiveScale)
     assert isinstance(config.mechanism.learning_rate, TheoryRate)
-    assert config.mechanism.horizon == 400  # taken from the instance
     assert config.trials == 1 and config.output_dir == "out"
     assert config.budget_grid is None
 
@@ -141,6 +140,14 @@ def test_parse_config_rejects_unknowns():
         parse_config(_base_config(mechanism={"budget": 1.0, "learning_rate": {"mode": "warp"}}))
     with pytest.raises(InvalidConfigError):
         parse_config(_base_config(trials=0))
+    # with 0 iterations the linear oracle returned w = 0 and regrets went negative
+    with pytest.raises(InvalidConfigError):
+        parse_config(_base_config(oracle_iterations=0))
+    # json.load accepts NaN and Infinity
+    for value in (math.nan, math.inf):
+        scale = {"mode": "fixed", "value": value}
+        with pytest.raises(InvalidConfigError):
+            parse_config(_base_config(mechanism={"budget": 1.0, "price_scale": scale}))
 
 
 def test_trial_streams_are_stable_and_distinct():
@@ -224,7 +231,7 @@ def test_sweep_trial_runs_baseline_once(monkeypatch):
     )
     grid = [
         dataclasses.replace(config.mechanism, purchase_policy=policy, budget=budget)
-        for policy in SWEEP_POLICIES
+        for policy in POLICIES
         for budget in config.budget_grid
     ]
     runs = []
@@ -240,7 +247,7 @@ def test_sweep_trial_runs_baseline_once(monkeypatch):
     _count_calls(monkeypatch, runner, "offline_best", calls)
     results = run_trial(config, 0, grid)
     assert calls == ["build_instance", "offline_best"]
-    assert len(runs) == (len(SWEEP_POLICIES) - 1) * len(config.budget_grid) + 1
+    assert len(runs) == (len(POLICIES) - 1) * len(config.budget_grid) + 1
     assert runs.count("baseline") == 1
     assert [(r.policy, r.budget) for r in results] == [(m.purchase_policy, m.budget) for m in grid]
     baseline = [r for r in results if r.policy == "baseline"]
@@ -258,7 +265,7 @@ def test_one_instance_and_one_oracle_per_trial(monkeypatch, command):
     if command == "run":
         assert len(run_trials(config, jobs=1)) == 3
     else:
-        assert len(run_sweep(config, jobs=1)) == len(SWEEP_POLICIES) * 2
+        assert len(run_sweep(config, jobs=1)) == len(POLICIES) * 2
     assert calls == ["build_instance", "offline_best"] * 3
 
 
