@@ -58,9 +58,7 @@ def main():
                 for ms in seeds:
                     mech = Mechanism(config, instance, record_transcript=False)
                     mech.run(np.random.default_rng(ms))
-                    risks.append(
-                        risk(instance.family, mech.finalize(), instance.test_features, instance.test_labels, "zero-one")
-                    )
+                    risks.append(risk(instance, mech.finalize(), "zero-one"))
                     if policy == "priced":
                         gammas[tag].append(mech.realized_avg_value_cost)
                 cells[(policy, tag)].append(float(np.mean(risks)))

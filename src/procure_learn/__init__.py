@@ -12,7 +12,6 @@ from .core import (
     LossFamily,
     dual_norm,
     l2_ball,
-    make_family,
     simplex,
 )
 from .environment import (

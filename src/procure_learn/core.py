@@ -62,10 +62,6 @@ class HypothesisSpace:
         """Primal norm the space's regularizer is strongly convex under."""
         return "l2" if self.kind == L2_BALL else "l1"
 
-    @property
-    def regularizer(self) -> str:
-        return "euclidean" if self.kind == L2_BALL else "neg-entropy"
-
     def contains(self, coords: np.ndarray, tol: float = 1e-9) -> bool:
         if coords.shape != (self.dim,):
             return False
@@ -164,20 +160,18 @@ class DataPoint:
 class LossFamily:
     """A family of convex losses, one member per arrival.
 
-    ``norm_kind`` names the primal norm under which every member is
-    1-Lipschitz in the hypothesis (given unit-ball features). The mechanism
-    reads arrivals straight from a ``ProblemInstance``'s columns: the
-    row-range kernel ``loss_delta_rows`` serves its array windows and the
-    one-row kernel ``loss_delta_row`` the rounds it plays one by one. Both
-    return the loss, delta (the dual norm of the gradient) and gradient
-    coefficient from one margin per row, and agree bit for bit;
-    ``row_gradient`` turns a coefficient into the gradient. The
-    whole-dataset methods serve oracles and metrics and agree with them to
-    rounding.
+    A ``ProblemInstance`` picks its family from its payload: feature rows get
+    ``HingeLoss`` on an l2 ball, outcomes get ``VertexLoss`` on the simplex.
+    Every member is 1-Lipschitz in the hypothesis under that space's
+    ``norm_kind`` (given unit-ball features). The mechanism reads arrivals
+    straight from the instance's columns: the row-range kernel
+    ``loss_delta_rows`` serves its array windows and the one-row kernel
+    ``loss_delta_row`` the rounds it plays one by one. Both return the loss,
+    delta (the dual norm of the gradient) and gradient coefficient from one
+    margin per row, and agree bit for bit; ``row_gradient`` turns a
+    coefficient into the gradient. The whole-dataset methods serve oracles
+    and metrics and agree with them to rounding.
     """
-
-    kind: str = ""
-    norm_kind: str = "l2"
 
     def loss_delta_row(self, w: np.ndarray, instance, t: int) -> tuple[float, float, float]:
         """Loss and delta of arrival ``t`` of a ``ProblemInstance``, and the
@@ -197,8 +191,9 @@ class LossFamily:
         raise NotImplementedError
 
 
-class FeatureLoss(LossFamily):
-    """Margin losses phi(y * <w, x>) over labelled feature vectors.
+class HingeLoss(LossFamily):
+    """Hinge loss max(0, 1 - m) of the margin m = y * <w, x> over labelled
+    feature rows; the subgradient at the kink is zero.
 
     The per-round margin is the row sum ``(x * w).sum()``, and the row-range
     kernel ``loss_delta_rows`` takes ``(X * w).sum(axis=1)`` over a block of
@@ -212,27 +207,18 @@ class FeatureLoss(LossFamily):
     offline oracle, keep the faster ``X @ w``.
     """
 
-    norm_kind = "l2"
-
-    # scalar margin calculus (plain-float fast path)
-    def _value(self, m: float) -> float:
-        raise NotImplementedError
-
-    def _slope(self, m: float) -> float:
-        raise NotImplementedError
-
-    # vectorized margin calculus
     def margin_value(self, m: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return np.maximum(0.0, 1.0 - m)
 
     def margin_slope(self, m: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return np.where(m < 1.0, -1.0, 0.0)
 
     def loss_delta_row(self, w, instance, t):
         y = int(instance.labels[t])
         m = y * float((instance.features[t] * w).sum())
-        slope = self._slope(m)
-        return self._value(m), abs(slope) * float(instance.feature_norms[t]), slope * y
+        if m < 1.0:  # slope -1
+            return 1.0 - m, float(instance.feature_norms[t]), -float(y)
+        return 0.0, 0.0, 0.0
 
     def loss_delta_rows(self, w, instance, start, stop):
         y = instance.labels[start:stop]
@@ -253,29 +239,8 @@ class FeatureLoss(LossFamily):
         return np.abs(self.margin_slope(y * (X @ w))) * feature_norms
 
 
-class HingeLoss(FeatureLoss):
-    """max(0, 1 - margin); the subgradient at the kink is zero."""
-
-    kind = "hinge"
-
-    def _value(self, m):
-        return 1.0 - m if m < 1.0 else 0.0
-
-    def _slope(self, m):
-        return -1.0 if m < 1.0 else 0.0
-
-    def margin_value(self, m):
-        return np.maximum(0.0, 1.0 - m)
-
-    def margin_slope(self, m):
-        return np.where(m < 1.0, -1.0, 0.0)
-
-
 class VertexLoss(LossFamily):
     """Linear loss 1 - w[outcome] on the simplex; filler points cost 1 flat."""
-
-    kind = "linear-simplex"
-    norm_kind = "l1"
 
     def loss_delta_row(self, w, instance, t):
         i = int(instance.outcomes[t])
@@ -301,16 +266,3 @@ class VertexLoss(LossFamily):
 
     def grad_norms(self, outcomes) -> np.ndarray:
         return (outcomes >= 0).astype(np.float64)
-
-
-def make_family(kind: str, space: HypothesisSpace) -> LossFamily:
-    """Instantiate a loss family compatible with the given space."""
-    if kind == "linear-simplex":
-        if space.kind != SIMPLEX:
-            raise InvalidConfigError("linear-simplex losses need a simplex space")
-        return VertexLoss()
-    if space.kind != L2_BALL:
-        raise InvalidConfigError(f"{kind} losses need an l2-ball space")
-    if kind == "hinge":
-        return HingeLoss()
-    raise InvalidConfigError(f"unknown loss family {kind!r}")

@@ -9,19 +9,22 @@ streams so that changing the cost model never perturbs the data."""
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .core import (
     DataPoint,
+    HingeLoss,
     HypothesisSpace,
     InvalidConfigError,
+    L2_BALL,
     LossFamily,
     NULL_OUTCOME,
+    SIMPLEX,
     VertexLoss,
-    make_family,
+    l2_ball,
     simplex,
 )
 
@@ -118,16 +121,17 @@ CostModel = Union[ConstantCost, UniformCost, TwoPointCost]
 class ProblemInstance:
     """An arrival sequence plus optional held-out test data.
 
-    Payload arrays: feature tasks populate (features, labels, feature_norms),
+    The payload states the task, and the instance sets ``family`` from it.
+    Feature tasks populate (features, labels, feature_norms) on an l2 ball,
     with every row in the unit ball and its norm, capped at 1, stored beside
-    it; vertex tasks populate outcomes, with -1 marking filler points. The
-    payload is checked when the instance is built; the costs are checked
-    against ``c_max`` by the mechanism that runs on it. Treat all arrays as
-    read-only once built.
+    it; their family is ``HingeLoss``. Vertex tasks populate outcomes on the
+    simplex, with -1 marking filler points; their family is ``VertexLoss``.
+    The payload and its pairing with the space are checked when the instance
+    is built; the costs are checked against ``c_max`` by the mechanism that
+    runs on it. Treat all arrays as read-only once built.
     """
 
     space: HypothesisSpace
-    family: LossFamily
     costs: np.ndarray
     features: Optional[np.ndarray] = None
     labels: Optional[np.ndarray] = None
@@ -136,20 +140,26 @@ class ProblemInstance:
     groups: Optional[np.ndarray] = None
     test_features: Optional[np.ndarray] = None
     test_labels: Optional[np.ndarray] = None
+    family: LossFamily = field(init=False)
 
     def __post_init__(self):
         T, dim = len(self.costs), self.space.dim
-        if self.outcomes is None and self.features is None:
-            raise InvalidConfigError("an instance needs features or outcomes")
+        if (self.outcomes is None) == (self.features is None):
+            raise InvalidConfigError("an instance needs features or outcomes, not both")
         columns = ("features", "labels", "feature_norms", "outcomes", "groups")
         for name in columns:
             column = getattr(self, name)
             if column is not None and len(column) != T:
                 raise InvalidConfigError(f"{name} has {len(column)} rows, costs {T}")
         if self.outcomes is not None:
+            if self.space.kind != SIMPLEX:
+                raise InvalidConfigError("outcome tasks need a simplex space")
             if not np.all((self.outcomes >= NULL_OUTCOME) & (self.outcomes < dim)):
                 raise InvalidConfigError(f"outcomes must lie in [{NULL_OUTCOME}, {dim})")
-        if self.features is not None:
+            self.family = VertexLoss()
+        else:
+            if self.space.kind != L2_BALL:
+                raise InvalidConfigError("feature tasks need an l2-ball space")
             if self.labels is None or self.feature_norms is None:
                 raise InvalidConfigError("feature tasks need labels and feature norms")
             if self.features.shape != (T, dim) or not np.all(np.isfinite(self.features)):
@@ -158,6 +168,7 @@ class ProblemInstance:
                 raise InvalidConfigError("labels must be -1 or +1")
             if not np.all((self.feature_norms >= 0.0) & (self.feature_norms <= 1.0)):
                 raise InvalidConfigError("feature norms must lie in [0, 1]")
+            self.family = HingeLoss()
 
     @property
     def horizon(self) -> int:
@@ -180,12 +191,6 @@ class ProblemInstance:
             label=int(self.labels[t]),
             feature_norm=float(self.feature_norms[t]),
         )
-
-    def losses_at(self, w: np.ndarray) -> np.ndarray:
-        """Per-round loss of a fixed hypothesis over the whole sequence."""
-        if self.outcomes is not None:
-            return self.family.values(w, self.outcomes)
-        return self.family.values(w, self.features, self.labels)
 
     def grad_norms_at(self, w: np.ndarray) -> np.ndarray:
         if self.outcomes is not None:
@@ -213,13 +218,7 @@ def coin_sequence(
     rng = as_rng(seed)
     p_heads = 0.5 + (epsilon if bias == "heads" else -epsilon)
     outcomes = (rng.random(T) >= p_heads).astype(np.int64)  # 0 = heads, 1 = tails
-    space = simplex(2)
-    return ProblemInstance(
-        space=space,
-        family=VertexLoss(),
-        costs=np.ones(T),
-        outcomes=outcomes,
-    )
+    return ProblemInstance(space=simplex(2), costs=np.ones(T), outcomes=outcomes)
 
 
 def padded_coin_sequence(
@@ -243,12 +242,7 @@ def padded_coin_sequence(
     flips = coin_sequence(n_coins, epsilon, bias, seed)
     outcomes = np.concatenate([np.full(n_null, NULL_OUTCOME, dtype=np.int64), flips.outcomes])
     costs = np.concatenate([np.zeros(n_null), np.ones(n_coins)])
-    return ProblemInstance(
-        space=flips.space,
-        family=flips.family,
-        costs=costs,
-        outcomes=outcomes,
-    )
+    return ProblemInstance(space=flips.space, costs=costs, outcomes=outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +294,8 @@ def linear_task(
     y = np.where(groups >= clusters, 1, -1).astype(np.int64)
 
     costs = cost_model.draw(cost_rng, T, groups[:T])
-    space = HypothesisSpace("l2-ball", dim, radius)
     return ProblemInstance(
-        space=space,
-        family=make_family("hinge", space),
+        space=l2_ball(dim, radius),
         costs=costs,
         features=X[:T],
         labels=y[:T],
@@ -420,10 +412,8 @@ def digit_task(
     n_test = int(round(holdout_fraction * len(X)))
     test_idx, train_idx = order[:n_test], order[n_test:]
     costs = cost_model.draw(cost_rng, len(train_idx), digits[train_idx])
-    space = HypothesisSpace("l2-ball", X.shape[1], radius)
     return ProblemInstance(
-        space=space,
-        family=make_family("hinge", space),
+        space=l2_ball(X.shape[1], radius),
         costs=costs,
         features=X[train_idx],
         labels=y[train_idx],

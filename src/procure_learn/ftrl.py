@@ -19,9 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import HypothesisSpace, InvalidConfigError, dual_norm, project_coords
-
-EUCLIDEAN = "euclidean"
+from .core import HypothesisSpace, InvalidConfigError, L2_BALL, dual_norm, project_coords
 
 
 class FtrlLearner:
@@ -33,14 +31,13 @@ class FtrlLearner:
         if not learning_rate > 0:
             raise InvalidConfigError("learning rate must be positive")
         self.space = space
-        self.regularizer = space.regularizer
         self.learning_rate = learning_rate
         self.grad_sum = np.zeros(space.dim)
         self.bound_sum = 0.0
         self._coords = self._argmin_regularizer()
 
     def _argmin_regularizer(self) -> np.ndarray:
-        if self.regularizer == EUCLIDEAN:
+        if self.space.kind == L2_BALL:
             return np.zeros(self.space.dim)
         return np.full(self.space.dim, 1.0 / self.space.dim)
 
@@ -75,7 +72,7 @@ class FtrlLearner:
 
     def _recompute(self) -> None:
         z = self.grad_sum * (-self.learning_rate)
-        if self.regularizer == EUCLIDEAN:
+        if self.space.kind == L2_BALL:
             self._coords = project_coords(self.space, z)
         else:
             z -= z.max()  # overflow guard; softmax is shift-invariant

@@ -94,19 +94,16 @@ def offline_best(
 
 
 def risk(
-    family,
-    h: Hypothesis | np.ndarray,
-    X: np.ndarray,
-    y: np.ndarray,
-    metric: str = "surrogate",
+    instance: ProblemInstance, h: Hypothesis | np.ndarray, metric: str = "surrogate"
 ) -> float:
     """Mean loss (surrogate) or misclassification rate (zero-one, ties count
-    as errors) of a hypothesis on a held-out set."""
-    if len(X) == 0:
+    as errors) of a hypothesis on an instance's held-out set."""
+    if not instance.has_test_set:
         raise ValueError("empty test set")
+    X, y = instance.test_features, instance.test_labels
     w = h.coords if isinstance(h, Hypothesis) else np.asarray(h)
     if metric == "surrogate":
-        return float(family.values(w, X, y).mean())
+        return float(instance.family.values(w, X, y).mean())
     if metric == "zero-one":
         return float(np.mean(y * (X @ w) <= 0.0))
     raise ValueError(f"unknown risk metric {metric!r}")

@@ -142,15 +142,16 @@ def expected_payment(
     """Expected amount paid on an arrival with the given cost.
 
     Equals (delta / price_scale) * (2 sqrt(c_max) - sqrt(max(cost, reserve)));
-    when the reserve reaches c_max the whole law collapses onto the point mass
-    and the exact value is c_max.
+    when the reserve reaches c_max, scale 0 included, the whole law collapses
+    onto the point mass and the exact value is c_max. A worthless arrival
+    costs nothing.
     """
     if not 0.0 <= cost <= c_max:
         raise ValueError("cost must lie in [0, c_max]")
     if delta <= 0.0:
         return 0.0
     if price_scale == 0.0:
-        raise ValueError("expected payment undefined in the buy-everything regime")
+        return c_max
     low = delta / price_scale
     low *= low
     if low >= c_max:

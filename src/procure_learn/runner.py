@@ -238,13 +238,17 @@ def parse_mechanism(d: dict) -> MechanismConfig:
     else:
         raise InvalidConfigError(f"unknown learning_rate mode {rate_mode!r}")
 
+    hard_stop = d.get("hard_stop", False)
+    if not isinstance(hard_stop, bool):
+        raise InvalidConfigError(f"hard_stop must be true or false, not {hard_stop!r}")
+
     return MechanismConfig(
         budget=float(_require(d, "budget", "mechanism")),
         payment_mode=d.get("payment_mode", "posted-price"),
         purchase_policy=d.get("purchase_policy", "priced"),
         price_scale=scale,
         learning_rate=rate,
-        hard_stop=bool(d.get("hard_stop", False)),
+        hard_stop=hard_stop,
         c_max=float(d.get("c_max", 1.0)),
     )
 
@@ -342,9 +346,8 @@ def run_trial(
         mech.run(np.random.default_rng(mech_ss))
         final = mech.finalize()
         if instance.has_test_set:
-            fam = instance.family
-            risk_s = risk(fam, final, instance.test_features, instance.test_labels, "surrogate")
-            risk_01 = risk(fam, final, instance.test_features, instance.test_labels, "zero-one")
+            risk_s = risk(instance, final, "surrogate")
+            risk_01 = risk(instance, final, "zero-one")
         else:
             risk_s = risk_01 = math.nan
         result = TrialResult(

@@ -55,7 +55,14 @@ def regret(transcript, instance: ProblemInstance, h_star: Hypothesis) -> float:
             f"transcript covers {len(transcript)} rounds, instance has {instance.horizon}"
         )
     posted = float(np.sum(transcript.loss))
-    return posted - float(instance.losses_at(h_star.coords).sum())
+    return posted - float(losses_at(instance, h_star.coords).sum())
+
+
+def losses_at(instance: ProblemInstance, w: np.ndarray) -> np.ndarray:
+    """Per-round loss of a fixed hypothesis over the whole sequence."""
+    if instance.outcomes is not None:
+        return instance.family.values(w, instance.outcomes)
+    return instance.family.values(w, instance.features, instance.labels)
 
 
 def loss_total(instance: ProblemInstance, hypotheses: np.ndarray) -> float:

@@ -235,9 +235,7 @@ def _correlation_cells(seed, trials=100, replays=4, T=1000, T_test=4000, eta=0.4
                 for ms in seeds:
                     mech = Mechanism(config, instance, record_transcript=False)
                     mech.run(np.random.default_rng(ms))
-                    risks.append(
-                        risk(instance.family, mech.finalize(), instance.test_features, instance.test_labels, "zero-one")
-                    )
+                    risks.append(risk(instance, mech.finalize(), "zero-one"))
                     if policy == "priced":
                         gammas[tag].append(mech.realized_avg_value_cost)
                 cells[(policy, tag)].append(float(np.mean(risks)))
@@ -298,9 +296,7 @@ def test_criterion_7_beats_naive():
                 )
                 mech = Mechanism(config, instance, record_transcript=False)
                 mech.run(np.random.default_rng(mech_ss))
-                sink.append(
-                    risk(instance.family, mech.finalize(), instance.test_features, instance.test_labels, "zero-one")
-                )
+                sink.append(risk(instance, mech.finalize(), "zero-one"))
         ours_mean, naive_mean = float(np.mean(ours)), float(np.mean(naive))
         assert ours_mean <= naive_mean, f"budget {budget}: {ours_mean} vs {naive_mean}"
         summary.append(f"B={budget:.0f}: {ours_mean:.4f}<={naive_mean:.4f}")
@@ -335,9 +331,7 @@ def test_criterion_8_online_to_batch():
         )
         mech = Mechanism(config, instance)
         mech.run(np.random.default_rng(mech_ss))
-        averaged = risk(
-            instance.family, mech.finalize(), instance.test_features, instance.test_labels, "surrogate"
-        )
+        averaged = risk(instance, mech.finalize(), "surrogate")
         per_round = mean_round_risk(
             instance.family, posted_hypotheses(mech), instance.test_features, instance.test_labels
         )
@@ -419,9 +413,7 @@ def test_criterion_10_digit_replication():
             )
             mech = Mechanism(config, instance, record_transcript=False)
             mech.run(np.random.default_rng(mech_ss))
-            results[policy].append(
-                risk(instance.family, mech.finalize(), instance.test_features, instance.test_labels, "zero-one")
-            )
+            results[policy].append(risk(instance, mech.finalize(), "zero-one"))
     base, ours, naive = (float(np.mean(results[p])) for p in ("baseline", "priced", "naive"))
     elapsed = time.perf_counter() - start
     # qualitative ordering at sub-full budgets; exact curve values are not asserted

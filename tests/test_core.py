@@ -13,7 +13,6 @@ from procure_learn.core import (
     VertexLoss,
     dual_norm,
     l2_ball,
-    make_family,
     project_coords,
     simplex,
     simplex_projection,
@@ -22,12 +21,14 @@ from procure_learn.core import (
 from procure_learn.environment import (
     ProblemInstance,
     UniformCost,
+    coin_sequence,
+    digit_task,
     linear_task,
     padded_coin_sequence,
 )
 from procure_learn.mechanism import Mechanism, MechanismConfig
 
-from oracles import mean_grad, project
+from oracles import mean_grad, project, write_idx_images, write_idx_labels
 
 coords = st.lists(st.floats(-5, 5), min_size=2, max_size=6)
 
@@ -144,7 +145,6 @@ def _feature_instance(X, y, radius=2.0):
     X = np.asarray(X, dtype=np.float64)
     return ProblemInstance(
         space=l2_ball(X.shape[1], radius),
-        family=HingeLoss(),
         costs=np.zeros(len(X)),
         features=X,
         labels=np.asarray(y),
@@ -155,7 +155,6 @@ def _feature_instance(X, y, radius=2.0):
 def _vertex_instance(outcomes, dim):
     return ProblemInstance(
         space=simplex(dim),
-        family=VertexLoss(),
         costs=np.zeros(len(outcomes)),
         outcomes=np.asarray(outcomes),
     )
@@ -207,8 +206,7 @@ def test_dimension_mismatch_errors():
     with pytest.raises(InvalidConfigError):
         ProblemInstance(
             space=l2_ball(3, 1.0),
-            family=HingeLoss(),
-            costs=np.zeros(1),
+                costs=np.zeros(1),
             features=np.array([[1.0, 0.0]]),
             labels=np.array([1]),
             feature_norms=np.array([1.0]),
@@ -243,7 +241,7 @@ def test_one_lipschitz_everywhere(rng):
         for t in range(inst.horizon):
             a, b = _random_pair(inst.space, rng)
             gap = abs(fam.loss_delta_row(a, inst, t)[0] - fam.loss_delta_row(b, inst, t)[0])
-            assert gap <= _primal(fam.norm_kind, a - b) + 1e-9, fam.kind
+            assert gap <= _primal(inst.space.norm_kind, a - b) + 1e-9, type(fam).__name__
 
 
 def test_gradient_matches_finite_differences(rng):
@@ -251,7 +249,7 @@ def test_gradient_matches_finite_differences(rng):
         fam, dim = inst.family, inst.space.dim
         for t in range(inst.horizon):
             w = _random_pair(inst.space, rng)[0]
-            if fam.kind == "hinge":
+            if isinstance(fam, HingeLoss):
                 margin = inst.labels[t] * float(inst.features[t] @ w)
                 if abs(margin - 1.0) < 1e-3:  # keep away from the kink
                     continue
@@ -324,12 +322,15 @@ def test_vertex_row_range_kernel_matches_scalar_bitwise(rng):
     _assert_row_ranges_match_scalar(instance, rng.dirichlet(np.ones(2)), rng)
 
 
-def test_make_family_pairing():
-    assert make_family("hinge", l2_ball(2, 1.0)).kind == "hinge"
-    assert make_family("linear-simplex", simplex(2)).kind == "linear-simplex"
-    with pytest.raises(InvalidConfigError):
-        make_family("hinge", simplex(2))
-    with pytest.raises(InvalidConfigError):
-        make_family("linear-simplex", l2_ball(2, 1.0))
-    with pytest.raises(InvalidConfigError):
-        make_family("absolute", l2_ball(2, 1.0))
+def test_generators_pick_family(tmp_path, rng):
+    write_idx_images(tmp_path / "img.idx", rng.integers(0, 256, size=(20, 4, 4), dtype=np.uint8))
+    write_idx_labels(tmp_path / "lab.idx", rng.choice([9, 8, 1, 4], size=20).astype(np.uint8))
+    vertex = [coin_sequence(10, 0.1), padded_coin_sequence(10, 0.5, 0.1)]
+    feature = [
+        linear_task(3, 2, 0.6, 10, 5, UniformCost()),
+        digit_task(str(tmp_path / "img.idx"), str(tmp_path / "lab.idx"), UniformCost()),
+    ]
+    for inst in vertex:
+        assert type(inst.family) is VertexLoss and inst.space.kind == "simplex"
+    for inst in feature:
+        assert type(inst.family) is HingeLoss and inst.space.kind == "l2-ball"

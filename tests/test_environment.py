@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from procure_learn.core import (
-    NULL_OUTCOME,
-    HingeLoss,
-    InvalidConfigError,
-    VertexLoss,
-    l2_ball,
-    simplex,
-)
+from procure_learn.core import NULL_OUTCOME, InvalidConfigError, l2_ball, simplex
 from procure_learn.environment import (
     ConstantCost,
     FormatError,
@@ -25,7 +18,7 @@ from procure_learn.environment import (
 )
 from procure_learn.metrics import offline_best, risk
 
-from oracles import write_idx_images, write_idx_labels
+from oracles import losses_at, write_idx_images, write_idx_labels
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +88,8 @@ def test_padded_coin_vanishing_fraction_is_all_filler():
     inst = padded_coin_sequence(100, 1e-9, 0.1, "heads", 0)
     assert np.all(inst.outcomes == NULL_OUTCOME)
     # every hypothesis suffers the same (constant) loss
-    np.testing.assert_array_equal(inst.losses_at(np.array([1.0, 0.0])), np.ones(100))
-    np.testing.assert_array_equal(inst.losses_at(np.array([0.3, 0.7])), np.ones(100))
+    np.testing.assert_array_equal(losses_at(inst, np.array([1.0, 0.0])), np.ones(100))
+    np.testing.assert_array_equal(losses_at(inst, np.array([0.3, 0.7])), np.ones(100))
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +140,7 @@ def test_two_point_correlated_infeasible_marginal():
 def test_linear_task_separable_when_separation_large():
     inst = linear_task(3, 2, 0.9, 2000, 2000, ConstantCost(0.0), 21, noise=0.05)
     sol = offline_best(inst, 3000)
-    err = risk(inst.family, sol.hypothesis, inst.test_features, inst.test_labels, "zero-one")
+    err = risk(inst, sol.hypothesis, "zero-one")
     assert err < 0.02
 
 
@@ -201,12 +194,9 @@ def test_generator_determinism():
 
 def _valid_columns(kind):
     if kind == "vertex":
-        return dict(
-            space=simplex(2), family=VertexLoss(), costs=np.ones(3), outcomes=np.array([0, 1, -1])
-        )
+        return dict(space=simplex(2), costs=np.ones(3), outcomes=np.array([0, 1, -1]))
     return dict(
         space=l2_ball(2, 1.0),
-        family=HingeLoss(),
         costs=np.ones(3),
         features=np.array([[0.6, 0.8], [0.0, 0.5], [-0.3, 0.0]]),
         labels=np.array([1, -1, 1]),
@@ -227,6 +217,9 @@ INVALID_PAYLOADS = {
     "norm-above-one": ("feature", {"feature_norms": np.array([1.0, 1.5, 0.3])}),
     "norm-negative": ("feature", {"feature_norms": np.array([1.0, -0.5, 0.3])}),
     "norm-nan": ("feature", {"feature_norms": np.array([1.0, np.nan, 0.3])}),
+    "outcomes-on-ball": ("vertex", {"space": l2_ball(2, 1.0)}),
+    "features-on-simplex": ("feature", {"space": simplex(2)}),
+    "both-payloads": ("feature", {"outcomes": np.array([0, 1, -1])}),
 }
 
 

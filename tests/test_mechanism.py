@@ -449,7 +449,7 @@ def test_averaged_hypothesis_jensen_inequality():
     cfg = MechanismConfig(budget=20.0, price_scale=AdaptiveScale(), learning_rate=FixedRate(0.15))
     mech = Mechanism(cfg, inst).run(np.random.default_rng(6))
     final = mech.finalize()
-    avg = risk(inst.family, final, inst.test_features, inst.test_labels, "surrogate")
+    avg = risk(inst, final, "surrogate")
     per_round = mean_round_risk(
         inst.family, posted_hypotheses(mech), inst.test_features, inst.test_labels
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from procure_learn.metrics import offline_best, risk
 
 from oracles import (
     loss_total,
+    losses_at,
     mean_grad,
     mean_round_risk,
     posted_hypotheses,
@@ -148,7 +150,7 @@ def _run(inst, **overrides):
 def test_regret_zero_at_optimum():
     inst = coin_sequence(50, 0.2, "heads", 5)
     sol = offline_best(inst)
-    losses = inst.losses_at(sol.hypothesis.coords)
+    losses = losses_at(inst, sol.hypothesis.coords)
     assert float(losses.sum()) - sol.total_loss == pytest.approx(0.0)
 
 
@@ -157,7 +159,7 @@ def test_regret_hand_count():
     inst = coin_sequence(10, 0.0, "heads", 0)
     inst.outcomes = np.array([0, 0, 0, 1, 0, 1, 0, 1, 0, 1])  # 6 heads
     tails = np.array([0.0, 1.0])
-    posted_loss = float(inst.losses_at(tails).sum())
+    posted_loss = float(losses_at(inst, tails).sum())
     sol = offline_best(inst)
     assert posted_loss == pytest.approx(6.0)
     assert sol.total_loss == pytest.approx(4.0)
@@ -196,18 +198,20 @@ def test_regret_length_mismatch():
 
 def test_risk_examples():
     inst = linear_task(3, 2, 0.9, 200, 400, ConstantCost(0.0), 2, noise=0.05)
-    fam = inst.family
     sol = offline_best(inst, 3000)
-    assert risk(fam, sol.hypothesis, inst.test_features, inst.test_labels, "zero-one") < 0.02
+    assert risk(inst, sol.hypothesis, "zero-one") < 0.02
 
     zero = np.zeros(3)
-    assert risk(fam, zero, inst.test_features, inst.test_labels, "zero-one") == 1.0
-    assert risk(fam, zero, inst.test_features, inst.test_labels, "surrogate") == 1.0
+    assert risk(inst, zero, "zero-one") == 1.0
+    assert risk(inst, zero, "surrogate") == 1.0
 
+    untested = dataclasses.replace(
+        inst, test_features=inst.test_features[:0], test_labels=inst.test_labels[:0]
+    )
     with pytest.raises(ValueError):
-        risk(fam, zero, inst.test_features[:0], inst.test_labels[:0])
+        risk(untested, zero)
     with pytest.raises(ValueError):
-        risk(fam, zero, inst.test_features, inst.test_labels, "accuracy")
+        risk(inst, zero, "accuracy")
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +275,7 @@ def test_averaged_hypothesis_never_beats_round_mean():
     inst = linear_task(3, 2, 0.6, 500, 300, UniformCost(), 19)
     mech = _run(inst, budget=30.0, price_scale=AdaptiveScale())
     final = mech.finalize()
-    avg_risk = risk(inst.family, final, inst.test_features, inst.test_labels, "surrogate")
+    avg_risk = risk(inst, final, "surrogate")
     round_mean = mean_round_risk(
         inst.family, posted_hypotheses(mech), inst.test_features, inst.test_labels
     )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from procure_learn.core import HingeLoss, VertexLoss, l2_ball, simplex
+from procure_learn.core import l2_ball, simplex
 from procure_learn.environment import ProblemInstance
 from procure_learn.pricing import (
     expected_payment,
@@ -30,7 +30,6 @@ def test_delta_examples():
 
     unit = ProblemInstance(
         space=l2_ball(2, 10.0),
-        family=HingeLoss(),
         costs=np.zeros(1),
         features=np.array([[0.6, 0.8]]),
         labels=np.array([1]),
@@ -40,9 +39,7 @@ def test_delta_examples():
 
     # any outcome under the max-norm pairing
     for outcome in (0, 1):
-        coin = ProblemInstance(
-            space=simplex(2), family=VertexLoss(), costs=np.zeros(1), outcomes=np.array([outcome])
-        )
+        coin = ProblemInstance(space=simplex(2), costs=np.zeros(1), outcomes=np.array([outcome]))
         assert delta(coin, [0.5, 0.5]) == 1.0
 
     # flat hinge region
@@ -159,6 +156,10 @@ def test_expected_payment_examples():
     assert expected_payment(0.0, 2.0, 0.4) == 0.0
     # reserve at or above c_max: all mass on the atom
     assert expected_payment(3.0, 2.0, 0.2) == 1.0
+    # scale 0 posts c_max with survival one; worthless arrivals still cost 0
+    assert expected_payment(0.5, 0.0, 0.3) == 1.0
+    assert expected_payment(0.5, 0.0, 1.5, c_max=2.0) == 2.0
+    assert expected_payment(0.0, 0.0, 0.3) == 0.0
     with pytest.raises(ValueError):
         expected_payment(0.5, 2.0, 1.5)
 

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from procure_learn.core import HingeLoss
 from procure_learn.environment import (
     TwoPointCost,
     UniformCost,
@@ -46,7 +47,7 @@ def reference_row(instance, w, t):
             return 1.0, 0.0, g
         g[i] = -1.0
         return 1.0 - float(w[i]), 1.0, g
-    assert instance.family.kind == "hinge"
+    assert isinstance(instance.family, HingeLoss)
     x, y = instance.features[t], int(instance.labels[t])
     m = y * float((x * w).sum())
     value = 1.0 - m if m < 1.0 else 0.0

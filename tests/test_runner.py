@@ -150,6 +150,16 @@ def test_parse_config_rejects_unknowns():
             parse_config(_base_config(mechanism={"budget": 1.0, "price_scale": scale}))
 
 
+def test_parse_mechanism_hard_stop_takes_only_a_boolean():
+    assert runner.parse_mechanism({"budget": 10, "hard_stop": True}).hard_stop is True
+    assert runner.parse_mechanism({"budget": 10, "hard_stop": False}).hard_stop is False
+    assert runner.parse_mechanism({"budget": 10}).hard_stop is False
+    # bool("false") is True: a quoted flag once turned the hard stop on
+    for value in ("false", "true", 0, 1, None):
+        with pytest.raises(InvalidConfigError):
+            runner.parse_mechanism({"budget": 10, "hard_stop": value})
+
+
 def test_trial_streams_are_stable_and_distinct():
     a1 = trial_streams(9, 0)
     a2 = trial_streams(9, 0)
