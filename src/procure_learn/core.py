@@ -164,13 +164,17 @@ class LossFamily:
     ``HingeLoss`` on an l2 ball, outcomes get ``VertexLoss`` on the simplex.
     Every member is 1-Lipschitz in the hypothesis under that space's
     ``norm_kind`` (given unit-ball features). The mechanism reads arrivals
-    straight from the instance's columns: the row-range kernel
-    ``loss_delta_rows`` serves its array windows and the one-row kernel
-    ``loss_delta_row`` the rounds it plays one by one. Both return the loss,
-    delta (the dual norm of the gradient) and gradient coefficient from one
-    margin per row, and agree bit for bit; ``row_gradient`` turns a
-    coefficient into the gradient. The whole-dataset methods serve oracles
-    and metrics and agree with them to rounding.
+    straight from the instance's columns. A family whose delta depends on
+    the hypothesis provides the row kernels: the row-range kernel
+    ``loss_delta_rows`` serves the mechanism's array windows and the
+    one-row kernel ``loss_delta_row`` the rounds it plays one by one. Both
+    return the loss, delta (the dual norm of the gradient) and gradient
+    coefficient from one margin per row, and agree bit for bit;
+    ``row_gradient`` turns a coefficient into the gradient. ``VertexLoss``
+    needs none of them: its delta is the same at every hypothesis, so the
+    mechanism decides a vertex run before it learns, from the outcomes
+    alone. The whole-dataset methods serve oracles and metrics and agree
+    with them to rounding.
     """
 
     def loss_delta_row(self, w: np.ndarray, instance, t: int) -> tuple[float, float, float]:
@@ -240,23 +244,9 @@ class HingeLoss(LossFamily):
 
 
 class VertexLoss(LossFamily):
-    """Linear loss 1 - w[outcome] on the simplex; filler points cost 1 flat."""
-
-    def loss_delta_row(self, w, instance, t):
-        i = int(instance.outcomes[t])
-        if i < 0:
-            return 1.0, 0.0, 0.0
-        return 1.0 - float(w[i]), 1.0, -1.0
-
-    def loss_delta_rows(self, w, instance, start, stop):
-        outcomes = instance.outcomes[start:stop]
-        delta = self.grad_norms(outcomes)
-        return self.values(w, outcomes), delta, -delta  # -0.0 on null rows
-
-    def row_gradient(self, instance, t, coefficient):
-        g = np.zeros(instance.space.dim)
-        g[instance.outcomes[t]] = coefficient
-        return g
+    """Linear loss 1 - w[outcome] on the simplex; filler points cost 1 flat.
+    Its gradient is -1 at the outcome's vertex, so delta is 1 on every
+    outcome and 0 on filler points, whatever the hypothesis."""
 
     def values(self, w, outcomes) -> np.ndarray:
         out = np.ones(len(outcomes))

@@ -144,6 +144,8 @@ class ProblemInstance:
 
     def __post_init__(self):
         T, dim = len(self.costs), self.space.dim
+        if T < 1:
+            raise InvalidConfigError(f"an instance needs a horizon T >= 1, got T = {T}")
         if (self.outcomes is None) == (self.features is None):
             raise InvalidConfigError("an instance needs features or outcomes, not both")
         columns = ("features", "labels", "feature_norms", "outcomes", "groups")
@@ -211,14 +213,18 @@ def coin_sequence(
     Unit costs, two-vertex simplex hypotheses, linear losses: the hard stream
     behind the no-data-no-regret scaling.
     """
+    outcomes = _flips(T, epsilon, bias, seed)
+    return ProblemInstance(space=simplex(2), costs=np.ones(T), outcomes=outcomes)
+
+
+def _flips(n: int, epsilon: float, bias: str, seed: SeedLike) -> np.ndarray:
+    """Outcomes of ``n`` flips of the biased coin: 0 = heads, 1 = tails."""
     if not 0.0 <= epsilon < 0.5:
         raise ValueError("epsilon must lie in [0, 0.5)")
     if bias not in ("heads", "tails"):
         raise ValueError("bias must be 'heads' or 'tails'")
-    rng = as_rng(seed)
     p_heads = 0.5 + (epsilon if bias == "heads" else -epsilon)
-    outcomes = (rng.random(T) >= p_heads).astype(np.int64)  # 0 = heads, 1 = tails
-    return ProblemInstance(space=simplex(2), costs=np.ones(T), outcomes=outcomes)
+    return (as_rng(seed).random(n) >= p_heads).astype(np.int64)
 
 
 def padded_coin_sequence(
@@ -239,10 +245,10 @@ def padded_coin_sequence(
         raise ValueError("coin_fraction must lie in (0, 1]")
     n_coins = int(round(coin_fraction * T))
     n_null = T - n_coins
-    flips = coin_sequence(n_coins, epsilon, bias, seed)
-    outcomes = np.concatenate([np.full(n_null, NULL_OUTCOME, dtype=np.int64), flips.outcomes])
+    flips = _flips(n_coins, epsilon, bias, seed)
+    outcomes = np.concatenate([np.full(n_null, NULL_OUTCOME, dtype=np.int64), flips])
     costs = np.concatenate([np.zeros(n_null), np.ones(n_coins)])
-    return ProblemInstance(space=flips.space, costs=costs, outcomes=outcomes)
+    return ProblemInstance(space=simplex(2), costs=costs, outcomes=outcomes)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,20 @@ from .core import HypothesisSpace, InvalidConfigError, L2_BALL, dual_norm, proje
 class FtrlLearner:
     """Mutable per-run learner state; owned by a single run, never shared.
     The regularizer is the space's own: euclidean on the ball, negative
-    entropy on the simplex."""
+    entropy on the simplex.
+
+    The learner is lazy (McMahan, "A Survey of Algorithms and Analysis for
+    Adaptive Online Learning", JMLR 2017): its whole state is the gradient
+    sum and the bound sum, so its iterates are a function of the sequence of
+    fed gradients alone. A run that has decided all its purchases before
+    learning, as a vertex run does, replays them in one block with
+    ``_feed_rows``: the sums by a cumulative sum down the rows, which adds
+    them in feed order, and the iterates by the row-wise softmax kernel that
+    a single feed applies to a batch of one. The block therefore ends bit
+    for bit where the feeds one at a time would. ``feed_gradient`` and
+    ``iw_feed`` check their inputs; the mechanism's ``_feed`` and
+    ``_feed_rows`` do only the update.
+    """
 
     def __init__(self, space: HypothesisSpace, learning_rate: float):
         if not learning_rate > 0:
@@ -65,20 +78,43 @@ class FtrlLearner:
             raise ValueError("inverse weight must be at least 1")
         if delta is None:
             delta = dual_norm(self.space.norm_kind, gradient)
+        self._feed(gradient, inverse_weight, delta)
+
+    def _feed(self, gradient: np.ndarray, inverse_weight: float, delta: float) -> None:
+        """``feed_gradient`` without its checks, for a mechanism whose
+        gradients come from an instance that was checked when built."""
         self.grad_sum += gradient * inverse_weight
         weighted = delta * inverse_weight
         self.bound_sum += weighted * weighted
-        self._recompute()
-
-    def _recompute(self) -> None:
         z = self.grad_sum * (-self.learning_rate)
         if self.space.kind == L2_BALL:
             self._coords = project_coords(self.space, z)
         else:
-            z -= z.max()  # overflow guard; softmax is shift-invariant
-            np.exp(z, out=z)
-            z /= z.sum()
-            self._coords = z
+            self._coords = _softmax_rows(z[None])[0]
+
+    def _feed_rows(
+        self, gradients: np.ndarray, inverse_weights: np.ndarray, deltas: np.ndarray
+    ) -> np.ndarray:
+        """``_feed`` of each row of ``gradients`` in turn, as one block on the
+        simplex. Returns the hypotheses posted before the first feed and
+        after each, one row each; the learner ends with the sums and
+        coordinates the feeds one at a time would leave."""
+        n, dim = gradients.shape
+        # cumsum along axis 0 adds the rows in order, as the feeds do
+        block = np.empty((n + 1, dim + 1))
+        block[0, :dim] = self.grad_sum
+        block[0, dim] = self.bound_sum
+        block[1:, :dim] = gradients * inverse_weights[:, None]
+        weighted = deltas * inverse_weights
+        block[1:, dim] = weighted * weighted
+        sums = block.cumsum(axis=0)
+        posted = np.empty((n + 1, dim))
+        posted[0] = self._coords
+        posted[1:] = _softmax_rows(sums[1:, :dim] * (-self.learning_rate))
+        self.grad_sum = sums[-1, :dim].copy()
+        self.bound_sum = float(sums[-1, dim])
+        self._coords = posted[-1].copy()
+        return posted
 
     def iw_feed(
         self,
@@ -108,3 +144,13 @@ class FtrlLearner:
             self.space.reg_bound / self.learning_rate
             + 2.0 * self.learning_rate * self.bound_sum
         )
+
+
+def _softmax_rows(z: np.ndarray) -> np.ndarray:
+    """Softmax of each row of ``z``, in place: the simplex learner's
+    hypothesis at the negated, rate-scaled gradient sums. One feed is a
+    batch of one row."""
+    z -= z.max(axis=1, keepdims=True)  # overflow guard; softmax is shift-invariant
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z

@@ -18,26 +18,47 @@ arrival and pays nothing (the unconstrained reference).
 
 ``Mechanism.run`` is event-driven. The learner keeps its state in the
 gradient sum and a rejected round feeds nothing, so the posted hypothesis,
-the spend and the estimate change only when an arrival is bought. Where
-purchases are sparse, the run jumps from purchase to purchase: a window of
-upcoming rounds is computed as arrays over the instance's columns at one
-hypothesis (loss, delta and gradient coefficient from the loss family's
-row-range kernel, the scale, the price from the uniforms drawn up front, q
-and acceptance), and only the first accepted round reaches the learner.
-Where they are dense, as for ``baseline``, for ``naive`` while its budget
-lasts, and for ``priced`` where much of the data is free, numpy's fixed
-cost per call outweighs the rounds a window saves, so rounds go one by one
-through the family's one-row kernel. The run picks between the two from
-the purchase rate it measures, and both give the same transcript and
-totals bit for bit.
+the spend and the estimate change only when an arrival is bought.
 
-Either way each round's margin is computed once, straight from the
+A vertex run (``VertexLoss``: the coin and padded-coin streams) decides
+first and then learns. Its loss 1 - w[outcome] has delta = 1 on every
+outcome and 0 on filler points at every hypothesis, so a round's price, q
+and acceptance depend only on the costs, the uniforms and the scale, never
+on the learner. The decision pass therefore computes the whole purchase
+schedule without touching the learner: one ``priced_rounds`` call over all
+rounds for a fixed or knowledge scale, every round for ``baseline``, a
+spend prefix sum with a stop for ``naive``, and one sequential pass over
+the spend and the estimate for an adaptive scale or a hard stop. The
+learner pass then replays the purchases in one block: the gradient sums by
+a cumulative sum, the hypotheses by a row-wise softmax, each round's posted
+row by a search over the purchase rounds, and the loss, value and
+hypothesis totals by one cumulative sum over the rounds. This is exact: a
+cumulative sum along the rows adds them in round order, as the rounds one
+by one do, and the softmax is the learner's own kernel, which a single
+feed applies to a batch of one. So the transcript and every total equal
+those of the rounds played one at a time bit for bit.
+
+A feature run (``HingeLoss``), whose delta depends on the hypothesis,
+walks the rounds. Where purchases are sparse, it jumps from purchase to
+purchase: a window of upcoming rounds is computed as arrays over the
+instance's columns at one hypothesis (loss, delta and gradient coefficient
+from the family's row-range kernel, the scale, the price from the uniforms
+drawn up front, q and acceptance), and only the first accepted round
+reaches the learner. Where they are dense, as for ``baseline``, for
+``naive`` while its budget lasts, and for ``priced`` where much of the
+data is free, numpy's fixed cost per call outweighs the rounds a window
+saves, so rounds go one by one through the family's one-row kernel. The
+run picks between the two from the purchase rate it measures, and both
+give the same transcript and totals bit for bit.
+
+Either way a feature round's margin is computed once, straight from the
 instance's columns: the kernel returns the loss, delta and the gradient
-coefficient (slope times label; -1 or 0 on the simplex), and a purchase
-builds its gradient from that coefficient with the family's
-``row_gradient``. A purchase whose coefficient is exactly zero (an
-inactive hinge, a null outcome) updates spend, counters and estimate but
-skips the feed. That is exact: the gradient sum starts at +0.0 and can
+coefficient (slope times label), and a purchase builds its gradient from
+that coefficient with the family's ``row_gradient`` and feeds it through
+the learner's unchecked ``_feed``: the instance was checked when built. A
+purchase whose coefficient is exactly zero (an inactive hinge, or a
+bought filler point of a vertex run) updates spend, counters and estimate
+but skips the feed. That is exact: the gradient sum starts at +0.0 and can
 never hold -0.0, so adding a zero gradient changes none of its bits, nor
 the bound sum (delta is 0 too) or the hypothesis recomputed from them. (A
 fresh learner on the ball posts +0.0 where a recompute would give -0.0,
@@ -52,7 +73,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import Hypothesis, InvalidConfigError, project_coords
+from .core import Hypothesis, InvalidConfigError, VertexLoss, project_coords
 from .environment import ProblemInstance
 from .ftrl import FtrlLearner
 from .pricing import priced_round, priced_rounds
@@ -275,17 +296,16 @@ class Transcript:
         self.loss.append(loss)
         self.cum_spend.append(cum_spend)
 
-    def extend(self, delta, cost, price, q, loss, cum_spend):
-        """Append rejected rounds given as arrays, at one cumulative spend."""
-        n = len(loss)
-        self.delta.extend(delta.tolist())
-        self.cost.extend(cost.tolist())
-        self.price.extend(price.tolist())
-        self.accepted.extend([False] * n)
-        self.q.extend(q.tolist())
-        self.payment.extend([0.0] * n)
-        self.loss.extend(loss.tolist())
-        self.cum_spend.extend([cum_spend] * n)
+    def extend(self, delta, cost, price, accepted, q, payment, loss, cum_spend):
+        """Append rounds given as one list per column."""
+        self.delta.extend(delta)
+        self.cost.extend(cost)
+        self.price.extend(price)
+        self.accepted.extend(accepted)
+        self.q.extend(q)
+        self.payment.extend(payment)
+        self.loss.extend(loss)
+        self.cum_spend.extend(cum_spend)
 
     def __len__(self) -> int:
         return len(self.loss)
@@ -331,6 +351,7 @@ class Mechanism:
             )
         else:
             self.price_scale = 0.0
+        self._adaptive = isinstance(config.price_scale, AdaptiveScale)
 
         if isinstance(config.learning_rate, FixedRate):
             rate = config.learning_rate.value
@@ -387,7 +408,22 @@ class Mechanism:
     # -- execution ------------------------------------------------------------
 
     def run(self, rng: np.random.Generator) -> "Mechanism":
-        """Execute all rounds, consuming one uniform draw per round.
+        """Execute all rounds, consuming one uniform draw per round. A vertex
+        run decides every round and then learns; a feature run walks the
+        rounds."""
+        if self._finished:
+            raise MechanismStateError("mechanism already ran its full sequence")
+        uniforms = rng.random(self.horizon)
+        if isinstance(self.instance.family, VertexLoss):
+            self._decide_then_learn(uniforms)
+        else:
+            self._walk(uniforms)
+        self.rounds_done = self.horizon
+        self._finished = True
+        return self
+
+    def _walk(self, uniforms: np.ndarray) -> None:
+        """Play the rounds in order, learning as they go.
 
         The purchase rate is tracked as a running mean of the acceptance
         probability q, with a memory of about RATE_MEMORY rounds. While it
@@ -397,10 +433,8 @@ class Mechanism:
         whichever is longer, so it doubles while nothing is bought, and it
         ends at the first purchase.
         """
-        if self._finished:
-            raise MechanismStateError("mechanism already ran its full sequence")
         horizon = self.horizon
-        uniforms = rng.random(horizon)
+        u_list = uniforms.tolist()
         costs = self.instance.costs.tolist()
         max_window = max(2 * VECTOR_GAP, WINDOW_ELEMENTS // self.instance.space.dim)
         keep = 1.0 - 1.0 / RATE_MEMORY
@@ -408,7 +442,7 @@ class Mechanism:
         while t < horizon:
             if rate * VECTOR_GAP > 1.0:
                 stop = min(horizon, t + VECTOR_GAP)
-                after, q_sum = self._rounds_one_by_one(t, stop, uniforms, costs)
+                after, q_sum = self._rounds_one_by_one(t, stop, u_list, costs)
             else:
                 dry_spell = t - 1 - self._last_purchase
                 window = 2.0 * max(dry_spell, 1.0 / rate) if rate > 0.0 else max_window
@@ -417,18 +451,106 @@ class Mechanism:
             decay = keep ** (after - t)
             rate = decay * rate + (1.0 - decay) * q_sum / (after - t)
             t = after
-        self.rounds_done = horizon
-        self._finished = True
-        return self
+
+    def _decide_then_learn(self, uniforms: np.ndarray) -> None:
+        """Play a vertex run in two passes, bit for bit the rounds one by
+        one: decide every round without the learner, then replay the
+        learner over the purchases in one block and total the rounds."""
+        instance = self.instance
+        T, dim = self.horizon, instance.space.dim
+        outcomes, costs = instance.outcomes, instance.costs
+        observed = outcomes >= 0
+        dlt = instance.family.grad_norms(outcomes)  # at every hypothesis
+        price, q, accepted, payment = self._schedule(dlt, uniforms)
+
+        # a bought filler round has a zero gradient and is not fed
+        fed = np.flatnonzero(accepted & observed)
+        gradients = np.zeros((len(fed), dim))
+        gradients[np.arange(len(fed)), outcomes[fed]] = -1.0
+        posted = self.learner._feed_rows(gradients, 1.0 / q[fed], dlt[fed])
+        # round t posts the hypothesis left by the feeds before it
+        w = posted[np.searchsorted(fed, np.arange(T))]
+        loss = np.ones(T)
+        loss[observed] = 1.0 - w[observed, outcomes[observed]]
+
+        # cumsum along axis 0 adds the rows in order, so these sums are bit
+        # for bit those of one round at a time; a rejected round adds 0.0
+        # to the estimate and the spend, which leaves them as they are
+        value_cost = dlt * np.sqrt(costs)
+        estimate = np.zeros(T)
+        estimate[accepted] = value_cost[accepted] / q[accepted]
+        block = np.empty((T + 1, dim + 5))
+        block[0] = 0.0  # every total starts at zero
+        block[1:, :dim] = w
+        block[1:, dim] = loss
+        block[1:, dim + 1] = value_cost
+        block[1:, dim + 2] = dlt
+        block[1:, dim + 3] = estimate
+        block[1:, dim + 4] = payment
+        sums = block.cumsum(axis=0)
+        self.hypothesis_sum = sums[-1, :dim].copy()
+        (
+            self.loss_total, self.value_cost_total, self.value_total,
+            self.estimate_total, self.spend,
+        ) = sums[-1, dim:].tolist()
+        self.purchases = int(np.count_nonzero(accepted))
+        if self.transcript is not None:
+            self.transcript.extend(
+                dlt.tolist(), costs.tolist(), price.tolist(), accepted.tolist(),
+                q.tolist(), payment.tolist(), loss.tolist(), sums[1:, dim + 4].tolist(),
+            )
+
+    def _schedule(self, dlt, uniforms) -> tuple[np.ndarray, ...]:
+        """Decide every round of a vertex run from the costs, the uniforms
+        and the scale: each round's price, q, acceptance and payment."""
+        cfg = self.config
+        T, costs = self.horizon, self.instance.costs
+        if cfg.purchase_policy == BASELINE:
+            price, q, accepted = np.full(T, cfg.c_max), np.ones(T), np.ones(T, dtype=bool)
+            return price, q, accepted, np.zeros(T)
+        if cfg.purchase_policy == NAIVE:
+            # every round is bought at c_max while the spend before it
+            # leaves room for c_max; the spend only grows, so the rounds
+            # that leave room are a prefix
+            open_payment = costs if cfg.payment_mode == AT_COST else np.full(T, cfg.c_max)
+            spent = np.concatenate(([0.0], np.cumsum(open_payment)[:-1]))
+            price = np.zeros(T)
+            price[: np.count_nonzero(spent + cfg.c_max <= cfg.budget)] = cfg.c_max
+            accepted = price >= costs
+            q = accepted.astype(np.float64)
+        elif cfg.hard_stop or self._adaptive:
+            price, q, accepted = self._schedule_one_by_one(dlt, uniforms)
+        else:
+            price, q, accepted = priced_rounds(dlt, costs, uniforms, self.price_scale, cfg.c_max)
+        payment = np.where(accepted, costs if cfg.payment_mode == AT_COST else price, 0.0)
+        return price, q, accepted, payment
+
+    def _schedule_one_by_one(self, dlt, uniforms) -> tuple[np.ndarray, ...]:
+        """The priced rounds of a vertex run whose prices depend on the
+        spend or the estimate (a hard stop, an adaptive scale), decided in
+        order without the learner: price, q and acceptance. The spend, the
+        estimate and the purchase count it keeps along the way are the
+        ones the learner pass totals again."""
+        costs = self.instance.costs.tolist()
+        price, q, accepted = [], [], []
+        policy, flat_price = self._posting_policy(), self._flat_price()
+        for t, (d, cost, u) in enumerate(zip(dlt.tolist(), costs, uniforms.tolist())):
+            p_t, q_t, bought = self._quote(policy, flat_price, t, d, cost, u)
+            if bought:
+                self._pay(t, d, cost, p_t, q_t)
+                policy, flat_price = self._posting_policy(), self._flat_price()
+            price.append(p_t)
+            q.append(q_t)
+            accepted.append(bought)
+        return np.array(price), np.array(q), np.array(accepted, dtype=bool)
 
     def _rounds_one_by_one(self, start, stop, uniforms, costs) -> tuple[int, float]:
-        """Play rounds ``start <= t < stop`` through the one-row kernels;
-        return ``stop`` and the sum of the acceptance probabilities q."""
-        cfg = self.config
+        """Play rounds ``start <= t < stop`` through the one-row kernel;
+        return ``stop`` and the sum of the acceptance probabilities q.
+        ``uniforms`` and ``costs`` are lists."""
         instance = self.instance
         loss_delta_row = instance.family.loss_delta_row
         transcript = self.transcript
-        adaptive = isinstance(cfg.price_scale, AdaptiveScale)
         # the hypothesis, the spend and so the policy's choice change only
         # on a purchase
         w = self.learner.coords
@@ -438,20 +560,7 @@ class Mechanism:
         for t in range(start, stop):
             cost = costs[t]
             loss, dlt, coefficient = loss_delta_row(w, instance, t)
-            if policy == BASELINE:
-                price, q, accepted = cfg.c_max, 1.0, True
-            elif policy == NAIVE:
-                price = flat_price
-                accepted = price >= cost
-                q = 1.0 if accepted else 0.0
-            else:
-                if adaptive:
-                    self.rounds_done = t
-                    scale = self.adapted_scale()
-                else:
-                    scale = self.price_scale
-                price, q, accepted = priced_round(dlt, cost, uniforms[t], scale, cfg.c_max)
-
+            price, q, accepted = self._quote(policy, flat_price, t, dlt, cost, uniforms[t])
             q_sum += q
             self.hypothesis_sum += w
             self.loss_total += loss
@@ -485,7 +594,7 @@ class Mechanism:
             accepted = price >= cost
             q = accepted.astype(np.float64)
         else:
-            if isinstance(cfg.price_scale, AdaptiveScale):
+            if self._adaptive:
                 scale = self.adapted_scales(start, stop)
             else:
                 scale = self.price_scale
@@ -510,8 +619,9 @@ class Mechanism:
         unbought = n - 1 if bought else n
         if self.transcript is not None:
             self.transcript.extend(
-                dlt[:unbought], cost[:unbought], price[:unbought], q[:unbought],
-                loss[:unbought], self.spend,
+                dlt[:unbought].tolist(), cost[:unbought].tolist(),
+                price[:unbought].tolist(), [False] * unbought, q[:unbought].tolist(),
+                [0.0] * unbought, loss[:unbought].tolist(), [self.spend] * unbought,
             )
         if bought:
             t = start + j
@@ -537,21 +647,40 @@ class Mechanism:
             return cfg.c_max
         return 0.0
 
-    def _buy(self, t, coefficient, loss, dlt, cost, price, q) -> None:
-        """Pay for, feed and record the accepted round ``t``, whose gradient
-        coefficient at the posted hypothesis is ``coefficient``."""
+    def _quote(self, policy, flat_price, t, dlt, cost, u) -> tuple[float, float, bool]:
+        """Price, q and acceptance of round ``t`` under the posting policy,
+        the flat price it posts, and the current spend and estimate."""
+        cfg = self.config
+        if policy == BASELINE:
+            return cfg.c_max, 1.0, True
+        if policy == NAIVE:
+            accepted = flat_price >= cost
+            return flat_price, 1.0 if accepted else 0.0, accepted
+        if self._adaptive:
+            self.rounds_done = t
+            return priced_round(dlt, cost, u, self.adapted_scale(), cfg.c_max)
+        return priced_round(dlt, cost, u, self.price_scale, cfg.c_max)
+
+    def _pay(self, t, dlt, cost, price, q) -> float:
+        """Pay for the accepted round ``t`` and count it; return the payment."""
         cfg = self.config
         self._last_purchase = t
         if cfg.purchase_policy == BASELINE:
             payment = 0.0
         else:
             payment = cost if cfg.payment_mode == AT_COST else price
-        if coefficient != 0.0:  # a zero gradient would leave the learner as it is
-            gradient = self.instance.family.row_gradient(self.instance, t, coefficient)
-            self.learner.iw_feed(q, True, gradient, dlt)
         self.spend += payment
         self.purchases += 1
         self.estimate_total += dlt * math.sqrt(cost) / q
+        return payment
+
+    def _buy(self, t, coefficient, loss, dlt, cost, price, q) -> None:
+        """Pay for, feed and record the accepted round ``t``, whose gradient
+        coefficient at the posted hypothesis is ``coefficient``."""
+        payment = self._pay(t, dlt, cost, price, q)
+        if coefficient != 0.0:  # a zero gradient would leave the learner as it is
+            gradient = self.instance.family.row_gradient(self.instance, t, coefficient)
+            self.learner._feed(gradient, 1.0 / q, dlt)  # q <= 1
         if self.transcript is not None:
             self.transcript.append(dlt, cost, price, True, q, payment, loss, self.spend)
 

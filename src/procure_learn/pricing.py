@@ -19,9 +19,12 @@ multiple of delta) does not cover.
 A round's decision, ``priced_round``, is the sampled price and the survival
 at the revealed cost; ``priced_rounds`` decides a window of rounds as arrays
 with the same arithmetic, so each element equals the scalar decision bit
-for bit. The mechanism plays rounds one by one where purchases are dense
-and in windows where they are sparse, so it keeps both forms: on a window
-of one round the array form costs several times the scalar one.
+for bit. The mechanism uses both: a feature run plays rounds one by one
+where purchases are dense and in windows where they are sparse, and a
+vertex run prices all its rounds in one call, or one by one where an
+adaptive scale or a hard stop makes each price depend on the purchases
+before it. On a window of one round the array form costs several times the
+scalar one.
 Randomness is injected as an explicit uniform draw; nothing here holds state.
 """
 

@@ -34,6 +34,12 @@ def posted_hypotheses(mech) -> np.ndarray:
     for t in bought.tolist():
         w = learner.coords
         posted.append(w)
+        if instance.outcomes is not None:  # linear loss 1 - w[outcome]
+            if instance.outcomes[t] >= 0:  # filler points have no gradient
+                gradient = np.zeros(instance.space.dim)
+                gradient[instance.outcomes[t]] = -1.0
+                learner.iw_feed(transcript.q[t], True, gradient, 1.0)
+            continue
         _, dlt, coefficient = family.loss_delta_row(w, instance, t)
         if coefficient != 0.0:
             gradient = family.row_gradient(instance, t, coefficient)

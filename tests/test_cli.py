@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -132,6 +134,13 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
 
 
+def test_zero_round_config_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    _write_config(cfg_path, instance={"T": 0})
+    assert main(["run", "--config", str(cfg_path), "--jobs", "1"]) == 2
+    assert "horizon T >= 1, got T = 0" in capsys.readouterr().err
+
+
 def test_sweep_rows_and_baseline_invariance(tmp_path):
     cfg_path = tmp_path / "config.json"
     _write_config(
@@ -218,3 +227,33 @@ def test_linear_config_roundtrip(tmp_path):
     )
     assert main(["run", "--config", str(cfg_path)]) == 0
     assert (tmp_path / "out" / "summary.csv").exists()
+
+
+# SHA-256 of the CSVs of `run --jobs 1` on each shipped vertex config with
+# three trials; a change to the run loop, the transcript assembly or the CSV
+# writer that moves one byte of output fails here
+PINNED_OUTPUT = {
+    "coin_at_cost.json": {
+        "transcript.csv": "da765e8484db52ca0683ebc4a809bf31063cc95ab12c884ac14611e07c6d1ede",
+        "summary.csv": "2cda7f2ab217fe74322b23a0ad2138ff69f2cb45abf4826e6c97113c5d6b013c",
+    },
+    "padded_coin_budget.json": {
+        "transcript.csv": "2e1858502d312079ea505c11ace6bb660b0ae725c968b8309390a2dedee278e7",
+        "summary.csv": "da65feb15311d2accb21b8ec186232f3a13715ba13f1e8a17dccfd629871d52a",
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_OUTPUT))
+def test_vertex_configs_output_pinned(tmp_path, name):
+    shipped = Path(__file__).resolve().parents[1] / "scripts" / "configs" / name
+    config = json.loads(shipped.read_text())
+    config.update(trials=3, output_dir=str(tmp_path / "out"))
+    cfg_path = tmp_path / name
+    cfg_path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg_path), "--jobs", "1"]) == 0
+    digests = {
+        csv: hashlib.sha256((tmp_path / "out" / csv).read_bytes()).hexdigest()
+        for csv in PINNED_OUTPUT[name]
+    }
+    assert digests == PINNED_OUTPUT[name]

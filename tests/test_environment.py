@@ -223,6 +223,22 @@ INVALID_PAYLOADS = {
 }
 
 
+ZERO_ROUND_BUILDS = {
+    "columns": lambda: ProblemInstance(
+        space=simplex(2), costs=np.ones(0), outcomes=np.zeros(0, dtype=np.int64)
+    ),
+    "coin": lambda: coin_sequence(0, 0.1),
+    "padded-coin": lambda: padded_coin_sequence(0, 0.5, 0.1),
+    "linear": lambda: linear_task(3, 2, 0.6, 0, 10, UniformCost()),
+}
+
+
+@pytest.mark.parametrize("kind", list(ZERO_ROUND_BUILDS))
+def test_zero_round_instance_refused(kind):
+    with pytest.raises(InvalidConfigError, match="horizon T >= 1"):
+        ZERO_ROUND_BUILDS[kind]()
+
+
 @pytest.mark.parametrize("case", list(INVALID_PAYLOADS))
 def test_instance_rejects_invalid_payload(case):
     kind, override = INVALID_PAYLOADS[case]

@@ -24,8 +24,11 @@ from procure_learn.pricing import (
 
 def test_delta_examples():
     # delta, the value a quote is parameterized by, is the second output of
-    # the loss family's row kernel
+    # the hinge family's row kernel; a vertex family's delta is the same at
+    # every hypothesis
     def delta(instance, w):
+        if instance.outcomes is not None:
+            return instance.family.grad_norms(instance.outcomes)[0]
         return instance.family.loss_delta_row(np.array(w), instance, 0)[1]
 
     unit = ProblemInstance(

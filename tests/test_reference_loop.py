@@ -13,8 +13,9 @@ import math
 import numpy as np
 import pytest
 
-from procure_learn.core import HingeLoss
+from procure_learn.core import HingeLoss, simplex
 from procure_learn.environment import (
+    ProblemInstance,
     TwoPointCost,
     UniformCost,
     coin_sequence,
@@ -31,6 +32,7 @@ from procure_learn.mechanism import (
     MechanismConfig,
     PriorKnowledge,
     SCALE_CAP,
+    TheoryRate,
 )
 from procure_learn.pricing import sample_price, survival
 
@@ -138,6 +140,8 @@ def reference_end_state(config, instance, rows):
         "price_scale": setup.price_scale,
         "hypothesis_sum": hypothesis_sum.tolist(),
         "coords": learner.coords.tolist(),
+        "grad_sum": learner.grad_sum.tolist(),
+        "bound_sum": learner.bound_sum,
     }
 
 
@@ -152,7 +156,17 @@ def end_state(mech):
         "price_scale": mech.price_scale,
         "hypothesis_sum": mech.hypothesis_sum.tolist(),
         "coords": mech.learner.coords.tolist(),
+        "grad_sum": mech.learner.grad_sum.tolist(),
+        "bound_sum": mech.learner.bound_sum,
     }
+
+
+def _vertex_d7(seed):
+    """Outcomes on a 7-vertex simplex with filler points and costs in [0, 1)."""
+    rng = np.random.default_rng(seed)
+    return ProblemInstance(
+        space=simplex(7), costs=rng.random(1000), outcomes=rng.integers(-1, 7, size=1000)
+    )
 
 
 # T=150 is short; the T=3000 instances let windows between purchases grow
@@ -161,6 +175,7 @@ INSTANCES = {
     "linear": lambda: linear_task(3, 2, 0.6, 150, 20, UniformCost(), 42),
     "coin-3000": lambda: coin_sequence(3000, 0.15, "heads", 42),
     "padded-coin-3000": lambda: padded_coin_sequence(3000, 0.3, 0.1, "heads", 42),
+    "vertex-d7": lambda: _vertex_d7(42),
     "linear-d32-uniform": lambda: linear_task(32, 2, 0.35, 3000, 10, UniformCost(), 42, noise=0.2),
     "linear-d24-correlated": lambda: linear_task(
         24, 4, 0.8, 3000, 10, TwoPointCost(0.2, 1.0, (0, 4)), 42, noise=0.14
@@ -181,10 +196,37 @@ CONFIGS = [
     MechanismConfig(
         budget=4.0, price_scale=FixedScale(1.0), learning_rate=FixedRate(0.2), hard_stop=True
     ),
+    MechanismConfig(
+        budget=10.0,
+        payment_mode="at-cost",
+        price_scale=AdaptiveScale(),
+        learning_rate=FixedRate(0.15),
+    ),
+    MechanismConfig(
+        budget=6.0, payment_mode="at-cost", purchase_policy="naive", learning_rate=FixedRate(0.2)
+    ),
+    MechanismConfig(
+        budget=5.0,
+        payment_mode="at-cost",
+        price_scale=KnowledgeScale(PriorKnowledge(avg_value_cost=0.25)),
+        learning_rate=FixedRate(0.2),
+        hard_stop=True,
+    ),
+]
+CONFIG_IDS = [
+    "priced-posted-price0",
+    "priced-at-cost",
+    "priced-posted-price1",
+    "naive-posted-price",
+    "baseline-posted-price",
+    "priced-posted-price2",
+    "priced-at-cost-adaptive",
+    "naive-at-cost",
+    "priced-at-cost-hard-stop",
 ]
 
 
-@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.purchase_policy}-{c.payment_mode}")
+@pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
 @pytest.mark.parametrize("kind", list(INSTANCES))
 def test_run_loop_matches_reference(config, kind):
     instance = INSTANCES[kind]()
@@ -200,6 +242,22 @@ def test_run_loop_matches_reference(config, kind):
         assert tr.payment[t] == payment
         assert tr.loss[t] == loss
         assert tr.cum_spend[t] == spend
+    assert end_state(mech) == reference_end_state(config, instance, expected)
+
+
+def test_coin_at_cost_matches_reference():
+    # the coin-at-cost workload's instance size and mechanism config
+    instance = coin_sequence(20000, 0.05, "heads", 42)
+    config = MechanismConfig(
+        budget=400.0,
+        payment_mode="at-cost",
+        price_scale=KnowledgeScale(PriorKnowledge(avg_value_cost=1.0)),
+        learning_rate=TheoryRate(),
+    )
+    expected = reference_run(config, instance, np.random.default_rng(9))
+    mech = Mechanism(config, instance).run(np.random.default_rng(9))
+    tr = mech.transcript
+    assert [getattr(tr, column) for column in tr.COLUMNS[1:]] == [list(c) for c in zip(*expected)]
     assert end_state(mech) == reference_end_state(config, instance, expected)
 
 
@@ -226,10 +284,11 @@ FORCED_PATHS = {
 
 
 @pytest.mark.parametrize("path", list(FORCED_PATHS))
-@pytest.mark.parametrize("kind", ["coin-3000", "padded-coin-3000", "linear-d24-correlated"])
+@pytest.mark.parametrize("kind", ["linear-d24-correlated", "linear-d32-uniform"])
 def test_window_evaluation_does_not_change_results(monkeypatch, path, kind):
-    """Forcing every window through the array path, or every round through
-    the scalar path, reproduces the default run bit for bit."""
+    """Forcing every window of a feature run through the array path, or
+    every round through the scalar path, reproduces the default run bit for
+    bit."""
     instance = INSTANCES[kind]()
     for config in CONFIGS:
         default = Mechanism(config, instance).run(np.random.default_rng(9))
@@ -240,3 +299,14 @@ def test_window_evaluation_does_not_change_results(monkeypatch, path, kind):
         for column in forced.transcript.COLUMNS[1:]:
             assert getattr(forced.transcript, column) == getattr(default.transcript, column)
         assert end_state(forced) == end_state(default)
+
+
+@pytest.mark.parametrize("kind", ["coin-3000", "padded-coin-3000", "vertex-d7"])
+def test_vertex_runs_decide_then_learn(monkeypatch, kind):
+    """A vertex run never walks its rounds, for any policy or scale."""
+    instance = INSTANCES[kind]()
+    monkeypatch.setattr("procure_learn.mechanism.Mechanism._rounds_at_once", None)
+    monkeypatch.setattr("procure_learn.mechanism.Mechanism._rounds_one_by_one", None)
+    for config in CONFIGS:
+        mech = Mechanism(config, instance).run(np.random.default_rng(9))
+        assert len(mech.transcript) == instance.horizon

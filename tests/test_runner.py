@@ -27,6 +27,7 @@ from procure_learn.runner import (
     LinearTaskSpec,
     PaddedCoinSpec,
     build_instance,
+    load_config,
     parse_config,
     run_sweep,
     run_trial,
@@ -345,3 +346,15 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "--quick" in proc.stdout
+
+
+@pytest.mark.parametrize("name", ["linear_correlated.json", "padded_coin_budget.json"])
+def test_results_hold_python_floats(name):
+    # numpy scalars would leak into the CSVs' formatting and the API
+    config = dataclasses.replace(load_config(str(SHIPPED_CONFIGS / name)), trials=1)
+    (result,) = run_trials(config, record_transcript=True)
+    assert type(result.spend) is float
+    transcript = result.transcript
+    for column in transcript.COLUMNS[1:]:
+        kind = bool if column == "accepted" else float
+        assert {type(v) for v in getattr(transcript, column)} == {kind}, column
