@@ -38,7 +38,6 @@ from .runner import (
     write_sweep_csv,
     write_transcript_csv,
 )
-from .verify import run_checks
 
 
 def _load(path: str, override_seed=None) -> ExperimentConfig:
@@ -60,6 +59,15 @@ def _prepare_output(config: ExperimentConfig) -> Path:
     return out
 
 
+def _jobs(args) -> int:
+    """The ``--jobs`` worker count; all cores when the flag is omitted."""
+    if args.jobs is None:
+        return os.cpu_count() or 1
+    if args.jobs < 1:
+        raise InvalidConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    return args.jobs
+
+
 def _mean_se_line(name: str, values) -> str:
     values = np.asarray(values, dtype=np.float64)
     values = values[~np.isnan(values)]
@@ -70,9 +78,9 @@ def _mean_se_line(name: str, values) -> str:
 
 
 def cmd_run(args) -> int:
+    jobs = _jobs(args)
     config = _load(args.config, args.seed)
     out = _prepare_output(config)
-    jobs = args.jobs or os.cpu_count() or 1
 
     results = run_trials(config, jobs, record_transcript=True)
 
@@ -88,11 +96,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    jobs = _jobs(args)
     config = _load(args.config, args.seed)
     if not config.budget_grid:
         raise InvalidConfigError("sweep needs a budget_grid in the config")
     out = _prepare_output(config)
-    jobs = args.jobs or os.cpu_count() or 1
     rows = run_sweep(config, jobs)
     write_sweep_csv(out / "sweep.csv", rows)
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")
@@ -105,6 +113,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_checks  # run and sweep never load the suite
+
     report = run_checks(quick=args.quick)
     text = json.dumps(report, indent=2)
     if args.output:
@@ -147,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="policy x budget grid on paired instances")
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--jobs", type=int, default=None)
+    p_sweep.add_argument("--jobs", type=int, default=None, help="worker count (default: cores)")
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.set_defaults(fn=cmd_sweep)
 

@@ -252,14 +252,16 @@ class MechanismConfig:
     c_max: float = 1.0
 
     def __post_init__(self):
-        if not self.budget > 0:
-            raise InvalidConfigError("budget must be positive")
+        if not 0 < self.budget < math.inf:  # NaN fails both
+            raise InvalidConfigError(f"budget must be positive and finite, got {self.budget}")
         if self.payment_mode not in PAYMENT_MODES:
             raise InvalidConfigError(f"unknown payment mode {self.payment_mode!r}")
         if self.purchase_policy not in POLICIES:
             raise InvalidConfigError(f"unknown purchase policy {self.purchase_policy!r}")
-        if not self.c_max > 0:
-            raise InvalidConfigError("maximum price must be positive")
+        if not 0 < self.c_max < math.inf:
+            raise InvalidConfigError(
+                f"c_max (the maximum price) must be positive and finite, got {self.c_max}"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,15 @@ so a sweep's comparisons are paired. One pool helper sends every trial of
 either command through it. A trial's randomness is derived entirely from
 (root seed, trial index) via spawn keys, so results are identical
 regardless of worker count or scheduling; runs within a trial are
-sequential, parallelism is across trials only. Emitted CSV bytes are a pure
-function of (config, seed): floats are serialized with 17 significant
-digits and wall times stay out of the files.
+sequential, parallelism is across trials only; the process pool is
+imported only when a command asks for more than one worker.
+
+One writer, ``_write_csv``, emits every CSV column by column: bools as 1/0,
+ints and strings as themselves, and floats with 17 significant digits, each
+distinct float (told apart by its bits) formatted once however often it
+repeats, then the rows joined and written a block at a time. The bytes are
+those of formatting every value on its own. Emitted CSV bytes are a pure
+function of (config, seed): wall times stay out of the files.
 """
 
 from __future__ import annotations
@@ -18,9 +24,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -389,7 +393,10 @@ def _all_trials(
     work = [(config, t, mechanisms, record_first and t == 0) for t in range(config.trials)]
     if jobs <= 1 or len(work) <= 1:
         return [_trial_job(w) for w in work]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    from concurrent.futures import ProcessPoolExecutor  # only pooled runs load it
+
+    # a forking pool starts all its workers at once, so start no idle ones
+    with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
         return list(pool.map(_trial_job, work, chunksize=1))
 
 
@@ -471,28 +478,40 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[SweepRow]:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    if type(x) is float:  # nearly every value written
-        return f"{x:.17g}"
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, str):
-        return x
-    return f"{float(x):.17g}"
+_CSV_BLOCK_ROWS = 4096  # rows joined and written at a time
 
 
-def _write_csv(path, columns: Sequence[str], rows) -> None:
-    """A header and one line per row, every value formatted by ``_fmt``."""
-    lines = [",".join(columns)]
-    lines.extend(",".join(map(_fmt, row)) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _column_text(column) -> list[str]:
+    """One column's CSV fields. Floats are told apart by their bits, so -0.0
+    and 0.0 stay apart; a column numpy reads as float because it mixes ints
+    and floats prints its ints (up to 2**53 in magnitude) as ``str`` would."""
+    values = np.asarray(column)
+    if values.dtype.kind == "b":
+        texts, index = ["0", "1"], values.view(np.uint8)
+    elif values.dtype.kind == "f":
+        bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+        distinct, index = np.unique(bits, return_inverse=True)
+        texts = [f"{x:.17g}" for x in distinct.view(np.float64).tolist()]
+    else:
+        return list(map(str, values.tolist()))
+    return np.array(texts, dtype=object)[index].tolist()
+
+
+def _write_csv(path, header: Sequence[str], columns: Sequence) -> None:
+    """A header line, then one line per row; ``columns`` holds one
+    equal-length sequence per header entry."""
+    texts = [_column_text(column) for column in columns]
+    n = len(texts[0]) if texts else 0
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(",".join(header) + "\n")
+        for start in range(0, n, _CSV_BLOCK_ROWS):
+            block = [text[start:start + _CSV_BLOCK_ROWS] for text in texts]
+            f.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def write_transcript_csv(path, transcript) -> None:
     columns = [getattr(transcript, name) for name in transcript.COLUMNS[1:]]
-    _write_csv(path, transcript.COLUMNS, zip(range(len(transcript)), *columns))
+    _write_csv(path, transcript.COLUMNS, [np.arange(len(transcript)), *columns])
 
 
 SUMMARY_COLUMNS = (
@@ -508,19 +527,16 @@ SUMMARY_COLUMNS = (
 
 
 def write_summary_csv(path, results: Sequence[TrialResult]) -> None:
-    _write_csv(
-        path,
-        SUMMARY_COLUMNS,
-        (
-            (r.trial, r.seed, r.spend, r.purchases, r.regret, r.risk_surrogate,
-             r.risk_zero_one, *dataclasses.astuple(r.stats))
-            for r in results
-        ),
-    )
+    rows = [
+        (r.trial, r.seed, r.spend, r.purchases, r.regret, r.risk_surrogate,
+         r.risk_zero_one, *dataclasses.astuple(r.stats))
+        for r in results
+    ]
+    _write_csv(path, SUMMARY_COLUMNS, list(zip(*rows)))
 
 
 SWEEP_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
 
 
 def write_sweep_csv(path, rows: Sequence[SweepRow]) -> None:
-    _write_csv(path, SWEEP_COLUMNS, map(dataclasses.astuple, rows))
+    _write_csv(path, SWEEP_COLUMNS, list(zip(*map(dataclasses.astuple, rows))))

@@ -3,7 +3,8 @@
 Nothing in the package calls these. Each recomputes a result the package
 produces another way: a run's regret, total loss and difficulty statistics
 from its posted iterates, the per-round iterates themselves by replaying a
-run's purchases, a dataset's mean gradient, and IDX files to load back.
+run's purchases, a dataset's mean gradient, CSV fields formatted one value
+at a time, and IDX files to load back.
 """
 
 from __future__ import annotations
@@ -130,6 +131,20 @@ def mean_grad(family, w, X, y) -> np.ndarray:
     """Mean gradient of a feature loss family over a dataset."""
     coeff = family.margin_slope(y * (X @ w)) * y
     return (X.T @ coeff) / len(y)
+
+
+def _fmt(x) -> str:
+    """One CSV field: bools as 1/0, ints and strings as themselves, anything
+    else as a float with 17 significant digits."""
+    if type(x) is float:
+        return f"{x:.17g}"
+    if isinstance(x, bool):
+        return "1" if x else "0"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, str):
+        return x
+    return f"{float(x):.17g}"
 
 
 def write_idx_images(path: str, images: np.ndarray) -> None:

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -141,6 +144,53 @@ def test_zero_round_config_exits_2(tmp_path, capsys):
     assert "horizon T >= 1, got T = 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mechanism, field",
+    [
+        # an adaptive posted-price run used to post and pay inf in round 0
+        ({"c_max": math.inf, "price_scale": {"mode": "adaptive"}}, "c_max"),
+        # a knowledge scale used to blame the prior for the scale 0.0
+        ({"budget": math.inf}, "budget"),
+    ],
+    ids=["c_max", "budget"],
+)
+def test_non_finite_budget_or_c_max_exits_2(tmp_path, capsys, mechanism, field):
+    cfg_path = tmp_path / "config.json"
+    _write_config(cfg_path, mechanism=mechanism)
+    assert "Infinity" in cfg_path.read_text()
+    assert main(["run", "--config", str(cfg_path), "--jobs", "1"]) == 2
+    assert f"error: {field}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "transcript.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_2(tmp_path, capsys, command, jobs):
+    # -3 used to run serially and 0 to mean every core
+    cfg_path = tmp_path / "config.json"
+    _write_config(cfg_path, budget_grid=[10.0])
+    assert main([command, "--config", str(cfg_path), "--jobs", jobs]) == 2
+    assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_import_leaves_pool_and_verify_unloaded():
+    # a --jobs 1 run or sweep never uses them; only pooled runs and verify load them
+    unloaded = ("concurrent.futures", "multiprocessing", "procure_learn.verify")
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import procure_learn.cli, sys; "
+            f"print([m for m in {unloaded!r} if m in sys.modules])",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_sweep_rows_and_baseline_invariance(tmp_path):
     cfg_path = tmp_path / "config.json"
     _write_config(
@@ -229,31 +279,42 @@ def test_linear_config_roundtrip(tmp_path):
     assert (tmp_path / "out" / "summary.csv").exists()
 
 
-# SHA-256 of the CSVs of `run --jobs 1` on each shipped vertex config with
-# three trials; a change to the run loop, the transcript assembly or the CSV
-# writer that moves one byte of output fails here
+# SHA-256 of the CSVs that `run` or `sweep` at --jobs 1 writes for shipped
+# configs at a given trial count: (command, trials, {file: digest}). The
+# vertex configs pin transcripts of constant and rarely changing columns,
+# linear_correlated.json per-round floats that vary every round, and the
+# sweep the policy string column; a change to the run loop, the transcript
+# assembly or the CSV writer that moves one byte of output fails here
 PINNED_OUTPUT = {
-    "coin_at_cost.json": {
+    "coin_at_cost.json": ("run", 3, {
         "transcript.csv": "da765e8484db52ca0683ebc4a809bf31063cc95ab12c884ac14611e07c6d1ede",
         "summary.csv": "2cda7f2ab217fe74322b23a0ad2138ff69f2cb45abf4826e6c97113c5d6b013c",
-    },
-    "padded_coin_budget.json": {
+    }),
+    "padded_coin_budget.json": ("run", 3, {
         "transcript.csv": "2e1858502d312079ea505c11ace6bb660b0ae725c968b8309390a2dedee278e7",
         "summary.csv": "da65feb15311d2accb21b8ec186232f3a13715ba13f1e8a17dccfd629871d52a",
-    },
+    }),
+    "linear_correlated.json": ("run", 2, {
+        "transcript.csv": "ffa127951b318c054f53ae5ed5311a5af9f3df3ea57d0c4e477f1f43a1e53ae4",
+        "summary.csv": "250aa862cd76ac4202e2f3ef6a60e2cbe76a5a619d1354b02f473e3e41e390ba",
+    }),
+    "linear_uniform_sweep.json": ("sweep", 1, {
+        "sweep.csv": "b7574991e9ea506c8decd6e44c54df98868d7d769dab75571b5270bd5a92f33e",
+    }),
 }
 
 
 @pytest.mark.parametrize("name", list(PINNED_OUTPUT))
-def test_vertex_configs_output_pinned(tmp_path, name):
+def test_shipped_config_output_pinned(tmp_path, name):
+    command, trials, pinned = PINNED_OUTPUT[name]
     shipped = Path(__file__).resolve().parents[1] / "scripts" / "configs" / name
     config = json.loads(shipped.read_text())
-    config.update(trials=3, output_dir=str(tmp_path / "out"))
+    config.update(trials=trials, output_dir=str(tmp_path / "out"))
     cfg_path = tmp_path / name
     cfg_path.write_text(json.dumps(config))
-    assert main(["run", "--config", str(cfg_path), "--jobs", "1"]) == 0
+    assert main([command, "--config", str(cfg_path), "--jobs", "1"]) == 0
     digests = {
         csv: hashlib.sha256((tmp_path / "out" / csv).read_bytes()).hexdigest()
-        for csv in PINNED_OUTPUT[name]
+        for csv in pinned
     }
-    assert digests == PINNED_OUTPUT[name]
+    assert digests == pinned

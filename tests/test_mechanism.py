@@ -426,6 +426,15 @@ def test_config_validation():
         )
 
 
+@pytest.mark.parametrize("field", ["budget", "c_max"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 0.0])
+def test_budget_and_c_max_must_be_positive_and_finite(field, bad):
+    # an infinite c_max used to post and pay inf; an infinite budget reached
+    # the price scale as 0
+    with pytest.raises(InvalidConfigError, match=f"^{field}.*must be positive and finite"):
+        MechanismConfig(**{"budget": 1.0, field: bad})
+
+
 @pytest.mark.parametrize("bad_cost", [math.nan, -0.5, math.inf])
 def test_costs_must_be_finite_and_within_range(bad_cost):
     # NaN used to run silently to avg_value_cost = nan, and -0.5 to die

@@ -1,12 +1,16 @@
 import dataclasses
 import json
 import math
+import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from procure_learn.core import InvalidConfigError
 from procure_learn.environment import ConstantCost, TwoPointCost, UniformCost
@@ -34,6 +38,8 @@ from procure_learn.runner import (
     run_trials,
     trial_streams,
 )
+
+from oracles import _fmt
 
 
 def _base_config(**overrides):
@@ -187,6 +193,30 @@ def test_run_trials_worker_count_invariance():
         assert r.spend >= 0.0
         assert math.isfinite(r.regret) and math.isfinite(r.stats.opt_value_cost)
         assert 0.0 <= r.stats.opt_value_cost <= r.stats.avg_sqrt_cost <= 1.0
+
+
+def test_pool_starts_no_more_workers_than_trials(monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work, chunksize=1):
+            return map(fn, work)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    config = parse_config(_base_config(trials=3))
+    assert len(run_trials(config, jobs=64)) == 3
+    assert started == [3]
 
 
 def test_sweep_cells_are_instance_paired():
@@ -358,3 +388,53 @@ def test_results_hold_python_floats(name):
     for column in transcript.COLUMNS[1:]:
         kind = bool if column == "accepted" else float
         assert {type(v) for v in getattr(transcript, column)} == {kind}, column
+
+
+def _float_from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+SPECIAL_FLOATS = [
+    -0.0, 0.0, math.nan, -math.nan, _float_from_bits(0x7FF8_0000_0000_0001),
+    math.inf, -math.inf, 5e-324, -2.5e-310, 1e300, -1e-300, 1e-300, -1e300,
+    3.0, -7.0, 2.0**53, 0.1, 1 / 3,
+]
+floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_subnormal=True))
+COLUMN_POOLS = {
+    "float": floats,
+    "bool": st.booleans(),
+    "int": st.integers(-(2**63), 2**63 - 1),
+    "str": st.text("abcxyz_-.0123456789", max_size=6),
+    # ints a float64 holds exactly, so numpy reads the column as float
+    "mixed": st.one_of(st.integers(-(2**53), 2**53), floats),
+}
+B = runner._CSV_BLOCK_ROWS
+
+
+@st.composite
+def csv_tables(draw):
+    """A row count at a block edge or small, and columns of every kind; each
+    column repeats values drawn from a small pool, as transcripts do."""
+    n = draw(st.sampled_from([0, 1, 2, 7, B - 1, B, B + 1]))
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_POOLS)), min_size=1, max_size=6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    columns = [np.arange(n)]
+    for kind in kinds:
+        pool = draw(st.lists(COLUMN_POOLS[kind], min_size=1, max_size=8))
+        columns.append([pool[i] for i in rng.integers(0, len(pool), n).tolist()])
+    return columns
+
+
+@settings(max_examples=60, deadline=None)
+@given(csv_tables())
+@example([np.arange(len(SPECIAL_FLOATS)), SPECIAL_FLOATS, SPECIAL_FLOATS[::-1]])
+def test_columnar_writer_matches_per_value_formatting(columns):
+    header = [f"c{i}" for i in range(len(columns))]
+    expected = "".join(
+        ",".join(map(_fmt, row)) + "\n" for row in [header, *zip(*columns)]
+    ).encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        runner._write_csv(path, header, columns)
+        assert path.read_bytes() == expected
