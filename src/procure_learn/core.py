@@ -123,15 +123,24 @@ def simplex_projection(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
+def _project_ball(v: np.ndarray, radius: float) -> np.ndarray:
+    """Euclidean projection of a contiguous float vector onto the ball of
+    ``radius``: ``v`` itself when it lies inside, so pass a vector nothing
+    else holds. The norm ``math.sqrt(v @ v)`` is what ``np.linalg.norm``
+    computes for such a vector, bit for bit, without its dispatch."""
+    norm = math.sqrt(v @ v)
+    if norm <= radius:
+        return v
+    return v * (radius / norm)
+
+
 def project_coords(space: HypothesisSpace, v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
+    """Euclidean projection of ``v`` onto ``space``, as a new array."""
+    v = np.array(v, dtype=np.float64)  # a contiguous copy, which may be the result
     if v.shape != (space.dim,):
         raise ValueError("vector length does not match space dimension")
     if space.kind == L2_BALL:
-        norm = float(np.linalg.norm(v))
-        if norm <= space.radius:
-            return v.copy()
-        return v * (space.radius / norm)
+        return _project_ball(v, space.radius)
     return simplex_projection(v)
 
 
@@ -207,8 +216,10 @@ class HingeLoss(LossFamily):
     gradient is that coefficient times the row.
     ``np.dot`` (and BLAS matvec) sums in a different order and differs from
     both in the last digits for a large share of rows. The whole-dataset
-    forms (``values``, ``grad_norms``) that the risk metrics call, and the
-    offline oracle, keep the faster ``X @ w``.
+    forms (``values``, ``grad_norms``) that the risk metrics call keep the
+    faster ``X @ w``. The offline oracle computes the same margins as
+    ``Z @ w`` over the signed rows ``Z = y * X``, which equals
+    ``y * (X @ w)`` bit for bit, and takes its hinge arithmetic inline.
     """
 
     def margin_value(self, m: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import HypothesisSpace, InvalidConfigError, L2_BALL, dual_norm, project_coords
+from .core import HypothesisSpace, InvalidConfigError, L2_BALL, _project_ball, dual_norm
 
 
 class FtrlLearner:
@@ -86,9 +86,9 @@ class FtrlLearner:
         self.grad_sum += gradient * inverse_weight
         weighted = delta * inverse_weight
         self.bound_sum += weighted * weighted
-        z = self.grad_sum * (-self.learning_rate)
+        z = self.grad_sum * (-self.learning_rate)  # a fresh array, so it needs no copy
         if self.space.kind == L2_BALL:
-            self._coords = project_coords(self.space, z)
+            self._coords = _project_ball(z, self.space.radius)
         else:
             self._coords = _softmax_rows(z[None])[0]
 

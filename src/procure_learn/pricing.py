@@ -55,7 +55,10 @@ def reserve(delta: float, price_scale: float, c_max: float = 1.0) -> float:
 
 
 def price_cdf(delta: float, price_scale: float, price: float, c_max: float = 1.0) -> float:
-    """Pr[posted price <= price]."""
+    """Pr[posted price <= price]. A worthless arrival's price is 0 at every
+    scale, 0 included."""
+    if delta <= 0.0:
+        return 1.0 if price >= 0.0 else 0.0
     if price_scale == 0.0:
         # fixed posted price c_max
         return 1.0 if price >= c_max else 0.0

@@ -136,6 +136,30 @@ def test_project_idempotent_and_contractive(rng):
             assert np.linalg.norm(p - inside) <= np.linalg.norm(v - inside) + 1e-9
 
 
+def test_ball_projection_matches_linalg_norm_formula_bitwise(rng):
+    # the projection as written with np.linalg.norm, on contiguous, strided
+    # and reversed inputs, inside and outside the ball; the result is a new
+    # array even where nothing moves
+    def by_linalg_norm(radius, v):
+        norm = float(np.linalg.norm(v))
+        return v.copy() if norm <= radius else v * (radius / norm)
+
+    moved = kept = 0
+    for dim in (1, 2, 7, 24, 32, 100):
+        space = l2_ball(dim, 2.0)
+        for _ in range(50):
+            base = rng.normal(scale=rng.uniform(0.1, 2.0), size=3 * dim)
+            for v in (base[:dim], base[::3], base[::-3]):
+                p = project_coords(space, v)
+                assert p.tobytes() == by_linalg_norm(2.0, v).tobytes()
+                assert not np.shares_memory(p, base)
+                if np.array_equal(p, v):
+                    kept += 1
+                else:
+                    moved += 1
+    assert moved > 0 and kept > 0
+
+
 # ---------------------------------------------------------------------------
 # loss values and gradients, read from an instance's columns
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from procure_learn.core import InvalidConfigError, l2_ball, simplex
+from procure_learn.core import InvalidConfigError, l2_ball, project_coords, simplex
 from procure_learn.environment import UniformCost, coin_sequence, linear_task
 from procure_learn.ftrl import FtrlLearner
 from procure_learn.mechanism import FixedRate, FixedScale, Mechanism, MechanismConfig
@@ -43,6 +43,28 @@ def test_single_feed_closed_forms():
     mw.feed_gradient(np.array([1.0, 0.0]))
     expected = np.array([math.exp(-1.0), 1.0]) / (math.exp(-1.0) + 1.0)
     np.testing.assert_allclose(mw.coords, expected, rtol=1e-15)
+
+
+def test_ball_feed_posts_projected_gradient_sum_bitwise(rng):
+    # each feed posts the projection of the negated, rate-scaled gradient
+    # sum; the feeds' sizes vary so that the sum lands inside and outside
+    # the ball
+    for dim, radius, rate in ((2, 1.0, 0.5), (24, 3.0, 0.45), (32, 3.0, 0.08)):
+        learner = FtrlLearner(l2_ball(dim, radius), rate)
+        inside = outside = 0
+        for _ in range(300):
+            g = rng.normal(size=dim) * rng.uniform(0.0, 2.0) / math.sqrt(dim)
+            if rng.random() < 0.3:
+                g = -learner.grad_sum * rng.uniform(0.5, 1.0)  # back towards the centre
+            learner.iw_feed(float(rng.uniform(0.2, 1.0)), True, g)
+            z = learner.grad_sum * (-rate)
+            expected = project_coords(learner.space, z)
+            assert learner.coords.tobytes() == expected.tobytes()
+            if np.linalg.norm(z) <= radius:
+                inside += 1
+            else:
+                outside += 1
+        assert inside > 0 and outside > 0
 
 
 def test_feed_cancellation():

@@ -89,7 +89,8 @@ def test_offline_best_flags_iteration_cap():
 
 def _two_pass_offline_best(instance, iterations, tol=1e-8, patience=50):
     """The feature-loss oracle as it was written before its passes were
-    fused: the gradient and the objective each compute their own margins."""
+    fused: the gradient and the objective each compute their own margins.
+    Also counts the iterates that left the ball before projection."""
     space, family = instance.space, instance.family
     X, y = instance.features, instance.labels
     w = np.zeros(space.dim)
@@ -97,9 +98,12 @@ def _two_pass_offline_best(instance, iterations, tol=1e-8, patience=50):
     best_obj = float(family.values(w, X, y).mean())
     stale = 0
     k = 0
+    projected = 0
     for k in range(1, iterations + 1):
         g = mean_grad(family, w, X, y)
-        w = project_coords(space, w - (space.radius / math.sqrt(k)) * g)
+        v = w - (space.radius / math.sqrt(k)) * g
+        projected += bool(np.linalg.norm(v) > space.radius)
+        w = project_coords(space, v)
         obj = float(family.values(w, X, y).mean())
         if obj < best_obj - tol * max(1.0, abs(best_obj)):
             best_obj, best_w, stale = obj, w, 0
@@ -107,29 +111,45 @@ def _two_pass_offline_best(instance, iterations, tol=1e-8, patience=50):
             stale += 1
             if stale >= patience:
                 break
-    return best_w, best_obj * len(y), stale >= patience, k
+    return best_w, best_obj * len(y), stale >= patience, k, projected
+
+
+def _d24_hits_cap():
+    return linear_task(
+        24, 4, 0.8, 1000, 0, TwoPointCost(0.2, 1.0, (0, 4)), 1, spread=0.35, noise=0.14
+    )
 
 
 @pytest.mark.parametrize(
-    "build, converges",
+    "build, iterations, converges, projects",
     [
-        (lambda: linear_task(32, 2, 0.35, 8000, 0, UniformCost(), 1, noise=0.2), True),
         (
-            lambda: linear_task(
-                24, 4, 0.8, 1000, 0, TwoPointCost(0.2, 1.0, (0, 4)), 1, spread=0.35, noise=0.14
-            ),
+            lambda: linear_task(32, 2, 0.35, 8000, 0, UniformCost(), 1, noise=0.2),
+            1500,
+            True,
+            True,
+        ),
+        (_d24_hits_cap, 1500, False, True),
+        # a radius the iterates never reach: no pass projects
+        (
+            lambda: linear_task(8, 2, 0.5, 500, 0, UniformCost(), 1, radius=30.0, noise=0.2),
+            1500,
+            False,
             False,
         ),
+        # the first passes stay inside the ball: no step is long enough yet
+        (_d24_hits_cap, 3, False, False),
     ],
-    ids=["d32-T8000-converges", "d24-T1000-hits-cap"],
+    ids=["d32-T8000-converges", "d24-T1000-hits-cap", "d8-inside-ball", "d24-cap-3"],
 )
-def test_fused_oracle_matches_two_pass_loop_bitwise(build, converges):
+def test_fused_oracle_matches_two_pass_loop_bitwise(build, iterations, converges, projects):
     instance = build()
-    sol = offline_best(instance, 1500)
-    coords, total, converged, iterations = _two_pass_offline_best(instance, 1500)
+    sol = offline_best(instance, iterations)
+    coords, total, converged, k, projected = _two_pass_offline_best(instance, iterations)
     assert converged == converges
+    assert (projected > 0) == projects
     assert sol.hypothesis.coords.tobytes() == coords.tobytes()
-    assert (sol.total_loss, sol.converged, sol.iterations) == (total, converged, iterations)
+    assert (sol.total_loss, sol.converged, sol.iterations) == (total, converged, k)
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,19 @@ def test_cdf_examples():
     assert price_cdf(0.5, 2.0, 1.0) == 1.0
     assert price_cdf(0.5, 2.0, 0.01) == 0.0
     assert price_cdf(0.3, 2.0, 2.0) == 1.0
+    # buy-everything regime: all the mass sits at c_max
+    assert price_cdf(0.5, 0.0, 0.9) == 0.0
+    assert price_cdf(0.5, 0.0, 1.0) == 1.0
+
+
+def test_cdf_worthless_is_a_point_mass_at_zero():
+    # sample_price posts 0 for delta == 0 at every scale, 0 included
+    for scale in (0.0, 1.0, 2.0):
+        for price in (0.0, 0.5, 1.0, 2.0):
+            assert price_cdf(0.0, scale, price) == 1.0
+        assert price_cdf(0.0, scale, -0.1) == 0.0
+        for u in (0.0, 0.5, 0.999):
+            assert price_cdf(0.0, scale, sample_price(0.0, scale, u)) == 1.0
 
 
 def test_sample_examples():
