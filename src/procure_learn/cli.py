@@ -127,13 +127,15 @@ def cmd_oracle(args) -> int:
     config = _load(args.config)
     instance_ss, _, _ = trial_streams(config.seed, 0)
     instance = build_instance(config.instance, instance_ss)
-    solution = offline_best(instance, config.oracle_iterations)
+    solution = offline_best(instance)
     coords = solution.hypothesis.coords
     report = {
         "dimension": int(instance.space.dim),
         "hypothesis_head": [float(x) for x in coords[:8]],
         "hypothesis_norm": float(np.linalg.norm(coords)),
         "total_loss": solution.total_loss,
+        "lower_bound": solution.lower_bound,
+        "gap": solution.total_loss - solution.lower_bound,
         "converged": solution.converged,
         "iterations": solution.iterations,
         "stats": hindsight_stats(instance, solution),

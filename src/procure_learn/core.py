@@ -217,9 +217,7 @@ class HingeLoss(LossFamily):
     ``np.dot`` (and BLAS matvec) sums in a different order and differs from
     both in the last digits for a large share of rows. The whole-dataset
     forms (``values``, ``grad_norms``) that the risk metrics call keep the
-    faster ``X @ w``. The offline oracle computes the same margins as
-    ``Z @ w`` over the signed rows ``Z = y * X``, which equals
-    ``y * (X @ w)`` bit for bit, and takes its hinge arithmetic inline.
+    faster ``X @ w``; the offline oracle inlines its own hinge arithmetic.
     """
 
     def margin_value(self, m: np.ndarray) -> np.ndarray:

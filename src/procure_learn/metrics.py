@@ -2,22 +2,26 @@
 monetary-difficulty statistics.
 
 Pure computations over instances and hypotheses. The vertex-loss oracle is
-exact (enumeration); the feature-loss oracle is full-gradient projected
-descent on the mean hinge loss with a best-iterate tracker and a
-convergence flag rather than a hard failure at the iteration cap.
+exact (enumeration). The feature-loss oracle is projected subgradient
+descent on the mean hinge loss, certified by weak duality (Boyd and
+Vandenberghe, Convex Optimization, ch. 5): with ``z_i = y_i * x_i``, every
+alpha in [0, 1]^n gives ``D(alpha) = sum(alpha) - radius * ||Z.T @ alpha||
+<= min over ||w|| <= radius of sum_i max(0, 1 - z_i . w)``, since
+``max(0, a)`` is the largest ``alpha * a`` and the min over the ball and the
+max over the box swap one way. The oracle stops once its best objective is
+within ``GAP`` of its best bound on the mean hinge (``GAP * T`` on the
+total), or at its pass cap, where it reports the gap left.
 
-The feature-loss oracle takes most of a short linear trial, so each pass
-is kept lean. It works on the signed rows ``Z = y * X``, built once,
-writes its per-row arrays into buffers reused from pass to pass, and
-projects with the ball kernel the learner uses. Its result is bit for bit
-that of the plain loop (margins ``y * (X @ w)``, mean subgradient ``g``,
-step ``w - (radius / sqrt(k)) * g``, objective ``.mean()``; a test keeps
-that loop). Labels are +-1, so every product that changes is only negated,
-and negation commutes with rounding: ``Z @ w`` is ``y * (X @ w)``,
-``Z.T @ (u > 0)`` is ``-n * g`` before its division by ``n``, and adding
-the negated step is subtracting the step. ``1 - m > 0`` holds exactly when
-``m < 1``, and ``np.add.reduce`` followed by the division is what ``.mean()``
-does."""
+Each pass is lean: signed rows ``Z = y * X`` built once, reused buffers,
+the learner's ball kernel. The result is bit for bit that of the plain loop
+(margins ``y * (X @ w)``, mean subgradient ``g``, step ``w - (radius /
+sqrt(k)) * g``, objective ``.mean()``, bound ``count(m < 1) / n - radius *
+||g||``; a test keeps that loop). Labels are +-1, so every changed product
+is only negated, and negation commutes with rounding: ``Z @ w`` is ``y * (X
+@ w)``, ``Z.T @ (u > 0)`` is ``-n * g`` before its division by ``n``, and
+adding the negated step is subtracting the step. ``1 - m > 0`` holds
+exactly when ``m < 1``, and ``np.add.reduce`` followed by the division is
+what ``.mean()`` does."""
 
 from __future__ import annotations
 
@@ -30,16 +34,21 @@ from .core import Hypothesis, VertexLoss, _project_ball
 from .environment import ProblemInstance
 
 
-# relative improvement of the best objective that counts as progress
-_TOL = 1e-8
+# certified gap on the mean hinge loss at which the feature-loss oracle stops
+GAP = 1e-4
 
 
 @dataclass(frozen=True)
 class OfflineSolution:
+    """The smallest total loss lies in ``[lower_bound, total_loss]``;
+    ``converged``: it is certified within ``GAP * T``. ``iterations``
+    counts descent passes (0 for the exact vertex oracle)."""
+
     hypothesis: Hypothesis
     total_loss: float
     converged: bool
     iterations: int
+    lower_bound: float
 
 
 @dataclass(frozen=True)
@@ -62,23 +71,15 @@ class SequenceStats:
     opt_value_cost: float
 
 
-def offline_best(
-    instance: ProblemInstance,
-    iterations: int = 2000,
-    patience: int = 50,
-) -> OfflineSolution:
+def offline_best(instance: ProblemInstance, iterations: int = 1500) -> OfflineSolution:
     """Best fixed hypothesis in hindsight for the whole arrival sequence.
 
-    Vertex losses: exact minimizer by vertex enumeration. Feature losses:
-    multi-pass projected (sub)gradient descent on the mean hinge loss with
-    step radius/sqrt(k), stopping once the best objective stops improving
-    by a relative ``_TOL`` for ``patience`` consecutive passes. Each pass
-    computes the margins once, from the signed rows ``Z = y * X`` built
-    before the first: ``u = 1 - Z @ w`` gives the objective, the mean of
-    ``max(u, 0)``, and the next pass's step along ``Z.T @ (u > 0)``, the
-    negated subgradient sum. ``u``, the active mask and ``max(u, 0)`` live
-    in three buffers of length n that every pass reuses. The module
-    docstring says why this equals the plain loop bit for bit.
+    Vertex losses: exact enumeration. Feature losses: projected subgradient
+    descent with step radius/sqrt(k), keeping the best iterate and the best
+    bound ``D(active) / n``, ``active`` being the pass's mask of rows whose
+    hinge is active; the step needs ``Z.T @ active`` anyway, so the bound
+    costs one sum and one norm. Each pass computes ``u = 1 - Z @ w`` once,
+    for the objective (the mean of ``max(u, 0)``) and the next step.
     """
     space = instance.space
     if isinstance(instance.family, VertexLoss):
@@ -88,7 +89,7 @@ def offline_best(
         coords = np.zeros(space.dim)
         coords[best] = 1.0
         total = float(instance.horizon - counts[best])
-        return OfflineSolution(Hypothesis(space, coords), total, True, 0)
+        return OfflineSolution(Hypothesis(space, coords), total, True, 0, total)
 
     y = instance.labels
     n, radius = len(y), space.radius
@@ -100,21 +101,21 @@ def offline_best(
     np.subtract(1.0, Z @ w, out=u)
     best_w = w
     best_obj = float(np.add.reduce(np.maximum(u, 0.0, out=hinge))) / n
-    stale = 0
+    bound = 0.0  # the best D seen; D(0) = 0
     k = 0
-    for k in range(1, iterations + 1):
+    while best_obj - bound > GAP and k < iterations:
+        k += 1
         np.greater(u, 0.0, out=active)
-        w = _project_ball(w + (radius / math.sqrt(k)) * ((Z.T @ active) / n), radius)
+        step = (Z.T @ active) / n  # the negated mean subgradient
+        bound = max(bound, float(np.add.reduce(active)) / n - radius * math.sqrt(step @ step))
+        w = _project_ball(w + (radius / math.sqrt(k)) * step, radius)
         np.subtract(1.0, Z @ w, out=u)
         obj = float(np.add.reduce(np.maximum(u, 0.0, out=hinge))) / n
-        if obj < best_obj - _TOL * max(1.0, abs(best_obj)):
-            best_obj, best_w, stale = obj, w, 0
-        else:
-            stale += 1
-            if stale >= patience:
-                break
-    converged = stale >= patience
-    return OfflineSolution(Hypothesis(space, best_w), best_obj * n, converged, k)
+        if obj < best_obj:
+            best_obj, best_w = obj, w
+    # an exact bound can round above the objective it equals
+    lower = min(bound, best_obj) * n
+    return OfflineSolution(Hypothesis(space, best_w), best_obj * n, best_obj - bound <= GAP, k, lower)
 
 
 def risk(

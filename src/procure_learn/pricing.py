@@ -47,7 +47,9 @@ def survival(delta: float, price_scale: float, cost: float, c_max: float = 1.0) 
 
 
 def reserve(delta: float, price_scale: float, c_max: float = 1.0) -> float:
-    """Lowest support point of the price law, capped at ``c_max``."""
+    """Lowest support point of the price law, capped at ``c_max``; 0 if worthless."""
+    if delta <= 0.0:
+        return 0.0
     if price_scale == 0.0:
         raise ValueError("reserve undefined in the buy-everything regime")
     r = delta / price_scale

@@ -151,13 +151,10 @@ class ExperimentConfig:
     seed: int = 0
     output_dir: str = "out"
     budget_grid: Optional[tuple[float, ...]] = None
-    oracle_iterations: int = 1500
 
     def __post_init__(self):
         if self.trials < 1:
             raise InvalidConfigError("need at least one trial")
-        if self.oracle_iterations < 1:
-            raise InvalidConfigError("oracle_iterations must be >= 1")
 
 
 def _require(d: dict, key: str, where: str):
@@ -267,7 +264,6 @@ def parse_config(d: dict) -> ExperimentConfig:
         seed=int(d.get("seed", 0)),
         output_dir=str(d.get("output_dir", "out")),
         budget_grid=None if grid is None else tuple(float(b) for b in grid),
-        oracle_iterations=int(d.get("oracle_iterations", 1500)),
     )
 
 
@@ -334,7 +330,7 @@ def run_trial(
     """
     instance_ss, mech_ss, trial_seed = trial_streams(config.seed, trial)
     instance = build_instance(config.instance, instance_ss)
-    solution = offline_best(instance, config.oracle_iterations)
+    solution = offline_best(instance)
     fixed_stats = hindsight_stats(instance, solution)
     results = []
     baseline = None  # (config, result) of the first baseline run

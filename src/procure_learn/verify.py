@@ -171,7 +171,7 @@ def check_full_information_bound(instances: int = 50, seed: int = 17) -> CheckRe
         mech = Mechanism(config, instance, record_transcript=False).run(
             np.random.default_rng(child.spawn(1)[0])
         )
-        realized = mech.loss_total - offline_best(instance, 1200).total_loss
+        realized = mech.loss_total - offline_best(instance).lower_bound
         slack = mech.learner.regret_bound() - realized
         worst_slack = min(worst_slack, slack)
         if slack < 0:

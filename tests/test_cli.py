@@ -237,6 +237,10 @@ def test_oracle_heads_vertex(tmp_path, capsys):
     assert main(["oracle", "--config", str(cfg_path)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["hypothesis_head"] == [1.0, 0.0]
+    # the vertex oracle is exact
+    assert report["gap"] == 0.0
+    assert report["lower_bound"] == report["total_loss"]
+    assert report["converged"]
 
 
 def test_oracle_zero_cost_instance(tmp_path, capsys):
@@ -254,6 +258,8 @@ def test_oracle_zero_cost_instance(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["stats"]["avg_cost"] == 0.0
     assert report["stats"]["opt_value_cost"] == 0.0
+    assert report["gap"] == report["total_loss"] - report["lower_bound"] >= 0.0
+    assert report["converged"] == (report["gap"] <= 1e-4 * 200)
 
 
 def test_linear_config_roundtrip(tmp_path):
@@ -296,10 +302,10 @@ PINNED_OUTPUT = {
     }),
     "linear_correlated.json": ("run", 2, {
         "transcript.csv": "ffa127951b318c054f53ae5ed5311a5af9f3df3ea57d0c4e477f1f43a1e53ae4",
-        "summary.csv": "250aa862cd76ac4202e2f3ef6a60e2cbe76a5a619d1354b02f473e3e41e390ba",
+        "summary.csv": "0b0a1ec73a5d7a95a33401b54aaec9c1b110a3db61f6366c39fc34d1cec34f6f",
     }),
     "linear_uniform_sweep.json": ("sweep", 1, {
-        "sweep.csv": "b7574991e9ea506c8decd6e44c54df98868d7d769dab75571b5270bd5a92f33e",
+        "sweep.csv": "e44310f57d7b2cf2d1c2852532c4db34743e0e7e2a1601d261f847503f9df6b6",
     }),
 }
 

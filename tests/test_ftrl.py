@@ -5,11 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from procure_learn.core import InvalidConfigError, l2_ball, project_coords, simplex
-from procure_learn.environment import UniformCost, coin_sequence, linear_task
+from procure_learn.core import L2_BALL, InvalidConfigError, l2_ball, project_coords, simplex
+from procure_learn.environment import (
+    UniformCost,
+    coin_sequence,
+    linear_task,
+    padded_coin_sequence,
+)
 from procure_learn.ftrl import FtrlLearner
-from procure_learn.mechanism import FixedRate, FixedScale, Mechanism, MechanismConfig
+from procure_learn.mechanism import (
+    AdaptiveScale,
+    FixedRate,
+    FixedScale,
+    Mechanism,
+    MechanismConfig,
+)
 from procure_learn.metrics import offline_best
+
+from oracles import posted_hypotheses
 
 
 def test_init_minimizes_regularizer():
@@ -224,5 +237,60 @@ def test_full_information_path_bound():
         else:
             instance = linear_task(3, 2, 0.5, 250, 0, UniformCost(), gen)
         mech = _full_information_run(instance, 0.05 + 0.4 * gen.random(), child.spawn(1)[0])
-        regret = mech.loss_total - offline_best(instance, 1500).total_loss
+        regret = mech.loss_total - offline_best(instance).lower_bound
         assert regret <= mech.learner.regret_bound() + 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["coin", "padded-coin", "linear"]),
+    policy=st.sampled_from(["priced", "naive"]),
+    scale=st.one_of(st.just(AdaptiveScale()), st.floats(0.0, 20.0).map(FixedScale)),
+    payment_mode=st.sampled_from(["posted-price", "at-cost"]),
+    hard_stop=st.booleans(),
+    budget=st.floats(2.0, 150.0),
+    rate=st.floats(0.01, 1.0),
+    T=st.integers(1, 300),
+    seed=st.integers(0, 2**16),
+)
+def test_learner_bound_holds_on_the_importance_weighted_sequence(
+    kind, policy, scale, payment_mode, hard_stop, budget, rate, T, seed
+):
+    # the learning half of the reduction: on the estimates g_t / q_t it was
+    # fed, the learner's regret against any fixed u stays within its own bound
+    if kind == "coin":
+        instance = coin_sequence(T, 0.2, "heads", seed)
+    elif kind == "padded-coin":
+        instance = padded_coin_sequence(T, 0.5, 0.2, "heads", seed)
+    else:
+        instance = linear_task(3, 2, 0.5, T, 0, UniformCost(), seed)
+    config = MechanismConfig(
+        budget=budget,
+        payment_mode=payment_mode,
+        purchase_policy=policy,
+        price_scale=scale,
+        learning_rate=FixedRate(rate),
+        hard_stop=hard_stop,
+    )
+    mech = Mechanism(config, instance).run(np.random.default_rng(seed + 1))
+    posted, q = posted_hypotheses(mech), mech.transcript.q
+    space, family = instance.space, instance.family
+    linear_sum, estimate_sum = 0.0, np.zeros(space.dim)
+    for t in np.flatnonzero(mech.transcript.accepted).tolist():
+        if instance.outcomes is not None:
+            if instance.outcomes[t] < 0:  # filler points have no gradient
+                continue
+            gradient = np.zeros(space.dim)
+            gradient[instance.outcomes[t]] = -1.0
+        else:
+            _, _, coefficient = family.loss_delta_row(posted[t], instance, t)
+            gradient = family.row_gradient(instance, t, coefficient)
+        estimate = gradient / q[t]
+        linear_sum += float(estimate @ posted[t])
+        estimate_sum += estimate
+    if space.kind == L2_BALL:
+        best = -space.radius * float(np.linalg.norm(estimate_sum))
+    else:
+        best = float(estimate_sum.min())
+    bound = mech.learner.regret_bound()
+    assert linear_sum - best <= bound + 1e-9 * max(1.0, bound)

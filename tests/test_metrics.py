@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from procure_learn.core import project_coords
 from procure_learn.environment import (
@@ -20,7 +22,7 @@ from procure_learn.mechanism import (
     Mechanism,
     MechanismConfig,
 )
-from procure_learn.metrics import offline_best, risk
+from procure_learn.metrics import GAP, offline_best, risk
 
 from oracles import (
     loss_total,
@@ -76,8 +78,11 @@ def _grid_best(inst, resolution=1e-3):
 
 def test_offline_best_beats_grid_on_2d_toy():
     inst = linear_task(2, 1, 0.5, 60, 0, UniformCost(), 3, radius=1.5, noise=0.15)
-    sol = offline_best(inst, 20_000, patience=500)
-    assert sol.total_loss <= _grid_best(inst) + 1e-6
+    sol = offline_best(inst)
+    grid = _grid_best(inst)
+    assert sol.converged
+    assert sol.total_loss <= grid + 1e-6
+    assert sol.lower_bound <= grid
 
 
 def test_offline_best_flags_iteration_cap():
@@ -85,33 +90,72 @@ def test_offline_best_flags_iteration_cap():
     sol = offline_best(inst, iterations=3)
     assert not sol.converged
     assert sol.iterations == 3
+    assert math.isfinite(sol.lower_bound)
+    assert sol.lower_bound <= sol.total_loss
+    assert sol.total_loss - sol.lower_bound > GAP * inst.horizon
 
 
-def _two_pass_offline_best(instance, iterations, tol=1e-8, patience=50):
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(2, 6),
+    clusters=st.integers(1, 3),
+    separation=st.floats(0.0, 1.5),
+    T=st.integers(1, 80),
+    radius=st.floats(0.05, 8.0),
+    noise=st.floats(0.0, 0.5),
+    iterations=st.integers(0, 300),
+    seed=st.integers(0, 2**16),
+)
+def test_oracle_lower_bound_is_weak_duality(
+    dim, clusters, separation, T, radius, noise, iterations, seed
+):
+    inst = linear_task(
+        dim, clusters, separation, T, 0, UniformCost(), seed, radius=radius, noise=noise
+    )
+    sol = offline_best(inst, iterations)
+    assert 0.0 <= sol.lower_bound <= sol.total_loss
+    assert sol.converged or sol.iterations == iterations
+    if sol.converged:
+        assert sol.total_loss - sol.lower_bound <= GAP * T * (1 + 1e-9)
+    # no point of the ball does better than the bound: random points, points
+    # on the sphere, and a longer run's answer
+    rng = np.random.default_rng(seed)
+    W = rng.standard_normal((64, dim))
+    W *= radius / np.linalg.norm(W, axis=1)[:, None]
+    W[32:] *= rng.random((32, 1))
+    totals = inst.family.margin_value((W @ inst.features.T) * inst.labels).sum(axis=1)
+    slack = 1e-9 * T
+    assert sol.lower_bound <= float(totals.min()) + slack
+    assert sol.lower_bound <= offline_best(inst, 3000).total_loss + slack
+
+
+def _two_pass_offline_best(instance, iterations):
     """The feature-loss oracle as it was written before its passes were
-    fused: the gradient and the objective each compute their own margins.
-    Also counts the iterates that left the ball before projection."""
+    fused: the gradient and the objective each compute their own margins,
+    and the duality bound comes from the mean gradient ``g`` (the active
+    rows sum to ``-n * g``). Also counts the iterates that left the ball
+    before projection."""
     space, family = instance.space, instance.family
     X, y = instance.features, instance.labels
     w = np.zeros(space.dim)
     best_w = w
     best_obj = float(family.values(w, X, y).mean())
-    stale = 0
+    best_bound = 0.0
     k = 0
     projected = 0
-    for k in range(1, iterations + 1):
+    while best_obj - best_bound > GAP and k < iterations:
+        k += 1
         g = mean_grad(family, w, X, y)
+        active = np.count_nonzero(y * (X @ w) < 1.0)
+        best_bound = max(best_bound, active / len(y) - space.radius * np.linalg.norm(g))
         v = w - (space.radius / math.sqrt(k)) * g
         projected += bool(np.linalg.norm(v) > space.radius)
         w = project_coords(space, v)
         obj = float(family.values(w, X, y).mean())
-        if obj < best_obj - tol * max(1.0, abs(best_obj)):
-            best_obj, best_w, stale = obj, w, 0
-        else:
-            stale += 1
-            if stale >= patience:
-                break
-    return best_w, best_obj * len(y), stale >= patience, k, projected
+        if obj < best_obj:
+            best_obj, best_w = obj, w
+    lower = min(best_bound, best_obj) * len(y)
+    return best_w, best_obj * len(y), best_obj - best_bound <= GAP, k, projected, lower
 
 
 def _d24_hits_cap():
@@ -129,7 +173,8 @@ def _d24_hits_cap():
             True,
             True,
         ),
-        (_d24_hits_cap, 1500, False, True),
+        # the gap is certified after 179 passes
+        (_d24_hits_cap, 100, False, True),
         # a radius the iterates never reach: no pass projects
         (
             lambda: linear_task(8, 2, 0.5, 500, 0, UniformCost(), 1, radius=30.0, noise=0.2),
@@ -145,11 +190,12 @@ def _d24_hits_cap():
 def test_fused_oracle_matches_two_pass_loop_bitwise(build, iterations, converges, projects):
     instance = build()
     sol = offline_best(instance, iterations)
-    coords, total, converged, k, projected = _two_pass_offline_best(instance, iterations)
+    coords, total, converged, k, projected, lower = _two_pass_offline_best(instance, iterations)
     assert converged == converges
     assert (projected > 0) == projects
     assert sol.hypothesis.coords.tobytes() == coords.tobytes()
     assert (sol.total_loss, sol.converged, sol.iterations) == (total, converged, k)
+    assert sol.lower_bound == lower
 
 
 # ---------------------------------------------------------------------------

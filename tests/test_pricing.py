@@ -68,6 +68,8 @@ def test_reserve_examples():
     assert reserve(0.5, 2.0) == pytest.approx(0.0625)
     assert reserve(2.0, 2.0) == 1.0  # capped at c_max
     assert reserve(0.0, 2.0) == 0.0
+    # a worthless arrival's price law is the point mass at 0, scale 0 included
+    assert reserve(0.0, 0.0) == 0.0
     with pytest.raises(ValueError):
         reserve(0.5, 0.0)
 

@@ -147,9 +147,6 @@ def test_parse_config_rejects_unknowns():
         parse_config(_base_config(mechanism={"budget": 1.0, "learning_rate": {"mode": "warp"}}))
     with pytest.raises(InvalidConfigError):
         parse_config(_base_config(trials=0))
-    # with 0 iterations the linear oracle returned w = 0 and regrets went negative
-    with pytest.raises(InvalidConfigError):
-        parse_config(_base_config(oracle_iterations=0))
     # json.load accepts NaN and Infinity
     for value in (math.nan, math.inf):
         scale = {"mode": "fixed", "value": value}
