@@ -7,6 +7,8 @@ Monte-Carlo invariant suite and emits a JSON report; ``oracle`` reports the
 best-in-hindsight hypothesis and the instance's difficulty statistics.
 
 The environment variable PROCURE_LEARN_SEED overrides the config seed.
+``run`` and ``sweep`` warn on stderr when a mean spend exceeds 1.05 times
+the budget; their stdout and CSVs are the same either way.
 Exit codes: 0 success, 1 verify failures, 2 invalid config or unwritable
 output.
 """
@@ -60,12 +62,21 @@ def _prepare_output(config: ExperimentConfig) -> Path:
 
 
 def _jobs(args) -> int:
-    """The ``--jobs`` worker count; all cores when the flag is omitted."""
+    """The ``--jobs`` worker count; when the flag is omitted, the cores this
+    process may run on (its affinity mask, where the platform has one)."""
     if args.jobs is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if args.jobs < 1:
         raise InvalidConfigError(f"--jobs must be at least 1, got {args.jobs}")
     return args.jobs
+
+
+def _warn_overspend(label: str, spend: float, budget: float) -> None:
+    """Say on stderr when a mean spend broke the budget by more than 5%."""
+    if spend > 1.05 * budget:
+        print(f"warning: {label} {spend:.6g} exceeds 1.05 x budget {budget:g}", file=sys.stderr)
 
 
 def _mean_se_line(name: str, values) -> str:
@@ -91,7 +102,9 @@ def cmd_run(args) -> int:
     print(_mean_se_line("regret", [r.regret for r in results]))
     print(_mean_se_line("risk (zero-one)", [r.risk_zero_one for r in results]))
     print(_mean_se_line("risk (surrogate)", [r.risk_surrogate for r in results]))
-    print(_mean_se_line("spend", [r.spend for r in results]))
+    spends = [r.spend for r in results]
+    print(_mean_se_line("spend", spends))
+    _warn_overspend("mean spend", float(np.mean(spends)), config.mechanism.budget)
     return 0
 
 
@@ -109,6 +122,7 @@ def cmd_sweep(args) -> int:
             f"  {row.policy:>8} B={row.budget:<8g} regret {row.regret_mean:.4g}"
             f" risk01 {row.risk_zero_one_mean:.4g} spend {row.spend_mean:.4g}"
         )
+        _warn_overspend(f"{row.policy} mean spend", row.spend_mean, row.budget)
     return 0
 
 
@@ -153,13 +167,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute seeded trials, write transcript + summary CSVs")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--jobs", type=int, default=None, help="worker count (default: cores)")
+    p_run.add_argument("--jobs", type=int, default=None, help="worker count (default: usable cores)")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.set_defaults(fn=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="policy x budget grid on paired instances")
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--jobs", type=int, default=None, help="worker count (default: cores)")
+    p_sweep.add_argument("--jobs", type=int, default=None, help="worker count (default: usable cores)")
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.set_defaults(fn=cmd_sweep)
 

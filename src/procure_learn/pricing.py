@@ -91,8 +91,9 @@ def sample_price(delta: float, price_scale: float, u: float, c_max: float = 1.0)
 
 
 def _prices(delta, price_scale, u, c_max, worthless) -> np.ndarray:
-    """``sample_price`` elementwise, bit for bit, where division by zero is
-    silenced; ``worthless`` is ``delta <= 0``. Shared so that
+    """``sample_price`` elementwise, bit for bit, where division by zero and
+    the overflow of a heavy-tail price at a tiny scale (where the atom wins)
+    are silenced; ``worthless`` is ``delta <= 0``. Shared so that
     ``priced_rounds`` enters ``np.errstate`` and compares delta once: on
     short windows those fixed costs are a visible share of the call."""
     # at scale 0 the atom is inf and so takes all the mass
@@ -111,7 +112,7 @@ def sample_prices(
 ) -> np.ndarray:
     """``sample_price`` elementwise, bit for bit; ``delta``, ``price_scale``
     and ``u`` broadcast against each other."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return _prices(delta, price_scale, u, c_max, delta <= 0.0)
 
 
@@ -136,7 +137,7 @@ def priced_rounds(
     scalar decision. ``price_scale`` is one scale for every round or one per
     round."""
     worthless = delta <= 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):  # such rows are set below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # such rows are set below
         price = _prices(delta, price_scale, u, c_max, worthless)
         q = np.minimum(1.0, delta / (price_scale * np.sqrt(cost)))
     q[cost <= 0.0] = 1.0

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -189,6 +190,70 @@ def test_cli_import_leaves_pool_and_verify_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("timeout", [None, "30"])
+def test_cli_import_sets_openblas_thread_timeout_before_numpy(timeout):
+    # the package sets it before numpy (and so OpenBLAS) loads; a user's value wins
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    if timeout is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = timeout
+    probe = (
+        "import os, sys\n"
+        "seen = []\n"
+        "def hook(event, args):\n"
+        "    if event == 'import' and args[0] == 'numpy' and not seen:\n"
+        "        seen.append(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+        "sys.addaudithook(hook)\n"
+        "import procure_learn.cli\n"
+        "print(seen)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == repr([timeout or "4"])
+
+
+def test_default_jobs_counts_usable_cores(monkeypatch):
+    from procure_learn.cli import _jobs
+
+    default = argparse.Namespace(jobs=None)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _jobs(default) == 1  # e.g. under taskset -c 0 on a larger machine
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _jobs(default) == 8  # platforms without affinity masks
+
+
+def test_overspend_warns_on_stderr(tmp_path, capsys):
+    # scale 0.001 puts every coin round in the atom: each is bought at c_max = 1
+    cfg_path = tmp_path / "config.json"
+    _write_config(
+        cfg_path,
+        mechanism={"price_scale": {"mode": "fixed", "value": 0.001}},
+        budget_grid=[10.0, 1000.0],
+    )
+    assert main(["run", "--config", str(cfg_path), "--jobs", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: mean spend 300 exceeds 1.05 x budget 30\n"
+    assert "spend: 300 +/- 0" in captured.out and "warning" not in captured.out
+
+    assert main(["sweep", "--config", str(cfg_path), "--jobs", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: priced mean spend 300 exceeds 1.05 x budget 10\n"
+    assert "warning" not in captured.out
+
+
+@pytest.mark.parametrize("name", ["coin_at_cost.json", "padded_coin_budget.json"])
+def test_shipped_config_does_not_warn(tmp_path, capsys, name):
+    # as shipped (20 and 50 trials); a mean over a few trials can stray past
+    # 1.05 x budget by chance, as padded_coin_budget.json's does at 3 trials
+    shipped = Path(__file__).resolve().parents[1] / "scripts" / "configs" / name
+    config = json.loads(shipped.read_text())
+    config.update(output_dir=str(tmp_path / "out"))
+    cfg_path = tmp_path / name
+    cfg_path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg_path), "--jobs", "1"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_sweep_rows_and_baseline_invariance(tmp_path):

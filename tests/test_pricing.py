@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from procure_learn.environment import ProblemInstance
 from procure_learn.pricing import (
     expected_payment,
     price_cdf,
+    priced_rounds,
     reserve,
     sample_price,
     sample_prices,
@@ -127,6 +129,21 @@ def test_sample_range_and_vector_agreement(rng):
             vec = sample_prices(deltas, s, us, c_max)
             for d, u, p in zip(deltas, us, vec):
                 assert sample_price(float(d), s, float(u), c_max) == p
+
+
+def test_tiny_scale_prices_at_c_max_without_warnings(rng):
+    # at a subnormal-range scale the heavy-tail price (delta / scale)**2
+    # overflows, but the atom takes all the mass, so no warning is due
+    deltas = np.concatenate([[0.0], 0.05 + rng.random(99)])
+    costs = 2.0 * rng.random(100)
+    us = rng.random(100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prices = sample_prices(deltas, 1e-300, us, c_max=2.0)
+        rounds, q, accepted = priced_rounds(deltas, costs, us, 1e-300, c_max=2.0)
+    assert prices[0] == rounds[0] == 0.0  # worthless
+    assert np.all(prices[1:] == 2.0) and np.all(rounds[1:] == 2.0)
+    assert np.all(q[1:] == 1.0) and np.all(accepted[1:]) and not accepted[0]
 
 
 def test_cdf_sample_roundtrip():
