@@ -56,7 +56,7 @@ def main():
                 seeds = replay_seeds if policy == "priced" else replay_seeds[:1]
                 risks = []
                 for ms in seeds:
-                    mech = Mechanism(config, instance, record_transcript=False)
+                    mech = Mechanism(config, instance)
                     mech.run(np.random.default_rng(ms))
                     risks.append(risk(instance, mech.finalize(), "zero-one"))
                     if policy == "priced":

@@ -8,6 +8,7 @@ streams so that changing the cost model never perturbs the data."""
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -59,9 +60,11 @@ def _spawn(seed: SeedLike, n: int) -> list[np.random.Generator]:
 class ConstantCost:
     value: float = 1.0
 
+    def __post_init__(self):
+        if not 0.0 <= self.value < math.inf:  # NaN fails both
+            raise InvalidConfigError(f"constant cost must be finite and >= 0, got {self.value}")
+
     def draw(self, rng, n, groups=None):
-        if not 0.0 <= self.value:
-            raise InvalidConfigError("constant cost must be nonnegative")
         return np.full(n, float(self.value))
 
 
@@ -70,9 +73,11 @@ class UniformCost:
     low: float = 0.0
     high: float = 1.0
 
+    def __post_init__(self):
+        if not 0.0 <= self.low <= self.high < math.inf:  # NaN fails all
+            raise InvalidConfigError(f"need finite 0 <= low <= high, got {self.low}, {self.high}")
+
     def draw(self, rng, n, groups=None):
-        if not 0.0 <= self.low <= self.high:
-            raise InvalidConfigError("need 0 <= low <= high")
         return rng.uniform(self.low, self.high, size=n)
 
 
@@ -89,9 +94,13 @@ class TwoPointCost:
     high_cost: float = 1.0
     target_groups: Optional[tuple[int, ...]] = None
 
+    def __post_init__(self):
+        if not 0.0 <= self.p_high <= 1.0:  # NaN fails both
+            raise InvalidConfigError(f"p_high must be a probability, got {self.p_high}")
+        if not 0.0 <= self.high_cost < math.inf:
+            raise InvalidConfigError(f"high_cost must be finite and >= 0, got {self.high_cost}")
+
     def draw(self, rng, n, groups=None):
-        if not 0.0 <= self.p_high <= 1.0:
-            raise InvalidConfigError("p_high must be a probability")
         if self.target_groups is None:
             high = rng.random(n) < self.p_high
         else:
@@ -281,6 +290,8 @@ def linear_task(
         raise InvalidConfigError("need dimension >= 2")
     if clusters < 1:
         raise InvalidConfigError("need at least one cluster per class")
+    if T_test < 0:
+        raise InvalidConfigError(f"need T_test >= 0, got {T_test}")
     data_rng, cost_rng = _spawn(seed, 2)
 
     centers = np.zeros((2 * clusters, dim))

@@ -18,7 +18,14 @@ arrival and pays nothing (the unconstrained reference).
 
 ``Mechanism.run`` is event-driven. The learner keeps its state in the
 gradient sum and a rejected round feeds nothing, so the posted hypothesis,
-the spend and the estimate change only when an arrival is bought.
+the spend and the estimate change only when an arrival is bought. Its two
+engines below only decide, learn and fill five round columns (delta,
+price, q, accepted, loss). One settle pass then works out each round's
+payment, delta * sqrt(cost), estimate and spend so far, adds up the totals
+in one cumulative sum and keeps the columns as a transcript of read-only
+arrays. Its spend and estimate equal bit for bit the running ones that an
+adaptive scale or a hard stop reads mid-run, since the pass adds the same
+values in the same order.
 
 A vertex run (``VertexLoss``: the coin and padded-coin streams) decides
 first and then learns. Its loss 1 - w[outcome] has delta = 1 on every
@@ -31,12 +38,12 @@ spend prefix sum with a stop for ``naive``, and one sequential pass over
 the spend and the estimate for an adaptive scale or a hard stop. The
 learner pass then replays the purchases in one block: the gradient sums by
 a cumulative sum, the hypotheses by a row-wise softmax, each round's posted
-row by a search over the purchase rounds, and the loss, value and
-hypothesis totals by one cumulative sum over the rounds. This is exact: a
-cumulative sum along the rows adds them in round order, as the rounds one
-by one do, and the softmax is the learner's own kernel, which a single
-feed applies to a batch of one. So the transcript and every total equal
-those of the rounds played one at a time bit for bit.
+row by a search over the purchase rounds, and the hypothesis sum by one
+cumulative sum over the rounds. This is exact: a cumulative sum along the
+rows adds them in round order, as the rounds one by one do, and the
+softmax is the learner's own kernel, which a single feed applies to a
+batch of one. So the columns and the hypothesis sum equal those of the
+rounds played one at a time bit for bit.
 
 A feature run (``HingeLoss``), whose delta depends on the hypothesis,
 walks the rounds. Where purchases are sparse, it jumps from purchase to
@@ -49,7 +56,7 @@ reaches the learner. Where they are dense, as for ``baseline``, for
 data is free, numpy's fixed cost per call outweighs the rounds a window
 saves, so rounds go one by one through the family's one-row kernel. The
 run picks between the two from the purchase rate it measures, and both
-give the same transcript and totals bit for bit.
+fill the same columns and hypothesis sum bit for bit.
 
 Either way a feature round's margin is computed once, straight from the
 instance's columns: the kernel returns the loss, delta and the gradient
@@ -57,7 +64,7 @@ coefficient (slope times label), and a purchase builds its gradient from
 that coefficient with the family's ``row_gradient`` and feeds it through
 the learner's unchecked ``_feed``: the instance was checked when built. A
 purchase whose coefficient is exactly zero (an inactive hinge, or a
-bought filler point of a vertex run) updates spend, counters and estimate
+bought filler point of a vertex run) updates the spend and the estimate
 but skips the feed. That is exact: the gradient sum starts at +0.0 and can
 never hold -0.0, so adding a zero gradient changes none of its bits, nor
 the bound sum (delta is 0 too) or the hypothesis recomputed from them. (A
@@ -269,45 +276,32 @@ class MechanismConfig:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
 class Transcript:
-    """Column-oriented per-round audit log. ``accepted`` holds exactly when
-    the posted price met the cost and the acceptance probability q was
+    """Column-oriented per-round audit log of a finished run: one read-only
+    array per column after ``t``, the row index. ``accepted`` holds exactly
+    when the posted price met the cost and the acceptance probability q was
     positive (worthless arrivals post the degenerate price 0 and are never
     bought); ``payment`` is the price (posted-price), the cost (at-cost), or
     0 (rejected or baseline)."""
 
     COLUMNS = ("t", "delta", "cost", "price", "accepted", "q", "payment", "loss", "cum_spend")
 
-    def __init__(self):
-        self.delta: list[float] = []
-        self.cost: list[float] = []
-        self.price: list[float] = []
-        self.accepted: list[bool] = []
-        self.q: list[float] = []
-        self.payment: list[float] = []
-        self.loss: list[float] = []
-        self.cum_spend: list[float] = []
+    delta: np.ndarray
+    cost: np.ndarray
+    price: np.ndarray
+    accepted: np.ndarray
+    q: np.ndarray
+    payment: np.ndarray
+    loss: np.ndarray
+    cum_spend: np.ndarray
 
-    def append(self, delta, cost, price, accepted, q, payment, loss, cum_spend):
-        self.delta.append(delta)
-        self.cost.append(cost)
-        self.price.append(price)
-        self.accepted.append(accepted)
-        self.q.append(q)
-        self.payment.append(payment)
-        self.loss.append(loss)
-        self.cum_spend.append(cum_spend)
+    def __post_init__(self):
+        for name in self.COLUMNS[1:]:
+            getattr(self, name).flags.writeable = False
 
-    def extend(self, delta, cost, price, accepted, q, payment, loss, cum_spend):
-        """Append rounds given as one list per column."""
-        self.delta.extend(delta)
-        self.cost.extend(cost)
-        self.price.extend(price)
-        self.accepted.extend(accepted)
-        self.q.extend(q)
-        self.payment.extend(payment)
-        self.loss.extend(loss)
-        self.cum_spend.extend(cum_spend)
+    def __reduce__(self):  # unpickled columns are read-only too
+        return Transcript, tuple(getattr(self, name) for name in self.COLUMNS[1:])
 
     def __len__(self) -> int:
         return len(self.loss)
@@ -321,13 +315,7 @@ class Transcript:
 class Mechanism:
     """One run's mutable state: learner, budget ledger, scale policy, audit."""
 
-    def __init__(
-        self,
-        config: MechanismConfig,
-        instance: ProblemInstance,
-        *,
-        record_transcript: bool = True,
-    ):
+    def __init__(self, config: MechanismConfig, instance: ProblemInstance):
         costs = instance.costs
         if not np.all((costs >= 0.0) & (costs <= config.c_max)):  # NaN fails both
             raise InvalidConfigError(
@@ -367,17 +355,12 @@ class Mechanism:
             )
         self.learner = FtrlLearner(instance.space, rate)
 
-        self.spend = 0.0
-        self.purchases = 0
-        self.loss_total = 0.0
-        self.value_cost_total = 0.0  # sum of delta * sqrt(cost)
-        self.value_total = 0.0  # sum of delta
+        self.spend = 0.0  # kept running for the prices mid-run, then settled
         self.estimate_total = 0.0  # importance-weighted purchase estimate
         self.rounds_done = 0
         self.hypothesis_sum = np.zeros(instance.space.dim)
-        self.transcript = Transcript() if record_transcript else None
+        self.transcript: Optional[Transcript] = None  # set when the run settles
         self._last_purchase = -1  # round of the latest purchase
-        self._finished = False
 
     # -- estimates -----------------------------------------------------------
 
@@ -412,19 +395,46 @@ class Mechanism:
     def run(self, rng: np.random.Generator) -> "Mechanism":
         """Execute all rounds, consuming one uniform draw per round. A vertex
         run decides every round and then learns; a feature run walks the
-        rounds."""
-        if self._finished:
+        rounds. Either way the run then settles from its round columns."""
+        if self.transcript is not None:
             raise MechanismStateError("mechanism already ran its full sequence")
         uniforms = rng.random(self.horizon)
         if isinstance(self.instance.family, VertexLoss):
-            self._decide_then_learn(uniforms)
+            columns = self._decide_then_learn(uniforms)
         else:
-            self._walk(uniforms)
-        self.rounds_done = self.horizon
-        self._finished = True
+            columns = self._walk(uniforms)
+        self._settle(*columns)
         return self
 
-    def _walk(self, uniforms: np.ndarray) -> None:
+    def _settle(self, delta, price, q, accepted, loss) -> None:
+        """Total a played run from its round columns and keep them, with the
+        payment and the spend after each round, as its transcript.
+
+        One cumulative sum over the rounds adds up the loss, delta *
+        sqrt(cost), delta, the importance-weighted estimate and the payment.
+        It adds them in round order, as the rounds one at a time do, and a
+        rejected round adds 0.0 to the estimate and the spend, which leaves
+        them as they are: so the spend and the estimate equal bit for bit
+        the running ones that ``_pay`` kept for the rounds to read."""
+        cfg = self.config
+        T, costs = self.horizon, self.instance.costs
+        paid = accepted & (cfg.purchase_policy != BASELINE)  # baseline pays nothing
+        payment = np.where(paid, costs if cfg.payment_mode == AT_COST else price, 0.0)
+        value_cost = delta * np.sqrt(costs)
+        estimate = np.zeros(T)
+        estimate[accepted] = value_cost[accepted] / q[accepted]
+        block = np.zeros((5, T + 1))  # every total starts at zero
+        block[:, 1:] = loss, value_cost, delta, estimate, payment
+        sums = block.cumsum(axis=1)
+        self.loss_total, self.value_cost_total, self.value_total = sums[:3, -1].tolist()
+        self.estimate_total, self.spend = sums[3:, -1].tolist()
+        self.purchases = int(np.count_nonzero(accepted))
+        self.rounds_done = T
+        self.transcript = Transcript(
+            delta, costs.copy(), price, accepted, q, payment, loss, sums[4, 1:].copy()
+        )
+
+    def _walk(self, uniforms: np.ndarray) -> tuple[np.ndarray, ...]:
         """Play the rounds in order, learning as they go.
 
         The purchase rate is tracked as a running mean of the acceptance
@@ -433,9 +443,11 @@ class Mechanism:
         one, VECTOR_GAP at a time. Otherwise the next window is evaluated as
         arrays; it spans twice the expected gap or the current dry spell,
         whichever is longer, so it doubles while nothing is bought, and it
-        ends at the first purchase.
+        ends at the first purchase. Returns the filled round columns.
         """
         horizon = self.horizon
+        delta, price, q, loss = np.empty((4, horizon))
+        columns = (delta, price, q, np.zeros(horizon, dtype=bool), loss)
         u_list = uniforms.tolist()
         costs = self.instance.costs.tolist()
         max_window = max(2 * VECTOR_GAP, WINDOW_ELEMENTS // self.instance.space.dim)
@@ -444,72 +456,51 @@ class Mechanism:
         while t < horizon:
             if rate * VECTOR_GAP > 1.0:
                 stop = min(horizon, t + VECTOR_GAP)
-                after, q_sum = self._rounds_one_by_one(t, stop, u_list, costs)
+                after, q_sum = self._rounds_one_by_one(t, stop, u_list, costs, columns)
             else:
                 dry_spell = t - 1 - self._last_purchase
                 window = 2.0 * max(dry_spell, 1.0 / rate) if rate > 0.0 else max_window
                 stop = min(horizon, t + int(min(max_window, window)))
-                after, q_sum = self._rounds_at_once(t, stop, uniforms)
+                after, q_sum = self._rounds_at_once(t, stop, uniforms, columns)
             decay = keep ** (after - t)
             rate = decay * rate + (1.0 - decay) * q_sum / (after - t)
             t = after
+        return columns
 
-    def _decide_then_learn(self, uniforms: np.ndarray) -> None:
+    def _decide_then_learn(self, uniforms: np.ndarray) -> tuple[np.ndarray, ...]:
         """Play a vertex run in two passes, bit for bit the rounds one by
         one: decide every round without the learner, then replay the
-        learner over the purchases in one block and total the rounds."""
+        learner over the purchases in one block. Returns the round columns
+        delta, price, q, accepted and loss."""
         instance = self.instance
         T, dim = self.horizon, instance.space.dim
-        outcomes, costs = instance.outcomes, instance.costs
+        outcomes = instance.outcomes
         observed = outcomes >= 0
         dlt = instance.family.grad_norms(outcomes)  # at every hypothesis
-        price, q, accepted, payment = self._schedule(dlt, uniforms)
+        price, q, accepted = self._schedule(dlt, uniforms)
 
         # a bought filler round has a zero gradient and is not fed
         fed = np.flatnonzero(accepted & observed)
         gradients = np.zeros((len(fed), dim))
         gradients[np.arange(len(fed)), outcomes[fed]] = -1.0
         posted = self.learner._feed_rows(gradients, 1.0 / q[fed], dlt[fed])
-        # round t posts the hypothesis left by the feeds before it
-        w = posted[np.searchsorted(fed, np.arange(T))]
+        # round t posts the hypothesis left by the feeds before it; cumsum
+        # adds the rows in order, as one round at a time does
+        rows = np.zeros((T + 1, dim))  # the hypothesis sum starts at zero
+        rows[1:] = posted[np.searchsorted(fed, np.arange(T))]
+        w = rows[1:]
         loss = np.ones(T)
         loss[observed] = 1.0 - w[observed, outcomes[observed]]
-
-        # cumsum along axis 0 adds the rows in order, so these sums are bit
-        # for bit those of one round at a time; a rejected round adds 0.0
-        # to the estimate and the spend, which leaves them as they are
-        value_cost = dlt * np.sqrt(costs)
-        estimate = np.zeros(T)
-        estimate[accepted] = value_cost[accepted] / q[accepted]
-        block = np.empty((T + 1, dim + 5))
-        block[0] = 0.0  # every total starts at zero
-        block[1:, :dim] = w
-        block[1:, dim] = loss
-        block[1:, dim + 1] = value_cost
-        block[1:, dim + 2] = dlt
-        block[1:, dim + 3] = estimate
-        block[1:, dim + 4] = payment
-        sums = block.cumsum(axis=0)
-        self.hypothesis_sum = sums[-1, :dim].copy()
-        (
-            self.loss_total, self.value_cost_total, self.value_total,
-            self.estimate_total, self.spend,
-        ) = sums[-1, dim:].tolist()
-        self.purchases = int(np.count_nonzero(accepted))
-        if self.transcript is not None:
-            self.transcript.extend(
-                dlt.tolist(), costs.tolist(), price.tolist(), accepted.tolist(),
-                q.tolist(), payment.tolist(), loss.tolist(), sums[1:, dim + 4].tolist(),
-            )
+        self.hypothesis_sum = rows.cumsum(axis=0)[-1].copy()
+        return dlt, price, q, accepted, loss
 
     def _schedule(self, dlt, uniforms) -> tuple[np.ndarray, ...]:
         """Decide every round of a vertex run from the costs, the uniforms
-        and the scale: each round's price, q, acceptance and payment."""
+        and the scale: each round's price, q and acceptance."""
         cfg = self.config
         T, costs = self.horizon, self.instance.costs
         if cfg.purchase_policy == BASELINE:
-            price, q, accepted = np.full(T, cfg.c_max), np.ones(T), np.ones(T, dtype=bool)
-            return price, q, accepted, np.zeros(T)
+            return np.full(T, cfg.c_max), np.ones(T), np.ones(T, dtype=bool)
         if cfg.purchase_policy == NAIVE:
             # every round is bought at c_max while the spend before it
             # leaves room for c_max; the spend only grows, so the rounds
@@ -519,20 +510,15 @@ class Mechanism:
             price = np.zeros(T)
             price[: np.count_nonzero(spent + cfg.c_max <= cfg.budget)] = cfg.c_max
             accepted = price >= costs
-            q = accepted.astype(np.float64)
-        elif cfg.hard_stop or self._adaptive:
-            price, q, accepted = self._schedule_one_by_one(dlt, uniforms)
-        else:
-            price, q, accepted = priced_rounds(dlt, costs, uniforms, self.price_scale, cfg.c_max)
-        payment = np.where(accepted, costs if cfg.payment_mode == AT_COST else price, 0.0)
-        return price, q, accepted, payment
+            return price, accepted.astype(np.float64), accepted
+        if cfg.hard_stop or self._adaptive:
+            return self._schedule_one_by_one(dlt, uniforms)
+        return priced_rounds(dlt, costs, uniforms, self.price_scale, cfg.c_max)
 
     def _schedule_one_by_one(self, dlt, uniforms) -> tuple[np.ndarray, ...]:
         """The priced rounds of a vertex run whose prices depend on the
         spend or the estimate (a hard stop, an adaptive scale), decided in
-        order without the learner: price, q and acceptance. The spend, the
-        estimate and the purchase count it keeps along the way are the
-        ones the learner pass totals again."""
+        order without the learner: price, q and acceptance."""
         costs = self.instance.costs.tolist()
         price, q, accepted = [], [], []
         policy, flat_price = self._posting_policy(), self._flat_price()
@@ -546,13 +532,13 @@ class Mechanism:
             accepted.append(bought)
         return np.array(price), np.array(q), np.array(accepted, dtype=bool)
 
-    def _rounds_one_by_one(self, start, stop, uniforms, costs) -> tuple[int, float]:
-        """Play rounds ``start <= t < stop`` through the one-row kernel;
-        return ``stop`` and the sum of the acceptance probabilities q.
-        ``uniforms`` and ``costs`` are lists."""
+    def _rounds_one_by_one(self, start, stop, uniforms, costs, columns) -> tuple[int, float]:
+        """Play rounds ``start <= t < stop`` through the one-row kernel into
+        the round ``columns``; return ``stop`` and the sum of the acceptance
+        probabilities q. ``uniforms`` and ``costs`` are lists."""
         instance = self.instance
         loss_delta_row = instance.family.loss_delta_row
-        transcript = self.transcript
+        delta_col, price_col, q_col, accepted_col, loss_col = columns
         # the hypothesis, the spend and so the policy's choice change only
         # on a purchase
         w = self.learner.coords
@@ -565,25 +551,21 @@ class Mechanism:
             price, q, accepted = self._quote(policy, flat_price, t, dlt, cost, uniforms[t])
             q_sum += q
             self.hypothesis_sum += w
-            self.loss_total += loss
-            self.value_cost_total += dlt * math.sqrt(cost)
-            self.value_total += dlt
+            delta_col[t], price_col[t], q_col[t], loss_col[t] = dlt, price, q, loss
             if accepted:
-                self._buy(t, coefficient, loss, dlt, cost, price, q)
+                accepted_col[t] = True
+                self._buy(t, coefficient, dlt, cost, price, q)
                 w = self.learner.coords
                 policy = self._posting_policy()
                 flat_price = self._flat_price()
-            elif transcript is not None:
-                transcript.append(dlt, cost, price, False, q, 0.0, loss, self.spend)
         return stop, q_sum
 
-    def _rounds_at_once(self, start, stop, uniforms) -> tuple[int, float]:
+    def _rounds_at_once(self, start, stop, uniforms, columns) -> tuple[int, float]:
         """``_rounds_one_by_one`` computed as arrays at the posted hypothesis,
         bit for bit the same, up to the first purchase or ``stop``; return
         the next round and the sum of q over the rounds played."""
         cfg = self.config
         instance = self.instance
-        dim = instance.space.dim
         w = self.learner.coords
         loss, dlt, coefficient = instance.family.loss_delta_rows(w, instance, start, stop)
         cost = instance.costs[start:stop]
@@ -605,30 +587,16 @@ class Mechanism:
         bought = bool(accepted[j])
         n = j + 1 if bought else stop - start
 
-        # cumsum along axis 0 adds the rows in order, so these sums are bit
-        # for bit those of one round at a time
-        block = np.empty((n + 1, dim + 3))
-        block[0, :dim] = self.hypothesis_sum
-        block[0, dim:] = (self.loss_total, self.value_cost_total, self.value_total)
-        block[1:, :dim] = w
-        block[1:, dim] = loss[:n]
-        block[1:, dim + 1] = dlt[:n] * np.sqrt(cost[:n])
-        block[1:, dim + 2] = dlt[:n]
-        totals = block.cumsum(axis=0)[-1]
-        self.hypothesis_sum = totals[:dim].copy()
-        self.loss_total, self.value_cost_total, self.value_total = totals[dim:].tolist()
-
-        unbought = n - 1 if bought else n
-        if self.transcript is not None:
-            self.transcript.extend(
-                dlt[:unbought].tolist(), cost[:unbought].tolist(),
-                price[:unbought].tolist(), [False] * unbought, q[:unbought].tolist(),
-                [0.0] * unbought, loss[:unbought].tolist(), [self.spend] * unbought,
-            )
+        # cumsum adds the rows in order, as one round at a time does
+        block = np.empty((n + 1, len(w)))
+        block[0] = self.hypothesis_sum
+        block[1:] = w
+        self.hypothesis_sum = block.cumsum(axis=0)[-1].copy()
+        for column, values in zip(columns, (dlt, price, q, accepted, loss)):
+            column[start:start + n] = values[:n]
         if bought:
-            t = start + j
             self._buy(
-                t, float(coefficient[j]), float(loss[j]), float(dlt[j]),
+                start + j, float(coefficient[j]), float(dlt[j]),
                 float(cost[j]), float(price[j]), float(q[j]),
             )
         return start + n, float(q[:n].sum())
@@ -663,32 +631,26 @@ class Mechanism:
             return priced_round(dlt, cost, u, self.adapted_scale(), cfg.c_max)
         return priced_round(dlt, cost, u, self.price_scale, cfg.c_max)
 
-    def _pay(self, t, dlt, cost, price, q) -> float:
-        """Pay for the accepted round ``t`` and count it; return the payment."""
+    def _pay(self, t, dlt, cost, price, q) -> None:
+        """Pay for the accepted round ``t``: the running spend and estimate
+        that the prices of later rounds read."""
         cfg = self.config
         self._last_purchase = t
-        if cfg.purchase_policy == BASELINE:
-            payment = 0.0
-        else:
-            payment = cost if cfg.payment_mode == AT_COST else price
-        self.spend += payment
-        self.purchases += 1
+        if cfg.purchase_policy != BASELINE:
+            self.spend += cost if cfg.payment_mode == AT_COST else price
         self.estimate_total += dlt * math.sqrt(cost) / q
-        return payment
 
-    def _buy(self, t, coefficient, loss, dlt, cost, price, q) -> None:
-        """Pay for, feed and record the accepted round ``t``, whose gradient
+    def _buy(self, t, coefficient, dlt, cost, price, q) -> None:
+        """Pay for and feed the accepted round ``t``, whose gradient
         coefficient at the posted hypothesis is ``coefficient``."""
-        payment = self._pay(t, dlt, cost, price, q)
+        self._pay(t, dlt, cost, price, q)
         if coefficient != 0.0:  # a zero gradient would leave the learner as it is
             gradient = self.instance.family.row_gradient(self.instance, t, coefficient)
             self.learner._feed(gradient, 1.0 / q, dlt)  # q <= 1
-        if self.transcript is not None:
-            self.transcript.append(dlt, cost, price, True, q, payment, loss, self.spend)
 
     def finalize(self) -> Hypothesis:
         """Mean of the posted hypotheses, the run's single prediction."""
-        if not self._finished:
+        if self.transcript is None:
             raise MechanismStateError("run is incomplete; cannot finalize")
         return Hypothesis(
             self.instance.space,

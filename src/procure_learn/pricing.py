@@ -41,9 +41,10 @@ def survival(delta: float, price_scale: float, cost: float, c_max: float = 1.0) 
     arrival at every scale, as the mechanism decides it."""
     if delta <= 0.0:
         return 0.0
-    if price_scale == 0.0 or cost <= 0.0:
+    if cost <= 0.0:
         return 1.0
-    return min(1.0, delta / (price_scale * math.sqrt(cost)))
+    scaled = price_scale * math.sqrt(cost)  # 0 at scale 0, and where a tiny scale underflows
+    return 1.0 if scaled == 0.0 else min(1.0, delta / scaled)
 
 
 def reserve(delta: float, price_scale: float, c_max: float = 1.0) -> float:
@@ -81,10 +82,8 @@ def sample_price(delta: float, price_scale: float, u: float, c_max: float = 1.0)
     """
     if delta <= 0.0:
         return 0.0
-    if price_scale == 0.0:
-        return c_max
-    atom = min(1.0, delta / (price_scale * math.sqrt(c_max)))
-    if u >= 1.0 - atom:
+    scaled = price_scale * math.sqrt(c_max)  # 0 at scale 0, and where a tiny scale underflows
+    if scaled == 0.0 or u >= 1.0 - min(1.0, delta / scaled):  # u falls in the atom
         return c_max
     p = delta / (price_scale * (1.0 - u))
     return p * p

@@ -163,15 +163,32 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
+def _reject_unread(d: dict, where: str, *read: str) -> None:
+    """Refuse the keys of ``d`` that its parser does not ``read``: a
+    misspelt key would leave its setting at the default without a word."""
+    unread = sorted(set(d).difference(read))
+    if unread:
+        raise InvalidConfigError(f"unknown key(s) {', '.join(map(repr, unread))} in {where}")
+
+
+def _fields(spec) -> list[str]:
+    """The field names of a dataclass whose config keys they are."""
+    return [f.name for f in dataclasses.fields(spec)]
+
+
 def parse_cost_model(d: dict) -> CostModel:
     kind = _require(d, "kind", "cost_model")
     if kind == "constant":
+        _reject_unread(d, "cost_model", "kind", "value")
         return ConstantCost(float(d.get("value", 1.0)))
     if kind == "uniform":
+        _reject_unread(d, "cost_model", "kind", "low", "high")
         return UniformCost(float(d.get("low", 0.0)), float(d.get("high", 1.0)))
     if kind == "two-point-independent":
+        _reject_unread(d, "cost_model", "kind", "p_high", "high_cost")
         return TwoPointCost(float(d.get("p_high", 0.2)), float(d.get("high_cost", 1.0)), None)
     if kind == "two-point-correlated":
+        _reject_unread(d, "cost_model", "kind", "p_high", "high_cost", "target_groups")
         targets = tuple(int(g) for g in _require(d, "target_groups", "cost_model"))
         return TwoPointCost(float(d.get("p_high", 0.2)), float(d.get("high_cost", 1.0)), targets)
     raise InvalidConfigError(f"unknown cost model kind {kind!r}")
@@ -180,8 +197,10 @@ def parse_cost_model(d: dict) -> CostModel:
 def parse_instance(d: dict) -> InstanceSpec:
     kind = _require(d, "kind", "instance")
     if kind == "coin":
+        _reject_unread(d, "instance", "kind", *_fields(CoinSpec))
         return CoinSpec(int(_require(d, "T", "instance")), float(d.get("epsilon", 0.1)), d.get("bias", "heads"))
     if kind == "padded-coin":
+        _reject_unread(d, "instance", "kind", *_fields(PaddedCoinSpec))
         return PaddedCoinSpec(
             int(_require(d, "T", "instance")),
             float(_require(d, "coin_fraction", "instance")),
@@ -189,6 +208,7 @@ def parse_instance(d: dict) -> InstanceSpec:
             d.get("bias", "heads"),
         )
     if kind == "linear":
+        _reject_unread(d, "instance", "kind", *_fields(LinearTaskSpec))
         return LinearTaskSpec(
             T=int(_require(d, "T", "instance")),
             cost_model=parse_cost_model(_require(d, "cost_model", "instance")),
@@ -201,6 +221,7 @@ def parse_instance(d: dict) -> InstanceSpec:
             noise=float(d.get("noise", 0.1)),
         )
     if kind == "idx":
+        _reject_unread(d, "instance", "kind", *_fields(IdxSpec))
         return IdxSpec(
             images=str(_require(d, "images", "instance")),
             labels=str(_require(d, "labels", "instance")),
@@ -215,17 +236,19 @@ def parse_instance(d: dict) -> InstanceSpec:
 
 
 def parse_mechanism(d: dict) -> MechanismConfig:
+    _reject_unread(d, "mechanism", *_fields(MechanismConfig))
     scale_cfg = d.get("price_scale", {"mode": "adaptive"})
     mode = scale_cfg.get("mode", "adaptive")
     if mode == "adaptive":
+        _reject_unread(scale_cfg, "price_scale", "mode")
         scale = AdaptiveScale()
     elif mode == "fixed":
+        _reject_unread(scale_cfg, "price_scale", "mode", "value")
         scale = FixedScale(float(_require(scale_cfg, "value", "price_scale")))
     elif mode == "from-knowledge":
-        stats = {
-            k: (None if scale_cfg.get(k) is None else float(scale_cfg[k]))
-            for k in ("avg_value_cost", "avg_value", "avg_sqrt_cost", "avg_cost")
-        }
+        names = ("avg_value_cost", "avg_value", "avg_sqrt_cost", "avg_cost")
+        _reject_unread(scale_cfg, "price_scale", "mode", *names)
+        stats = {k: (None if scale_cfg.get(k) is None else float(scale_cfg[k])) for k in names}
         scale = KnowledgeScale(PriorKnowledge(**stats))
     else:
         raise InvalidConfigError(f"unknown price_scale mode {mode!r}")
@@ -233,8 +256,10 @@ def parse_mechanism(d: dict) -> MechanismConfig:
     rate_cfg = d.get("learning_rate", {"mode": "theory"})
     rate_mode = rate_cfg.get("mode", "theory")
     if rate_mode == "theory":
+        _reject_unread(rate_cfg, "learning_rate", "mode", "scale")
         rate = TheoryRate(float(rate_cfg.get("scale", 1.0)))
     elif rate_mode == "fixed":
+        _reject_unread(rate_cfg, "learning_rate", "mode", "value")
         rate = FixedRate(float(_require(rate_cfg, "value", "learning_rate")))
     else:
         raise InvalidConfigError(f"unknown learning_rate mode {rate_mode!r}")
@@ -255,6 +280,7 @@ def parse_mechanism(d: dict) -> MechanismConfig:
 
 
 def parse_config(d: dict) -> ExperimentConfig:
+    _reject_unread(d, "config", *_fields(ExperimentConfig))
     instance = parse_instance(_require(d, "instance", "config"))
     grid = d.get("budget_grid")
     return ExperimentConfig(
@@ -280,7 +306,7 @@ def load_config(path: str) -> ExperimentConfig:
 @dataclass(frozen=True)
 class TrialResult:
     """One mechanism config scored on one trial; ``transcript`` is its run's
-    per-round log when one was recorded."""
+    per-round log when the trial was asked for it."""
 
     trial: int
     seed: int
@@ -342,7 +368,7 @@ def run_trial(
         ):
             results.append(dataclasses.replace(baseline[1], budget=mcfg.budget))
             continue
-        mech = Mechanism(mcfg, instance, record_transcript=record_transcript)
+        mech = Mechanism(mcfg, instance)
         mech.run(np.random.default_rng(mech_ss))
         final = mech.finalize()
         if instance.has_test_set:
@@ -365,7 +391,7 @@ def run_trial(
                 avg_value=mech.realized_avg_value,
                 **fixed_stats,
             ),
-            transcript=mech.transcript,
+            transcript=mech.transcript if record_transcript else None,
         )
         if mcfg.purchase_policy == BASELINE and baseline is None:
             baseline = (mcfg, result)

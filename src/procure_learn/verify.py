@@ -168,9 +168,7 @@ def check_full_information_bound(instances: int = 50, seed: int = 17) -> CheckRe
             price_scale=FixedScale(0.0),
             learning_rate=FixedRate(0.05 + 0.3 * gen_rng.random()),
         )
-        mech = Mechanism(config, instance, record_transcript=False).run(
-            np.random.default_rng(child.spawn(1)[0])
-        )
+        mech = Mechanism(config, instance).run(np.random.default_rng(child.spawn(1)[0]))
         realized = mech.loss_total - offline_best(instance).lower_bound
         slack = mech.learner.regret_bound() - realized
         worst_slack = min(worst_slack, slack)

@@ -113,7 +113,7 @@ def test_criterion_3_full_information_bound():
             purchase_policy="baseline",
             learning_rate=FixedRate(0.02 + 0.5 * gen.random()),
         )
-        mech = Mechanism(config, instance, record_transcript=False)
+        mech = Mechanism(config, instance)
         mech.run(np.random.default_rng(child.spawn(1)[0]))
         # against the certified lower bound: an upper bound on realized regret
         realized = mech.loss_total - offline_best(instance).lower_bound
@@ -142,7 +142,7 @@ def test_criterion_4_budget_compliance():
     for trial in range(100):
         instance_ss, mech_ss, _ = trial_streams(SEED + 3, trial)
         instance = padded_coin_sequence(T, 0.3, 0.1, "heads", instance_ss)
-        mech = Mechanism(config, instance, record_transcript=False)
+        mech = Mechanism(config, instance)
         mech.run(np.random.default_rng(mech_ss))
         spends.append(mech.spend)
     mean_spend = float(np.mean(spends))
@@ -173,7 +173,7 @@ def test_criterion_5_regret_scaling():
         for trial in range(trials):
             instance_ss, mech_ss, _ = trial_streams(SEED + 4, trial)
             instance = coin_sequence(T, epsilon, "heads", instance_ss)
-            mech = Mechanism(config, instance, record_transcript=False)
+            mech = Mechanism(config, instance)
             mech.run(np.random.default_rng(mech_ss))
             regrets.append(mech.loss_total - offline_best(instance).total_loss)
         means[budget] = float(np.mean(regrets))
@@ -234,7 +234,7 @@ def _correlation_cells(seed, trials=100, replays=4, T=1000, T_test=4000, eta=0.4
                 seeds = replay_seeds if policy == "priced" else replay_seeds[:1]
                 risks = []
                 for ms in seeds:
-                    mech = Mechanism(config, instance, record_transcript=False)
+                    mech = Mechanism(config, instance)
                     mech.run(np.random.default_rng(ms))
                     risks.append(risk(instance, mech.finalize(), "zero-one"))
                     if policy == "priced":
@@ -295,7 +295,7 @@ def test_criterion_7_beats_naive():
                     price_scale=AdaptiveScale(),
                     learning_rate=FixedRate(0.08),
                 )
-                mech = Mechanism(config, instance, record_transcript=False)
+                mech = Mechanism(config, instance)
                 mech.run(np.random.default_rng(mech_ss))
                 sink.append(risk(instance, mech.finalize(), "zero-one"))
         ours_mean, naive_mean = float(np.mean(ours)), float(np.mean(naive))
@@ -412,7 +412,7 @@ def test_criterion_10_digit_replication():
                 price_scale=AdaptiveScale(),
                 learning_rate=FixedRate(rate),
             )
-            mech = Mechanism(config, instance, record_transcript=False)
+            mech = Mechanism(config, instance)
             mech.run(np.random.default_rng(mech_ss))
             results[policy].append(risk(instance, mech.finalize(), "zero-one"))
     base, ours, naive = (float(np.mean(results[p])) for p in ("baseline", "priced", "naive"))

@@ -32,6 +32,8 @@ def _write_config(path, **overrides):
     }
     for key, value in overrides.items():
         if isinstance(value, dict) and key in config and isinstance(config[key], dict):
+            if value.get("kind", config[key].get("kind")) != config[key].get("kind"):
+                config[key] = {}  # another kind reads other keys
             config[key].update(value)
         else:
             config[key] = value
@@ -162,6 +164,23 @@ def test_non_finite_budget_or_c_max_exits_2(tmp_path, capsys, mechanism, field):
     assert main(["run", "--config", str(cfg_path), "--jobs", "1"]) == 2
     assert f"error: {field}" in capsys.readouterr().err
     assert not (tmp_path / "out" / "transcript.csv").exists()
+
+
+def test_bad_cost_model_exits_2_before_any_output(tmp_path):
+    # an infinite uniform high used to exit 1 with an OverflowError traceback
+    # from the first trial, after the output directory was made
+    cfg_path = tmp_path / "config.json"
+    cost_model = {"kind": "uniform", "high": math.inf}
+    _write_config(cfg_path, instance={"kind": "linear", "T": 50, "cost_model": cost_model})
+    proc = subprocess.run(
+        [sys.executable, "-m", "procure_learn", "run", "--config", str(cfg_path), "--jobs", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "error: need finite 0 <= low <= high, got 0.0, inf" in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

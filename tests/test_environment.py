@@ -144,6 +144,12 @@ def test_linear_task_separable_when_separation_large():
     assert err < 0.02
 
 
+def test_linear_task_rejects_negative_test_size():
+    # -5 used to fail with "features has 95 rows, costs 100"
+    with pytest.raises(InvalidConfigError, match="need T_test >= 0, got -5"):
+        linear_task(3, 2, 0.6, 100, -5, UniformCost())
+
+
 def test_linear_task_norms_bounded():
     inst = linear_task(4, 2, 0.6, 3000, 500, UniformCost(), 8)
     assert float(np.linalg.norm(inst.features, axis=1).max()) <= 1.0 + 1e-12

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from procure_learn.core import L2_BALL, InvalidConfigError, l2_ball, project_coords, simplex
@@ -222,7 +222,7 @@ def _full_information_run(instance, rate, seed):
         price_scale=FixedScale(0.0),
         learning_rate=FixedRate(rate),
     )
-    mech = Mechanism(config, instance, record_transcript=False)
+    mech = Mechanism(config, instance)
     mech.run(np.random.default_rng(seed))
     return mech
 
@@ -252,6 +252,12 @@ def test_full_information_path_bound():
     rate=st.floats(0.01, 1.0),
     T=st.integers(1, 300),
     seed=st.integers(0, 2**16),
+)
+# the smallest subnormal scale: scale * sqrt(cost) underflowed to 0 and the
+# scalar survival divided by it
+@example(
+    kind="linear", policy="priced", scale=FixedScale(5e-324), payment_mode="posted-price",
+    hard_stop=False, budget=2.0, rate=1.0, T=2, seed=0,
 )
 def test_learner_bound_holds_on_the_importance_weighted_sequence(
     kind, policy, scale, payment_mode, hard_stop, budget, rate, T, seed

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -220,6 +221,25 @@ def test_transcript_consistency():
     assert mech.purchases <= len(mech.transcript)
 
 
+@pytest.mark.parametrize("kind", ["coin", "linear"])
+def test_transcript_columns_are_read_only(kind):
+    if kind == "coin":
+        inst, mech = _coin_mech()
+    else:
+        inst = linear_task(3, 2, 0.6, 200, 10, UniformCost(), 5)
+        cfg = MechanismConfig(budget=10.0, price_scale=FixedScale(3.0), learning_rate=FixedRate(0.1))
+        mech = Mechanism(cfg, inst).run(np.random.default_rng(1))
+    costs = inst.costs.tobytes()
+    tr = mech.transcript
+    for column in tr.COLUMNS[1:]:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(tr, column)[0] = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tr.cost = np.zeros(len(tr))
+    assert inst.costs.tobytes() == costs
+    assert inst.costs.flags.writeable  # the run leaves the instance's arrays alone
+
+
 def test_at_cost_never_pays_above_posted_price():
     inst = linear_task(3, 2, 0.6, 600, 10, UniformCost(), 5)
     runs = {}
@@ -252,7 +272,7 @@ def test_expected_budget_compliance_small():
             price_scale=KnowledgeScale(knowledge),
             learning_rate=TheoryRate(),
         )
-        mech = Mechanism(cfg, inst, record_transcript=False).run(
+        mech = Mechanism(cfg, inst).run(
             np.random.default_rng(1000 + seed)
         )
         spends.append(mech.spend)
@@ -448,8 +468,8 @@ def test_costs_must_be_finite_and_within_range(bad_cost):
 def test_run_determinism():
     a = _coin_mech(seed=7)[1]
     b = _coin_mech(seed=7)[1]
-    assert a.transcript.price == b.transcript.price
-    assert a.transcript.accepted == b.transcript.accepted
+    assert a.transcript.price.tolist() == b.transcript.price.tolist()
+    assert a.transcript.accepted.tolist() == b.transcript.accepted.tolist()
     assert a.spend == b.spend
 
 

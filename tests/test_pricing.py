@@ -11,6 +11,7 @@ from procure_learn.environment import ProblemInstance
 from procure_learn.pricing import (
     expected_payment,
     price_cdf,
+    priced_round,
     priced_rounds,
     reserve,
     sample_price,
@@ -144,6 +145,20 @@ def test_tiny_scale_prices_at_c_max_without_warnings(rng):
     assert prices[0] == rounds[0] == 0.0  # worthless
     assert np.all(prices[1:] == 2.0) and np.all(rounds[1:] == 2.0)
     assert np.all(q[1:] == 1.0) and np.all(accepted[1:]) and not accepted[0]
+
+
+@pytest.mark.parametrize("c_max", [1.0, 0.25])
+def test_scalar_round_matches_array_at_a_subnormal_scale(rng, c_max):
+    # scale * sqrt(cost), and at c_max < 1 scale * sqrt(c_max), underflow to
+    # 0; the scalar law used to divide by them and raise ZeroDivisionError
+    deltas = np.concatenate([[0.0], 0.05 + rng.random(49)])
+    costs = c_max * rng.random(50)
+    us = rng.random(50)
+    price, q, accepted = priced_rounds(deltas, costs, us, 5e-324, c_max)
+    for t in range(50):
+        scalar = priced_round(float(deltas[t]), float(costs[t]), float(us[t]), 5e-324, c_max)
+        assert scalar == (price[t], q[t], accepted[t])
+    assert np.all(price[1:] == c_max) and np.all(q[1:] == 1.0)
 
 
 def test_cdf_sample_roundtrip():

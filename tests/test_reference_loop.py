@@ -169,8 +169,12 @@ def _vertex_d7(seed):
     )
 
 
-# T=150 is short; the T=3000 instances let windows between purchases grow
+# T=150 is short; the T=3000 instances let windows between purchases grow;
+# the T=1 instances are the shortest run, one of them a single filler round
 INSTANCES = {
+    "coin-1": lambda: coin_sequence(1, 0.15, "heads", 42),
+    "padded-coin-1": lambda: padded_coin_sequence(1, 0.3, 0.1, "heads", 42),
+    "linear-1": lambda: linear_task(3, 2, 0.6, 1, 5, UniformCost(), 42),
     "coin": lambda: coin_sequence(150, 0.15, "heads", 42),
     "linear": lambda: linear_task(3, 2, 0.6, 150, 20, UniformCost(), 42),
     "coin-3000": lambda: coin_sequence(3000, 0.15, "heads", 42),
@@ -257,7 +261,8 @@ def test_coin_at_cost_matches_reference():
     expected = reference_run(config, instance, np.random.default_rng(9))
     mech = Mechanism(config, instance).run(np.random.default_rng(9))
     tr = mech.transcript
-    assert [getattr(tr, column) for column in tr.COLUMNS[1:]] == [list(c) for c in zip(*expected)]
+    columns = [getattr(tr, column).tolist() for column in tr.COLUMNS[1:]]
+    assert columns == [list(c) for c in zip(*expected)]
     assert end_state(mech) == reference_end_state(config, instance, expected)
 
 
@@ -272,8 +277,8 @@ def test_run_loop_matches_reference_two_point_costs():
     assert end_state(mech) == reference_end_state(config, instance, expected)
 
 
-def _play_all_one_by_one(self, start, stop, uniforms):
-    return self._rounds_one_by_one(start, stop, uniforms, self.instance.costs.tolist())
+def _play_all_one_by_one(self, start, stop, uniforms, columns):
+    return self._rounds_one_by_one(start, stop, uniforms, self.instance.costs.tolist(), columns)
 
 
 FORCED_PATHS = {
@@ -297,7 +302,8 @@ def test_window_evaluation_does_not_change_results(monkeypatch, path, kind):
         forced = Mechanism(config, instance).run(np.random.default_rng(9))
         monkeypatch.undo()
         for column in forced.transcript.COLUMNS[1:]:
-            assert getattr(forced.transcript, column) == getattr(default.transcript, column)
+            forced_column = getattr(forced.transcript, column).tolist()
+            assert forced_column == getattr(default.transcript, column).tolist()
         assert end_state(forced) == end_state(default)
 
 

@@ -152,6 +152,53 @@ def test_parse_config_rejects_unknowns():
         scale = {"mode": "fixed", "value": value}
         with pytest.raises(InvalidConfigError):
             parse_config(_base_config(mechanism={"budget": 1.0, "price_scale": scale}))
+    # cost-model parameters are checked when the config is parsed; an infinite
+    # uniform high used to overflow in the first trial, a negative high_cost
+    # to warn from np.sqrt first
+    for cost_model in (
+        {"kind": "constant", "value": -1.0},
+        {"kind": "constant", "value": math.inf},
+        {"kind": "uniform", "low": -0.1},
+        {"kind": "uniform", "low": 0.6, "high": 0.4},
+        {"kind": "uniform", "high": math.inf},
+        {"kind": "uniform", "high": math.nan},
+        {"kind": "two-point-independent", "p_high": 1.5},
+        {"kind": "two-point-independent", "p_high": math.nan},
+        {"kind": "two-point-independent", "high_cost": -1.0},
+        {"kind": "two-point-correlated", "high_cost": math.inf, "target_groups": [0]},
+    ):
+        instance = {"kind": "linear", "T": 50, "cost_model": cost_model}
+        with pytest.raises(InvalidConfigError):
+            parse_config(_base_config(instance=instance))
+    # a key no parser reads used to leave its setting at the default
+    linear = {"kind": "linear", "T": 50, "cost_model": {"kind": "uniform"}}
+    for key, config in {
+        "trails": _base_config(trails=5),
+        "epsilion": _base_config(instance={"kind": "coin", "T": 400, "epsilion": 0.3}),
+        "noise": _base_config(instance={"kind": "coin", "T": 400, "noise": 0.3}),
+        "epsilon": _base_config(instance={**linear, "epsilon": 0.3}),
+        "target_groups": _base_config(
+            instance={
+                **linear,
+                "cost_model": {"kind": "two-point-independent", "target_groups": [0]},
+            }
+        ),
+        "hard_stpo": _base_config(mechanism={"budget": 20, "hard_stpo": True}),
+        "value": _base_config(
+            mechanism={"budget": 20, "price_scale": {"mode": "adaptive", "value": 2.0}}
+        ),
+        "avg_values": _base_config(
+            mechanism={
+                "budget": 20,
+                "price_scale": {"mode": "from-knowledge", "avg_values": 0.3},
+            }
+        ),
+        "scale": _base_config(
+            mechanism={"budget": 20, "learning_rate": {"mode": "fixed", "value": 0.1, "scale": 2}}
+        ),
+    }.items():
+        with pytest.raises(InvalidConfigError, match=f"unknown key.*'{key}'"):
+            parse_config(config)
 
 
 def test_parse_mechanism_hard_stop_takes_only_a_boolean():
@@ -182,7 +229,8 @@ def test_run_trials_worker_count_invariance():
     assert [r.regret for r in serial] == [r.regret for r in pooled]
     assert [r.stats for r in serial] == [r.stats for r in pooled]
     # only trial 0 records its transcript, and it survives the pool
-    assert serial[0].transcript.loss == pooled[0].transcript.loss
+    assert serial[0].transcript.loss.tolist() == pooled[0].transcript.loss.tolist()
+    assert not pooled[0].transcript.loss.flags.writeable
     assert len(serial[0].transcript) == 400
     assert all(r.transcript is None for r in serial[1:] + pooled[1:])
     for r in serial:
@@ -377,14 +425,15 @@ def test_module_entry_point_runs():
 
 @pytest.mark.parametrize("name", ["linear_correlated.json", "padded_coin_budget.json"])
 def test_results_hold_python_floats(name):
-    # numpy scalars would leak into the CSVs' formatting and the API
+    # numpy scalars would leak into the API; the CSV writer formats the
+    # transcript's float64 columns by their bits and its bool column as 1/0
     config = dataclasses.replace(load_config(str(SHIPPED_CONFIGS / name)), trials=1)
     (result,) = run_trials(config, record_transcript=True)
     assert type(result.spend) is float
     transcript = result.transcript
     for column in transcript.COLUMNS[1:]:
-        kind = bool if column == "accepted" else float
-        assert {type(v) for v in getattr(transcript, column)} == {kind}, column
+        kind = np.bool_ if column == "accepted" else np.float64
+        assert getattr(transcript, column).dtype == kind, column
 
 
 def _float_from_bits(bits: int) -> float:

@@ -7,10 +7,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run_script(name, *args):
+    # the suite's filterwarnings setting does not reach a child interpreter
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "scripts" / name), *args],
         capture_output=True,
         text=True,
         env=env,
