@@ -126,9 +126,10 @@ def simplex_projection(v: np.ndarray) -> np.ndarray:
 def _project_ball(v: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection of a contiguous float vector onto the ball of
     ``radius``: ``v`` itself when it lies inside, so pass a vector nothing
-    else holds. The norm ``math.sqrt(v @ v)`` is what ``np.linalg.norm``
-    computes for such a vector, bit for bit, without its dispatch."""
-    norm = math.sqrt(v @ v)
+    else holds. The norm ``math.sqrt(v.dot(v))`` is what ``np.linalg.norm``
+    computes for such a vector, without its dispatch; ``v @ v`` gives the
+    same bits through the slower matmul dispatch."""
+    norm = math.sqrt(v.dot(v))
     if norm <= radius:
         return v
     return v * (radius / norm)
@@ -173,51 +174,26 @@ class LossFamily:
     ``HingeLoss`` on an l2 ball, outcomes get ``VertexLoss`` on the simplex.
     Every member is 1-Lipschitz in the hypothesis under that space's
     ``norm_kind`` (given unit-ball features). The mechanism reads arrivals
-    straight from the instance's columns. A family whose delta depends on
-    the hypothesis provides the row kernels: the row-range kernel
-    ``loss_delta_rows`` serves the mechanism's array windows and the
-    one-row kernel ``loss_delta_row`` the rounds it plays one by one. Both
-    return the loss, delta (the dual norm of the gradient) and gradient
-    coefficient from one margin per row, and agree bit for bit;
-    ``row_gradient`` turns a coefficient into the gradient. ``VertexLoss``
-    needs none of them: its delta is the same at every hypothesis, so the
-    mechanism decides a vertex run before it learns, from the outcomes
-    alone. The whole-dataset methods serve oracles and metrics and agree
-    with them to rounding.
+    straight from the instance's columns; the whole-dataset methods serve
+    oracles and metrics and agree with it to rounding.
     """
-
-    def loss_delta_row(self, w: np.ndarray, instance, t: int) -> tuple[float, float, float]:
-        """Loss and delta of arrival ``t`` of a ``ProblemInstance``, and the
-        coefficient that ``row_gradient`` scales into its gradient."""
-        raise NotImplementedError
-
-    def loss_delta_rows(
-        self, w: np.ndarray, instance, start: int, stop: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``loss_delta_row`` of every arrival ``start <= t < stop`` at one
-        hypothesis, as three arrays."""
-        raise NotImplementedError
-
-    def row_gradient(self, instance, t: int, coefficient: float) -> np.ndarray:
-        """The gradient at arrival ``t`` whose coefficient ``loss_delta_row``
-        gave; it is zero when the coefficient is."""
-        raise NotImplementedError
 
 
 class HingeLoss(LossFamily):
     """Hinge loss max(0, 1 - m) of the margin m = y * <w, x> over labelled
-    feature rows; the subgradient at the kink is zero.
+    feature rows; the subgradient at the kink is zero. Where m < 1 the
+    gradient is -y * x and delta (its dual norm) the row's stored norm;
+    elsewhere both are zero.
 
-    The per-round margin is the row sum ``(x * w).sum()``, and the row-range
-    kernel ``loss_delta_rows`` takes ``(X * w).sum(axis=1)`` over a block of
-    rows: numpy reduces each row of the block in the same order as the lone
-    row, so the two agree bit for bit at every dimension and block size (a
-    test pins this). The gradient coefficient is ``slope * label``, and the
-    gradient is that coefficient times the row.
-    ``np.dot`` (and BLAS matvec) sums in a different order and differs from
-    both in the last digits for a large share of rows. The whole-dataset
-    forms (``values``, ``grad_norms``) that the risk metrics call keep the
-    faster ``X @ w``; the offline oracle inlines its own hinge arithmetic.
+    ``margins`` takes the row sums ``(X * w).sum(axis=1)`` over a block of
+    rows, and the mechanism takes ``np.add.reduce(x * w)`` of a lone row:
+    numpy reduces each row of the block in the same order as the lone row,
+    so the two agree bit for bit at every dimension and block size (a test
+    pins this). ``np.dot`` (and BLAS matvec) sums in a different order and
+    differs from both in the last digits for a large share of rows. The
+    whole-dataset forms (``values``, ``grad_norms``) that the risk metrics
+    call keep the faster ``X @ w``; the offline oracle inlines its own hinge
+    arithmetic.
     """
 
     def margin_value(self, m: np.ndarray) -> np.ndarray:
@@ -226,23 +202,13 @@ class HingeLoss(LossFamily):
     def margin_slope(self, m: np.ndarray) -> np.ndarray:
         return np.where(m < 1.0, -1.0, 0.0)
 
-    def loss_delta_row(self, w, instance, t):
-        y = int(instance.labels[t])
-        m = y * float((instance.features[t] * w).sum())
-        if m < 1.0:  # slope -1
-            return 1.0 - m, float(instance.feature_norms[t]), -float(y)
-        return 0.0, 0.0, 0.0
+    def margins(self, w, instance, start, stop) -> np.ndarray:
+        """The margins of the arrivals ``start <= t < stop`` at ``w``."""
+        return instance.labels[start:stop] * (instance.features[start:stop] * w).sum(axis=1)
 
-    def loss_delta_rows(self, w, instance, start, stop):
-        y = instance.labels[start:stop]
-        m = y * (instance.features[start:stop] * w).sum(axis=1)
-        slope = self.margin_slope(m)
-        delta = np.abs(slope) * instance.feature_norms[start:stop]
-        return self.margin_value(m), delta, slope * y
-
-    def row_gradient(self, instance, t, coefficient):
-        # (slope * label) * x
-        return coefficient * instance.features[t]
+    def loss_delta(self, m: np.ndarray, feature_norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Loss and delta of the rows with margins ``m`` and these norms."""
+        return self.margin_value(m), np.abs(self.margin_slope(m)) * feature_norms
 
     # batch forms over a dataset (X rows already unit-ball normalized)
     def values(self, w, X, y) -> np.ndarray:

@@ -67,6 +67,10 @@ class ConstantCost:
     def draw(self, rng, n, groups=None):
         return np.full(n, float(self.value))
 
+    def ceiling(self) -> tuple[str, float]:
+        """The key and value of the highest cost the model draws."""
+        return "value", self.value
+
 
 @dataclass(frozen=True)
 class UniformCost:
@@ -79,6 +83,9 @@ class UniformCost:
 
     def draw(self, rng, n, groups=None):
         return rng.uniform(self.low, self.high, size=n)
+
+    def ceiling(self) -> tuple[str, float]:
+        return "high", self.high
 
 
 @dataclass(frozen=True)
@@ -116,6 +123,9 @@ class TwoPointCost:
             p_within = min(1.0, self.p_high / fraction)
             high = mask & (rng.random(n) < p_within)
         return np.where(high, float(self.high_cost), 0.0)
+
+    def ceiling(self) -> tuple[str, float]:
+        return "high_cost", self.high_cost if self.p_high > 0.0 else 0.0
 
 
 CostModel = Union[ConstantCost, UniformCost, TwoPointCost]
@@ -192,8 +202,8 @@ class ProblemInstance:
     def data_point(self, t: int) -> DataPoint:
         """The data of arrival ``t``: the stored row and norm, not re-normalized.
 
-        The run reads the columns through the loss family's row kernels and
-        never calls this; the benchmark's tracer still names it as a target.
+        The run reads the columns itself and never calls this; the
+        benchmark's tracer still names it as a target.
         """
         if self.outcomes is not None:
             return DataPoint(outcome=int(self.outcomes[t]))

@@ -45,6 +45,7 @@ class FtrlLearner:
             raise InvalidConfigError("learning rate must be positive")
         self.space = space
         self.learning_rate = learning_rate
+        self._negative_rate = np.array(-learning_rate)  # a 0-d array multiplies faster
         self.grad_sum = np.zeros(space.dim)
         self.bound_sum = 0.0
         self._coords = self._argmin_regularizer()
@@ -80,13 +81,21 @@ class FtrlLearner:
             delta = dual_norm(self.space.norm_kind, gradient)
         self._feed(gradient, inverse_weight, delta)
 
-    def _feed(self, gradient: np.ndarray, inverse_weight: float, delta: float) -> None:
-        """``feed_gradient`` without its checks, for a mechanism whose
-        gradients come from an instance that was checked when built."""
-        self.grad_sum += gradient * inverse_weight
+    def _feed(
+        self, gradient: np.ndarray, inverse_weight: float, delta: float, negate: bool = False
+    ) -> None:
+        """``feed_gradient`` without its checks, of ``-gradient`` when
+        ``negate``, for a mechanism whose instance was checked when built.
+        Skipping a weight of one and subtracting keep the bits."""
+        if inverse_weight != 1.0:
+            gradient = gradient * inverse_weight
+        if negate:
+            self.grad_sum -= gradient
+        else:
+            self.grad_sum += gradient
         weighted = delta * inverse_weight
         self.bound_sum += weighted * weighted
-        z = self.grad_sum * (-self.learning_rate)  # a fresh array, so it needs no copy
+        z = self.grad_sum * self._negative_rate  # a fresh array, so it needs no copy
         if self.space.kind == L2_BALL:
             self._coords = _project_ball(z, self.space.radius)
         else:

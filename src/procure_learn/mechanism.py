@@ -19,57 +19,40 @@ arrival and pays nothing (the unconstrained reference).
 ``Mechanism.run`` is event-driven. The learner keeps its state in the
 gradient sum and a rejected round feeds nothing, so the posted hypothesis,
 the spend and the estimate change only when an arrival is bought. Its two
-engines below only decide, learn and fill five round columns (delta,
-price, q, accepted, loss). One settle pass then works out each round's
-payment, delta * sqrt(cost), estimate and spend so far, adds up the totals
-in one cumulative sum and keeps the columns as a transcript of read-only
-arrays. Its spend and estimate equal bit for bit the running ones that an
-adaptive scale or a hard stop reads mid-run, since the pass adds the same
-values in the same order.
+engines below decide, learn and fill the round columns; one settle pass
+then adds up the payments, estimates and totals in one cumulative sum,
+which adds the same values in the same order as the running spend and
+estimate that the rounds read, and keeps the columns as a transcript.
 
 A vertex run (``VertexLoss``: the coin and padded-coin streams) decides
-first and then learns. Its loss 1 - w[outcome] has delta = 1 on every
-outcome and 0 on filler points at every hypothesis, so a round's price, q
-and acceptance depend only on the costs, the uniforms and the scale, never
-on the learner. The decision pass therefore computes the whole purchase
-schedule without touching the learner: one ``priced_rounds`` call over all
-rounds for a fixed or knowledge scale, every round for ``baseline``, a
-spend prefix sum with a stop for ``naive``, and one sequential pass over
-the spend and the estimate for an adaptive scale or a hard stop. The
-learner pass then replays the purchases in one block: the gradient sums by
-a cumulative sum, the hypotheses by a row-wise softmax, each round's posted
-row by a search over the purchase rounds, and the hypothesis sum by one
-cumulative sum over the rounds. This is exact: a cumulative sum along the
-rows adds them in round order, as the rounds one by one do, and the
-softmax is the learner's own kernel, which a single feed applies to a
-batch of one. So the columns and the hypothesis sum equal those of the
-rounds played one at a time bit for bit.
+first and then learns. Its delta is 1 on every outcome and 0 on filler
+points at every hypothesis, so the purchase schedule needs no learner, and
+the learner then replays the purchases in one block: a cumulative sum adds
+the rows in round order, as one round at a time does.
 
-A feature run (``HingeLoss``), whose delta depends on the hypothesis,
-walks the rounds. Where purchases are sparse, it jumps from purchase to
-purchase: a window of upcoming rounds is computed as arrays over the
-instance's columns at one hypothesis (loss, delta and gradient coefficient
-from the family's row-range kernel, the scale, the price from the uniforms
-drawn up front, q and acceptance), and only the first accepted round
-reaches the learner. Where they are dense, as for ``baseline``, for
-``naive`` while its budget lasts, and for ``priced`` where much of the
-data is free, numpy's fixed cost per call outweighs the rounds a window
-saves, so rounds go one by one through the family's one-row kernel. The
-run picks between the two from the purchase rate it measures, and both
-fill the same columns and hypothesis sum bit for bit.
+A feature run (``HingeLoss``) visits only the rounds it could buy. Its
+delta is the row's norm where the hinge is active and 0 elsewhere, so the
+learner bears on a purchase only through whether the hinge is active. One
+``_posted`` call at delta = norm lists a chunk's rounds that the current
+state could buy, and only those are visited: the margin at the current
+hypothesis, the exact decision, and for a purchase the payment and the
+feed. The other rounds' margins are taken at the hypothesis they posted,
+the hypothesis sum is added up in round order at the end, and the settle
+pass prices every round from the spend and the estimate before it, as the
+round itself would have. A list stays complete after a purchase: an
+adaptive scale only rises at a purchase, and a round accepted at a scale
+is accepted at every lower one, as every correctly rounded step of the
+price law is monotone (tests pin both). A change of the flat price (naive,
+a hard stop) starts a new list. A margin has the same bits one row at a
+time or in a block, as numpy reduces each row of a block as it reduces a
+lone row.
 
-Either way a feature round's margin is computed once, straight from the
-instance's columns: the kernel returns the loss, delta and the gradient
-coefficient (slope times label), and a purchase builds its gradient from
-that coefficient with the family's ``row_gradient`` and feeds it through
-the learner's unchecked ``_feed``: the instance was checked when built. A
-purchase whose coefficient is exactly zero (an inactive hinge, or a
-bought filler point of a vertex run) updates the spend and the estimate
-but skips the feed. That is exact: the gradient sum starts at +0.0 and can
-never hold -0.0, so adding a zero gradient changes none of its bits, nor
-the bound sum (delta is 0 too) or the hypothesis recomputed from them. (A
-fresh learner on the ball posts +0.0 where a recompute would give -0.0,
-but there every margin is 0, the hinge is active and nothing is skipped.)
+A bought round with an inactive hinge pays but is not fed: the gradient
+sum starts at +0.0 and never holds -0.0, so a zero gradient would change
+none of its bits, nor the bound sum or the hypothesis recomputed from
+them. (A fresh learner on the ball posts +0.0 where a recompute would give
+-0.0, but there every margin is 0 and every hinge active.) A feed at q = 1
+adds or subtracts the row itself, as the coefficient is +-1.
 """
 
 from __future__ import annotations
@@ -96,14 +79,15 @@ POLICIES = (PRICED, NAIVE, BASELINE)
 
 SCALE_CAP = 1e6
 
-# Rounds between purchases are evaluated as arrays when purchases are
-# expected at least VECTOR_GAP rounds apart, where numpy's fixed cost per
-# call is repaid; denser purchases go round by round. The expected gap comes
-# from a running mean over about RATE_MEMORY rounds, long enough that its
-# noise rarely sends a dense stretch to the array path. Windows are capped
-# so that a (window x dim) block stays a few hundred kilobytes.
-VECTOR_GAP = 12
-RATE_MEMORY = 48
+# A feature run lists the rounds it could buy CHUNK rounds at a time, and
+# lists them again after STALE visits that the state refused: a list costs
+# about as much as that many visits. The unvisited rounds at one hypothesis
+# take their margins one row at a time when fewer than VECTOR_GAP, where
+# numpy's fixed cost per call is not repaid, else in blocks capped so that a
+# (rows x dim) block stays a few hundred kilobytes.
+CHUNK = 1024
+STALE = 8
+VECTOR_GAP = 6
 WINDOW_ELEMENTS = 1 << 15
 
 
@@ -207,7 +191,7 @@ class FixedScale:
     def __post_init__(self):
         if not 0.0 <= self.value < math.inf:  # NaN fails both
             raise InvalidConfigError(f"price scale must be finite and nonnegative, got {self.value}")
-        # -0.0 + 0.0 is +0.0: the window path divides by the scale
+        # -0.0 + 0.0 is +0.0: priced_rounds divides by the scale
         object.__setattr__(self, "value", self.value + 0.0)
 
 
@@ -360,53 +344,50 @@ class Mechanism:
         self.rounds_done = 0
         self.hypothesis_sum = np.zeros(instance.space.dim)
         self.transcript: Optional[Transcript] = None  # set when the run settles
-        self._last_purchase = -1  # round of the latest purchase
 
     # -- estimates -----------------------------------------------------------
 
-    def value_cost_estimate(self) -> float:
-        """Running importance-weighted estimate of mean delta * sqrt(cost),
-        clipped to [0, 1]; zero before the first round."""
-        if self.rounds_done == 0:
-            return 0.0
-        return min(1.0, max(0.0, self.estimate_total / self.rounds_done))
+    def value_cost_estimate(self, t: Optional[int] = None) -> float:
+        """Importance-weighted estimate of mean delta * sqrt(cost) over the
+        rounds before round ``t`` (by default every round done), clipped to
+        [0, 1]; zero before the first round."""
+        t = self.rounds_done if t is None else t
+        return min(1.0, max(0.0, self.estimate_total / t)) if t else 0.0
 
-    def adapted_scale(self) -> float:
-        """Burn-rate scale for the next round under the adaptive policy."""
-        remaining_rounds = self.horizon - self.rounds_done
+    def adapted_scale(self, t: int) -> float:
+        """Burn-rate scale of round ``t`` under the adaptive policy, at the
+        current spend and estimate."""
         floor = 1e-6 * self.config.budget
         remaining_budget = max(self.config.budget - self.spend, floor)
-        return min(SCALE_CAP, self.value_cost_estimate() * remaining_rounds / remaining_budget)
+        return min(SCALE_CAP, self.value_cost_estimate(t) * (self.horizon - t) / remaining_budget)
 
-    def adapted_scales(self, start: int, stop: int) -> np.ndarray:
-        """``adapted_scale`` for each round ``start <= t < stop`` at the
-        current spend and estimate, with the same arithmetic."""
-        rounds_done = np.arange(start, stop)
-        estimate = self.estimate_total / np.maximum(rounds_done, 1)
-        estimate = np.minimum(1.0, np.maximum(0.0, estimate))
-        if start == 0:
-            estimate[0] = 0.0  # value_cost_estimate before any round
+    def adapted_scales(self, rounds: np.ndarray, estimate_total, spend) -> np.ndarray:
+        """``adapted_scale`` of each round in ``rounds`` from the estimate
+        total and the spend before it, scalars or one per round, with the
+        same arithmetic."""
+        estimate = np.minimum(1.0, np.maximum(0.0, estimate_total / np.maximum(rounds, 1)))
+        estimate[rounds == 0] = 0.0  # value_cost_estimate before any round
         floor = 1e-6 * self.config.budget
-        remaining_budget = max(self.config.budget - self.spend, floor)
-        return np.minimum(SCALE_CAP, estimate * (self.horizon - rounds_done) / remaining_budget)
+        remaining_budget = np.maximum(self.config.budget - spend, floor)
+        return np.minimum(SCALE_CAP, estimate * (self.horizon - rounds) / remaining_budget)
 
     # -- execution ------------------------------------------------------------
 
     def run(self, rng: np.random.Generator) -> "Mechanism":
         """Execute all rounds, consuming one uniform draw per round. A vertex
-        run decides every round and then learns; a feature run walks the
-        rounds. Either way the run then settles from its round columns."""
+        run decides every round and then learns; a feature run visits the
+        rounds it could buy. Either way the run then settles from its round
+        columns."""
         if self.transcript is not None:
             raise MechanismStateError("mechanism already ran its full sequence")
         uniforms = rng.random(self.horizon)
         if isinstance(self.instance.family, VertexLoss):
-            columns = self._decide_then_learn(uniforms)
+            self._settle(*self._decide_then_learn(uniforms))
         else:
-            columns = self._walk(uniforms)
-        self._settle(*columns)
+            self._settle(*self._visit(uniforms), uniforms)
         return self
 
-    def _settle(self, delta, price, q, accepted, loss) -> None:
+    def _settle(self, delta, price, q, accepted, loss, uniforms=None) -> None:
         """Total a played run from its round columns and keep them, with the
         payment and the spend after each round, as its transcript.
 
@@ -415,7 +396,10 @@ class Mechanism:
         It adds them in round order, as the rounds one at a time do, and a
         rejected round adds 0.0 to the estimate and the spend, which leaves
         them as they are: so the spend and the estimate equal bit for bit
-        the running ones that ``_pay`` kept for the rounds to read."""
+        the running ones that ``_pay`` kept for the rounds to read. Given
+        the ``uniforms``, ``price`` and ``q`` need to hold only at the
+        accepted rounds: every round is then priced again from the spend
+        and the estimate before it."""
         cfg = self.config
         T, costs = self.horizon, self.instance.costs
         paid = accepted & (cfg.purchase_policy != BASELINE)  # baseline pays nothing
@@ -426,6 +410,8 @@ class Mechanism:
         block = np.zeros((5, T + 1))  # every total starts at zero
         block[:, 1:] = loss, value_cost, delta, estimate, payment
         sums = block.cumsum(axis=1)
+        if uniforms is not None:
+            price, q, _ = self._posted(delta, 0, T, sums[3, :-1], sums[4, :-1], uniforms)
         self.loss_total, self.value_cost_total, self.value_total = sums[:3, -1].tolist()
         self.estimate_total, self.spend = sums[3:, -1].tolist()
         self.purchases = int(np.count_nonzero(accepted))
@@ -434,38 +420,133 @@ class Mechanism:
             delta, costs.copy(), price, accepted, q, payment, loss, sums[4, 1:].copy()
         )
 
-    def _walk(self, uniforms: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Play the rounds in order, learning as they go.
+    def _posted(self, delta, start, stop, estimate_total, spend, uniforms) -> tuple[np.ndarray, ...]:
+        """Price, q and acceptance of the rounds ``start <= t < stop`` under
+        the posting policy, from their delta and the estimate total and
+        spend before them: one value for every round or one each."""
+        cfg = self.config
+        n, costs = stop - start, self.instance.costs[start:stop]
+        if cfg.purchase_policy == BASELINE:
+            return np.full(n, cfg.c_max), np.ones(n), np.ones(n, dtype=bool)
+        if cfg.purchase_policy == NAIVE:
+            price = np.where(spend + cfg.c_max <= cfg.budget, np.full(n, cfg.c_max), 0.0)
+            accepted = price >= costs
+            return price, accepted.astype(np.float64), accepted
+        if self._adaptive:
+            scale = self.adapted_scales(np.arange(start, stop), estimate_total, spend)
+        else:
+            scale = self.price_scale
+        price, q, accepted = priced_rounds(delta, costs, uniforms[start:stop], scale, cfg.c_max)
+        if cfg.hard_stop:  # past the stop a flat price 0 buys the free arrivals
+            stopped, free = spend >= cfg.budget, costs <= 0.0
+            price, q = np.where(stopped, 0.0, price), np.where(stopped, free, q)
+            accepted = np.where(stopped, free, accepted)
+        return price, q, accepted
 
-        The purchase rate is tracked as a running mean of the acceptance
-        probability q, with a memory of about RATE_MEMORY rounds. While it
-        puts purchases less than VECTOR_GAP rounds apart, rounds go one by
-        one, VECTOR_GAP at a time. Otherwise the next window is evaluated as
-        arrays; it spans twice the expected gap or the current dry spell,
-        whichever is longer, so it doubles while nothing is bought, and it
-        ends at the first purchase. Returns the filled round columns.
-        """
-        horizon = self.horizon
-        delta, price, q, loss = np.empty((4, horizon))
-        columns = (delta, price, q, np.zeros(horizon, dtype=bool), loss)
-        u_list = uniforms.tolist()
-        costs = self.instance.costs.tolist()
-        max_window = max(2 * VECTOR_GAP, WINDOW_ELEMENTS // self.instance.space.dim)
-        keep = 1.0 - 1.0 / RATE_MEMORY
-        rate, t = 1.0 / VECTOR_GAP, 0  # the first window measures the rate
-        while t < horizon:
-            if rate * VECTOR_GAP > 1.0:
-                stop = min(horizon, t + VECTOR_GAP)
-                after, q_sum = self._rounds_one_by_one(t, stop, u_list, costs, columns)
+    def _visit(self, uniforms: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Play a feature run, visiting only the rounds it could buy: each
+        chunk of CHUNK rounds starts with their list at the current state,
+        and a change of the flat price or STALE visits that the state
+        refused start the next chunk early. Returns the round columns;
+        price and q hold only at the purchases."""
+        cfg, instance, learner = self.config, self.instance, self.learner
+        family = instance.family
+        T, c_max = self.horizon, cfg.c_max
+        features, margin = instance.features, _margin
+        labels = instance.labels.tolist()
+        norms = instance.feature_norms.tolist()
+        costs = instance.costs.tolist()
+        u = uniforms.tolist()
+        margins = np.empty(T)
+        bought, bought_price, bought_q = [], [], []
+        fed, posted = [], [learner.coords]  # the rounds fed, the hypothesis after each
+        watch = cfg.purchase_policy == NAIVE or cfg.hard_stop  # can the flat price change?
+        track = watch or self._adaptive  # does a later round read the spend or estimate?
+        step = max(1, WINDOW_ELEMENTS // instance.space.dim)
+        gaps = []  # the unvisited rounds posting w, as ranges
+
+        def close(stop):  # margins of the unvisited rounds posting w, all before stop
+            if sum(b - a for a, b in gaps) < VECTOR_GAP:
+                for a, b in gaps:
+                    for i in range(a, b):
+                        margins[i] = labels[i] * margin(features[i], w)
             else:
-                dry_spell = t - 1 - self._last_purchase
-                window = 2.0 * max(dry_spell, 1.0 / rate) if rate > 0.0 else max_window
-                stop = min(horizon, t + int(min(max_window, window)))
-                after, q_sum = self._rounds_at_once(t, stop, uniforms, columns)
-            decay = keep ** (after - t)
-            rate = decay * rate + (1.0 - decay) * q_sum / (after - t)
-            t = after
-        return columns
+                for a in range(first, stop, step):
+                    b = min(stop, a + step)
+                    margins[a:b] = family.margins(w, instance, a, b)
+            gaps.clear()
+
+        w = learner.coords
+        t = first = 0  # the next round; the first round posting w
+        while t < T:
+            stop = min(T, t + CHUNK)
+            policy, flat_price = self._posting_policy(), self._flat_price()
+            stale = 0
+            could = self._posted(
+                instance.feature_norms[t:stop], t, stop, self.estimate_total, self.spend, uniforms
+            )[2]
+            for j in (np.flatnonzero(could) + t).tolist() + [stop]:
+                if j > t:
+                    gaps.append((t, j))
+                t = j
+                if j == stop:
+                    break
+                t = j + 1
+                x = features[j]
+                margins[j] = m = labels[j] * margin(x, w)
+                active = m < 1.0
+                d = norms[j] if active else 0.0
+                if policy == PRICED:
+                    if not active:  # worthless: never bought, at every scale
+                        continue
+                    scale = self.adapted_scale(j) if self._adaptive else self.price_scale
+                    p, q, accepted = priced_round(d, costs[j], u[j], scale, c_max)
+                    if not accepted:
+                        stale += 1
+                        if stale == STALE:
+                            break
+                        continue
+                else:  # every round on a naive or baseline list is bought
+                    p, q = (c_max if policy == BASELINE else flat_price), 1.0
+                bought.append(j)
+                bought_price.append(p)
+                bought_q.append(q)
+                if track:
+                    self._pay(d, costs[j], p, q)
+                if active:  # the gradient -label * x; an inactive hinge feeds zero
+                    if gaps:
+                        close(j)
+                    learner._feed(x, 1.0 / q, d, negate=labels[j] > 0)
+                    w = learner.coords
+                    fed.append(j)
+                    posted.append(w)
+                    first = t
+                if watch and (policy, flat_price) != (self._posting_policy(), self._flat_price()):
+                    break
+        if gaps:
+            close(T)
+        loss, delta = family.loss_delta(margins, instance.feature_norms)
+        price, q = np.zeros((2, T))
+        accepted = np.zeros(T, dtype=bool)
+        accepted[bought], price[bought], q[bought] = True, bought_price, bought_q
+        self.hypothesis_sum = self._sum_posted(posted, np.searchsorted(fed, np.arange(T)))
+        return delta, price, q, accepted, loss
+
+    def _sum_posted(self, posted, before) -> np.ndarray:
+        """The sum of the hypotheses ``posted[before[t]]`` that the rounds
+        posted, in blocks added in round order as one round at a time
+        does; ``posted`` is the hypothesis before the first feed and after
+        each, as rows or a list."""
+        dim = self.instance.space.dim
+        step = max(1, WINDOW_ELEMENTS // dim)
+        total = np.zeros(dim)  # the hypothesis sum starts at zero
+        for a in range(0, self.horizon, step):
+            k = before[a:a + step]
+            block = np.empty((len(k) + 1, dim))
+            block[0] = total
+            block[1:] = np.asarray(posted[k[0]:k[-1] + 1])[k - k[0]]
+            total = block.cumsum(axis=0)[-1]  # adds the rows in order
+        return total.copy()
 
     def _decide_then_learn(self, uniforms: np.ndarray) -> tuple[np.ndarray, ...]:
         """Play a vertex run in two passes, bit for bit the rounds one by
@@ -484,14 +565,10 @@ class Mechanism:
         gradients = np.zeros((len(fed), dim))
         gradients[np.arange(len(fed)), outcomes[fed]] = -1.0
         posted = self.learner._feed_rows(gradients, 1.0 / q[fed], dlt[fed])
-        # round t posts the hypothesis left by the feeds before it; cumsum
-        # adds the rows in order, as one round at a time does
-        rows = np.zeros((T + 1, dim))  # the hypothesis sum starts at zero
-        rows[1:] = posted[np.searchsorted(fed, np.arange(T))]
-        w = rows[1:]
+        before = np.searchsorted(fed, np.arange(T))  # round t posts posted[before[t]]
         loss = np.ones(T)
-        loss[observed] = 1.0 - w[observed, outcomes[observed]]
-        self.hypothesis_sum = rows.cumsum(axis=0)[-1].copy()
+        loss[observed] = 1.0 - posted[before[observed], outcomes[observed]]
+        self.hypothesis_sum = self._sum_posted(posted, before)
         return dlt, price, q, accepted, loss
 
     def _schedule(self, dlt, uniforms) -> tuple[np.ndarray, ...]:
@@ -519,87 +596,23 @@ class Mechanism:
         """The priced rounds of a vertex run whose prices depend on the
         spend or the estimate (a hard stop, an adaptive scale), decided in
         order without the learner: price, q and acceptance."""
-        costs = self.instance.costs.tolist()
+        costs, c_max = self.instance.costs.tolist(), self.config.c_max
         price, q, accepted = [], [], []
         policy, flat_price = self._posting_policy(), self._flat_price()
         for t, (d, cost, u) in enumerate(zip(dlt.tolist(), costs, uniforms.tolist())):
-            p_t, q_t, bought = self._quote(policy, flat_price, t, d, cost, u)
+            if policy == NAIVE:  # past a hard stop
+                bought = flat_price >= cost
+                p_t, q_t = flat_price, 1.0 if bought else 0.0
+            else:
+                scale = self.adapted_scale(t) if self._adaptive else self.price_scale
+                p_t, q_t, bought = priced_round(d, cost, u, scale, c_max)
             if bought:
-                self._pay(t, d, cost, p_t, q_t)
+                self._pay(d, cost, p_t, q_t)
                 policy, flat_price = self._posting_policy(), self._flat_price()
             price.append(p_t)
             q.append(q_t)
             accepted.append(bought)
         return np.array(price), np.array(q), np.array(accepted, dtype=bool)
-
-    def _rounds_one_by_one(self, start, stop, uniforms, costs, columns) -> tuple[int, float]:
-        """Play rounds ``start <= t < stop`` through the one-row kernel into
-        the round ``columns``; return ``stop`` and the sum of the acceptance
-        probabilities q. ``uniforms`` and ``costs`` are lists."""
-        instance = self.instance
-        loss_delta_row = instance.family.loss_delta_row
-        delta_col, price_col, q_col, accepted_col, loss_col = columns
-        # the hypothesis, the spend and so the policy's choice change only
-        # on a purchase
-        w = self.learner.coords
-        policy = self._posting_policy()
-        flat_price = self._flat_price()
-        q_sum = 0.0
-        for t in range(start, stop):
-            cost = costs[t]
-            loss, dlt, coefficient = loss_delta_row(w, instance, t)
-            price, q, accepted = self._quote(policy, flat_price, t, dlt, cost, uniforms[t])
-            q_sum += q
-            self.hypothesis_sum += w
-            delta_col[t], price_col[t], q_col[t], loss_col[t] = dlt, price, q, loss
-            if accepted:
-                accepted_col[t] = True
-                self._buy(t, coefficient, dlt, cost, price, q)
-                w = self.learner.coords
-                policy = self._posting_policy()
-                flat_price = self._flat_price()
-        return stop, q_sum
-
-    def _rounds_at_once(self, start, stop, uniforms, columns) -> tuple[int, float]:
-        """``_rounds_one_by_one`` computed as arrays at the posted hypothesis,
-        bit for bit the same, up to the first purchase or ``stop``; return
-        the next round and the sum of q over the rounds played."""
-        cfg = self.config
-        instance = self.instance
-        w = self.learner.coords
-        loss, dlt, coefficient = instance.family.loss_delta_rows(w, instance, start, stop)
-        cost = instance.costs[start:stop]
-        policy = self._posting_policy()
-        if policy == BASELINE:
-            n = stop - start
-            price, q, accepted = np.full(n, cfg.c_max), np.ones(n), np.ones(n, dtype=bool)
-        elif policy == NAIVE:
-            price = np.full(stop - start, self._flat_price())
-            accepted = price >= cost
-            q = accepted.astype(np.float64)
-        else:
-            if self._adaptive:
-                scale = self.adapted_scales(start, stop)
-            else:
-                scale = self.price_scale
-            price, q, accepted = priced_rounds(dlt, cost, uniforms[start:stop], scale, cfg.c_max)
-        j = int(accepted.argmax())
-        bought = bool(accepted[j])
-        n = j + 1 if bought else stop - start
-
-        # cumsum adds the rows in order, as one round at a time does
-        block = np.empty((n + 1, len(w)))
-        block[0] = self.hypothesis_sum
-        block[1:] = w
-        self.hypothesis_sum = block.cumsum(axis=0)[-1].copy()
-        for column, values in zip(columns, (dlt, price, q, accepted, loss)):
-            column[start:start + n] = values[:n]
-        if bought:
-            self._buy(
-                start + j, float(coefficient[j]), float(dlt[j]),
-                float(cost[j]), float(price[j]), float(q[j]),
-            )
-        return start + n, float(q[:n].sum())
 
     def _posting_policy(self) -> str:
         """The policy that posts prices until the next purchase: a priced run
@@ -617,36 +630,13 @@ class Mechanism:
             return cfg.c_max
         return 0.0
 
-    def _quote(self, policy, flat_price, t, dlt, cost, u) -> tuple[float, float, bool]:
-        """Price, q and acceptance of round ``t`` under the posting policy,
-        the flat price it posts, and the current spend and estimate."""
+    def _pay(self, dlt, cost, price, q) -> None:
+        """Pay for an accepted round: the running spend and estimate that
+        the prices of later rounds read."""
         cfg = self.config
-        if policy == BASELINE:
-            return cfg.c_max, 1.0, True
-        if policy == NAIVE:
-            accepted = flat_price >= cost
-            return flat_price, 1.0 if accepted else 0.0, accepted
-        if self._adaptive:
-            self.rounds_done = t
-            return priced_round(dlt, cost, u, self.adapted_scale(), cfg.c_max)
-        return priced_round(dlt, cost, u, self.price_scale, cfg.c_max)
-
-    def _pay(self, t, dlt, cost, price, q) -> None:
-        """Pay for the accepted round ``t``: the running spend and estimate
-        that the prices of later rounds read."""
-        cfg = self.config
-        self._last_purchase = t
         if cfg.purchase_policy != BASELINE:
             self.spend += cost if cfg.payment_mode == AT_COST else price
         self.estimate_total += dlt * math.sqrt(cost) / q
-
-    def _buy(self, t, coefficient, dlt, cost, price, q) -> None:
-        """Pay for and feed the accepted round ``t``, whose gradient
-        coefficient at the posted hypothesis is ``coefficient``."""
-        self._pay(t, dlt, cost, price, q)
-        if coefficient != 0.0:  # a zero gradient would leave the learner as it is
-            gradient = self.instance.family.row_gradient(self.instance, t, coefficient)
-            self.learner._feed(gradient, 1.0 / q, dlt)  # q <= 1
 
     def finalize(self) -> Hypothesis:
         """Mean of the posted hypotheses, the run's single prediction."""
@@ -664,3 +654,8 @@ class Mechanism:
     @property
     def realized_avg_value(self) -> float:
         return self.value_total / max(1, self.rounds_done)
+
+
+def _margin(x: np.ndarray, w: np.ndarray) -> float:
+    """<x, w> as the row sum of x * w, the sum ``HingeLoss`` takes."""
+    return float(np.add.reduce(x * w))

@@ -2,7 +2,7 @@
 
 A quote is parameterized by ``delta`` (dual norm of the loss gradient at the
 posted hypothesis — simultaneously the difficulty and the worth of the
-arrival; the loss family's row kernels compute it) and a normalization
+arrival; the mechanism takes it from the loss family) and a normalization
 ``price_scale``. The survival function
 Pr[price >= c] = min(1, delta / (price_scale * sqrt(c))) is realized by a
 distribution with reserve delta^2 / price_scale^2, density
@@ -17,14 +17,14 @@ pay ``c_max`` for worthless data, which the expected-payment bound (a
 multiple of delta) does not cover.
 
 A round's decision, ``priced_round``, is the sampled price and the survival
-at the revealed cost; ``priced_rounds`` decides a window of rounds as arrays
-with the same arithmetic, so each element equals the scalar decision bit
-for bit. The mechanism uses both: a feature run plays rounds one by one
-where purchases are dense and in windows where they are sparse, and a
-vertex run prices all its rounds in one call, or one by one where an
-adaptive scale or a hard stop makes each price depend on the purchases
-before it. On a window of one round the array form costs several times the
-scalar one.
+at the revealed cost; ``priced_rounds`` decides many rounds as arrays with
+the same arithmetic, so each element equals the scalar decision bit for
+bit. On one round the array form costs several times the scalar one. A
+round accepted at a scale is accepted at every lower scale, rounding
+included, since each correctly rounded step is monotone in the scale (tests
+pin this). A feature run relies on it: it lists with ``priced_rounds`` the
+rounds it could buy at the current scale, which a purchase only raises,
+and decides each listed round with ``priced_round``.
 Randomness is injected as an explicit uniform draw; nothing here holds state.
 """
 
@@ -94,7 +94,7 @@ def _prices(delta, price_scale, u, c_max, worthless) -> np.ndarray:
     the overflow of a heavy-tail price at a tiny scale (where the atom wins)
     are silenced; ``worthless`` is ``delta <= 0``. Shared so that
     ``priced_rounds`` enters ``np.errstate`` and compares delta once: on
-    short windows those fixed costs are a visible share of the call."""
+    a few rounds those fixed costs are a visible share of the call."""
     # at scale 0 the atom is inf and so takes all the mass
     atom = np.minimum(1.0, delta / (price_scale * math.sqrt(c_max)))
     p = delta / (price_scale * (1.0 - u))

@@ -171,13 +171,20 @@ def _reject_unread(d: dict, where: str, *read: str) -> None:
         raise InvalidConfigError(f"unknown key(s) {', '.join(map(repr, unread))} in {where}")
 
 
+def _section(d, where: str) -> dict:
+    """``d``, refused by name unless it is a JSON object."""
+    if not isinstance(d, dict):
+        raise InvalidConfigError(f"{where} must be a JSON object, got {json.dumps(d)}")
+    return d
+
+
 def _fields(spec) -> list[str]:
     """The field names of a dataclass whose config keys they are."""
     return [f.name for f in dataclasses.fields(spec)]
 
 
 def parse_cost_model(d: dict) -> CostModel:
-    kind = _require(d, "kind", "cost_model")
+    kind = _require(_section(d, "cost_model"), "kind", "cost_model")
     if kind == "constant":
         _reject_unread(d, "cost_model", "kind", "value")
         return ConstantCost(float(d.get("value", 1.0)))
@@ -195,7 +202,7 @@ def parse_cost_model(d: dict) -> CostModel:
 
 
 def parse_instance(d: dict) -> InstanceSpec:
-    kind = _require(d, "kind", "instance")
+    kind = _require(_section(d, "instance"), "kind", "instance")
     if kind == "coin":
         _reject_unread(d, "instance", "kind", *_fields(CoinSpec))
         return CoinSpec(int(_require(d, "T", "instance")), float(d.get("epsilon", 0.1)), d.get("bias", "heads"))
@@ -236,8 +243,8 @@ def parse_instance(d: dict) -> InstanceSpec:
 
 
 def parse_mechanism(d: dict) -> MechanismConfig:
-    _reject_unread(d, "mechanism", *_fields(MechanismConfig))
-    scale_cfg = d.get("price_scale", {"mode": "adaptive"})
+    _reject_unread(_section(d, "mechanism"), "mechanism", *_fields(MechanismConfig))
+    scale_cfg = _section(d.get("price_scale", {"mode": "adaptive"}), "price_scale")
     mode = scale_cfg.get("mode", "adaptive")
     if mode == "adaptive":
         _reject_unread(scale_cfg, "price_scale", "mode")
@@ -253,7 +260,7 @@ def parse_mechanism(d: dict) -> MechanismConfig:
     else:
         raise InvalidConfigError(f"unknown price_scale mode {mode!r}")
 
-    rate_cfg = d.get("learning_rate", {"mode": "theory"})
+    rate_cfg = _section(d.get("learning_rate", {"mode": "theory"}), "learning_rate")
     rate_mode = rate_cfg.get("mode", "theory")
     if rate_mode == "theory":
         _reject_unread(rate_cfg, "learning_rate", "mode", "scale")
@@ -280,12 +287,20 @@ def parse_mechanism(d: dict) -> MechanismConfig:
 
 
 def parse_config(d: dict) -> ExperimentConfig:
-    _reject_unread(d, "config", *_fields(ExperimentConfig))
+    _reject_unread(_section(d, "config"), "config", *_fields(ExperimentConfig))
     instance = parse_instance(_require(d, "instance", "config"))
+    mechanism = parse_mechanism(_require(d, "mechanism", "config"))
+    cost_model = getattr(instance, "cost_model", None)
+    if cost_model is not None and cost_model.ceiling()[1] > mechanism.c_max:
+        key, cost = cost_model.ceiling()
+        raise InvalidConfigError(
+            f"cost_model {key} {cost} exceeds the mechanism's c_max {mechanism.c_max}: "
+            "every cost must lie in [0, c_max]"
+        )
     grid = d.get("budget_grid")
     return ExperimentConfig(
         instance=instance,
-        mechanism=parse_mechanism(_require(d, "mechanism", "config")),
+        mechanism=mechanism,
         trials=int(d.get("trials", 1)),
         seed=int(d.get("seed", 0)),
         output_dir=str(d.get("output_dir", "out")),

@@ -19,6 +19,16 @@ from procure_learn.ftrl import FtrlLearner
 from procure_learn.metrics import SequenceStats
 
 
+def hinge_row(instance: ProblemInstance, w: np.ndarray, t: int) -> tuple[float, float, float]:
+    """Loss, delta and gradient coefficient (slope * label, which times the
+    row is the gradient) of feature arrival ``t`` at ``w``: the family's
+    block kernels on a block of one row."""
+    family = instance.family
+    m = family.margins(w, instance, t, t + 1)
+    loss, delta = family.loss_delta(m, instance.feature_norms[t : t + 1])
+    return float(loss[0]), float(delta[0]), float(family.margin_slope(m)[0] * instance.labels[t])
+
+
 def posted_hypotheses(mech) -> np.ndarray:
     """The hypothesis a finished run posted in each round, one row per round.
 
@@ -28,7 +38,6 @@ def posted_hypotheses(mech) -> np.ndarray:
     run's own learner did.
     """
     instance, transcript = mech.instance, mech.transcript
-    family = instance.family
     learner = FtrlLearner(instance.space, mech.learner.learning_rate)
     bought = np.flatnonzero(transcript.accepted)
     posted = []
@@ -41,9 +50,9 @@ def posted_hypotheses(mech) -> np.ndarray:
                 gradient[instance.outcomes[t]] = -1.0
                 learner.iw_feed(transcript.q[t], True, gradient, 1.0)
             continue
-        _, dlt, coefficient = family.loss_delta_row(w, instance, t)
+        _, dlt, coefficient = hinge_row(instance, w, t)
         if coefficient != 0.0:
-            gradient = family.row_gradient(instance, t, coefficient)
+            gradient = coefficient * instance.features[t]
             learner.iw_feed(transcript.q[t], True, gradient, dlt)
     posted.append(learner.coords)
     assert learner.coords.tobytes() == mech.learner.coords.tobytes()

@@ -183,6 +183,57 @@ def test_bad_cost_model_exits_2_before_any_output(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "cost_model, mechanism, message",
+    [
+        ({"kind": "uniform", "high": 2.0}, {}, "cost_model high 2.0 exceeds the mechanism's c_max 1.0"),
+        ({"kind": "uniform"}, {"c_max": 0.5}, "cost_model high 1.0 exceeds the mechanism's c_max 0.5"),
+        ({"kind": "constant", "value": 1.5}, {}, "cost_model value 1.5 exceeds"),
+        ({"kind": "two-point-independent", "high_cost": 3.0}, {}, "cost_model high_cost 3.0 exceeds"),
+    ],
+    ids=["uniform", "c_max", "constant", "two-point"],
+)
+def test_cost_model_above_c_max_exits_2_before_any_output(
+    tmp_path, capsys, cost_model, mechanism, message
+):
+    # a uniform high of 2 with the default c_max 1 used to pass the parser,
+    # make the output directory and then exit 2 in the first trial
+    cfg_path = tmp_path / "config.json"
+    _write_config(
+        cfg_path, instance={"kind": "linear", "T": 50, "cost_model": cost_model}, mechanism=mechanism
+    )
+    assert main(["run", "--config", str(cfg_path), "--jobs", "1"]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cost_model_that_never_draws_its_high_cost_is_accepted(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    cost_model = {"kind": "two-point-independent", "p_high": 0.0, "high_cost": 3.0}
+    _write_config(cfg_path, instance={"kind": "linear", "T": 50, "cost_model": cost_model}, trials=1)
+    assert main(["run", "--config", str(cfg_path), "--jobs", "1"]) == 0
+
+
+@pytest.mark.parametrize(
+    "overrides, section",
+    [
+        ({"instance": "coin"}, "instance"),
+        ({"mechanism": ["budget", 30.0]}, "mechanism"),
+        ({"mechanism": {"price_scale": "adaptive"}}, "price_scale"),
+        ({"mechanism": {"learning_rate": 0.1}}, "learning_rate"),
+        ({"instance": {"kind": "linear", "T": 50, "cost_model": "uniform"}}, "cost_model"),
+    ],
+    ids=["instance", "mechanism", "price_scale", "learning_rate", "cost_model"],
+)
+def test_section_that_is_not_an_object_exits_2(tmp_path, capsys, overrides, section):
+    # "price_scale": "adaptive" used to exit 1 with an AttributeError traceback
+    cfg_path = tmp_path / "config.json"
+    _write_config(cfg_path, **overrides)
+    assert main(["run", "--config", str(cfg_path), "--jobs", "1"]) == 2
+    assert f"error: {section} must be a JSON object, got " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_exits_2(tmp_path, capsys, command, jobs):

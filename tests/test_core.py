@@ -26,9 +26,9 @@ from procure_learn.environment import (
     linear_task,
     padded_coin_sequence,
 )
-from procure_learn.mechanism import Mechanism, MechanismConfig
+from procure_learn.mechanism import Mechanism, MechanismConfig, _margin
 
-from oracles import mean_grad, project, write_idx_images, write_idx_labels
+from oracles import hinge_row, mean_grad, project, write_idx_images, write_idx_labels
 
 coords = st.lists(st.floats(-5, 5), min_size=2, max_size=6)
 
@@ -193,8 +193,8 @@ def test_arrival_cost_checked():
 
 
 def _at(instance, w, t):
-    """Loss, delta and gradient of arrival ``t`` at ``w``: from the row
-    kernels on feature tasks; on the simplex the loss and delta come from the
+    """Loss, delta and gradient of arrival ``t`` at ``w``: from the block
+    kernels on one row on feature tasks; on the simplex the loss and delta come from the
     family's batch forms on one row and the gradient is -1 at the outcome's
     vertex (zero on filler points)."""
     w = np.asarray(w)
@@ -205,8 +205,8 @@ def _at(instance, w, t):
         if outcome[0] >= 0:
             g[outcome[0]] = -1.0
         return float(family.values(w, outcome)[0]), float(family.grad_norms(outcome)[0]), g
-    loss, delta, coefficient = family.loss_delta_row(w, instance, t)
-    return loss, delta, family.row_gradient(instance, t, coefficient)
+    loss, delta, coefficient = hinge_row(instance, w, t)
+    return loss, delta, coefficient * instance.features[t]
 
 
 def test_hinge_examples():
@@ -319,9 +319,18 @@ def test_scalar_and_batch_forms_agree(rng):
     np.testing.assert_allclose(vinst.family.grad_norms(outcomes), [r[1] for r in vrows])
 
 
-def _assert_row_ranges_match_scalar(instance, w, rng):
+@pytest.mark.parametrize("dim", [2, 24, 32, 784])
+def test_feature_row_range_kernel_matches_scalar_bitwise(dim, rng):
+    # a feature run takes the margins of the rounds it visits one row at a
+    # time and those between visits in blocks of rows; both must give the
+    # same bits on every row, however the rows are cut into blocks
+    instance = linear_task(dim, 2, 0.6, 400, 1, UniformCost(), dim)
     family, T = instance.family, instance.horizon
-    one_row = np.array([family.loss_delta_row(w, instance, t) for t in range(T)])
+    v = (instance.labels[:, None] * instance.features).mean(axis=0)
+    w = v / np.median(instance.labels * (instance.features * v).sum(axis=1))
+    one_row = np.array(
+        [int(instance.labels[t]) * _margin(instance.features[t], w) for t in range(T)]
+    )
     cuts = np.sort(rng.choice(np.arange(1, T), size=15, replace=False)).tolist()
     bounds = [0, *cuts, T]
     splits = {
@@ -330,26 +339,9 @@ def _assert_row_ranges_match_scalar(instance, w, rng):
         "single rows": [(t, t + 1) for t in range(T)],
     }
     for name, pieces in splits.items():
-        rows = [family.loss_delta_rows(w, instance, a, b) for a, b in pieces]
-        loss = np.concatenate([r[0] for r in rows])
-        delta = np.concatenate([r[1] for r in rows])
-        coefficient = np.concatenate([r[2] for r in rows])
-        assert loss.tobytes() == one_row[:, 0].tobytes(), name
-        assert delta.tobytes() == one_row[:, 1].tobytes(), name
-        # equal in value: a zero coefficient, whatever its sign, is never fed
-        assert np.array_equal(coefficient, one_row[:, 2]), name
-    return one_row
-
-
-@pytest.mark.parametrize("dim", [2, 24, 32, 784])
-def test_feature_row_range_kernel_matches_scalar_bitwise(dim, rng):
-    # the run loop evaluates windows with the row-range kernel and purchases
-    # with the scalar form; both must give the same bits on every row
-    instance = linear_task(dim, 2, 0.6, 400, 1, UniformCost(), dim)
-    v = (instance.labels[:, None] * instance.features).mean(axis=0)
-    w = v / np.median(instance.labels * (instance.features * v).sum(axis=1))
-    scalar = _assert_row_ranges_match_scalar(instance, w, rng)
-    assert (scalar[:, 1] == 0.0).any() and (scalar[:, 1] > 0.0).any()  # both hinge branches
+        margins = np.concatenate([family.margins(w, instance, a, b) for a, b in pieces])
+        assert margins.tobytes() == one_row.tobytes(), name
+    assert (one_row < 1.0).any() and (one_row >= 1.0).any()  # both hinge branches
 
 
 def test_generators_pick_family(tmp_path, rng):

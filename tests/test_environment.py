@@ -339,5 +339,6 @@ def test_digit_task_norms_capped(idx_files):
     assert (norms > 1.0).any()  # a unit-normalized row rounds above 1 here
     np.testing.assert_array_equal(inst.feature_norms, np.minimum(norms, 1.0))
     # the rows hand out the stored norm, so delta stays in [0, 1]
-    deltas = inst.family.loss_delta_rows(np.zeros(inst.space.dim), inst, 0, inst.horizon)[1]
+    margins = inst.family.margins(np.zeros(inst.space.dim), inst, 0, inst.horizon)
+    deltas = inst.family.loss_delta(margins, inst.feature_norms)[1]
     assert np.all((deltas >= 0.0) & (deltas <= 1.0))

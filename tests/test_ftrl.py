@@ -22,7 +22,7 @@ from procure_learn.mechanism import (
 )
 from procure_learn.metrics import offline_best
 
-from oracles import posted_hypotheses
+from oracles import hinge_row, posted_hypotheses
 
 
 def test_init_minimizes_regularizer():
@@ -289,8 +289,8 @@ def test_learner_bound_holds_on_the_importance_weighted_sequence(
             gradient = np.zeros(space.dim)
             gradient[instance.outcomes[t]] = -1.0
         else:
-            _, _, coefficient = family.loss_delta_row(posted[t], instance, t)
-            gradient = family.row_gradient(instance, t, coefficient)
+            _, _, coefficient = hinge_row(instance, posted[t], t)
+            gradient = coefficient * instance.features[t]
         estimate = gradient / q[t]
         linear_sum += float(estimate @ posted[t])
         estimate_sum += estimate

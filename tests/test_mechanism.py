@@ -160,14 +160,46 @@ def test_adapted_scales_match_adapted_scale():
     inst = coin_sequence(1000, 0.1, "heads", 1)
     cfg = MechanismConfig(budget=50.0, price_scale=AdaptiveScale(), learning_rate=FixedRate(0.1))
     mech = Mechanism(cfg, inst)
-    for estimate_total, spend in ((0.0, 0.0), (3.7, 12.5), (900.0, 3.0), (2.0, 50.0)):
+    states = ((0.0, 0.0), (3.7, 12.5), (900.0, 3.0), (2.0, 50.0))
+    for estimate_total, spend in states:
         mech.estimate_total, mech.spend = estimate_total, spend
         for start, stop in ((0, 1), (0, 40), (1, 2), (13, 400), (990, 1000)):
-            expected = []
-            for r in range(start, stop):
-                mech.rounds_done = r
-                expected.append(mech.adapted_scale())
-            assert mech.adapted_scales(start, stop).tolist() == expected
+            expected = [mech.adapted_scale(r) for r in range(start, stop)]
+            scales = mech.adapted_scales(np.arange(start, stop), estimate_total, spend)
+            assert scales.tolist() == expected
+    # one state per round, as a run's settle pass prices every round
+    rounds = np.arange(len(states) * 250)
+    estimate_total, spend = (np.repeat(column, 250) for column in zip(*states))
+    expected = []
+    for r, mech.estimate_total, mech.spend in zip(rounds.tolist(), estimate_total, spend):
+        expected.append(mech.adapted_scale(r))
+    assert mech.adapted_scales(rounds, estimate_total, spend).tolist() == expected
+
+
+@pytest.mark.parametrize("payment_mode", ["posted-price", "at-cost"])
+def test_pay_never_lowers_a_later_adaptive_scale(payment_mode):
+    # a feature run's list of the rounds it could buy stays a superset after
+    # a purchase only because a purchase never lowers the scale of a round
+    # to come
+    rng = np.random.default_rng(4)
+    inst = linear_task(3, 2, 0.6, 400, 10, UniformCost(), 4)
+    cfg = MechanismConfig(
+        budget=5.0,
+        payment_mode=payment_mode,
+        price_scale=AdaptiveScale(),
+        learning_rate=FixedRate(0.1),
+    )
+    mech = Mechanism(cfg, inst)
+    rounds = np.arange(inst.horizon)
+    for t in range(0, inst.horizon, 3):
+        before = mech.adapted_scales(rounds, mech.estimate_total, mech.spend)
+        d, cost, q = float(rng.random()), float(inst.costs[t]), float(rng.uniform(1e-3, 1.0))
+        price = float(rng.uniform(cost, 1.0))
+        mech._pay(d, cost, price, q)
+        after = mech.adapted_scales(rounds, mech.estimate_total, mech.spend)
+        assert np.all(after[t + 1:] >= before[t + 1:])
+        assert all(mech.adapted_scale(r) >= s for r, s in zip(range(t + 1, inst.horizon), before[t + 1:]))
+    assert mech.spend > cfg.budget  # the floor of the budget left was reached
 
 
 def test_priced_round_acceptance_rate_matches_q():
@@ -364,13 +396,13 @@ def test_adaptive_update_rule():
     inst = coin_sequence(1000, 0.1, "heads", 1)
     cfg = MechanismConfig(budget=50.0, price_scale=AdaptiveScale(), learning_rate=FixedRate(0.1))
     mech = Mechanism(cfg, inst)
-    mech.rounds_done = 500
-    mech.estimate_total = 0.3 * 500  # estimate 0.3
+    mech.estimate_total = 0.3 * 500  # estimate 0.3 at round 500
     mech.spend = 0.0
-    assert mech.adapted_scale() == pytest.approx(0.3 * 500 / 50.0)
+    assert mech.adapted_scale(500) == pytest.approx(0.3 * 500 / 50.0)
+    assert mech.adapted_scale(0) == 0.0  # no estimate before the first round
 
     mech.spend = 50.0  # budget exhausted: the scale caps out
-    assert mech.adapted_scale() == SCALE_CAP
+    assert mech.adapted_scale(500) == SCALE_CAP
 
 
 def test_value_cost_estimate_examples():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from procure_learn.core import l2_ball, simplex
 from procure_learn.environment import ProblemInstance
+from procure_learn.mechanism import SCALE_CAP
 from procure_learn.pricing import (
     expected_payment,
     price_cdf,
@@ -19,6 +20,8 @@ from procure_learn.pricing import (
     survival,
 )
 
+from oracles import hinge_row
+
 
 # ---------------------------------------------------------------------------
 # delta
@@ -27,12 +30,12 @@ from procure_learn.pricing import (
 
 def test_delta_examples():
     # delta, the value a quote is parameterized by, is the second output of
-    # the hinge family's row kernel; a vertex family's delta is the same at
+    # the hinge family's kernels; a vertex family's delta is the same at
     # every hypothesis
     def delta(instance, w):
         if instance.outcomes is not None:
             return instance.family.grad_norms(instance.outcomes)[0]
-        return instance.family.loss_delta_row(np.array(w), instance, 0)[1]
+        return hinge_row(instance, np.array(w), 0)[1]
 
     unit = ProblemInstance(
         space=l2_ball(2, 10.0),
@@ -193,6 +196,93 @@ def test_survival_monotonicity(dlt, scale, c1, c2):
     assert survival(dlt, scale, hi) <= survival(dlt, scale, lo) + 1e-12
     assert survival(dlt, scale * 1.5, c1) <= survival(dlt, scale, c1) + 1e-12
     assert survival(min(1.0, dlt * 1.5), scale, c1) >= survival(dlt, scale, c1) - 1e-12
+
+
+# A feature run lists the rounds it could buy at the scale of the moment and
+# visits only those; a purchase can only raise the scale of a later round.
+# The list stays complete because a round accepted at a scale is accepted at
+# every lower one, rounding included.
+
+SCALES = st.one_of(
+    st.just(0.0),
+    st.just(SCALE_CAP),
+    st.floats(0.0, SCALE_CAP),
+    st.floats(0.0, 10.0),
+    st.floats(10.0, 1000.0),
+    st.floats(0.0, 1e-300),  # where the scaled products underflow
+)
+ROUND_LAWS = dict(
+    dlt=st.floats(0.0, 4.0),
+    c_max=st.sampled_from([1.0, 0.25, 3.0]),
+    cost_share=st.floats(0.0, 1.0),
+    u=st.floats(0.0, 1.0, exclude_max=True),
+)
+
+
+def _accepts(dlt, cost, u, scale, c_max):
+    return priced_round(dlt, cost, u, scale, c_max)[2]
+
+
+@settings(max_examples=500)
+@given(**ROUND_LAWS, s1=SCALES, s2=SCALES, adjacent=st.booleans())
+def test_acceptance_at_a_scale_holds_at_every_lower_scale(
+    dlt, c_max, cost_share, u, s1, s2, adjacent
+):
+    cost = c_max * cost_share
+    s1, s2 = sorted((s1, s2))
+    if adjacent:  # the float just above s1
+        s2 = float(np.nextafter(s1, math.inf))
+    if _accepts(dlt, cost, u, s2, c_max):
+        assert _accepts(dlt, cost, u, s1, c_max)
+
+
+@settings(max_examples=300)
+@given(**ROUND_LAWS, scales=st.lists(SCALES, max_size=12))
+def test_acceptance_flips_once_over_the_scales(dlt, c_max, cost_share, u, scales):
+    # bisect the float bit patterns of [0, SCALE_CAP], which order as the
+    # floats do, for the last accepting scale; the scales around it, and
+    # any other, must accept up to it and refuse past it
+    cost = c_max * cost_share
+    bits = np.array([0.0, SCALE_CAP]).view(np.int64).tolist()
+
+    def accepts(i):
+        return _accepts(dlt, cost, u, float(np.int64(i).view(np.float64)), c_max)
+
+    lo, hi = bits
+    if not accepts(lo):  # never bought, at any scale
+        last = lo - 1
+    elif accepts(hi):
+        last = hi
+    else:
+        while hi - lo > 1:  # accepts(lo), not accepts(hi)
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if accepts(mid) else (lo, mid)
+        last = lo
+    nearby = range(max(bits[0], last - 8), min(bits[1], last + 9))
+    for i in [*nearby, *np.array(scales, dtype=np.float64).view(np.int64).tolist()]:
+        assert accepts(i) == (i <= last)
+
+
+def test_acceptance_falls_with_the_scale_on_a_grid(rng):
+    # the same property over many rounds at once, with priced_rounds (which
+    # matches priced_round bit for bit): along a grid of scales, each with
+    # its neighbouring floats, a round's acceptance never comes back
+    grid = np.concatenate([[0.0, 5e-324], np.geomspace(1e-3, SCALE_CAP, 300)])
+    grid = np.unique(np.concatenate([grid, np.nextafter(grid, np.inf), np.nextafter(grid, 0.0)]))
+    grid = grid[grid <= SCALE_CAP]
+    n = 2000
+    dlt = np.concatenate([[0.0, 5e-324], 4.0 * rng.random(n - 2)])
+    c_max = rng.choice([1.0, 0.25, 3.0], size=n)
+    cost = c_max * np.where(rng.random(n) < 0.1, rng.choice([0.0, 1.0], size=n), rng.random(n))
+    u = rng.random(n)
+    columns = np.broadcast_arrays(dlt[:, None], cost[:, None], u[:, None], grid[None], c_max[:, None])
+    d, c, uu, s, cm = (a.ravel() for a in columns)
+    accepted = np.zeros(d.size, dtype=bool)
+    for value in (1.0, 0.25, 3.0):  # priced_rounds takes one c_max
+        at = cm == value
+        accepted[at] = priced_rounds(d[at], c[at], uu[at], s[at], value)[2]
+    accepted = accepted.reshape(n, grid.size)
+    assert np.all(accepted[:, 1:] <= accepted[:, :-1])
 
 
 # ---------------------------------------------------------------------------

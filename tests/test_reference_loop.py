@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from procure_learn import mechanism
 from procure_learn.core import HingeLoss, simplex
 from procure_learn.environment import (
     ProblemInstance,
@@ -266,6 +267,31 @@ def test_coin_at_cost_matches_reference():
     assert end_state(mech) == reference_end_state(config, instance, expected)
 
 
+SWEEP_CONFIGS = {
+    "priced-100": MechanismConfig(budget=100.0, learning_rate=FixedRate(0.08)),
+    "priced-400-at-cost": MechanismConfig(
+        budget=400.0, payment_mode="at-cost", learning_rate=FixedRate(0.08)
+    ),
+    "priced-hard-stop": MechanismConfig(
+        budget=60.0, price_scale=FixedScale(8.0), learning_rate=FixedRate(0.08), hard_stop=True
+    ),
+    "naive-200": MechanismConfig(budget=200.0, purchase_policy="naive", learning_rate=FixedRate(0.08)),
+}
+
+
+@pytest.mark.parametrize("name", list(SWEEP_CONFIGS))
+def test_linear_sweep_matches_reference(name):
+    # the linear-sweep workload's instance shape; its hundreds of purchases
+    # show a list of the rounds a run could buy that misses one
+    instance = linear_task(32, 2, 0.35, 8000, 10, UniformCost(), 42, noise=0.2)
+    config = SWEEP_CONFIGS[name]
+    expected = reference_run(config, instance, np.random.default_rng(9))
+    mech = Mechanism(config, instance).run(np.random.default_rng(9))
+    columns = [getattr(mech.transcript, column).tolist() for column in mech.transcript.COLUMNS[1:]]
+    assert columns == [list(c) for c in zip(*expected)]
+    assert end_state(mech) == reference_end_state(config, instance, expected)
+
+
 def test_run_loop_matches_reference_two_point_costs():
     instance = linear_task(4, 2, 0.6, 200, 10, TwoPointCost(0.3, 1.0), 7)
     config = MechanismConfig(budget=10.0, price_scale=AdaptiveScale(), learning_rate=FixedRate(0.25))
@@ -277,28 +303,25 @@ def test_run_loop_matches_reference_two_point_costs():
     assert end_state(mech) == reference_end_state(config, instance, expected)
 
 
-def _play_all_one_by_one(self, start, stop, uniforms, columns):
-    return self._rounds_one_by_one(start, stop, uniforms, self.instance.costs.tolist(), columns)
-
-
 FORCED_PATHS = {
-    # no expected gap is shorter than one round, so every window is arrays
-    "all-arrays": {"VECTOR_GAP": 1, "Mechanism._rounds_one_by_one": None},
-    "all-one-by-one": {"Mechanism._rounds_at_once": _play_all_one_by_one},
+    # every round at a hypothesis is taken in the block when it changes
+    "all-arrays": {"VECTOR_GAP": 1},
+    # every margin is taken one row at a time
+    "all-one-by-one": {"VECTOR_GAP": 10**9},
 }
 
 
 @pytest.mark.parametrize("path", list(FORCED_PATHS))
 @pytest.mark.parametrize("kind", ["linear-d24-correlated", "linear-d32-uniform"])
 def test_window_evaluation_does_not_change_results(monkeypatch, path, kind):
-    """Forcing every window of a feature run through the array path, or
-    every round through the scalar path, reproduces the default run bit for
+    """Forcing every gap between the visits of a feature run to be closed
+    as a block, or one row at a time, reproduces the default run bit for
     bit."""
     instance = INSTANCES[kind]()
     for config in CONFIGS:
         default = Mechanism(config, instance).run(np.random.default_rng(9))
         for name, value in FORCED_PATHS[path].items():
-            monkeypatch.setattr(f"procure_learn.mechanism.{name}", value)  # None: a call raises
+            monkeypatch.setattr(f"procure_learn.mechanism.{name}", value)
         forced = Mechanism(config, instance).run(np.random.default_rng(9))
         monkeypatch.undo()
         for column in forced.transcript.COLUMNS[1:]:
@@ -307,12 +330,33 @@ def test_window_evaluation_does_not_change_results(monkeypatch, path, kind):
         assert end_state(forced) == end_state(default)
 
 
+@pytest.mark.parametrize(
+    "config_id",
+    ["priced-at-cost", "priced-posted-price1", "priced-posted-price2", "priced-at-cost-adaptive"],
+)
+def test_sparse_priced_run_takes_few_scalar_margins(monkeypatch, config_id):
+    """A priced run that buys few of its rounds visits only those it could
+    buy, so it takes far fewer margins one row at a time than it has
+    rounds, and still matches the reference loop."""
+    calls = []
+    margin = mechanism._margin
+    monkeypatch.setattr(
+        "procure_learn.mechanism._margin", lambda x, w: calls.append(1) or margin(x, w)
+    )
+    instance = INSTANCES["linear-d32-uniform"]()
+    config = CONFIGS[CONFIG_IDS.index(config_id)]
+    mech = Mechanism(config, instance).run(np.random.default_rng(9))
+    assert mech.purchases <= len(calls) < instance.horizon // 2
+    expected = reference_run(config, instance, np.random.default_rng(9))
+    assert mech.transcript.accepted.tolist() == [row[3] for row in expected]
+    assert mech.transcript.loss.tolist() == [row[6] for row in expected]
+
+
 @pytest.mark.parametrize("kind", ["coin-3000", "padded-coin-3000", "vertex-d7"])
 def test_vertex_runs_decide_then_learn(monkeypatch, kind):
-    """A vertex run never walks its rounds, for any policy or scale."""
+    """A vertex run never visits its rounds, for any policy or scale."""
     instance = INSTANCES[kind]()
-    monkeypatch.setattr("procure_learn.mechanism.Mechanism._rounds_at_once", None)
-    monkeypatch.setattr("procure_learn.mechanism.Mechanism._rounds_one_by_one", None)
+    monkeypatch.setattr("procure_learn.mechanism.Mechanism._visit", None)
     for config in CONFIGS:
         mech = Mechanism(config, instance).run(np.random.default_rng(9))
         assert len(mech.transcript) == instance.horizon
