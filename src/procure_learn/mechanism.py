@@ -18,34 +18,45 @@ arrival and pays nothing (the unconstrained reference).
 
 ``Mechanism.run`` is event-driven. The learner keeps its state in the
 gradient sum and a rejected round feeds nothing, so the posted hypothesis,
-the spend and the estimate change only when an arrival is bought. Its two
-engines below decide, learn and fill the round columns; one settle pass
-then adds up the payments, estimates and totals in one cumulative sum,
-which adds the same values in the same order as the running spend and
-estimate that the rounds read, and keeps the columns as a transcript.
+the spend and the estimate change only when an arrival is bought. The
+learner and the loss reach a purchase only through the round's delta and
+the state its price reads, so both kinds of run decide through one walk.
+It lists with ``_posted`` the rounds that the current state could buy at
+an upper bound of their delta, and visits only those: it takes the exact
+delta, decides a priced round again with ``priced_round`` at the current
+state, and buys a flat-price list whole.
+
+A priced run with an adaptive scale or a hard stop is tracked: its later
+prices read the spend and the estimate. The walk pays at each of its
+purchases and lists CHUNK rounds at a time; STALE refusals, or a purchase
+that crosses the hard stop, start a new list. A list stays complete after
+a purchase: an adaptive scale only rises at a purchase, and a round
+accepted at a scale is accepted at every lower one, as every correctly
+rounded step of the price law is monotone (tests pin both). No other run
+reads the state mid-run (naive reads only its own spend, a prefix sum
+known up front), so its one list covers every round.
 
 A vertex run (``VertexLoss``: the coin and padded-coin streams) decides
 first and then learns. Its delta is 1 on every outcome and 0 on filler
-points at every hypothesis, so the purchase schedule needs no learner, and
-the learner then replays the purchases in one block: a cumulative sum adds
-the rows in round order, as one round at a time does.
+points at every hypothesis, so the bound is exact: an untracked run's list
+is its decision, and a tracked one walks. The learner then replays the
+purchases in one block: a cumulative sum adds the rows in round order, as
+one round at a time does.
 
-A feature run (``HingeLoss``) visits only the rounds it could buy. Its
-delta is the row's norm where the hinge is active and 0 elsewhere, so the
-learner bears on a purchase only through whether the hinge is active. One
-``_posted`` call at delta = norm lists a chunk's rounds that the current
-state could buy, and only those are visited: the margin at the current
-hypothesis, the exact decision, and for a purchase the payment and the
-feed. The other rounds' margins are taken at the hypothesis they posted,
-the hypothesis sum is added up in round order at the end, and the settle
-pass prices every round from the spend and the estimate before it, as the
-round itself would have. A list stays complete after a purchase: an
-adaptive scale only rises at a purchase, and a round accepted at a scale
-is accepted at every lower one, as every correctly rounded step of the
-price law is monotone (tests pin both). A change of the flat price (naive,
-a hard stop) starts a new list. A margin has the same bits one row at a
-time or in a block, as numpy reduces each row of a block as it reduces a
-lone row.
+A feature run (``HingeLoss``) learns as it walks. Its delta is the row's
+norm where the hinge is active and 0 elsewhere, so it lists at the stored
+norms, takes the margin of each visited round at the current hypothesis
+and feeds each purchase. The rounds not visited then take their margins at
+the hypothesis they posted, and the hypothesis sum is added up in round
+order. A margin has the same bits one row at a time or in a block, as
+numpy reduces each row of a block as it reduces a lone row.
+
+Either way one settle pass adds up the payments, estimates and totals in
+one cumulative sum, which adds the same values in the same order as the
+running spend and estimate that the rounds read, and prices every round
+again from its uniform: at the spend and the estimate before it for a
+tracked run, at the start for the rest. It keeps the columns as a
+transcript.
 
 A bought round with an inactive hinge pays but is not fed: the gradient
 sum starts at +0.0 and never holds -0.0, so a zero gradient would change
@@ -79,12 +90,12 @@ POLICIES = (PRICED, NAIVE, BASELINE)
 
 SCALE_CAP = 1e6
 
-# A feature run lists the rounds it could buy CHUNK rounds at a time, and
+# A tracked run lists the rounds it could buy CHUNK rounds at a time, and
 # lists them again after STALE visits that the state refused: a list costs
-# about as much as that many visits. The unvisited rounds at one hypothesis
-# take their margins one row at a time when fewer than VECTOR_GAP, where
-# numpy's fixed cost per call is not repaid, else in blocks capped so that a
-# (rows x dim) block stays a few hundred kilobytes.
+# about as much as that many visits. A feature run's unvisited rounds at one
+# hypothesis take their margins one row at a time when fewer than
+# VECTOR_GAP, where numpy's fixed cost per call is not repaid, else in
+# blocks capped so that a (rows x dim) block stays a few hundred kilobytes.
 CHUNK = 1024
 STALE = 8
 VECTOR_GAP = 6
@@ -326,6 +337,8 @@ class Mechanism:
         else:
             self.price_scale = 0.0
         self._adaptive = isinstance(config.price_scale, AdaptiveScale)
+        # a tracked run's prices read the spend or the estimate mid-run
+        self._tracked = config.purchase_policy == PRICED and (config.hard_stop or self._adaptive)
 
         if isinstance(config.learning_rate, FixedRate):
             rate = config.learning_rate.value
@@ -375,19 +388,16 @@ class Mechanism:
 
     def run(self, rng: np.random.Generator) -> "Mechanism":
         """Execute all rounds, consuming one uniform draw per round. A vertex
-        run decides every round and then learns; a feature run visits the
-        rounds it could buy. Either way the run then settles from its round
-        columns."""
+        run decides its rounds and then learns; a feature run learns while
+        it walks. Either way the run then settles from its round columns."""
         if self.transcript is not None:
             raise MechanismStateError("mechanism already ran its full sequence")
         uniforms = rng.random(self.horizon)
-        if isinstance(self.instance.family, VertexLoss):
-            self._settle(*self._decide_then_learn(uniforms))
-        else:
-            self._settle(*self._visit(uniforms), uniforms)
+        play = self._decide_then_learn if isinstance(self.instance.family, VertexLoss) else self._visit
+        self._settle(*play(uniforms), uniforms)
         return self
 
-    def _settle(self, delta, price, q, accepted, loss, uniforms=None) -> None:
+    def _settle(self, delta, price, q, accepted, loss, uniforms) -> None:
         """Total a played run from its round columns and keep them, with the
         payment and the spend after each round, as its transcript.
 
@@ -396,10 +406,10 @@ class Mechanism:
         It adds them in round order, as the rounds one at a time do, and a
         rejected round adds 0.0 to the estimate and the spend, which leaves
         them as they are: so the spend and the estimate equal bit for bit
-        the running ones that ``_pay`` kept for the rounds to read. Given
-        the ``uniforms``, ``price`` and ``q`` need to hold only at the
-        accepted rounds: every round is then priced again from the spend
-        and the estimate before it."""
+        the running ones that ``_pay`` kept for the rounds to read. ``price``
+        and ``q`` need to hold only at the accepted rounds: every round is
+        then priced again from the ``uniforms``, at the spend and the
+        estimate before it where the run is tracked."""
         cfg = self.config
         T, costs = self.horizon, self.instance.costs
         paid = accepted & (cfg.purchase_policy != BASELINE)  # baseline pays nothing
@@ -410,8 +420,8 @@ class Mechanism:
         block = np.zeros((5, T + 1))  # every total starts at zero
         block[:, 1:] = loss, value_cost, delta, estimate, payment
         sums = block.cumsum(axis=1)
-        if uniforms is not None:
-            price, q, _ = self._posted(delta, 0, T, sums[3, :-1], sums[4, :-1], uniforms)
+        state = (sums[3, :-1], sums[4, :-1]) if self._tracked else (0.0, 0.0)
+        price, q, _ = self._posted(delta, 0, T, *state, uniforms)
         self.loss_total, self.value_cost_total, self.value_total = sums[:3, -1].tolist()
         self.estimate_total, self.spend = sums[3:, -1].tolist()
         self.purchases = int(np.count_nonzero(accepted))
@@ -423,13 +433,21 @@ class Mechanism:
     def _posted(self, delta, start, stop, estimate_total, spend, uniforms) -> tuple[np.ndarray, ...]:
         """Price, q and acceptance of the rounds ``start <= t < stop`` under
         the posting policy, from their delta and the estimate total and
-        spend before them: one value for every round or one each."""
+        spend before them: one value each, or one value at ``start`` where
+        no price reads them (naive reads only its own spend, which it adds
+        up from there)."""
         cfg = self.config
         n, costs = stop - start, self.instance.costs[start:stop]
         if cfg.purchase_policy == BASELINE:
             return np.full(n, cfg.c_max), np.ones(n), np.ones(n, dtype=bool)
         if cfg.purchase_policy == NAIVE:
-            price = np.where(spend + cfg.c_max <= cfg.budget, np.full(n, cfg.c_max), 0.0)
+            # every round is bought at c_max while the spend before it
+            # leaves room for c_max; the spend only grows, so the rounds
+            # that leave room are a prefix
+            open_payment = costs if cfg.payment_mode == AT_COST else np.full(n, cfg.c_max)
+            spent = np.cumsum(np.concatenate(([spend], open_payment[:-1])))
+            price = np.zeros(n)
+            price[: np.count_nonzero(spent + cfg.c_max <= cfg.budget)] = cfg.c_max
             accepted = price >= costs
             return price, accepted.astype(np.float64), accepted
         if self._adaptive:
@@ -443,93 +461,102 @@ class Mechanism:
             accepted = np.where(stopped, free, accepted)
         return price, q, accepted
 
-    def _visit(self, uniforms: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Play a feature run, visiting only the rounds it could buy: each
-        chunk of CHUNK rounds starts with their list at the current state,
-        and a change of the flat price or STALE visits that the state
-        refused start the next chunk early. Returns the round columns;
-        price and q hold only at the purchases."""
-        cfg, instance, learner = self.config, self.instance, self.learner
-        family = instance.family
-        T, c_max = self.horizon, cfg.c_max
-        features, margin = instance.features, _margin
-        labels = instance.labels.tolist()
-        norms = instance.feature_norms.tolist()
-        costs = instance.costs.tolist()
-        u = uniforms.tolist()
-        margins = np.empty(T)
-        bought, bought_price, bought_q = [], [], []
-        fed, posted = [], [learner.coords]  # the rounds fed, the hypothesis after each
-        watch = cfg.purchase_policy == NAIVE or cfg.hard_stop  # can the flat price change?
-        track = watch or self._adaptive  # does a later round read the spend or estimate?
-        step = max(1, WINDOW_ELEMENTS // instance.space.dim)
-        gaps = []  # the unvisited rounds posting w, as ranges
+    def _walk(self, upper, exact, uniforms, bought=None) -> tuple[np.ndarray, ...]:
+        """Decide the rounds in order, visiting only those the run could
+        buy, and call ``bought(round, delta, q)`` at each purchase, right
+        after its visit. Returns the columns price, q and accepted; price
+        and q hold only at the purchases.
 
-        def close(stop):  # margins of the unvisited rounds posting w, all before stop
-            if sum(b - a for a, b in gaps) < VECTOR_GAP:
-                for a, b in gaps:
-                    for i in range(a, b):
-                        margins[i] = labels[i] * margin(features[i], w)
-            else:
-                for a in range(first, stop, step):
-                    b = min(stop, a + step)
-                    margins[a:b] = family.margins(w, instance, a, b)
-            gaps.clear()
-
-        w = learner.coords
-        t = first = 0  # the next round; the first round posting w
-        while t < T:
-            stop = min(T, t + CHUNK)
-            policy, flat_price = self._posting_policy(), self._flat_price()
-            stale = 0
-            could = self._posted(
-                instance.feature_norms[t:stop], t, stop, self.estimate_total, self.spend, uniforms
-            )[2]
-            for j in (np.flatnonzero(could) + t).tolist() + [stop]:
-                if j > t:
-                    gaps.append((t, j))
-                t = j
-                if j == stop:
-                    break
-                t = j + 1
-                x = features[j]
-                margins[j] = m = labels[j] * margin(x, w)
-                active = m < 1.0
-                d = norms[j] if active else 0.0
-                if policy == PRICED:
-                    if not active:  # worthless: never bought, at every scale
-                        continue
-                    scale = self.adapted_scale(j) if self._adaptive else self.price_scale
-                    p, q, accepted = priced_round(d, costs[j], u[j], scale, c_max)
-                    if not accepted:
-                        stale += 1
-                        if stale == STALE:
-                            break
-                        continue
-                else:  # every round on a naive or baseline list is bought
-                    p, q = (c_max if policy == BASELINE else flat_price), 1.0
-                bought.append(j)
-                bought_price.append(p)
-                bought_q.append(q)
-                if track:
-                    self._pay(d, costs[j], p, q)
-                if active:  # the gradient -label * x; an inactive hinge feeds zero
-                    if gaps:
-                        close(j)
-                    learner._feed(x, 1.0 / q, d, negate=labels[j] > 0)
-                    w = learner.coords
-                    fed.append(j)
-                    posted.append(w)
-                    first = t
-                if watch and (policy, flat_price) != (self._posting_policy(), self._flat_price()):
-                    break
-        if gaps:
-            close(T)
-        loss, delta = family.loss_delta(margins, instance.feature_norms)
+        A list is ``_posted`` at the rounds' ``upper`` deltas and the
+        current state: the next CHUNK rounds of a tracked run, every round
+        of any other. A flat-price list is bought whole, and pays nothing
+        that a later price reads. A priced round on a list is decided again
+        at its ``exact`` delta, taken at the visit, and the current state.
+        STALE refusals, or a purchase that crosses the hard stop, start the
+        next list."""
+        cfg = self.config
+        T, c_max, tracked = self.horizon, cfg.c_max, self._tracked
+        costs, u = self.instance.costs.tolist(), uniforms.tolist()
         price, q = np.zeros((2, T))
         accepted = np.zeros(T, dtype=bool)
-        accepted[bought], price[bought], q[bought] = True, bought_price, bought_q
-        self.hypothesis_sum = self._sum_posted(posted, np.searchsorted(fed, np.arange(T)))
+        t = 0
+        while t < T:
+            stop = min(T, t + CHUNK) if tracked else T
+            listed = self._posted(upper[t:stop], t, stop, self.estimate_total, self.spend, uniforms)
+            rounds = (np.flatnonzero(listed[2]) + t).tolist()
+            if cfg.purchase_policy != PRICED or (cfg.hard_stop and self.spend >= cfg.budget):
+                price[t:stop], q[t:stop], accepted[t:stop] = listed
+                if bought is not None:
+                    for j in rounds:
+                        bought(j, exact(j), 1.0)
+                t = stop
+                continue
+            stale = 0
+            for j in rounds:
+                d = exact(j)
+                if d <= 0.0:  # worthless: never bought, at every scale
+                    continue
+                scale = self.adapted_scale(j) if self._adaptive else self.price_scale
+                p_j, q_j, accepted_j = priced_round(d, costs[j], u[j], scale, c_max)
+                if not accepted_j:
+                    stale += 1
+                    if stale == STALE:
+                        stop = j + 1
+                        break
+                    continue
+                if tracked:
+                    self._pay(d, costs[j], p_j, q_j)
+                price[j], q[j], accepted[j] = p_j, q_j, True
+                if bought is not None:
+                    bought(j, d, q_j)
+                if cfg.hard_stop and self.spend >= cfg.budget:
+                    stop = j + 1
+                    break
+            t = stop
+        return price, q, accepted
+
+    def _visit(self, uniforms: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Play a feature run on the walk: the margin of each visited round
+        at the current hypothesis, and a feed at each purchase whose hinge
+        is active. Then the margins of the rounds not visited are taken at
+        the hypothesis each posted. Returns the round columns delta, price,
+        q, accepted and loss."""
+        instance, learner = self.instance, self.learner
+        family = instance.family
+        T, features, margin = self.horizon, instance.features, _margin
+        labels = instance.labels.tolist()
+        norms = instance.feature_norms.tolist()
+        margins = np.full(T, math.nan)  # NaN until visited; no margin is NaN: the rows are finite
+        fed, posted = [], [learner.coords]  # the rounds fed, the hypothesis after each
+        w = learner.coords
+
+        def exact(j):  # the delta at the current hypothesis
+            margins[j] = m = labels[j] * margin(features[j], w)
+            return norms[j] if m < 1.0 else 0.0
+
+        def bought(j, d, q):  # the gradient -label * x; an inactive hinge feeds zero
+            nonlocal w
+            if margins[j] < 1.0:
+                learner._feed(features[j], 1.0 / q, d, negate=labels[j] > 0)
+                w = learner.coords
+                fed.append(j)
+                posted.append(w)
+
+        price, q, accepted = self._walk(instance.feature_norms, exact, uniforms, bought)
+        before = np.searchsorted(fed, np.arange(T))  # round t posts posted[before[t]]
+        rest = np.flatnonzero(np.isnan(margins))
+        step = max(1, WINDOW_ELEMENTS // instance.space.dim)
+        for group in np.split(rest, np.flatnonzero(np.diff(before[rest])) + 1):
+            if len(group) < VECTOR_GAP:  # the one group is empty if every round was visited
+                for i in group.tolist():
+                    margins[i] = labels[i] * margin(features[i], posted[before[i]])
+                continue
+            w = posted[before[group[0]]]
+            for a in range(group[0], group[-1] + 1, step):
+                b = min(group[-1] + 1, a + step)
+                margins[a:b] = family.margins(w, instance, a, b)
+        loss, delta = family.loss_delta(margins, instance.feature_norms)
+        self.hypothesis_sum = self._sum_posted(posted, before)
         return delta, price, q, accepted, loss
 
     def _sum_posted(self, posted, before) -> np.ndarray:
@@ -551,14 +578,19 @@ class Mechanism:
     def _decide_then_learn(self, uniforms: np.ndarray) -> tuple[np.ndarray, ...]:
         """Play a vertex run in two passes, bit for bit the rounds one by
         one: decide every round without the learner, then replay the
-        learner over the purchases in one block. Returns the round columns
+        learner over the purchases in one block. Its delta is exact at
+        every hypothesis, so an untracked run's one list is its decision,
+        and a tracked one walks at that delta. Returns the round columns
         delta, price, q, accepted and loss."""
         instance = self.instance
         T, dim = self.horizon, instance.space.dim
         outcomes = instance.outcomes
         observed = outcomes >= 0
         dlt = instance.family.grad_norms(outcomes)  # at every hypothesis
-        price, q, accepted = self._schedule(dlt, uniforms)
+        if self._tracked:
+            price, q, accepted = self._walk(dlt, dlt.item, uniforms)
+        else:
+            price, q, accepted = self._posted(dlt, 0, T, 0.0, 0.0, uniforms)
 
         # a bought filler round has a zero gradient and is not fed
         fed = np.flatnonzero(accepted & observed)
@@ -571,71 +603,10 @@ class Mechanism:
         self.hypothesis_sum = self._sum_posted(posted, before)
         return dlt, price, q, accepted, loss
 
-    def _schedule(self, dlt, uniforms) -> tuple[np.ndarray, ...]:
-        """Decide every round of a vertex run from the costs, the uniforms
-        and the scale: each round's price, q and acceptance."""
-        cfg = self.config
-        T, costs = self.horizon, self.instance.costs
-        if cfg.purchase_policy == BASELINE:
-            return np.full(T, cfg.c_max), np.ones(T), np.ones(T, dtype=bool)
-        if cfg.purchase_policy == NAIVE:
-            # every round is bought at c_max while the spend before it
-            # leaves room for c_max; the spend only grows, so the rounds
-            # that leave room are a prefix
-            open_payment = costs if cfg.payment_mode == AT_COST else np.full(T, cfg.c_max)
-            spent = np.concatenate(([0.0], np.cumsum(open_payment)[:-1]))
-            price = np.zeros(T)
-            price[: np.count_nonzero(spent + cfg.c_max <= cfg.budget)] = cfg.c_max
-            accepted = price >= costs
-            return price, accepted.astype(np.float64), accepted
-        if cfg.hard_stop or self._adaptive:
-            return self._schedule_one_by_one(dlt, uniforms)
-        return priced_rounds(dlt, costs, uniforms, self.price_scale, cfg.c_max)
-
-    def _schedule_one_by_one(self, dlt, uniforms) -> tuple[np.ndarray, ...]:
-        """The priced rounds of a vertex run whose prices depend on the
-        spend or the estimate (a hard stop, an adaptive scale), decided in
-        order without the learner: price, q and acceptance."""
-        costs, c_max = self.instance.costs.tolist(), self.config.c_max
-        price, q, accepted = [], [], []
-        policy, flat_price = self._posting_policy(), self._flat_price()
-        for t, (d, cost, u) in enumerate(zip(dlt.tolist(), costs, uniforms.tolist())):
-            if policy == NAIVE:  # past a hard stop
-                bought = flat_price >= cost
-                p_t, q_t = flat_price, 1.0 if bought else 0.0
-            else:
-                scale = self.adapted_scale(t) if self._adaptive else self.price_scale
-                p_t, q_t, bought = priced_round(d, cost, u, scale, c_max)
-            if bought:
-                self._pay(d, cost, p_t, q_t)
-                policy, flat_price = self._posting_policy(), self._flat_price()
-            price.append(p_t)
-            q.append(q_t)
-            accepted.append(bought)
-        return np.array(price), np.array(q), np.array(accepted, dtype=bool)
-
-    def _posting_policy(self) -> str:
-        """The policy that posts prices until the next purchase: a priced run
-        past its hard stop posts a flat price, as naive does."""
-        cfg = self.config
-        if cfg.purchase_policy == PRICED and cfg.hard_stop and self.spend >= cfg.budget:
-            return NAIVE
-        return cfg.purchase_policy
-
-    def _flat_price(self) -> float:
-        """Naive posts c_max while the budget covers it, then 0; a hard stop
-        posts 0."""
-        cfg = self.config
-        if cfg.purchase_policy == NAIVE and self.spend + cfg.c_max <= cfg.budget:
-            return cfg.c_max
-        return 0.0
-
     def _pay(self, dlt, cost, price, q) -> None:
-        """Pay for an accepted round: the running spend and estimate that
-        the prices of later rounds read."""
-        cfg = self.config
-        if cfg.purchase_policy != BASELINE:
-            self.spend += cost if cfg.payment_mode == AT_COST else price
+        """Pay for an accepted round of a tracked run: the running spend
+        and estimate that the prices of later rounds read."""
+        self.spend += cost if self.config.payment_mode == AT_COST else price
         self.estimate_total += dlt * math.sqrt(cost) / q
 
     def finalize(self) -> Hypothesis:

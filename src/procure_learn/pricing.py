@@ -22,9 +22,10 @@ the same arithmetic, so each element equals the scalar decision bit for
 bit. On one round the array form costs several times the scalar one. A
 round accepted at a scale is accepted at every lower scale, rounding
 included, since each correctly rounded step is monotone in the scale (tests
-pin this). A feature run relies on it: it lists with ``priced_rounds`` the
-rounds it could buy at the current scale, which a purchase only raises,
-and decides each listed round with ``priced_round``.
+pin this). Every run that walks its rounds relies on it: it lists with
+``priced_rounds`` the rounds it could buy at the current scale, which a
+purchase only raises, and decides each listed round again with
+``priced_round``.
 Randomness is injected as an explicit uniform draw; nothing here holds state.
 """
 

@@ -286,15 +286,26 @@ def parse_mechanism(d: dict) -> MechanismConfig:
     )
 
 
+def _highest_cost(spec: InstanceSpec) -> tuple[str, float]:
+    """What sets the highest cost an instance of ``spec`` draws, and that
+    cost: a coin flip costs 1, and a padded-coin stream that rounds its
+    flips away has only free filler."""
+    if isinstance(spec, CoinSpec):
+        return "the unit coin cost", 1.0
+    if isinstance(spec, PaddedCoinSpec):
+        return "the unit coin cost", 1.0 if int(round(spec.coin_fraction * spec.T)) else 0.0
+    key, cost = spec.cost_model.ceiling()
+    return f"cost_model {key}", cost
+
+
 def parse_config(d: dict) -> ExperimentConfig:
     _reject_unread(_section(d, "config"), "config", *_fields(ExperimentConfig))
     instance = parse_instance(_require(d, "instance", "config"))
     mechanism = parse_mechanism(_require(d, "mechanism", "config"))
-    cost_model = getattr(instance, "cost_model", None)
-    if cost_model is not None and cost_model.ceiling()[1] > mechanism.c_max:
-        key, cost = cost_model.ceiling()
+    source, cost = _highest_cost(instance)
+    if cost > mechanism.c_max:
         raise InvalidConfigError(
-            f"cost_model {key} {cost} exceeds the mechanism's c_max {mechanism.c_max}: "
+            f"{source} {cost} exceeds the mechanism's c_max {mechanism.c_max}: "
             "every cost must lie in [0, c_max]"
         )
     grid = d.get("budget_grid")

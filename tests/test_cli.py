@@ -207,6 +207,41 @@ def test_cost_model_above_c_max_exits_2_before_any_output(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize(
+    "instance",
+    [{"kind": "coin", "T": 50}, {"kind": "padded-coin", "T": 50, "coin_fraction": 0.5}],
+    ids=["coin", "padded-coin"],
+)
+def test_coin_cost_above_c_max_exits_2_before_any_output(tmp_path, command, instance):
+    # a coin flip costs 1; a c_max of 0.5 used to pass the parser, make the
+    # output directory and then exit 2 in the first trial
+    cfg_path = tmp_path / "config.json"
+    _write_config(
+        cfg_path,
+        instance=instance,
+        mechanism={"budget": 5.0, "c_max": 0.5},
+        budget_grid=[5.0, 10.0],
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "procure_learn", command, "--config", str(cfg_path), "--jobs", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "error: the unit coin cost 1.0 exceeds the mechanism's c_max 0.5" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_padded_coin_of_only_filler_is_accepted_below_unit_c_max(tmp_path):
+    # round(0.01 * 40) flips: the stream is all free filler, whose highest cost is 0
+    cfg_path = tmp_path / "config.json"
+    instance = {"kind": "padded-coin", "T": 40, "coin_fraction": 0.01}
+    _write_config(cfg_path, instance=instance, mechanism={"c_max": 0.5}, trials=1)
+    assert main(["run", "--config", str(cfg_path), "--jobs", "1"]) == 0
+
+
 def test_cost_model_that_never_draws_its_high_cost_is_accepted(tmp_path):
     cfg_path = tmp_path / "config.json"
     cost_model = {"kind": "two-point-independent", "p_high": 0.0, "high_cost": 3.0}

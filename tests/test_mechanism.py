@@ -178,7 +178,7 @@ def test_adapted_scales_match_adapted_scale():
 
 @pytest.mark.parametrize("payment_mode", ["posted-price", "at-cost"])
 def test_pay_never_lowers_a_later_adaptive_scale(payment_mode):
-    # a feature run's list of the rounds it could buy stays a superset after
+    # a tracked run's list of the rounds it could buy stays a superset after
     # a purchase only because a purchase never lowers the scale of a round
     # to come
     rng = np.random.default_rng(4)

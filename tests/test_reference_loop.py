@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from procure_learn import mechanism
 from procure_learn.core import HingeLoss, simplex
@@ -250,23 +252,6 @@ def test_run_loop_matches_reference(config, kind):
     assert end_state(mech) == reference_end_state(config, instance, expected)
 
 
-def test_coin_at_cost_matches_reference():
-    # the coin-at-cost workload's instance size and mechanism config
-    instance = coin_sequence(20000, 0.05, "heads", 42)
-    config = MechanismConfig(
-        budget=400.0,
-        payment_mode="at-cost",
-        price_scale=KnowledgeScale(PriorKnowledge(avg_value_cost=1.0)),
-        learning_rate=TheoryRate(),
-    )
-    expected = reference_run(config, instance, np.random.default_rng(9))
-    mech = Mechanism(config, instance).run(np.random.default_rng(9))
-    tr = mech.transcript
-    columns = [getattr(tr, column).tolist() for column in tr.COLUMNS[1:]]
-    assert columns == [list(c) for c in zip(*expected)]
-    assert end_state(mech) == reference_end_state(config, instance, expected)
-
-
 SWEEP_CONFIGS = {
     "priced-100": MechanismConfig(budget=100.0, learning_rate=FixedRate(0.08)),
     "priced-400-at-cost": MechanismConfig(
@@ -354,9 +339,148 @@ def test_sparse_priced_run_takes_few_scalar_margins(monkeypatch, config_id):
 
 @pytest.mark.parametrize("kind", ["coin-3000", "padded-coin-3000", "vertex-d7"])
 def test_vertex_runs_decide_then_learn(monkeypatch, kind):
-    """A vertex run never visits its rounds, for any policy or scale."""
+    """A vertex run never takes a margin and never feeds one round at a
+    time, for any policy or scale: it decides, then learns in one block."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a vertex run took a margin or fed one round")
+
     instance = INSTANCES[kind]()
-    monkeypatch.setattr("procure_learn.mechanism.Mechanism._visit", None)
+    monkeypatch.setattr("procure_learn.mechanism._margin", refuse)
+    monkeypatch.setattr(FtrlLearner, "_feed", refuse)
     for config in CONFIGS:
         mech = Mechanism(config, instance).run(np.random.default_rng(9))
         assert len(mech.transcript) == instance.horizon
+
+
+TRACKED_VERTEX_CONFIGS = {
+    "adaptive": CONFIGS[CONFIG_IDS.index("priced-posted-price1")],
+    "adaptive-at-cost": CONFIGS[CONFIG_IDS.index("priced-at-cost-adaptive")],
+    # on coin-3000 these cross their hard stop only in the last rounds
+    "knowledge-hard-stop": MechanismConfig(
+        budget=20.0,
+        payment_mode="at-cost",
+        price_scale=KnowledgeScale(PriorKnowledge(avg_value_cost=1.0)),
+        learning_rate=FixedRate(0.2),
+        hard_stop=True,
+    ),
+    "adaptive-hard-stop": MechanismConfig(
+        budget=15.0, price_scale=AdaptiveScale(), learning_rate=FixedRate(0.15), hard_stop=True
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(TRACKED_VERTEX_CONFIGS))
+def test_tracked_vertex_run_visits_few_rounds(monkeypatch, name):
+    """A coin run with an adaptive scale or a hard stop re-decides only the
+    rounds its lists hold, far fewer than it has, and still matches the
+    reference loop."""
+    calls = []
+    priced_round = mechanism.priced_round
+    monkeypatch.setattr(
+        "procure_learn.mechanism.priced_round",
+        lambda *args: calls.append(1) or priced_round(*args),
+    )
+    instance = INSTANCES["coin-3000"]()
+    config = TRACKED_VERTEX_CONFIGS[name]
+    mech = Mechanism(config, instance).run(np.random.default_rng(9))
+    assert mech.purchases <= len(calls) < instance.horizon // 2
+    monkeypatch.undo()
+    expected = reference_run(config, instance, np.random.default_rng(9))
+    columns = [getattr(mech.transcript, column).tolist() for column in mech.transcript.COLUMNS[1:]]
+    assert columns == [list(c) for c in zip(*expected)]
+    assert end_state(mech) == reference_end_state(config, instance, expected)
+
+
+WORKLOAD_VERTEX_RUNS = {
+    # the coin-at-cost workload's instance and mechanism config
+    "coin-at-cost": (
+        lambda: coin_sequence(20000, 0.05, "heads", 42),
+        MechanismConfig(
+            budget=400.0,
+            payment_mode="at-cost",
+            price_scale=KnowledgeScale(PriorKnowledge(avg_value_cost=1.0)),
+            learning_rate=TheoryRate(),
+        ),
+    ),
+    # the same instance with the scales and policies that read the state
+    # mid-run, and naive's spend prefix
+    "coin-at-cost-adaptive": (
+        lambda: coin_sequence(20000, 0.05, "heads", 42),
+        MechanismConfig(budget=400.0, payment_mode="at-cost", price_scale=AdaptiveScale()),
+    ),
+    "coin-knowledge-hard-stop": (
+        lambda: coin_sequence(20000, 0.05, "heads", 42),
+        MechanismConfig(
+            budget=400.0,
+            payment_mode="at-cost",
+            price_scale=KnowledgeScale(PriorKnowledge(avg_value_cost=0.25)),
+            hard_stop=True,
+        ),
+    ),
+    "coin-posted-price-naive": (
+        lambda: coin_sequence(20000, 0.05, "heads", 42),
+        MechanismConfig(budget=400.0, purchase_policy="naive"),
+    ),
+    "padded-coin-naive-at-cost": (
+        lambda: padded_coin_sequence(10000, 0.3, 0.1, "heads", 42),
+        MechanismConfig(budget=200.0, payment_mode="at-cost", purchase_policy="naive"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(WORKLOAD_VERTEX_RUNS))
+def test_workload_sized_vertex_run_matches_reference(name):
+    build, config = WORKLOAD_VERTEX_RUNS[name]
+    instance = build()
+    expected = reference_run(config, instance, np.random.default_rng(9))
+    mech = Mechanism(config, instance).run(np.random.default_rng(9))
+    columns = [getattr(mech.transcript, column).tolist() for column in mech.transcript.COLUMNS[1:]]
+    assert columns == [list(c) for c in zip(*expected)]
+    assert end_state(mech) == reference_end_state(config, instance, expected)
+
+
+@st.composite
+def drawn_runs(draw):
+    """An instance and a mechanism config drawn over every kind, policy,
+    payment mode, scale policy and hard stop, with c_max in [1, 4]."""
+    c_max = draw(st.floats(1.0, 4.0))
+    T = draw(st.integers(1, 300))
+    seed = draw(st.integers(0, 2**16))
+    kind = draw(st.sampled_from(["coin", "padded-coin", "linear"]))
+    if kind == "coin":
+        instance = coin_sequence(T, 0.15, "heads", seed)
+    elif kind == "padded-coin":
+        instance = padded_coin_sequence(T, draw(st.floats(0.05, 1.0)), 0.1, "heads", seed)
+    else:
+        cost = UniformCost(0.0, draw(st.floats(0.0, c_max)))
+        instance = linear_task(3, 2, 0.6, T, 5, cost, seed, noise=0.2)
+    payment_mode = draw(st.sampled_from(["posted-price", "at-cost"]))
+    price_scale = draw(
+        st.one_of(
+            st.just(AdaptiveScale()),
+            st.floats(0.0, 50.0).map(FixedScale),
+            st.floats(0.05, 1.0).map(lambda v: KnowledgeScale(PriorKnowledge(avg_value_cost=v))),
+        )
+    )
+    config = MechanismConfig(
+        budget=draw(st.floats(0.5, 60.0)),
+        payment_mode=payment_mode,
+        purchase_policy=draw(st.sampled_from(["priced", "naive", "baseline"])),
+        price_scale=price_scale,
+        learning_rate=FixedRate(draw(st.floats(0.01, 1.0))),
+        hard_stop=draw(st.booleans()),
+        c_max=c_max,
+    )
+    return instance, config, seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_runs())
+def test_drawn_run_matches_reference(run):
+    instance, config, seed = run
+    expected = reference_run(config, instance, np.random.default_rng(seed))
+    mech = Mechanism(config, instance).run(np.random.default_rng(seed))
+    columns = [getattr(mech.transcript, column).tolist() for column in mech.transcript.COLUMNS[1:]]
+    assert columns == [list(c) for c in zip(*expected)]
+    assert end_state(mech) == reference_end_state(config, instance, expected)
