@@ -173,9 +173,11 @@ class LossFamily:
     A ``ProblemInstance`` picks its family from its payload: feature rows get
     ``HingeLoss`` on an l2 ball, outcomes get ``VertexLoss`` on the simplex.
     Every member is 1-Lipschitz in the hypothesis under that space's
-    ``norm_kind`` (given unit-ball features). The mechanism reads arrivals
-    straight from the instance's columns; the whole-dataset methods serve
-    oracles and metrics and agree with it to rounding.
+    ``norm_kind`` (given unit-ball features). Each family's ``at_posted``
+    gives the loss and delta of a block of arrivals, each at the hypothesis
+    it posted, from the instance's columns: it settles a run. The
+    whole-dataset methods serve oracles and metrics and agree with it to
+    rounding.
     """
 
 
@@ -185,15 +187,15 @@ class HingeLoss(LossFamily):
     gradient is -y * x and delta (its dual norm) the row's stored norm;
     elsewhere both are zero.
 
-    ``margins`` takes the row sums ``(X * w).sum(axis=1)`` over a block of
-    rows, and the mechanism takes ``np.add.reduce(x * w)`` of a lone row:
-    numpy reduces each row of the block in the same order as the lone row,
-    so the two agree bit for bit at every dimension and block size (a test
-    pins this). ``np.dot`` (and BLAS matvec) sums in a different order and
-    differs from both in the last digits for a large share of rows. The
-    whole-dataset forms (``values``, ``grad_norms``) that the risk metrics
-    call keep the faster ``X @ w``; the offline oracle inlines its own hinge
-    arithmetic.
+    ``at_posted`` takes the row sums ``(X * H).sum(axis=1)`` over a block of
+    rows, each at its own hypothesis, and the mechanism takes
+    ``np.add.reduce(x * w)`` of a lone row: numpy reduces each row of the
+    block in the same order as the lone row, so the two agree bit for bit
+    at every dimension and block size (a test pins this). ``np.dot`` (and
+    BLAS matvec) sums in a different order and differs from both in the last
+    digits for a large share of rows. The whole-dataset forms (``values``,
+    ``grad_norms``) that the risk metrics call keep the faster ``X @ w``;
+    the offline oracle inlines its own hinge arithmetic.
     """
 
     def margin_value(self, m: np.ndarray) -> np.ndarray:
@@ -202,13 +204,11 @@ class HingeLoss(LossFamily):
     def margin_slope(self, m: np.ndarray) -> np.ndarray:
         return np.where(m < 1.0, -1.0, 0.0)
 
-    def margins(self, w, instance, start, stop) -> np.ndarray:
-        """The margins of the arrivals ``start <= t < stop`` at ``w``."""
-        return instance.labels[start:stop] * (instance.features[start:stop] * w).sum(axis=1)
-
-    def loss_delta(self, m: np.ndarray, feature_norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Loss and delta of the rows with margins ``m`` and these norms."""
-        return self.margin_value(m), np.abs(self.margin_slope(m)) * feature_norms
+    def at_posted(self, H, instance, start, stop) -> tuple[np.ndarray, np.ndarray]:
+        """Loss and delta of the arrivals ``start <= t < stop``, each at its
+        row of ``H``: the hypothesis it posted."""
+        m = instance.labels[start:stop] * (instance.features[start:stop] * H).sum(axis=1)
+        return self.margin_value(m), np.where(m < 1.0, instance.feature_norms[start:stop], 0.0)
 
     # batch forms over a dataset (X rows already unit-ball normalized)
     def values(self, w, X, y) -> np.ndarray:
@@ -222,6 +222,15 @@ class VertexLoss(LossFamily):
     """Linear loss 1 - w[outcome] on the simplex; filler points cost 1 flat.
     Its gradient is -1 at the outcome's vertex, so delta is 1 on every
     outcome and 0 on filler points, whatever the hypothesis."""
+
+    def at_posted(self, H, instance, start, stop) -> tuple[np.ndarray, np.ndarray]:
+        """Loss and delta of the arrivals ``start <= t < stop``, each at its
+        row of ``H``: the hypothesis it posted."""
+        outcomes = instance.outcomes[start:stop]
+        observed = outcomes >= 0
+        loss = np.ones(len(outcomes))
+        loss[observed] = 1.0 - H[observed, outcomes[observed]]
+        return loss, self.grad_norms(outcomes)
 
     def values(self, w, outcomes) -> np.ndarray:
         out = np.ones(len(outcomes))

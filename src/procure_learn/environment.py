@@ -163,8 +163,7 @@ class ProblemInstance:
 
     def __post_init__(self):
         T, dim = len(self.costs), self.space.dim
-        if T < 1:
-            raise InvalidConfigError(f"an instance needs a horizon T >= 1, got T = {T}")
+        check_horizon(T)
         if (self.outcomes is None) == (self.features is None):
             raise InvalidConfigError("an instance needs features or outcomes, not both")
         columns = ("features", "labels", "feature_norms", "outcomes", "groups")
@@ -219,9 +218,27 @@ class ProblemInstance:
         return self.family.grad_norms(w, self.features, self.labels, self.feature_norms)
 
 
+def check_horizon(T: int) -> None:
+    """Refuse a horizon with no rounds."""
+    if T < 1:
+        raise InvalidConfigError(f"an instance needs a horizon T >= 1, got T = {T}")
+
+
 # ---------------------------------------------------------------------------
 # Adversarial coin streams
 # ---------------------------------------------------------------------------
+
+
+def check_coin(T: int, epsilon: float, bias: str, coin_fraction: float = 1.0) -> None:
+    """Refuse the streams that ``coin_sequence`` (``coin_fraction`` 1) and
+    ``padded_coin_sequence`` cannot build."""
+    check_horizon(T)
+    if not 0.0 < coin_fraction <= 1.0:  # NaN fails both
+        raise InvalidConfigError(f"coin_fraction must lie in (0, 1], got {coin_fraction}")
+    if not 0.0 <= epsilon < 0.5:
+        raise InvalidConfigError(f"epsilon must lie in [0, 0.5), got {epsilon}")
+    if bias not in ("heads", "tails"):
+        raise InvalidConfigError(f"bias must be 'heads' or 'tails', got {bias!r}")
 
 
 def coin_sequence(
@@ -232,16 +249,13 @@ def coin_sequence(
     Unit costs, two-vertex simplex hypotheses, linear losses: the hard stream
     behind the no-data-no-regret scaling.
     """
+    check_coin(T, epsilon, bias)
     outcomes = _flips(T, epsilon, bias, seed)
     return ProblemInstance(space=simplex(2), costs=np.ones(T), outcomes=outcomes)
 
 
 def _flips(n: int, epsilon: float, bias: str, seed: SeedLike) -> np.ndarray:
     """Outcomes of ``n`` flips of the biased coin: 0 = heads, 1 = tails."""
-    if not 0.0 <= epsilon < 0.5:
-        raise ValueError("epsilon must lie in [0, 0.5)")
-    if bias not in ("heads", "tails"):
-        raise ValueError("bias must be 'heads' or 'tails'")
     p_heads = 0.5 + (epsilon if bias == "heads" else -epsilon)
     return (as_rng(seed).random(n) >= p_heads).astype(np.int64)
 
@@ -260,8 +274,7 @@ def padded_coin_sequence(
     realized mean of delta * sqrt(cost) over the sequence equals
     ``coin_fraction`` for every hypothesis.
     """
-    if not 0.0 < coin_fraction <= 1.0:
-        raise ValueError("coin_fraction must lie in (0, 1]")
+    check_coin(T, epsilon, bias, coin_fraction)
     n_coins = int(round(coin_fraction * T))
     n_null = T - n_coins
     flips = _flips(n_coins, epsilon, bias, seed)
@@ -273,6 +286,18 @@ def padded_coin_sequence(
 # ---------------------------------------------------------------------------
 # Synthetic linear classification
 # ---------------------------------------------------------------------------
+
+
+def check_linear(T: int, dim: int, clusters: int, T_test: int, radius: float) -> None:
+    """Refuse the tasks that ``linear_task`` cannot build."""
+    check_horizon(T)
+    if dim < 2:
+        raise InvalidConfigError(f"need dimension >= 2, got {dim}")
+    if clusters < 1:
+        raise InvalidConfigError(f"need at least one cluster per class, got {clusters}")
+    if T_test < 0:
+        raise InvalidConfigError(f"need T_test >= 0, got {T_test}")
+    l2_ball(dim, radius)  # refuses a radius that is not positive
 
 
 def linear_task(
@@ -296,12 +321,7 @@ def linear_task(
     one), which is what correlated cost models target. Features are clipped to
     the unit ball.
     """
-    if dim < 2:
-        raise InvalidConfigError("need dimension >= 2")
-    if clusters < 1:
-        raise InvalidConfigError("need at least one cluster per class")
-    if T_test < 0:
-        raise InvalidConfigError(f"need T_test >= 0, got {T_test}")
+    check_linear(T, dim, clusters, T_test, radius)
     data_rng, cost_rng = _spawn(seed, 2)
 
     centers = np.zeros((2 * clusters, dim))
@@ -381,6 +401,19 @@ def load_idx_labels(path: str) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8)
 
 
+def check_idx(images: str, labels: str, positive_digits, negative_digits) -> None:
+    """Refuse what ``load_digit_dataset`` cannot load: a path that cannot be
+    opened for reading, or a digit listed as both classes."""
+    for key, path in (("images", images), ("labels", labels)):
+        try:
+            open(path, "rb").close()
+        except OSError as exc:
+            raise InvalidConfigError(f"cannot read the {key} file {path!r}: {exc.strerror}") from None
+    overlap = set(positive_digits) & set(negative_digits)
+    if overlap:
+        raise InvalidConfigError(f"digits {sorted(overlap)} listed as both classes")
+
+
 def load_digit_dataset(
     images_path: str,
     labels_path: str,
@@ -393,15 +426,13 @@ def load_digit_dataset(
     Pixels are scaled to [0, 1] and each flattened image is normalized to unit
     euclidean norm. Returns (features, labels, digits).
     """
+    check_idx(images_path, labels_path, positive_digits, negative_digits)
     images = load_idx_images(images_path)
     digits = load_idx_labels(labels_path)
     if len(images) != len(digits):
         raise FormatError(
             f"image count {len(images)} does not match label count {len(digits)}"
         )
-    overlap = set(positive_digits) & set(negative_digits)
-    if overlap:
-        raise InvalidConfigError(f"digits {sorted(overlap)} listed as both classes")
     keep = np.isin(digits, np.asarray(list(positive_digits) + list(negative_digits)))
     images, digits = images[keep], digits[keep]
     if limit is not None:
@@ -415,8 +446,8 @@ def load_digit_dataset(
 
 
 def digit_task(
-    images_path: str,
-    labels_path: str,
+    images: str,
+    labels: str,
     cost_model: CostModel,
     seed: SeedLike = 0,
     *,
@@ -431,9 +462,7 @@ def digit_task(
     The split keeps a ``holdout_fraction`` share for testing; costs are drawn
     for the training (arrival) side only.
     """
-    X, y, digits = load_digit_dataset(
-        images_path, labels_path, positive_digits, negative_digits, limit
-    )
+    X, y, digits = load_digit_dataset(images, labels, positive_digits, negative_digits, limit)
     split_rng, cost_rng = _spawn(seed, 2)
     order = split_rng.permutation(len(X))
     n_test = int(round(holdout_fraction * len(X)))

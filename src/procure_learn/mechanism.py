@@ -41,22 +41,17 @@ first and then learns. Its delta is 1 on every outcome and 0 on filler
 points at every hypothesis, so the bound is exact: an untracked run's list
 is its decision, and a tracked one walks. The learner then replays the
 purchases in one block: a cumulative sum adds the rows in round order, as
-one round at a time does.
+one round at a time does. A feature run (``HingeLoss``) learns as it
+walks. Its delta is the row's norm where the hinge is active and 0
+elsewhere, so it lists at the stored norms, takes the margin of each
+visited round at the current hypothesis and feeds each active purchase.
 
-A feature run (``HingeLoss``) learns as it walks. Its delta is the row's
-norm where the hinge is active and 0 elsewhere, so it lists at the stored
-norms, takes the margin of each visited round at the current hypothesis
-and feeds each purchase. The rounds not visited then take their margins at
-the hypothesis they posted, and the hypothesis sum is added up in round
-order. A margin has the same bits one row at a time or in a block, as
-numpy reduces each row of a block as it reduces a lone row.
-
-Either way one settle pass adds up the payments, estimates and totals in
-one cumulative sum, which adds the same values in the same order as the
-running spend and estimate that the rounds read, and prices every round
-again from its uniform: at the spend and the estimate before it for a
-tracked run, at the start for the rest. It keeps the columns as a
-transcript.
+Either way one settle pass (``_settle``) replays the hypotheses the run
+posted: the loss and delta of every round at its hypothesis, and their sum.
+A margin has the same bits one row at a time or in a block, as numpy
+reduces each row of a block as it reduces a lone row, so a visited round's
+loss is the one its visit decided on. The pass then totals and prices
+every round again, and keeps the columns as a transcript.
 
 A bought round with an inactive hinge pays but is not fed: the gradient
 sum starts at +0.0 and never holds -0.0, so a zero gradient would change
@@ -92,13 +87,11 @@ SCALE_CAP = 1e6
 
 # A tracked run lists the rounds it could buy CHUNK rounds at a time, and
 # lists them again after STALE visits that the state refused: a list costs
-# about as much as that many visits. A feature run's unvisited rounds at one
-# hypothesis take their margins one row at a time when fewer than
-# VECTOR_GAP, where numpy's fixed cost per call is not repaid, else in
-# blocks capped so that a (rows x dim) block stays a few hundred kilobytes.
+# about as much as that many visits. The settle pass replays the posted
+# hypotheses in blocks of rows capped so that a (rows x dim) block stays a
+# few hundred kilobytes.
 CHUNK = 1024
 STALE = 8
-VECTOR_GAP = 6
 WINDOW_ELEMENTS = 1 << 15
 
 
@@ -387,9 +380,10 @@ class Mechanism:
     # -- execution ------------------------------------------------------------
 
     def run(self, rng: np.random.Generator) -> "Mechanism":
-        """Execute all rounds, consuming one uniform draw per round. A vertex
-        run decides its rounds and then learns; a feature run learns while
-        it walks. Either way the run then settles from its round columns."""
+        """Execute all rounds, consuming one uniform draw per round. Either
+        engine returns the columns price, q and accepted, the rounds fed,
+        and the hypotheses posted before the first feed and after each, one
+        row each; the run then settles from them."""
         if self.transcript is not None:
             raise MechanismStateError("mechanism already ran its full sequence")
         uniforms = rng.random(self.horizon)
@@ -397,21 +391,36 @@ class Mechanism:
         self._settle(*play(uniforms), uniforms)
         return self
 
-    def _settle(self, delta, price, q, accepted, loss, uniforms) -> None:
-        """Total a played run from its round columns and keep them, with the
-        payment and the spend after each round, as its transcript.
+    def _settle(self, price, q, accepted, fed, posted, uniforms) -> None:
+        """Total a played run and keep its columns, with the loss, delta,
+        payment and spend after each round, as its transcript.
 
-        One cumulative sum over the rounds adds up the loss, delta *
-        sqrt(cost), delta, the importance-weighted estimate and the payment.
-        It adds them in round order, as the rounds one at a time do, and a
-        rejected round adds 0.0 to the estimate and the spend, which leaves
-        them as they are: so the spend and the estimate equal bit for bit
-        the running ones that ``_pay`` kept for the rounds to read. ``price``
-        and ``q`` need to hold only at the accepted rounds: every round is
-        then priced again from the ``uniforms``, at the spend and the
-        estimate before it where the run is tracked."""
-        cfg = self.config
-        T, costs = self.horizon, self.instance.costs
+        Round t posted the row of ``posted`` after the feeds of the rounds
+        before it. In blocks of at most WINDOW_ELEMENTS values of those
+        rows, the family gives each round's loss and delta, and a cumulative
+        sum adds the rows to the hypothesis sum in round order, as one round
+        at a time does. One cumulative sum over the rounds then adds up the
+        loss, delta * sqrt(cost), delta, the importance-weighted estimate and
+        the payment, in round order too; a rejected round adds 0.0 to the
+        estimate and the spend, which leaves them as they are: so the spend
+        and the estimate equal bit for bit the running ones that ``_pay``
+        kept for the rounds to read. ``price`` and ``q`` need to hold only
+        at the accepted rounds: every round is then priced again from the
+        ``uniforms``, at the spend and the estimate before it where the run
+        is tracked."""
+        cfg, instance = self.config, self.instance
+        T, costs, dim = self.horizon, instance.costs, instance.space.dim
+        loss, delta = np.empty((2, T))
+        total = np.zeros(dim)  # the hypothesis sum starts at zero
+        step = max(1, WINDOW_ELEMENTS // dim)
+        for a in range(0, T, step):
+            b = min(T, a + step)
+            rows = np.empty((b - a + 1, dim))
+            rows[0] = total
+            H = posted.take(np.searchsorted(fed, np.arange(a, b)), axis=0, out=rows[1:], mode="clip")
+            loss[a:b], delta[a:b] = instance.family.at_posted(H, instance, a, b)
+            total = np.cumsum(rows, axis=0, out=rows)[-1]  # adds the rows in order
+        self.hypothesis_sum = total.copy()
         paid = accepted & (cfg.purchase_policy != BASELINE)  # baseline pays nothing
         payment = np.where(paid, costs if cfg.payment_mode == AT_COST else price, 0.0)
         value_cost = delta * np.sqrt(costs)
@@ -463,9 +472,10 @@ class Mechanism:
 
     def _walk(self, upper, exact, uniforms, bought=None) -> tuple[np.ndarray, ...]:
         """Decide the rounds in order, visiting only those the run could
-        buy, and call ``bought(round, delta, q)`` at each purchase, right
-        after its visit. Returns the columns price, q and accepted; price
-        and q hold only at the purchases.
+        buy, and call ``bought(round, delta, q)`` at each purchase right
+        after its visit ``exact(round)``, with no visit between: a feature
+        run keeps only the margin of the round it visited last. Returns the
+        columns price, q and accepted; price and q hold only at purchases.
 
         A list is ``_posted`` at the rounds' ``upper`` deltas and the
         current state: the next CHUNK rounds of a tracked run, every round
@@ -518,74 +528,40 @@ class Mechanism:
     def _visit(self, uniforms: np.ndarray) -> tuple[np.ndarray, ...]:
         """Play a feature run on the walk: the margin of each visited round
         at the current hypothesis, and a feed at each purchase whose hinge
-        is active. Then the margins of the rounds not visited are taken at
-        the hypothesis each posted. Returns the round columns delta, price,
-        q, accepted and loss."""
+        is active."""
         instance, learner = self.instance, self.learner
-        family = instance.family
-        T, features, margin = self.horizon, instance.features, _margin
+        features, margin = instance.features, _margin
         labels = instance.labels.tolist()
         norms = instance.feature_norms.tolist()
-        margins = np.full(T, math.nan)  # NaN until visited; no margin is NaN: the rows are finite
-        fed, posted = [], [learner.coords]  # the rounds fed, the hypothesis after each
-        w = learner.coords
+        # room for a feed in every round; the pages of rows never written stay untouched
+        fed, posted = [], np.empty((self.horizon + 1, instance.space.dim))
+        posted[0] = w = learner.coords
+        m = 0.0  # the margin of the round visited last, which a purchase follows
 
         def exact(j):  # the delta at the current hypothesis
-            margins[j] = m = labels[j] * margin(features[j], w)
+            nonlocal m
+            m = labels[j] * margin(features[j], w)
             return norms[j] if m < 1.0 else 0.0
 
         def bought(j, d, q):  # the gradient -label * x; an inactive hinge feeds zero
             nonlocal w
-            if margins[j] < 1.0:
+            if m < 1.0:
                 learner._feed(features[j], 1.0 / q, d, negate=labels[j] > 0)
                 w = learner.coords
                 fed.append(j)
-                posted.append(w)
+                posted[len(fed)] = w
 
         price, q, accepted = self._walk(instance.feature_norms, exact, uniforms, bought)
-        before = np.searchsorted(fed, np.arange(T))  # round t posts posted[before[t]]
-        rest = np.flatnonzero(np.isnan(margins))
-        step = max(1, WINDOW_ELEMENTS // instance.space.dim)
-        for group in np.split(rest, np.flatnonzero(np.diff(before[rest])) + 1):
-            if len(group) < VECTOR_GAP:  # the one group is empty if every round was visited
-                for i in group.tolist():
-                    margins[i] = labels[i] * margin(features[i], posted[before[i]])
-                continue
-            w = posted[before[group[0]]]
-            for a in range(group[0], group[-1] + 1, step):
-                b = min(group[-1] + 1, a + step)
-                margins[a:b] = family.margins(w, instance, a, b)
-        loss, delta = family.loss_delta(margins, instance.feature_norms)
-        self.hypothesis_sum = self._sum_posted(posted, before)
-        return delta, price, q, accepted, loss
-
-    def _sum_posted(self, posted, before) -> np.ndarray:
-        """The sum of the hypotheses ``posted[before[t]]`` that the rounds
-        posted, in blocks added in round order as one round at a time
-        does; ``posted`` is the hypothesis before the first feed and after
-        each, as rows or a list."""
-        dim = self.instance.space.dim
-        step = max(1, WINDOW_ELEMENTS // dim)
-        total = np.zeros(dim)  # the hypothesis sum starts at zero
-        for a in range(0, self.horizon, step):
-            k = before[a:a + step]
-            block = np.empty((len(k) + 1, dim))
-            block[0] = total
-            block[1:] = np.asarray(posted[k[0]:k[-1] + 1])[k - k[0]]
-            total = block.cumsum(axis=0)[-1]  # adds the rows in order
-        return total.copy()
+        return price, q, accepted, np.array(fed, dtype=np.int64), posted[: len(fed) + 1]
 
     def _decide_then_learn(self, uniforms: np.ndarray) -> tuple[np.ndarray, ...]:
         """Play a vertex run in two passes, bit for bit the rounds one by
         one: decide every round without the learner, then replay the
         learner over the purchases in one block. Its delta is exact at
         every hypothesis, so an untracked run's one list is its decision,
-        and a tracked one walks at that delta. Returns the round columns
-        delta, price, q, accepted and loss."""
+        and a tracked one walks at that delta."""
         instance = self.instance
-        T, dim = self.horizon, instance.space.dim
-        outcomes = instance.outcomes
-        observed = outcomes >= 0
+        T, outcomes = self.horizon, instance.outcomes
         dlt = instance.family.grad_norms(outcomes)  # at every hypothesis
         if self._tracked:
             price, q, accepted = self._walk(dlt, dlt.item, uniforms)
@@ -593,15 +569,11 @@ class Mechanism:
             price, q, accepted = self._posted(dlt, 0, T, 0.0, 0.0, uniforms)
 
         # a bought filler round has a zero gradient and is not fed
-        fed = np.flatnonzero(accepted & observed)
-        gradients = np.zeros((len(fed), dim))
+        fed = np.flatnonzero(accepted & (outcomes >= 0))
+        gradients = np.zeros((len(fed), instance.space.dim))
         gradients[np.arange(len(fed)), outcomes[fed]] = -1.0
         posted = self.learner._feed_rows(gradients, 1.0 / q[fed], dlt[fed])
-        before = np.searchsorted(fed, np.arange(T))  # round t posts posted[before[t]]
-        loss = np.ones(T)
-        loss[observed] = 1.0 - posted[before[observed], outcomes[observed]]
-        self.hypothesis_sum = self._sum_posted(posted, before)
-        return dlt, price, q, accepted, loss
+        return price, q, accepted, fed, posted
 
     def _pay(self, dlt, cost, price, q) -> None:
         """Pay for an accepted round of a tracked run: the running spend

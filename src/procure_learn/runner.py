@@ -36,6 +36,9 @@ from .environment import (
     ProblemInstance,
     TwoPointCost,
     UniformCost,
+    check_coin,
+    check_idx,
+    check_linear,
     coin_sequence,
     digit_task,
     linear_task,
@@ -62,19 +65,28 @@ from .metrics import OfflineSolution, SequenceStats, offline_best, risk
 # ---------------------------------------------------------------------------
 
 
+# Each spec holds the arguments of its builder but the seed, under the same
+# names, and refuses what its builder would, with the builder's own check, so
+# that a config is refused before any output.
 @dataclass(frozen=True)
 class CoinSpec:
     T: int
-    epsilon: float
+    epsilon: float = 0.1
     bias: str = "heads"
+
+    def __post_init__(self):
+        check_coin(self.T, self.epsilon, self.bias)
 
 
 @dataclass(frozen=True)
 class PaddedCoinSpec:
     T: int
     coin_fraction: float
-    epsilon: float
+    epsilon: float = 0.1
     bias: str = "heads"
+
+    def __post_init__(self):
+        check_coin(self.T, self.epsilon, self.bias, self.coin_fraction)
 
 
 @dataclass(frozen=True)
@@ -89,6 +101,9 @@ class LinearTaskSpec:
     spread: float = 0.35
     noise: float = 0.1
 
+    def __post_init__(self):
+        check_linear(self.T, self.dim, self.clusters, self.T_test, self.radius)
+
 
 @dataclass(frozen=True)
 class IdxSpec:
@@ -101,40 +116,23 @@ class IdxSpec:
     holdout_fraction: float = 0.5
     radius: float = 10.0
 
+    def __post_init__(self):
+        check_idx(self.images, self.labels, self.positive_digits, self.negative_digits)
+
 
 InstanceSpec = Union[CoinSpec, PaddedCoinSpec, LinearTaskSpec, IdxSpec]
+_KINDS = {  # the config's instance kind: its spec and builder
+    "coin": (CoinSpec, coin_sequence),
+    "padded-coin": (PaddedCoinSpec, padded_coin_sequence),
+    "linear": (LinearTaskSpec, linear_task),
+    "idx": (IdxSpec, digit_task),
+}
 
 
 def build_instance(spec: InstanceSpec, seed) -> ProblemInstance:
-    if isinstance(spec, CoinSpec):
-        return coin_sequence(spec.T, spec.epsilon, spec.bias, seed)
-    if isinstance(spec, PaddedCoinSpec):
-        return padded_coin_sequence(spec.T, spec.coin_fraction, spec.epsilon, spec.bias, seed)
-    if isinstance(spec, LinearTaskSpec):
-        return linear_task(
-            spec.dim,
-            spec.clusters,
-            spec.separation,
-            spec.T,
-            spec.T_test,
-            spec.cost_model,
-            seed,
-            radius=spec.radius,
-            spread=spec.spread,
-            noise=spec.noise,
-        )
-    if isinstance(spec, IdxSpec):
-        return digit_task(
-            spec.images,
-            spec.labels,
-            spec.cost_model,
-            seed,
-            positive_digits=spec.positive_digits,
-            negative_digits=spec.negative_digits,
-            limit=spec.limit,
-            holdout_fraction=spec.holdout_fraction,
-            radius=spec.radius,
-        )
+    for cls, builder in _KINDS.values():
+        if type(spec) is cls:
+            return builder(**{f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}, seed=seed)
     raise InvalidConfigError(f"unknown instance spec {type(spec).__name__}")
 
 
@@ -155,6 +153,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise InvalidConfigError("need at least one trial")
+        if self.seed < 0:  # numpy seeds only from nonnegative integers
+            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _require(d: dict, key: str, where: str):
@@ -178,6 +178,23 @@ def _section(d, where: str) -> dict:
     return d
 
 
+def _integer(value, key: str) -> int:
+    """``value``, refused by ``key`` unless it is an integral number: ``int``
+    would read 2.7 as 2 and true as 1."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise InvalidConfigError(f"{key} must be an integer, got {json.dumps(value)}")
+    return int(value)
+
+
+def _integers(values, key: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ``_integer``s, refused unless a JSON list."""
+    if not isinstance(values, list):
+        raise InvalidConfigError(f"{key} must be a list of integers, got {json.dumps(values)}")
+    return tuple(_integer(v, key) for v in values)
+
+
 def _fields(spec) -> list[str]:
     """The field names of a dataclass whose config keys they are."""
     return [f.name for f in dataclasses.fields(spec)]
@@ -196,50 +213,35 @@ def parse_cost_model(d: dict) -> CostModel:
         return TwoPointCost(float(d.get("p_high", 0.2)), float(d.get("high_cost", 1.0)), None)
     if kind == "two-point-correlated":
         _reject_unread(d, "cost_model", "kind", "p_high", "high_cost", "target_groups")
-        targets = tuple(int(g) for g in _require(d, "target_groups", "cost_model"))
+        targets = _integers(_require(d, "target_groups", "cost_model"), "target_groups")
         return TwoPointCost(float(d.get("p_high", 0.2)), float(d.get("high_cost", 1.0)), targets)
     raise InvalidConfigError(f"unknown cost model kind {kind!r}")
 
 
+# how an instance spec reads a field's value, by the field's annotation
+_PARSE_FIELD = {
+    "int": _integer,
+    "float": lambda value, key: float(value),
+    "str": lambda value, key: str(value),
+    "tuple[int, ...]": _integers,
+    "Optional[int]": lambda value, key: None if value is None else _integer(value, key),
+    "CostModel": lambda value, key: parse_cost_model(value),
+}
+
+
 def parse_instance(d: dict) -> InstanceSpec:
+    """The spec of its ``kind`` whose fields are the keys of ``d``, each read
+    by its annotation; a key left out keeps the field's default."""
     kind = _require(_section(d, "instance"), "kind", "instance")
-    if kind == "coin":
-        _reject_unread(d, "instance", "kind", *_fields(CoinSpec))
-        return CoinSpec(int(_require(d, "T", "instance")), float(d.get("epsilon", 0.1)), d.get("bias", "heads"))
-    if kind == "padded-coin":
-        _reject_unread(d, "instance", "kind", *_fields(PaddedCoinSpec))
-        return PaddedCoinSpec(
-            int(_require(d, "T", "instance")),
-            float(_require(d, "coin_fraction", "instance")),
-            float(d.get("epsilon", 0.1)),
-            d.get("bias", "heads"),
-        )
-    if kind == "linear":
-        _reject_unread(d, "instance", "kind", *_fields(LinearTaskSpec))
-        return LinearTaskSpec(
-            T=int(_require(d, "T", "instance")),
-            cost_model=parse_cost_model(_require(d, "cost_model", "instance")),
-            dim=int(d.get("dim", 4)),
-            clusters=int(d.get("clusters", 2)),
-            separation=float(d.get("separation", 0.6)),
-            T_test=int(d.get("T_test", 1000)),
-            radius=float(d.get("radius", 3.0)),
-            spread=float(d.get("spread", 0.35)),
-            noise=float(d.get("noise", 0.1)),
-        )
-    if kind == "idx":
-        _reject_unread(d, "instance", "kind", *_fields(IdxSpec))
-        return IdxSpec(
-            images=str(_require(d, "images", "instance")),
-            labels=str(_require(d, "labels", "instance")),
-            cost_model=parse_cost_model(_require(d, "cost_model", "instance")),
-            positive_digits=tuple(int(x) for x in d.get("positive_digits", (9, 8))),
-            negative_digits=tuple(int(x) for x in d.get("negative_digits", (1, 4))),
-            limit=None if d.get("limit") is None else int(d["limit"]),
-            holdout_fraction=float(d.get("holdout_fraction", 0.5)),
-            radius=float(d.get("radius", 10.0)),
-        )
-    raise InvalidConfigError(f"unknown instance kind {kind!r}")
+    if not (isinstance(kind, str) and kind in _KINDS):
+        raise InvalidConfigError(f"unknown instance kind {kind!r}")
+    spec = _KINDS[kind][0]
+    _reject_unread(d, "instance", "kind", *_fields(spec))
+    return spec(**{
+        f.name: _PARSE_FIELD[f.type](_require(d, f.name, "instance"), f.name)
+        for f in dataclasses.fields(spec)
+        if f.name in d or f.default is dataclasses.MISSING
+    })
 
 
 def parse_mechanism(d: dict) -> MechanismConfig:
@@ -312,8 +314,8 @@ def parse_config(d: dict) -> ExperimentConfig:
     return ExperimentConfig(
         instance=instance,
         mechanism=mechanism,
-        trials=int(d.get("trials", 1)),
-        seed=int(d.get("seed", 0)),
+        trials=_integer(d.get("trials", 1), "trials"),
+        seed=_integer(d.get("seed", 0), "seed"),
         output_dir=str(d.get("output_dir", "out")),
         budget_grid=None if grid is None else tuple(float(b) for b in grid),
     )
@@ -499,25 +501,12 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[SweepRow]:
     rows = []
     for i, mcfg in enumerate(grid):
         cells = [results[i] for results in per_trial]
-        regret_m, regret_se = mean_se(np.array([c.regret for c in cells]))
-        r01_m, r01_se = mean_se(np.array([c.risk_zero_one for c in cells]))
-        rs_m, rs_se = mean_se(np.array([c.risk_surrogate for c in cells]))
-        spend_m, spend_se = mean_se(np.array([c.spend for c in cells]))
-        rows.append(
-            SweepRow(
-                policy=mcfg.purchase_policy,
-                budget=mcfg.budget,
-                trials=len(cells),
-                regret_mean=regret_m,
-                regret_se=regret_se,
-                risk_zero_one_mean=r01_m,
-                risk_zero_one_se=r01_se,
-                risk_surrogate_mean=rs_m,
-                risk_surrogate_se=rs_se,
-                spend_mean=spend_m,
-                spend_se=spend_se,
-            )
-        )
+        # the mean and standard error of each, in SweepRow's field order
+        summaries = [
+            mean_se(np.array([getattr(c, name) for c in cells]))
+            for name in ("regret", "risk_zero_one", "risk_surrogate", "spend")
+        ]
+        rows.append(SweepRow(mcfg.purchase_policy, mcfg.budget, len(cells), *sum(summaries, ())))
     return rows
 
 

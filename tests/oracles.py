@@ -22,11 +22,11 @@ from procure_learn.metrics import SequenceStats
 def hinge_row(instance: ProblemInstance, w: np.ndarray, t: int) -> tuple[float, float, float]:
     """Loss, delta and gradient coefficient (slope * label, which times the
     row is the gradient) of feature arrival ``t`` at ``w``: the family's
-    block kernels on a block of one row."""
-    family = instance.family
-    m = family.margins(w, instance, t, t + 1)
-    loss, delta = family.loss_delta(m, instance.feature_norms[t : t + 1])
-    return float(loss[0]), float(delta[0]), float(family.margin_slope(m)[0] * instance.labels[t])
+    block kernel on a block of one row. The hinge is active, and its slope
+    -1, exactly where the loss 1 - m is positive."""
+    loss, delta = instance.family.at_posted(np.asarray(w)[None, :], instance, t, t + 1)
+    slope = -1.0 if loss[0] > 0.0 else 0.0
+    return float(loss[0]), float(delta[0]), slope * float(instance.labels[t])
 
 
 def posted_hypotheses(mech) -> np.ndarray:

@@ -249,6 +249,58 @@ def test_cost_model_that_never_draws_its_high_cost_is_accepted(tmp_path):
     assert main(["run", "--config", str(cfg_path), "--jobs", "1"]) == 0
 
 
+LINEAR = {"kind": "linear", "T": 50, "cost_model": {"kind": "uniform"}}
+LATE_REFUSALS = {
+    # (config overrides, or None for the shipped digits_idx.json; extra
+    # arguments; extra environment; the whole error line)
+    "padded-coin-fraction": (
+        {"instance": {"kind": "padded-coin", "T": 50, "coin_fraction": 0.0}},
+        [], {}, "coin_fraction must lie in (0, 1], got 0.0",
+    ),
+    "coin-T": ({"instance": {"T": 0}}, [], {}, "an instance needs a horizon T >= 1, got T = 0"),
+    "coin-epsilon": ({"instance": {"epsilon": 0.9}}, [], {}, "epsilon must lie in [0, 0.5), got 0.9"),
+    "coin-bias": ({"instance": {"bias": "sideways"}}, [], {}, "bias must be 'heads' or 'tails', got 'sideways'"),
+    "linear-dim": ({"instance": {**LINEAR, "dim": 0}}, [], {}, "need dimension >= 2, got 0"),
+    "linear-clusters": (
+        {"instance": {**LINEAR, "clusters": 0}}, [], {}, "need at least one cluster per class, got 0",
+    ),
+    "linear-T_test": ({"instance": {**LINEAR, "T_test": -1}}, [], {}, "need T_test >= 0, got -1"),
+    "linear-radius": ({"instance": {**LINEAR, "radius": -1}}, [], {}, "ball radius must be positive"),
+    "config-seed": ({"seed": -1}, [], {}, "seed must be >= 0, got -1"),
+    "flag-seed": ({}, ["--seed", "-2"], {}, "seed must be >= 0, got -2"),
+    "environment-seed": ({}, [], {"PROCURE_LEARN_SEED": "-3"}, "seed must be >= 0, got -3"),
+    "idx-files-absent": (
+        None, [], {},
+        "cannot read the images file '/path/to/train-images-idx3-ubyte': No such file or directory",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(LATE_REFUSALS))
+def test_config_its_builder_refuses_exits_2_before_any_output(tmp_path, case):
+    # each used to pass the parser, make the output directory and only then
+    # exit 2 in the first trial; a negative seed ended in numpy's "expected
+    # non-negative integer"
+    overrides, args, env, message = LATE_REFUSALS[case]
+    cfg_path = tmp_path / "config.json"
+    if overrides is None:  # the shipped config, writing under tmp_path
+        shipped = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "digits_idx.json"
+        config = {**json.loads(shipped.read_text()), "output_dir": str(tmp_path / "out")}
+        cfg_path.write_text(json.dumps(config))
+    else:
+        _write_config(cfg_path, **overrides)
+    proc = subprocess.run(
+        [sys.executable, "-m", "procure_learn", "run", "--config", str(cfg_path), "--jobs", "1", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, **env},
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert [line for line in proc.stderr.splitlines() if "error:" in line] == [f"error: {message}"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "overrides, section",
     [

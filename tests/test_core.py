@@ -319,29 +319,55 @@ def test_scalar_and_batch_forms_agree(rng):
     np.testing.assert_allclose(vinst.family.grad_norms(outcomes), [r[1] for r in vrows])
 
 
-@pytest.mark.parametrize("dim", [2, 24, 32, 784])
-def test_feature_row_range_kernel_matches_scalar_bitwise(dim, rng):
-    # a feature run takes the margins of the rounds it visits one row at a
-    # time and those between visits in blocks of rows; both must give the
-    # same bits on every row, however the rows are cut into blocks
-    instance = linear_task(dim, 2, 0.6, 400, 1, UniformCost(), dim)
-    family, T = instance.family, instance.horizon
-    v = (instance.labels[:, None] * instance.features).mean(axis=0)
-    w = v / np.median(instance.labels * (instance.features * v).sum(axis=1))
-    one_row = np.array(
-        [int(instance.labels[t]) * _margin(instance.features[t], w) for t in range(T)]
-    )
+def _blocks(T, rng):
+    """Cuts of ``range(T)`` into blocks: whole, arbitrary and single rows."""
     cuts = np.sort(rng.choice(np.arange(1, T), size=15, replace=False)).tolist()
     bounds = [0, *cuts, T]
-    splits = {
+    return {
         "whole": [(0, T)],
         "arbitrary": list(zip(bounds, bounds[1:])),
         "single rows": [(t, t + 1) for t in range(T)],
     }
-    for name, pieces in splits.items():
-        margins = np.concatenate([family.margins(w, instance, a, b) for a, b in pieces])
-        assert margins.tobytes() == one_row.tobytes(), name
-    assert (one_row < 1.0).any() and (one_row >= 1.0).any()  # both hinge branches
+
+
+@pytest.mark.parametrize("dim", [2, 24, 32, 784])
+def test_feature_row_range_kernel_matches_scalar_bitwise(dim, rng):
+    # a feature run takes the margins of the rounds it visits one row at a
+    # time, and the settle pass the loss and delta of every round in blocks
+    # of rows, each at the hypothesis it posted: both must give the same
+    # bits on every row, however the rows are cut into blocks
+    instance = linear_task(dim, 2, 0.6, 400, 1, UniformCost(), dim)
+    family, T = instance.family, instance.horizon
+    labels, features, norms = instance.labels, instance.features, instance.feature_norms
+    v = (labels[:, None] * features).mean(axis=0)
+    w = v / np.median(labels * (features * v).sum(axis=1))
+    hypotheses = {
+        "one hypothesis": np.tile(w, (T, 1)),
+        "one per row": w * rng.uniform(0.5, 1.5, size=(T, 1)),
+    }
+    for kind, H in hypotheses.items():
+        m = [int(labels[t]) * _margin(features[t], H[t]) for t in range(T)]
+        one_row = np.array([(max(0.0, 1.0 - m[t]), norms[t] if m[t] < 1.0 else 0.0) for t in range(T)])
+        assert (one_row[:, 0] > 0.0).any() and (one_row[:, 0] == 0.0).any(), kind  # both branches
+        for name, pieces in _blocks(T, rng).items():
+            blocks = [np.stack(family.at_posted(H[a:b], instance, a, b), axis=1) for a, b in pieces]
+            assert np.concatenate(blocks).tobytes() == one_row.tobytes(), (kind, name)
+
+
+def test_vertex_row_range_kernel_matches_scalar(rng):
+    # loss 1 - w[outcome] at each row's own hypothesis, 1 on filler; delta 1
+    # on every outcome and 0 on filler
+    T, dim = 300, 5
+    outcomes = rng.integers(-1, dim, size=T)
+    instance = _vertex_instance(outcomes, dim)
+    H = rng.dirichlet(np.ones(dim), size=T)
+    one_row = np.array(
+        [(1.0 - H[t, o], 1.0) if o >= 0 else (1.0, 0.0) for t, o in enumerate(outcomes.tolist())]
+    )
+    assert (outcomes < 0).any() and (outcomes >= 0).any()
+    for name, pieces in _blocks(T, rng).items():
+        blocks = [np.stack(instance.family.at_posted(H[a:b], instance, a, b), axis=1) for a, b in pieces]
+        assert np.concatenate(blocks).tobytes() == one_row.tobytes(), name
 
 
 def test_generators_pick_family(tmp_path, rng):

@@ -289,24 +289,23 @@ def test_run_loop_matches_reference_two_point_costs():
 
 
 FORCED_PATHS = {
-    # every round at a hypothesis is taken in the block when it changes
-    "all-arrays": {"VECTOR_GAP": 1},
-    # every margin is taken one row at a time
-    "all-one-by-one": {"VECTOR_GAP": 10**9},
+    # the settle pass replays the whole run in one block
+    "all-arrays": lambda instance: instance.horizon * instance.space.dim,
+    # the settle pass replays one round per block
+    "all-one-by-one": lambda instance: instance.space.dim,
 }
 
 
 @pytest.mark.parametrize("path", list(FORCED_PATHS))
 @pytest.mark.parametrize("kind", ["linear-d24-correlated", "linear-d32-uniform"])
 def test_window_evaluation_does_not_change_results(monkeypatch, path, kind):
-    """Forcing every gap between the visits of a feature run to be closed
-    as a block, or one row at a time, reproduces the default run bit for
-    bit."""
+    """Forcing the settle pass of a feature run to replay its posted
+    hypotheses in one block, or one round at a time, reproduces the
+    default run bit for bit."""
     instance = INSTANCES[kind]()
     for config in CONFIGS:
         default = Mechanism(config, instance).run(np.random.default_rng(9))
-        for name, value in FORCED_PATHS[path].items():
-            monkeypatch.setattr(f"procure_learn.mechanism.{name}", value)
+        monkeypatch.setattr("procure_learn.mechanism.WINDOW_ELEMENTS", FORCED_PATHS[path](instance))
         forced = Mechanism(config, instance).run(np.random.default_rng(9))
         monkeypatch.undo()
         for column in forced.transcript.COLUMNS[1:]:

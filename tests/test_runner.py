@@ -63,7 +63,7 @@ def test_parse_config_defaults():
     assert config.budget_grid is None
 
 
-def test_parse_config_all_instance_kinds():
+def test_parse_config_all_instance_kinds(tmp_path):
     padded = parse_config(
         _base_config(instance={"kind": "padded-coin", "T": 100, "coin_fraction": 0.5})
     )
@@ -83,12 +83,15 @@ def test_parse_config_all_instance_kinds():
     assert linear.instance.spread == 0.5
     assert isinstance(linear.instance.cost_model, UniformCost)
 
+    # an idx spec opens its two files when parsed; they are read only in a trial
+    for name in ("i", "l"):
+        (tmp_path / name).write_bytes(b"")
     idx = parse_config(
         _base_config(
             instance={
                 "kind": "idx",
-                "images": "i",
-                "labels": "l",
+                "images": str(tmp_path / "i"),
+                "labels": str(tmp_path / "l"),
                 "cost_model": {"kind": "constant", "value": 0.3},
                 "limit": 50,
             }
@@ -199,6 +202,30 @@ def test_parse_config_rejects_unknowns():
     }.items():
         with pytest.raises(InvalidConfigError, match=f"unknown key.*'{key}'"):
             parse_config(config)
+    # an integer key used to be truncated: 2.7 trials ran as 2, T true as 1
+    # round and target group 0.5 as group 0
+    two_point = {"kind": "two-point-correlated", "target_groups": [0, 1]}
+    idx = {"kind": "idx", "images": "i", "labels": "l", "cost_model": {"kind": "uniform"}}
+    for key, bad in [
+        ("trials", _base_config(trials=2.7)),
+        ("seed", _base_config(seed=1.5)),
+        ("T", _base_config(instance={"kind": "coin", "T": 50.9})),
+        ("T", _base_config(instance={"kind": "coin", "T": True})),
+        ("T", _base_config(instance={"kind": "padded-coin", "T": 50.5, "coin_fraction": 0.5})),
+        ("T", _base_config(instance={**linear, "T": "50"})),
+        ("T_test", _base_config(instance={**linear, "T_test": 10.5})),
+        ("dim", _base_config(instance={**linear, "dim": False})),
+        ("clusters", _base_config(instance={**linear, "clusters": 1.5})),
+        (
+            "target_groups",
+            _base_config(instance={**linear, "cost_model": {**two_point, "target_groups": [0.5]}}),
+        ),
+        ("limit", _base_config(instance={**idx, "limit": 10.5})),
+        ("positive_digits", _base_config(instance={**idx, "positive_digits": [9, 8.5]})),
+        ("negative_digits", _base_config(instance={**idx, "negative_digits": 1})),
+    ]:
+        with pytest.raises(InvalidConfigError, match=f"^{key} must be "):
+            parse_config(bad)
 
 
 def test_parse_mechanism_hard_stop_takes_only_a_boolean():
