@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from procure_learn import TwoPointCost, linear_task
+from procure_learn import LinearTaskSpec, TwoPointCost
 from procure_learn.mechanism import AdaptiveScale, FixedRate, Mechanism, MechanismConfig
 from procure_learn.metrics import risk
 from procure_learn.runner import trial_streams
@@ -28,7 +28,7 @@ def main():
     parser.add_argument("--eta", type=float, default=0.45)
     args = parser.parse_args()
 
-    task = dict(dim=24, clusters=4, separation=0.8, spread=0.35, noise=0.14)
+    task = dict(T=args.rounds, T_test=4000, dim=24, clusters=4, separation=0.8, spread=0.35, noise=0.14)
     targets = (0, 4)
     cells = {(p, m): [] for p in ("priced", "naive") for m in ("correlated", "independent")}
     gammas = {"correlated": [], "independent": []}
@@ -40,11 +40,7 @@ def main():
             ("correlated", TwoPointCost(0.2, 1.0, targets)),
             ("independent", TwoPointCost(0.2, 1.0)),
         ):
-            instance = linear_task(
-                task["dim"], task["clusters"], task["separation"],
-                args.rounds, 4000, model, instance_ss,
-                spread=task["spread"], noise=task["noise"],
-            )
+            instance = LinearTaskSpec(cost_model=model, **task).build(instance_ss)
             budget = 0.25 * float(instance.costs.sum())
             for policy in ("priced", "naive"):
                 config = MechanismConfig(

@@ -11,9 +11,9 @@ import math
 
 import numpy as np
 
-from procure_learn import PriorKnowledge
+from procure_learn import CoinSpec, PriorKnowledge
 from procure_learn.mechanism import KnowledgeScale, MechanismConfig, TheoryRate
-from procure_learn.runner import CoinSpec, ExperimentConfig, mean_se, run_trials
+from procure_learn.runner import ExperimentConfig, mean_se, run_trials
 
 
 def run_budget(budget, T, trials, seed):

@@ -26,16 +26,15 @@ from .core import (
     simplex,
 )
 from .environment import (
+    CoinSpec,
     ConstantCost,
     FormatError,
+    IdxSpec,
+    LinearTaskSpec,
+    PaddedCoinSpec,
     ProblemInstance,
     TwoPointCost,
     UniformCost,
-    coin_sequence,
-    digit_task,
-    linear_task,
-    load_digit_dataset,
-    padded_coin_sequence,
 )
 from .ftrl import FtrlLearner
 from .mechanism import (
@@ -62,13 +61,8 @@ from .pricing import (
     survival,
 )
 from .runner import (
-    CoinSpec,
     ExperimentConfig,
-    IdxSpec,
-    LinearTaskSpec,
-    PaddedCoinSpec,
     TrialResult,
-    build_instance,
     load_config,
     parse_config,
     run_sweep,

@@ -29,7 +29,6 @@ from .environment import FormatError
 from .metrics import offline_best
 from .runner import (
     ExperimentConfig,
-    build_instance,
     hindsight_stats,
     load_config,
     mean_se,
@@ -140,7 +139,7 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     config = _load(args.config)
     instance_ss, _, _ = trial_streams(config.seed, 0)
-    instance = build_instance(config.instance, instance_ss)
+    instance = config.instance.build(instance_ss)
     solution = offline_best(instance)
     coords = solution.hypothesis.coords
     report = {

@@ -48,8 +48,8 @@ class HypothesisSpace:
             raise InvalidConfigError(f"unknown space kind {self.kind!r}")
         if self.dim < 1:
             raise InvalidConfigError("dimension must be >= 1")
-        if self.kind == L2_BALL and not self.radius > 0:
-            raise InvalidConfigError("ball radius must be positive")
+        if self.kind == L2_BALL and not 0 < self.radius < math.inf:  # NaN fails both
+            raise InvalidConfigError("ball radius must be positive and finite")
 
     @property
     def reg_bound(self) -> float:

@@ -1,14 +1,20 @@
-"""Problem-instance generation: adversarial coin streams, synthetic linear
-classification tasks with configurable cost-data correlation, and IDX digit
-ingestion.
+"""Instance kinds and the problem instances they build: adversarial coin
+streams, synthetic linear classification tasks with configurable cost-data
+correlation, and IDX digit ingestion.
 
-Generators are pure functions of (parameters, seed): identical inputs give
-byte-identical instances. Data and costs are drawn from separate child
-streams so that changing the cost model never perturbs the data."""
+Each kind is defined once, by its spec (``CoinSpec``, ``PaddedCoinSpec``,
+``LinearTaskSpec``, ``IdxSpec``): the fields and defaults are its config
+keys, ``__post_init__`` refuses every value its build could not use, so a
+config is refused before any output, ``build(seed)`` makes the instance and
+``max_cost()`` names the highest cost it can draw. A build is a pure function
+of (spec, seed): identical inputs give byte-identical instances. Data and
+costs are drawn from separate child streams so that changing the cost model
+never perturbs the data."""
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -67,9 +73,9 @@ class ConstantCost:
     def draw(self, rng, n, groups=None):
         return np.full(n, float(self.value))
 
-    def ceiling(self) -> tuple[str, float]:
+    def max_cost(self) -> tuple[str, float]:
         """The key and value of the highest cost the model draws."""
-        return "value", self.value
+        return "cost_model value", self.value
 
 
 @dataclass(frozen=True)
@@ -84,8 +90,8 @@ class UniformCost:
     def draw(self, rng, n, groups=None):
         return rng.uniform(self.low, self.high, size=n)
 
-    def ceiling(self) -> tuple[str, float]:
-        return "high", self.high
+    def max_cost(self) -> tuple[str, float]:
+        return "cost_model high", self.high
 
 
 @dataclass(frozen=True)
@@ -94,7 +100,9 @@ class TwoPointCost:
 
     With ``target_groups`` set, the high-cost mass is concentrated on points
     whose group tag is listed, rescaling the within-group probability so the
-    marginal is preserved; other points are always free.
+    marginal is ``p_high``, or the targets' drawn share when that is smaller
+    (every targeted point is then high, and none when the share is 0); other
+    points are always free.
     """
 
     p_high: float = 0.2
@@ -114,18 +122,13 @@ class TwoPointCost:
             if groups is None:
                 raise InvalidConfigError("correlated cost model needs group tags")
             mask = np.isin(groups, np.asarray(self.target_groups))
-            fraction = float(mask.mean())
-            if fraction * (1.0 + 1e-12) < self.p_high:
-                raise InvalidConfigError(
-                    f"target groups hold fraction {fraction:.4f} of the data, "
-                    f"too small to carry marginal p_high={self.p_high}"
-                )
-            p_within = min(1.0, self.p_high / fraction)
+            share = float(mask.mean())
+            p_within = min(1.0, self.p_high / share) if share else 1.0
             high = mask & (rng.random(n) < p_within)
         return np.where(high, float(self.high_cost), 0.0)
 
-    def ceiling(self) -> tuple[str, float]:
-        return "high_cost", self.high_cost if self.p_high > 0.0 else 0.0
+    def max_cost(self) -> tuple[str, float]:
+        return "cost_model high_cost", self.high_cost if self.p_high > 0.0 else 0.0
 
 
 CostModel = Union[ConstantCost, UniformCost, TwoPointCost]
@@ -224,49 +227,73 @@ def check_horizon(T: int) -> None:
         raise InvalidConfigError(f"an instance needs a horizon T >= 1, got T = {T}")
 
 
+def _check_targets(cost_model: CostModel, tags: Sequence[int], uniform: bool) -> None:
+    """Refuse a correlated ``cost_model`` that targets a tag outside
+    ``tags``; when the instance draws its ``tags`` ``uniform``ly, refuse too
+    a ``p_high`` above the share of the data the targets are expected to
+    hold."""
+    targets = getattr(cost_model, "target_groups", None)
+    if targets is None:
+        return
+    outside = sorted(set(targets).difference(tags))
+    if outside:
+        raise InvalidConfigError(
+            f"target_groups {outside} are not among the instance's tags {sorted(set(tags))}"
+        )
+    share = len(set(targets)) / len(tags) if uniform else 1.0
+    if cost_model.p_high > share:
+        raise InvalidConfigError(
+            f"p_high {cost_model.p_high} exceeds the share {share:g} of the data "
+            f"that target_groups {list(targets)} are expected to hold"
+        )
+
+
 # ---------------------------------------------------------------------------
-# Adversarial coin streams
+# Instance kinds
 # ---------------------------------------------------------------------------
 
 
-def check_coin(T: int, epsilon: float, bias: str, coin_fraction: float = 1.0) -> None:
-    """Refuse the streams that ``coin_sequence`` (``coin_fraction`` 1) and
-    ``padded_coin_sequence`` cannot build."""
-    check_horizon(T)
-    if not 0.0 < coin_fraction <= 1.0:  # NaN fails both
-        raise InvalidConfigError(f"coin_fraction must lie in (0, 1], got {coin_fraction}")
-    if not 0.0 <= epsilon < 0.5:
-        raise InvalidConfigError(f"epsilon must lie in [0, 0.5), got {epsilon}")
-    if bias not in ("heads", "tails"):
-        raise InvalidConfigError(f"bias must be 'heads' or 'tails', got {bias!r}")
-
-
-def coin_sequence(
-    T: int, epsilon: float, bias: str = "heads", seed: SeedLike = 0
-) -> ProblemInstance:
-    """T i.i.d. flips of a coin biased by ``epsilon`` toward the given side.
+@dataclass(frozen=True)
+class CoinSpec:
+    """T i.i.d. flips of a coin biased by ``epsilon`` toward ``bias``.
 
     Unit costs, two-vertex simplex hypotheses, linear losses: the hard stream
     behind the no-data-no-regret scaling.
     """
-    check_coin(T, epsilon, bias)
-    outcomes = _flips(T, epsilon, bias, seed)
-    return ProblemInstance(space=simplex(2), costs=np.ones(T), outcomes=outcomes)
+
+    T: int
+    epsilon: float = 0.1
+    bias: str = "heads"
+
+    def __post_init__(self):
+        check_horizon(self.T)
+        if not 0.0 <= self.epsilon < 0.5:  # NaN fails both
+            raise InvalidConfigError(f"epsilon must lie in [0, 0.5), got {self.epsilon}")
+        if self.bias not in ("heads", "tails"):
+            raise InvalidConfigError(f"bias must be 'heads' or 'tails', got {self.bias!r}")
+
+    @property
+    def coins(self) -> int:
+        """The arrivals that are coin flips, at the end; the others are filler."""
+        return self.T
+
+    def max_cost(self) -> tuple[str, float]:
+        """What sets the highest cost an instance draws, and that cost: a
+        coin flip costs 1, and a stream that rounds its flips away has only
+        free filler."""
+        return "the unit coin cost", 1.0 if self.coins else 0.0
+
+    def build(self, seed: SeedLike) -> ProblemInstance:
+        n_null = self.T - self.coins
+        p_heads = 0.5 + (self.epsilon if self.bias == "heads" else -self.epsilon)
+        flips = (as_rng(seed).random(self.coins) >= p_heads).astype(np.int64)  # 0 = heads
+        outcomes = np.concatenate([np.full(n_null, NULL_OUTCOME, dtype=np.int64), flips])
+        costs = np.concatenate([np.zeros(n_null), np.ones(self.coins)])
+        return ProblemInstance(space=simplex(2), costs=costs, outcomes=outcomes)
 
 
-def _flips(n: int, epsilon: float, bias: str, seed: SeedLike) -> np.ndarray:
-    """Outcomes of ``n`` flips of the biased coin: 0 = heads, 1 = tails."""
-    p_heads = 0.5 + (epsilon if bias == "heads" else -epsilon)
-    return (as_rng(seed).random(n) >= p_heads).astype(np.int64)
-
-
-def padded_coin_sequence(
-    T: int,
-    coin_fraction: float,
-    epsilon: float,
-    bias: str = "heads",
-    seed: SeedLike = 0,
-) -> ProblemInstance:
+@dataclass(frozen=True)
+class PaddedCoinSpec(CoinSpec):
     """Free filler arrivals followed by unit-cost coin flips.
 
     The first (1 - coin_fraction) * T arrivals are filler points with cost 0
@@ -274,45 +301,21 @@ def padded_coin_sequence(
     realized mean of delta * sqrt(cost) over the sequence equals
     ``coin_fraction`` for every hypothesis.
     """
-    check_coin(T, epsilon, bias, coin_fraction)
-    n_coins = int(round(coin_fraction * T))
-    n_null = T - n_coins
-    flips = _flips(n_coins, epsilon, bias, seed)
-    outcomes = np.concatenate([np.full(n_null, NULL_OUTCOME, dtype=np.int64), flips])
-    costs = np.concatenate([np.zeros(n_null), np.ones(n_coins)])
-    return ProblemInstance(space=simplex(2), costs=costs, outcomes=outcomes)
+
+    coin_fraction: float = field(kw_only=True)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0.0 < self.coin_fraction <= 1.0:  # NaN fails both
+            raise InvalidConfigError(f"coin_fraction must lie in (0, 1], got {self.coin_fraction}")
+
+    @property
+    def coins(self) -> int:
+        return int(round(self.coin_fraction * self.T))
 
 
-# ---------------------------------------------------------------------------
-# Synthetic linear classification
-# ---------------------------------------------------------------------------
-
-
-def check_linear(T: int, dim: int, clusters: int, T_test: int, radius: float) -> None:
-    """Refuse the tasks that ``linear_task`` cannot build."""
-    check_horizon(T)
-    if dim < 2:
-        raise InvalidConfigError(f"need dimension >= 2, got {dim}")
-    if clusters < 1:
-        raise InvalidConfigError(f"need at least one cluster per class, got {clusters}")
-    if T_test < 0:
-        raise InvalidConfigError(f"need T_test >= 0, got {T_test}")
-    l2_ball(dim, radius)  # refuses a radius that is not positive
-
-
-def linear_task(
-    dim: int,
-    clusters: int,
-    separation: float,
-    T: int,
-    T_test: int,
-    cost_model: CostModel,
-    seed: SeedLike = 0,
-    *,
-    radius: float = 3.0,
-    spread: float = 0.35,
-    noise: float = 0.1,
-) -> ProblemInstance:
+@dataclass(frozen=True)
+class LinearTaskSpec:
     """Gaussian cluster-pair classification with costs attached per model.
 
     Each class gets ``clusters`` blobs at depths separation * (j+1)/clusters
@@ -321,36 +324,65 @@ def linear_task(
     one), which is what correlated cost models target. Features are clipped to
     the unit ball.
     """
-    check_linear(T, dim, clusters, T_test, radius)
-    data_rng, cost_rng = _spawn(seed, 2)
 
-    centers = np.zeros((2 * clusters, dim))
-    for class_idx, sign in enumerate((-1.0, 1.0)):
-        for j in range(clusters):
-            g = class_idx * clusters + j
-            centers[g, 0] = sign * separation * (j + 1) / clusters
-            if clusters > 1:
-                centers[g, 1] = spread * (2 * j - (clusters - 1)) / (clusters - 1)
+    T: int
+    cost_model: CostModel
+    dim: int = 4
+    clusters: int = 2
+    separation: float = 0.6
+    T_test: int = 1000
+    radius: float = 3.0
+    spread: float = 0.35
+    noise: float = 0.1
 
-    n = T + T_test
-    groups = data_rng.integers(0, 2 * clusters, size=n)
-    X = centers[groups] + noise * data_rng.standard_normal((n, dim))
-    norms = np.linalg.norm(X, axis=1)
-    over = norms > 1.0
-    X[over] /= norms[over, None]
-    y = np.where(groups >= clusters, 1, -1).astype(np.int64)
+    def __post_init__(self):
+        check_horizon(self.T)
+        if self.dim < 2:
+            raise InvalidConfigError(f"need dimension >= 2, got {self.dim}")
+        if self.clusters < 1:
+            raise InvalidConfigError(f"need at least one cluster per class, got {self.clusters}")
+        if self.T_test < 0:
+            raise InvalidConfigError(f"need T_test >= 0, got {self.T_test}")
+        l2_ball(self.dim, self.radius)  # refuses a radius that is not positive and finite
+        for key in ("separation", "spread", "noise"):
+            if not math.isfinite(getattr(self, key)):
+                raise InvalidConfigError(f"{key} must be finite, got {getattr(self, key)}")
+        _check_targets(self.cost_model, range(2 * self.clusters), uniform=True)
 
-    costs = cost_model.draw(cost_rng, T, groups[:T])
-    return ProblemInstance(
-        space=l2_ball(dim, radius),
-        costs=costs,
-        features=X[:T],
-        labels=y[:T],
-        feature_norms=np.minimum(norms[:T], 1.0),
-        groups=groups[:T],
-        test_features=X[T:],
-        test_labels=y[T:],
-    )
+    def max_cost(self) -> tuple[str, float]:
+        return self.cost_model.max_cost()
+
+    def build(self, seed: SeedLike) -> ProblemInstance:
+        clusters = self.clusters
+        data_rng, cost_rng = _spawn(seed, 2)
+
+        centers = np.zeros((2 * clusters, self.dim))
+        for class_idx, sign in enumerate((-1.0, 1.0)):
+            for j in range(clusters):
+                g = class_idx * clusters + j
+                centers[g, 0] = sign * self.separation * (j + 1) / clusters
+                if clusters > 1:
+                    centers[g, 1] = self.spread * (2 * j - (clusters - 1)) / (clusters - 1)
+
+        T, n = self.T, self.T + self.T_test
+        groups = data_rng.integers(0, 2 * clusters, size=n)
+        X = centers[groups] + self.noise * data_rng.standard_normal((n, self.dim))
+        norms = np.linalg.norm(X, axis=1)
+        over = norms > 1.0
+        X[over] /= norms[over, None]
+        y = np.where(groups >= clusters, 1, -1).astype(np.int64)
+
+        costs = self.cost_model.draw(cost_rng, T, groups[:T])
+        return ProblemInstance(
+            space=l2_ball(self.dim, self.radius),
+            costs=costs,
+            features=X[:T],
+            labels=y[:T],
+            feature_norms=np.minimum(norms[:T], 1.0),
+            groups=groups[:T],
+            test_features=X[T:],
+            test_labels=y[T:],
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -370,111 +402,123 @@ def _read_exact(f, n: int, path: str) -> bytes:
     return data
 
 
+def _idx_header(f, path: str, kind: str, magic: int, ndim: int) -> tuple[int, ...]:
+    """The ``ndim`` sizes in the header of the open IDX file ``f``, once its
+    magic and its length are checked; ``f`` is left at the first data byte."""
+    found = struct.unpack(">i", _read_exact(f, 4, path))[0]
+    if found != magic:
+        raise FormatError(f"{path}: bad {kind} magic {found} at byte offset 0 (expected {magic})")
+    sizes = struct.unpack(f">{ndim}I", _read_exact(f, 4 * ndim, path))
+    start, n = f.tell(), math.prod(sizes)
+    length = os.fstat(f.fileno()).st_size
+    if length < start + n:
+        raise FormatError(f"{path}: truncated file, needed {n} bytes at byte offset {start}")
+    if length > start + n:
+        raise FormatError(f"{path}: trailing bytes at byte offset {start + n}")
+    return sizes
+
+
 def load_idx_images(path: str) -> np.ndarray:
     """Parse a big-endian IDX image file into a (count, rows, cols) uint8 array."""
     with open(path, "rb") as f:
-        magic = struct.unpack(">i", _read_exact(f, 4, path))[0]
-        if magic != IDX_IMAGE_MAGIC:
-            raise FormatError(
-                f"{path}: bad image magic {magic} at byte offset 0 (expected {IDX_IMAGE_MAGIC})"
-            )
-        count, rows, cols = struct.unpack(">iii", _read_exact(f, 12, path))
-        pixels = _read_exact(f, count * rows * cols, path)
-        extra = f.read(1)
-        if extra:
-            raise FormatError(f"{path}: trailing bytes at byte offset {f.tell() - 1}")
-    return np.frombuffer(pixels, dtype=np.uint8).reshape(count, rows, cols)
+        shape = _idx_header(f, path, "image", IDX_IMAGE_MAGIC, 3)
+        return np.frombuffer(f.read(), dtype=np.uint8).reshape(shape)
 
 
 def load_idx_labels(path: str) -> np.ndarray:
     with open(path, "rb") as f:
-        magic = struct.unpack(">i", _read_exact(f, 4, path))[0]
-        if magic != IDX_LABEL_MAGIC:
-            raise FormatError(
-                f"{path}: bad label magic {magic} at byte offset 0 (expected {IDX_LABEL_MAGIC})"
+        _idx_header(f, path, "label", IDX_LABEL_MAGIC, 1)
+        return np.frombuffer(f.read(), dtype=np.uint8)
+
+
+@dataclass(frozen=True)
+class IdxSpec:
+    """Binary digit classification from IDX files, with a random train/test
+    split.
+
+    The rows of the listed digits are kept, the first ``limit`` of them when
+    it is set; pixels are scaled to [0, 1] and each flattened image is
+    normalized to unit euclidean norm. The split keeps a
+    ``holdout_fraction`` share for testing; costs are drawn for the training
+    (arrival) side only. The spec reads both headers and the labels to check
+    them; only ``build`` reads the pixels.
+    """
+
+    images: str
+    labels: str
+    cost_model: CostModel
+    positive_digits: tuple[int, ...] = (9, 8)
+    negative_digits: tuple[int, ...] = (1, 4)
+    limit: Optional[int] = None
+    holdout_fraction: float = 0.5
+    radius: float = 10.0
+
+    def __post_init__(self):
+        for key, path in (("images", self.images), ("labels", self.labels)):
+            try:
+                open(path, "rb").close()
+            except OSError as exc:
+                message = f"cannot read the {key} file {path!r}: {exc.strerror}"
+                raise InvalidConfigError(message) from None
+        with open(self.images, "rb") as f:
+            count, rows, cols = _idx_header(f, self.images, "image", IDX_IMAGE_MAGIC, 3)
+        digits = load_idx_labels(self.labels)
+        if count != len(digits):
+            raise FormatError(f"image count {count} does not match label count {len(digits)}")
+        overlap = set(self.positive_digits) & set(self.negative_digits)
+        if overlap:
+            raise InvalidConfigError(f"digits {sorted(overlap)} listed as both classes")
+        if self.limit is not None and self.limit < 1:
+            raise InvalidConfigError(f"limit must be >= 1, got {self.limit}")
+        if not 0.0 <= self.holdout_fraction < 1.0:  # NaN fails both
+            raise InvalidConfigError(
+                f"holdout_fraction must lie in [0, 1), got {self.holdout_fraction}"
             )
-        count = struct.unpack(">i", _read_exact(f, 4, path))[0]
-        raw = _read_exact(f, count, path)
-        extra = f.read(1)
-        if extra:
-            raise FormatError(f"{path}: trailing bytes at byte offset {f.tell() - 1}")
-    return np.frombuffer(raw, dtype=np.uint8)
+        l2_ball(rows * cols, self.radius)  # refuses empty images, a radius not positive and finite
+        _check_targets(self.cost_model, self.positive_digits + self.negative_digits, uniform=False)
+        n = len(self._kept(digits))
+        if n - self._held_out(n) < 1:
+            raise InvalidConfigError(
+                f"the split leaves no training rows: {n} rows of the listed digits kept, "
+                f"{self._held_out(n)} held out"
+            )
 
+    def _kept(self, digits: np.ndarray) -> np.ndarray:
+        """The indices of the rows kept: the listed digits, up to ``limit``."""
+        listed = np.asarray(self.positive_digits + self.negative_digits)
+        return np.flatnonzero(np.isin(digits, listed))[: self.limit]
 
-def check_idx(images: str, labels: str, positive_digits, negative_digits) -> None:
-    """Refuse what ``load_digit_dataset`` cannot load: a path that cannot be
-    opened for reading, or a digit listed as both classes."""
-    for key, path in (("images", images), ("labels", labels)):
-        try:
-            open(path, "rb").close()
-        except OSError as exc:
-            raise InvalidConfigError(f"cannot read the {key} file {path!r}: {exc.strerror}") from None
-    overlap = set(positive_digits) & set(negative_digits)
-    if overlap:
-        raise InvalidConfigError(f"digits {sorted(overlap)} listed as both classes")
+    def _held_out(self, n: int) -> int:
+        return int(round(self.holdout_fraction * n))
 
+    def max_cost(self) -> tuple[str, float]:
+        return self.cost_model.max_cost()
 
-def load_digit_dataset(
-    images_path: str,
-    labels_path: str,
-    positive_digits: Sequence[int] = (9, 8),
-    negative_digits: Sequence[int] = (1, 4),
-    limit: Optional[int] = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Load IDX files, keep the listed digits, map to +/-1 labels.
+    def build(self, seed: SeedLike) -> ProblemInstance:
+        digits = load_idx_labels(self.labels)
+        keep = self._kept(digits)
+        images, digits = load_idx_images(self.images)[keep], digits[keep].astype(np.int64)
+        X = images.reshape(len(images), -1).astype(np.float64) / 255.0
+        norms = np.linalg.norm(X, axis=1)
+        norms[norms == 0.0] = 1.0
+        X /= norms[:, None]
+        y = np.where(np.isin(digits, np.asarray(self.positive_digits)), 1, -1).astype(np.int64)
 
-    Pixels are scaled to [0, 1] and each flattened image is normalized to unit
-    euclidean norm. Returns (features, labels, digits).
-    """
-    check_idx(images_path, labels_path, positive_digits, negative_digits)
-    images = load_idx_images(images_path)
-    digits = load_idx_labels(labels_path)
-    if len(images) != len(digits):
-        raise FormatError(
-            f"image count {len(images)} does not match label count {len(digits)}"
+        split_rng, cost_rng = _spawn(seed, 2)
+        order = split_rng.permutation(len(X))
+        n_test = self._held_out(len(X))
+        test_idx, train_idx = order[:n_test], order[n_test:]
+        costs = self.cost_model.draw(cost_rng, len(train_idx), digits[train_idx])
+        return ProblemInstance(
+            space=l2_ball(X.shape[1], self.radius),
+            costs=costs,
+            features=X[train_idx],
+            labels=y[train_idx],
+            feature_norms=np.minimum(np.linalg.norm(X[train_idx], axis=1), 1.0),
+            groups=digits[train_idx],
+            test_features=X[test_idx],
+            test_labels=y[test_idx],
         )
-    keep = np.isin(digits, np.asarray(list(positive_digits) + list(negative_digits)))
-    images, digits = images[keep], digits[keep]
-    if limit is not None:
-        images, digits = images[:limit], digits[:limit]
-    X = images.reshape(len(images), -1).astype(np.float64) / 255.0
-    norms = np.linalg.norm(X, axis=1)
-    norms[norms == 0.0] = 1.0
-    X /= norms[:, None]
-    y = np.where(np.isin(digits, np.asarray(list(positive_digits))), 1, -1).astype(np.int64)
-    return X, y, digits.astype(np.int64)
 
 
-def digit_task(
-    images: str,
-    labels: str,
-    cost_model: CostModel,
-    seed: SeedLike = 0,
-    *,
-    positive_digits: Sequence[int] = (9, 8),
-    negative_digits: Sequence[int] = (1, 4),
-    limit: Optional[int] = None,
-    holdout_fraction: float = 0.5,
-    radius: float = 10.0,
-) -> ProblemInstance:
-    """Binary digit classification with a random train/test split.
-
-    The split keeps a ``holdout_fraction`` share for testing; costs are drawn
-    for the training (arrival) side only.
-    """
-    X, y, digits = load_digit_dataset(images, labels, positive_digits, negative_digits, limit)
-    split_rng, cost_rng = _spawn(seed, 2)
-    order = split_rng.permutation(len(X))
-    n_test = int(round(holdout_fraction * len(X)))
-    test_idx, train_idx = order[:n_test], order[n_test:]
-    costs = cost_model.draw(cost_rng, len(train_idx), digits[train_idx])
-    return ProblemInstance(
-        space=l2_ball(X.shape[1], radius),
-        costs=costs,
-        features=X[train_idx],
-        labels=y[train_idx],
-        feature_norms=np.minimum(np.linalg.norm(X[train_idx], axis=1), 1.0),
-        groups=digits[train_idx],
-        test_features=X[test_idx],
-        test_labels=y[test_idx],
-    )
+InstanceSpec = Union[CoinSpec, PaddedCoinSpec, LinearTaskSpec, IdxSpec]

@@ -224,13 +224,19 @@ class FixedRate:
     value: float
 
     def __post_init__(self):
-        if not self.value > 0:
-            raise InvalidConfigError("learning rate must be positive")
+        if not 0 < self.value < math.inf:  # NaN fails both
+            raise InvalidConfigError(f"learning rate must be positive and finite, got {self.value}")
 
 
 @dataclass(frozen=True)
 class TheoryRate:
     scale: float = 1.0
+
+    def __post_init__(self):
+        if not 0 < self.scale < math.inf:  # NaN fails both
+            raise InvalidConfigError(
+                f"learning rate scale must be positive and finite, got {self.scale}"
+            )
 
 
 RatePolicy = Union[FixedRate, TheoryRate]
@@ -256,6 +262,12 @@ class MechanismConfig:
         if not 0 < self.c_max < math.inf:
             raise InvalidConfigError(
                 f"c_max (the maximum price) must be positive and finite, got {self.c_max}"
+            )
+        if isinstance(self.price_scale, KnowledgeScale):
+            # the scale's sign does not depend on the horizon, so knowledge
+            # that gives no positive scale is refused before any run
+            choose_price_scale(
+                self.price_scale.knowledge, 1, self.budget, self.payment_mode, self.c_max
             )
 
 

@@ -25,24 +25,22 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import InvalidConfigError
 from .environment import (
+    CoinSpec,
     ConstantCost,
     CostModel,
+    IdxSpec,
+    InstanceSpec,
+    LinearTaskSpec,
+    PaddedCoinSpec,
     ProblemInstance,
     TwoPointCost,
     UniformCost,
-    check_coin,
-    check_idx,
-    check_linear,
-    coin_sequence,
-    digit_task,
-    linear_task,
-    padded_coin_sequence,
 )
 from .mechanism import (
     AdaptiveScale,
@@ -58,82 +56,6 @@ from .mechanism import (
     Transcript,
 )
 from .metrics import OfflineSolution, SequenceStats, offline_best, risk
-
-
-# ---------------------------------------------------------------------------
-# Instance specifications
-# ---------------------------------------------------------------------------
-
-
-# Each spec holds the arguments of its builder but the seed, under the same
-# names, and refuses what its builder would, with the builder's own check, so
-# that a config is refused before any output.
-@dataclass(frozen=True)
-class CoinSpec:
-    T: int
-    epsilon: float = 0.1
-    bias: str = "heads"
-
-    def __post_init__(self):
-        check_coin(self.T, self.epsilon, self.bias)
-
-
-@dataclass(frozen=True)
-class PaddedCoinSpec:
-    T: int
-    coin_fraction: float
-    epsilon: float = 0.1
-    bias: str = "heads"
-
-    def __post_init__(self):
-        check_coin(self.T, self.epsilon, self.bias, self.coin_fraction)
-
-
-@dataclass(frozen=True)
-class LinearTaskSpec:
-    T: int
-    cost_model: CostModel
-    dim: int = 4
-    clusters: int = 2
-    separation: float = 0.6
-    T_test: int = 1000
-    radius: float = 3.0
-    spread: float = 0.35
-    noise: float = 0.1
-
-    def __post_init__(self):
-        check_linear(self.T, self.dim, self.clusters, self.T_test, self.radius)
-
-
-@dataclass(frozen=True)
-class IdxSpec:
-    images: str
-    labels: str
-    cost_model: CostModel
-    positive_digits: tuple[int, ...] = (9, 8)
-    negative_digits: tuple[int, ...] = (1, 4)
-    limit: Optional[int] = None
-    holdout_fraction: float = 0.5
-    radius: float = 10.0
-
-    def __post_init__(self):
-        check_idx(self.images, self.labels, self.positive_digits, self.negative_digits)
-
-
-InstanceSpec = Union[CoinSpec, PaddedCoinSpec, LinearTaskSpec, IdxSpec]
-_KINDS = {  # the config's instance kind: its spec and builder
-    "coin": (CoinSpec, coin_sequence),
-    "padded-coin": (PaddedCoinSpec, padded_coin_sequence),
-    "linear": (LinearTaskSpec, linear_task),
-    "idx": (IdxSpec, digit_task),
-}
-
-
-def build_instance(spec: InstanceSpec, seed) -> ProblemInstance:
-    for cls, builder in _KINDS.values():
-        if type(spec) is cls:
-            return builder(**{f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}, seed=seed)
-    raise InvalidConfigError(f"unknown instance spec {type(spec).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +77,14 @@ class ExperimentConfig:
             raise InvalidConfigError("need at least one trial")
         if self.seed < 0:  # numpy seeds only from nonnegative integers
             raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
+        source, cost = self.instance.max_cost()
+        if cost > self.mechanism.c_max:
+            raise InvalidConfigError(
+                f"{source} {cost} exceeds the mechanism's c_max {self.mechanism.c_max}: "
+                "every cost must lie in [0, c_max]"
+            )
+        for budget in self.budget_grid or ():  # refused as the mechanism's budget would be
+            dataclasses.replace(self.mechanism, budget=budget)
 
 
 def _require(d: dict, key: str, where: str):
@@ -176,6 +106,23 @@ def _section(d, where: str) -> dict:
     if not isinstance(d, dict):
         raise InvalidConfigError(f"{where} must be a JSON object, got {json.dumps(d)}")
     return d
+
+
+def _number(value, key: str) -> float:
+    """``value`` as a float, refused by ``key`` unless it is a JSON number
+    that a float can hold: ``float`` would read true as 1.0 and "5" as 5.0."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the largest float
+            pass
+    raise InvalidConfigError(f"{key} must be a number, got {json.dumps(value)}")
+
+
+def _string(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise InvalidConfigError(f"{key} must be a string, got {json.dumps(value)}")
+    return value
 
 
 def _integer(value, key: str) -> int:
@@ -200,48 +147,51 @@ def _fields(spec) -> list[str]:
     return [f.name for f in dataclasses.fields(spec)]
 
 
+def _from_keys(cls, d: dict, where: str, *skip: str):
+    """The ``cls`` whose fields, but ``skip``, are the keys of ``d`` beside
+    its ``kind``, each read by the field's annotation; a key left out keeps
+    the field's default."""
+    fields = [f for f in dataclasses.fields(cls) if f.name not in skip]
+    _reject_unread(d, where, "kind", *(f.name for f in fields))
+    return cls(**{
+        f.name: _PARSE_FIELD[f.type](_require(d, f.name, where), f.name)
+        for f in fields
+        if f.name in d or f.default is dataclasses.MISSING
+    })
+
+
 def parse_cost_model(d: dict) -> CostModel:
     kind = _require(_section(d, "cost_model"), "kind", "cost_model")
     if kind == "constant":
-        _reject_unread(d, "cost_model", "kind", "value")
-        return ConstantCost(float(d.get("value", 1.0)))
+        return _from_keys(ConstantCost, d, "cost_model")
     if kind == "uniform":
-        _reject_unread(d, "cost_model", "kind", "low", "high")
-        return UniformCost(float(d.get("low", 0.0)), float(d.get("high", 1.0)))
+        return _from_keys(UniformCost, d, "cost_model")
     if kind == "two-point-independent":
-        _reject_unread(d, "cost_model", "kind", "p_high", "high_cost")
-        return TwoPointCost(float(d.get("p_high", 0.2)), float(d.get("high_cost", 1.0)), None)
+        return _from_keys(TwoPointCost, d, "cost_model", "target_groups")
     if kind == "two-point-correlated":
-        _reject_unread(d, "cost_model", "kind", "p_high", "high_cost", "target_groups")
-        targets = _integers(_require(d, "target_groups", "cost_model"), "target_groups")
-        return TwoPointCost(float(d.get("p_high", 0.2)), float(d.get("high_cost", 1.0)), targets)
+        _require(d, "target_groups", "cost_model")
+        return _from_keys(TwoPointCost, d, "cost_model")
     raise InvalidConfigError(f"unknown cost model kind {kind!r}")
 
 
-# how an instance spec reads a field's value, by the field's annotation
+# how a spec reads a field's value, by the field's annotation
 _PARSE_FIELD = {
     "int": _integer,
-    "float": lambda value, key: float(value),
-    "str": lambda value, key: str(value),
+    "float": _number,
+    "str": _string,
     "tuple[int, ...]": _integers,
     "Optional[int]": lambda value, key: None if value is None else _integer(value, key),
+    "Optional[tuple[int, ...]]": _integers,  # a correlated cost model's targets
     "CostModel": lambda value, key: parse_cost_model(value),
 }
+_KINDS = {"coin": CoinSpec, "padded-coin": PaddedCoinSpec, "linear": LinearTaskSpec, "idx": IdxSpec}
 
 
 def parse_instance(d: dict) -> InstanceSpec:
-    """The spec of its ``kind`` whose fields are the keys of ``d``, each read
-    by its annotation; a key left out keeps the field's default."""
     kind = _require(_section(d, "instance"), "kind", "instance")
     if not (isinstance(kind, str) and kind in _KINDS):
         raise InvalidConfigError(f"unknown instance kind {kind!r}")
-    spec = _KINDS[kind][0]
-    _reject_unread(d, "instance", "kind", *_fields(spec))
-    return spec(**{
-        f.name: _PARSE_FIELD[f.type](_require(d, f.name, "instance"), f.name)
-        for f in dataclasses.fields(spec)
-        if f.name in d or f.default is dataclasses.MISSING
-    })
+    return _from_keys(_KINDS[kind], d, "instance")
 
 
 def parse_mechanism(d: dict) -> MechanismConfig:
@@ -253,11 +203,11 @@ def parse_mechanism(d: dict) -> MechanismConfig:
         scale = AdaptiveScale()
     elif mode == "fixed":
         _reject_unread(scale_cfg, "price_scale", "mode", "value")
-        scale = FixedScale(float(_require(scale_cfg, "value", "price_scale")))
+        scale = FixedScale(_number(_require(scale_cfg, "value", "price_scale"), "value"))
     elif mode == "from-knowledge":
         names = ("avg_value_cost", "avg_value", "avg_sqrt_cost", "avg_cost")
         _reject_unread(scale_cfg, "price_scale", "mode", *names)
-        stats = {k: (None if scale_cfg.get(k) is None else float(scale_cfg[k])) for k in names}
+        stats = {k: (None if scale_cfg.get(k) is None else _number(scale_cfg[k], k)) for k in names}
         scale = KnowledgeScale(PriorKnowledge(**stats))
     else:
         raise InvalidConfigError(f"unknown price_scale mode {mode!r}")
@@ -266,10 +216,10 @@ def parse_mechanism(d: dict) -> MechanismConfig:
     rate_mode = rate_cfg.get("mode", "theory")
     if rate_mode == "theory":
         _reject_unread(rate_cfg, "learning_rate", "mode", "scale")
-        rate = TheoryRate(float(rate_cfg.get("scale", 1.0)))
+        rate = TheoryRate(_number(rate_cfg.get("scale", 1.0), "scale"))
     elif rate_mode == "fixed":
         _reject_unread(rate_cfg, "learning_rate", "mode", "value")
-        rate = FixedRate(float(_require(rate_cfg, "value", "learning_rate")))
+        rate = FixedRate(_number(_require(rate_cfg, "value", "learning_rate"), "value"))
     else:
         raise InvalidConfigError(f"unknown learning_rate mode {rate_mode!r}")
 
@@ -278,46 +228,28 @@ def parse_mechanism(d: dict) -> MechanismConfig:
         raise InvalidConfigError(f"hard_stop must be true or false, not {hard_stop!r}")
 
     return MechanismConfig(
-        budget=float(_require(d, "budget", "mechanism")),
+        budget=_number(_require(d, "budget", "mechanism"), "budget"),
         payment_mode=d.get("payment_mode", "posted-price"),
         purchase_policy=d.get("purchase_policy", "priced"),
         price_scale=scale,
         learning_rate=rate,
         hard_stop=hard_stop,
-        c_max=float(d.get("c_max", 1.0)),
+        c_max=_number(d.get("c_max", 1.0), "c_max"),
     )
-
-
-def _highest_cost(spec: InstanceSpec) -> tuple[str, float]:
-    """What sets the highest cost an instance of ``spec`` draws, and that
-    cost: a coin flip costs 1, and a padded-coin stream that rounds its
-    flips away has only free filler."""
-    if isinstance(spec, CoinSpec):
-        return "the unit coin cost", 1.0
-    if isinstance(spec, PaddedCoinSpec):
-        return "the unit coin cost", 1.0 if int(round(spec.coin_fraction * spec.T)) else 0.0
-    key, cost = spec.cost_model.ceiling()
-    return f"cost_model {key}", cost
 
 
 def parse_config(d: dict) -> ExperimentConfig:
     _reject_unread(_section(d, "config"), "config", *_fields(ExperimentConfig))
-    instance = parse_instance(_require(d, "instance", "config"))
-    mechanism = parse_mechanism(_require(d, "mechanism", "config"))
-    source, cost = _highest_cost(instance)
-    if cost > mechanism.c_max:
-        raise InvalidConfigError(
-            f"{source} {cost} exceeds the mechanism's c_max {mechanism.c_max}: "
-            "every cost must lie in [0, c_max]"
-        )
     grid = d.get("budget_grid")
+    if not (grid is None or isinstance(grid, list)):
+        raise InvalidConfigError(f"budget_grid must be a list of numbers, got {json.dumps(grid)}")
     return ExperimentConfig(
-        instance=instance,
-        mechanism=mechanism,
+        instance=parse_instance(_require(d, "instance", "config")),
+        mechanism=parse_mechanism(_require(d, "mechanism", "config")),
         trials=_integer(d.get("trials", 1), "trials"),
         seed=_integer(d.get("seed", 0), "seed"),
-        output_dir=str(d.get("output_dir", "out")),
-        budget_grid=None if grid is None else tuple(float(b) for b in grid),
+        output_dir=_string(d.get("output_dir", "out"), "output_dir"),
+        budget_grid=None if grid is None else tuple(_number(b, "budget_grid") for b in grid),
     )
 
 
@@ -383,7 +315,7 @@ def run_trial(
     first one only in its budget takes that run's scores.
     """
     instance_ss, mech_ss, trial_seed = trial_streams(config.seed, trial)
-    instance = build_instance(config.instance, instance_ss)
+    instance = config.instance.build(instance_ss)
     solution = offline_best(instance)
     fixed_stats = hindsight_stats(instance, solution)
     results = []
@@ -491,7 +423,7 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[SweepRow]:
     """One aggregate row per (policy, budget), all policies on paired trials."""
     if not config.budget_grid:
         raise InvalidConfigError("sweep needs a nonempty budget_grid")
-    grid = [  # built before any trial runs, so a bad budget fails first
+    grid = [
         dataclasses.replace(config.mechanism, purchase_policy=policy, budget=budget)
         for policy in POLICIES
         for budget in config.budget_grid

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import pricing
 from .core import l2_ball, simplex
-from .environment import coin_sequence, linear_task, UniformCost
+from .environment import CoinSpec, LinearTaskSpec, UniformCost
 from .ftrl import FtrlLearner
 from .mechanism import FixedRate, FixedScale, Mechanism, MechanismConfig
 from .metrics import offline_best
@@ -157,11 +157,11 @@ def check_full_information_bound(instances: int = 50, seed: int = 17) -> CheckRe
     for i, child in enumerate(root.spawn(instances)):
         gen_rng = np.random.default_rng(child)
         if i % 2 == 0:
-            instance = coin_sequence(400, 0.5 * gen_rng.random(), "heads", gen_rng)
+            instance = CoinSpec(T=400, epsilon=0.5 * gen_rng.random()).build(gen_rng)
         else:
-            instance = linear_task(
-                3, 2, 0.3 + 0.5 * gen_rng.random(), 300, 0, UniformCost(), gen_rng
-            )
+            separation = 0.3 + 0.5 * gen_rng.random()
+            spec = LinearTaskSpec(300, UniformCost(), dim=3, separation=separation, T_test=0)
+            instance = spec.build(gen_rng)
         config = MechanismConfig(
             budget=1.0,
             purchase_policy="baseline",

@@ -16,12 +16,12 @@ import pytest
 
 from procure_learn.cli import main
 from procure_learn.environment import (
+    CoinSpec,
+    IdxSpec,
+    LinearTaskSpec,
+    PaddedCoinSpec,
     TwoPointCost,
     UniformCost,
-    coin_sequence,
-    digit_task,
-    linear_task,
-    padded_coin_sequence,
 )
 from procure_learn.mechanism import (
     AdaptiveScale,
@@ -103,11 +103,12 @@ def test_criterion_3_full_information_bound():
     for i, child in enumerate(root.spawn(50)):
         gen = np.random.default_rng(child)
         if i % 2 == 0:
-            instance = coin_sequence(500, 0.45 * gen.random(), "heads", gen)
+            instance = CoinSpec(500, 0.45 * gen.random()).build(gen)
         else:
-            instance = linear_task(
-                4, 2, 0.3 + 0.5 * gen.random(), 400, 0, UniformCost(), gen
-            )
+            instance = LinearTaskSpec(
+                T=400, cost_model=UniformCost(), dim=4, clusters=2,
+                separation=0.3 + 0.5 * gen.random(), T_test=0
+            ).build(gen)
         config = MechanismConfig(
             budget=1.0,
             purchase_policy="baseline",
@@ -141,7 +142,7 @@ def test_criterion_4_budget_compliance():
     spends = []
     for trial in range(100):
         instance_ss, mech_ss, _ = trial_streams(SEED + 3, trial)
-        instance = padded_coin_sequence(T, 0.3, 0.1, "heads", instance_ss)
+        instance = PaddedCoinSpec(T, 0.1, coin_fraction=0.3).build(instance_ss)
         mech = Mechanism(config, instance)
         mech.run(np.random.default_rng(mech_ss))
         spends.append(mech.spend)
@@ -172,7 +173,7 @@ def test_criterion_5_regret_scaling():
         regrets = []
         for trial in range(trials):
             instance_ss, mech_ss, _ = trial_streams(SEED + 4, trial)
-            instance = coin_sequence(T, epsilon, "heads", instance_ss)
+            instance = CoinSpec(T, epsilon).build(instance_ss)
             mech = Mechanism(config, instance)
             mech.run(np.random.default_rng(mech_ss))
             regrets.append(mech.loss_total - offline_best(instance).total_loss)
@@ -218,11 +219,11 @@ def _correlation_cells(seed, trials=100, replays=4, T=1000, T_test=4000, eta=0.4
         instance_ss, _, _ = trial_streams(seed, trial)
         replay_seeds = np.random.SeedSequence(entropy=seed, spawn_key=(trial, 1)).spawn(replays)
         for tag, model in models:
-            instance = linear_task(
-                CORR_TASK["dim"], CORR_TASK["clusters"], CORR_TASK["separation"],
-                T, T_test, model, instance_ss,
-                spread=CORR_TASK["spread"], noise=CORR_TASK["noise"],
-            )
+            instance = LinearTaskSpec(
+                T=T, cost_model=model, dim=CORR_TASK["dim"], clusters=CORR_TASK["clusters"],
+                separation=CORR_TASK["separation"], T_test=T_test, spread=CORR_TASK["spread"],
+                noise=CORR_TASK["noise"]
+            ).build(instance_ss)
             budget = 0.25 * float(instance.costs.sum())
             for policy in ("priced", "naive"):
                 config = MechanismConfig(
@@ -284,10 +285,11 @@ def test_criterion_7_beats_naive():
         ours, naive = [], []
         for trial in range(trials):
             instance_ss, mech_ss, _ = trial_streams(SEED + 6, trial)
-            instance = linear_task(
-                VS_NAIVE_TASK["dim"], VS_NAIVE_TASK["clusters"], VS_NAIVE_TASK["separation"],
-                T, 1500, UniformCost(), instance_ss, noise=VS_NAIVE_TASK["noise"],
-            )
+            instance = LinearTaskSpec(
+                T=T, cost_model=UniformCost(), dim=VS_NAIVE_TASK["dim"],
+                clusters=VS_NAIVE_TASK["clusters"], separation=VS_NAIVE_TASK["separation"],
+                T_test=1500, noise=VS_NAIVE_TASK["noise"]
+            ).build(instance_ss)
             for policy, sink in (("priced", ours), ("naive", naive)):
                 config = MechanismConfig(
                     budget=budget,
@@ -323,7 +325,9 @@ def test_criterion_8_online_to_batch():
         (5, "naive", 250.0),
     ]:
         instance_ss, mech_ss, _ = trial_streams(SEED + 7, trial)
-        instance = linear_task(5, 2, 0.6, 600, 400, UniformCost(), instance_ss)
+        instance = LinearTaskSpec(
+            T=600, cost_model=UniformCost(), dim=5, clusters=2, separation=0.6, T_test=400
+        ).build(instance_ss)
         config = MechanismConfig(
             budget=budget,
             purchase_policy=policy,
@@ -401,7 +405,7 @@ def test_criterion_10_digit_replication():
     train_size = None
     for trial in range(trials):
         instance_ss, mech_ss, _ = trial_streams(SEED + 9, trial)
-        instance = digit_task(str(images), str(labels), UniformCost(), instance_ss)
+        instance = IdxSpec(str(images), str(labels), UniformCost()).build(instance_ss)
         train_size = instance.horizon
         rate = 0.1 / float(np.mean(instance.feature_norms))
         budget = 0.1 * instance.horizon  # sub-full budget

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -7,9 +9,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from procure_learn.cli import main
+
+from oracles import write_idx_images, write_idx_labels
 
 
 def _write_config(path, **overrides):
@@ -250,9 +257,23 @@ def test_cost_model_that_never_draws_its_high_cost_is_accepted(tmp_path):
 
 
 LINEAR = {"kind": "linear", "T": 50, "cost_model": {"kind": "uniform"}}
+
+
+def _idx_instance(tmp, truncate=False):
+    """An idx instance of eight 2 x 2 images in ``tmp``; with ``truncate``
+    the image file lacks its last byte."""
+    images, labels = tmp / "images.idx", tmp / "labels.idx"
+    write_idx_images(images, np.zeros((8, 2, 2), dtype=np.uint8))
+    if truncate:
+        images.write_bytes(images.read_bytes()[:-1])
+    write_idx_labels(labels, np.array([9, 1] * 4, dtype=np.uint8))
+    return {"kind": "idx", "images": str(images), "labels": str(labels), "cost_model": {"kind": "uniform"}}
+
+
 LATE_REFUSALS = {
     # (config overrides, or None for the shipped digits_idx.json; extra
-    # arguments; extra environment; the whole error line)
+    # arguments; extra environment; the whole error line), or a function of
+    # the test's directory that gives them
     "padded-coin-fraction": (
         {"instance": {"kind": "padded-coin", "T": 50, "coin_fraction": 0.0}},
         [], {}, "coin_fraction must lie in (0, 1], got 0.0",
@@ -265,7 +286,36 @@ LATE_REFUSALS = {
         {"instance": {**LINEAR, "clusters": 0}}, [], {}, "need at least one cluster per class, got 0",
     ),
     "linear-T_test": ({"instance": {**LINEAR, "T_test": -1}}, [], {}, "need T_test >= 0, got -1"),
-    "linear-radius": ({"instance": {**LINEAR, "radius": -1}}, [], {}, "ball radius must be positive"),
+    "linear-radius": (
+        {"instance": {**LINEAR, "radius": -1}}, [], {}, "ball radius must be positive and finite",
+    ),
+    "linear-noise": ({"instance": {**LINEAR, "noise": math.nan}}, [], {}, "noise must be finite, got nan"),
+    "linear-separation": (
+        {"instance": {**LINEAR, "separation": math.inf}}, [], {}, "separation must be finite, got inf",
+    ),
+    "linear-spread": (
+        {"instance": {**LINEAR, "spread": -math.inf}}, [], {}, "spread must be finite, got -inf",
+    ),
+    "correlated-target": (
+        {"instance": {**LINEAR, "cost_model": {"kind": "two-point-correlated", "target_groups": [99]}}},
+        [], {}, "target_groups [99] are not among the instance's tags [0, 1, 2, 3]",
+    ),
+    "idx-limit": lambda tmp: (
+        {"instance": {**_idx_instance(tmp), "limit": 0}}, [], {}, "limit must be >= 1, got 0",
+    ),
+    "idx-holdout": lambda tmp: (
+        {"instance": {**_idx_instance(tmp), "holdout_fraction": 1}},
+        [], {}, "holdout_fraction must lie in [0, 1), got 1.0",
+    ),
+    "idx-truncated-images": lambda tmp: (
+        {"instance": _idx_instance(tmp, truncate=True)},
+        [], {}, f"{tmp / 'images.idx'}: truncated file, needed 32 bytes at byte offset 16",
+    ),
+    "theory-scale": (
+        {"mechanism": {"learning_rate": {"mode": "theory", "scale": 0}}},
+        [], {}, "learning rate scale must be positive and finite, got 0.0",
+    ),
+    "budget-grid": ({"budget_grid": [-1]}, [], {}, "budget must be positive and finite, got -1.0"),
     "config-seed": ({"seed": -1}, [], {}, "seed must be >= 0, got -1"),
     "flag-seed": ({}, ["--seed", "-2"], {}, "seed must be >= 0, got -2"),
     "environment-seed": ({}, [], {"PROCURE_LEARN_SEED": "-3"}, "seed must be >= 0, got -3"),
@@ -281,7 +331,8 @@ def test_config_its_builder_refuses_exits_2_before_any_output(tmp_path, case):
     # each used to pass the parser, make the output directory and only then
     # exit 2 in the first trial; a negative seed ended in numpy's "expected
     # non-negative integer"
-    overrides, args, env, message = LATE_REFUSALS[case]
+    case = LATE_REFUSALS[case]
+    overrides, args, env, message = case(tmp_path) if callable(case) else case
     cfg_path = tmp_path / "config.json"
     if overrides is None:  # the shipped config, writing under tmp_path
         shipped = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "digits_idx.json"
@@ -299,6 +350,92 @@ def test_config_its_builder_refuses_exits_2_before_any_output(tmp_path, case):
     assert "Traceback" not in proc.stderr
     assert [line for line in proc.stderr.splitlines() if "error:" in line] == [f"error: {message}"]
     assert not (tmp_path / "out").exists()
+
+
+# the keys of each config section; the property below sets any of them
+SCHEMA_KEYS = {
+    "config": ["instance", "mechanism", "trials", "seed", "output_dir", "budget_grid"],
+    "instance": [
+        "kind", "T", "epsilon", "bias", "coin_fraction", "cost_model", "dim", "clusters",
+        "separation", "T_test", "radius", "spread", "noise", "images", "labels",
+        "positive_digits", "negative_digits", "limit", "holdout_fraction",
+    ],
+    "cost_model": ["kind", "value", "low", "high", "p_high", "high_cost", "target_groups"],
+    "mechanism": [
+        "budget", "payment_mode", "purchase_policy", "price_scale", "learning_rate",
+        "hard_stop", "c_max",
+    ],
+    "price_scale": ["mode", "value", "avg_value_cost", "avg_value", "avg_sqrt_cost", "avg_cost"],
+    "learning_rate": ["mode", "value", "scale"],
+}
+ODD_VALUES = [
+    0, 1, 2, -1, -0.5, 0.5, math.nan, math.inf, -math.inf, True, False, "x", "5", None,
+    {}, [], [1], {"kind": "x"},
+]
+
+
+@st.composite
+def _config_trees(draw, root):
+    """A valid config of T = 40 and 2 trials for any instance kind, cost
+    model, price scale and learning rate, with up to three keys of any
+    section set to an odd value."""
+    kind = draw(st.sampled_from(["coin", "padded-coin", "linear", "idx"]))
+    cost = draw(st.sampled_from([
+        {"kind": "constant", "value": 0.5},
+        {"kind": "uniform"},
+        {"kind": "two-point-independent", "p_high": 0.3},
+        {"kind": "two-point-correlated", "p_high": 0.2, "target_groups": [9 if kind == "idx" else 0]},
+    ]))
+    instance = {
+        "coin": {"kind": "coin", "T": 40},
+        "padded-coin": {"kind": "padded-coin", "T": 40, "coin_fraction": 0.5},
+        "linear": {**LINEAR, "T": 40, "T_test": 10, "dim": 3},
+        "idx": _idx_instance(root),
+    }[kind]
+    if "cost_model" in instance:
+        instance["cost_model"] = cost
+    scale = draw(st.sampled_from([
+        {"mode": "adaptive"}, {"mode": "fixed", "value": 2.0}, {"mode": "from-knowledge", "avg_value_cost": 0.5},
+    ]))
+    rate = draw(st.sampled_from([{"mode": "theory"}, {"mode": "fixed", "value": 0.1}]))
+    mechanism = {"budget": 5.0, "price_scale": scale, "learning_rate": rate}
+    config = {
+        "instance": instance, "mechanism": mechanism, "trials": 2, "seed": 1,
+        "output_dir": str(root / "out"), "budget_grid": [5.0],
+    }
+    config = json.loads(json.dumps(config))  # fresh dicts: the sampled ones are shared
+    sections = {
+        "config": config, "instance": config["instance"],
+        "cost_model": config["instance"].get("cost_model", {}), "mechanism": config["mechanism"],
+        "price_scale": config["mechanism"]["price_scale"],
+        "learning_rate": config["mechanism"]["learning_rate"],
+    }
+    for _ in range(draw(st.integers(0, 3))):
+        section = draw(st.sampled_from(sorted(SCHEMA_KEYS)))
+        key = draw(st.sampled_from(SCHEMA_KEYS[section]))
+        value = draw(st.sampled_from(ODD_VALUES))
+        if not (key == "output_dir" and isinstance(value, str)):  # keep output under root
+            sections[section][key] = value
+    return config
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_every_config_runs_or_is_refused_before_any_output(tmp_path_factory, data):
+    root = tmp_path_factory.mktemp("config")
+    config = data.draw(_config_trees(root))
+    path = root / "config.json"
+    path.write_text(json.dumps(config))
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(["run", "--config", str(path), "--jobs", "1"])
+    out = root / "out"
+    if code == 0:
+        assert (out / "transcript.csv").is_file() and (out / "summary.csv").is_file()
+    else:
+        errors = [line for line in stderr.getvalue().splitlines() if "error:" in line]
+        assert code == 2 and len(errors) == 1 and errors[0].startswith("error: "), stderr.getvalue()
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -19,12 +19,12 @@ from procure_learn.core import (
 )
 
 from procure_learn.environment import (
+    CoinSpec,
+    IdxSpec,
+    LinearTaskSpec,
+    PaddedCoinSpec,
     ProblemInstance,
     UniformCost,
-    coin_sequence,
-    digit_task,
-    linear_task,
-    padded_coin_sequence,
 )
 from procure_learn.mechanism import Mechanism, MechanismConfig, _margin
 
@@ -336,7 +336,9 @@ def test_feature_row_range_kernel_matches_scalar_bitwise(dim, rng):
     # time, and the settle pass the loss and delta of every round in blocks
     # of rows, each at the hypothesis it posted: both must give the same
     # bits on every row, however the rows are cut into blocks
-    instance = linear_task(dim, 2, 0.6, 400, 1, UniformCost(), dim)
+    instance = LinearTaskSpec(
+        T=400, cost_model=UniformCost(), dim=dim, clusters=2, separation=0.6, T_test=1
+    ).build(dim)
     family, T = instance.family, instance.horizon
     labels, features, norms = instance.labels, instance.features, instance.feature_norms
     v = (labels[:, None] * features).mean(axis=0)
@@ -373,10 +375,12 @@ def test_vertex_row_range_kernel_matches_scalar(rng):
 def test_generators_pick_family(tmp_path, rng):
     write_idx_images(tmp_path / "img.idx", rng.integers(0, 256, size=(20, 4, 4), dtype=np.uint8))
     write_idx_labels(tmp_path / "lab.idx", rng.choice([9, 8, 1, 4], size=20).astype(np.uint8))
-    vertex = [coin_sequence(10, 0.1), padded_coin_sequence(10, 0.5, 0.1)]
+    vertex = [CoinSpec(10, 0.1).build(0), PaddedCoinSpec(10, 0.1, coin_fraction=0.5).build(0)]
     feature = [
-        linear_task(3, 2, 0.6, 10, 5, UniformCost()),
-        digit_task(str(tmp_path / "img.idx"), str(tmp_path / "lab.idx"), UniformCost()),
+        LinearTaskSpec(
+            T=10, cost_model=UniformCost(), dim=3, clusters=2, separation=0.6, T_test=5
+        ).build(0),
+        IdxSpec(str(tmp_path / "img.idx"), str(tmp_path / "lab.idx"), UniformCost()).build(0),
     ]
     for inst in vertex:
         assert type(inst.family) is VertexLoss and inst.space.kind == "simplex"

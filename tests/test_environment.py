@@ -3,18 +3,17 @@ import pytest
 
 from procure_learn.core import NULL_OUTCOME, InvalidConfigError, l2_ball, simplex
 from procure_learn.environment import (
+    CoinSpec,
     ConstantCost,
     FormatError,
+    IdxSpec,
+    LinearTaskSpec,
+    PaddedCoinSpec,
     ProblemInstance,
     TwoPointCost,
     UniformCost,
-    coin_sequence,
-    digit_task,
-    linear_task,
-    load_digit_dataset,
     load_idx_images,
     load_idx_labels,
-    padded_coin_sequence,
 )
 from procure_learn.metrics import offline_best, risk
 
@@ -28,31 +27,31 @@ from oracles import losses_at, write_idx_images, write_idx_labels
 
 def test_coin_epsilon_bounds():
     with pytest.raises(ValueError):
-        coin_sequence(10, 0.5, "heads", 0)
+        CoinSpec(10, 0.5)
     with pytest.raises(ValueError):
-        coin_sequence(10, -0.1, "heads", 0)
+        CoinSpec(10, -0.1)
     with pytest.raises(ValueError):
-        coin_sequence(10, 0.1, "sideways", 0)
+        CoinSpec(10, 0.1, "sideways")
 
 
 def test_fair_coin_concentrates():
-    inst = coin_sequence(1_000_000, 0.0, "heads", 7)
+    inst = CoinSpec(1_000_000, 0.0).build(7)
     heads = float(np.mean(inst.outcomes == 0))
     assert heads == pytest.approx(0.5, abs=0.002)
     assert np.all(inst.costs == 1.0)
 
 
 def test_biased_coin_majority_is_offline_best():
-    inst = coin_sequence(20_000, 0.1, "heads", 11)
+    inst = CoinSpec(20_000, 0.1).build(11)
     sol = offline_best(inst)
     np.testing.assert_array_equal(sol.hypothesis.coords, [1.0, 0.0])
 
-    tails = coin_sequence(20_000, 0.1, "tails", 11)
+    tails = CoinSpec(20_000, 0.1, "tails").build(11)
     np.testing.assert_array_equal(offline_best(tails).hypothesis.coords, [0.0, 1.0])
 
 
 def test_padded_coin_layout():
-    inst = padded_coin_sequence(1000, 0.3, 0.1, "heads", 3)
+    inst = PaddedCoinSpec(1000, 0.1, coin_fraction=0.3).build(3)
     assert inst.horizon == 1000
     assert int(np.sum(inst.outcomes == NULL_OUTCOME)) == 700
     assert int(np.sum(inst.outcomes >= 0)) == 300
@@ -62,7 +61,7 @@ def test_padded_coin_layout():
 
 def test_padded_coin_value_cost_statistic_is_hypothesis_free(rng):
     # filler points have zero delta and zero cost; coins have delta 1, cost 1
-    inst = padded_coin_sequence(1000, 0.3, 0.1, "heads", 5)
+    inst = PaddedCoinSpec(1000, 0.1, coin_fraction=0.3).build(5)
     for _ in range(10):
         w = rng.dirichlet(np.ones(2))
         deltas = inst.grad_norms_at(w)
@@ -71,21 +70,21 @@ def test_padded_coin_value_cost_statistic_is_hypothesis_free(rng):
 
 
 def test_padded_coin_full_fraction_reduces_to_coins():
-    padded = padded_coin_sequence(500, 1.0, 0.2, "tails", 9)
-    plain = coin_sequence(500, 0.2, "tails", 9)
+    padded = PaddedCoinSpec(500, 0.2, "tails", coin_fraction=1.0).build(9)
+    plain = CoinSpec(500, 0.2, "tails").build(9)
     np.testing.assert_array_equal(padded.outcomes, plain.outcomes)
     np.testing.assert_array_equal(padded.costs, plain.costs)
 
 
 def test_padded_coin_fraction_validation():
     with pytest.raises(ValueError):
-        padded_coin_sequence(100, 0.0, 0.1, "heads", 0)
+        PaddedCoinSpec(100, 0.1, coin_fraction=0.0)
     with pytest.raises(ValueError):
-        padded_coin_sequence(100, 1.2, 0.1, "heads", 0)
+        PaddedCoinSpec(100, 0.1, coin_fraction=1.2)
 
 
 def test_padded_coin_vanishing_fraction_is_all_filler():
-    inst = padded_coin_sequence(100, 1e-9, 0.1, "heads", 0)
+    inst = PaddedCoinSpec(100, 0.1, coin_fraction=1e-9).build(0)
     assert np.all(inst.outcomes == NULL_OUTCOME)
     # every hypothesis suffers the same (constant) loss
     np.testing.assert_array_equal(losses_at(inst, np.array([1.0, 0.0])), np.ones(100))
@@ -124,12 +123,17 @@ def test_two_point_correlated_rescales_within_class(rng):
     assert float(np.mean(costs == 1.0)) == pytest.approx(0.2, abs=0.01)
 
 
-def test_two_point_correlated_infeasible_marginal():
+def test_two_point_correlated_marginal_is_capped_by_the_drawn_share():
+    # a drawn share below p_high used to raise, so one config could pass some
+    # trials and fail others; now every targeted point is high
     groups = np.array([0] * 10 + [1] * 90)
-    with pytest.raises(InvalidConfigError):
-        TwoPointCost(0.5, 1.0, target_groups=(0,)).draw(np.random.default_rng(0), 100, groups)
-    with pytest.raises(InvalidConfigError):
-        TwoPointCost(0.5, 1.0, target_groups=(0,)).draw(np.random.default_rng(0), 100, None)
+    model = TwoPointCost(0.5, 1.0, target_groups=(0,))
+    costs = model.draw(np.random.default_rng(0), 100, groups)
+    np.testing.assert_array_equal(costs, np.where(groups == 0, 1.0, 0.0))
+    # targets that hold no point leave every point free
+    np.testing.assert_array_equal(model.draw(np.random.default_rng(0), 100, groups + 1), 0.0)
+    with pytest.raises(InvalidConfigError, match="needs group tags"):
+        model.draw(np.random.default_rng(0), 100, None)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +142,10 @@ def test_two_point_correlated_infeasible_marginal():
 
 
 def test_linear_task_separable_when_separation_large():
-    inst = linear_task(3, 2, 0.9, 2000, 2000, ConstantCost(0.0), 21, noise=0.05)
+    inst = LinearTaskSpec(
+        T=2000, cost_model=ConstantCost(0.0), dim=3, clusters=2, separation=0.9, T_test=2000,
+        noise=0.05
+    ).build(21)
     sol = offline_best(inst, 3000)
     err = risk(inst, sol.hypothesis, "zero-one")
     assert err < 0.02
@@ -147,11 +154,13 @@ def test_linear_task_separable_when_separation_large():
 def test_linear_task_rejects_negative_test_size():
     # -5 used to fail with "features has 95 rows, costs 100"
     with pytest.raises(InvalidConfigError, match="need T_test >= 0, got -5"):
-        linear_task(3, 2, 0.6, 100, -5, UniformCost())
+        LinearTaskSpec(T=100, cost_model=UniformCost(), dim=3, T_test=-5)
 
 
 def test_linear_task_norms_bounded():
-    inst = linear_task(4, 2, 0.6, 3000, 500, UniformCost(), 8)
+    inst = LinearTaskSpec(
+        T=3000, cost_model=UniformCost(), dim=4, clusters=2, separation=0.6, T_test=500
+    ).build(8)
     assert float(np.linalg.norm(inst.features, axis=1).max()) <= 1.0 + 1e-12
     assert float(np.linalg.norm(inst.test_features, axis=1).max()) <= 1.0 + 1e-12
     np.testing.assert_allclose(
@@ -162,7 +171,9 @@ def test_linear_task_norms_bounded():
 def test_linear_task_free_costs_always_bought():
     from procure_learn.mechanism import FixedScale, Mechanism, MechanismConfig
 
-    inst = linear_task(3, 2, 0.6, 400, 100, ConstantCost(0.0), 17)
+    inst = LinearTaskSpec(
+        T=400, cost_model=ConstantCost(0.0), dim=3, clusters=2, separation=0.6, T_test=100
+    ).build(17)
     cfg = MechanismConfig(budget=50.0, price_scale=FixedScale(5.0))
     mech = Mechanism(cfg, inst).run(np.random.default_rng(1))
     # survival is 1 at cost 0, so every nonzero-delta arrival is purchased
@@ -174,7 +185,9 @@ def test_linear_task_free_costs_always_bought():
 
 def test_linear_task_group_tags_and_two_point_marginal():
     model = TwoPointCost(0.2, 1.0, target_groups=(0, 2))
-    inst = linear_task(4, 2, 0.6, 10_000, 10, model, 31)
+    inst = LinearTaskSpec(
+        T=10_000, cost_model=model, dim=4, clusters=2, separation=0.6, T_test=10
+    ).build(31)
     assert set(np.unique(inst.groups)) == {0, 1, 2, 3}
     assert float(np.mean(inst.costs == 1.0)) == pytest.approx(0.2, abs=0.015)
     hard = np.isin(inst.groups, (0, 2))
@@ -182,14 +195,18 @@ def test_linear_task_group_tags_and_two_point_marginal():
 
 
 def test_generator_determinism():
-    a = linear_task(4, 2, 0.6, 500, 100, UniformCost(), 77)
-    b = linear_task(4, 2, 0.6, 500, 100, UniformCost(), 77)
+    a = LinearTaskSpec(
+        T=500, cost_model=UniformCost(), dim=4, clusters=2, separation=0.6, T_test=100
+    ).build(77)
+    b = LinearTaskSpec(
+        T=500, cost_model=UniformCost(), dim=4, clusters=2, separation=0.6, T_test=100
+    ).build(77)
     assert a.features.tobytes() == b.features.tobytes()
     assert a.costs.tobytes() == b.costs.tobytes()
     assert a.test_features.tobytes() == b.test_features.tobytes()
 
-    c = coin_sequence(500, 0.1, "heads", 5)
-    d = coin_sequence(500, 0.1, "heads", 5)
+    c = CoinSpec(500, 0.1).build(5)
+    d = CoinSpec(500, 0.1).build(5)
     assert c.outcomes.tobytes() == d.outcomes.tobytes()
 
 
@@ -233,9 +250,9 @@ ZERO_ROUND_BUILDS = {
     "columns": lambda: ProblemInstance(
         space=simplex(2), costs=np.ones(0), outcomes=np.zeros(0, dtype=np.int64)
     ),
-    "coin": lambda: coin_sequence(0, 0.1),
-    "padded-coin": lambda: padded_coin_sequence(0, 0.5, 0.1),
-    "linear": lambda: linear_task(3, 2, 0.6, 0, 10, UniformCost()),
+    "coin": lambda: CoinSpec(0, 0.1),
+    "padded-coin": lambda: PaddedCoinSpec(0, 0.1, coin_fraction=0.5),
+    "linear": lambda: LinearTaskSpec(T=0, cost_model=UniformCost(), dim=3, T_test=10),
 }
 
 
@@ -303,38 +320,80 @@ def test_idx_count_mismatch(idx_files, tmp_path):
     lab_path = tmp_path / "fewer.idx"
     write_idx_labels(lab_path, labels[:30])
     with pytest.raises(FormatError, match="count"):
-        load_digit_dataset(img_path, str(lab_path))
+        IdxSpec(img_path, str(lab_path), UniformCost())
 
 
 def test_digit_dataset_filter_and_limit(idx_files):
     img_path, lab_path, _, labels = idx_files
-    X, y, digits = load_digit_dataset(img_path, lab_path, (9, 8), (1, 4))
-    assert len(X) == len(labels)  # fixture only contains those digits
-    assert set(np.unique(y)) <= {-1, 1}
-    assert np.all((y == 1) == np.isin(digits, (9, 8)))
-    np.testing.assert_allclose(np.linalg.norm(X, axis=1), 1.0, atol=1e-12)
+    inst = IdxSpec(img_path, lab_path, UniformCost(), holdout_fraction=0.0).build(5)
+    assert inst.horizon == len(labels)  # fixture only contains those digits
+    assert set(np.unique(inst.labels)) <= {-1, 1}
+    assert np.all((inst.labels == 1) == np.isin(inst.groups, (9, 8)))
+    np.testing.assert_allclose(np.linalg.norm(inst.features, axis=1), 1.0, atol=1e-12)
 
-    X10, _, _ = load_digit_dataset(img_path, lab_path, (9, 8), (1, 4), limit=10)
-    assert len(X10) == 10
+    nines_and_ones = IdxSpec(img_path, lab_path, UniformCost(), (9,), (1,), holdout_fraction=0.0)
+    assert nines_and_ones.build(5).horizon == np.isin(labels, (9, 1)).sum()
+    first_ten = IdxSpec(img_path, lab_path, UniformCost(), limit=10, holdout_fraction=0.0)
+    assert first_ten.build(5).horizon == 10
 
     with pytest.raises(InvalidConfigError):
-        load_digit_dataset(img_path, lab_path, (9, 8), (8, 1))
+        IdxSpec(img_path, lab_path, UniformCost(), (9, 8), (8, 1))
+
+
+def _truncated(path):
+    path.write_bytes(path.read_bytes()[:-1])
+
+
+def _trailing(path):
+    path.write_bytes(path.read_bytes() + b"\0")
+
+
+@pytest.mark.parametrize(
+    "broken, overrides, message",
+    [
+        (None, {"limit": 2, "holdout_fraction": 0.75}, "the split leaves no training rows"),
+        (None, {"positive_digits": (7,), "negative_digits": (3,)}, "no training rows: 0 rows"),
+        (None, {"radius": float("inf")}, "ball radius must be positive and finite"),
+        (("img", _trailing), {}, "img.idx: trailing bytes at byte offset 976"),
+        (("lab", _truncated), {}, "lab.idx: truncated file, needed 60 bytes at byte offset 8"),
+        (
+            None,
+            {"cost_model": TwoPointCost(0.2, 1.0, target_groups=(7,))},
+            r"target_groups \[7\] are not among the instance's tags \[1, 4, 8, 9\]",
+        ),
+    ],
+    ids=[
+        "no-training-rows", "no-listed-digit", "radius-inf", "images-trailing",
+        "labels-truncated", "target-not-listed",
+    ],
+)
+def test_idx_spec_refuses_what_its_build_cannot_use(idx_files, tmp_path, broken, overrides, message):
+    # each used to be refused only in a trial, through the instance built;
+    # tests/test_cli.py refuses a limit of 0, a holdout_fraction of 1 and a
+    # truncated image file from the CLI
+    img_path, lab_path, _, _ = idx_files
+    if broken is not None:
+        name, damage = broken
+        damage(tmp_path / f"{name}.idx")
+    spec = dict(images=img_path, labels=lab_path, cost_model=UniformCost())
+    with pytest.raises(ValueError, match=message):
+        IdxSpec(**{**spec, **overrides})
 
 
 def test_digit_task_split(idx_files):
     img_path, lab_path, _, _ = idx_files
-    inst = digit_task(img_path, lab_path, UniformCost(), 5)
+    inst = IdxSpec(img_path, lab_path, UniformCost()).build(5)
     assert inst.horizon + len(inst.test_features) == 60
     assert abs(inst.horizon - 30) <= 1
     # deterministic under the seed
-    again = digit_task(img_path, lab_path, UniformCost(), 5)
+    again = IdxSpec(img_path, lab_path, UniformCost()).build(5)
     assert inst.features.tobytes() == again.features.tobytes()
     assert inst.costs.tobytes() == again.costs.tobytes()
 
 
 def test_digit_task_norms_capped(idx_files):
     img_path, lab_path, _, _ = idx_files
-    inst = digit_task(img_path, lab_path, UniformCost(), 5)
+    inst = IdxSpec(img_path, lab_path, UniformCost()).build(5)
     norms = np.linalg.norm(inst.features, axis=1)
     assert (norms > 1.0).any()  # a unit-normalized row rounds above 1 here
     np.testing.assert_array_equal(inst.feature_norms, np.minimum(norms, 1.0))

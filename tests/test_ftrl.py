@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from procure_learn.core import L2_BALL, InvalidConfigError, l2_ball, project_coords, simplex
 from procure_learn.environment import (
+    CoinSpec,
+    LinearTaskSpec,
+    PaddedCoinSpec,
     UniformCost,
-    coin_sequence,
-    linear_task,
-    padded_coin_sequence,
 )
 from procure_learn.ftrl import FtrlLearner
 from procure_learn.mechanism import (
@@ -233,9 +233,11 @@ def test_full_information_path_bound():
     for i, child in enumerate(root.spawn(10)):
         gen = np.random.default_rng(child)
         if i % 2 == 0:
-            instance = coin_sequence(300, 0.4 * gen.random(), "heads", gen)
+            instance = CoinSpec(300, 0.4 * gen.random()).build(gen)
         else:
-            instance = linear_task(3, 2, 0.5, 250, 0, UniformCost(), gen)
+            instance = LinearTaskSpec(
+                T=250, cost_model=UniformCost(), dim=3, clusters=2, separation=0.5, T_test=0
+            ).build(gen)
         mech = _full_information_run(instance, 0.05 + 0.4 * gen.random(), child.spawn(1)[0])
         regret = mech.loss_total - offline_best(instance).lower_bound
         assert regret <= mech.learner.regret_bound() + 1e-9
@@ -265,11 +267,13 @@ def test_learner_bound_holds_on_the_importance_weighted_sequence(
     # the learning half of the reduction: on the estimates g_t / q_t it was
     # fed, the learner's regret against any fixed u stays within its own bound
     if kind == "coin":
-        instance = coin_sequence(T, 0.2, "heads", seed)
+        instance = CoinSpec(T, 0.2).build(seed)
     elif kind == "padded-coin":
-        instance = padded_coin_sequence(T, 0.5, 0.2, "heads", seed)
+        instance = PaddedCoinSpec(T, 0.2, coin_fraction=0.5).build(seed)
     else:
-        instance = linear_task(3, 2, 0.5, T, 0, UniformCost(), seed)
+        instance = LinearTaskSpec(
+            T=T, cost_model=UniformCost(), dim=3, clusters=2, separation=0.5, T_test=0
+        ).build(seed)
     config = MechanismConfig(
         budget=budget,
         payment_mode=payment_mode,

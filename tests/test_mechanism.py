@@ -6,11 +6,11 @@ import pytest
 
 from procure_learn.core import InvalidConfigError
 from procure_learn.environment import (
+    CoinSpec,
     ConstantCost,
+    LinearTaskSpec,
+    PaddedCoinSpec,
     UniformCost,
-    coin_sequence,
-    linear_task,
-    padded_coin_sequence,
 )
 from procure_learn.mechanism import (
     AdaptiveScale,
@@ -93,11 +93,9 @@ def test_choose_scale_refuses_knowledge_giving_zero_scale(payment_mode, knowledg
     # a zero scale would buy every arrival at c_max, whatever the budget
     with pytest.raises(InvalidConfigError, match=statistic):
         choose_price_scale(knowledge, 1000, 100, payment_mode)
-    config = MechanismConfig(
-        budget=5.0, payment_mode=payment_mode, price_scale=KnowledgeScale(knowledge)
-    )
+    # the config refuses it, before any run
     with pytest.raises(InvalidConfigError, match=statistic):
-        Mechanism(config, coin_sequence(50, 0.1, "heads", 0))
+        MechanismConfig(budget=5.0, payment_mode=payment_mode, price_scale=KnowledgeScale(knowledge))
 
 
 def test_theory_learning_rate_examples():
@@ -157,7 +155,7 @@ def test_priced_rounds_match_priced_round_bitwise(rng):
 
 
 def test_adapted_scales_match_adapted_scale():
-    inst = coin_sequence(1000, 0.1, "heads", 1)
+    inst = CoinSpec(1000, 0.1).build(1)
     cfg = MechanismConfig(budget=50.0, price_scale=AdaptiveScale(), learning_rate=FixedRate(0.1))
     mech = Mechanism(cfg, inst)
     states = ((0.0, 0.0), (3.7, 12.5), (900.0, 3.0), (2.0, 50.0))
@@ -182,7 +180,9 @@ def test_pay_never_lowers_a_later_adaptive_scale(payment_mode):
     # a purchase only because a purchase never lowers the scale of a round
     # to come
     rng = np.random.default_rng(4)
-    inst = linear_task(3, 2, 0.6, 400, 10, UniformCost(), 4)
+    inst = LinearTaskSpec(
+        T=400, cost_model=UniformCost(), dim=3, clusters=2, separation=0.6, T_test=10
+    ).build(4)
     cfg = MechanismConfig(
         budget=5.0,
         payment_mode=payment_mode,
@@ -221,7 +221,7 @@ def test_priced_round_acceptance_rate_matches_q():
 
 
 def _coin_mech(T=400, budget=40.0, seed=3, **overrides):
-    inst = coin_sequence(T, 0.1, "heads", seed)
+    inst = CoinSpec(T, 0.1).build(seed)
     defaults = dict(
         budget=budget,
         payment_mode="posted-price",
@@ -258,7 +258,9 @@ def test_transcript_columns_are_read_only(kind):
     if kind == "coin":
         inst, mech = _coin_mech()
     else:
-        inst = linear_task(3, 2, 0.6, 200, 10, UniformCost(), 5)
+        inst = LinearTaskSpec(
+            T=200, cost_model=UniformCost(), dim=3, clusters=2, separation=0.6, T_test=10
+        ).build(5)
         cfg = MechanismConfig(budget=10.0, price_scale=FixedScale(3.0), learning_rate=FixedRate(0.1))
         mech = Mechanism(cfg, inst).run(np.random.default_rng(1))
     costs = inst.costs.tobytes()
@@ -273,7 +275,9 @@ def test_transcript_columns_are_read_only(kind):
 
 
 def test_at_cost_never_pays_above_posted_price():
-    inst = linear_task(3, 2, 0.6, 600, 10, UniformCost(), 5)
+    inst = LinearTaskSpec(
+        T=600, cost_model=UniformCost(), dim=3, clusters=2, separation=0.6, T_test=10
+    ).build(5)
     runs = {}
     for mode in ("posted-price", "at-cost"):
         cfg = MechanismConfig(
@@ -298,7 +302,7 @@ def test_expected_budget_compliance_small():
     knowledge = PriorKnowledge(avg_value_cost=0.3, avg_value=0.3)
     spends = []
     for seed in range(30):
-        inst = padded_coin_sequence(T, 0.3, 0.1, "heads", seed)
+        inst = PaddedCoinSpec(T, 0.1, coin_fraction=0.3).build(seed)
         cfg = MechanismConfig(
             budget=budget,
             price_scale=KnowledgeScale(knowledge),
@@ -321,7 +325,7 @@ def test_losses_accrue_regardless_of_purchase():
 
 
 def test_naive_counting():
-    inst = coin_sequence(50, 0.1, "heads", 9)
+    inst = CoinSpec(50, 0.1).build(9)
     cfg = MechanismConfig(
         budget=5.0, purchase_policy="naive", learning_rate=FixedRate(0.2)
     )
@@ -334,7 +338,7 @@ def test_naive_counting():
 
 
 def test_naive_fractional_budget_floors_to_price_multiples():
-    inst = coin_sequence(50, 0.1, "heads", 9)
+    inst = CoinSpec(50, 0.1).build(9)
     cfg = MechanismConfig(
         budget=5.5, purchase_policy="naive", learning_rate=FixedRate(0.2)
     )
@@ -343,7 +347,7 @@ def test_naive_fractional_budget_floors_to_price_multiples():
 
 
 def test_naive_keeps_collecting_free_arrivals():
-    inst = padded_coin_sequence(100, 0.5, 0.1, "heads", 2)
+    inst = PaddedCoinSpec(100, 0.1, coin_fraction=0.5).build(2)
     # reorder: coins (cost 1) first, filler (cost 0) afterwards
     inst.outcomes = inst.outcomes[::-1].copy()
     inst.costs = inst.costs[::-1].copy()
@@ -364,7 +368,7 @@ def test_baseline_pays_nothing_and_sees_everything():
 
 
 def test_hard_stop_freezes_spending_not_losses():
-    inst = coin_sequence(400, 0.1, "heads", 21)
+    inst = CoinSpec(400, 0.1).build(21)
     cfg = MechanismConfig(
         budget=5.0,
         price_scale=FixedScale(1.0),  # q = 1 at unit costs: buys eagerly
@@ -386,14 +390,14 @@ def test_hard_stop_freezes_spending_not_losses():
 
 
 def test_adaptive_starts_at_zero():
-    inst = coin_sequence(10, 0.1, "heads", 1)
+    inst = CoinSpec(10, 0.1).build(1)
     cfg = MechanismConfig(budget=5.0, price_scale=AdaptiveScale(), learning_rate=FixedRate(0.1))
     mech = Mechanism(cfg, inst)
     assert mech.price_scale == 0.0
 
 
 def test_adaptive_update_rule():
-    inst = coin_sequence(1000, 0.1, "heads", 1)
+    inst = CoinSpec(1000, 0.1).build(1)
     cfg = MechanismConfig(budget=50.0, price_scale=AdaptiveScale(), learning_rate=FixedRate(0.1))
     mech = Mechanism(cfg, inst)
     mech.estimate_total = 0.3 * 500  # estimate 0.3 at round 500
@@ -406,7 +410,7 @@ def test_adaptive_update_rule():
 
 
 def test_value_cost_estimate_examples():
-    inst = coin_sequence(10, 0.1, "heads", 1)
+    inst = CoinSpec(10, 0.1).build(1)
     cfg = MechanismConfig(budget=5.0, price_scale=AdaptiveScale(), learning_rate=FixedRate(0.1))
     mech = Mechanism(cfg, inst)
     assert mech.value_cost_estimate() == 0.0  # no rounds yet
@@ -420,7 +424,9 @@ def test_value_cost_estimate_examples():
 
 
 def test_adaptive_estimate_unweighted_when_q_is_one():
-    inst = linear_task(3, 2, 0.6, 300, 10, ConstantCost(0.25), 11)
+    inst = LinearTaskSpec(
+        T=300, cost_model=ConstantCost(0.25), dim=3, clusters=2, separation=0.6, T_test=10
+    ).build(11)
     cfg = MechanismConfig(
         budget=1000.0, price_scale=FixedScale(0.0), learning_rate=FixedRate(0.1)
     )
@@ -438,7 +444,7 @@ def test_adaptive_estimate_unweighted_when_q_is_one():
 
 
 def test_finalize_is_hypothesis_average():
-    inst = coin_sequence(30, 0.1, "heads", 2)
+    inst = CoinSpec(30, 0.1).build(2)
     cfg = MechanismConfig(budget=5.0, price_scale=FixedScale(2.0), learning_rate=FixedRate(0.3))
     mech = Mechanism(cfg, inst).run(np.random.default_rng(1))
     final = mech.finalize()
@@ -448,7 +454,7 @@ def test_finalize_is_hypothesis_average():
 
 
 def test_premature_finalize_and_rerun_rejected():
-    inst = coin_sequence(10, 0.1, "heads", 2)
+    inst = CoinSpec(10, 0.1).build(2)
     cfg = MechanismConfig(budget=5.0, learning_rate=FixedRate(0.1))
     mech = Mechanism(cfg, inst)
     with pytest.raises(MechanismStateError):
@@ -459,7 +465,7 @@ def test_premature_finalize_and_rerun_rejected():
 
 
 def test_config_validation():
-    inst = coin_sequence(10, 0.1, "heads", 2)
+    inst = CoinSpec(10, 0.1).build(2)
     with pytest.raises(InvalidConfigError):
         MechanismConfig(budget=0.0)
     with pytest.raises(InvalidConfigError):
@@ -491,7 +497,7 @@ def test_budget_and_c_max_must_be_positive_and_finite(field, bad):
 def test_costs_must_be_finite_and_within_range(bad_cost):
     # NaN used to run silently to avg_value_cost = nan, and -0.5 to die
     # mid-run in math.sqrt
-    inst = coin_sequence(50, 0.1, "heads", 2)
+    inst = CoinSpec(50, 0.1).build(2)
     inst.costs[17] = bad_cost
     with pytest.raises(InvalidConfigError):
         Mechanism(MechanismConfig(budget=5.0, learning_rate=FixedRate(0.1)), inst)
@@ -506,7 +512,9 @@ def test_run_determinism():
 
 
 def test_averaged_hypothesis_jensen_inequality():
-    inst = linear_task(3, 2, 0.6, 400, 200, UniformCost(), 23)
+    inst = LinearTaskSpec(
+        T=400, cost_model=UniformCost(), dim=3, clusters=2, separation=0.6, T_test=200
+    ).build(23)
     cfg = MechanismConfig(budget=20.0, price_scale=AdaptiveScale(), learning_rate=FixedRate(0.15))
     mech = Mechanism(cfg, inst).run(np.random.default_rng(6))
     final = mech.finalize()

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from procure_learn.core import project_coords
 from procure_learn.environment import (
+    CoinSpec,
     ConstantCost,
+    LinearTaskSpec,
+    PaddedCoinSpec,
     TwoPointCost,
     UniformCost,
-    coin_sequence,
-    linear_task,
-    padded_coin_sequence,
 )
 from procure_learn.mechanism import (
     AdaptiveScale,
@@ -43,7 +43,7 @@ from oracles import (
 def test_offline_best_majority_vertex():
     # deterministic 60% heads stream
     outcomes = np.array([0] * 60 + [1] * 40)
-    inst = coin_sequence(100, 0.0, "heads", 0)
+    inst = CoinSpec(100, 0.0).build(0)
     inst.outcomes = outcomes
     sol = offline_best(inst)
     np.testing.assert_array_equal(sol.hypothesis.coords, [1.0, 0.0])
@@ -52,7 +52,7 @@ def test_offline_best_majority_vertex():
 
 
 def test_offline_best_all_filler_is_flat():
-    inst = padded_coin_sequence(100, 0.1, 0.0, "heads", 4)
+    inst = PaddedCoinSpec(100, 0.0, coin_fraction=0.1).build(4)
     inst.outcomes = np.full(100, -1)
     sol = offline_best(inst)
     assert sol.total_loss == pytest.approx(100.0)
@@ -77,7 +77,10 @@ def _grid_best(inst, resolution=1e-3):
 
 
 def test_offline_best_beats_grid_on_2d_toy():
-    inst = linear_task(2, 1, 0.5, 60, 0, UniformCost(), 3, radius=1.5, noise=0.15)
+    inst = LinearTaskSpec(
+        T=60, cost_model=UniformCost(), dim=2, clusters=1, separation=0.5, T_test=0, radius=1.5,
+        noise=0.15
+    ).build(3)
     sol = offline_best(inst)
     grid = _grid_best(inst)
     assert sol.converged
@@ -86,7 +89,9 @@ def test_offline_best_beats_grid_on_2d_toy():
 
 
 def test_offline_best_flags_iteration_cap():
-    inst = linear_task(3, 2, 0.5, 200, 0, UniformCost(), 9)
+    inst = LinearTaskSpec(
+        T=200, cost_model=UniformCost(), dim=3, clusters=2, separation=0.5, T_test=0
+    ).build(9)
     sol = offline_best(inst, iterations=3)
     assert not sol.converged
     assert sol.iterations == 3
@@ -109,9 +114,10 @@ def test_offline_best_flags_iteration_cap():
 def test_oracle_lower_bound_is_weak_duality(
     dim, clusters, separation, T, radius, noise, iterations, seed
 ):
-    inst = linear_task(
-        dim, clusters, separation, T, 0, UniformCost(), seed, radius=radius, noise=noise
-    )
+    inst = LinearTaskSpec(
+        T=T, cost_model=UniformCost(), dim=dim, clusters=clusters, separation=separation, T_test=0,
+        radius=radius, noise=noise
+    ).build(seed)
     sol = offline_best(inst, iterations)
     assert 0.0 <= sol.lower_bound <= sol.total_loss
     assert sol.converged or sol.iterations == iterations
@@ -159,16 +165,20 @@ def _two_pass_offline_best(instance, iterations):
 
 
 def _d24_hits_cap():
-    return linear_task(
-        24, 4, 0.8, 1000, 0, TwoPointCost(0.2, 1.0, (0, 4)), 1, spread=0.35, noise=0.14
-    )
+    return LinearTaskSpec(
+        T=1000, cost_model=TwoPointCost(0.2, 1.0, (0, 4)), dim=24, clusters=4, separation=0.8,
+        T_test=0, spread=0.35, noise=0.14
+    ).build(1)
 
 
 @pytest.mark.parametrize(
     "build, iterations, converges, projects",
     [
         (
-            lambda: linear_task(32, 2, 0.35, 8000, 0, UniformCost(), 1, noise=0.2),
+            lambda: LinearTaskSpec(
+                T=8000, cost_model=UniformCost(), dim=32, clusters=2, separation=0.35, T_test=0,
+                noise=0.2
+            ).build(1),
             1500,
             True,
             True,
@@ -177,7 +187,10 @@ def _d24_hits_cap():
         (_d24_hits_cap, 100, False, True),
         # a radius the iterates never reach: no pass projects
         (
-            lambda: linear_task(8, 2, 0.5, 500, 0, UniformCost(), 1, radius=30.0, noise=0.2),
+            lambda: LinearTaskSpec(
+                T=500, cost_model=UniformCost(), dim=8, clusters=2, separation=0.5, T_test=0,
+                radius=30.0, noise=0.2
+            ).build(1),
             1500,
             False,
             False,
@@ -214,7 +227,7 @@ def _run(inst, **overrides):
 
 
 def test_regret_zero_at_optimum():
-    inst = coin_sequence(50, 0.2, "heads", 5)
+    inst = CoinSpec(50, 0.2).build(5)
     sol = offline_best(inst)
     losses = losses_at(inst, sol.hypothesis.coords)
     assert float(losses.sum()) - sol.total_loss == pytest.approx(0.0)
@@ -222,7 +235,7 @@ def test_regret_zero_at_optimum():
 
 def test_regret_hand_count():
     # 10 rounds, 6 heads; posting the tails vertex every round
-    inst = coin_sequence(10, 0.0, "heads", 0)
+    inst = CoinSpec(10, 0.0).build(0)
     inst.outcomes = np.array([0, 0, 0, 1, 0, 1, 0, 1, 0, 1])  # 6 heads
     tails = np.array([0.0, 1.0])
     posted_loss = float(losses_at(inst, tails).sum())
@@ -234,14 +247,16 @@ def test_regret_hand_count():
 
 def test_regret_nonnegative_with_exact_oracle():
     for seed in range(5):
-        inst = coin_sequence(300, 0.1, "heads", seed)
+        inst = CoinSpec(300, 0.1).build(seed)
         mech = _run(inst)
         sol = offline_best(inst)
         assert regret(mech.transcript, inst, sol.hypothesis) >= -1e-9
 
 
 def test_regret_transcript_matches_recomputation():
-    inst = linear_task(3, 2, 0.6, 400, 50, UniformCost(), 13)
+    inst = LinearTaskSpec(
+        T=400, cost_model=UniformCost(), dim=3, clusters=2, separation=0.6, T_test=50
+    ).build(13)
     mech = _run(inst)
     sol = offline_best(inst)
     via_transcript = regret(mech.transcript, inst, sol.hypothesis)
@@ -250,9 +265,9 @@ def test_regret_transcript_matches_recomputation():
 
 
 def test_regret_length_mismatch():
-    inst = coin_sequence(50, 0.1, "heads", 3)
+    inst = CoinSpec(50, 0.1).build(3)
     mech = _run(inst)
-    other = coin_sequence(49, 0.1, "heads", 3)
+    other = CoinSpec(49, 0.1).build(3)
     with pytest.raises(ValueError):
         regret(mech.transcript, other, offline_best(other).hypothesis)
 
@@ -263,7 +278,10 @@ def test_regret_length_mismatch():
 
 
 def test_risk_examples():
-    inst = linear_task(3, 2, 0.9, 200, 400, ConstantCost(0.0), 2, noise=0.05)
+    inst = LinearTaskSpec(
+        T=200, cost_model=ConstantCost(0.0), dim=3, clusters=2, separation=0.9, T_test=400,
+        noise=0.05
+    ).build(2)
     sol = offline_best(inst, 3000)
     assert risk(inst, sol.hypothesis, "zero-one") < 0.02
 
@@ -286,7 +304,7 @@ def test_risk_examples():
 
 
 def test_stats_on_padded_coin():
-    inst = padded_coin_sequence(1000, 0.3, 0.1, "heads", 6)
+    inst = PaddedCoinSpec(1000, 0.1, coin_fraction=0.3).build(6)
     mech = _run(inst, budget=50.0)
     sol = offline_best(inst)
     stats = sequence_stats(inst, posted_hypotheses(mech), sol.hypothesis)
@@ -299,7 +317,7 @@ def test_stats_on_padded_coin():
 
 
 def test_stats_all_unit_costs_collapse():
-    inst = coin_sequence(200, 0.1, "heads", 8)
+    inst = CoinSpec(200, 0.1).build(8)
     mech = _run(inst, budget=10.0)
     stats = sequence_stats(inst, posted_hypotheses(mech), offline_best(inst).hypothesis)
     assert stats.avg_value_cost == pytest.approx(stats.avg_value)
@@ -307,7 +325,9 @@ def test_stats_all_unit_costs_collapse():
 
 
 def test_stats_zero_costs():
-    inst = linear_task(3, 2, 0.6, 300, 10, ConstantCost(0.0), 4)
+    inst = LinearTaskSpec(
+        T=300, cost_model=ConstantCost(0.0), dim=3, clusters=2, separation=0.6, T_test=10
+    ).build(4)
     mech = _run(inst, budget=10.0)
     stats = sequence_stats(inst, posted_hypotheses(mech), offline_best(inst).hypothesis)
     assert stats.avg_value_cost == 0.0
@@ -317,10 +337,14 @@ def test_stats_zero_costs():
 def test_stats_ordering_chain():
     # avg_value_cost <= avg_value, avg_value_cost <= avg_sqrt_cost <= sqrt(avg_cost)
     specs = [
-        coin_sequence(400, 0.15, "heads", 1),
-        padded_coin_sequence(400, 0.4, 0.1, "tails", 2),
-        linear_task(3, 2, 0.6, 400, 10, UniformCost(), 3),
-        linear_task(3, 2, 0.6, 400, 10, TwoPointCost(0.2, 1.0), 4),
+        CoinSpec(400, 0.15).build(1),
+        PaddedCoinSpec(400, 0.1, "tails", coin_fraction=0.4).build(2),
+        LinearTaskSpec(
+            T=400, cost_model=UniformCost(), dim=3, clusters=2, separation=0.6, T_test=10
+        ).build(3),
+        LinearTaskSpec(
+            T=400, cost_model=TwoPointCost(0.2, 1.0), dim=3, clusters=2, separation=0.6, T_test=10
+        ).build(4),
     ]
     for inst in specs:
         mech = _run(inst, budget=15.0)
@@ -338,7 +362,9 @@ def test_stats_ordering_chain():
 
 
 def test_averaged_hypothesis_never_beats_round_mean():
-    inst = linear_task(3, 2, 0.6, 500, 300, UniformCost(), 19)
+    inst = LinearTaskSpec(
+        T=500, cost_model=UniformCost(), dim=3, clusters=2, separation=0.6, T_test=300
+    ).build(19)
     mech = _run(inst, budget=30.0, price_scale=AdaptiveScale())
     final = mech.finalize()
     avg_risk = risk(inst, final, "surrogate")

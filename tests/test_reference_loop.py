@@ -18,12 +18,12 @@ from hypothesis import strategies as st
 from procure_learn import mechanism
 from procure_learn.core import HingeLoss, simplex
 from procure_learn.environment import (
+    CoinSpec,
+    LinearTaskSpec,
+    PaddedCoinSpec,
     ProblemInstance,
     TwoPointCost,
     UniformCost,
-    coin_sequence,
-    linear_task,
-    padded_coin_sequence,
 )
 from procure_learn.ftrl import FtrlLearner
 from procure_learn.mechanism import (
@@ -175,18 +175,26 @@ def _vertex_d7(seed):
 # T=150 is short; the T=3000 instances let windows between purchases grow;
 # the T=1 instances are the shortest run, one of them a single filler round
 INSTANCES = {
-    "coin-1": lambda: coin_sequence(1, 0.15, "heads", 42),
-    "padded-coin-1": lambda: padded_coin_sequence(1, 0.3, 0.1, "heads", 42),
-    "linear-1": lambda: linear_task(3, 2, 0.6, 1, 5, UniformCost(), 42),
-    "coin": lambda: coin_sequence(150, 0.15, "heads", 42),
-    "linear": lambda: linear_task(3, 2, 0.6, 150, 20, UniformCost(), 42),
-    "coin-3000": lambda: coin_sequence(3000, 0.15, "heads", 42),
-    "padded-coin-3000": lambda: padded_coin_sequence(3000, 0.3, 0.1, "heads", 42),
+    "coin-1": lambda: CoinSpec(1, 0.15).build(42),
+    "padded-coin-1": lambda: PaddedCoinSpec(1, 0.1, coin_fraction=0.3).build(42),
+    "linear-1": lambda: LinearTaskSpec(
+        T=1, cost_model=UniformCost(), dim=3, clusters=2, separation=0.6, T_test=5
+    ).build(42),
+    "coin": lambda: CoinSpec(150, 0.15).build(42),
+    "linear": lambda: LinearTaskSpec(
+        T=150, cost_model=UniformCost(), dim=3, clusters=2, separation=0.6, T_test=20
+    ).build(42),
+    "coin-3000": lambda: CoinSpec(3000, 0.15).build(42),
+    "padded-coin-3000": lambda: PaddedCoinSpec(3000, 0.1, coin_fraction=0.3).build(42),
     "vertex-d7": lambda: _vertex_d7(42),
-    "linear-d32-uniform": lambda: linear_task(32, 2, 0.35, 3000, 10, UniformCost(), 42, noise=0.2),
-    "linear-d24-correlated": lambda: linear_task(
-        24, 4, 0.8, 3000, 10, TwoPointCost(0.2, 1.0, (0, 4)), 42, noise=0.14
-    ),
+    "linear-d32-uniform": lambda: LinearTaskSpec(
+        T=3000, cost_model=UniformCost(), dim=32, clusters=2, separation=0.35, T_test=10,
+        noise=0.2
+    ).build(42),
+    "linear-d24-correlated": lambda: LinearTaskSpec(
+        T=3000, cost_model=TwoPointCost(0.2, 1.0, (0, 4)), dim=24, clusters=4, separation=0.8,
+        T_test=10, noise=0.14
+    ).build(42),
 }
 
 CONFIGS = [
@@ -268,7 +276,10 @@ SWEEP_CONFIGS = {
 def test_linear_sweep_matches_reference(name):
     # the linear-sweep workload's instance shape; its hundreds of purchases
     # show a list of the rounds a run could buy that misses one
-    instance = linear_task(32, 2, 0.35, 8000, 10, UniformCost(), 42, noise=0.2)
+    instance = LinearTaskSpec(
+        T=8000, cost_model=UniformCost(), dim=32, clusters=2, separation=0.35, T_test=10,
+        noise=0.2
+    ).build(42)
     config = SWEEP_CONFIGS[name]
     expected = reference_run(config, instance, np.random.default_rng(9))
     mech = Mechanism(config, instance).run(np.random.default_rng(9))
@@ -278,7 +289,9 @@ def test_linear_sweep_matches_reference(name):
 
 
 def test_run_loop_matches_reference_two_point_costs():
-    instance = linear_task(4, 2, 0.6, 200, 10, TwoPointCost(0.3, 1.0), 7)
+    instance = LinearTaskSpec(
+        T=200, cost_model=TwoPointCost(0.3, 1.0), dim=4, clusters=2, separation=0.6, T_test=10
+    ).build(7)
     config = MechanismConfig(budget=10.0, price_scale=AdaptiveScale(), learning_rate=FixedRate(0.25))
     expected = reference_run(config, instance, np.random.default_rng(3))
     mech = Mechanism(config, instance).run(np.random.default_rng(3))
@@ -394,7 +407,7 @@ def test_tracked_vertex_run_visits_few_rounds(monkeypatch, name):
 WORKLOAD_VERTEX_RUNS = {
     # the coin-at-cost workload's instance and mechanism config
     "coin-at-cost": (
-        lambda: coin_sequence(20000, 0.05, "heads", 42),
+        lambda: CoinSpec(20000, 0.05).build(42),
         MechanismConfig(
             budget=400.0,
             payment_mode="at-cost",
@@ -405,11 +418,11 @@ WORKLOAD_VERTEX_RUNS = {
     # the same instance with the scales and policies that read the state
     # mid-run, and naive's spend prefix
     "coin-at-cost-adaptive": (
-        lambda: coin_sequence(20000, 0.05, "heads", 42),
+        lambda: CoinSpec(20000, 0.05).build(42),
         MechanismConfig(budget=400.0, payment_mode="at-cost", price_scale=AdaptiveScale()),
     ),
     "coin-knowledge-hard-stop": (
-        lambda: coin_sequence(20000, 0.05, "heads", 42),
+        lambda: CoinSpec(20000, 0.05).build(42),
         MechanismConfig(
             budget=400.0,
             payment_mode="at-cost",
@@ -418,11 +431,11 @@ WORKLOAD_VERTEX_RUNS = {
         ),
     ),
     "coin-posted-price-naive": (
-        lambda: coin_sequence(20000, 0.05, "heads", 42),
+        lambda: CoinSpec(20000, 0.05).build(42),
         MechanismConfig(budget=400.0, purchase_policy="naive"),
     ),
     "padded-coin-naive-at-cost": (
-        lambda: padded_coin_sequence(10000, 0.3, 0.1, "heads", 42),
+        lambda: PaddedCoinSpec(10000, 0.1, coin_fraction=0.3).build(42),
         MechanismConfig(budget=200.0, payment_mode="at-cost", purchase_policy="naive"),
     ),
 }
@@ -448,12 +461,14 @@ def drawn_runs(draw):
     seed = draw(st.integers(0, 2**16))
     kind = draw(st.sampled_from(["coin", "padded-coin", "linear"]))
     if kind == "coin":
-        instance = coin_sequence(T, 0.15, "heads", seed)
+        instance = CoinSpec(T, 0.15).build(seed)
     elif kind == "padded-coin":
-        instance = padded_coin_sequence(T, draw(st.floats(0.05, 1.0)), 0.1, "heads", seed)
+        instance = PaddedCoinSpec(T, 0.1, coin_fraction=draw(st.floats(0.05, 1.0))).build(seed)
     else:
         cost = UniformCost(0.0, draw(st.floats(0.0, c_max)))
-        instance = linear_task(3, 2, 0.6, T, 5, cost, seed, noise=0.2)
+        instance = LinearTaskSpec(
+            T=T, cost_model=cost, dim=3, clusters=2, separation=0.6, T_test=5, noise=0.2
+        ).build(seed)
     payment_mode = draw(st.sampled_from(["posted-price", "at-cost"]))
     price_scale = draw(
         st.one_of(

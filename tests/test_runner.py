@@ -13,7 +13,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from procure_learn.core import InvalidConfigError
-from procure_learn.environment import ConstantCost, TwoPointCost, UniformCost
+from procure_learn.environment import (
+    CoinSpec,
+    ConstantCost,
+    IdxSpec,
+    LinearTaskSpec,
+    PaddedCoinSpec,
+    TwoPointCost,
+    UniformCost,
+)
 from procure_learn.mechanism import (
     AdaptiveScale,
     FixedRate,
@@ -26,11 +34,6 @@ from procure_learn.mechanism import (
 )
 from procure_learn import runner
 from procure_learn.runner import (
-    CoinSpec,
-    IdxSpec,
-    LinearTaskSpec,
-    PaddedCoinSpec,
-    build_instance,
     load_config,
     parse_config,
     run_sweep,
@@ -39,7 +42,7 @@ from procure_learn.runner import (
     trial_streams,
 )
 
-from oracles import _fmt
+from oracles import _fmt, write_idx_images, write_idx_labels
 
 
 def _base_config(**overrides):
@@ -83,9 +86,10 @@ def test_parse_config_all_instance_kinds(tmp_path):
     assert linear.instance.spread == 0.5
     assert isinstance(linear.instance.cost_model, UniformCost)
 
-    # an idx spec opens its two files when parsed; they are read only in a trial
-    for name in ("i", "l"):
-        (tmp_path / name).write_bytes(b"")
+    # an idx spec reads both headers and the labels when parsed; the pixels
+    # are read only in a trial
+    write_idx_images(tmp_path / "i", np.zeros((60, 2, 2), dtype=np.uint8))
+    write_idx_labels(tmp_path / "l", np.tile(np.array([9, 1], dtype=np.uint8), 30))
     idx = parse_config(
         _base_config(
             instance={
@@ -226,6 +230,49 @@ def test_parse_config_rejects_unknowns():
     ]:
         with pytest.raises(InvalidConfigError, match=f"^{key} must be "):
             parse_config(bad)
+    # a number key read any JSON value through float: true ran as B = 1,
+    # "5" as 5, {} or null ended in a TypeError, 10**400 in an OverflowError;
+    # a string budget_grid swept each of its characters
+    for key, bad in [
+        ("budget", _base_config(mechanism={"budget": True})),
+        ("budget", _base_config(mechanism={"budget": "5"})),
+        ("epsilon", _base_config(instance={"kind": "coin", "T": 50, "epsilon": "0.1"})),
+        ("epsilon", _base_config(instance={"kind": "coin", "T": 50, "epsilon": 10**400})),
+        ("value", _base_config(mechanism={"budget": 5, "learning_rate": {"mode": "fixed", "value": True}})),
+        ("output_dir", _base_config(output_dir={})),
+        ("budget_grid", _base_config(budget_grid="12")),
+        ("budget_grid", _base_config(budget_grid=3)),
+        ("budget_grid", _base_config(budget_grid=[10.0, None])),
+    ] + [
+        (key, config)
+        for odd in ({}, [], None)
+        for key, config in [
+            ("budget", _base_config(mechanism={"budget": odd})),
+            ("c_max", _base_config(mechanism={"budget": 5, "c_max": odd})),
+            ("epsilon", _base_config(instance={"kind": "coin", "T": 50, "epsilon": odd})),
+            ("high", _base_config(instance={**linear, "cost_model": {"kind": "uniform", "high": odd}})),
+            ("value", _base_config(mechanism={"budget": 5, "price_scale": {"mode": "fixed", "value": odd}})),
+        ]
+    ]:
+        with pytest.raises(InvalidConfigError, match=f"^{key} must be "):
+            parse_config(bad)
+
+
+def test_correlated_cost_model_refuses_by_its_config_not_its_draw():
+    # the drawn share of the targeted rows decided whether a trial ran: this
+    # config used to fail in one of its trials with "fraction 0.2250"
+    cost = {"kind": "two-point-correlated", "p_high": 0.25, "target_groups": [0]}
+    instance = {"kind": "linear", "T": 40, "clusters": 2, "cost_model": cost}
+    config = parse_config(_base_config(instance=instance, trials=8))
+    results = run_trials(config)
+    assert len(results) == 8
+    # and a p_high the targets cannot be expected to carry is refused by the spec
+    for bad, message in [
+        ({**cost, "p_high": 0.3}, "exceeds the share 0.25"),
+        ({**cost, "target_groups": [4]}, "are not among the instance's tags"),
+    ]:
+        with pytest.raises(InvalidConfigError, match=message):
+            parse_config(_base_config(instance={**instance, "cost_model": bad}))
 
 
 def test_parse_mechanism_hard_stop_takes_only_a_boolean():
@@ -356,10 +403,10 @@ def test_sweep_trial_runs_baseline_once(monkeypatch):
 
     monkeypatch.setattr(Mechanism, "run", counted_run)
     calls = []
-    _count_calls(monkeypatch, runner, "build_instance", calls)
+    _count_calls(monkeypatch, LinearTaskSpec, "build", calls)
     _count_calls(monkeypatch, runner, "offline_best", calls)
     results = run_trial(config, 0, grid)
-    assert calls == ["build_instance", "offline_best"]
+    assert calls == ["build", "offline_best"]
     assert len(runs) == (len(POLICIES) - 1) * len(config.budget_grid) + 1
     assert runs.count("baseline") == 1
     assert [(r.policy, r.budget) for r in results] == [(m.purchase_policy, m.budget) for m in grid]
@@ -373,21 +420,21 @@ def test_sweep_trial_runs_baseline_once(monkeypatch):
 def test_one_instance_and_one_oracle_per_trial(monkeypatch, command):
     config = parse_config(_base_config(trials=3, budget_grid=[10.0, 40.0]))
     calls = []
-    _count_calls(monkeypatch, runner, "build_instance", calls)
+    _count_calls(monkeypatch, CoinSpec, "build", calls)
     _count_calls(monkeypatch, runner, "offline_best", calls)
     if command == "run":
         assert len(run_trials(config, jobs=1)) == 3
     else:
         assert len(run_sweep(config, jobs=1)) == len(POLICIES) * 2
-    assert calls == ["build_instance", "offline_best"] * 3
+    assert calls == ["build", "offline_best"] * 3
 
 
 def test_sweep_rejects_bad_budget_before_any_trial(monkeypatch):
-    config = parse_config(_base_config(trials=2, budget_grid=[10.0, 0.0]))
+    # the config refuses its grid's budgets, so no trial starts
     calls = []
-    _count_calls(monkeypatch, runner, "build_instance", calls)
-    with pytest.raises(InvalidConfigError):
-        run_sweep(config, jobs=1)
+    _count_calls(monkeypatch, CoinSpec, "build", calls)
+    with pytest.raises(InvalidConfigError, match="budget must be positive and finite, got 0.0"):
+        run_sweep(parse_config(_base_config(trials=2, budget_grid=[10.0, 0.0])), jobs=1)
     assert calls == []
 
 
@@ -402,7 +449,7 @@ def test_fallback_knowledge_runs_end_to_end():
             }
         )
     )
-    instance = build_instance(config.instance, trial_streams(config.seed, 0)[0])
+    instance = config.instance.build(trial_streams(config.seed, 0)[0])
     mech = Mechanism(config.mechanism, instance)
     assert mech.price_scale == pytest.approx(400 / 30.0)
     mech.run(np.random.default_rng(1))
@@ -435,7 +482,7 @@ def test_reference_policies_ignore_budget_in_theory_rate():
                 purchase_policy=policy,
                 price_scale=KnowledgeScale(PriorKnowledge(avg_value_cost=1.0)),
             )
-            mech = Mechanism(config, build_instance(spec, inst_seed))
+            mech = Mechanism(config, spec.build(inst_seed))
             rates.add(mech.learner.learning_rate)
         assert len(rates) == 1
 
