@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from procure_learn import CoinSpec, PriorKnowledge
-from procure_learn.mechanism import KnowledgeScale, MechanismConfig, TheoryRate
+from procure_learn.mechanism import MechanismConfig, TheoryRate
 from procure_learn.runner import ExperimentConfig, mean_se, run_trials
 
 
@@ -20,7 +20,7 @@ def run_budget(budget, T, trials, seed):
     mechanism = MechanismConfig(
         budget=float(budget),
         payment_mode="at-cost",
-        price_scale=KnowledgeScale(PriorKnowledge(avg_value_cost=1.0)),
+        price_scale=PriorKnowledge(avg_value_cost=1.0),
         learning_rate=TheoryRate(),
     )
     config = ExperimentConfig(CoinSpec(T, 1.0 / math.sqrt(budget)), mechanism, trials, seed)

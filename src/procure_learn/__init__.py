@@ -41,7 +41,6 @@ from .mechanism import (
     AdaptiveScale,
     FixedRate,
     FixedScale,
-    KnowledgeScale,
     Mechanism,
     MechanismConfig,
     MechanismStateError,

@@ -9,8 +9,8 @@ best-in-hindsight hypothesis and the instance's difficulty statistics.
 The environment variable PROCURE_LEARN_SEED overrides the config seed.
 ``run`` and ``sweep`` warn on stderr when a mean spend exceeds 1.05 times
 the budget; their stdout and CSVs are the same either way.
-Exit codes: 0 success, 1 verify failures, 2 invalid config or unwritable
-output.
+Exit codes: 0 success, 1 verify failures, 2 invalid config, unwritable
+output or arrays too large to allocate.
 """
 
 from __future__ import annotations
@@ -45,7 +45,13 @@ def _load(path: str, override_seed=None) -> ExperimentConfig:
     config = load_config(path)
     env_seed = os.environ.get("PROCURE_LEARN_SEED")
     if env_seed is not None:
-        config = dataclasses.replace(config, seed=int(env_seed))
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise InvalidConfigError(
+                f"PROCURE_LEARN_SEED must be an integer, got {env_seed!r}"
+            ) from None
+        config = dataclasses.replace(config, seed=seed)
     if override_seed is not None:  # the flag wins over the environment
         config = dataclasses.replace(config, seed=int(override_seed))
     return config
@@ -191,7 +197,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (InvalidConfigError, FormatError, FileNotFoundError, OSError, ValueError) as exc:
+    except (InvalidConfigError, FormatError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

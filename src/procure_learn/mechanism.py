@@ -106,7 +106,8 @@ class MechanismStateError(RuntimeError):
 
 @dataclass(frozen=True)
 class PriorKnowledge:
-    """Rough sequence statistics known in advance, each in [0, 1].
+    """Rough sequence statistics known in advance, each in [0, 1]: the
+    from-knowledge price scale, set by ``choose_price_scale``.
 
     Any one suffices; better knowledge buys a tighter price scale. Priority
     when several are present: (avg_value_cost & avg_value) > avg_value_cost >
@@ -200,11 +201,6 @@ class FixedScale:
 
 
 @dataclass(frozen=True)
-class KnowledgeScale:
-    knowledge: PriorKnowledge
-
-
-@dataclass(frozen=True)
 class AdaptiveScale:
     """Track the burn rate: scale_t = estimate_t * rounds_left / budget_left.
 
@@ -216,7 +212,7 @@ class AdaptiveScale:
     """
 
 
-ScalePolicy = Union[FixedScale, KnowledgeScale, AdaptiveScale]
+ScalePolicy = Union[FixedScale, PriorKnowledge, AdaptiveScale]
 
 
 @dataclass(frozen=True)
@@ -263,12 +259,10 @@ class MechanismConfig:
             raise InvalidConfigError(
                 f"c_max (the maximum price) must be positive and finite, got {self.c_max}"
             )
-        if isinstance(self.price_scale, KnowledgeScale):
+        if isinstance(self.price_scale, PriorKnowledge):
             # the scale's sign does not depend on the horizon, so knowledge
             # that gives no positive scale is refused before any run
-            choose_price_scale(
-                self.price_scale.knowledge, 1, self.budget, self.payment_mode, self.c_max
-            )
+            choose_price_scale(self.price_scale, 1, self.budget, self.payment_mode, self.c_max)
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +325,9 @@ class Mechanism:
             self.price_scale = 0.0
         elif isinstance(config.price_scale, FixedScale):
             self.price_scale = config.price_scale.value
-        elif isinstance(config.price_scale, KnowledgeScale):
+        elif isinstance(config.price_scale, PriorKnowledge):
             self.price_scale = choose_price_scale(
-                config.price_scale.knowledge,
+                config.price_scale,
                 instance.horizon,
                 config.budget,
                 config.payment_mode,

@@ -33,7 +33,6 @@ from .core import InvalidConfigError
 from .environment import (
     CoinSpec,
     ConstantCost,
-    CostModel,
     IdxSpec,
     InstanceSpec,
     LinearTaskSpec,
@@ -47,7 +46,6 @@ from .mechanism import (
     BASELINE,
     FixedRate,
     FixedScale,
-    KnowledgeScale,
     Mechanism,
     MechanismConfig,
     POLICIES,
@@ -93,14 +91,6 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
-def _reject_unread(d: dict, where: str, *read: str) -> None:
-    """Refuse the keys of ``d`` that its parser does not ``read``: a
-    misspelt key would leave its setting at the default without a word."""
-    unread = sorted(set(d).difference(read))
-    if unread:
-        raise InvalidConfigError(f"unknown key(s) {', '.join(map(repr, unread))} in {where}")
-
-
 def _section(d, where: str) -> dict:
     """``d``, refused by name unless it is a JSON object."""
     if not isinstance(d, dict):
@@ -125,6 +115,14 @@ def _string(value, key: str) -> str:
     return value
 
 
+def _boolean(value, key: str) -> bool:
+    """``value``, refused unless it is true or false: ``bool`` would read
+    "false" as True."""
+    if not isinstance(value, bool):
+        raise InvalidConfigError(f"{key} must be true or false, got {json.dumps(value)}")
+    return value
+
+
 def _integer(value, key: str) -> int:
     """``value``, refused by ``key`` unless it is an integral number: ``int``
     would read 2.7 as 2 and true as 1."""
@@ -135,24 +133,31 @@ def _integer(value, key: str) -> int:
     return int(value)
 
 
-def _integers(values, key: str) -> tuple[int, ...]:
-    """``values`` as a tuple of ``_integer``s, refused unless a JSON list."""
-    if not isinstance(values, list):
-        raise InvalidConfigError(f"{key} must be a list of integers, got {json.dumps(values)}")
-    return tuple(_integer(v, key) for v in values)
+def _list_of(parse, what: str):
+    """The parser of a JSON list whose items ``parse`` reads, as a tuple."""
+
+    def parse_list(values, key: str) -> tuple:
+        if not isinstance(values, list):
+            raise InvalidConfigError(f"{key} must be a list of {what}, got {json.dumps(values)}")
+        return tuple(parse(v, key) for v in values)
+
+    return parse_list
 
 
-def _fields(spec) -> list[str]:
-    """The field names of a dataclass whose config keys they are."""
-    return [f.name for f in dataclasses.fields(spec)]
+def _optional(parse):
+    """The parser that reads null as None and any other value by ``parse``."""
+    return lambda value, key: None if value is None else parse(value, key)
 
 
-def _from_keys(cls, d: dict, where: str, *skip: str):
-    """The ``cls`` whose fields, but ``skip``, are the keys of ``d`` beside
-    its ``kind``, each read by the field's annotation; a key left out keeps
-    the field's default."""
+def _from_keys(cls, d, where: str, tag: Optional[str] = None, skip: tuple[str, ...] = ()):
+    """The ``cls`` whose fields, but ``skip``, are the keys of the JSON object
+    ``d`` beside its ``tag``, each read by the field's annotation; a key left
+    out keeps the field's default, which is set nowhere else. Any other key
+    is refused: a misspelt one would leave its setting at the default."""
     fields = [f for f in dataclasses.fields(cls) if f.name not in skip]
-    _reject_unread(d, where, "kind", *(f.name for f in fields))
+    unread = sorted(set(_section(d, where)).difference([tag], (f.name for f in fields)))
+    if unread:
+        raise InvalidConfigError(f"unknown key(s) {', '.join(map(repr, unread))} in {where}")
     return cls(**{
         f.name: _PARSE_FIELD[f.type](_require(d, f.name, where), f.name)
         for f in fields
@@ -160,97 +165,57 @@ def _from_keys(cls, d: dict, where: str, *skip: str):
     })
 
 
-def parse_cost_model(d: dict) -> CostModel:
-    kind = _require(_section(d, "cost_model"), "kind", "cost_model")
-    if kind == "constant":
-        return _from_keys(ConstantCost, d, "cost_model")
-    if kind == "uniform":
-        return _from_keys(UniformCost, d, "cost_model")
-    if kind == "two-point-independent":
-        return _from_keys(TwoPointCost, d, "cost_model", "target_groups")
-    if kind == "two-point-correlated":
-        _require(d, "target_groups", "cost_model")
-        return _from_keys(TwoPointCost, d, "cost_model")
-    raise InvalidConfigError(f"unknown cost model kind {kind!r}")
+def _one_of(tag: str, kinds: dict):
+    """The parser of a tagged section: its ``tag`` key names the class in
+    ``kinds`` whose fields are the section's other keys. The two two-point
+    cost kinds share ``TwoPointCost``; only the correlated one reads, and
+    needs, ``target_groups``."""
+
+    def parse(d, where: str):
+        kind = _require(_section(d, where), tag, where)
+        if not (isinstance(kind, str) and kind in kinds):
+            raise InvalidConfigError(f"unknown {where} {tag} {kind!r}")
+        if kind == "two-point-correlated":
+            _require(d, "target_groups", where)
+        skip = ("target_groups",) if kind == "two-point-independent" else ()
+        return _from_keys(kinds[kind], d, where, tag, skip)
+
+    return parse
 
 
-# how a spec reads a field's value, by the field's annotation
+# the classes a tagged section's tag names
+_INSTANCE_KINDS = {"coin": CoinSpec, "padded-coin": PaddedCoinSpec, "linear": LinearTaskSpec, "idx": IdxSpec}
+_COST_MODEL_KINDS = {
+    "constant": ConstantCost,
+    "uniform": UniformCost,
+    "two-point-independent": TwoPointCost,
+    "two-point-correlated": TwoPointCost,
+}
+_SCALE_MODES = {"adaptive": AdaptiveScale, "fixed": FixedScale, "from-knowledge": PriorKnowledge}
+_RATE_MODES = {"theory": TheoryRate, "fixed": FixedRate}
+
+# how a field's value is read, by the field's annotation
 _PARSE_FIELD = {
     "int": _integer,
     "float": _number,
     "str": _string,
-    "tuple[int, ...]": _integers,
-    "Optional[int]": lambda value, key: None if value is None else _integer(value, key),
-    "Optional[tuple[int, ...]]": _integers,  # a correlated cost model's targets
-    "CostModel": lambda value, key: parse_cost_model(value),
+    "bool": _boolean,
+    "tuple[int, ...]": _list_of(_integer, "integers"),
+    "Optional[int]": _optional(_integer),
+    "Optional[float]": _optional(_number),
+    "Optional[tuple[int, ...]]": _list_of(_integer, "integers"),  # read only when required
+    "Optional[tuple[float, ...]]": _optional(_list_of(_number, "numbers")),
+    "InstanceSpec": _one_of("kind", _INSTANCE_KINDS),
+    "CostModel": _one_of("kind", _COST_MODEL_KINDS),
+    "ScalePolicy": _one_of("mode", _SCALE_MODES),
+    "RatePolicy": _one_of("mode", _RATE_MODES),
+    "MechanismConfig": lambda value, key: _from_keys(MechanismConfig, value, key),
 }
-_KINDS = {"coin": CoinSpec, "padded-coin": PaddedCoinSpec, "linear": LinearTaskSpec, "idx": IdxSpec}
 
 
-def parse_instance(d: dict) -> InstanceSpec:
-    kind = _require(_section(d, "instance"), "kind", "instance")
-    if not (isinstance(kind, str) and kind in _KINDS):
-        raise InvalidConfigError(f"unknown instance kind {kind!r}")
-    return _from_keys(_KINDS[kind], d, "instance")
-
-
-def parse_mechanism(d: dict) -> MechanismConfig:
-    _reject_unread(_section(d, "mechanism"), "mechanism", *_fields(MechanismConfig))
-    scale_cfg = _section(d.get("price_scale", {"mode": "adaptive"}), "price_scale")
-    mode = scale_cfg.get("mode", "adaptive")
-    if mode == "adaptive":
-        _reject_unread(scale_cfg, "price_scale", "mode")
-        scale = AdaptiveScale()
-    elif mode == "fixed":
-        _reject_unread(scale_cfg, "price_scale", "mode", "value")
-        scale = FixedScale(_number(_require(scale_cfg, "value", "price_scale"), "value"))
-    elif mode == "from-knowledge":
-        names = ("avg_value_cost", "avg_value", "avg_sqrt_cost", "avg_cost")
-        _reject_unread(scale_cfg, "price_scale", "mode", *names)
-        stats = {k: (None if scale_cfg.get(k) is None else _number(scale_cfg[k], k)) for k in names}
-        scale = KnowledgeScale(PriorKnowledge(**stats))
-    else:
-        raise InvalidConfigError(f"unknown price_scale mode {mode!r}")
-
-    rate_cfg = _section(d.get("learning_rate", {"mode": "theory"}), "learning_rate")
-    rate_mode = rate_cfg.get("mode", "theory")
-    if rate_mode == "theory":
-        _reject_unread(rate_cfg, "learning_rate", "mode", "scale")
-        rate = TheoryRate(_number(rate_cfg.get("scale", 1.0), "scale"))
-    elif rate_mode == "fixed":
-        _reject_unread(rate_cfg, "learning_rate", "mode", "value")
-        rate = FixedRate(_number(_require(rate_cfg, "value", "learning_rate"), "value"))
-    else:
-        raise InvalidConfigError(f"unknown learning_rate mode {rate_mode!r}")
-
-    hard_stop = d.get("hard_stop", False)
-    if not isinstance(hard_stop, bool):
-        raise InvalidConfigError(f"hard_stop must be true or false, not {hard_stop!r}")
-
-    return MechanismConfig(
-        budget=_number(_require(d, "budget", "mechanism"), "budget"),
-        payment_mode=d.get("payment_mode", "posted-price"),
-        purchase_policy=d.get("purchase_policy", "priced"),
-        price_scale=scale,
-        learning_rate=rate,
-        hard_stop=hard_stop,
-        c_max=_number(d.get("c_max", 1.0), "c_max"),
-    )
-
-
-def parse_config(d: dict) -> ExperimentConfig:
-    _reject_unread(_section(d, "config"), "config", *_fields(ExperimentConfig))
-    grid = d.get("budget_grid")
-    if not (grid is None or isinstance(grid, list)):
-        raise InvalidConfigError(f"budget_grid must be a list of numbers, got {json.dumps(grid)}")
-    return ExperimentConfig(
-        instance=parse_instance(_require(d, "instance", "config")),
-        mechanism=parse_mechanism(_require(d, "mechanism", "config")),
-        trials=_integer(d.get("trials", 1), "trials"),
-        seed=_integer(d.get("seed", 0), "seed"),
-        output_dir=_string(d.get("output_dir", "out"), "output_dir"),
-        budget_grid=None if grid is None else tuple(_number(b, "budget_grid") for b in grid),
-    )
+def parse_config(d) -> ExperimentConfig:
+    """The config a JSON object holds, each section read by its dataclass."""
+    return _from_keys(ExperimentConfig, d, "config")
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -26,7 +26,6 @@ from procure_learn.environment import (
 from procure_learn.mechanism import (
     AdaptiveScale,
     FixedRate,
-    KnowledgeScale,
     Mechanism,
     MechanismConfig,
     PriorKnowledge,
@@ -136,7 +135,7 @@ def test_criterion_4_budget_compliance():
     config = MechanismConfig(
         budget=budget,
         payment_mode="posted-price",
-        price_scale=KnowledgeScale(PriorKnowledge(avg_value_cost=0.3, avg_value=0.3)),
+        price_scale=PriorKnowledge(avg_value_cost=0.3, avg_value=0.3),
         learning_rate=TheoryRate(),
     )
     spends = []
@@ -166,7 +165,7 @@ def test_criterion_5_regret_scaling():
         config = MechanismConfig(
             budget=budget,
             payment_mode="at-cost",
-            price_scale=KnowledgeScale(PriorKnowledge(avg_value_cost=1.0)),
+            price_scale=PriorKnowledge(avg_value_cost=1.0),
             learning_rate=TheoryRate(),
         )
         epsilon = 1.0 / math.sqrt(budget)

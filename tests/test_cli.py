@@ -319,6 +319,9 @@ LATE_REFUSALS = {
     "config-seed": ({"seed": -1}, [], {}, "seed must be >= 0, got -1"),
     "flag-seed": ({}, ["--seed", "-2"], {}, "seed must be >= 0, got -2"),
     "environment-seed": ({}, [], {"PROCURE_LEARN_SEED": "-3"}, "seed must be >= 0, got -3"),
+    "environment-seed-text": (
+        {}, [], {"PROCURE_LEARN_SEED": "abc"}, "PROCURE_LEARN_SEED must be an integer, got 'abc'",
+    ),
     "idx-files-absent": (
         None, [], {},
         "cannot read the images file '/path/to/train-images-idx3-ubyte': No such file or directory",
@@ -350,6 +353,16 @@ def test_config_its_builder_refuses_exits_2_before_any_output(tmp_path, case):
     assert "Traceback" not in proc.stderr
     assert [line for line in proc.stderr.splitlines() if "error:" in line] == [f"error: {message}"]
     assert not (tmp_path / "out").exists()
+
+
+def test_config_too_large_to_allocate_exits_2(tmp_path, capsys):
+    # numpy refuses a test set of 10**12 rows at once, allocating nothing;
+    # the MemoryError used to end the run with a traceback and exit 1
+    cfg_path = tmp_path / "config.json"
+    _write_config(cfg_path, instance={**LINEAR, "T": 10, "T_test": 10**12})
+    assert main(["run", "--config", str(cfg_path), "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
 
 
 # the keys of each config section; the property below sets any of them

@@ -16,7 +16,6 @@ from procure_learn.mechanism import (
     AdaptiveScale,
     FixedRate,
     FixedScale,
-    KnowledgeScale,
     Mechanism,
     MechanismConfig,
     MechanismStateError,
@@ -95,7 +94,7 @@ def test_choose_scale_refuses_knowledge_giving_zero_scale(payment_mode, knowledg
         choose_price_scale(knowledge, 1000, 100, payment_mode)
     # the config refuses it, before any run
     with pytest.raises(InvalidConfigError, match=statistic):
-        MechanismConfig(budget=5.0, payment_mode=payment_mode, price_scale=KnowledgeScale(knowledge))
+        MechanismConfig(budget=5.0, payment_mode=payment_mode, price_scale=knowledge)
 
 
 def test_theory_learning_rate_examples():
@@ -226,7 +225,7 @@ def _coin_mech(T=400, budget=40.0, seed=3, **overrides):
         budget=budget,
         payment_mode="posted-price",
         purchase_policy="priced",
-        price_scale=KnowledgeScale(PriorKnowledge(avg_value_cost=1.0, avg_value=1.0)),
+        price_scale=PriorKnowledge(avg_value_cost=1.0, avg_value=1.0),
         learning_rate=TheoryRate(),
     )
     defaults.update(overrides)
@@ -305,7 +304,7 @@ def test_expected_budget_compliance_small():
         inst = PaddedCoinSpec(T, 0.1, coin_fraction=0.3).build(seed)
         cfg = MechanismConfig(
             budget=budget,
-            price_scale=KnowledgeScale(knowledge),
+            price_scale=knowledge,
             learning_rate=TheoryRate(),
         )
         mech = Mechanism(cfg, inst).run(

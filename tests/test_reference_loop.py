@@ -30,7 +30,6 @@ from procure_learn.mechanism import (
     AdaptiveScale,
     FixedRate,
     FixedScale,
-    KnowledgeScale,
     Mechanism,
     MechanismConfig,
     PriorKnowledge,
@@ -202,7 +201,7 @@ CONFIGS = [
     MechanismConfig(
         budget=8.0,
         payment_mode="at-cost",
-        price_scale=KnowledgeScale(PriorKnowledge(avg_value_cost=1.0)),
+        price_scale=PriorKnowledge(avg_value_cost=1.0),
         learning_rate=FixedRate(0.3),
     ),
     MechanismConfig(budget=15.0, price_scale=AdaptiveScale(), learning_rate=FixedRate(0.15)),
@@ -223,7 +222,7 @@ CONFIGS = [
     MechanismConfig(
         budget=5.0,
         payment_mode="at-cost",
-        price_scale=KnowledgeScale(PriorKnowledge(avg_value_cost=0.25)),
+        price_scale=PriorKnowledge(avg_value_cost=0.25),
         learning_rate=FixedRate(0.2),
         hard_stop=True,
     ),
@@ -372,7 +371,7 @@ TRACKED_VERTEX_CONFIGS = {
     "knowledge-hard-stop": MechanismConfig(
         budget=20.0,
         payment_mode="at-cost",
-        price_scale=KnowledgeScale(PriorKnowledge(avg_value_cost=1.0)),
+        price_scale=PriorKnowledge(avg_value_cost=1.0),
         learning_rate=FixedRate(0.2),
         hard_stop=True,
     ),
@@ -411,7 +410,7 @@ WORKLOAD_VERTEX_RUNS = {
         MechanismConfig(
             budget=400.0,
             payment_mode="at-cost",
-            price_scale=KnowledgeScale(PriorKnowledge(avg_value_cost=1.0)),
+            price_scale=PriorKnowledge(avg_value_cost=1.0),
             learning_rate=TheoryRate(),
         ),
     ),
@@ -426,7 +425,7 @@ WORKLOAD_VERTEX_RUNS = {
         MechanismConfig(
             budget=400.0,
             payment_mode="at-cost",
-            price_scale=KnowledgeScale(PriorKnowledge(avg_value_cost=0.25)),
+            price_scale=PriorKnowledge(avg_value_cost=0.25),
             hard_stop=True,
         ),
     ),
@@ -474,7 +473,7 @@ def drawn_runs(draw):
         st.one_of(
             st.just(AdaptiveScale()),
             st.floats(0.0, 50.0).map(FixedScale),
-            st.floats(0.05, 1.0).map(lambda v: KnowledgeScale(PriorKnowledge(avg_value_cost=v))),
+            st.floats(0.05, 1.0).map(lambda v: PriorKnowledge(avg_value_cost=v)),
         )
     )
     config = MechanismConfig(

@@ -25,7 +25,6 @@ from procure_learn.environment import (
 from procure_learn.mechanism import (
     AdaptiveScale,
     FixedRate,
-    KnowledgeScale,
     Mechanism,
     MechanismConfig,
     POLICIES,
@@ -256,6 +255,31 @@ def test_parse_config_rejects_unknowns():
     ]:
         with pytest.raises(InvalidConfigError, match=f"^{key} must be "):
             parse_config(bad)
+    # every tagged section needs its tag: a price_scale or learning_rate
+    # without a mode used to fall back to a default written a second time
+    for mechanism in (
+        {"budget": 20, "price_scale": {}},
+        {"budget": 20, "learning_rate": {"scale": 2.0}},
+    ):
+        with pytest.raises(InvalidConfigError, match="missing required key 'mode'"):
+            parse_config(_base_config(mechanism=mechanism))
+    # only a tagged section reads a tag
+    for config in (
+        _base_config(mechanism={"budget": 20, "kind": "priced"}),
+        _base_config(mechanism={"budget": 20, "price_scale": {"mode": "adaptive", "kind": "x"}}),
+        _base_config(kind="coin"),
+    ):
+        with pytest.raises(InvalidConfigError, match="unknown key.*'kind'"):
+            parse_config(config)
+
+
+def test_every_parsed_field_has_a_parser():
+    # a missing parser would be a KeyError, which the CLI reports with a traceback
+    tables = (runner._INSTANCE_KINDS, runner._COST_MODEL_KINDS, runner._SCALE_MODES, runner._RATE_MODES)
+    classes = {runner.ExperimentConfig, MechanismConfig, *(c for t in tables for c in t.values())}
+    for cls in classes:
+        for f in dataclasses.fields(cls):
+            assert f.type in runner._PARSE_FIELD, (cls.__name__, f.name, f.type)
 
 
 def test_correlated_cost_model_refuses_by_its_config_not_its_draw():
@@ -276,13 +300,16 @@ def test_correlated_cost_model_refuses_by_its_config_not_its_draw():
 
 
 def test_parse_mechanism_hard_stop_takes_only_a_boolean():
-    assert runner.parse_mechanism({"budget": 10, "hard_stop": True}).hard_stop is True
-    assert runner.parse_mechanism({"budget": 10, "hard_stop": False}).hard_stop is False
-    assert runner.parse_mechanism({"budget": 10}).hard_stop is False
+    def hard_stop(**mechanism):
+        return parse_config(_base_config(mechanism={"budget": 10, **mechanism})).mechanism.hard_stop
+
+    assert hard_stop(hard_stop=True) is True
+    assert hard_stop(hard_stop=False) is False
+    assert hard_stop() is False
     # bool("false") is True: a quoted flag once turned the hard stop on
     for value in ("false", "true", 0, 1, None):
         with pytest.raises(InvalidConfigError):
-            runner.parse_mechanism({"budget": 10, "hard_stop": value})
+            hard_stop(hard_stop=value)
 
 
 def test_trial_streams_are_stable_and_distinct():
@@ -480,7 +507,7 @@ def test_reference_policies_ignore_budget_in_theory_rate():
             config = MechanismConfig(
                 budget=budget,
                 purchase_policy=policy,
-                price_scale=KnowledgeScale(PriorKnowledge(avg_value_cost=1.0)),
+                price_scale=PriorKnowledge(avg_value_cost=1.0),
             )
             mech = Mechanism(config, spec.build(inst_seed))
             rates.add(mech.learner.learning_rate)
