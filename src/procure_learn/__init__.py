@@ -20,7 +20,6 @@ from .core import (
     Hypothesis,
     HypothesisSpace,
     InvalidConfigError,
-    LossFamily,
     dual_norm,
     l2_ball,
     simplex,

@@ -1,9 +1,10 @@
-"""Domain types: bounded hypothesis sets and convex loss families.
+"""Domain types: bounded hypothesis sets, their norms and projections, and
+the data point an instance hands out.
 
 Everything here is immutable after construction and safe to share across
-threads. Loss families read their data from a ``ProblemInstance``'s columns,
-whose feature rows lie in the unit ball, so every family is 1-Lipschitz in
-the hypothesis under its space's norm.
+threads. The losses are read off a ``ProblemInstance``'s columns, whose
+feature rows lie in the unit ball, so every loss is 1-Lipschitz in the
+hypothesis under its space's norm.
 """
 
 from __future__ import annotations
@@ -160,83 +161,3 @@ class DataPoint:
     label: int = 0
     outcome: int = NULL_OUTCOME
     feature_norm: float = 0.0
-
-
-# ---------------------------------------------------------------------------
-# Loss families
-# ---------------------------------------------------------------------------
-
-
-class LossFamily:
-    """A family of convex losses, one member per arrival.
-
-    A ``ProblemInstance`` picks its family from its payload: feature rows get
-    ``HingeLoss`` on an l2 ball, outcomes get ``VertexLoss`` on the simplex.
-    Every member is 1-Lipschitz in the hypothesis under that space's
-    ``norm_kind`` (given unit-ball features). Each family's ``at_posted``
-    gives the loss and delta of a block of arrivals, each at the hypothesis
-    it posted, from the instance's columns: it settles a run. The
-    whole-dataset methods serve oracles and metrics and agree with it to
-    rounding.
-    """
-
-
-class HingeLoss(LossFamily):
-    """Hinge loss max(0, 1 - m) of the margin m = y * <w, x> over labelled
-    feature rows; the subgradient at the kink is zero. Where m < 1 the
-    gradient is -y * x and delta (its dual norm) the row's stored norm;
-    elsewhere both are zero.
-
-    ``at_posted`` takes the row sums ``(X * H).sum(axis=1)`` over a block of
-    rows, each at its own hypothesis, and the mechanism takes
-    ``np.add.reduce(x * w)`` of a lone row: numpy reduces each row of the
-    block in the same order as the lone row, so the two agree bit for bit
-    at every dimension and block size (a test pins this). ``np.dot`` (and
-    BLAS matvec) sums in a different order and differs from both in the last
-    digits for a large share of rows. The whole-dataset forms (``values``,
-    ``grad_norms``) that the risk metrics call keep the faster ``X @ w``;
-    the offline oracle inlines its own hinge arithmetic.
-    """
-
-    def margin_value(self, m: np.ndarray) -> np.ndarray:
-        return np.maximum(0.0, 1.0 - m)
-
-    def margin_slope(self, m: np.ndarray) -> np.ndarray:
-        return np.where(m < 1.0, -1.0, 0.0)
-
-    def at_posted(self, H, instance, start, stop) -> tuple[np.ndarray, np.ndarray]:
-        """Loss and delta of the arrivals ``start <= t < stop``, each at its
-        row of ``H``: the hypothesis it posted."""
-        m = instance.labels[start:stop] * (instance.features[start:stop] * H).sum(axis=1)
-        return self.margin_value(m), np.where(m < 1.0, instance.feature_norms[start:stop], 0.0)
-
-    # batch forms over a dataset (X rows already unit-ball normalized)
-    def values(self, w, X, y) -> np.ndarray:
-        return self.margin_value(y * (X @ w))
-
-    def grad_norms(self, w, X, y, feature_norms) -> np.ndarray:
-        return np.abs(self.margin_slope(y * (X @ w))) * feature_norms
-
-
-class VertexLoss(LossFamily):
-    """Linear loss 1 - w[outcome] on the simplex; filler points cost 1 flat.
-    Its gradient is -1 at the outcome's vertex, so delta is 1 on every
-    outcome and 0 on filler points, whatever the hypothesis."""
-
-    def at_posted(self, H, instance, start, stop) -> tuple[np.ndarray, np.ndarray]:
-        """Loss and delta of the arrivals ``start <= t < stop``, each at its
-        row of ``H``: the hypothesis it posted."""
-        outcomes = instance.outcomes[start:stop]
-        observed = outcomes >= 0
-        loss = np.ones(len(outcomes))
-        loss[observed] = 1.0 - H[observed, outcomes[observed]]
-        return loss, self.grad_norms(outcomes)
-
-    def values(self, w, outcomes) -> np.ndarray:
-        out = np.ones(len(outcomes))
-        observed = outcomes >= 0
-        out[observed] = 1.0 - w[outcomes[observed]]
-        return out
-
-    def grad_norms(self, outcomes) -> np.ndarray:
-        return (outcomes >= 0).astype(np.float64)

@@ -2,6 +2,10 @@
 streams, synthetic linear classification tasks with configurable cost-data
 correlation, and IDX digit ingestion.
 
+An instance's payload names its task: labelled feature rows (hinge loss on
+an l2 ball) or outcomes (linear loss on the simplex). The instance gives
+each arrival's loss and delta at the hypothesis it posted.
+
 Each kind is defined once, by its spec (``CoinSpec``, ``PaddedCoinSpec``,
 ``LinearTaskSpec``, ``IdxSpec``): the fields and defaults are its config
 keys, ``__post_init__`` refuses every value its build could not use, so a
@@ -23,14 +27,11 @@ import numpy as np
 
 from .core import (
     DataPoint,
-    HingeLoss,
     HypothesisSpace,
     InvalidConfigError,
     L2_BALL,
-    LossFamily,
     NULL_OUTCOME,
     SIMPLEX,
-    VertexLoss,
     l2_ball,
     simplex,
 )
@@ -143,14 +144,16 @@ CostModel = Union[ConstantCost, UniformCost, TwoPointCost]
 class ProblemInstance:
     """An arrival sequence plus optional held-out test data.
 
-    The payload states the task, and the instance sets ``family`` from it.
-    Feature tasks populate (features, labels, feature_norms) on an l2 ball,
-    with every row in the unit ball and its norm, capped at 1, stored beside
-    it; their family is ``HingeLoss``. Vertex tasks populate outcomes on the
-    simplex, with -1 marking filler points; their family is ``VertexLoss``.
-    The payload and its pairing with the space are checked when the instance
-    is built; the costs are checked against ``c_max`` by the mechanism that
-    runs on it. Treat all arrays as read-only once built.
+    The payload states the task. Feature tasks populate (features, labels,
+    feature_norms) on an l2 ball, with every row in the unit ball and its
+    norm, capped at 1, stored beside it, and may hold a labelled test set;
+    their loss is the hinge max(0, 1 - y * <w, x>). Vertex tasks populate
+    outcomes on the simplex, with -1 marking filler points; their loss is
+    1 - w[outcome], and 1 flat on filler points. Either loss is 1-Lipschitz
+    in the hypothesis under the space's norm. The payload, the test set and
+    their pairing with the space are checked when the instance is built; the
+    costs are checked against ``c_max`` by the mechanism that runs on it.
+    Treat all arrays as read-only once built.
     """
 
     space: HypothesisSpace
@@ -162,7 +165,6 @@ class ProblemInstance:
     groups: Optional[np.ndarray] = None
     test_features: Optional[np.ndarray] = None
     test_labels: Optional[np.ndarray] = None
-    family: LossFamily = field(init=False)
 
     def __post_init__(self):
         T, dim = len(self.costs), self.space.dim
@@ -179,19 +181,21 @@ class ProblemInstance:
                 raise InvalidConfigError("outcome tasks need a simplex space")
             if not np.all((self.outcomes >= NULL_OUTCOME) & (self.outcomes < dim)):
                 raise InvalidConfigError(f"outcomes must lie in [{NULL_OUTCOME}, {dim})")
-            self.family = VertexLoss()
         else:
             if self.space.kind != L2_BALL:
                 raise InvalidConfigError("feature tasks need an l2-ball space")
             if self.labels is None or self.feature_norms is None:
                 raise InvalidConfigError("feature tasks need labels and feature norms")
-            if self.features.shape != (T, dim) or not np.all(np.isfinite(self.features)):
-                raise InvalidConfigError(f"features must be finite, of shape ({T}, {dim})")
-            if not np.all((self.labels == 1) | (self.labels == -1)):
-                raise InvalidConfigError("labels must be -1 or +1")
+            _check_labelled(self.features, self.labels, T, dim, "")
             if not np.all((self.feature_norms >= 0.0) & (self.feature_norms <= 1.0)):
                 raise InvalidConfigError("feature norms must lie in [0, 1]")
-            self.family = HingeLoss()
+        if (self.test_features is None) != (self.test_labels is None):
+            raise InvalidConfigError("a test set needs both test_features and test_labels")
+        if self.test_features is not None:
+            if self.outcomes is not None:
+                raise InvalidConfigError("outcome tasks take no test set")
+            n = len(self.test_labels)  # the features need as many rows
+            _check_labelled(self.test_features, self.test_labels, n, dim, "test ")
 
     @property
     def horizon(self) -> int:
@@ -215,10 +219,46 @@ class ProblemInstance:
             feature_norm=float(self.feature_norms[t]),
         )
 
-    def grad_norms_at(self, w: np.ndarray) -> np.ndarray:
+    def at_posted(self, H: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Loss and delta (the dual norm of the gradient) of the arrivals
+        ``start <= t < stop``, each at its row of ``H``: the hypothesis it
+        posted. A run settles from these.
+
+        A hinge's subgradient at the kink is zero: where the margin m < 1
+        delta is the row's stored norm, elsewhere 0. The margins are the row
+        sums ``(X * H).sum(axis=1)`` over the block, and the mechanism takes
+        ``np.add.reduce(x * w)`` of a lone row: numpy reduces each row of the
+        block in the same order as the lone row, so the two agree bit for
+        bit at every dimension and block size (a test pins this).
+        ``np.dot`` (and BLAS matvec) sums in a different order and differs
+        from both in the last digits for a large share of rows; the
+        whole-dataset forms (``grad_norms_at``, the risk metric) keep the
+        faster ``X @ w``. A vertex loss's gradient is -1 at the outcome's
+        vertex, so its delta is 1 on every outcome and 0 on filler points,
+        whatever the hypothesis."""
         if self.outcomes is not None:
-            return self.family.grad_norms(self.outcomes)
-        return self.family.grad_norms(w, self.features, self.labels, self.feature_norms)
+            outcomes = self.outcomes[start:stop]
+            observed = outcomes >= 0
+            loss = np.ones(len(outcomes))
+            loss[observed] = 1.0 - H[observed, outcomes[observed]]
+            return loss, observed.astype(np.float64)
+        m = self.labels[start:stop] * (self.features[start:stop] * H).sum(axis=1)
+        return np.maximum(0.0, 1.0 - m), np.where(m < 1.0, self.feature_norms[start:stop], 0.0)
+
+    def grad_norms_at(self, w: np.ndarray) -> np.ndarray:
+        """Delta of every arrival at the one hypothesis ``w``."""
+        if self.outcomes is not None:
+            return (self.outcomes >= 0).astype(np.float64)
+        return np.where(self.labels * (self.features @ w) < 1.0, self.feature_norms, 0.0)
+
+
+def _check_labelled(features, labels, n: int, dim: int, prefix: str) -> None:
+    """Refuse ``n`` labelled rows unless the features are finite, of shape
+    (n, dim), and the labels n values of -1 or +1."""
+    if features.shape != (n, dim) or not np.all(np.isfinite(features)):
+        raise InvalidConfigError(f"{prefix}features must be finite, of shape ({n}, {dim})")
+    if labels.shape != (n,) or not np.all((labels == 1) | (labels == -1)):
+        raise InvalidConfigError(f"{prefix}labels must be {n} values of -1 or +1")
 
 
 def check_horizon(T: int) -> None:

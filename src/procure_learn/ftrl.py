@@ -15,6 +15,7 @@ partial observation its expectation matches the guaranteed bound.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -75,10 +76,12 @@ class FtrlLearner:
             raise ValueError("gradient length does not match space dimension")
         if not np.all(np.isfinite(gradient)):
             raise ValueError("non-finite gradient")
-        if inverse_weight < 1.0 - 1e-12:
+        if not inverse_weight >= 1.0 - 1e-12:  # NaN fails too
             raise ValueError("inverse weight must be at least 1")
         if delta is None:
             delta = dual_norm(self.space.norm_kind, gradient)
+        elif not 0.0 <= delta < math.inf:  # NaN fails both
+            raise ValueError("delta must be finite and >= 0")
         self._feed(gradient, inverse_weight, delta)
 
     def _feed(

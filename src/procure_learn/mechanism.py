@@ -36,14 +36,14 @@ rounded step of the price law is monotone (tests pin both). No other run
 reads the state mid-run (naive reads only its own spend, a prefix sum
 known up front), so its one list covers every round.
 
-A vertex run (``VertexLoss``: the coin and padded-coin streams) decides
+A vertex run (an outcome task: the coin and padded-coin streams) decides
 first and then learns. Its delta is 1 on every outcome and 0 on filler
 points at every hypothesis, so the bound is exact: an untracked run's list
 is its decision, and a tracked one walks. The learner then replays the
 purchases in one block: a cumulative sum adds the rows in round order, as
-one round at a time does. A feature run (``HingeLoss``) learns as it
-walks. Its delta is the row's norm where the hinge is active and 0
-elsewhere, so it lists at the stored norms, takes the margin of each
+one round at a time does. A feature run (a hinge loss on labelled rows)
+learns as it walks. Its delta is the row's norm where the hinge is active
+and 0 elsewhere, so it lists at the stored norms, takes the margin of each
 visited round at the current hypothesis and feeds each active purchase.
 
 Either way one settle pass (``_settle``) replays the hypotheses the run
@@ -69,7 +69,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import Hypothesis, InvalidConfigError, VertexLoss, project_coords
+from .core import Hypothesis, InvalidConfigError, project_coords
 from .environment import ProblemInstance
 from .ftrl import FtrlLearner
 from .pricing import priced_round, priced_rounds
@@ -393,7 +393,7 @@ class Mechanism:
         if self.transcript is not None:
             raise MechanismStateError("mechanism already ran its full sequence")
         uniforms = rng.random(self.horizon)
-        play = self._decide_then_learn if isinstance(self.instance.family, VertexLoss) else self._visit
+        play = self._decide_then_learn if self.instance.outcomes is not None else self._visit
         self._settle(*play(uniforms), uniforms)
         return self
 
@@ -403,7 +403,7 @@ class Mechanism:
 
         Round t posted the row of ``posted`` after the feeds of the rounds
         before it. In blocks of at most WINDOW_ELEMENTS values of those
-        rows, the family gives each round's loss and delta, and a cumulative
+        rows, the instance gives each round's loss and delta, and a cumulative
         sum adds the rows to the hypothesis sum in round order, as one round
         at a time does. One cumulative sum over the rounds then adds up the
         loss, delta * sqrt(cost), delta, the importance-weighted estimate and
@@ -424,7 +424,7 @@ class Mechanism:
             rows = np.empty((b - a + 1, dim))
             rows[0] = total
             H = posted.take(np.searchsorted(fed, np.arange(a, b)), axis=0, out=rows[1:], mode="clip")
-            loss[a:b], delta[a:b] = instance.family.at_posted(H, instance, a, b)
+            loss[a:b], delta[a:b] = instance.at_posted(H, a, b)
             total = np.cumsum(rows, axis=0, out=rows)[-1]  # adds the rows in order
         self.hypothesis_sum = total.copy()
         paid = accepted & (cfg.purchase_policy != BASELINE)  # baseline pays nothing
@@ -568,7 +568,7 @@ class Mechanism:
         and a tracked one walks at that delta."""
         instance = self.instance
         T, outcomes = self.horizon, instance.outcomes
-        dlt = instance.family.grad_norms(outcomes)  # at every hypothesis
+        dlt = (outcomes >= 0).astype(np.float64)  # at every hypothesis
         if self._tracked:
             price, q, accepted = self._walk(dlt, dlt.item, uniforms)
         else:
@@ -606,5 +606,5 @@ class Mechanism:
 
 
 def _margin(x: np.ndarray, w: np.ndarray) -> float:
-    """<x, w> as the row sum of x * w, the sum ``HingeLoss`` takes."""
+    """<x, w> as the row sum of x * w, the sum ``ProblemInstance.at_posted`` takes."""
     return float(np.add.reduce(x * w))

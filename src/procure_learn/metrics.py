@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Hypothesis, VertexLoss, _project_ball
+from .core import Hypothesis, _project_ball
 from .environment import ProblemInstance
 
 
@@ -82,7 +82,7 @@ def offline_best(instance: ProblemInstance, iterations: int = 1500) -> OfflineSo
     for the objective (the mean of ``max(u, 0)``) and the next step.
     """
     space = instance.space
-    if isinstance(instance.family, VertexLoss):
+    if instance.outcomes is not None:
         observed = instance.outcomes[instance.outcomes >= 0]
         counts = np.bincount(observed, minlength=space.dim)
         best = int(np.argmax(counts))
@@ -128,7 +128,7 @@ def risk(
     X, y = instance.test_features, instance.test_labels
     w = h.coords if isinstance(h, Hypothesis) else np.asarray(h)
     if metric == "surrogate":
-        return float(instance.family.values(w, X, y).mean())
+        return float(np.maximum(0.0, 1.0 - y * (X @ w)).mean())
     if metric == "zero-one":
         return float(np.mean(y * (X @ w) <= 0.0))
     raise ValueError(f"unknown risk metric {metric!r}")

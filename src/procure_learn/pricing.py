@@ -2,7 +2,7 @@
 
 A quote is parameterized by ``delta`` (dual norm of the loss gradient at the
 posted hypothesis — simultaneously the difficulty and the worth of the
-arrival; the mechanism takes it from the loss family) and a normalization
+arrival; the mechanism takes it from the instance) and a normalization
 ``price_scale``. The survival function
 Pr[price >= c] = min(1, delta / (price_scale * sqrt(c))) is realized by a
 distribution with reserve delta^2 / price_scale^2, density
@@ -37,9 +37,10 @@ from typing import Union
 import numpy as np
 
 
-def survival(delta: float, price_scale: float, cost: float, c_max: float = 1.0) -> float:
+def survival(delta: float, price_scale: float, cost: float) -> float:
     """Probability the posted price meets cost ``cost``; 0 for a worthless
-    arrival at every scale, as the mechanism decides it."""
+    arrival at every scale, as the mechanism decides it. For a cost at most
+    ``c_max`` it does not depend on ``c_max``."""
     if delta <= 0.0:
         return 0.0
     if cost <= 0.0:
@@ -122,7 +123,7 @@ def priced_round(
     """One posted-price decision: (price, acceptance probability at the
     revealed cost, accepted). Ties accept; a round with q = 0 never does."""
     price = sample_price(delta, price_scale, u, c_max)
-    q = survival(delta, price_scale, cost, c_max)
+    q = survival(delta, price_scale, cost)
     return price, q, q > 0.0 and price >= cost
 
 

@@ -245,22 +245,25 @@ def check_determinism(seed: int = 31) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def run_checks(quick: bool = False, **overrides) -> dict:
-    """Run every invariant check; returns a JSON-ready report."""
+def run_checks(
+    quick: bool = False,
+    *,
+    sample_fn: Callable = pricing.sample_prices,
+    survival_fn: Callable = pricing.survival,
+) -> dict:
+    """Run every invariant check; returns a JSON-ready report. ``sample_fn``
+    (the array sampler) and ``survival_fn`` stand in for the price law's in
+    every check that calls them."""
     n_big = 20_000 if quick else 200_000
     n_mid = 10_000 if quick else 100_000
     tol_surv = 0.02 if quick else 0.005
     instances = 10 if quick else 50
-    price_kw = {
-        k: v for k, v in overrides.items() if k in ("sample_fn", "survival_fn")
-    }
+    price_kw = {"sample_fn": sample_fn, "survival_fn": survival_fn}
     checks = [
         check_survival_empirical(n=n_big, tolerance=tol_surv, **price_kw),
-        check_survival_monotonic(
-            **({"survival_fn": overrides["survival_fn"]} if "survival_fn" in overrides else {})
-        ),
+        check_survival_monotonic(survival_fn),
         check_cdf_roundtrip(),
-        check_expected_payment(n=n_big),
+        check_expected_payment(n=n_big, sample_fn=sample_fn),
         check_acceptance_probability(n=n_mid, **price_kw),
         check_full_information_bound(instances=instances),
         check_importance_unbiasedness(n=n_mid),

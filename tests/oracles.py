@@ -21,10 +21,10 @@ from procure_learn.metrics import SequenceStats
 
 def hinge_row(instance: ProblemInstance, w: np.ndarray, t: int) -> tuple[float, float, float]:
     """Loss, delta and gradient coefficient (slope * label, which times the
-    row is the gradient) of feature arrival ``t`` at ``w``: the family's
+    row is the gradient) of feature arrival ``t`` at ``w``: the instance's
     block kernel on a block of one row. The hinge is active, and its slope
     -1, exactly where the loss 1 - m is positive."""
-    loss, delta = instance.family.at_posted(np.asarray(w)[None, :], instance, t, t + 1)
+    loss, delta = instance.at_posted(np.asarray(w)[None, :], t, t + 1)
     slope = -1.0 if loss[0] > 0.0 else 0.0
     return float(loss[0]), float(delta[0]), slope * float(instance.labels[t])
 
@@ -75,10 +75,12 @@ def regret(transcript, instance: ProblemInstance, h_star: Hypothesis) -> float:
 
 
 def losses_at(instance: ProblemInstance, w: np.ndarray) -> np.ndarray:
-    """Per-round loss of a fixed hypothesis over the whole sequence."""
+    """Per-round loss of a fixed hypothesis over the whole sequence: 1 -
+    w[outcome] (1 on filler points), or the hinge of the margin."""
     if instance.outcomes is not None:
-        return instance.family.values(w, instance.outcomes)
-    return instance.family.values(w, instance.features, instance.labels)
+        outcomes = instance.outcomes
+        return np.where(outcomes >= 0, 1.0 - np.asarray(w)[np.maximum(outcomes, 0)], 1.0)
+    return np.maximum(0.0, 1.0 - instance.labels * (instance.features @ w))
 
 
 def loss_total(instance: ProblemInstance, hypotheses: np.ndarray) -> float:
@@ -91,11 +93,11 @@ def loss_total(instance: ProblemInstance, hypotheses: np.ndarray) -> float:
         picked = H[observed, instance.outcomes[observed]]
         return float(instance.horizon - picked.sum())
     margins = instance.labels * np.einsum("td,td->t", H, instance.features)
-    return float(instance.family.margin_value(margins).sum())
+    return float(np.maximum(0.0, 1.0 - margins).sum())
 
 
 def mean_round_risk(
-    family, hypotheses: np.ndarray, X: np.ndarray, y: np.ndarray, chunk: int = 256
+    hypotheses: np.ndarray, X: np.ndarray, y: np.ndarray, chunk: int = 256
 ) -> float:
     """Mean over rounds of the surrogate test risk of each posted hypothesis."""
     H = np.asarray(hypotheses)
@@ -103,17 +105,17 @@ def mean_round_risk(
     for start in range(0, len(H), chunk):
         block = H[start : start + chunk]
         margins = (block @ X.T) * y
-        total += float(family.margin_value(margins).mean(axis=1).sum())
+        total += float(np.maximum(0.0, 1.0 - margins).mean(axis=1).sum())
     return total / len(H)
 
 
 def deltas_along_run(instance: ProblemInstance, hypotheses: np.ndarray) -> np.ndarray:
     """Per-round gradient dual norms at the posted hypotheses."""
     H = np.asarray(hypotheses)
-    if instance.outcomes is not None:
-        return instance.family.grad_norms(instance.outcomes)
+    if instance.outcomes is not None:  # 1 on every outcome, 0 on filler points
+        return np.where(instance.outcomes >= 0, 1.0, 0.0)
     margins = instance.labels * np.einsum("td,td->t", H, instance.features)
-    return np.abs(instance.family.margin_slope(margins)) * instance.feature_norms
+    return np.where(margins < 1.0, instance.feature_norms, 0.0)
 
 
 def sequence_stats(
@@ -136,9 +138,10 @@ def project(space: HypothesisSpace, v: np.ndarray) -> Hypothesis:
     return Hypothesis(space, project_coords(space, v))
 
 
-def mean_grad(family, w, X, y) -> np.ndarray:
-    """Mean gradient of a feature loss family over a dataset."""
-    coeff = family.margin_slope(y * (X @ w)) * y
+def mean_grad(w, X, y) -> np.ndarray:
+    """Mean hinge subgradient over a labelled dataset: -y * x where the
+    margin is below 1, zero elsewhere (the kink included)."""
+    coeff = np.where(y * (X @ w) < 1.0, -1.0, 0.0) * y
     return (X.T @ coeff) / len(y)
 
 

@@ -337,7 +337,7 @@ def test_criterion_8_online_to_batch():
         mech.run(np.random.default_rng(mech_ss))
         averaged = risk(instance, mech.finalize(), "surrogate")
         per_round = mean_round_risk(
-            instance.family, posted_hypotheses(mech), instance.test_features, instance.test_labels
+            posted_hypotheses(mech), instance.test_features, instance.test_labels
         )
         assert averaged <= per_round + 1e-12  # convexity, no tolerance
         checked += 1

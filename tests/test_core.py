@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +8,8 @@ from hypothesis import strategies as st
 
 from procure_learn.core import (
     NULL_OUTCOME,
-    HingeLoss,
     Hypothesis,
     InvalidConfigError,
-    VertexLoss,
     dual_norm,
     l2_ball,
     project_coords,
@@ -193,18 +192,16 @@ def test_arrival_cost_checked():
 
 
 def _at(instance, w, t):
-    """Loss, delta and gradient of arrival ``t`` at ``w``: from the block
-    kernels on one row on feature tasks; on the simplex the loss and delta come from the
-    family's batch forms on one row and the gradient is -1 at the outcome's
-    vertex (zero on filler points)."""
+    """Loss, delta and gradient of arrival ``t`` at ``w``: the loss and
+    delta from the instance's block kernel on one row; the gradient is
+    -1 at the outcome's vertex (zero on filler points) on the simplex."""
     w = np.asarray(w)
-    family = instance.family
-    if isinstance(family, VertexLoss):
-        outcome = instance.outcomes[t : t + 1]
+    if instance.outcomes is not None:
+        loss, delta = instance.at_posted(w[None, :], t, t + 1)
         g = np.zeros(len(w))
-        if outcome[0] >= 0:
-            g[outcome[0]] = -1.0
-        return float(family.values(w, outcome)[0]), float(family.grad_norms(outcome)[0]), g
+        if instance.outcomes[t] >= 0:
+            g[instance.outcomes[t]] = -1.0
+        return float(loss[0]), float(delta[0]), g
     loss, delta, coefficient = hinge_row(instance, w, t)
     return loss, delta, coefficient * instance.features[t]
 
@@ -248,6 +245,25 @@ def test_dimension_mismatch_errors():
         )
     with pytest.raises(InvalidConfigError):
         _vertex_instance([2], 2)  # outcome index == dimension
+    # so is the held-out set: both halves, finite rows of the space's
+    # dimension, one +-1 label each, and only on a feature task
+    ones = np.ones(3, dtype=np.int64)
+    inst = _feature_instance([[0.6, 0.8]], [1])
+    replace(inst, test_features=np.zeros((3, 2)), test_labels=ones)  # a well-formed one builds
+    for features, labels in [
+        (np.zeros((3, 2)), None),
+        (None, ones),
+        (np.zeros((4, 3)), np.array([0, 5, 1])),
+        (np.zeros((3, 3)), ones),
+        (np.zeros((3, 2)), np.array([1, 0, -1])),
+        (np.zeros((3, 2)), ones[:2]),
+        (np.full((3, 2), np.nan), ones),
+        (np.zeros((3, 2)), ones[:, None]),
+    ]:
+        with pytest.raises(InvalidConfigError):
+            replace(inst, test_features=features, test_labels=labels)
+    with pytest.raises(InvalidConfigError):
+        replace(_vertex_instance([0], 2), test_features=np.zeros((1, 2)), test_labels=ones[:1])
 
 
 def _instances(rng, n, radius=2.0):
@@ -272,19 +288,18 @@ def _random_pair(space, rng):
 
 def test_one_lipschitz_everywhere(rng):
     for inst in _instances(rng, 1000):
-        fam = inst.family
         for t in range(inst.horizon):
             a, b = _random_pair(inst.space, rng)
             gap = abs(_at(inst, a, t)[0] - _at(inst, b, t)[0])
-            assert gap <= _primal(inst.space.norm_kind, a - b) + 1e-9, type(fam).__name__
+            assert gap <= _primal(inst.space.norm_kind, a - b) + 1e-9, inst.space.kind
 
 
 def test_gradient_matches_finite_differences(rng):
     for inst in _instances(rng, 60):
-        fam, dim = inst.family, inst.space.dim
+        dim = inst.space.dim
         for t in range(inst.horizon):
             w = _random_pair(inst.space, rng)[0]
-            if isinstance(fam, HingeLoss):
+            if inst.outcomes is None:
                 margin = inst.labels[t] * float(inst.features[t] @ w)
                 if abs(margin - 1.0) < 1e-3:  # keep away from the kink
                     continue
@@ -301,22 +316,22 @@ def test_scalar_and_batch_forms_agree(rng):
     X = rng.normal(size=(50, 4))
     X /= np.maximum(1.0, np.linalg.norm(X, axis=1))[:, None]
     inst = _feature_instance(X, rng.choice([-1, 1], size=50))
-    fam = inst.family
     w = rng.normal(size=4)
     w /= max(1.0, np.linalg.norm(w) / 2.0)
     rows = [_at(inst, w, t) for t in range(50)]
-    y, norms = inst.labels, inst.feature_norms
-    np.testing.assert_allclose(fam.values(w, X, y), [r[0] for r in rows], atol=1e-12)
-    np.testing.assert_allclose(fam.grad_norms(w, X, y, norms), [r[1] for r in rows], atol=1e-12)
+    block = inst.at_posted(np.tile(w, (50, 1)), 0, 50)
+    np.testing.assert_allclose(block[0], [r[0] for r in rows], atol=1e-12)
+    np.testing.assert_allclose(inst.grad_norms_at(w), [r[1] for r in rows], atol=1e-12)
     grads = np.array([r[2] for r in rows])
-    np.testing.assert_allclose(mean_grad(fam, w, X, y), grads.mean(axis=0), atol=1e-12)
+    np.testing.assert_allclose(mean_grad(w, X, inst.labels), grads.mean(axis=0), atol=1e-12)
 
     outcomes = np.array([0, 2, -1, 3, 1, -1])
     vinst = _vertex_instance(outcomes, 4)
     wv = rng.dirichlet(np.ones(4))
     vrows = [_at(vinst, wv, t) for t in range(len(outcomes))]
-    np.testing.assert_allclose(vinst.family.values(wv, outcomes), [r[0] for r in vrows])
-    np.testing.assert_allclose(vinst.family.grad_norms(outcomes), [r[1] for r in vrows])
+    vblock = vinst.at_posted(np.tile(wv, (len(outcomes), 1)), 0, len(outcomes))
+    np.testing.assert_allclose(vblock[0], [r[0] for r in vrows])
+    np.testing.assert_allclose(vinst.grad_norms_at(wv), [r[1] for r in vrows])
 
 
 def _blocks(T, rng):
@@ -339,7 +354,7 @@ def test_feature_row_range_kernel_matches_scalar_bitwise(dim, rng):
     instance = LinearTaskSpec(
         T=400, cost_model=UniformCost(), dim=dim, clusters=2, separation=0.6, T_test=1
     ).build(dim)
-    family, T = instance.family, instance.horizon
+    T = instance.horizon
     labels, features, norms = instance.labels, instance.features, instance.feature_norms
     v = (labels[:, None] * features).mean(axis=0)
     w = v / np.median(labels * (features * v).sum(axis=1))
@@ -352,7 +367,7 @@ def test_feature_row_range_kernel_matches_scalar_bitwise(dim, rng):
         one_row = np.array([(max(0.0, 1.0 - m[t]), norms[t] if m[t] < 1.0 else 0.0) for t in range(T)])
         assert (one_row[:, 0] > 0.0).any() and (one_row[:, 0] == 0.0).any(), kind  # both branches
         for name, pieces in _blocks(T, rng).items():
-            blocks = [np.stack(family.at_posted(H[a:b], instance, a, b), axis=1) for a, b in pieces]
+            blocks = [np.stack(instance.at_posted(H[a:b], a, b), axis=1) for a, b in pieces]
             assert np.concatenate(blocks).tobytes() == one_row.tobytes(), (kind, name)
 
 
@@ -368,11 +383,11 @@ def test_vertex_row_range_kernel_matches_scalar(rng):
     )
     assert (outcomes < 0).any() and (outcomes >= 0).any()
     for name, pieces in _blocks(T, rng).items():
-        blocks = [np.stack(instance.family.at_posted(H[a:b], instance, a, b), axis=1) for a, b in pieces]
+        blocks = [np.stack(instance.at_posted(H[a:b], a, b), axis=1) for a, b in pieces]
         assert np.concatenate(blocks).tobytes() == one_row.tobytes(), name
 
 
-def test_generators_pick_family(tmp_path, rng):
+def test_generators_pair_payload_with_space(tmp_path, rng):
     write_idx_images(tmp_path / "img.idx", rng.integers(0, 256, size=(20, 4, 4), dtype=np.uint8))
     write_idx_labels(tmp_path / "lab.idx", rng.choice([9, 8, 1, 4], size=20).astype(np.uint8))
     vertex = [CoinSpec(10, 0.1).build(0), PaddedCoinSpec(10, 0.1, coin_fraction=0.5).build(0)]
@@ -383,6 +398,8 @@ def test_generators_pick_family(tmp_path, rng):
         IdxSpec(str(tmp_path / "img.idx"), str(tmp_path / "lab.idx"), UniformCost()).build(0),
     ]
     for inst in vertex:
-        assert type(inst.family) is VertexLoss and inst.space.kind == "simplex"
+        assert inst.outcomes is not None and inst.features is None
+        assert inst.space.kind == "simplex" and not inst.has_test_set
     for inst in feature:
-        assert type(inst.family) is HingeLoss and inst.space.kind == "l2-ball"
+        assert inst.features is not None and inst.outcomes is None
+        assert inst.space.kind == "l2-ball" and inst.has_test_set

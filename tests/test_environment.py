@@ -399,5 +399,5 @@ def test_digit_task_norms_capped(idx_files):
     np.testing.assert_array_equal(inst.feature_norms, np.minimum(norms, 1.0))
     # the rows hand out the stored norm, so delta stays in [0, 1]
     origin = np.zeros((inst.horizon, inst.space.dim))
-    deltas = inst.family.at_posted(origin, inst, 0, inst.horizon)[1]
+    deltas = inst.at_posted(origin, 0, inst.horizon)[1]
     assert np.all((deltas >= 0.0) & (deltas <= 1.0))

@@ -137,6 +137,11 @@ def test_feed_rejects_bad_gradients():
         learner.feed_gradient(np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         learner.feed_gradient(np.array([1.0, 0.0]), inverse_weight=0.5)
+    for bad in ({"inverse_weight": math.nan}, {"delta": math.nan}, {"delta": -0.5}):
+        with pytest.raises(ValueError):
+            learner.feed_gradient(np.array([1.0, 0.0]), **bad)
+    # nothing refused was fed
+    assert learner.bound_sum == 0.0 and not learner.grad_sum.any()
 
 
 def test_regret_bound_values():
@@ -284,7 +289,7 @@ def test_learner_bound_holds_on_the_importance_weighted_sequence(
     )
     mech = Mechanism(config, instance).run(np.random.default_rng(seed + 1))
     posted, q = posted_hypotheses(mech), mech.transcript.q
-    space, family = instance.space, instance.family
+    space = instance.space
     linear_sum, estimate_sum = 0.0, np.zeros(space.dim)
     for t in np.flatnonzero(mech.transcript.accepted).tolist():
         if instance.outcomes is not None:

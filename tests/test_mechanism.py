@@ -518,7 +518,5 @@ def test_averaged_hypothesis_jensen_inequality():
     mech = Mechanism(cfg, inst).run(np.random.default_rng(6))
     final = mech.finalize()
     avg = risk(inst, final, "surrogate")
-    per_round = mean_round_risk(
-        inst.family, posted_hypotheses(mech), inst.test_features, inst.test_labels
-    )
+    per_round = mean_round_risk(posted_hypotheses(mech), inst.test_features, inst.test_labels)
     assert avg <= per_round + 1e-12

@@ -71,7 +71,7 @@ def _grid_best(inst, resolution=1e-3):
             continue
         W = np.column_stack([np.full(len(b_axis), a), b_axis])
         margins = (W @ inst.features.T) * inst.labels
-        totals = inst.family.margin_value(margins).sum(axis=1)
+        totals = np.maximum(0.0, 1.0 - margins).sum(axis=1)
         best = min(best, float(totals.min()))
     return best
 
@@ -129,7 +129,7 @@ def test_oracle_lower_bound_is_weak_duality(
     W = rng.standard_normal((64, dim))
     W *= radius / np.linalg.norm(W, axis=1)[:, None]
     W[32:] *= rng.random((32, 1))
-    totals = inst.family.margin_value((W @ inst.features.T) * inst.labels).sum(axis=1)
+    totals = np.maximum(0.0, 1.0 - (W @ inst.features.T) * inst.labels).sum(axis=1)
     slack = 1e-9 * T
     assert sol.lower_bound <= float(totals.min()) + slack
     assert sol.lower_bound <= offline_best(inst, 3000).total_loss + slack
@@ -141,23 +141,23 @@ def _two_pass_offline_best(instance, iterations):
     and the duality bound comes from the mean gradient ``g`` (the active
     rows sum to ``-n * g``). Also counts the iterates that left the ball
     before projection."""
-    space, family = instance.space, instance.family
+    space = instance.space
     X, y = instance.features, instance.labels
     w = np.zeros(space.dim)
     best_w = w
-    best_obj = float(family.values(w, X, y).mean())
+    best_obj = float(np.maximum(0.0, 1.0 - y * (X @ w)).mean())
     best_bound = 0.0
     k = 0
     projected = 0
     while best_obj - best_bound > GAP and k < iterations:
         k += 1
-        g = mean_grad(family, w, X, y)
+        g = mean_grad(w, X, y)
         active = np.count_nonzero(y * (X @ w) < 1.0)
         best_bound = max(best_bound, active / len(y) - space.radius * np.linalg.norm(g))
         v = w - (space.radius / math.sqrt(k)) * g
         projected += bool(np.linalg.norm(v) > space.radius)
         w = project_coords(space, v)
-        obj = float(family.values(w, X, y).mean())
+        obj = float(np.maximum(0.0, 1.0 - y * (X @ w)).mean())
         if obj < best_obj:
             best_obj, best_w = obj, w
     lower = min(best_bound, best_obj) * len(y)
@@ -368,7 +368,5 @@ def test_averaged_hypothesis_never_beats_round_mean():
     mech = _run(inst, budget=30.0, price_scale=AdaptiveScale())
     final = mech.finalize()
     avg_risk = risk(inst, final, "surrogate")
-    round_mean = mean_round_risk(
-        inst.family, posted_hypotheses(mech), inst.test_features, inst.test_labels
-    )
+    round_mean = mean_round_risk(posted_hypotheses(mech), inst.test_features, inst.test_labels)
     assert avg_risk <= round_mean + 1e-12

@@ -30,11 +30,11 @@ from oracles import hinge_row
 
 def test_delta_examples():
     # delta, the value a quote is parameterized by, is the second output of
-    # the hinge family's kernels; a vertex family's delta is the same at
+    # the instance's block kernel; a vertex task's delta is the same at
     # every hypothesis
     def delta(instance, w):
         if instance.outcomes is not None:
-            return instance.family.grad_norms(instance.outcomes)[0]
+            return instance.grad_norms_at(np.asarray(w))[0]
         return hinge_row(instance, np.array(w), 0)[1]
 
     unit = ProblemInstance(

@@ -4,7 +4,7 @@ The reference below reads the instance's columns (costs, labels, features,
 feature norms, outcomes) itself and computes each round's loss, delta and
 gradient in plain Python, then decides the round with the public price law
 (sample_price / survival) and feeds the learner through iw_feed, with no
-shortcuts. It calls none of the loss family's row kernels, so any drift in
+shortcuts. It calls none of the instance's row kernels, so any drift in
 those kernels or in the production loop's fast paths shows up as a
 transcript mismatch."""
 
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from procure_learn import mechanism
-from procure_learn.core import HingeLoss, simplex
+from procure_learn.core import simplex
 from procure_learn.environment import (
     CoinSpec,
     LinearTaskSpec,
@@ -51,7 +51,6 @@ def reference_row(instance, w, t):
             return 1.0, 0.0, g
         g[i] = -1.0
         return 1.0 - float(w[i]), 1.0, g
-    assert isinstance(instance.family, HingeLoss)
     x, y = instance.features[t], int(instance.labels[t])
     m = y * float((x * w).sum())
     value = 1.0 - m if m < 1.0 else 0.0
@@ -88,7 +87,7 @@ def reference_run(config, instance, rng):
                 price, q = c_max, 1.0
             else:
                 price = sample_price(value, scale, uniforms[t], c_max)
-                q = survival(value, scale, cost, c_max)
+                q = survival(value, scale, cost)
             accepted = q > 0.0 and price >= cost
         elif config.purchase_policy == "naive":
             price = c_max if spend + c_max <= budget else 0.0

@@ -1,8 +1,10 @@
 import json
 import math
 
+import pytest
 
 from procure_learn.cli import main
+from procure_learn.pricing import sample_prices
 from procure_learn.verify import (
     check_cdf_roundtrip,
     check_survival_empirical,
@@ -21,7 +23,7 @@ def test_quick_suite_passes():
 
 def test_wrong_cdf_exponent_is_caught():
     # a survival with c instead of sqrt(c) must fail the empirical check
-    def broken_survival(delta, scale, cost, c_max=1.0):
+    def broken_survival(delta, scale, cost):
         if scale == 0.0:
             return 1.0
         if cost <= 0.0:
@@ -33,6 +35,8 @@ def test_wrong_cdf_exponent_is_caught():
 
     report = run_checks(quick=True, survival_fn=broken_survival)
     assert not report["all_passed"]
+    with pytest.raises(TypeError):  # a misspelt override is refused, not dropped
+        run_checks(quick=True, survival=broken_survival)
 
 
 def test_wrong_sampler_exponent_is_caught():
@@ -46,6 +50,19 @@ def test_wrong_sampler_exponent_is_caught():
 
     result = check_cdf_roundtrip(sample_fn=broken_sampler)
     assert not result.passed
+
+    # an array sampler that doubles every price fails each check that
+    # samples, the expected-payment one included
+    def doubled(delta, scale, u, c_max=1.0):
+        return 2.0 * sample_prices(delta, scale, u, c_max)
+
+    report = run_checks(quick=True, sample_fn=doubled)
+    failed = {c["name"] for c in report["checks"] if not c["passed"]}
+    assert {
+        "pricing.survival_empirical",
+        "pricing.expected_payment_mc",
+        "pricing.acceptance_probability",
+    } <= failed
 
 
 def test_cli_verify_quick(tmp_path, capsys):
