@@ -20,7 +20,14 @@ from typing import Optional
 
 import numpy as np
 
-from .core import HypothesisSpace, InvalidConfigError, L2_BALL, _project_ball, dual_norm
+from .core import (
+    HypothesisSpace,
+    InvalidConfigError,
+    L2_BALL,
+    _project_ball,
+    _project_ball_rows,
+    dual_norm,
+)
 
 
 class FtrlLearner:
@@ -31,12 +38,14 @@ class FtrlLearner:
     The learner is lazy (McMahan, "A Survey of Algorithms and Analysis for
     Adaptive Online Learning", JMLR 2017): its whole state is the gradient
     sum and the bound sum, so its iterates are a function of the sequence of
-    fed gradients alone. A run that has decided all its purchases before
-    learning, as a vertex run does, replays them in one block with
-    ``_feed_rows``: the sums by a cumulative sum down the rows, which adds
-    them in feed order, and the iterates by the row-wise softmax kernel that
-    a single feed applies to a batch of one. The block therefore ends bit
-    for bit where the feeds one at a time would. ``feed_gradient`` and
+    fed gradients alone. A block of feeds is therefore one ``_feed_rows``:
+    the sums by a cumulative sum down the rows, which adds them in feed
+    order, and the iterates by the row-wise softmax kernel that a single
+    feed applies to a batch of one, or by the row-wise ball projection with
+    the one-row projection's bits. The block ends bit for bit where the
+    feeds one at a time would. A vertex run replays all its purchases in
+    one block; a feature run feeds blocks of guessed feeds and keeps the
+    prefix that its guesses got right. ``feed_gradient`` and
     ``iw_feed`` check their inputs; the mechanism's ``_feed`` and
     ``_feed_rows`` do only the update.
     """
@@ -105,28 +114,35 @@ class FtrlLearner:
             self._coords = _softmax_rows(z[None])[0]
 
     def _feed_rows(
-        self, gradients: np.ndarray, inverse_weights: np.ndarray, deltas: np.ndarray
+        self, gradients: np.ndarray, inverse_weights: np.ndarray, deltas: np.ndarray, keep=None
     ) -> np.ndarray:
-        """``_feed`` of each row of ``gradients`` in turn, as one block on the
-        simplex. Returns the hypotheses posted before the first feed and
-        after each, one row each; the learner ends with the sums and
-        coordinates the feeds one at a time would leave."""
+        """``_feed`` of each row of ``gradients`` in turn, as one block in
+        either space. Returns the hypotheses posted before the first feed
+        and after each, one row each; the learner ends with the sums and
+        coordinates the feeds one at a time would leave. ``keep(posted)``,
+        if given, sees every row and returns how many leading feeds to
+        keep: the learner then ends after those, as if fed only them, and
+        the rows returned stop there too."""
         n, dim = gradients.shape
-        # cumsum along axis 0 adds the rows in order, as the feeds do
         block = np.empty((n + 1, dim + 1))
         block[0, :dim] = self.grad_sum
         block[0, dim] = self.bound_sum
         block[1:, :dim] = gradients * inverse_weights[:, None]
         weighted = deltas * inverse_weights
         block[1:, dim] = weighted * weighted
-        sums = block.cumsum(axis=0)
-        posted = np.empty((n + 1, dim))
-        posted[0] = self._coords
-        posted[1:] = _softmax_rows(sums[1:, :dim] * (-self.learning_rate))
-        self.grad_sum = sums[-1, :dim].copy()
-        self.bound_sum = float(sums[-1, dim])
-        self._coords = posted[-1].copy()
-        return posted
+        sums = np.add.accumulate(block)  # a cumulative sum down the rows adds them in order
+        posted = sums[:, :dim] * (-self.learning_rate)
+        if self.space.kind == L2_BALL:
+            _project_ball_rows(posted, self.space.radius)
+        else:
+            _softmax_rows(posted)
+        posted[0] = self._coords  # as it is: a fresh learner's need not be what its sums give
+        if keep is not None:
+            n = keep(posted)
+        self.grad_sum = sums[n, :dim].copy()
+        self.bound_sum = float(sums[n, dim])
+        self._coords = posted[n].copy()
+        return posted[: n + 1]
 
     def iw_feed(
         self,

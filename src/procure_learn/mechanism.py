@@ -22,9 +22,10 @@ the spend and the estimate change only when an arrival is bought. The
 learner and the loss reach a purchase only through the round's delta and
 the state its price reads, so both kinds of run decide through one walk.
 It lists with ``_posted`` the rounds that the current state could buy at
-an upper bound of their delta, and visits only those: it takes the exact
-delta, decides a priced round again with ``priced_round`` at the current
-state, and buys a flat-price list whole.
+an upper bound of their delta. A list whose prices read no mid-run state
+is decided whole; on any other list the walk visits each round: it takes
+the exact delta and decides the round again with ``priced_round`` at the
+current state.
 
 A priced run with an adaptive scale or a hard stop is tracked: its later
 prices read the spend and the estimate. The walk pays at each of its
@@ -32,9 +33,10 @@ purchases and lists CHUNK rounds at a time; STALE refusals, or a purchase
 that crosses the hard stop, start a new list. A list stays complete after
 a purchase: an adaptive scale only rises at a purchase, and a round
 accepted at a scale is accepted at every lower one, as every correctly
-rounded step of the price law is monotone (tests pin both). No other run
-reads the state mid-run (naive reads only its own spend, a prefix sum
-known up front), so its one list covers every round.
+rounded step of the price law is monotone (tests pin both). Past a hard
+stop the price is a flat 0. No other run reads the state mid-run (naive
+reads only its own spend, a prefix sum known up front, and a fixed or
+from-knowledge scale is one number), so its one list covers every round.
 
 A vertex run (an outcome task: the coin and padded-coin streams) decides
 first and then learns. Its delta is 1 on every outcome and 0 on filler
@@ -43,14 +45,23 @@ is its decision, and a tracked one walks. The learner then replays the
 purchases in one block: a cumulative sum adds the rows in round order, as
 one round at a time does. A feature run (a hinge loss on labelled rows)
 learns as it walks. Its delta is the row's norm where the hinge is active
-and 0 elsewhere, so it lists at the stored norms, takes the margin of each
-visited round at the current hypothesis and feeds each active purchase.
+and 0 elsewhere, so it lists at the stored norms. A visited round takes
+its margin at the current hypothesis and feeds if bought with an active
+hinge. A list decided whole is learned in verified blocks of BLOCK listed
+rounds, as lazy FTRL's iterates follow from the fed gradients alone: the
+hinge of each round is guessed from its margin at the block's first
+hypothesis, one ``_feed_rows`` of the guessed feeds gives the hypothesis
+each round posted, each margin is taken again there, and the rounds
+before the first wrong guess are kept. A flat-price list buys each of its
+rounds, a priced one those whose hinge is active (their listed delta is
+then exact). A block's first round is guessed at the hypothesis it posts,
+so every block keeps at least one round.
 
 Either way one settle pass (``_settle``) replays the hypotheses the run
 posted: the loss and delta of every round at its hypothesis, and their sum.
 A margin has the same bits one row at a time or in a block, as numpy
-reduces each row of a block as it reduces a lone row, so a visited round's
-loss is the one its visit decided on. The pass then totals and prices
+reduces each row of a block as it reduces a lone row, so a round's loss is
+the one its visit or its block decided on. The pass then totals and prices
 every round again, and keeps the columns as a transcript.
 
 A bought round with an inactive hinge pays but is not fed: the gradient
@@ -87,11 +98,13 @@ SCALE_CAP = 1e6
 
 # A tracked run lists the rounds it could buy CHUNK rounds at a time, and
 # lists them again after STALE visits that the state refused: a list costs
-# about as much as that many visits. The settle pass replays the posted
-# hypotheses in blocks of rows capped so that a (rows x dim) block stays a
-# few hundred kilobytes.
+# about as much as that many visits. A feature run learns a list decided
+# whole BLOCK listed rounds at a time; a guess gone wrong wastes the rest of
+# its block. The settle pass replays the posted hypotheses in blocks of
+# rows capped so that a (rows x dim) block stays a few hundred kilobytes.
 CHUNK = 1024
 STALE = 8
+BLOCK = 128
 WINDOW_ELEMENTS = 1 << 15
 
 
@@ -476,39 +489,49 @@ class Mechanism:
             accepted = np.where(stopped, free, accepted)
         return price, q, accepted
 
-    def _walk(self, upper, exact, uniforms, bought=None) -> tuple[np.ndarray, ...]:
+    def _walk(self, upper, exact, uniforms, bought=None, learn=None) -> tuple[np.ndarray, ...]:
         """Decide the rounds in order, visiting only those the run could
-        buy, and call ``bought(round, delta, q)`` at each purchase right
-        after its visit ``exact(round)``, with no visit between: a feature
-        run keeps only the margin of the round it visited last. Returns the
-        columns price, q and accepted; price and q hold only at purchases.
+        buy. Returns the columns price, q and accepted; price and q hold
+        only at purchases.
 
         A list is ``_posted`` at the rounds' ``upper`` deltas and the
         current state: the next CHUNK rounds of a tracked run, every round
-        of any other. A flat-price list is bought whole, and pays nothing
-        that a later price reads. A priced round on a list is decided again
-        at its ``exact`` delta, taken at the visit, and the current state.
-        STALE refusals, or a purchase that crosses the hard stop, start the
-        next list."""
+        of any other. A list whose prices read no mid-run state (every list
+        of an untracked run, and a flat-price list) is decided whole:
+        ``learn(rounds, q)``, if given, learns from its rounds in order at
+        weights 1 / q and returns which of them have a positive delta at the
+        hypothesis they posted. A flat-price list is bought whole and pays
+        nothing that a later price reads; a priced one buys those of its
+        rounds whose delta is positive, as it listed them at that delta.
+        Any other round on a list is visited: decided again at its
+        ``exact`` delta, taken at the visit, and the current state, and
+        ``bought(round, delta, q)`` is called at each purchase right after
+        its visit, with no visit between: a feature run keeps only the
+        margin of the round it visited last. STALE refusals, or a purchase
+        that crosses the hard stop, start the next list."""
         cfg = self.config
         T, c_max, tracked = self.horizon, cfg.c_max, self._tracked
-        costs, u = self.instance.costs.tolist(), uniforms.tolist()
+        costs, u = self.instance.costs, uniforms
+        if tracked:  # a visit reads one value at a time, faster from lists
+            costs, u = costs.tolist(), u.tolist()
         price, q = np.zeros((2, T))
         accepted = np.zeros(T, dtype=bool)
         t = 0
         while t < T:
             stop = min(T, t + CHUNK) if tracked else T
             listed = self._posted(upper[t:stop], t, stop, self.estimate_total, self.spend, uniforms)
-            rounds = (np.flatnonzero(listed[2]) + t).tolist()
-            if cfg.purchase_policy != PRICED or (cfg.hard_stop and self.spend >= cfg.budget):
+            flat = cfg.purchase_policy != PRICED or (cfg.hard_stop and self.spend >= cfg.budget)
+            if flat or not tracked:
                 price[t:stop], q[t:stop], accepted[t:stop] = listed
-                if bought is not None:
-                    for j in rounds:
-                        bought(j, exact(j), 1.0)
+                if learn is not None:
+                    rounds = np.flatnonzero(listed[2]) + t
+                    valued = learn(rounds, q[rounds])
+                    if not flat:
+                        accepted[rounds] = valued
                 t = stop
                 continue
             stale = 0
-            for j in rounds:
+            for j in (np.flatnonzero(listed[2]) + t).tolist():
                 d = exact(j)
                 if d <= 0.0:  # worthless: never bought, at every scale
                     continue
@@ -520,8 +543,7 @@ class Mechanism:
                         stop = j + 1
                         break
                     continue
-                if tracked:
-                    self._pay(d, costs[j], p_j, q_j)
+                self._pay(d, costs[j], p_j, q_j)
                 price[j], q[j], accepted[j] = p_j, q_j, True
                 if bought is not None:
                     bought(j, d, q_j)
@@ -532,13 +554,19 @@ class Mechanism:
         return price, q, accepted
 
     def _visit(self, uniforms: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Play a feature run on the walk: the margin of each visited round
-        at the current hypothesis, and a feed at each purchase whose hinge
-        is active."""
+        """Play a feature run on the walk. A visited round takes its margin
+        at the current hypothesis, and a purchase whose hinge is active
+        feeds. A list decided whole is learned in verified blocks of BLOCK
+        listed rounds: each round's hinge is guessed from its margin at the
+        block's first hypothesis, one ``_feed_rows`` of the guessed feeds
+        gives the hypothesis every round posted, and the rounds before the
+        first whose margin there belies its guess are kept. The first round
+        is guessed at the hypothesis it posts, so every block keeps one."""
         instance, learner = self.instance, self.learner
         features, margin = instance.features, _margin
-        labels = instance.labels.tolist()
-        norms = instance.feature_norms.tolist()
+        labels, norms = instance.labels, instance.feature_norms
+        if self._tracked:  # a visit reads one value at a time, faster from lists
+            labels, norms = labels.tolist(), norms.tolist()
         # room for a feed in every round; the pages of rows never written stay untouched
         fed, posted = [], np.empty((self.horizon + 1, instance.space.dim))
         posted[0] = w = learner.coords
@@ -557,7 +585,45 @@ class Mechanism:
                 fed.append(j)
                 posted[len(fed)] = w
 
-        price, q, accepted = self._walk(instance.feature_norms, exact, uniforms, bought)
+        def learn(rounds, q):  # the rounds of a list decided whole
+            nonlocal w
+            active = np.zeros(len(rounds), dtype=bool)
+            i = 0
+            while i < len(rounds):
+                block = rounds[i : i + BLOCK]
+                X, y = features[block], instance.labels[block]
+                guess = _margins(X, y, w) < 1.0  # each hinge at the block's first hypothesis
+                feeds = guess.nonzero()[0]
+                kept = len(block)
+                if len(feeds) == 1:  # right up to its one feed, where the block ends
+                    kept = int(feeds[0]) + 1
+                    j, q_j = block[kept - 1], float(q[i + kept - 1])
+                    d, negate = float(instance.feature_norms[j]), instance.labels[j] > 0
+                    learner._feed(features[j], 1.0 / q_j, d, negate=negate)
+                    fed.append(int(j))
+                    posted[len(fed)] = learner.coords
+                elif len(feeds) > 1:
+                    before = feeds.searchsorted(np.arange(kept))  # guessed feeds before each round
+
+                    def verified(H):  # the feeds before the first wrong guess
+                        nonlocal kept
+                        right = (_margins(X, y, H[before]) < 1.0) == guess
+                        first_wrong = int(right.argmin())
+                        kept = kept if right[first_wrong] else first_wrong
+                        return int(before[kept]) if kept < len(block) else len(feeds)
+
+                    gradients = X[feeds] * -y[feeds, None]  # -label * x
+                    iw = 1.0 / q[i : i + kept][feeds]
+                    deltas = instance.feature_norms[block[feeds]]
+                    H = learner._feed_rows(gradients, iw, deltas, verified)
+                    posted[len(fed) + 1 : len(fed) + len(H)] = H[1:]
+                    fed.extend(block[feeds[: len(H) - 1]].tolist())
+                w = learner.coords
+                active[i : i + kept] = guess[:kept]
+                i += kept
+            return active
+
+        price, q, accepted = self._walk(instance.feature_norms, exact, uniforms, bought, learn)
         return price, q, accepted, np.array(fed, dtype=np.int64), posted[: len(fed) + 1]
 
     def _decide_then_learn(self, uniforms: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -608,3 +674,11 @@ class Mechanism:
 def _margin(x: np.ndarray, w: np.ndarray) -> float:
     """<x, w> as the row sum of x * w, the sum ``ProblemInstance.at_posted`` takes."""
     return float(np.add.reduce(x * w))
+
+
+def _margins(X: np.ndarray, y: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """The margin y * <x, h> of each row of ``X`` at its row of ``H``, or
+    at ``H`` itself if it is one hypothesis: the row sums that
+    ``ProblemInstance.at_posted`` takes, bit for bit ``_margin`` of each
+    row."""
+    return y * np.add.reduce(X * H, axis=1)

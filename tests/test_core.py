@@ -10,6 +10,8 @@ from procure_learn.core import (
     NULL_OUTCOME,
     Hypothesis,
     InvalidConfigError,
+    _project_ball,
+    _project_ball_rows,
     dual_norm,
     l2_ball,
     project_coords,
@@ -157,6 +159,36 @@ def test_ball_projection_matches_linalg_norm_formula_bitwise(rng):
                 else:
                     moved += 1
     assert moved > 0 and kept > 0
+
+
+NORM_DIMS = (1, 2, 3, 8, 24, 32, 33, 784)
+
+
+@pytest.mark.parametrize("dim", NORM_DIMS)
+def test_row_block_squared_norms_match_one_row_dot_bitwise(dim, rng):
+    # the row-block projection takes its norms with np.vecdot: each must
+    # have the bits of v.dot(v), which the one-row projection takes, on a
+    # C-contiguous block and on the rows of a column slice
+    wide = rng.normal(scale=rng.uniform(0.1, 3.0, size=(64, 1)), size=(64, dim + 5))
+    for Z in (np.ascontiguousarray(wide[:, :dim]), wide[:, 2 : 2 + dim]):
+        one_row = np.array([z.dot(z) for z in Z])
+        assert np.vecdot(Z, Z).tobytes() == one_row.tobytes()
+
+
+@pytest.mark.parametrize("dim", NORM_DIMS)
+def test_row_block_ball_projection_matches_one_row_bitwise(dim, rng):
+    # rows inside, on and outside the ball, and a zero row (never divided
+    # by: the suite turns the RuntimeWarning into an error)
+    radius = 1.5
+    Z = rng.normal(scale=rng.uniform(0.01, 2.0, size=(60, 1)), size=(60, dim))
+    Z[0] = 0.0
+    Z[1] = -0.0
+    Z[2] *= radius / math.sqrt(Z[2].dot(Z[2]))
+    one_row = np.array([_project_ball(z.copy(), radius) for z in Z])
+    block = _project_ball_rows(Z.copy(), radius)
+    assert block.tobytes() == one_row.tobytes()
+    inside = [math.sqrt(z.dot(z)) <= radius for z in Z]
+    assert any(inside) and not all(inside)
 
 
 # ---------------------------------------------------------------------------

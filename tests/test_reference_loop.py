@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from procure_learn import mechanism
-from procure_learn.core import simplex
+from procure_learn.core import l2_ball, simplex
 from procure_learn.environment import (
     CoinSpec,
     LinearTaskSpec,
@@ -330,21 +330,140 @@ def test_window_evaluation_does_not_change_results(monkeypatch, path, kind):
     ["priced-at-cost", "priced-posted-price1", "priced-posted-price2", "priced-at-cost-adaptive"],
 )
 def test_sparse_priced_run_takes_few_scalar_margins(monkeypatch, config_id):
-    """A priced run that buys few of its rounds visits only those it could
-    buy, so it takes far fewer margins one row at a time than it has
-    rounds, and still matches the reference loop."""
-    calls = []
-    margin = mechanism._margin
+    """A priced run that buys few of its rounds examines only those it
+    could buy, so it takes far fewer margins than it has rounds, one row at
+    a time (a visit) or in a block of rows (a block decision, which takes
+    each row's margin once to guess and once to verify), and still matches
+    the reference loop."""
+    rows = []
+    margin, margins = mechanism._margin, mechanism._margins
     monkeypatch.setattr(
-        "procure_learn.mechanism._margin", lambda x, w: calls.append(1) or margin(x, w)
+        "procure_learn.mechanism._margin", lambda x, w: rows.append(1) or margin(x, w)
+    )
+    monkeypatch.setattr(
+        "procure_learn.mechanism._margins", lambda X, y, H: rows.append(len(X)) or margins(X, y, H)
     )
     instance = INSTANCES["linear-d32-uniform"]()
     config = CONFIGS[CONFIG_IDS.index(config_id)]
     mech = Mechanism(config, instance).run(np.random.default_rng(9))
-    assert mech.purchases <= len(calls) < instance.horizon // 2
+    assert mech.purchases <= sum(rows) < instance.horizon // 2
     expected = reference_run(config, instance, np.random.default_rng(9))
     assert mech.transcript.accepted.tolist() == [row[3] for row in expected]
     assert mech.transcript.loss.tolist() == [row[6] for row in expected]
+
+
+@pytest.mark.parametrize(
+    "config_id", ["naive-posted-price", "naive-at-cost", "baseline-posted-price"]
+)
+@pytest.mark.parametrize("kind", ["linear", "linear-d32-uniform", "linear-d24-correlated"])
+def test_flat_feature_runs_take_no_scalar_margin(monkeypatch, config_id, kind):
+    """A naive or baseline feature run decides its one flat-price list in
+    blocks and never visits a round on its own."""
+
+    def refuse(*args):
+        raise AssertionError("a flat-price run took a margin one row at a time")
+
+    monkeypatch.setattr("procure_learn.mechanism._margin", refuse)
+    instance = INSTANCES[kind]()
+    mech = Mechanism(CONFIGS[CONFIG_IDS.index(config_id)], instance).run(np.random.default_rng(9))
+    assert mech.purchases > 0
+
+
+def _mispredicting():
+    """Large steps on the default ball of radius 3: a margin at a block's
+    first hypothesis often misjudges the hinge at the round's own, so most
+    blocks end early. (On a ball of radius below 1 no margin of a unit row
+    reaches 1, and no guess can go wrong.) A fifth of the rounds are free,
+    which a hard stop still buys."""
+    return LinearTaskSpec(
+        T=2000, cost_model=TwoPointCost(0.8, 1.0), dim=3, clusters=2, separation=0.6,
+        T_test=5, noise=0.2
+    ).build(42)
+
+
+def _zero_sum_pairs():
+    """Each row twice in a row, labelled +1 then -1: a run that buys both
+    at q = 1 brings the gradient sum back to exactly zero, and its
+    hypothesis to the zero row, where every margin is zero. A third of the
+    rounds are free."""
+    rng = np.random.default_rng(5)
+    T, dim = 600, 4
+    features = np.repeat(rng.uniform(-0.45, 0.45, size=(T // 2, dim)), 2, axis=0)
+    costs = rng.random(T)
+    costs[::3] = 0.0
+    return ProblemInstance(
+        space=l2_ball(dim, 3.0),
+        costs=costs,
+        features=features,
+        labels=np.tile([1, -1], T // 2),
+        feature_norms=np.linalg.norm(features, axis=1),
+    )
+
+
+BLOCK_INSTANCES = {"mispredicting": _mispredicting, "zero-sum-pairs": _zero_sum_pairs}
+
+BLOCK_CONFIGS = {
+    "baseline": MechanismConfig(
+        budget=6.0, purchase_policy="baseline", learning_rate=FixedRate(2.0)
+    ),
+    "naive": MechanismConfig(budget=60.0, purchase_policy="naive", learning_rate=FixedRate(2.0)),
+    "naive-at-cost": MechanismConfig(
+        budget=60.0, payment_mode="at-cost", purchase_policy="naive", learning_rate=FixedRate(2.0)
+    ),
+    "fixed": MechanismConfig(
+        budget=20.0, price_scale=FixedScale(3.0), learning_rate=FixedRate(2.0)
+    ),
+    "knowledge": MechanismConfig(
+        budget=20.0,
+        payment_mode="at-cost",
+        price_scale=PriorKnowledge(avg_value_cost=0.5),
+        learning_rate=FixedRate(2.0),
+    ),
+    "fixed-hard-stop": MechanismConfig(
+        budget=15.0, price_scale=FixedScale(1.0), learning_rate=FixedRate(2.0), hard_stop=True
+    ),
+    "adaptive-hard-stop": MechanismConfig(
+        budget=15.0, price_scale=AdaptiveScale(), learning_rate=FixedRate(2.0), hard_stop=True
+    ),
+}
+
+
+def test_block_instances_reach_their_edge_cases(monkeypatch):
+    """At the default block size the mispredicting instance cuts blocks
+    short, and the zero-sum instance posts the zero hypothesis inside a
+    block."""
+    blocks = []
+    feed_rows = FtrlLearner._feed_rows
+
+    def record(self, gradients, inverse_weights, deltas, keep=None):
+        posted = feed_rows(self, gradients, inverse_weights, deltas, keep)
+        blocks.append((len(gradients), posted))
+        return posted
+
+    monkeypatch.setattr(FtrlLearner, "_feed_rows", record)
+    Mechanism(BLOCK_CONFIGS["baseline"], _mispredicting()).run(np.random.default_rng(9))
+    assert sum(len(posted) - 1 < guessed for guessed, posted in blocks) > 10
+    blocks.clear()
+    Mechanism(BLOCK_CONFIGS["baseline"], _zero_sum_pairs()).run(np.random.default_rng(9))
+    assert any((posted[1:] == 0.0).all(axis=1).any() for _, posted in blocks)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, "past-T"])
+@pytest.mark.parametrize("kind", list(BLOCK_INSTANCES))
+def test_block_decisions_match_reference_at_every_block_size(monkeypatch, kind, block):
+    """Forcing the feature run's blocks to one, two or three listed rounds,
+    or to more than the run has, reproduces the reference loop bit for bit
+    on every config whose lists are decided whole, on an instance whose
+    guesses often go wrong and on one whose gradient sum returns to zero."""
+    instance = BLOCK_INSTANCES[kind]()
+    size = instance.horizon + 1 if block == "past-T" else block
+    monkeypatch.setattr("procure_learn.mechanism.BLOCK", size)
+    for name, config in BLOCK_CONFIGS.items():
+        expected = reference_run(config, instance, np.random.default_rng(9))
+        mech = Mechanism(config, instance).run(np.random.default_rng(9))
+        for column, values in zip(mech.transcript.COLUMNS[1:], zip(*expected)):
+            assert getattr(mech.transcript, column).tolist() == list(values), (name, column)
+        assert end_state(mech) == reference_end_state(config, instance, expected), name
 
 
 @pytest.mark.parametrize("kind", ["coin-3000", "padded-coin-3000", "vertex-d7"])

@@ -31,8 +31,9 @@ def test_regret_vs_budget_runs():
 
 
 def test_correlation_effect_runs():
-    # the default rounds: at 200 the correlated cost model refuses the sample
-    out = _run_script("correlation_effect.py", "--trials", "2", "--replays", "1")
+    out = _run_script(
+        "correlation_effect.py", "--rounds", "200", "--trials", "2", "--replays", "1"
+    )
     lines = out.splitlines()
     assert lines[0].startswith("realized value-cost statistic: correlated/independent = ")
     assert [line.split(":")[0].strip() for line in lines[1:]] == ["priced", "naive"]
