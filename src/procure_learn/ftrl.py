@@ -127,7 +127,7 @@ class FtrlLearner:
         block = np.empty((n + 1, dim + 1))
         block[0, :dim] = self.grad_sum
         block[0, dim] = self.bound_sum
-        block[1:, :dim] = gradients * inverse_weights[:, None]
+        np.multiply(gradients, inverse_weights[:, None], out=block[1:, :dim])
         weighted = deltas * inverse_weights
         block[1:, dim] = weighted * weighted
         sums = np.add.accumulate(block)  # a cumulative sum down the rows adds them in order

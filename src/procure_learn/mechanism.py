@@ -595,14 +595,7 @@ class Mechanism:
                 guess = _margins(X, y, w) < 1.0  # each hinge at the block's first hypothesis
                 feeds = guess.nonzero()[0]
                 kept = len(block)
-                if len(feeds) == 1:  # right up to its one feed, where the block ends
-                    kept = int(feeds[0]) + 1
-                    j, q_j = block[kept - 1], float(q[i + kept - 1])
-                    d, negate = float(instance.feature_norms[j]), instance.labels[j] > 0
-                    learner._feed(features[j], 1.0 / q_j, d, negate=negate)
-                    fed.append(int(j))
-                    posted[len(fed)] = learner.coords
-                elif len(feeds) > 1:
+                if len(feeds):
                     before = feeds.searchsorted(np.arange(kept))  # guessed feeds before each round
 
                     def verified(H):  # the feeds before the first wrong guess
