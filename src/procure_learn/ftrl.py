@@ -45,9 +45,10 @@ class FtrlLearner:
     the one-row projection's bits. The block ends bit for bit where the
     feeds one at a time would. A vertex run replays all its purchases in
     one block; a feature run feeds blocks of guessed feeds and keeps the
-    prefix that its guesses got right. ``feed_gradient`` and
-    ``iw_feed`` check their inputs; the mechanism's ``_feed`` and
-    ``_feed_rows`` do only the update.
+    prefix that its guesses got right. ``feed_gradient`` checks its
+    inputs; the mechanism's ``_feed`` and ``_feed_rows`` do only the
+    update. A rejected round feeds nothing: the zero function leaves the
+    sums as they are.
     """
 
     def __init__(self, space: HypothesisSpace, learning_rate: float):
@@ -71,15 +72,15 @@ class FtrlLearner:
         replaces the array rather than writing into it."""
         return self._coords
 
-    def feed_zero(self) -> None:
-        """Observe the zero function: state is unchanged by construction."""
-
     def feed_gradient(
         self,
         gradient: np.ndarray,
         inverse_weight: float = 1.0,
         delta: Optional[float] = None,
     ) -> None:
+        """Feed one function's ``gradient`` at ``inverse_weight``, 1/q for a
+        purchase bought with probability q, checking every input; ``delta``
+        defaults to the gradient's dual norm."""
         gradient = np.asarray(gradient, dtype=np.float64)
         if gradient.shape != (self.space.dim,):
             raise ValueError("gradient length does not match space dimension")
@@ -143,28 +144,6 @@ class FtrlLearner:
         self.bound_sum = float(sums[n, dim])
         self._coords = posted[n].copy()
         return posted[: n + 1]
-
-    def iw_feed(
-        self,
-        q: float,
-        obtained: bool,
-        gradient: Optional[np.ndarray] = None,
-        delta: Optional[float] = None,
-    ) -> None:
-        """Importance-weighted observation with probability-q acquisition.
-
-        An obtained function is fed scaled by 1/q; a missed one feeds zero.
-        """
-        if not obtained:
-            self.feed_zero()
-            return
-        if not q > 0.0:
-            raise ValueError("obtained observations need q > 0")
-        if q > 1.0 + 1e-12:
-            raise ValueError("q must be a probability")
-        if gradient is None:
-            raise ValueError("obtained observations need a gradient")
-        self.feed_gradient(gradient, 1.0 / min(q, 1.0), delta)
 
     def regret_bound(self) -> float:
         """Realized-path regret bound for the functions fed so far."""

@@ -1,9 +1,10 @@
 """Monte-Carlo release checks for the price law and the learner.
 
 Each check compares an observed quantity against its expected value at an
-explicit tolerance and reports a machine-readable verdict. The functions
-under test are injectable so a deliberately broken variant can be shown to
-fail (and so the checks demonstrably have teeth)."""
+explicit tolerance and reports a machine-readable verdict. Every check
+calls code that a run executes: the price law's functions, which can be
+injected to show that a broken variant fails, ``priced_rounds``, and
+``Mechanism.run`` for every learner check."""
 
 from __future__ import annotations
 
@@ -14,10 +15,17 @@ from typing import Callable
 import numpy as np
 
 from . import pricing
-from .core import l2_ball, simplex
 from .environment import CoinSpec, LinearTaskSpec, UniformCost
 from .ftrl import FtrlLearner
-from .mechanism import FixedRate, FixedScale, Mechanism, MechanismConfig
+from .mechanism import (
+    PAYMENT_MODES,
+    AdaptiveScale,
+    FixedRate,
+    FixedScale,
+    Mechanism,
+    MechanismConfig,
+    Transcript,
+)
 from .metrics import offline_best
 
 SURVIVAL_GRID_DELTAS = (0.1, 0.25, 0.5, 0.75, 1.0)
@@ -128,19 +136,15 @@ def check_expected_payment(
     return _result("pricing.expected_payment_mc", worst_z, 0.0, 3.0, worst_at)
 
 
-def check_acceptance_probability(
-    n: int = 100_000,
-    seed: int = 13,
-    sample_fn: Callable = pricing.sample_prices,
-    survival_fn: Callable = pricing.survival,
-) -> CheckResult:
-    """Pr[price >= cost] equals the q the mechanism importance-weights by."""
+def check_acceptance_probability(n: int = 100_000, seed: int = 13) -> CheckResult:
+    """The acceptance rate of ``priced_rounds``, which decides a run's
+    rounds, equals the q it returns, which the run weights purchases by."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for dlt, scale, cost in ((0.6, 2.0, 0.5), (0.2, 1.0, 0.09), (1.0, 4.0, 0.04)):
-        prices = sample_fn(dlt, scale, rng.random(n))
-        empirical = float(np.mean(prices >= cost))
-        worst = max(worst, abs(empirical - survival_fn(dlt, scale, cost)))
+        u = rng.random(n)
+        _, q, accepted = pricing.priced_rounds(np.full(n, dlt), np.full(n, cost), u, scale)
+        worst = max(worst, float(np.max(np.abs(np.mean(accepted) - q))))
     return _result("pricing.acceptance_probability", worst, 0.0, 0.01)
 
 
@@ -174,70 +178,84 @@ def check_full_information_bound(instances: int = 50, seed: int = 17) -> CheckRe
         worst_slack = min(worst_slack, slack)
         if slack < 0:
             violations += 1
-    return _result(
-        "ftrl.full_information_bound",
-        violations,
-        0,
-        0,
-        f"min slack {worst_slack:.6g} over {instances} instances",
-    )
+    detail = f"min slack {worst_slack:.6g} over {instances} instances"
+    return _result("ftrl.full_information_bound", violations, 0, 0, detail)
 
 
-def check_importance_unbiasedness(n: int = 100_000, seed: int = 19) -> CheckResult:
-    """The q-weighted coin makes the observed loss value unbiased for f(h)."""
+def _coin_run(seed, T: int = 2000, rate: float = 0.05) -> Mechanism:
+    """A priced run on ``T`` coin flips at scale 3: every flip is worth
+    delta 1, costs 1 and is bought with q = 1/3."""
     rng = np.random.default_rng(seed)
-    q, f_value = 0.3, 0.74
-    obtained = rng.random(n) < q
-    observed = np.where(obtained, f_value / q, 0.0)
-    se = float(np.std(observed, ddof=1)) / math.sqrt(n)
-    z = abs(float(np.mean(observed)) - f_value) / max(se, 1e-15)
-    return _result("ftrl.importance_unbiasedness", z, 0.0, 3.0)
+    config = MechanismConfig(1.0, price_scale=FixedScale(3.0), learning_rate=FixedRate(rate))
+    return Mechanism(config, CoinSpec(T=T, epsilon=0.2).build(rng)).run(rng)
 
 
-def check_simplex_validity(n: int = 300, seed: int = 23) -> CheckResult:
-    """Multiplicative-weights iterates stay valid distributions."""
-    rng = np.random.default_rng(seed)
-    learner = FtrlLearner(simplex(5), 0.4)
-    worst = 0.0
-    for _ in range(n):
-        g = rng.normal(size=5)
-        g /= max(1.0, float(np.max(np.abs(g))))
-        learner.iw_feed(float(rng.uniform(0.2, 1.0)), True, g)
-        w = learner.coords
-        worst = max(worst, abs(float(w.sum()) - 1.0), max(0.0, -float(w.min())))
+def _learned(learner: FtrlLearner) -> bytes:
+    """The bytes of a learner's gradient sum, bound sum and hypothesis."""
+    return np.concatenate([learner.grad_sum, [learner.bound_sum], learner.coords]).tobytes()
+
+
+def check_importance_unbiasedness(n: int = 400, seed: int = 19) -> CheckResult:
+    """Over ``n`` seeds of a coin run, the mean of the estimate that
+    ``_settle`` weights by 1/q matches the mean of the value-cost total it
+    estimates, within 3 SEs of their paired gap."""
+    runs = (_coin_run(child, T=200) for child in np.random.SeedSequence(seed).spawn(n))
+    gaps = np.array([run.estimate_total - run.value_cost_total for run in runs])
+    se = float(np.std(gaps, ddof=1)) / math.sqrt(n)
+    z = abs(float(np.mean(gaps))) / max(se, 1e-15)
+    return _result("ftrl.importance_unbiasedness", z, 0.0, 3.0, f"over {n} runs")
+
+
+def check_simplex_validity(n: int = 2000, seed: int = 23) -> CheckResult:
+    """The hypotheses an ``n``-round coin run posted are distributions: their
+    mean sums to one and has no negative coordinate, and so does the
+    learner's last hypothesis; every round's loss 1 - w[outcome] lies in
+    [0, 1]."""
+    run = _coin_run(seed, T=n, rate=0.4)
+    mean, last, loss = run.hypothesis_sum / n, run.learner.coords, run.transcript.loss
+    sums = abs(mean.sum() - 1.0), abs(last.sum() - 1.0)
+    worst = max(*sums, -min(mean.min(), last.min(), loss.min(), 0.0), loss.max() - 1.0)
     return _result("ftrl.simplex_validity", worst, 0.0, 1e-9)
 
 
 def check_zero_feed_neutrality(seed: int = 29) -> CheckResult:
-    """Interleaved zero feeds never move the hypothesis sequence."""
-    rng = np.random.default_rng(seed)
-    grads = [rng.normal(size=3) / 3.0 for _ in range(40)]
-    plain = FtrlLearner(l2_ball(3, 2.0), 0.2)
-    padded = FtrlLearner(l2_ball(3, 2.0), 0.2)
-    worst = 0.0
-    for g in grads:
-        plain.feed_gradient(g)
-        for _ in range(int(rng.integers(0, 4))):
-            padded.iw_feed(0.5, False)
-        padded.feed_gradient(g)
-        worst = max(worst, float(np.max(np.abs(plain.coords - padded.coords))))
-    return _result("ftrl.zero_feed_neutrality", worst, 0.0, 0.0)
+    """A coin run's rejected rounds fed nothing: a fresh learner fed the
+    run's purchases alone, one ``feed_gradient`` each at weight 1/q, ends
+    bit for bit at the learner that the run fed in one ``_feed_rows``
+    block."""
+    run = _coin_run(seed)
+    instance, q = run.instance, run.transcript.q
+    replay = FtrlLearner(instance.space, run.learner.learning_rate)
+    bought = np.flatnonzero(run.transcript.accepted)
+    for t in bought.tolist():  # a coin has no filler: every flip has a gradient
+        gradient = np.zeros(instance.space.dim)
+        gradient[instance.outcomes[t]] = -1.0
+        replay.feed_gradient(gradient, 1.0 / q[t], 1.0)
+    differ = int(_learned(replay) != _learned(run.learner))
+    detail = f"{len(bought)} purchases of {run.horizon} rounds replayed"
+    return _result("ftrl.zero_feed_neutrality", differ, 0, 0, detail)
 
 
 def check_determinism(seed: int = 31) -> CheckResult:
-    """Identical feed sequences give bitwise-identical hypothesis paths."""
-    rng = np.random.default_rng(seed)
-    feeds = [(rng.normal(size=4) / 2.0, float(rng.uniform(0.1, 1.0))) for _ in range(60)]
-    paths = []
+    """Two runs of one config drawn from ``seed``, each from a generator
+    seeded with it, give the same transcript bytes and the same learner
+    end state."""
+    draw = np.random.default_rng(seed)
+    config = MechanismConfig(
+        budget=draw.uniform(5.0, 50.0),
+        payment_mode=PAYMENT_MODES[draw.integers(2)],
+        price_scale=(AdaptiveScale(), FixedScale(draw.uniform(0.5, 4.0)))[draw.integers(2)],
+        learning_rate=FixedRate(draw.uniform(0.05, 0.5)),
+        hard_stop=bool(draw.integers(2)),
+    )
+    spec = (CoinSpec(1000), LinearTaskSpec(1000, UniformCost(), T_test=0))[draw.integers(2)]
+    states = []
     for _ in range(2):
-        learner = FtrlLearner(simplex(4), 0.3)
-        trace = []
-        for g, q in feeds:
-            learner.iw_feed(q, True, g)
-            trace.append(learner.coords.copy())
-        paths.append(np.vstack(trace))
-    identical = np.array_equal(paths[0], paths[1])
-    return _result("ftrl.determinism", 0 if identical else 1, 0, 0)
+        rng = np.random.default_rng(seed)
+        run = Mechanism(config, spec.build(rng)).run(rng)
+        columns = (getattr(run.transcript, name).tobytes() for name in Transcript.COLUMNS[1:])
+        states.append(b"".join(columns) + _learned(run.learner))
+    return _result("ftrl.determinism", int(states[0] != states[1]), 0, 0, f"{spec!r} {config!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +274,7 @@ def run_checks(
     every check that calls them."""
     n_big = 20_000 if quick else 200_000
     n_mid = 10_000 if quick else 100_000
+    runs = 100 if quick else 400
     tol_surv = 0.02 if quick else 0.005
     instances = 10 if quick else 50
     price_kw = {"sample_fn": sample_fn, "survival_fn": survival_fn}
@@ -264,9 +283,9 @@ def run_checks(
         check_survival_monotonic(survival_fn),
         check_cdf_roundtrip(),
         check_expected_payment(n=n_big, sample_fn=sample_fn),
-        check_acceptance_probability(n=n_mid, **price_kw),
+        check_acceptance_probability(n=n_mid),
         check_full_information_bound(instances=instances),
-        check_importance_unbiasedness(n=n_mid),
+        check_importance_unbiasedness(n=runs),
         check_simplex_validity(),
         check_zero_feed_neutrality(),
         check_determinism(),

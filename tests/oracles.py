@@ -1,22 +1,51 @@
 """Independent recomputations that the tests check the package against.
 
 Nothing in the package calls these. Each recomputes a result the package
-produces another way: a run's regret, total loss and difficulty statistics
-from its posted iterates, the per-round iterates themselves by replaying a
-run's purchases, a dataset's mean gradient, CSV fields formatted one value
-at a time, and IDX files to load back.
+produces another way: a lazy FTRL learner fed one purchase at a time, a
+run's regret, total loss and difficulty statistics from its posted
+iterates, the per-round iterates themselves by replaying a run's
+purchases, a dataset's mean gradient, CSV fields formatted one value at a
+time, and IDX files to load back.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
-from procure_learn.core import Hypothesis, HypothesisSpace, project_coords
+from procure_learn.core import L2_BALL, Hypothesis, HypothesisSpace, project_coords
 from procure_learn.environment import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, ProblemInstance
-from procure_learn.ftrl import FtrlLearner
 from procure_learn.metrics import SequenceStats
+
+
+class LazyFtrl:
+    """Lazy FTRL in plain numpy, one feed at a time: the gradient sum and the
+    bound sum, and the hypothesis at the negated, rate-scaled gradient sum,
+    projected onto the ball or softmaxed on the simplex. Each feed takes
+    the steps of the package's learner in the same order, so the two end
+    bit for bit alike; a rejected round is simply not fed."""
+
+    def __init__(self, space: HypothesisSpace, rate: float):
+        self.space, self.rate, self.bound_sum = space, rate, 0.0
+        self.grad_sum = np.zeros(space.dim)
+        self.coords = np.full(space.dim, 0.0 if space.kind == L2_BALL else 1.0 / space.dim)
+
+    def feed(self, gradient: np.ndarray, q: float, delta: float) -> None:
+        """Feed a purchase bought with probability ``q``: its gradient and
+        delta weighted by 1 / q."""
+        weight = 1.0 / q
+        self.grad_sum = self.grad_sum + gradient * weight
+        weighted = delta * weight
+        self.bound_sum += weighted * weighted
+        z = self.grad_sum * -self.rate
+        if self.space.kind == L2_BALL:
+            norm = math.sqrt(z.dot(z))
+            self.coords = z if norm <= self.space.radius else z * (self.space.radius / norm)
+        else:
+            e = np.exp(z - z.max())
+            self.coords = e / e.sum()
 
 
 def hinge_row(instance: ProblemInstance, w: np.ndarray, t: int) -> tuple[float, float, float]:
@@ -32,13 +61,13 @@ def hinge_row(instance: ProblemInstance, w: np.ndarray, t: int) -> tuple[float, 
 def posted_hypotheses(mech) -> np.ndarray:
     """The hypothesis a finished run posted in each round, one row per round.
 
-    A fresh learner at the run's rate is fed each purchase of the run's
-    transcript as the mechanism fed it; between purchases the posted
+    A fresh ``LazyFtrl`` at the run's rate is fed each purchase of the
+    run's transcript as the mechanism fed it; between purchases the posted
     hypothesis does not change. The replay must end bit for bit where the
     run's own learner did.
     """
     instance, transcript = mech.instance, mech.transcript
-    learner = FtrlLearner(instance.space, mech.learner.learning_rate)
+    learner = LazyFtrl(instance.space, mech.learner.learning_rate)
     bought = np.flatnonzero(transcript.accepted)
     posted = []
     for t in bought.tolist():
@@ -48,12 +77,12 @@ def posted_hypotheses(mech) -> np.ndarray:
             if instance.outcomes[t] >= 0:  # filler points have no gradient
                 gradient = np.zeros(instance.space.dim)
                 gradient[instance.outcomes[t]] = -1.0
-                learner.iw_feed(transcript.q[t], True, gradient, 1.0)
+                learner.feed(gradient, transcript.q[t], 1.0)
             continue
         _, dlt, coefficient = hinge_row(instance, w, t)
         if coefficient != 0.0:
             gradient = coefficient * instance.features[t]
-            learner.iw_feed(transcript.q[t], True, gradient, dlt)
+            learner.feed(gradient, transcript.q[t], dlt)
     posted.append(learner.coords)
     assert learner.coords.tobytes() == mech.learner.coords.tobytes()
     # round t posts what the purchases before it left

@@ -32,8 +32,12 @@ from procure_learn.mechanism import (
     TheoryRate,
 )
 from procure_learn.metrics import offline_best, risk
-from procure_learn.pricing import expected_payment, sample_prices, survival
 from procure_learn.runner import trial_streams
+from procure_learn.verify import (
+    check_expected_payment,
+    check_full_information_bound,
+    check_survival_empirical,
+)
 
 from oracles import mean_round_risk, posted_hypotheses
 
@@ -51,20 +55,11 @@ def _report(number, name, detail):
 
 def test_criterion_1_pricing_law_fidelity():
     start = time.perf_counter()
-    rng = np.random.default_rng(SEED)
-    n = 200_000
-    grid = np.linspace(0.05, 1.0, 10)
-    worst = 0.0
-    for dlt in (0.1, 0.5, 1.0):
-        for scale in (0.5, 2.0, 4.0):
-            prices = sample_prices(dlt, scale, rng.random(n))
-            for c in grid:
-                gap = abs(float(np.mean(prices >= c)) - survival(dlt, scale, float(c)))
-                worst = max(worst, gap)
+    result = check_survival_empirical(n=200_000, seed=SEED, tolerance=0.005)
     elapsed = time.perf_counter() - start
-    assert worst <= 0.005
+    assert result.passed, result
     assert elapsed < 5.0
-    _report(1, "pricing-law fidelity", f"max survival gap {worst:.5f} in {elapsed:.1f}s")
+    _report(1, "pricing-law fidelity", f"max survival gap {result.observed:.5f} in {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------
@@ -74,20 +69,11 @@ def test_criterion_1_pricing_law_fidelity():
 
 def test_criterion_2_expected_payment():
     start = time.perf_counter()
-    rng = np.random.default_rng(SEED + 1)
-    n = 200_000
-    worst_z = 0.0
-    for dlt, scale in ((1.0, 2.0), (0.5, 2.0), (0.8, 1.25)):
-        prices = sample_prices(dlt, scale, rng.random(n))
-        for cost in (0.0, 0.25, 0.81):
-            paid = prices * (prices >= cost)
-            se = float(paid.std(ddof=1)) / math.sqrt(n)
-            z = abs(float(paid.mean()) - expected_payment(dlt, scale, cost)) / se
-            worst_z = max(worst_z, z)
+    result = check_expected_payment(n=200_000, seed=SEED + 1)
     elapsed = time.perf_counter() - start
-    assert worst_z <= 3.0
+    assert result.passed, result
     assert elapsed < 5.0
-    _report(2, "expected payment", f"worst deviation {worst_z:.2f} SE over 9 combos in {elapsed:.1f}s")
+    _report(2, "expected payment", f"worst deviation {result.observed:.2f} SE in {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------
@@ -97,31 +83,11 @@ def test_criterion_2_expected_payment():
 
 def test_criterion_3_full_information_bound():
     start = time.perf_counter()
-    root = np.random.SeedSequence(SEED + 2)
-    min_slack = math.inf
-    for i, child in enumerate(root.spawn(50)):
-        gen = np.random.default_rng(child)
-        if i % 2 == 0:
-            instance = CoinSpec(500, 0.45 * gen.random()).build(gen)
-        else:
-            instance = LinearTaskSpec(
-                T=400, cost_model=UniformCost(), dim=4, clusters=2,
-                separation=0.3 + 0.5 * gen.random(), T_test=0
-            ).build(gen)
-        config = MechanismConfig(
-            budget=1.0,
-            purchase_policy="baseline",
-            learning_rate=FixedRate(0.02 + 0.5 * gen.random()),
-        )
-        mech = Mechanism(config, instance)
-        mech.run(np.random.default_rng(child.spawn(1)[0]))
-        # against the certified lower bound: an upper bound on realized regret
-        realized = mech.loss_total - offline_best(instance).lower_bound
-        min_slack = min(min_slack, mech.learner.regret_bound() - realized)
-        assert realized <= mech.learner.regret_bound() + 1e-9
+    result = check_full_information_bound(instances=50, seed=SEED + 2)
     elapsed = time.perf_counter() - start
+    assert result.passed, result
     assert elapsed < 30.0
-    _report(3, "full-information bound", f"min slack {min_slack:.3f} over 50 runs in {elapsed:.1f}s")
+    _report(3, "full-information bound", f"{result.detail} in {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------

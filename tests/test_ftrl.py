@@ -20,7 +20,6 @@ from procure_learn.mechanism import (
     Mechanism,
     MechanismConfig,
 )
-from procure_learn.metrics import offline_best
 
 from oracles import hinge_row, posted_hypotheses
 
@@ -69,7 +68,7 @@ def test_ball_feed_posts_projected_gradient_sum_bitwise(rng):
             g = rng.normal(size=dim) * rng.uniform(0.0, 2.0) / math.sqrt(dim)
             if rng.random() < 0.3:
                 g = -learner.grad_sum * rng.uniform(0.5, 1.0)  # back towards the centre
-            learner.iw_feed(float(rng.uniform(0.2, 1.0)), True, g)
+            learner.feed_gradient(g, inverse_weight=1.0 / float(rng.uniform(0.2, 1.0)))
             z = learner.grad_sum * (-rate)
             expected = project_coords(learner.space, z)
             assert learner.coords.tobytes() == expected.tobytes()
@@ -106,27 +105,8 @@ def test_zero_gradient_feed_changes_nothing(space):
     before = (learner.grad_sum.tobytes(), learner.bound_sum, learner.coords.tobytes())
     for zero in (np.zeros(4), np.array([-0.0, 0.0, -0.0, -0.0])):
         learner.feed_gradient(zero, inverse_weight=3.0, delta=0.0)
-        learner.iw_feed(0.25, True, 0.0 * np.array([1.0, -1.0, 0.5, -0.5]), 0.0)
+        learner.feed_gradient(0.0 * np.array([1.0, -1.0, 0.5, -0.5]), inverse_weight=4.0, delta=0.0)
         assert (learner.grad_sum.tobytes(), learner.bound_sum, learner.coords.tobytes()) == before
-
-
-def test_iw_feed_semantics():
-    direct = FtrlLearner(simplex(2), 0.7)
-    direct.feed_gradient(np.array([0.3, 0.0]))
-    via_iw = FtrlLearner(simplex(2), 0.7)
-    via_iw.iw_feed(1.0, True, np.array([0.3, 0.0]))
-    np.testing.assert_array_equal(direct.coords, via_iw.coords)
-
-    quarter = FtrlLearner(l2_ball(2, 5.0), 0.5)
-    quarter.iw_feed(0.25, True, np.array([1.0, 0.0]))
-    np.testing.assert_allclose(quarter.grad_sum, [4.0, 0.0])
-
-    skipped = FtrlLearner(l2_ball(2, 5.0), 0.5)
-    skipped.iw_feed(0.25, False)
-    np.testing.assert_array_equal(skipped.coords, [0.0, 0.0])
-
-    with pytest.raises(ValueError):
-        quarter.iw_feed(0.0, True, np.array([1.0, 0.0]))
 
 
 def test_feed_rejects_bad_gradients():
@@ -148,11 +128,6 @@ def test_regret_bound_values():
     fresh = FtrlLearner(l2_ball(2, 10.0), 0.1)  # reg_bound 50
     assert fresh.regret_bound() == pytest.approx(500.0)
 
-    # zero feeds leave the bound at reg_bound / rate
-    for _ in range(5):
-        fresh.feed_zero()
-    assert fresh.regret_bound() == pytest.approx(500.0)
-
     # T unit-delta feeds: reg_bound / rate + 2 * rate * T
     T, rate = 40, 0.1
     ball = FtrlLearner(l2_ball(2, 10.0), rate)
@@ -165,27 +140,12 @@ def test_regret_bound_values():
     assert mw.regret_bound() == pytest.approx(math.log(2) / rate + 2 * rate * T)
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(0, 3), min_size=1, max_size=30))
-def test_zero_feed_neutrality(pattern):
-    rng = np.random.default_rng(99)
-    grads = [rng.normal(size=3) / 3.0 for _ in pattern]
-    plain = FtrlLearner(simplex(3), 0.4)
-    padded = FtrlLearner(simplex(3), 0.4)
-    for zeros, g in zip(pattern, grads):
-        plain.feed_gradient(g)
-        for _ in range(zeros):
-            padded.feed_zero()
-        padded.feed_gradient(g)
-        np.testing.assert_array_equal(plain.coords, padded.coords)
-
-
 def test_simplex_iterates_remain_distributions(rng):
     learner = FtrlLearner(simplex(5), 0.6)
     for _ in range(500):
         g = rng.normal(size=5)
         g /= max(1.0, np.max(np.abs(g)))
-        learner.iw_feed(float(rng.uniform(0.05, 1.0)), True, g)
+        learner.feed_gradient(g, inverse_weight=1.0 / float(rng.uniform(0.05, 1.0)))
         assert learner.coords.min() >= 0.0
         assert float(learner.coords.sum()) == pytest.approx(1.0, abs=1e-9)
 
@@ -205,47 +165,10 @@ def test_determinism_bitwise(rng):
         learner = FtrlLearner(simplex(4), 0.3)
         out = []
         for g, q in feeds:
-            learner.iw_feed(q, True, g)
+            learner.feed_gradient(g, inverse_weight=1.0 / q)
             out.append(learner.coords.copy())
         traces.append(np.vstack(out))
     assert np.array_equal(traces[0], traces[1])
-
-
-def test_unbiased_importance_weighting(rng):
-    # mean over the acquisition coin of the weighted value equals f(h)
-    q, f_value, n = 0.37, 0.81, 100_000
-    obtained = rng.random(n) < q
-    observed = np.where(obtained, f_value / q, 0.0)
-    se = observed.std(ddof=1) / math.sqrt(n)
-    assert abs(observed.mean() - f_value) <= 3 * se
-
-
-def _full_information_run(instance, rate, seed):
-    config = MechanismConfig(
-        budget=1.0,
-        purchase_policy="baseline",
-        price_scale=FixedScale(0.0),
-        learning_rate=FixedRate(rate),
-    )
-    mech = Mechanism(config, instance)
-    mech.run(np.random.default_rng(seed))
-    return mech
-
-
-def test_full_information_path_bound():
-    # realized regret under q=1 never exceeds the accumulated bound
-    root = np.random.SeedSequence(2024)
-    for i, child in enumerate(root.spawn(10)):
-        gen = np.random.default_rng(child)
-        if i % 2 == 0:
-            instance = CoinSpec(300, 0.4 * gen.random()).build(gen)
-        else:
-            instance = LinearTaskSpec(
-                T=250, cost_model=UniformCost(), dim=3, clusters=2, separation=0.5, T_test=0
-            ).build(gen)
-        mech = _full_information_run(instance, 0.05 + 0.4 * gen.random(), child.spawn(1)[0])
-        regret = mech.loss_total - offline_best(instance).lower_bound
-        assert regret <= mech.learner.regret_bound() + 1e-9
 
 
 @settings(max_examples=60, deadline=None)

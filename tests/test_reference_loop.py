@@ -3,10 +3,10 @@
 The reference below reads the instance's columns (costs, labels, features,
 feature norms, outcomes) itself and computes each round's loss, delta and
 gradient in plain Python, then decides the round with the public price law
-(sample_price / survival) and feeds the learner through iw_feed, with no
-shortcuts. It calls none of the instance's row kernels, so any drift in
-those kernels or in the production loop's fast paths shows up as a
-transcript mismatch."""
+(sample_price / survival) and feeds each purchase to ``oracles.LazyFtrl``,
+with no shortcuts. It calls neither the instance's row kernels nor the
+package's learner, so any drift in those or in the production loop's fast
+paths shows up as a transcript or end state mismatch."""
 
 import math
 
@@ -38,6 +38,8 @@ from procure_learn.mechanism import (
 )
 from procure_learn.pricing import sample_price, survival
 
+from oracles import LazyFtrl
+
 
 def reference_row(instance, w, t):
     """Loss, delta (dual norm of the gradient) and gradient of arrival ``t``
@@ -62,7 +64,7 @@ def reference_run(config, instance, rng):
     """Contract-level re-implementation of one full mechanism run."""
     setup = Mechanism(config, instance)  # reuse scale / learning-rate selection
     scale = setup.price_scale
-    learner = FtrlLearner(instance.space, setup.learner.learning_rate)
+    learner = LazyFtrl(instance.space, setup.learner.learning_rate)
     T = instance.horizon
     budget, c_max = config.budget, config.c_max
     at_cost = config.payment_mode == "at-cost"
@@ -100,12 +102,11 @@ def reference_run(config, instance, rng):
             payment = 0.0 if config.purchase_policy == "baseline" else (
                 cost if at_cost else price
             )
-            learner.iw_feed(q, True, gradient, value)
+            learner.feed(gradient, q, value)
             spend += payment
             estimate_sum += value * math.sqrt(cost) / q
         else:
             payment = 0.0
-            learner.iw_feed(q, False)
 
         rows.append((value, cost, price, accepted, q, payment, loss, spend))
         if adaptive:
@@ -119,7 +120,7 @@ def reference_end_state(config, instance, rows):
     """The end state a reference transcript implies, accumulated one round at
     a time: the learner is replayed on the accepted rounds."""
     setup = Mechanism(config, instance)
-    learner = FtrlLearner(instance.space, setup.learner.learning_rate)
+    learner = LazyFtrl(instance.space, setup.learner.learning_rate)
     hypothesis_sum = np.zeros(instance.space.dim)
     loss_total = value_cost_total = value_total = estimate_total = 0.0
     for t, (value, cost, price, accepted, q, payment, loss, spend) in enumerate(rows):
@@ -130,7 +131,7 @@ def reference_end_state(config, instance, rows):
         value_total += value
         if accepted:
             estimate_total += value * math.sqrt(cost) / q
-            learner.iw_feed(q, True, reference_row(instance, w, t)[2], value)
+            learner.feed(reference_row(instance, w, t)[2], q, value)
     return {
         "loss_total": loss_total,
         "value_cost_total": value_cost_total,
