@@ -18,28 +18,28 @@ from procure_learn.mechanism import AdaptiveScale, FixedRate, Mechanism, Mechani
 from procure_learn.metrics import risk
 from procure_learn.runner import trial_streams
 
+MODELS = ("correlated", "independent")
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--rounds", type=int, default=1000)
-    parser.add_argument("--trials", type=int, default=100)
-    parser.add_argument("--replays", type=int, default=4, help="mechanism replays averaged per instance")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--eta", type=float, default=0.45)
-    args = parser.parse_args()
 
-    task = dict(T=args.rounds, T_test=4000, dim=24, clusters=4, separation=0.8, spread=0.35, noise=0.14)
-    targets = (0, 4)
-    cells = {(p, m): [] for p in ("priced", "naive") for m in ("correlated", "independent")}
-    gammas = {"correlated": [], "independent": []}
+def correlation_cells(seed, trials, replays, rounds, eta):
+    """Paired zero-one risks of priced and naive under the two cost models.
 
-    for trial in range(args.trials):
-        instance_ss, _, _ = trial_streams(args.seed, trial)
-        replay_seeds = np.random.SeedSequence(entropy=args.seed, spawn_key=(trial, 1)).spawn(args.replays)
-        for tag, model in (
-            ("correlated", TwoPointCost(0.2, 1.0, targets)),
-            ("independent", TwoPointCost(0.2, 1.0)),
-        ):
+    Returns ``cells``, one risk per trial for each (policy, model), and
+    ``gammas``, the realized value-cost statistic of each priced replay per
+    model. Each trial builds one instance per model from the same seed, at a
+    budget of a quarter of its cost sum. A priced cell averages ``replays``
+    mechanism replays to estimate the instance's expected risk; naive is
+    deterministic given the instance, so one run suffices.
+    """
+    task = dict(T=rounds, T_test=4000, dim=24, clusters=4, separation=0.8, spread=0.35, noise=0.14)
+    targets = (0, 4)  # the boundary-hugging cluster of each class
+    cells = {(p, m): [] for p in ("priced", "naive") for m in MODELS}
+    gammas = {m: [] for m in MODELS}
+
+    for trial in range(trials):
+        instance_ss, _, _ = trial_streams(seed, trial)
+        replay_seeds = np.random.SeedSequence(entropy=seed, spawn_key=(trial, 1)).spawn(replays)
+        for tag, model in zip(MODELS, (TwoPointCost(0.2, 1.0, targets), TwoPointCost(0.2, 1.0))):
             instance = LinearTaskSpec(cost_model=model, **task).build(instance_ss)
             budget = 0.25 * float(instance.costs.sum())
             for policy in ("priced", "naive"):
@@ -47,7 +47,7 @@ def main():
                     budget=budget,
                     purchase_policy=policy,
                     price_scale=AdaptiveScale(),
-                    learning_rate=FixedRate(args.eta),
+                    learning_rate=FixedRate(eta),
                 )
                 seeds = replay_seeds if policy == "priced" else replay_seeds[:1]
                 risks = []
@@ -58,7 +58,19 @@ def main():
                     if policy == "priced":
                         gammas[tag].append(mech.realized_avg_value_cost)
                 cells[(policy, tag)].append(float(np.mean(risks)))
+    return cells, gammas
 
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--rounds", type=int, default=1000)
+    parser.add_argument("--trials", type=int, default=100)
+    parser.add_argument("--replays", type=int, default=4, help="mechanism replays averaged per instance")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--eta", type=float, default=0.45)
+    args = parser.parse_args()
+
+    cells, gammas = correlation_cells(args.seed, args.trials, args.replays, args.rounds, args.eta)
     ratio = np.mean(gammas["correlated"]) / np.mean(gammas["independent"])
     print(f"realized value-cost statistic: correlated/independent = {ratio:.2f}")
     for policy in ("priced", "naive"):

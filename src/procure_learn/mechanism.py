@@ -623,15 +623,12 @@ class Mechanism:
         """Play a vertex run in two passes, bit for bit the rounds one by
         one: decide every round without the learner, then replay the
         learner over the purchases in one block. Its delta is exact at
-        every hypothesis, so an untracked run's one list is its decision,
-        and a tracked one walks at that delta."""
+        every hypothesis, so the walk decides at that delta: an untracked
+        run's one list is its decision."""
         instance = self.instance
-        T, outcomes = self.horizon, instance.outcomes
+        outcomes = instance.outcomes
         dlt = (outcomes >= 0).astype(np.float64)  # at every hypothesis
-        if self._tracked:
-            price, q, accepted = self._walk(dlt, dlt.item, uniforms)
-        else:
-            price, q, accepted = self._posted(dlt, 0, T, 0.0, 0.0, uniforms)
+        price, q, accepted = self._walk(dlt, dlt.item, uniforms)
 
         # a bought filler round has a zero gradient and is not fed
         fed = np.flatnonzero(accepted & (outcomes >= 0))

@@ -273,7 +273,7 @@ def run_checks(
     (the array sampler) and ``survival_fn`` stand in for the price law's in
     every check that calls them."""
     n_big = 20_000 if quick else 200_000
-    n_mid = 10_000 if quick else 100_000
+    n_mid = 50_000 if quick else 100_000  # at 10 000 the tolerance is about 2 SE
     runs = 100 if quick else 400
     tol_surv = 0.02 if quick else 0.005
     instances = 10 if quick else 50

@@ -3,45 +3,42 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Monte-Carlo criteria use frozen seeds; the statistical margins were
 sized so the checks are far from their tolerance under the pinned streams.
+
+Criteria 4-7 run the shipped experiments, overriding only seed and trial
+count: criterion 4 runs `scripts/configs/padded_coin_budget.json` through
+`run_trials`, criterion 7 runs `scripts/configs/linear_uniform_sweep.json`
+through `run_sweep`, criterion 5 calls `run_budget` of
+`scripts/regret_vs_budget.py` and criterion 6 calls `correlation_cells` of
+`scripts/correlation_effect.py`.
 """
 
 import json
 import math
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from procure_learn.cli import main
-from procure_learn.environment import (
-    CoinSpec,
-    IdxSpec,
-    LinearTaskSpec,
-    PaddedCoinSpec,
-    TwoPointCost,
-    UniformCost,
-)
-from procure_learn.mechanism import (
-    AdaptiveScale,
-    FixedRate,
-    Mechanism,
-    MechanismConfig,
-    PriorKnowledge,
-    TheoryRate,
-)
-from procure_learn.metrics import offline_best, risk
-from procure_learn.runner import trial_streams
+from procure_learn.environment import IdxSpec, LinearTaskSpec, UniformCost
+from procure_learn.mechanism import AdaptiveScale, FixedRate, Mechanism, MechanismConfig
+from procure_learn.metrics import risk
+from procure_learn.runner import load_config, run_sweep, run_trials, trial_streams
 from procure_learn.verify import (
     check_expected_payment,
     check_full_information_bound,
     check_survival_empirical,
 )
 
+from correlation_effect import correlation_cells
 from oracles import mean_round_risk, posted_hypotheses
+from regret_vs_budget import run_budget
 
 SEED = 20240701
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
 def _report(number, name, detail):
@@ -97,21 +94,9 @@ def test_criterion_3_full_information_bound():
 
 def test_criterion_4_budget_compliance():
     start = time.perf_counter()
-    T, budget = 10_000, 200.0
-    config = MechanismConfig(
-        budget=budget,
-        payment_mode="posted-price",
-        price_scale=PriorKnowledge(avg_value_cost=0.3, avg_value=0.3),
-        learning_rate=TheoryRate(),
-    )
-    spends = []
-    for trial in range(100):
-        instance_ss, mech_ss, _ = trial_streams(SEED + 3, trial)
-        instance = PaddedCoinSpec(T, 0.1, coin_fraction=0.3).build(instance_ss)
-        mech = Mechanism(config, instance)
-        mech.run(np.random.default_rng(mech_ss))
-        spends.append(mech.spend)
-    mean_spend = float(np.mean(spends))
+    config = replace(load_config(CONFIGS / "padded_coin_budget.json"), seed=SEED + 3, trials=100)
+    budget = config.mechanism.budget
+    mean_spend = float(np.mean([r.spend for r in run_trials(config)]))
     elapsed = time.perf_counter() - start
     assert mean_spend <= 1.05 * budget
     assert elapsed < 60.0
@@ -125,24 +110,7 @@ def test_criterion_4_budget_compliance():
 
 def test_criterion_5_regret_scaling():
     start = time.perf_counter()
-    T, trials = 20_000, 200
-    means = {}
-    for budget in (100.0, 400.0, 1600.0):
-        config = MechanismConfig(
-            budget=budget,
-            payment_mode="at-cost",
-            price_scale=PriorKnowledge(avg_value_cost=1.0),
-            learning_rate=TheoryRate(),
-        )
-        epsilon = 1.0 / math.sqrt(budget)
-        regrets = []
-        for trial in range(trials):
-            instance_ss, mech_ss, _ = trial_streams(SEED + 4, trial)
-            instance = CoinSpec(T, epsilon).build(instance_ss)
-            mech = Mechanism(config, instance)
-            mech.run(np.random.default_rng(mech_ss))
-            regrets.append(mech.loss_total - offline_best(instance).total_loss)
-        means[budget] = float(np.mean(regrets))
+    means = {budget: run_budget(budget, 20_000, 200, SEED + 4)[0] for budget in (100.0, 400.0, 1600.0)}
     elapsed = time.perf_counter() - start
 
     assert means[100.0] > means[400.0] > means[1600.0]
@@ -163,60 +131,15 @@ def test_criterion_5_regret_scaling():
 # 6. correlation sensitivity
 # ---------------------------------------------------------------------------
 
-CORR_TASK = dict(dim=24, clusters=4, separation=0.8, spread=0.35, noise=0.14)
-CORR_TARGETS = (0, 4)  # the boundary-hugging cluster of each class
-
-
-def _correlation_cells(seed, trials=100, replays=4, T=1000, T_test=4000, eta=0.45):
-    """Paired risks of priced/naive under matched-marginal cost models.
-
-    The priced cells average ``replays`` mechanism replays per instance to
-    estimate per-instance expected risk; naive is deterministic given the
-    instance so one run suffices.
-    """
-    cells = {("priced", "corr"): [], ("priced", "ind"): [], ("naive", "corr"): [], ("naive", "ind"): []}
-    gammas = {"corr": [], "ind": []}
-    models = (
-        ("corr", TwoPointCost(0.2, 1.0, CORR_TARGETS)),
-        ("ind", TwoPointCost(0.2, 1.0)),
-    )
-    for trial in range(trials):
-        instance_ss, _, _ = trial_streams(seed, trial)
-        replay_seeds = np.random.SeedSequence(entropy=seed, spawn_key=(trial, 1)).spawn(replays)
-        for tag, model in models:
-            instance = LinearTaskSpec(
-                T=T, cost_model=model, dim=CORR_TASK["dim"], clusters=CORR_TASK["clusters"],
-                separation=CORR_TASK["separation"], T_test=T_test, spread=CORR_TASK["spread"],
-                noise=CORR_TASK["noise"]
-            ).build(instance_ss)
-            budget = 0.25 * float(instance.costs.sum())
-            for policy in ("priced", "naive"):
-                config = MechanismConfig(
-                    budget=budget,
-                    purchase_policy=policy,
-                    price_scale=AdaptiveScale(),
-                    learning_rate=FixedRate(eta),
-                )
-                seeds = replay_seeds if policy == "priced" else replay_seeds[:1]
-                risks = []
-                for ms in seeds:
-                    mech = Mechanism(config, instance)
-                    mech.run(np.random.default_rng(ms))
-                    risks.append(risk(instance, mech.finalize(), "zero-one"))
-                    if policy == "priced":
-                        gammas[tag].append(mech.realized_avg_value_cost)
-                cells[(policy, tag)].append(float(np.mean(risks)))
-    return cells, gammas
-
 
 def test_criterion_6_correlation_sensitivity():
     start = time.perf_counter()
     trials = 100
-    cells, gammas = _correlation_cells(SEED + 5, trials=trials)
-    gamma_ratio = float(np.mean(gammas["corr"]) / np.mean(gammas["ind"]))
+    cells, gammas = correlation_cells(SEED + 5, trials, 4, 1000, 0.45)
+    gamma_ratio = float(np.mean(gammas["correlated"]) / np.mean(gammas["independent"]))
 
-    priced_diff = np.array(cells[("priced", "corr")]) - np.array(cells[("priced", "ind")])
-    naive_diff = np.array(cells[("naive", "corr")]) - np.array(cells[("naive", "ind")])
+    priced_diff = np.array(cells[("priced", "correlated")]) - np.array(cells[("priced", "independent")])
+    naive_diff = np.array(cells[("naive", "correlated")]) - np.array(cells[("naive", "independent")])
     priced_se = float(priced_diff.std(ddof=1)) / math.sqrt(trials)
     naive_se = float(naive_diff.std(ddof=1)) / math.sqrt(trials)
     priced_z = float(priced_diff.mean()) / priced_se
@@ -239,33 +162,14 @@ def test_criterion_6_correlation_sensitivity():
 # 7. adaptive mechanism vs naive
 # ---------------------------------------------------------------------------
 
-VS_NAIVE_TASK = dict(dim=32, clusters=2, separation=0.35, noise=0.2)
-
 
 def test_criterion_7_beats_naive():
     start = time.perf_counter()
-    trials, T = 100, 8000
+    config = replace(load_config(CONFIGS / "linear_uniform_sweep.json"), seed=SEED + 6, trials=100)
+    risks = {(row.policy, row.budget): row.risk_zero_one_mean for row in run_sweep(config, jobs=2)}
     summary = []
-    for budget in (100.0, 200.0, 400.0):
-        ours, naive = [], []
-        for trial in range(trials):
-            instance_ss, mech_ss, _ = trial_streams(SEED + 6, trial)
-            instance = LinearTaskSpec(
-                T=T, cost_model=UniformCost(), dim=VS_NAIVE_TASK["dim"],
-                clusters=VS_NAIVE_TASK["clusters"], separation=VS_NAIVE_TASK["separation"],
-                T_test=1500, noise=VS_NAIVE_TASK["noise"]
-            ).build(instance_ss)
-            for policy, sink in (("priced", ours), ("naive", naive)):
-                config = MechanismConfig(
-                    budget=budget,
-                    purchase_policy=policy,
-                    price_scale=AdaptiveScale(),
-                    learning_rate=FixedRate(0.08),
-                )
-                mech = Mechanism(config, instance)
-                mech.run(np.random.default_rng(mech_ss))
-                sink.append(risk(instance, mech.finalize(), "zero-one"))
-        ours_mean, naive_mean = float(np.mean(ours)), float(np.mean(naive))
+    for budget in config.budget_grid:
+        ours_mean, naive_mean = risks[("priced", budget)], risks[("naive", budget)]
         assert ours_mean <= naive_mean, f"budget {budget}: {ours_mean} vs {naive_mean}"
         summary.append(f"B={budget:.0f}: {ours_mean:.4f}<={naive_mean:.4f}")
     elapsed = time.perf_counter() - start

@@ -71,7 +71,7 @@ def test_wrong_sampler_exponent_is_caught(monkeypatch):
     # and so does the same doubling inside priced_rounds, which decides runs
     prices = pricing._prices
     monkeypatch.setattr(pricing, "_prices", lambda *args: 2.0 * prices(*args))
-    assert not check_acceptance_probability(n=10_000).passed
+    assert not check_acceptance_probability(n=50_000).passed  # the n of verify --quick
 
 
 def test_run_q_at_the_wrong_exponent_is_caught(monkeypatch):
