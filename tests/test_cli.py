@@ -48,6 +48,16 @@ def _write_config(path, **overrides):
     return config
 
 
+def _child(args, unbuffered=False, stdout=subprocess.PIPE):
+    """``python -m procure_learn`` with ``args``; its stdout is block-buffered
+    unless ``unbuffered``, whatever the calling environment says."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "procure_learn", *args]
+    return subprocess.run(argv, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
 def test_run_writes_deterministic_artifacts(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     _write_config(cfg_path)
@@ -179,11 +189,7 @@ def test_bad_cost_model_exits_2_before_any_output(tmp_path):
     cfg_path = tmp_path / "config.json"
     cost_model = {"kind": "uniform", "high": math.inf}
     _write_config(cfg_path, instance={"kind": "linear", "T": 50, "cost_model": cost_model})
-    proc = subprocess.run(
-        [sys.executable, "-m", "procure_learn", "run", "--config", str(cfg_path), "--jobs", "1"],
-        capture_output=True,
-        text=True,
-    )
+    proc = _child(["run", "--config", str(cfg_path), "--jobs", "1"])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "error: need finite 0 <= low <= high, got 0.0, inf" in proc.stderr
@@ -230,11 +236,7 @@ def test_coin_cost_above_c_max_exits_2_before_any_output(tmp_path, command, inst
         mechanism={"budget": 5.0, "c_max": 0.5},
         budget_grid=[5.0, 10.0],
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "procure_learn", command, "--config", str(cfg_path), "--jobs", "1"],
-        capture_output=True,
-        text=True,
-    )
+    proc = _child([command, "--config", str(cfg_path), "--jobs", "1"])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "error: the unit coin cost 1.0 exceeds the mechanism's c_max 0.5" in proc.stderr
@@ -561,6 +563,100 @@ def test_shipped_config_does_not_warn(tmp_path, capsys, name):
     cfg_path.write_text(json.dumps(config))
     assert main(["run", "--config", str(cfg_path), "--jobs", "1"]) == 0
     assert capsys.readouterr().err == ""
+
+
+# price scale 0 puts every coin round in the atom: each is bought at c_max = 1
+OVERSPEND = {
+    "instance": {"T": 200},
+    "mechanism": {"budget": 5.0, "price_scale": {"mode": "fixed", "value": 0.0}},
+}
+
+
+def test_process_outputs_match_in_process_main(tmp_path, capsys):
+    in_process = tmp_path / "in_process" / "config.json"
+    child = tmp_path / "child" / "config.json"
+    for path in (in_process, child):
+        path.parent.mkdir()
+        _write_config(path, **OVERSPEND)
+    assert main(["run", "--config", str(in_process), "--jobs", "1"]) == 0
+    expected = capsys.readouterr()
+
+    proc = _child(["run", "--config", str(child), "--jobs", "1"])
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    out = tmp_path / "child" / "out"
+    assert lines[0] == f"wrote {out / 'transcript.csv'} and {out / 'summary.csv'}"
+    assert lines[1:] == expected.out.splitlines()[1:] and len(lines) == 5
+    assert "spend: 200 +/- 0" in lines
+    # both streams reach their pipes although the process skips the teardown
+    assert proc.stderr == expected.err == "warning: mean spend 200 exceeds 1.05 x budget 5\n"
+    for name in ("transcript.csv", "summary.csv"):
+        assert (out / name).read_bytes() == (tmp_path / "in_process" / "out" / name).read_bytes()
+
+
+def test_process_sweep_jobs_do_not_change_output(tmp_path):
+    written = []
+    for jobs in ("2", "1"):
+        cfg_path = tmp_path / jobs / "config.json"
+        cfg_path.parent.mkdir()
+        _write_config(cfg_path, budget_grid=[10.0, 30.0])
+        proc = _child(["sweep", "--config", str(cfg_path), "--jobs", jobs])
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.splitlines()) == 1 + 3 * 2
+        written.append((cfg_path.parent / "out" / "sweep.csv").read_bytes())
+    assert written[0] == written[1]
+
+
+def test_usage_error_exits_2_from_a_process():
+    proc = _child(["run"])
+    assert proc.returncode == 2
+    assert "the following arguments are required: --config" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "unbuffered, code, message",
+    [(False, 120, "BrokenPipeError"), (True, 2, "error: [Errno 32] Broken pipe")],
+    ids=["buffered", "unbuffered"],
+)
+def test_closed_stdout_pipe_exit(tmp_path, unbuffered, code, message):
+    # buffered, the final flush fails and the interpreter exits 120; unbuffered,
+    # the first print fails inside main, which reports the OSError as exit 2
+    cfg_path = tmp_path / "config.json"
+    _write_config(cfg_path, **OVERSPEND)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _child(["run", "--config", str(cfg_path), "--jobs", "1"], unbuffered, write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code
+    assert message in proc.stderr
+
+
+def test_entry_flushes_both_streams_then_exits_with_mains_code(monkeypatch):
+    from procure_learn import cli
+
+    class Exited(Exception):
+        pass
+
+    out, err = io.BytesIO(), io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(out, encoding="utf-8"))
+    monkeypatch.setattr(sys, "stderr", io.TextIOWrapper(err, encoding="utf-8"))
+
+    def fake_main():
+        sys.stdout.write("partial")  # no newline: it stays in the buffer until a flush
+        sys.stderr.write("warned")
+        return 3
+
+    def fake_exit(code):
+        raise Exited(code, out.getvalue(), err.getvalue())
+
+    monkeypatch.setattr(cli, "main", fake_main)
+    monkeypatch.setattr(os, "_exit", fake_exit)
+    with pytest.raises(Exited) as exited:
+        cli.entry()
+    assert exited.value.args == (3, b"partial", b"warned")
 
 
 def test_sweep_rows_and_baseline_invariance(tmp_path):
