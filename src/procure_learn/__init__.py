@@ -55,7 +55,6 @@ from .pricing import (
     price_cdf,
     reserve,
     sample_price,
-    sample_prices,
     survival,
 )
 from .runner import (

@@ -10,7 +10,7 @@ The environment variable PROCURE_LEARN_SEED overrides the config seed.
 ``run`` and ``sweep`` warn on stderr when a mean spend exceeds 1.05 times
 the budget; their stdout and CSVs are the same either way.
 Exit codes: 0 success, 1 verify failures, 2 invalid config, unwritable
-output or arrays too large to allocate.
+output (a closed stdout pipe included) or arrays too large to allocate.
 The process entry, ``entry``, flushes stdout and stderr after ``main``
 returns and ends the process without the interpreter's teardown; ``main``
 itself only returns its exit code.
@@ -210,9 +210,16 @@ def entry() -> None:
     ``main``, flush both streams and exit with its code, skipping the
     interpreter's teardown (tens of milliseconds of garbage collection and
     deallocation). Every output file is closed and every pool worker joined
-    before ``main`` returns; exceptions, including a flush that raises, take
-    the normal exit path."""
+    before ``main`` returns. A stdout that cannot take the final flush, as
+    a closed pipe, is unwritable output: exit 2 with one ``error:`` line,
+    as ``main`` reports a print that fails. Uncaught exceptions take the
+    normal exit path."""
     code = main()
-    sys.stdout.flush()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        if code != 2:  # main has not reported the failed print already
+            print(f"error: {exc}", file=sys.stderr)
+        code = 2
     sys.stderr.flush()
     os._exit(code)

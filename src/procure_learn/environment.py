@@ -4,16 +4,17 @@ correlation, and IDX digit ingestion.
 
 An instance's payload names its task: labelled feature rows (hinge loss on
 an l2 ball) or outcomes (linear loss on the simplex). The instance gives
-each arrival's loss and delta at the hypothesis it posted.
+each arrival's loss and delta at the hypothesis it posted. Money is
+measured in units of the largest cost, so every cost lies in [0, 1]; each
+cost model refuses a cost it could draw above 1.
 
 Each kind is defined once, by its spec (``CoinSpec``, ``PaddedCoinSpec``,
 ``LinearTaskSpec``, ``IdxSpec``): the fields and defaults are its config
 keys, ``__post_init__`` refuses every value its build could not use, so a
-config is refused before any output, ``build(seed)`` makes the instance and
-``max_cost()`` names the highest cost it can draw. A build is a pure function
-of (spec, seed): identical inputs give byte-identical instances. Data and
-costs are drawn from separate child streams so that changing the cost model
-never perturbs the data."""
+config is refused before any output, and ``build(seed)`` makes the
+instance. A build is a pure function of (spec, seed): identical inputs give
+byte-identical instances. Data and costs are drawn from separate child
+streams so that changing the cost model never perturbs the data."""
 
 from __future__ import annotations
 
@@ -68,15 +69,11 @@ class ConstantCost:
     value: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.value < math.inf:  # NaN fails both
-            raise InvalidConfigError(f"constant cost must be finite and >= 0, got {self.value}")
+        if not 0.0 <= self.value <= 1.0:  # NaN fails both
+            raise InvalidConfigError(f"constant cost must lie in [0, 1], got {self.value}")
 
     def draw(self, rng, n, groups=None):
         return np.full(n, float(self.value))
-
-    def max_cost(self) -> tuple[str, float]:
-        """The key and value of the highest cost the model draws."""
-        return "cost_model value", self.value
 
 
 @dataclass(frozen=True)
@@ -85,14 +82,11 @@ class UniformCost:
     high: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.low <= self.high < math.inf:  # NaN fails all
-            raise InvalidConfigError(f"need finite 0 <= low <= high, got {self.low}, {self.high}")
+        if not 0.0 <= self.low <= self.high <= 1.0:  # NaN fails all
+            raise InvalidConfigError(f"need 0 <= low <= high <= 1, got {self.low}, {self.high}")
 
     def draw(self, rng, n, groups=None):
         return rng.uniform(self.low, self.high, size=n)
-
-    def max_cost(self) -> tuple[str, float]:
-        return "cost_model high", self.high
 
 
 @dataclass(frozen=True)
@@ -103,7 +97,8 @@ class TwoPointCost:
     whose group tag is listed, rescaling the within-group probability so the
     marginal is ``p_high``, or the targets' drawn share when that is smaller
     (every targeted point is then high, and none when the share is 0); other
-    points are always free.
+    points are always free. A ``high_cost`` above 1 is refused unless
+    ``p_high`` is 0, when it is never drawn.
     """
 
     p_high: float = 0.2
@@ -115,6 +110,8 @@ class TwoPointCost:
             raise InvalidConfigError(f"p_high must be a probability, got {self.p_high}")
         if not 0.0 <= self.high_cost < math.inf:
             raise InvalidConfigError(f"high_cost must be finite and >= 0, got {self.high_cost}")
+        if self.p_high > 0.0 and self.high_cost > 1.0:
+            raise InvalidConfigError(f"high_cost must lie in [0, 1], got {self.high_cost}")
 
     def draw(self, rng, n, groups=None):
         if self.target_groups is None:
@@ -127,9 +124,6 @@ class TwoPointCost:
             p_within = min(1.0, self.p_high / share) if share else 1.0
             high = mask & (rng.random(n) < p_within)
         return np.where(high, float(self.high_cost), 0.0)
-
-    def max_cost(self) -> tuple[str, float]:
-        return "cost_model high_cost", self.high_cost if self.p_high > 0.0 else 0.0
 
 
 CostModel = Union[ConstantCost, UniformCost, TwoPointCost]
@@ -150,10 +144,9 @@ class ProblemInstance:
     their loss is the hinge max(0, 1 - y * <w, x>). Vertex tasks populate
     outcomes on the simplex, with -1 marking filler points; their loss is
     1 - w[outcome], and 1 flat on filler points. Either loss is 1-Lipschitz
-    in the hypothesis under the space's norm. The payload, the test set and
-    their pairing with the space are checked when the instance is built; the
-    costs are checked against ``c_max`` by the mechanism that runs on it.
-    Treat all arrays as read-only once built.
+    in the hypothesis under the space's norm. The costs, the payload, the
+    test set and their pairing with the space are checked when the instance
+    is built. Treat all arrays as read-only once built.
     """
 
     space: HypothesisSpace
@@ -169,6 +162,8 @@ class ProblemInstance:
     def __post_init__(self):
         T, dim = len(self.costs), self.space.dim
         check_horizon(T)
+        if not np.all((self.costs >= 0.0) & (self.costs <= 1.0)):  # NaN fails both
+            raise InvalidConfigError("costs must lie in [0, 1]")
         if (self.outcomes is None) == (self.features is None):
             raise InvalidConfigError("an instance needs features or outcomes, not both")
         columns = ("features", "labels", "feature_norms", "outcomes", "groups")
@@ -317,12 +312,6 @@ class CoinSpec:
         """The arrivals that are coin flips, at the end; the others are filler."""
         return self.T
 
-    def max_cost(self) -> tuple[str, float]:
-        """What sets the highest cost an instance draws, and that cost: a
-        coin flip costs 1, and a stream that rounds its flips away has only
-        free filler."""
-        return "the unit coin cost", 1.0 if self.coins else 0.0
-
     def build(self, seed: SeedLike) -> ProblemInstance:
         n_null = self.T - self.coins
         p_heads = 0.5 + (self.epsilon if self.bias == "heads" else -self.epsilon)
@@ -388,9 +377,6 @@ class LinearTaskSpec:
             if not math.isfinite(getattr(self, key)):
                 raise InvalidConfigError(f"{key} must be finite, got {getattr(self, key)}")
         _check_targets(self.cost_model, range(2 * self.clusters), uniform=True)
-
-    def max_cost(self) -> tuple[str, float]:
-        return self.cost_model.max_cost()
 
     def build(self, seed: SeedLike) -> ProblemInstance:
         clusters = self.clusters
@@ -530,9 +516,6 @@ class IdxSpec:
 
     def _held_out(self, n: int) -> int:
         return int(round(self.holdout_fraction * n))
-
-    def max_cost(self) -> tuple[str, float]:
-        return self.cost_model.max_cost()
 
     def build(self, seed: SeedLike) -> ProblemInstance:
         digits = load_idx_labels(self.labels)

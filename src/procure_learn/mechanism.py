@@ -5,14 +5,16 @@ the randomized law scaled by the current ``price_scale``, and — if the agent
 accepts (price >= cost) — pays per the payment mode, reveals the cost, and
 feeds the gradient weighted by one over the acceptance probability at that
 cost. Rejected rounds feed the zero function. Losses accrue every round
-regardless of purchase.
+regardless of purchase. Money is measured in units of the largest cost:
+every cost and every price lies in [0, 1], and the budget is in the same
+unit.
 
 The budget is an expectation constraint by default: the scale is chosen so
 expected spend stays within it, and realized spend is reported. ``hard_stop``
 additionally forces the posted price to zero once spend reaches the budget
 (free arrivals are still collected) while hypotheses and losses keep flowing.
 
-``naive`` offers the maximum price to every arrival until the budget cannot
+``naive`` offers the maximum price, 1, to every arrival until the budget cannot
 cover another purchase, then posts price zero; ``baseline`` acquires every
 arrival and pays nothing (the unconstrained reference).
 
@@ -140,20 +142,16 @@ class PriorKnowledge:
 
 
 def choose_price_scale(
-    knowledge: PriorKnowledge,
-    horizon: int,
-    budget: float,
-    payment_mode: str = POSTED_PRICE,
-    c_max: float = 1.0,
+    knowledge: PriorKnowledge, horizon: int, budget: float, payment_mode: str = POSTED_PRICE
 ) -> float:
     """Smallest price scale whose expected spend provably fits the budget.
 
     At-cost: horizon * stat / budget with stat the best cost-value bound
     available (avg_value_cost, else avg_sqrt_cost, else sqrt(avg_cost)).
-    Posted-price: (horizon / budget) * (2 * avg_value * sqrt(c_max) -
-    avg_value_cost), degrading by substituting sqrt(c_max) bounds for unknown
-    statistics. A scale of 0 would buy every arrival at ``c_max``, which no
-    budget promise covers, so knowledge that gives a scale <= 0 is refused.
+    Posted-price: (horizon / budget) * (2 * avg_value - avg_value_cost),
+    degrading by substituting the bound 1 for unknown statistics. A scale of
+    0 would buy every arrival at price 1, which no budget promise covers, so
+    knowledge that gives a scale <= 0 is refused.
     """
     if not budget > 0:
         raise InvalidConfigError("budget must be positive")
@@ -171,21 +169,20 @@ def choose_price_scale(
         else:
             raise InvalidConfigError("no usable prior statistic supplied")
     else:
-        root = math.sqrt(c_max)
         if k.avg_value_cost is not None and k.avg_value is not None:
             used = "avg_value and avg_value_cost"
-            scale = ratio * (2.0 * k.avg_value * root - k.avg_value_cost)
+            scale = ratio * (2.0 * k.avg_value - k.avg_value_cost)
         elif k.avg_value_cost is not None:
-            used, scale = "avg_value_cost", ratio * (2.0 * root - k.avg_value_cost)
+            used, scale = "avg_value_cost", ratio * (2.0 - k.avg_value_cost)
         elif k.avg_sqrt_cost is not None or k.avg_cost is not None:
             used = "avg_sqrt_cost" if k.avg_sqrt_cost is not None else "avg_cost"
-            scale = ratio * 2.0 * root
+            scale = ratio * 2.0
         else:
             raise InvalidConfigError("no usable prior statistic supplied")
     if not scale > 0.0:
         raise InvalidConfigError(
             f"prior knowledge {used} gives price scale {scale}; from-knowledge "
-            "scales must be positive (a zero scale buys every arrival at c_max)"
+            "scales must be positive (a zero scale buys every arrival at price 1)"
         )
     return scale
 
@@ -259,7 +256,6 @@ class MechanismConfig:
     price_scale: ScalePolicy = AdaptiveScale()
     learning_rate: RatePolicy = TheoryRate()
     hard_stop: bool = False
-    c_max: float = 1.0
 
     def __post_init__(self):
         if not 0 < self.budget < math.inf:  # NaN fails both
@@ -268,14 +264,10 @@ class MechanismConfig:
             raise InvalidConfigError(f"unknown payment mode {self.payment_mode!r}")
         if self.purchase_policy not in POLICIES:
             raise InvalidConfigError(f"unknown purchase policy {self.purchase_policy!r}")
-        if not 0 < self.c_max < math.inf:
-            raise InvalidConfigError(
-                f"c_max (the maximum price) must be positive and finite, got {self.c_max}"
-            )
         if isinstance(self.price_scale, PriorKnowledge):
             # the scale's sign does not depend on the horizon, so knowledge
             # that gives no positive scale is refused before any run
-            choose_price_scale(self.price_scale, 1, self.budget, self.payment_mode, self.c_max)
+            choose_price_scale(self.price_scale, 1, self.budget, self.payment_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +315,6 @@ class Mechanism:
     """One run's mutable state: learner, budget ledger, scale policy, audit."""
 
     def __init__(self, config: MechanismConfig, instance: ProblemInstance):
-        costs = instance.costs
-        if not np.all((costs >= 0.0) & (costs <= config.c_max)):  # NaN fails both
-            raise InvalidConfigError(
-                f"instance costs must be finite and lie in [0, {config.c_max}]"
-            )
         self.config = config
         self.instance = instance
         self.horizon = instance.horizon
@@ -340,11 +327,7 @@ class Mechanism:
             self.price_scale = config.price_scale.value
         elif isinstance(config.price_scale, PriorKnowledge):
             self.price_scale = choose_price_scale(
-                config.price_scale,
-                instance.horizon,
-                config.budget,
-                config.payment_mode,
-                config.c_max,
+                config.price_scale, instance.horizon, config.budget, config.payment_mode
             )
         else:
             self.price_scale = 0.0
@@ -375,7 +358,8 @@ class Mechanism:
     def value_cost_estimate(self, t: Optional[int] = None) -> float:
         """Importance-weighted estimate of mean delta * sqrt(cost) over the
         rounds before round ``t`` (by default every round done), clipped to
-        [0, 1]; zero before the first round."""
+        [0, 1], the range of delta * sqrt(cost); zero before the first
+        round."""
         t = self.rounds_done if t is None else t
         return min(1.0, max(0.0, self.estimate_total / t)) if t else 0.0
 
@@ -419,14 +403,14 @@ class Mechanism:
         rows, the instance gives each round's loss and delta, and a cumulative
         sum adds the rows to the hypothesis sum in round order, as one round
         at a time does. One cumulative sum over the rounds then adds up the
-        loss, delta * sqrt(cost), delta, the importance-weighted estimate and
-        the payment, in round order too; a rejected round adds 0.0 to the
-        estimate and the spend, which leaves them as they are: so the spend
-        and the estimate equal bit for bit the running ones that ``_pay``
-        kept for the rounds to read. ``price`` and ``q`` need to hold only
-        at the accepted rounds: every round is then priced again from the
-        ``uniforms``, at the spend and the estimate before it where the run
-        is tracked."""
+        loss, delta * sqrt(cost), delta, and the payment and estimate term
+        of each bought round (``ledger_entry``), in round order too; a
+        rejected round adds 0.0 to the estimate and the spend, which leaves
+        them as they are: so the spend and the estimate equal bit for bit
+        the running ones that ``_walk`` kept for the rounds to read.
+        ``price`` and ``q`` need to hold only at the accepted rounds: every
+        round is then priced again from the ``uniforms``, at the spend and
+        the estimate before it where the run is tracked."""
         cfg, instance = self.config, self.instance
         T, costs, dim = self.horizon, instance.costs, instance.space.dim
         loss, delta = np.empty((2, T))
@@ -440,13 +424,15 @@ class Mechanism:
             loss[a:b], delta[a:b] = instance.at_posted(H, a, b)
             total = np.cumsum(rows, axis=0, out=rows)[-1]  # adds the rows in order
         self.hypothesis_sum = total.copy()
-        paid = accepted & (cfg.purchase_policy != BASELINE)  # baseline pays nothing
-        payment = np.where(paid, costs if cfg.payment_mode == AT_COST else price, 0.0)
-        value_cost = delta * np.sqrt(costs)
-        estimate = np.zeros(T)
-        estimate[accepted] = value_cost[accepted] / q[accepted]
+        bought = np.flatnonzero(accepted)
+        payment, estimate = np.zeros(T), np.zeros(T)
+        paid, estimate[bought] = ledger_entry(
+            delta[bought], costs[bought], price[bought], q[bought], cfg.payment_mode == AT_COST, np.sqrt
+        )
+        if cfg.purchase_policy != BASELINE:  # baseline pays nothing
+            payment[bought] = paid
         block = np.zeros((5, T + 1))  # every total starts at zero
-        block[:, 1:] = loss, value_cost, delta, estimate, payment
+        block[:, 1:] = loss, delta * np.sqrt(costs), delta, estimate, payment
         sums = block.cumsum(axis=1)
         state = (sums[3, :-1], sums[4, :-1]) if self._tracked else (0.0, 0.0)
         price, q, _ = self._posted(delta, 0, T, *state, uniforms)
@@ -467,22 +453,22 @@ class Mechanism:
         cfg = self.config
         n, costs = stop - start, self.instance.costs[start:stop]
         if cfg.purchase_policy == BASELINE:
-            return np.full(n, cfg.c_max), np.ones(n), np.ones(n, dtype=bool)
+            return np.ones(n), np.ones(n), np.ones(n, dtype=bool)
         if cfg.purchase_policy == NAIVE:
-            # every round is bought at c_max while the spend before it
-            # leaves room for c_max; the spend only grows, so the rounds
-            # that leave room are a prefix
-            open_payment = costs if cfg.payment_mode == AT_COST else np.full(n, cfg.c_max)
+            # every round is bought at price 1 while the spend before it
+            # leaves room for 1; the spend only grows, so the rounds that
+            # leave room are a prefix
+            open_payment = costs if cfg.payment_mode == AT_COST else np.ones(n)
             spent = np.cumsum(np.concatenate(([spend], open_payment[:-1])))
             price = np.zeros(n)
-            price[: np.count_nonzero(spent + cfg.c_max <= cfg.budget)] = cfg.c_max
+            price[: np.count_nonzero(spent + 1.0 <= cfg.budget)] = 1.0
             accepted = price >= costs
             return price, accepted.astype(np.float64), accepted
         if self._adaptive:
             scale = self.adapted_scales(np.arange(start, stop), estimate_total, spend)
         else:
             scale = self.price_scale
-        price, q, accepted = priced_rounds(delta, costs, uniforms[start:stop], scale, cfg.c_max)
+        price, q, accepted = priced_rounds(delta, costs, uniforms[start:stop], scale)
         if cfg.hard_stop:  # past the stop a flat price 0 buys the free arrivals
             stopped, free = spend >= cfg.budget, costs <= 0.0
             price, q = np.where(stopped, 0.0, price), np.where(stopped, free, q)
@@ -510,7 +496,8 @@ class Mechanism:
         margin of the round it visited last. STALE refusals, or a purchase
         that crosses the hard stop, start the next list."""
         cfg = self.config
-        T, c_max, tracked = self.horizon, cfg.c_max, self._tracked
+        T, tracked = self.horizon, self._tracked
+        at_cost = cfg.payment_mode == AT_COST
         costs, u = self.instance.costs, uniforms
         if tracked:  # a visit reads one value at a time, faster from lists
             costs, u = costs.tolist(), u.tolist()
@@ -536,14 +523,16 @@ class Mechanism:
                 if d <= 0.0:  # worthless: never bought, at every scale
                     continue
                 scale = self.adapted_scale(j) if self._adaptive else self.price_scale
-                p_j, q_j, accepted_j = priced_round(d, costs[j], u[j], scale, c_max)
+                p_j, q_j, accepted_j = priced_round(d, costs[j], u[j], scale)
                 if not accepted_j:
                     stale += 1
                     if stale == STALE:
                         stop = j + 1
                         break
                     continue
-                self._pay(d, costs[j], p_j, q_j)
+                payment, term = ledger_entry(d, costs[j], p_j, q_j, at_cost, math.sqrt)
+                self.spend += payment  # what the prices of later rounds read
+                self.estimate_total += term
                 price[j], q[j], accepted[j] = p_j, q_j, True
                 if bought is not None:
                     bought(j, d, q_j)
@@ -637,12 +626,6 @@ class Mechanism:
         posted = self.learner._feed_rows(gradients, 1.0 / q[fed], dlt[fed])
         return price, q, accepted, fed, posted
 
-    def _pay(self, dlt, cost, price, q) -> None:
-        """Pay for an accepted round of a tracked run: the running spend
-        and estimate that the prices of later rounds read."""
-        self.spend += cost if self.config.payment_mode == AT_COST else price
-        self.estimate_total += dlt * math.sqrt(cost) / q
-
     def finalize(self) -> Hypothesis:
         """Mean of the posted hypotheses, the run's single prediction."""
         if self.transcript is None:
@@ -659,6 +642,15 @@ class Mechanism:
     @property
     def realized_avg_value(self) -> float:
         return self.value_total / max(1, self.rounds_done)
+
+
+def ledger_entry(delta, cost, price, q, at_cost: bool, sqrt):
+    """A bought round's payment (its cost at cost, its price posted) and
+    its term of the adaptive estimate: delta * sqrt(cost) weighted by 1 / q.
+    The tracked walk takes it of one purchase at a time with ``math.sqrt``
+    and the settle pass of arrays of purchases with ``np.sqrt``: the same
+    arithmetic, so the same bits."""
+    return (cost if at_cost else price), delta * sqrt(cost) / q
 
 
 def _margin(x: np.ndarray, w: np.ndarray) -> float:

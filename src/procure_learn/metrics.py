@@ -60,8 +60,10 @@ class SequenceStats:
     avg_sqrt_cost / avg_cost: cost-only summaries, hypothesis-free.
     opt_value_cost: mean delta * sqrt(cost) evaluated at the offline optimum.
 
-    For unit-capped costs the chain avg_value_cost <= avg_value,
-    avg_value_cost <= avg_sqrt_cost <= sqrt(avg_cost) always holds.
+    Costs lie in [0, 1] (money in units of the largest cost), so each
+    statistic lies in [0, 1], the range ``PriorKnowledge`` accepts, and the
+    chain avg_value_cost <= avg_value, avg_value_cost <= avg_sqrt_cost <=
+    sqrt(avg_cost) always holds.
     """
 
     avg_value_cost: float

@@ -75,12 +75,6 @@ class ExperimentConfig:
             raise InvalidConfigError("need at least one trial")
         if self.seed < 0:  # numpy seeds only from nonnegative integers
             raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
-        source, cost = self.instance.max_cost()
-        if cost > self.mechanism.c_max:
-            raise InvalidConfigError(
-                f"{source} {cost} exceeds the mechanism's c_max {self.mechanism.c_max}: "
-                "every cost must lie in [0, c_max]"
-            )
         for budget in self.budget_grid or ():  # refused as the mechanism's budget would be
             dataclasses.replace(self.mechanism, budget=budget)
 

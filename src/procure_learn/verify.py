@@ -3,8 +3,8 @@
 Each check compares an observed quantity against its expected value at an
 explicit tolerance and reports a machine-readable verdict. Every check
 calls code that a run executes: the price law's functions, which can be
-injected to show that a broken variant fails, ``priced_rounds``, and
-``Mechanism.run`` for every learner check."""
+injected to show that a broken variant fails (``priced_rounds`` draws every
+array of prices), and ``Mechanism.run`` for every learner check."""
 
 from __future__ import annotations
 
@@ -58,21 +58,28 @@ def _result(name, observed, expected, tolerance, detail="") -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
+def _prices(rounds_fn: Callable, delta: float, scale: float, u: np.ndarray) -> np.ndarray:
+    """The prices ``rounds_fn`` posts at one delta and scale, a round per
+    uniform in ``u``; the price does not read the cost."""
+    return rounds_fn(np.full(len(u), delta), np.zeros(len(u)), u, scale)[0]
+
+
 def check_survival_empirical(
     n: int = 200_000,
     seed: int = 7,
     tolerance: float = 0.005,
-    sample_fn: Callable = pricing.sample_prices,
+    rounds_fn: Callable = pricing.priced_rounds,
     survival_fn: Callable = pricing.survival,
 ) -> CheckResult:
-    """Empirical Pr[price >= c] from sampled prices vs the survival formula."""
+    """Empirical Pr[price >= c] from the prices of ``priced_rounds`` vs the
+    survival formula."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_at = ""
     grid = np.linspace(0.05, 1.0, 10)
     for dlt in SURVIVAL_GRID_DELTAS:
         for scale in SURVIVAL_GRID_SCALES:
-            prices = sample_fn(dlt, scale, rng.random(n))
+            prices = _prices(rounds_fn, dlt, scale, rng.random(n))
             for c in grid:
                 empirical = float(np.mean(prices >= c))
                 gap = abs(empirical - survival_fn(dlt, scale, float(c)))
@@ -108,7 +115,7 @@ def check_cdf_roundtrip(
         for u in np.linspace(0.0, 0.999, 40):
             price = sample_fn(dlt, scale, float(u))
             if u >= 1.0 - atom:
-                if price != 1.0:  # the atom must land on c_max exactly
+                if price != 1.0:  # the atom must land on 1 exactly
                     worst = max(worst, 1.0)
             else:
                 worst = max(worst, abs(cdf_fn(dlt, scale, price) - u))
@@ -118,7 +125,7 @@ def check_cdf_roundtrip(
 def check_expected_payment(
     n: int = 200_000,
     seed: int = 11,
-    sample_fn: Callable = pricing.sample_prices,
+    rounds_fn: Callable = pricing.priced_rounds,
     payment_fn: Callable = pricing.expected_payment,
 ) -> CheckResult:
     """Monte-Carlo mean of price * [price >= c] vs the closed form, 3 SEs."""
@@ -126,7 +133,7 @@ def check_expected_payment(
     worst_z = 0.0
     worst_at = ""
     for dlt, scale in ((1.0, 2.0), (0.5, 2.0), (0.3, 1.0)):
-        prices = sample_fn(dlt, scale, rng.random(n))
+        prices = _prices(rounds_fn, dlt, scale, rng.random(n))
         for c in (0.0, 0.25, 0.81):
             paid = prices * (prices >= c)
             se = float(np.std(paid, ddof=1)) / math.sqrt(n)
@@ -136,14 +143,16 @@ def check_expected_payment(
     return _result("pricing.expected_payment_mc", worst_z, 0.0, 3.0, worst_at)
 
 
-def check_acceptance_probability(n: int = 100_000, seed: int = 13) -> CheckResult:
+def check_acceptance_probability(
+    n: int = 100_000, seed: int = 13, rounds_fn: Callable = pricing.priced_rounds
+) -> CheckResult:
     """The acceptance rate of ``priced_rounds``, which decides a run's
     rounds, equals the q it returns, which the run weights purchases by."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for dlt, scale, cost in ((0.6, 2.0, 0.5), (0.2, 1.0, 0.09), (1.0, 4.0, 0.04)):
         u = rng.random(n)
-        _, q, accepted = pricing.priced_rounds(np.full(n, dlt), np.full(n, cost), u, scale)
+        _, q, accepted = rounds_fn(np.full(n, dlt), np.full(n, cost), u, scale)
         worst = max(worst, float(np.max(np.abs(np.mean(accepted) - q))))
     return _result("pricing.acceptance_probability", worst, 0.0, 0.01)
 
@@ -266,24 +275,24 @@ def check_determinism(seed: int = 31) -> CheckResult:
 def run_checks(
     quick: bool = False,
     *,
-    sample_fn: Callable = pricing.sample_prices,
+    rounds_fn: Callable = pricing.priced_rounds,
     survival_fn: Callable = pricing.survival,
 ) -> dict:
-    """Run every invariant check; returns a JSON-ready report. ``sample_fn``
-    (the array sampler) and ``survival_fn`` stand in for the price law's in
+    """Run every invariant check; returns a JSON-ready report. ``rounds_fn``
+    (the array decision) and ``survival_fn`` stand in for the price law's in
     every check that calls them."""
     n_big = 20_000 if quick else 200_000
     n_mid = 50_000 if quick else 100_000  # at 10 000 the tolerance is about 2 SE
     runs = 100 if quick else 400
     tol_surv = 0.02 if quick else 0.005
     instances = 10 if quick else 50
-    price_kw = {"sample_fn": sample_fn, "survival_fn": survival_fn}
+    price_kw = {"rounds_fn": rounds_fn, "survival_fn": survival_fn}
     checks = [
         check_survival_empirical(n=n_big, tolerance=tol_surv, **price_kw),
         check_survival_monotonic(survival_fn),
         check_cdf_roundtrip(),
-        check_expected_payment(n=n_big, sample_fn=sample_fn),
-        check_acceptance_probability(n=n_mid),
+        check_expected_payment(n=n_big, rounds_fn=rounds_fn),
+        check_acceptance_probability(n=n_mid, rounds_fn=rounds_fn),
         check_full_information_bound(instances=instances),
         check_importance_unbiasedness(n=runs),
         check_simplex_validity(),

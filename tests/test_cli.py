@@ -165,21 +165,22 @@ def test_zero_round_config_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "mechanism, field",
+    "mechanism, message",
     [
-        # an adaptive posted-price run used to post and pay inf in round 0
-        ({"c_max": math.inf, "price_scale": {"mode": "adaptive"}}, "c_max"),
+        # an infinite c_max used to post and pay inf in round 0; money is
+        # now in units of the largest cost, and the key is refused by name
+        ({"c_max": math.inf, "price_scale": {"mode": "adaptive"}}, "unknown key(s) 'c_max'"),
         # a knowledge scale used to blame the prior for the scale 0.0
         ({"budget": math.inf}, "budget"),
     ],
     ids=["c_max", "budget"],
 )
-def test_non_finite_budget_or_c_max_exits_2(tmp_path, capsys, mechanism, field):
+def test_non_finite_budget_or_c_max_exits_2(tmp_path, capsys, mechanism, message):
     cfg_path = tmp_path / "config.json"
     _write_config(cfg_path, mechanism=mechanism)
     assert "Infinity" in cfg_path.read_text()
     assert main(["run", "--config", str(cfg_path), "--jobs", "1"]) == 2
-    assert f"error: {field}" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out" / "transcript.csv").exists()
 
 
@@ -192,25 +193,27 @@ def test_bad_cost_model_exits_2_before_any_output(tmp_path):
     proc = _child(["run", "--config", str(cfg_path), "--jobs", "1"])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert "error: need finite 0 <= low <= high, got 0.0, inf" in proc.stderr
+    assert "error: need 0 <= low <= high <= 1, got 0.0, inf" in proc.stderr
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
     "cost_model, mechanism, message",
     [
-        ({"kind": "uniform", "high": 2.0}, {}, "cost_model high 2.0 exceeds the mechanism's c_max 1.0"),
-        ({"kind": "uniform"}, {"c_max": 0.5}, "cost_model high 1.0 exceeds the mechanism's c_max 0.5"),
-        ({"kind": "constant", "value": 1.5}, {}, "cost_model value 1.5 exceeds"),
-        ({"kind": "two-point-independent", "high_cost": 3.0}, {}, "cost_model high_cost 3.0 exceeds"),
+        ({"kind": "uniform", "high": 2.0}, {}, "need 0 <= low <= high <= 1, got 0.0, 2.0"),
+        ({"kind": "uniform"}, {"c_max": 0.5}, "unknown key(s) 'c_max' in mechanism"),
+        ({"kind": "constant", "value": 1.5}, {}, "constant cost must lie in [0, 1], got 1.5"),
+        ({"kind": "two-point-independent", "high_cost": 3.0}, {}, "high_cost must lie in [0, 1], got 3.0"),
     ],
     ids=["uniform", "c_max", "constant", "two-point"],
 )
 def test_cost_model_above_c_max_exits_2_before_any_output(
     tmp_path, capsys, cost_model, mechanism, message
 ):
-    # a uniform high of 2 with the default c_max 1 used to pass the parser,
-    # make the output directory and then exit 2 in the first trial
+    # money is in units of the largest cost: each cost model refuses a cost
+    # above 1 that it could draw (a uniform high of 2 used to pass the
+    # parser, make the output directory and then exit 2 in the first trial),
+    # and a config that still sets c_max is refused by name
     cfg_path = tmp_path / "config.json"
     _write_config(
         cfg_path, instance={"kind": "linear", "T": 50, "cost_model": cost_model}, mechanism=mechanism
@@ -228,7 +231,9 @@ def test_cost_model_above_c_max_exits_2_before_any_output(
 )
 def test_coin_cost_above_c_max_exits_2_before_any_output(tmp_path, command, instance):
     # a coin flip costs 1; a c_max of 0.5 used to pass the parser, make the
-    # output directory and then exit 2 in the first trial
+    # output directory and then exit 2 in the first trial. The key is gone,
+    # money being in units of the largest cost, and both commands refuse it
+    # by name before any output
     cfg_path = tmp_path / "config.json"
     _write_config(
         cfg_path,
@@ -239,16 +244,19 @@ def test_coin_cost_above_c_max_exits_2_before_any_output(tmp_path, command, inst
     proc = _child([command, "--config", str(cfg_path), "--jobs", "1"])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert "error: the unit coin cost 1.0 exceeds the mechanism's c_max 0.5" in proc.stderr
+    assert "error: unknown key(s) 'c_max' in mechanism" in proc.stderr
     assert not (tmp_path / "out").exists()
 
 
 def test_padded_coin_of_only_filler_is_accepted_below_unit_c_max(tmp_path):
-    # round(0.01 * 40) flips: the stream is all free filler, whose highest cost is 0
+    # round(0.01 * 40) flips: the stream is all free filler, worthless to
+    # the learner, so no run buys or pays for any of it
     cfg_path = tmp_path / "config.json"
     instance = {"kind": "padded-coin", "T": 40, "coin_fraction": 0.01}
-    _write_config(cfg_path, instance=instance, mechanism={"c_max": 0.5}, trials=1)
+    _write_config(cfg_path, instance=instance, trials=1)
     assert main(["run", "--config", str(cfg_path), "--jobs", "1"]) == 0
+    summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+    assert summary[1].split(",")[2:4] == ["0", "0"]  # spend, purchases
 
 
 def test_cost_model_that_never_draws_its_high_cost_is_accepted(tmp_path):
@@ -378,7 +386,7 @@ SCHEMA_KEYS = {
     "cost_model": ["kind", "value", "low", "high", "p_high", "high_cost", "target_groups"],
     "mechanism": [
         "budget", "payment_mode", "purchase_policy", "price_scale", "learning_rate",
-        "hard_stop", "c_max",
+        "hard_stop",
     ],
     "price_scale": ["mode", "value", "avg_value_cost", "avg_value", "avg_sqrt_cost", "avg_cost"],
     "learning_rate": ["mode", "value", "scale"],
@@ -534,7 +542,7 @@ def test_default_jobs_counts_usable_cores(monkeypatch):
 
 
 def test_overspend_warns_on_stderr(tmp_path, capsys):
-    # scale 0.001 puts every coin round in the atom: each is bought at c_max = 1
+    # scale 0.001 puts every coin round in the atom: each is bought at price 1
     cfg_path = tmp_path / "config.json"
     _write_config(
         cfg_path,
@@ -565,7 +573,7 @@ def test_shipped_config_does_not_warn(tmp_path, capsys, name):
     assert capsys.readouterr().err == ""
 
 
-# price scale 0 puts every coin round in the atom: each is bought at c_max = 1
+# price scale 0 puts every coin round in the atom: each is bought at price 1
 OVERSPEND = {
     "instance": {"T": 200},
     "mechanism": {"budget": 5.0, "price_scale": {"mode": "fixed", "value": 0.0}},
@@ -614,14 +622,11 @@ def test_usage_error_exits_2_from_a_process():
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize(
-    "unbuffered, code, message",
-    [(False, 120, "BrokenPipeError"), (True, 2, "error: [Errno 32] Broken pipe")],
-    ids=["buffered", "unbuffered"],
-)
-def test_closed_stdout_pipe_exit(tmp_path, unbuffered, code, message):
-    # buffered, the final flush fails and the interpreter exits 120; unbuffered,
-    # the first print fails inside main, which reports the OSError as exit 2
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_exit(tmp_path, unbuffered):
+    # buffered, the final flush in entry fails (it used to exit 120 with a
+    # BrokenPipeError traceback); unbuffered, the first print fails inside
+    # main. Either way the output is unwritable: exit 2, one error line
     cfg_path = tmp_path / "config.json"
     _write_config(cfg_path, **OVERSPEND)
     read_end, write_end = os.pipe()
@@ -630,8 +635,10 @@ def test_closed_stdout_pipe_exit(tmp_path, unbuffered, code, message):
         proc = _child(["run", "--config", str(cfg_path), "--jobs", "1"], unbuffered, write_end)
     finally:
         os.close(write_end)
-    assert proc.returncode == code
-    assert message in proc.stderr
+    assert proc.returncode == 2
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert errors == ["error: [Errno 32] Broken pipe"]
+    assert "Traceback" not in proc.stderr
 
 
 def test_entry_flushes_both_streams_then_exits_with_mains_code(monkeypatch):

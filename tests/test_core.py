@@ -27,7 +27,7 @@ from procure_learn.environment import (
     ProblemInstance,
     UniformCost,
 )
-from procure_learn.mechanism import Mechanism, MechanismConfig, _margin
+from procure_learn.mechanism import _margin
 
 from oracles import hinge_row, mean_grad, project, write_idx_images, write_idx_labels
 
@@ -216,11 +216,14 @@ def _vertex_instance(outcomes, dim):
 
 
 def test_arrival_cost_checked():
-    # an arrival's cost is checked when a mechanism takes the instance
+    # an arrival's cost is checked when the instance is built, once for
+    # every run on it; money is in units of the largest cost
     inst = _vertex_instance([0, 1, 0], 2)
-    inst.costs[1] = -0.1
-    with pytest.raises(ValueError):
-        Mechanism(MechanismConfig(budget=1.0), inst)
+    for bad in (-0.1, 1.5):
+        costs = inst.costs.copy()
+        costs[1] = bad
+        with pytest.raises(ValueError, match=r"costs must lie in \[0, 1\]"):
+            replace(inst, costs=costs)
 
 
 def _at(instance, w, t):

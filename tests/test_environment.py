@@ -100,6 +100,22 @@ def test_constant_costs():
     np.testing.assert_array_equal(ConstantCost(0.5).draw(np.random.default_rng(0), 5), [0.5] * 5)
 
 
+def test_cost_models_refuse_a_cost_above_one():
+    # money is in units of the largest cost: a cost model refuses any cost
+    # above 1 that it could draw, before any instance is built
+    for model, args in (
+        (ConstantCost, (1.5,)),
+        (UniformCost, (0.0, 2.0)),
+        (TwoPointCost, (0.2, 3.0)),
+        (TwoPointCost, (0.0, np.inf)),
+    ):
+        with pytest.raises(InvalidConfigError):
+            model(*args)
+    # a high cost that is never drawn may exceed 1, and 1 itself is a cost
+    TwoPointCost(0.0, 3.0)
+    ConstantCost(1.0), UniformCost(1.0, 1.0), TwoPointCost(1.0, 1.0)
+
+
 def test_uniform_cost_mean():
     costs = UniformCost(0.0, 1.0).draw(np.random.default_rng(42), 100_000)
     assert float(costs.mean()) == pytest.approx(0.5, abs=0.005)
@@ -243,6 +259,9 @@ INVALID_PAYLOADS = {
     "outcomes-on-ball": ("vertex", {"space": l2_ball(2, 1.0)}),
     "features-on-simplex": ("feature", {"space": simplex(2)}),
     "both-payloads": ("feature", {"outcomes": np.array([0, 1, -1])}),
+    "cost-above-one": ("vertex", {"costs": np.array([1.0, 1.5, 0.0])}),
+    "cost-negative": ("feature", {"costs": np.array([1.0, -0.1, 0.0])}),
+    "cost-nan": ("feature", {"costs": np.array([1.0, np.nan, 0.0])}),
 }
 
 

@@ -23,6 +23,7 @@ from procure_learn.mechanism import (
     SCALE_CAP,
     TheoryRate,
     choose_price_scale,
+    ledger_entry,
     theory_learning_rate,
 )
 from procure_learn.metrics import risk
@@ -89,7 +90,7 @@ def test_choose_scale_validation():
     ],
 )
 def test_choose_scale_refuses_knowledge_giving_zero_scale(payment_mode, knowledge, statistic):
-    # a zero scale would buy every arrival at c_max, whatever the budget
+    # a zero scale would buy every arrival at price 1, whatever the budget
     with pytest.raises(InvalidConfigError, match=statistic):
         choose_price_scale(knowledge, 1000, 100, payment_mode)
     # the config refuses it, before any run
@@ -120,7 +121,7 @@ def test_priced_round_free_always_bought():
 
 
 def test_priced_round_tie_accepts():
-    # reserve at c_max: the price is deterministically 1 and cost 1 ties
+    # reserve at the top price: the price is deterministically 1 and cost 1 ties
     price, q, accepted = priced_round(2.0, 1.0, 0.0, 2.0)
     assert price == 1.0 and accepted
     assert q == pytest.approx(1.0)
@@ -137,18 +138,17 @@ def test_priced_round_zero_scale_buys_at_max_price():
 def test_priced_rounds_match_priced_round_bitwise(rng):
     for trial in range(400):
         n = int(rng.integers(1, 40))
-        c_max = float(rng.choice([1.0, 2.0]))
         delta = np.where(rng.random(n) < 0.3, 0.0, rng.random(n))
-        cost = c_max * np.where(rng.random(n) < 0.3, 0.0, rng.random(n))
+        cost = np.where(rng.random(n) < 0.3, 0.0, rng.random(n))
         u = rng.random(n)
         if trial % 2:  # one scale per round, some of them zero
             scale = np.where(rng.random(n) < 0.2, 0.0, 5.0 * rng.random(n))
         else:
             scale = float(rng.choice([0.0, 0.5, 3.0, 50.0]))
-        price, q, accepted = priced_rounds(delta, cost, u, scale, c_max)
+        price, q, accepted = priced_rounds(delta, cost, u, scale)
         scales = np.broadcast_to(scale, (n,))
         for i in range(n):
-            expected = priced_round(float(delta[i]), float(cost[i]), float(u[i]), float(scales[i]), c_max)
+            expected = priced_round(float(delta[i]), float(cost[i]), float(u[i]), float(scales[i]))
             assert (price[i], q[i], accepted[i]) == expected
             assert not np.signbit(price[i]) and not np.signbit(q[i])  # no -0.0 in the CSV
 
@@ -177,7 +177,8 @@ def test_adapted_scales_match_adapted_scale():
 def test_pay_never_lowers_a_later_adaptive_scale(payment_mode):
     # a tracked run's list of the rounds it could buy stays a superset after
     # a purchase only because a purchase never lowers the scale of a round
-    # to come
+    # to come; the walk adds each purchase's ledger entry to the running
+    # spend and estimate, as here
     rng = np.random.default_rng(4)
     inst = LinearTaskSpec(
         T=400, cost_model=UniformCost(), dim=3, clusters=2, separation=0.6, T_test=10
@@ -194,7 +195,9 @@ def test_pay_never_lowers_a_later_adaptive_scale(payment_mode):
         before = mech.adapted_scales(rounds, mech.estimate_total, mech.spend)
         d, cost, q = float(rng.random()), float(inst.costs[t]), float(rng.uniform(1e-3, 1.0))
         price = float(rng.uniform(cost, 1.0))
-        mech._pay(d, cost, price, q)
+        payment, term = ledger_entry(d, cost, price, q, payment_mode == "at-cost", math.sqrt)
+        mech.spend += payment
+        mech.estimate_total += term
         after = mech.adapted_scales(rounds, mech.estimate_total, mech.spend)
         assert np.all(after[t + 1:] >= before[t + 1:])
         assert all(mech.adapted_scale(r) >= s for r, s in zip(range(t + 1, inst.horizon), before[t + 1:]))
@@ -471,23 +474,18 @@ def test_config_validation():
         MechanismConfig(budget=1.0, payment_mode="gratis")
     with pytest.raises(InvalidConfigError):
         MechanismConfig(budget=1.0, purchase_policy="greedy")
-    # a NaN scale would buy at c_max one by one and never in windows
+    # a NaN scale would buy at price 1 one by one and never in windows
     for bad_scale in (-1.0, math.nan, math.inf):
         with pytest.raises(InvalidConfigError):
             FixedScale(bad_scale)
     assert math.copysign(1.0, FixedScale(-0.0).value) == 1.0  # the windows divide by it
-    # costs above c_max are rejected up front
-    with pytest.raises(InvalidConfigError):
-        Mechanism(
-            MechanismConfig(budget=1.0, c_max=0.5, learning_rate=FixedRate(0.1)), inst
-        )
 
 
-@pytest.mark.parametrize("field", ["budget", "c_max"])
+@pytest.mark.parametrize("field", ["budget"])
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 0.0])
 def test_budget_and_c_max_must_be_positive_and_finite(field, bad):
-    # an infinite c_max used to post and pay inf; an infinite budget reached
-    # the price scale as 0
+    # an infinite budget reached the price scale as 0; c_max, the largest
+    # cost, is now the unit of money and no longer a field
     with pytest.raises(InvalidConfigError, match=f"^{field}.*must be positive and finite"):
         MechanismConfig(**{"budget": 1.0, field: bad})
 
@@ -495,11 +493,12 @@ def test_budget_and_c_max_must_be_positive_and_finite(field, bad):
 @pytest.mark.parametrize("bad_cost", [math.nan, -0.5, math.inf])
 def test_costs_must_be_finite_and_within_range(bad_cost):
     # NaN used to run silently to avg_value_cost = nan, and -0.5 to die
-    # mid-run in math.sqrt
+    # mid-run in math.sqrt; the instance refuses them when it is built
     inst = CoinSpec(50, 0.1).build(2)
-    inst.costs[17] = bad_cost
-    with pytest.raises(InvalidConfigError):
-        Mechanism(MechanismConfig(budget=5.0, learning_rate=FixedRate(0.1)), inst)
+    costs = inst.costs.copy()
+    costs[17] = bad_cost
+    with pytest.raises(InvalidConfigError, match=r"costs must lie in \[0, 1\]"):
+        dataclasses.replace(inst, costs=costs)
 
 
 def test_run_determinism():

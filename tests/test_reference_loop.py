@@ -66,7 +66,7 @@ def reference_run(config, instance, rng):
     scale = setup.price_scale
     learner = LazyFtrl(instance.space, setup.learner.learning_rate)
     T = instance.horizon
-    budget, c_max = config.budget, config.c_max
+    budget = config.budget
     at_cost = config.payment_mode == "at-cost"
     adaptive = isinstance(config.price_scale, AdaptiveScale)
     uniforms = rng.random(T)
@@ -86,17 +86,17 @@ def reference_run(config, instance, rng):
             elif value <= 0.0:  # worthless: never bought, whatever the scale
                 price, q = 0.0, 0.0
             elif scale == 0.0:
-                price, q = c_max, 1.0
+                price, q = 1.0, 1.0
             else:
-                price = sample_price(value, scale, uniforms[t], c_max)
+                price = sample_price(value, scale, uniforms[t])
                 q = survival(value, scale, cost)
             accepted = q > 0.0 and price >= cost
         elif config.purchase_policy == "naive":
-            price = c_max if spend + c_max <= budget else 0.0
+            price = 1.0 if spend + 1.0 <= budget else 0.0
             accepted = price >= cost
             q = 1.0 if accepted else 0.0
         else:
-            price, q, accepted = c_max, 1.0, True
+            price, q, accepted = 1.0, 1.0, True
 
         if accepted:
             payment = 0.0 if config.purchase_policy == "baseline" else (
@@ -573,8 +573,7 @@ def test_workload_sized_vertex_run_matches_reference(name):
 @st.composite
 def drawn_runs(draw):
     """An instance and a mechanism config drawn over every kind, policy,
-    payment mode, scale policy and hard stop, with c_max in [1, 4]."""
-    c_max = draw(st.floats(1.0, 4.0))
+    payment mode, scale policy and hard stop, with costs in [0, 1]."""
     T = draw(st.integers(1, 300))
     seed = draw(st.integers(0, 2**16))
     kind = draw(st.sampled_from(["coin", "padded-coin", "linear"]))
@@ -583,7 +582,7 @@ def drawn_runs(draw):
     elif kind == "padded-coin":
         instance = PaddedCoinSpec(T, 0.1, coin_fraction=draw(st.floats(0.05, 1.0))).build(seed)
     else:
-        cost = UniformCost(0.0, draw(st.floats(0.0, c_max)))
+        cost = UniformCost(0.0, draw(st.floats(0.0, 1.0)))
         instance = LinearTaskSpec(
             T=T, cost_model=cost, dim=3, clusters=2, separation=0.6, T_test=5, noise=0.2
         ).build(seed)
@@ -602,7 +601,6 @@ def drawn_runs(draw):
         price_scale=price_scale,
         learning_rate=FixedRate(draw(st.floats(0.01, 1.0))),
         hard_stop=draw(st.booleans()),
-        c_max=c_max,
     )
     return instance, config, seed
 

@@ -202,6 +202,8 @@ def test_parse_config_rejects_unknowns():
         "scale": _base_config(
             mechanism={"budget": 20, "learning_rate": {"mode": "fixed", "value": 0.1, "scale": 2}}
         ),
+        # money is in units of the largest cost, so the cost cap is no key
+        "c_max": _base_config(mechanism={"budget": 20, "c_max": 1.0}),
     }.items():
         with pytest.raises(InvalidConfigError, match=f"unknown key.*'{key}'"):
             parse_config(config)
@@ -247,7 +249,6 @@ def test_parse_config_rejects_unknowns():
         for odd in ({}, [], None)
         for key, config in [
             ("budget", _base_config(mechanism={"budget": odd})),
-            ("c_max", _base_config(mechanism={"budget": 5, "c_max": odd})),
             ("epsilon", _base_config(instance={"kind": "coin", "T": 50, "epsilon": odd})),
             ("high", _base_config(instance={**linear, "cost_model": {"kind": "uniform", "high": odd}})),
             ("value", _base_config(mechanism={"budget": 5, "price_scale": {"mode": "fixed", "value": odd}})),
@@ -489,7 +490,7 @@ SHIPPED_CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 @pytest.mark.parametrize("payment_mode", ["posted-price", "at-cost"])
 def test_adaptive_scale_keeps_padded_coin_within_budget(payment_mode):
     # 70% of the shipped padded-coin stream is free filler with delta == 0;
-    # the adaptive scale starts at 0 and must not buy that filler at c_max
+    # the adaptive scale starts at 0 and must not buy that filler at price 1
     d = json.loads((SHIPPED_CONFIGS / "padded_coin_budget.json").read_text())
     d["mechanism"].update(price_scale={"mode": "adaptive"}, payment_mode=payment_mode)
     d["trials"] = 5

@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from procure_learn import pricing
 from procure_learn.cli import main
 from procure_learn.ftrl import FtrlLearner
 from procure_learn.mechanism import Mechanism
-from procure_learn.pricing import sample_prices
 from procure_learn.verify import (
     check_acceptance_probability,
     check_cdf_roundtrip,
@@ -48,43 +46,38 @@ def test_wrong_cdf_exponent_is_caught():
         run_checks(quick=True, survival=broken_survival)
 
 
-def test_wrong_sampler_exponent_is_caught(monkeypatch):
-    def broken_sampler(delta, scale, u, c_max=1.0):
+def test_wrong_sampler_exponent_is_caught():
+    def broken_sampler(delta, scale, u):
         if delta <= 0.0:
             return 0.0
-        atom = min(1.0, delta / (scale * math.sqrt(c_max)))
-        if u >= 1.0 - atom:
-            return c_max
+        if u >= 1.0 - min(1.0, delta / scale):
+            return 1.0
         return (delta / (scale * (1.0 - u))) ** 1.5  # wrong inverse CDF
 
     result = check_cdf_roundtrip(sample_fn=broken_sampler)
     assert not result.passed
 
-    # an array sampler that doubles every price fails each check that
-    # samples, the expected-payment one included
-    def doubled(delta, scale, u, c_max=1.0):
-        return 2.0 * sample_prices(delta, scale, u, c_max)
+    # priced_rounds, which decides runs, doubling every price (and deciding
+    # at the doubled price) fails each check that draws prices from it
+    def doubled(delta, cost, u, price_scale):
+        price, q, _ = pricing.priced_rounds(delta, cost, u, price_scale)
+        price = 2.0 * price
+        return price, q, (q > 0.0) & (price >= cost)
 
-    report = run_checks(quick=True, sample_fn=doubled)
+    report = run_checks(quick=True, rounds_fn=doubled)
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
-    assert {"pricing.survival_empirical", "pricing.expected_payment_mc"} <= failed
-    # and so does the same doubling inside priced_rounds, which decides runs
-    prices = pricing._prices
-    monkeypatch.setattr(pricing, "_prices", lambda *args: 2.0 * prices(*args))
-    assert not check_acceptance_probability(n=50_000).passed  # the n of verify --quick
+    drawn = ("survival_empirical", "expected_payment_mc", "acceptance_probability")
+    assert {f"pricing.{name}" for name in drawn} <= failed
 
 
-def test_run_q_at_the_wrong_exponent_is_caught(monkeypatch):
+def test_run_q_at_the_wrong_exponent_is_caught():
     # priced_rounds returning q at c instead of sqrt(c): the run weights its
     # purchases by a q that is not their acceptance rate
-    decide = pricing.priced_rounds
-
-    def wrong_q(delta, cost, u, price_scale, c_max=1.0):
-        price, _, accepted = decide(delta, cost, u, price_scale, c_max)
+    def wrong_q(delta, cost, u, price_scale):
+        price, _, accepted = pricing.priced_rounds(delta, cost, u, price_scale)
         return price, np.minimum(1.0, delta / (price_scale * cost)), accepted
 
-    monkeypatch.setattr(pricing, "priced_rounds", wrong_q)
-    assert not check_acceptance_probability(n=10_000).passed
+    assert not check_acceptance_probability(n=10_000, rounds_fn=wrong_q).passed
 
 
 def _loses_last_feed(monkeypatch):
