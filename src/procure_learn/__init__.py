@@ -26,11 +26,9 @@ from .core import (
 )
 from .environment import (
     CoinSpec,
-    ConstantCost,
     FormatError,
     IdxSpec,
     LinearTaskSpec,
-    PaddedCoinSpec,
     ProblemInstance,
     TwoPointCost,
     UniformCost,

@@ -6,11 +6,13 @@ baseline policies over a budget grid on paired instances; ``verify`` runs the
 Monte-Carlo invariant suite and emits a JSON report; ``oracle`` reports the
 best-in-hindsight hypothesis and the instance's difficulty statistics.
 
-The environment variable PROCURE_LEARN_SEED overrides the config seed.
-``run`` and ``sweep`` warn on stderr when a mean spend exceeds 1.05 times
-the budget; their stdout and CSVs are the same either way.
+``run``, ``sweep`` and ``oracle`` use the config's seed unless ``--seed``
+overrides it. ``run`` and ``sweep`` warn on stderr when a mean spend
+exceeds 1.05 times the budget; their stdout and CSVs are the same either
+way.
 Exit codes: 0 success, 1 verify failures, 2 invalid config, unwritable
-output (a closed stdout pipe included) or arrays too large to allocate.
+output (a closed stdout or stderr pipe included) or arrays too large to
+allocate.
 The process entry, ``entry``, flushes stdout and stderr after ``main``
 returns and ends the process without the interpreter's teardown; ``main``
 itself only returns its exit code.
@@ -19,6 +21,7 @@ itself only returns its exit code.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -44,20 +47,12 @@ from .runner import (
 )
 
 
-def _load(path: str, override_seed=None) -> ExperimentConfig:
-    config = load_config(path)
-    env_seed = os.environ.get("PROCURE_LEARN_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise InvalidConfigError(
-                f"PROCURE_LEARN_SEED must be an integer, got {env_seed!r}"
-            ) from None
-        config = dataclasses.replace(config, seed=seed)
-    if override_seed is not None:  # the flag wins over the environment
-        config = dataclasses.replace(config, seed=int(override_seed))
-    return config
+def _load(args) -> ExperimentConfig:
+    """The ``--config`` file's config, at the ``--seed`` flag's seed if set."""
+    config = load_config(args.config)
+    if args.seed is None:
+        return config
+    return dataclasses.replace(config, seed=args.seed)
 
 
 def _prepare_output(config: ExperimentConfig) -> Path:
@@ -98,7 +93,7 @@ def _mean_se_line(name: str, values) -> str:
 
 def cmd_run(args) -> int:
     jobs = _jobs(args)
-    config = _load(args.config, args.seed)
+    config = _load(args)
     out = _prepare_output(config)
 
     results = run_trials(config, jobs, record_transcript=True)
@@ -118,7 +113,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     jobs = _jobs(args)
-    config = _load(args.config, args.seed)
+    config = _load(args)
     if not config.budget_grid:
         raise InvalidConfigError("sweep needs a budget_grid in the config")
     out = _prepare_output(config)
@@ -146,7 +141,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    config = _load(args.config)
+    config = _load(args)
     instance_ss, _, _ = trial_streams(config.seed, 0)
     instance = config.instance.build(instance_ss)
     solution = offline_best(instance)
@@ -192,8 +187,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="best-in-hindsight hypothesis and stats")
     p_oracle.add_argument("--config", required=True)
+    p_oracle.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_oracle.set_defaults(fn=cmd_oracle)
     return parser
+
+
+def _report(exc: BaseException) -> None:
+    """One ``error:`` line on stderr, unless stderr cannot take it (a closed
+    pipe): the exit code then reports the failure alone."""
+    with contextlib.suppress(OSError):
+        print(f"error: {exc}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -201,7 +204,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (InvalidConfigError, FormatError, OSError, ValueError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(exc)
         return 2
 
 
@@ -212,14 +215,17 @@ def entry() -> None:
     deallocation). Every output file is closed and every pool worker joined
     before ``main`` returns. A stdout that cannot take the final flush, as
     a closed pipe, is unwritable output: exit 2 with one ``error:`` line,
-    as ``main`` reports a print that fails. Uncaught exceptions take the
-    normal exit path."""
+    as ``main`` reports a print that fails; so is a stderr that cannot take
+    its flush. Uncaught exceptions take the normal exit path."""
     code = main()
     try:
         sys.stdout.flush()
     except OSError as exc:
         if code != 2:  # main has not reported the failed print already
-            print(f"error: {exc}", file=sys.stderr)
+            _report(exc)
         code = 2
-    sys.stderr.flush()
+    try:
+        sys.stderr.flush()
+    except OSError:
+        code = 2
     os._exit(code)

@@ -8,11 +8,11 @@ each arrival's loss and delta at the hypothesis it posted. Money is
 measured in units of the largest cost, so every cost lies in [0, 1]; each
 cost model refuses a cost it could draw above 1.
 
-Each kind is defined once, by its spec (``CoinSpec``, ``PaddedCoinSpec``,
-``LinearTaskSpec``, ``IdxSpec``): the fields and defaults are its config
-keys, ``__post_init__`` refuses every value its build could not use, so a
-config is refused before any output, and ``build(seed)`` makes the
-instance. A build is a pure function of (spec, seed): identical inputs give
+Each kind is defined once, by its spec (``CoinSpec``, ``LinearTaskSpec``,
+``IdxSpec``): the fields and defaults are its config keys,
+``__post_init__`` refuses every value its build could not use, so a config
+is refused before any output, and ``build(seed)`` makes the instance. A
+build is a pure function of (spec, seed): identical inputs give
 byte-identical instances. Data and costs are drawn from separate child
 streams so that changing the cost model never perturbs the data."""
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -65,19 +65,9 @@ def _spawn(seed: SeedLike, n: int) -> list[np.random.Generator]:
 
 
 @dataclass(frozen=True)
-class ConstantCost:
-    value: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.value <= 1.0:  # NaN fails both
-            raise InvalidConfigError(f"constant cost must lie in [0, 1], got {self.value}")
-
-    def draw(self, rng, n, groups=None):
-        return np.full(n, float(self.value))
-
-
-@dataclass(frozen=True)
 class UniformCost:
+    """Costs uniform on [low, high]; ``low == high == v`` draws v exactly."""
+
     low: float = 0.0
     high: float = 1.0
 
@@ -126,7 +116,7 @@ class TwoPointCost:
         return np.where(high, float(self.high_cost), 0.0)
 
 
-CostModel = Union[ConstantCost, UniformCost, TwoPointCost]
+CostModel = Union[UniformCost, TwoPointCost]
 
 
 # ---------------------------------------------------------------------------
@@ -290,15 +280,20 @@ def _check_targets(cost_model: CostModel, tags: Sequence[int], uniform: bool) ->
 
 @dataclass(frozen=True)
 class CoinSpec:
-    """T i.i.d. flips of a coin biased by ``epsilon`` toward ``bias``.
+    """T arrivals: i.i.d. flips of a coin biased by ``epsilon`` toward
+    ``bias``, after free filler when ``coin_fraction`` is below 1.
 
-    Unit costs, two-vertex simplex hypotheses, linear losses: the hard stream
-    behind the no-data-no-regret scaling.
+    Two-vertex simplex hypotheses, linear losses: the hard stream behind the
+    no-data-no-regret scaling. The first (1 - coin_fraction) * T arrivals
+    are filler points with cost 0 (constant loss, zero gradient); the rest
+    are flips with cost 1, so the realized mean of delta * sqrt(cost) equals
+    ``coin_fraction`` for every hypothesis.
     """
 
     T: int
     epsilon: float = 0.1
     bias: str = "heads"
+    coin_fraction: float = 1.0
 
     def __post_init__(self):
         check_horizon(self.T)
@@ -306,11 +301,13 @@ class CoinSpec:
             raise InvalidConfigError(f"epsilon must lie in [0, 0.5), got {self.epsilon}")
         if self.bias not in ("heads", "tails"):
             raise InvalidConfigError(f"bias must be 'heads' or 'tails', got {self.bias!r}")
+        if not 0.0 < self.coin_fraction <= 1.0:  # NaN fails both
+            raise InvalidConfigError(f"coin_fraction must lie in (0, 1], got {self.coin_fraction}")
 
     @property
     def coins(self) -> int:
         """The arrivals that are coin flips, at the end; the others are filler."""
-        return self.T
+        return int(round(self.coin_fraction * self.T))
 
     def build(self, seed: SeedLike) -> ProblemInstance:
         n_null = self.T - self.coins
@@ -319,28 +316,6 @@ class CoinSpec:
         outcomes = np.concatenate([np.full(n_null, NULL_OUTCOME, dtype=np.int64), flips])
         costs = np.concatenate([np.zeros(n_null), np.ones(self.coins)])
         return ProblemInstance(space=simplex(2), costs=costs, outcomes=outcomes)
-
-
-@dataclass(frozen=True)
-class PaddedCoinSpec(CoinSpec):
-    """Free filler arrivals followed by unit-cost coin flips.
-
-    The first (1 - coin_fraction) * T arrivals are filler points with cost 0
-    (constant loss, zero gradient); the rest are coin flips with cost 1. The
-    realized mean of delta * sqrt(cost) over the sequence equals
-    ``coin_fraction`` for every hypothesis.
-    """
-
-    coin_fraction: float = field(kw_only=True)
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not 0.0 < self.coin_fraction <= 1.0:  # NaN fails both
-            raise InvalidConfigError(f"coin_fraction must lie in (0, 1], got {self.coin_fraction}")
-
-    @property
-    def coins(self) -> int:
-        return int(round(self.coin_fraction * self.T))
 
 
 @dataclass(frozen=True)
@@ -544,4 +519,4 @@ class IdxSpec:
         )
 
 
-InstanceSpec = Union[CoinSpec, PaddedCoinSpec, LinearTaskSpec, IdxSpec]
+InstanceSpec = Union[CoinSpec, LinearTaskSpec, IdxSpec]

@@ -40,7 +40,7 @@ stop the price is a flat 0. No other run reads the state mid-run (naive
 reads only its own spend, a prefix sum known up front, and a fixed or
 from-knowledge scale is one number), so its one list covers every round.
 
-A vertex run (an outcome task: the coin and padded-coin streams) decides
+A vertex run (an outcome task: a coin stream, with or without filler) decides
 first and then learns. Its delta is 1 on every outcome and 0 on filler
 points at every hypothesis, so the bound is exact: an untracked run's list
 is its decision, and a tracked one walks. The learner then replays the

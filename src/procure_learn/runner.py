@@ -32,11 +32,9 @@ import numpy as np
 from .core import InvalidConfigError
 from .environment import (
     CoinSpec,
-    ConstantCost,
     IdxSpec,
     InstanceSpec,
     LinearTaskSpec,
-    PaddedCoinSpec,
     ProblemInstance,
     TwoPointCost,
     UniformCost,
@@ -178,9 +176,8 @@ def _one_of(tag: str, kinds: dict):
 
 
 # the classes a tagged section's tag names
-_INSTANCE_KINDS = {"coin": CoinSpec, "padded-coin": PaddedCoinSpec, "linear": LinearTaskSpec, "idx": IdxSpec}
+_INSTANCE_KINDS = {"coin": CoinSpec, "linear": LinearTaskSpec, "idx": IdxSpec}
 _COST_MODEL_KINDS = {
-    "constant": ConstantCost,
     "uniform": UniformCost,
     "two-point-independent": TwoPointCost,
     "two-point-correlated": TwoPointCost,

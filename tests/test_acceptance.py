@@ -223,7 +223,7 @@ def test_criterion_8_online_to_batch():
 def test_criterion_9_byte_determinism(tmp_path):
     start = time.perf_counter()
     config = {
-        "instance": {"kind": "padded-coin", "T": 2000, "coin_fraction": 0.3, "epsilon": 0.1},
+        "instance": {"kind": "coin", "T": 2000, "coin_fraction": 0.3, "epsilon": 0.1},
         "mechanism": {
             "budget": 40.0,
             "price_scale": {"mode": "from-knowledge", "avg_value_cost": 0.3, "avg_value": 0.3},

@@ -48,14 +48,14 @@ def _write_config(path, **overrides):
     return config
 
 
-def _child(args, unbuffered=False, stdout=subprocess.PIPE):
+def _child(args, unbuffered=False, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
     """``python -m procure_learn`` with ``args``; its stdout is block-buffered
     unless ``unbuffered``, whatever the calling environment says."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     argv = [sys.executable, "-m", "procure_learn", *args]
-    return subprocess.run(argv, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True)
+    return subprocess.run(argv, env=env, stdout=stdout, stderr=stderr, text=True)
 
 
 def test_run_writes_deterministic_artifacts(tmp_path, capsys):
@@ -93,22 +93,27 @@ def test_run_jobs_do_not_change_output(tmp_path):
         assert [(out / name).read_bytes() for name in files] == one
 
 
-def test_seed_override_changes_results(tmp_path, monkeypatch):
+def test_seed_override_changes_results(tmp_path, monkeypatch, capsys):
+    # --seed overrides the config's seed, for run and oracle alike; the
+    # environment variable that used to override it is not read, even when
+    # it is not an integer
     cfg_path = tmp_path / "config.json"
     _write_config(cfg_path)
-    assert main(["run", "--config", str(cfg_path)]) == 0
-    base = (tmp_path / "out" / "summary.csv").read_bytes()
 
-    monkeypatch.setenv("PROCURE_LEARN_SEED", "999")
-    assert main(["run", "--config", str(cfg_path)]) == 0
-    assert (tmp_path / "out" / "summary.csv").read_bytes() != base
-    monkeypatch.delenv("PROCURE_LEARN_SEED")
+    def outputs(*args):
+        """The run's two CSVs and printout, then the oracle's report."""
+        assert main(["run", "--config", str(cfg_path), *args]) == 0
+        printed = capsys.readouterr().out
+        assert main(["oracle", "--config", str(cfg_path), *args]) == 0
+        csvs = [(tmp_path / "out" / name).read_bytes() for name in ("transcript.csv", "summary.csv")]
+        return [*csvs, printed, capsys.readouterr().out]
 
-    assert main(["run", "--config", str(cfg_path), "--seed", "999"]) == 0
-    overridden = (tmp_path / "out" / "summary.csv").read_bytes()
-    assert overridden != base
-    # the flag must not leak into the process environment
-    assert "PROCURE_LEARN_SEED" not in os.environ
+    base = outputs()
+    for value in ("999", "abc"):
+        monkeypatch.setenv("PROCURE_LEARN_SEED", value)
+        assert outputs() == base
+    assert outputs("--seed", "11") == base  # the config's own seed
+    assert all(new != old for new, old in zip(outputs("--seed", "999"), base))
 
 
 def test_baseline_spend_column_zero(tmp_path):
@@ -202,7 +207,8 @@ def test_bad_cost_model_exits_2_before_any_output(tmp_path):
     [
         ({"kind": "uniform", "high": 2.0}, {}, "need 0 <= low <= high <= 1, got 0.0, 2.0"),
         ({"kind": "uniform"}, {"c_max": 0.5}, "unknown key(s) 'c_max' in mechanism"),
-        ({"kind": "constant", "value": 1.5}, {}, "constant cost must lie in [0, 1], got 1.5"),
+        # a fixed cost is a uniform one of zero width; the old kind is refused
+        ({"kind": "constant", "value": 1.5}, {}, "unknown cost_model kind 'constant'"),
         ({"kind": "two-point-independent", "high_cost": 3.0}, {}, "high_cost must lie in [0, 1], got 3.0"),
     ],
     ids=["uniform", "c_max", "constant", "two-point"],
@@ -226,7 +232,7 @@ def test_cost_model_above_c_max_exits_2_before_any_output(
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize(
     "instance",
-    [{"kind": "coin", "T": 50}, {"kind": "padded-coin", "T": 50, "coin_fraction": 0.5}],
+    [{"kind": "coin", "T": 50}, {"kind": "coin", "T": 50, "coin_fraction": 0.5}],
     ids=["coin", "padded-coin"],
 )
 def test_coin_cost_above_c_max_exits_2_before_any_output(tmp_path, command, instance):
@@ -252,7 +258,7 @@ def test_padded_coin_of_only_filler_is_accepted_below_unit_c_max(tmp_path):
     # round(0.01 * 40) flips: the stream is all free filler, worthless to
     # the learner, so no run buys or pays for any of it
     cfg_path = tmp_path / "config.json"
-    instance = {"kind": "padded-coin", "T": 40, "coin_fraction": 0.01}
+    instance = {"kind": "coin", "T": 40, "coin_fraction": 0.01}
     _write_config(cfg_path, instance=instance, trials=1)
     assert main(["run", "--config", str(cfg_path), "--jobs", "1"]) == 0
     summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
@@ -285,8 +291,17 @@ LATE_REFUSALS = {
     # arguments; extra environment; the whole error line), or a function of
     # the test's directory that gives them
     "padded-coin-fraction": (
-        {"instance": {"kind": "padded-coin", "T": 50, "coin_fraction": 0.0}},
-        [], {}, "coin_fraction must lie in (0, 1], got 0.0",
+        {"instance": {"coin_fraction": 0.0}}, [], {}, "coin_fraction must lie in (0, 1], got 0.0",
+    ),
+    # spellings that only restated another: a coin of coin_fraction f, and
+    # the uniform cost of low = high = v
+    "padded-coin-kind": (
+        {"instance": {"kind": "padded-coin", "T": 50, "coin_fraction": 0.5}},
+        [], {}, "unknown instance kind 'padded-coin'",
+    ),
+    "constant-kind": (
+        {"instance": {**LINEAR, "cost_model": {"kind": "constant", "value": 0.0}}},
+        [], {}, "unknown cost_model kind 'constant'",
     ),
     "coin-T": ({"instance": {"T": 0}}, [], {}, "an instance needs a horizon T >= 1, got T = 0"),
     "coin-epsilon": ({"instance": {"epsilon": 0.9}}, [], {}, "epsilon must lie in [0, 0.5), got 0.9"),
@@ -328,10 +343,6 @@ LATE_REFUSALS = {
     "budget-grid": ({"budget_grid": [-1]}, [], {}, "budget must be positive and finite, got -1.0"),
     "config-seed": ({"seed": -1}, [], {}, "seed must be >= 0, got -1"),
     "flag-seed": ({}, ["--seed", "-2"], {}, "seed must be >= 0, got -2"),
-    "environment-seed": ({}, [], {"PROCURE_LEARN_SEED": "-3"}, "seed must be >= 0, got -3"),
-    "environment-seed-text": (
-        {}, [], {"PROCURE_LEARN_SEED": "abc"}, "PROCURE_LEARN_SEED must be an integer, got 'abc'",
-    ),
     "idx-files-absent": (
         None, [], {},
         "cannot read the images file '/path/to/train-images-idx3-ubyte': No such file or directory",
@@ -383,7 +394,7 @@ SCHEMA_KEYS = {
         "separation", "T_test", "radius", "spread", "noise", "images", "labels",
         "positive_digits", "negative_digits", "limit", "holdout_fraction",
     ],
-    "cost_model": ["kind", "value", "low", "high", "p_high", "high_cost", "target_groups"],
+    "cost_model": ["kind", "low", "high", "p_high", "high_cost", "target_groups"],
     "mechanism": [
         "budget", "payment_mode", "purchase_policy", "price_scale", "learning_rate",
         "hard_stop",
@@ -399,18 +410,20 @@ ODD_VALUES = [
 
 @st.composite
 def _config_trees(draw, root):
-    """A valid config of T = 40 and 2 trials for any instance kind, cost
-    model, price scale and learning rate, with up to three keys of any
-    section set to an odd value."""
+    """A config of T = 40 and 2 trials for any instance kind, cost model,
+    price scale and learning rate, with up to three keys of any section set
+    to an odd value. The deleted spellings ``padded-coin`` and ``constant``
+    are drawn too, to be refused."""
     kind = draw(st.sampled_from(["coin", "padded-coin", "linear", "idx"]))
     cost = draw(st.sampled_from([
         {"kind": "constant", "value": 0.5},
+        {"kind": "uniform", "low": 0.5, "high": 0.5},
         {"kind": "uniform"},
         {"kind": "two-point-independent", "p_high": 0.3},
         {"kind": "two-point-correlated", "p_high": 0.2, "target_groups": [9 if kind == "idx" else 0]},
     ]))
     instance = {
-        "coin": {"kind": "coin", "T": 40},
+        "coin": {"kind": "coin", "T": 40, "coin_fraction": draw(st.floats(0.01, 1.0))},
         "padded-coin": {"kind": "padded-coin", "T": 40, "coin_fraction": 0.5},
         "linear": {**LINEAR, "T": 40, "T_test": 10, "dim": 3},
         "idx": _idx_instance(root),
@@ -622,20 +635,29 @@ def test_usage_error_exits_2_from_a_process():
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-def test_closed_stdout_pipe_exit(tmp_path, unbuffered):
+@pytest.mark.parametrize(
+    "unbuffered, both",
+    [(False, False), (True, False), (False, True), (True, True)],
+    ids=["buffered", "unbuffered", "both-closed-buffered", "both-closed-unbuffered"],
+)
+def test_closed_stdout_pipe_exit(tmp_path, unbuffered, both):
     # buffered, the final flush in entry fails (it used to exit 120 with a
     # BrokenPipeError traceback); unbuffered, the first print fails inside
-    # main. Either way the output is unwritable: exit 2, one error line
+    # main. Either way the output is unwritable: exit 2, one error line. With
+    # stderr closed too, the overspend warning and the error line cannot be
+    # written either (buffered, that used to exit 120): exit 2 all the same
     cfg_path = tmp_path / "config.json"
     _write_config(cfg_path, **OVERSPEND)
     read_end, write_end = os.pipe()
     os.close(read_end)
+    stderr = write_end if both else subprocess.PIPE
     try:
-        proc = _child(["run", "--config", str(cfg_path), "--jobs", "1"], unbuffered, write_end)
+        proc = _child(["run", "--config", str(cfg_path), "--jobs", "1"], unbuffered, write_end, stderr)
     finally:
         os.close(write_end)
     assert proc.returncode == 2
+    if both:
+        return  # nothing the child wrote can be read
     errors = [line for line in proc.stderr.splitlines() if "error:" in line]
     assert errors == ["error: [Errno 32] Broken pipe"]
     assert "Traceback" not in proc.stderr
@@ -698,7 +720,7 @@ def test_oracle_padded_coin(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     _write_config(
         cfg_path,
-        instance={"kind": "padded-coin", "T": 1000, "coin_fraction": 0.3, "epsilon": 0.1},
+        instance={"kind": "coin", "T": 1000, "coin_fraction": 0.3, "epsilon": 0.1},
     )
     assert main(["oracle", "--config", str(cfg_path)]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -726,7 +748,7 @@ def test_oracle_zero_cost_instance(tmp_path, capsys):
             "kind": "linear",
             "T": 200,
             "T_test": 50,
-            "cost_model": {"kind": "constant", "value": 0.0},
+            "cost_model": {"kind": "uniform", "low": 0.0, "high": 0.0},
         },
     )
     assert main(["oracle", "--config", str(cfg_path)]) == 0

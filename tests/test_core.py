@@ -23,7 +23,6 @@ from procure_learn.environment import (
     CoinSpec,
     IdxSpec,
     LinearTaskSpec,
-    PaddedCoinSpec,
     ProblemInstance,
     UniformCost,
 )
@@ -425,7 +424,7 @@ def test_vertex_row_range_kernel_matches_scalar(rng):
 def test_generators_pair_payload_with_space(tmp_path, rng):
     write_idx_images(tmp_path / "img.idx", rng.integers(0, 256, size=(20, 4, 4), dtype=np.uint8))
     write_idx_labels(tmp_path / "lab.idx", rng.choice([9, 8, 1, 4], size=20).astype(np.uint8))
-    vertex = [CoinSpec(10, 0.1).build(0), PaddedCoinSpec(10, 0.1, coin_fraction=0.5).build(0)]
+    vertex = [CoinSpec(10, 0.1).build(0), CoinSpec(10, 0.1, coin_fraction=0.5).build(0)]
     feature = [
         LinearTaskSpec(
             T=10, cost_model=UniformCost(), dim=3, clusters=2, separation=0.6, T_test=5

@@ -4,11 +4,9 @@ import pytest
 from procure_learn.core import NULL_OUTCOME, InvalidConfigError, l2_ball, simplex
 from procure_learn.environment import (
     CoinSpec,
-    ConstantCost,
     FormatError,
     IdxSpec,
     LinearTaskSpec,
-    PaddedCoinSpec,
     ProblemInstance,
     TwoPointCost,
     UniformCost,
@@ -51,7 +49,7 @@ def test_biased_coin_majority_is_offline_best():
 
 
 def test_padded_coin_layout():
-    inst = PaddedCoinSpec(1000, 0.1, coin_fraction=0.3).build(3)
+    inst = CoinSpec(1000, 0.1, coin_fraction=0.3).build(3)
     assert inst.horizon == 1000
     assert int(np.sum(inst.outcomes == NULL_OUTCOME)) == 700
     assert int(np.sum(inst.outcomes >= 0)) == 300
@@ -61,7 +59,7 @@ def test_padded_coin_layout():
 
 def test_padded_coin_value_cost_statistic_is_hypothesis_free(rng):
     # filler points have zero delta and zero cost; coins have delta 1, cost 1
-    inst = PaddedCoinSpec(1000, 0.1, coin_fraction=0.3).build(5)
+    inst = CoinSpec(1000, 0.1, coin_fraction=0.3).build(5)
     for _ in range(10):
         w = rng.dirichlet(np.ones(2))
         deltas = inst.grad_norms_at(w)
@@ -70,21 +68,25 @@ def test_padded_coin_value_cost_statistic_is_hypothesis_free(rng):
 
 
 def test_padded_coin_full_fraction_reduces_to_coins():
-    padded = PaddedCoinSpec(500, 0.2, "tails", coin_fraction=1.0).build(9)
+    # the default fraction, 1, is the plain coin stream: every arrival a
+    # unit-cost flip. A smaller one puts filler before the same first flips
     plain = CoinSpec(500, 0.2, "tails").build(9)
-    np.testing.assert_array_equal(padded.outcomes, plain.outcomes)
-    np.testing.assert_array_equal(padded.costs, plain.costs)
+    assert CoinSpec(500, 0.2, "tails").coins == 500
+    assert np.all(plain.outcomes >= 0)
+    np.testing.assert_array_equal(plain.costs, 1.0)
+    padded = CoinSpec(500, 0.2, "tails", coin_fraction=0.3).build(9)
+    np.testing.assert_array_equal(padded.outcomes[350:], plain.outcomes[:150])
 
 
 def test_padded_coin_fraction_validation():
     with pytest.raises(ValueError):
-        PaddedCoinSpec(100, 0.1, coin_fraction=0.0)
+        CoinSpec(100, 0.1, coin_fraction=0.0)
     with pytest.raises(ValueError):
-        PaddedCoinSpec(100, 0.1, coin_fraction=1.2)
+        CoinSpec(100, 0.1, coin_fraction=1.2)
 
 
 def test_padded_coin_vanishing_fraction_is_all_filler():
-    inst = PaddedCoinSpec(100, 0.1, coin_fraction=1e-9).build(0)
+    inst = CoinSpec(100, 0.1, coin_fraction=1e-9).build(0)
     assert np.all(inst.outcomes == NULL_OUTCOME)
     # every hypothesis suffers the same (constant) loss
     np.testing.assert_array_equal(losses_at(inst, np.array([1.0, 0.0])), np.ones(100))
@@ -97,14 +99,17 @@ def test_padded_coin_vanishing_fraction_is_all_filler():
 
 
 def test_constant_costs():
-    np.testing.assert_array_equal(ConstantCost(0.5).draw(np.random.default_rng(0), 5), [0.5] * 5)
+    # a fixed cost v is the uniform cost of zero width: it draws v exactly
+    for v in (0.0, 0.3, 0.5, 1.0, 5e-324):
+        costs = UniformCost(v, v).draw(np.random.default_rng(0), 1000)
+        assert costs.tolist() == [v] * 1000
 
 
 def test_cost_models_refuse_a_cost_above_one():
     # money is in units of the largest cost: a cost model refuses any cost
     # above 1 that it could draw, before any instance is built
     for model, args in (
-        (ConstantCost, (1.5,)),
+        (UniformCost, (1.5, 1.5)),
         (UniformCost, (0.0, 2.0)),
         (TwoPointCost, (0.2, 3.0)),
         (TwoPointCost, (0.0, np.inf)),
@@ -113,7 +118,7 @@ def test_cost_models_refuse_a_cost_above_one():
             model(*args)
     # a high cost that is never drawn may exceed 1, and 1 itself is a cost
     TwoPointCost(0.0, 3.0)
-    ConstantCost(1.0), UniformCost(1.0, 1.0), TwoPointCost(1.0, 1.0)
+    UniformCost(1.0, 1.0), TwoPointCost(1.0, 1.0)
 
 
 def test_uniform_cost_mean():
@@ -159,7 +164,7 @@ def test_two_point_correlated_marginal_is_capped_by_the_drawn_share():
 
 def test_linear_task_separable_when_separation_large():
     inst = LinearTaskSpec(
-        T=2000, cost_model=ConstantCost(0.0), dim=3, clusters=2, separation=0.9, T_test=2000,
+        T=2000, cost_model=UniformCost(0.0, 0.0), dim=3, clusters=2, separation=0.9, T_test=2000,
         noise=0.05
     ).build(21)
     sol = offline_best(inst, 3000)
@@ -188,7 +193,7 @@ def test_linear_task_free_costs_always_bought():
     from procure_learn.mechanism import FixedScale, Mechanism, MechanismConfig
 
     inst = LinearTaskSpec(
-        T=400, cost_model=ConstantCost(0.0), dim=3, clusters=2, separation=0.6, T_test=100
+        T=400, cost_model=UniformCost(0.0, 0.0), dim=3, clusters=2, separation=0.6, T_test=100
     ).build(17)
     cfg = MechanismConfig(budget=50.0, price_scale=FixedScale(5.0))
     mech = Mechanism(cfg, inst).run(np.random.default_rng(1))
@@ -270,7 +275,7 @@ ZERO_ROUND_BUILDS = {
         space=simplex(2), costs=np.ones(0), outcomes=np.zeros(0, dtype=np.int64)
     ),
     "coin": lambda: CoinSpec(0, 0.1),
-    "padded-coin": lambda: PaddedCoinSpec(0, 0.1, coin_fraction=0.5),
+    "padded-coin": lambda: CoinSpec(0, 0.1, coin_fraction=0.5),
     "linear": lambda: LinearTaskSpec(T=0, cost_model=UniformCost(), dim=3, T_test=10),
 }
 

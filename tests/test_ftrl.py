@@ -9,7 +9,6 @@ from procure_learn.core import L2_BALL, InvalidConfigError, l2_ball, project_coo
 from procure_learn.environment import (
     CoinSpec,
     LinearTaskSpec,
-    PaddedCoinSpec,
     UniformCost,
 )
 from procure_learn.ftrl import FtrlLearner
@@ -197,7 +196,7 @@ def test_learner_bound_holds_on_the_importance_weighted_sequence(
     if kind == "coin":
         instance = CoinSpec(T, 0.2).build(seed)
     elif kind == "padded-coin":
-        instance = PaddedCoinSpec(T, 0.2, coin_fraction=0.5).build(seed)
+        instance = CoinSpec(T, 0.2, coin_fraction=0.5).build(seed)
     else:
         instance = LinearTaskSpec(
             T=T, cost_model=UniformCost(), dim=3, clusters=2, separation=0.5, T_test=0

@@ -7,9 +7,7 @@ import pytest
 from procure_learn.core import InvalidConfigError
 from procure_learn.environment import (
     CoinSpec,
-    ConstantCost,
     LinearTaskSpec,
-    PaddedCoinSpec,
     UniformCost,
 )
 from procure_learn.mechanism import (
@@ -304,7 +302,7 @@ def test_expected_budget_compliance_small():
     knowledge = PriorKnowledge(avg_value_cost=0.3, avg_value=0.3)
     spends = []
     for seed in range(30):
-        inst = PaddedCoinSpec(T, 0.1, coin_fraction=0.3).build(seed)
+        inst = CoinSpec(T, 0.1, coin_fraction=0.3).build(seed)
         cfg = MechanismConfig(
             budget=budget,
             price_scale=knowledge,
@@ -349,7 +347,7 @@ def test_naive_fractional_budget_floors_to_price_multiples():
 
 
 def test_naive_keeps_collecting_free_arrivals():
-    inst = PaddedCoinSpec(100, 0.1, coin_fraction=0.5).build(2)
+    inst = CoinSpec(100, 0.1, coin_fraction=0.5).build(2)
     # reorder: coins (cost 1) first, filler (cost 0) afterwards
     inst.outcomes = inst.outcomes[::-1].copy()
     inst.costs = inst.costs[::-1].copy()
@@ -427,7 +425,7 @@ def test_value_cost_estimate_examples():
 
 def test_adaptive_estimate_unweighted_when_q_is_one():
     inst = LinearTaskSpec(
-        T=300, cost_model=ConstantCost(0.25), dim=3, clusters=2, separation=0.6, T_test=10
+        T=300, cost_model=UniformCost(0.25, 0.25), dim=3, clusters=2, separation=0.6, T_test=10
     ).build(11)
     cfg = MechanismConfig(
         budget=1000.0, price_scale=FixedScale(0.0), learning_rate=FixedRate(0.1)

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from procure_learn.core import project_coords
 from procure_learn.environment import (
     CoinSpec,
-    ConstantCost,
     LinearTaskSpec,
-    PaddedCoinSpec,
     TwoPointCost,
     UniformCost,
 )
@@ -52,7 +50,7 @@ def test_offline_best_majority_vertex():
 
 
 def test_offline_best_all_filler_is_flat():
-    inst = PaddedCoinSpec(100, 0.0, coin_fraction=0.1).build(4)
+    inst = CoinSpec(100, 0.0, coin_fraction=0.1).build(4)
     inst.outcomes = np.full(100, -1)
     sol = offline_best(inst)
     assert sol.total_loss == pytest.approx(100.0)
@@ -279,7 +277,7 @@ def test_regret_length_mismatch():
 
 def test_risk_examples():
     inst = LinearTaskSpec(
-        T=200, cost_model=ConstantCost(0.0), dim=3, clusters=2, separation=0.9, T_test=400,
+        T=200, cost_model=UniformCost(0.0, 0.0), dim=3, clusters=2, separation=0.9, T_test=400,
         noise=0.05
     ).build(2)
     sol = offline_best(inst, 3000)
@@ -304,7 +302,7 @@ def test_risk_examples():
 
 
 def test_stats_on_padded_coin():
-    inst = PaddedCoinSpec(1000, 0.1, coin_fraction=0.3).build(6)
+    inst = CoinSpec(1000, 0.1, coin_fraction=0.3).build(6)
     mech = _run(inst, budget=50.0)
     sol = offline_best(inst)
     stats = sequence_stats(inst, posted_hypotheses(mech), sol.hypothesis)
@@ -326,7 +324,7 @@ def test_stats_all_unit_costs_collapse():
 
 def test_stats_zero_costs():
     inst = LinearTaskSpec(
-        T=300, cost_model=ConstantCost(0.0), dim=3, clusters=2, separation=0.6, T_test=10
+        T=300, cost_model=UniformCost(0.0, 0.0), dim=3, clusters=2, separation=0.6, T_test=10
     ).build(4)
     mech = _run(inst, budget=10.0)
     stats = sequence_stats(inst, posted_hypotheses(mech), offline_best(inst).hypothesis)
@@ -338,7 +336,7 @@ def test_stats_ordering_chain():
     # avg_value_cost <= avg_value, avg_value_cost <= avg_sqrt_cost <= sqrt(avg_cost)
     specs = [
         CoinSpec(400, 0.15).build(1),
-        PaddedCoinSpec(400, 0.1, "tails", coin_fraction=0.4).build(2),
+        CoinSpec(400, 0.1, "tails", coin_fraction=0.4).build(2),
         LinearTaskSpec(
             T=400, cost_model=UniformCost(), dim=3, clusters=2, separation=0.6, T_test=10
         ).build(3),

@@ -20,7 +20,6 @@ from procure_learn.core import l2_ball, simplex
 from procure_learn.environment import (
     CoinSpec,
     LinearTaskSpec,
-    PaddedCoinSpec,
     ProblemInstance,
     TwoPointCost,
     UniformCost,
@@ -175,7 +174,7 @@ def _vertex_d7(seed):
 # the T=1 instances are the shortest run, one of them a single filler round
 INSTANCES = {
     "coin-1": lambda: CoinSpec(1, 0.15).build(42),
-    "padded-coin-1": lambda: PaddedCoinSpec(1, 0.1, coin_fraction=0.3).build(42),
+    "padded-coin-1": lambda: CoinSpec(1, 0.1, coin_fraction=0.3).build(42),
     "linear-1": lambda: LinearTaskSpec(
         T=1, cost_model=UniformCost(), dim=3, clusters=2, separation=0.6, T_test=5
     ).build(42),
@@ -184,7 +183,7 @@ INSTANCES = {
         T=150, cost_model=UniformCost(), dim=3, clusters=2, separation=0.6, T_test=20
     ).build(42),
     "coin-3000": lambda: CoinSpec(3000, 0.15).build(42),
-    "padded-coin-3000": lambda: PaddedCoinSpec(3000, 0.1, coin_fraction=0.3).build(42),
+    "padded-coin-3000": lambda: CoinSpec(3000, 0.1, coin_fraction=0.3).build(42),
     "vertex-d7": lambda: _vertex_d7(42),
     "linear-d32-uniform": lambda: LinearTaskSpec(
         T=3000, cost_model=UniformCost(), dim=32, clusters=2, separation=0.35, T_test=10,
@@ -553,7 +552,7 @@ WORKLOAD_VERTEX_RUNS = {
         MechanismConfig(budget=400.0, purchase_policy="naive"),
     ),
     "padded-coin-naive-at-cost": (
-        lambda: PaddedCoinSpec(10000, 0.1, coin_fraction=0.3).build(42),
+        lambda: CoinSpec(10000, 0.1, coin_fraction=0.3).build(42),
         MechanismConfig(budget=200.0, payment_mode="at-cost", purchase_policy="naive"),
     ),
 }
@@ -580,7 +579,7 @@ def drawn_runs(draw):
     if kind == "coin":
         instance = CoinSpec(T, 0.15).build(seed)
     elif kind == "padded-coin":
-        instance = PaddedCoinSpec(T, 0.1, coin_fraction=draw(st.floats(0.05, 1.0))).build(seed)
+        instance = CoinSpec(T, 0.1, coin_fraction=draw(st.floats(0.05, 1.0))).build(seed)
     else:
         cost = UniformCost(0.0, draw(st.floats(0.0, 1.0)))
         instance = LinearTaskSpec(

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from procure_learn.environment import CoinSpec, LinearTaskSpec, PaddedCoinSpec, UniformCost
+from procure_learn.environment import CoinSpec, LinearTaskSpec, UniformCost
 from procure_learn.mechanism import (
     AdaptiveScale,
     FixedRate,
@@ -55,7 +55,7 @@ def posted_price_runs(draw, visited):
     if kind == "coin":
         instance = CoinSpec(T, 0.15).build(seed)
     elif kind == "padded-coin":
-        instance = PaddedCoinSpec(T, 0.1, coin_fraction=draw(st.floats(0.05, 1.0))).build(seed)
+        instance = CoinSpec(T, 0.1, coin_fraction=draw(st.floats(0.05, 1.0))).build(seed)
     else:
         instance = LinearTaskSpec(
             T=T, cost_model=UniformCost(), dim=3, clusters=2, separation=0.6, T_test=5, noise=0.2
