@@ -32,10 +32,9 @@ import numpy as np
 
 from .core import InvalidConfigError
 from .environment import FormatError
-from .metrics import offline_best
+from .metrics import hindsight_stats, offline_best
 from .runner import (
     ExperimentConfig,
-    hindsight_stats,
     load_config,
     mean_se,
     run_sweep,

@@ -87,8 +87,7 @@ class TwoPointCost:
     whose group tag is listed, rescaling the within-group probability so the
     marginal is ``p_high``, or the targets' drawn share when that is smaller
     (every targeted point is then high, and none when the share is 0); other
-    points are always free. A ``high_cost`` above 1 is refused unless
-    ``p_high`` is 0, when it is never drawn.
+    points are always free.
     """
 
     p_high: float = 0.2
@@ -98,9 +97,7 @@ class TwoPointCost:
     def __post_init__(self):
         if not 0.0 <= self.p_high <= 1.0:  # NaN fails both
             raise InvalidConfigError(f"p_high must be a probability, got {self.p_high}")
-        if not 0.0 <= self.high_cost < math.inf:
-            raise InvalidConfigError(f"high_cost must be finite and >= 0, got {self.high_cost}")
-        if self.p_high > 0.0 and self.high_cost > 1.0:
+        if not 0.0 <= self.high_cost <= 1.0:  # NaN fails both
             raise InvalidConfigError(f"high_cost must lie in [0, 1], got {self.high_cost}")
 
     def draw(self, rng, n, groups=None):

@@ -121,24 +121,29 @@ class MechanismStateError(RuntimeError):
 
 @dataclass(frozen=True)
 class PriorKnowledge:
-    """Rough sequence statistics known in advance, each in [0, 1]: the
-    from-knowledge price scale, set by ``choose_price_scale``.
+    """The two sequence averages, known in advance, that set the
+    from-knowledge price scale (``choose_price_scale``): ``avg_value_cost``,
+    the mean of delta * sqrt(cost), and ``avg_value``, the mean delta. Each
+    lies in [0, 1]. Only posted-price reads ``avg_value``, whose default is
+    its bound 1.
 
-    Any one suffices; better knowledge buys a tighter price scale. Priority
-    when several are present: (avg_value_cost & avg_value) > avg_value_cost >
-    avg_sqrt_cost > avg_cost.
+    Every round has delta * sqrt(cost) <= delta, so knowledge with
+    ``avg_value_cost`` above ``avg_value`` is refused: no sequence has it.
     """
 
-    avg_value_cost: Optional[float] = None
-    avg_value: Optional[float] = None
-    avg_sqrt_cost: Optional[float] = None
-    avg_cost: Optional[float] = None
+    avg_value_cost: float
+    avg_value: float = 1.0
 
     def __post_init__(self):
-        for name in ("avg_value_cost", "avg_value", "avg_sqrt_cost", "avg_cost"):
+        for name in ("avg_value_cost", "avg_value"):
             v = getattr(self, name)
-            if v is not None and not 0.0 <= v <= 1.0:
+            if not 0.0 <= v <= 1.0:  # NaN fails both
                 raise InvalidConfigError(f"{name} must lie in [0, 1], got {v}")
+        if self.avg_value_cost > self.avg_value:
+            raise InvalidConfigError(
+                f"avg_value_cost {self.avg_value_cost} exceeds avg_value {self.avg_value}; "
+                "every sequence has avg_value_cost <= avg_value"
+            )
 
 
 def choose_price_scale(
@@ -146,12 +151,13 @@ def choose_price_scale(
 ) -> float:
     """Smallest price scale whose expected spend provably fits the budget.
 
-    At-cost: horizon * stat / budget with stat the best cost-value bound
-    available (avg_value_cost, else avg_sqrt_cost, else sqrt(avg_cost)).
-    Posted-price: (horizon / budget) * (2 * avg_value - avg_value_cost),
-    degrading by substituting the bound 1 for unknown statistics. A scale of
-    0 would buy every arrival at price 1, which no budget promise covers, so
-    knowledge that gives a scale <= 0 is refused.
+    At-cost: (horizon / budget) * avg_value_cost. Posted-price:
+    (horizon / budget) * (2 * avg_value - avg_value_cost). A larger scale
+    buys less, so an estimate that errs upward at cost, or toward a larger
+    avg_value and a smaller avg_value_cost under posted-price (1 and 0 when
+    unknown), keeps the promise. A scale of 0 would buy every arrival at
+    price 1, which no budget promise covers, so knowledge that gives a
+    scale <= 0 is refused.
     """
     if not budget > 0:
         raise InvalidConfigError("budget must be positive")
@@ -160,25 +166,9 @@ def choose_price_scale(
     ratio = horizon / budget
     k = knowledge
     if payment_mode == AT_COST:
-        if k.avg_value_cost is not None:
-            used, scale = "avg_value_cost", ratio * k.avg_value_cost
-        elif k.avg_sqrt_cost is not None:
-            used, scale = "avg_sqrt_cost", ratio * k.avg_sqrt_cost
-        elif k.avg_cost is not None:
-            used, scale = "avg_cost", ratio * math.sqrt(k.avg_cost)
-        else:
-            raise InvalidConfigError("no usable prior statistic supplied")
+        used, scale = "avg_value_cost", ratio * k.avg_value_cost
     else:
-        if k.avg_value_cost is not None and k.avg_value is not None:
-            used = "avg_value and avg_value_cost"
-            scale = ratio * (2.0 * k.avg_value - k.avg_value_cost)
-        elif k.avg_value_cost is not None:
-            used, scale = "avg_value_cost", ratio * (2.0 - k.avg_value_cost)
-        elif k.avg_sqrt_cost is not None or k.avg_cost is not None:
-            used = "avg_sqrt_cost" if k.avg_sqrt_cost is not None else "avg_cost"
-            scale = ratio * 2.0
-        else:
-            raise InvalidConfigError("no usable prior statistic supplied")
+        used, scale = "avg_value and avg_value_cost", ratio * (2.0 * k.avg_value - k.avg_value_cost)
     if not scale > 0.0:
         raise InvalidConfigError(
             f"prior knowledge {used} gives price scale {scale}; from-knowledge "
@@ -187,16 +177,10 @@ def choose_price_scale(
     return scale
 
 
-def theory_learning_rate(
-    reg_bound: float,
-    horizon: int,
-    budget: float,
-    price_scale: float,
-    scale: float = 1.0,
-) -> float:
+def theory_learning_rate(reg_bound: float, horizon: int, budget: float, price_scale: float) -> float:
     """Rate balancing the regret bound: sqrt(reg_bound) over the larger of
     sqrt(horizon) and price_scale * sqrt(budget)."""
-    return scale * math.sqrt(reg_bound) / max(math.sqrt(horizon), price_scale * math.sqrt(budget))
+    return math.sqrt(reg_bound) / max(math.sqrt(horizon), price_scale * math.sqrt(budget))
 
 
 @dataclass(frozen=True)
@@ -236,13 +220,9 @@ class FixedRate:
 
 @dataclass(frozen=True)
 class TheoryRate:
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if not 0 < self.scale < math.inf:  # NaN fails both
-            raise InvalidConfigError(
-                f"learning rate scale must be positive and finite, got {self.scale}"
-            )
+    """The rate that balances the regret bound, ``theory_learning_rate`` at
+    the run's price scale: sqrt(reg bound) over the larger of sqrt(T) and
+    price_scale * sqrt(B)."""
 
 
 RatePolicy = Union[FixedRate, TheoryRate]
@@ -339,11 +319,7 @@ class Mechanism:
             rate = config.learning_rate.value
         else:
             rate = theory_learning_rate(
-                instance.space.reg_bound,
-                instance.horizon,
-                config.budget,
-                self.price_scale,
-                config.learning_rate.scale,
+                instance.space.reg_bound, instance.horizon, config.budget, self.price_scale
             )
         self.learner = FtrlLearner(instance.space, rate)
 

@@ -61,9 +61,9 @@ class SequenceStats:
     opt_value_cost: mean delta * sqrt(cost) evaluated at the offline optimum.
 
     Costs lie in [0, 1] (money in units of the largest cost), so each
-    statistic lies in [0, 1], the range ``PriorKnowledge`` accepts, and the
-    chain avg_value_cost <= avg_value, avg_value_cost <= avg_sqrt_cost <=
-    sqrt(avg_cost) always holds.
+    statistic lies in [0, 1] and the chain avg_value_cost <= avg_value,
+    avg_value_cost <= avg_sqrt_cost <= sqrt(avg_cost) always holds; the
+    first two are the ``PriorKnowledge`` a from-knowledge scale reads.
     """
 
     avg_value_cost: float
@@ -71,6 +71,18 @@ class SequenceStats:
     avg_sqrt_cost: float
     avg_cost: float
     opt_value_cost: float
+
+
+def hindsight_stats(instance: ProblemInstance, solution: OfflineSolution) -> dict[str, float]:
+    """The entries of ``SequenceStats`` that no run changes: the mean
+    delta * sqrt(cost) at the offline optimum and the two cost summaries."""
+    sqrt_costs = np.sqrt(instance.costs)
+    star = instance.grad_norms_at(solution.hypothesis.coords)
+    return {
+        "opt_value_cost": float(np.mean(star * sqrt_costs)),
+        "avg_sqrt_cost": float(np.mean(sqrt_costs)),
+        "avg_cost": float(np.mean(instance.costs)),
+    }
 
 
 def offline_best(instance: ProblemInstance, iterations: int = 1500) -> OfflineSolution:

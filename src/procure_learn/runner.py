@@ -35,7 +35,6 @@ from .environment import (
     IdxSpec,
     InstanceSpec,
     LinearTaskSpec,
-    ProblemInstance,
     TwoPointCost,
     UniformCost,
 )
@@ -51,7 +50,7 @@ from .mechanism import (
     TheoryRate,
     Transcript,
 )
-from .metrics import OfflineSolution, SequenceStats, offline_best, risk
+from .metrics import SequenceStats, hindsight_stats, offline_best, risk
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +192,6 @@ _PARSE_FIELD = {
     "bool": _boolean,
     "tuple[int, ...]": _list_of(_integer, "integers"),
     "Optional[int]": _optional(_integer),
-    "Optional[float]": _optional(_number),
     "Optional[tuple[int, ...]]": _list_of(_integer, "integers"),  # read only when required
     "Optional[tuple[float, ...]]": _optional(_list_of(_number, "numbers")),
     "InstanceSpec": _one_of("kind", _INSTANCE_KINDS),
@@ -242,18 +240,6 @@ def trial_streams(root_seed: int, trial: int):
     ss = np.random.SeedSequence(entropy=root_seed, spawn_key=(trial,))
     instance_ss, mech_ss = ss.spawn(2)
     return instance_ss, mech_ss, int(ss.generate_state(1)[0])
-
-
-def hindsight_stats(instance: ProblemInstance, solution: OfflineSolution) -> dict[str, float]:
-    """The entries of ``SequenceStats`` that no run changes: the mean
-    delta * sqrt(cost) at the offline optimum and the two cost summaries."""
-    sqrt_costs = np.sqrt(instance.costs)
-    star = instance.grad_norms_at(solution.hypothesis.coords)
-    return {
-        "opt_value_cost": float(np.mean(star * sqrt_costs)),
-        "avg_sqrt_cost": float(np.mean(sqrt_costs)),
-        "avg_cost": float(np.mean(instance.costs)),
-    }
 
 
 def run_trial(

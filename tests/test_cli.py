@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from procure_learn import runner
 from procure_learn.cli import main
 
 from oracles import write_idx_images, write_idx_labels
@@ -210,8 +212,13 @@ def test_bad_cost_model_exits_2_before_any_output(tmp_path):
         # a fixed cost is a uniform one of zero width; the old kind is refused
         ({"kind": "constant", "value": 1.5}, {}, "unknown cost_model kind 'constant'"),
         ({"kind": "two-point-independent", "high_cost": 3.0}, {}, "high_cost must lie in [0, 1], got 3.0"),
+        # a high cost above 1 used to be accepted when p_high is 0
+        (
+            {"kind": "two-point-independent", "p_high": 0.0, "high_cost": 3.0},
+            {}, "high_cost must lie in [0, 1], got 3.0",
+        ),
     ],
-    ids=["uniform", "c_max", "constant", "two-point"],
+    ids=["uniform", "c_max", "constant", "two-point", "two-point-never-drawn"],
 )
 def test_cost_model_above_c_max_exits_2_before_any_output(
     tmp_path, capsys, cost_model, mechanism, message
@@ -263,13 +270,6 @@ def test_padded_coin_of_only_filler_is_accepted_below_unit_c_max(tmp_path):
     assert main(["run", "--config", str(cfg_path), "--jobs", "1"]) == 0
     summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
     assert summary[1].split(",")[2:4] == ["0", "0"]  # spend, purchases
-
-
-def test_cost_model_that_never_draws_its_high_cost_is_accepted(tmp_path):
-    cfg_path = tmp_path / "config.json"
-    cost_model = {"kind": "two-point-independent", "p_high": 0.0, "high_cost": 3.0}
-    _write_config(cfg_path, instance={"kind": "linear", "T": 50, "cost_model": cost_model}, trials=1)
-    assert main(["run", "--config", str(cfg_path), "--jobs", "1"]) == 0
 
 
 LINEAR = {"kind": "linear", "T": 50, "cost_model": {"kind": "uniform"}}
@@ -336,9 +336,25 @@ LATE_REFUSALS = {
         {"instance": _idx_instance(tmp, truncate=True)},
         [], {}, f"{tmp / 'images.idx'}: truncated file, needed 32 bytes at byte offset 16",
     ),
+    # the theory rate has no multiplier, and prior knowledge is
+    # avg_value_cost with avg_value: the keys that only restated it are gone
     "theory-scale": (
         {"mechanism": {"learning_rate": {"mode": "theory", "scale": 0}}},
-        [], {}, "learning rate scale must be positive and finite, got 0.0",
+        [], {}, "unknown key(s) 'scale' in learning_rate",
+    ),
+    "avg_sqrt_cost-key": (
+        {"mechanism": {"price_scale": {"mode": "from-knowledge", "avg_sqrt_cost": 0.5}}},
+        [], {}, "unknown key(s) 'avg_sqrt_cost' in price_scale",
+    ),
+    "avg_cost-key": (
+        {"mechanism": {"price_scale": {"mode": "from-knowledge", "avg_value_cost": 0.5, "avg_cost": 0.25}}},
+        [], {}, "unknown key(s) 'avg_cost' in price_scale",
+    ),
+    # no sequence has avg_value_cost above avg_value; on the shipped padded
+    # coin this prior used to price 6x too low and spend 6 budgets
+    "inconsistent-prior": (
+        {"mechanism": {"price_scale": {"mode": "from-knowledge", "avg_value_cost": 0.55, "avg_value": 0.3}}},
+        [], {}, "avg_value_cost 0.55 exceeds avg_value 0.3; every sequence has avg_value_cost <= avg_value",
     ),
     "budget-grid": ({"budget_grid": [-1]}, [], {}, "budget must be positive and finite, got -1.0"),
     "config-seed": ({"seed": -1}, [], {}, "seed must be >= 0, got -1"),
@@ -386,21 +402,21 @@ def test_config_too_large_to_allocate_exits_2(tmp_path, capsys):
     assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
 
 
-# the keys of each config section; the property below sets any of them
+def _section_keys(tag, *classes):
+    """A section's tag, if it has one, then each field of its classes once."""
+    fields = (f.name for cls in classes for f in dataclasses.fields(cls))
+    return list(dict.fromkeys([*([tag] if tag else []), *fields]))
+
+
+# the keys of each config section, read from the dataclasses the parser
+# reads; the property below sets any of them
 SCHEMA_KEYS = {
-    "config": ["instance", "mechanism", "trials", "seed", "output_dir", "budget_grid"],
-    "instance": [
-        "kind", "T", "epsilon", "bias", "coin_fraction", "cost_model", "dim", "clusters",
-        "separation", "T_test", "radius", "spread", "noise", "images", "labels",
-        "positive_digits", "negative_digits", "limit", "holdout_fraction",
-    ],
-    "cost_model": ["kind", "low", "high", "p_high", "high_cost", "target_groups"],
-    "mechanism": [
-        "budget", "payment_mode", "purchase_policy", "price_scale", "learning_rate",
-        "hard_stop",
-    ],
-    "price_scale": ["mode", "value", "avg_value_cost", "avg_value", "avg_sqrt_cost", "avg_cost"],
-    "learning_rate": ["mode", "value", "scale"],
+    "config": _section_keys(None, runner.ExperimentConfig),
+    "instance": _section_keys("kind", *runner._INSTANCE_KINDS.values()),
+    "cost_model": _section_keys("kind", *runner._COST_MODEL_KINDS.values()),
+    "mechanism": _section_keys(None, runner.MechanismConfig),
+    "price_scale": _section_keys("mode", *runner._SCALE_MODES.values()),
+    "learning_rate": _section_keys("mode", *runner._RATE_MODES.values()),
 }
 ODD_VALUES = [
     0, 1, 2, -1, -0.5, 0.5, math.nan, math.inf, -math.inf, True, False, "x", "5", None,

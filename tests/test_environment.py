@@ -113,11 +113,12 @@ def test_cost_models_refuse_a_cost_above_one():
         (UniformCost, (0.0, 2.0)),
         (TwoPointCost, (0.2, 3.0)),
         (TwoPointCost, (0.0, np.inf)),
+        # a high cost outside [0, 1] is refused even where it is never drawn
+        (TwoPointCost, (0.0, 3.0)),
     ):
         with pytest.raises(InvalidConfigError):
             model(*args)
-    # a high cost that is never drawn may exceed 1, and 1 itself is a cost
-    TwoPointCost(0.0, 3.0)
+    # 1 itself is a cost
     UniformCost(1.0, 1.0), TwoPointCost(1.0, 1.0)
 
 

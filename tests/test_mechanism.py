@@ -39,26 +39,31 @@ def test_choose_scale_at_cost():
     assert choose_price_scale(
         PriorKnowledge(avg_value_cost=0.3), 1000, 100, "at-cost"
     ) == pytest.approx(3.0)
+    # at cost only avg_value_cost is read
     assert choose_price_scale(
-        PriorKnowledge(avg_sqrt_cost=0.5), 1000, 100, "at-cost"
-    ) == pytest.approx(5.0)
+        PriorKnowledge(avg_value_cost=0.3, avg_value=0.5), 1000, 100, "at-cost"
+    ) == choose_price_scale(PriorKnowledge(avg_value_cost=0.3), 1000, 100, "at-cost")
+    # the deleted avg_sqrt_cost s and avg_cost c gave the scales of
+    # avg_value_cost s and sqrt(c)
     assert choose_price_scale(
-        PriorKnowledge(avg_cost=0.25), 1000, 100, "at-cost"
-    ) == pytest.approx(5.0)  # sqrt(mean cost) substitution
+        PriorKnowledge(avg_value_cost=0.5), 1000, 100, "at-cost"
+    ) == pytest.approx(5.0)  # avg_sqrt_cost 0.5
+    assert choose_price_scale(
+        PriorKnowledge(avg_value_cost=math.sqrt(0.25)), 1000, 100, "at-cost"
+    ) == pytest.approx(5.0)  # avg_cost 0.25
 
 
 def test_choose_scale_posted_price():
     both = PriorKnowledge(avg_value_cost=0.3, avg_value=0.5)
     assert choose_price_scale(both, 1000, 100, "posted-price") == pytest.approx(7.0)
-    # degradation chain when less is known
+    # avg_value defaults to its bound 1
     assert choose_price_scale(
         PriorKnowledge(avg_value_cost=0.3), 1000, 100, "posted-price"
     ) == pytest.approx(17.0)
+    # the deleted avg_sqrt_cost 0.6 and avg_cost 0.5 each gave 2 T / B,
+    # the scale of avg_value_cost 0
     assert choose_price_scale(
-        PriorKnowledge(avg_sqrt_cost=0.6), 1000, 100, "posted-price"
-    ) == pytest.approx(20.0)
-    assert choose_price_scale(
-        PriorKnowledge(avg_cost=0.5), 1000, 100, "posted-price"
+        PriorKnowledge(avg_value_cost=0.0), 1000, 100, "posted-price"
     ) == pytest.approx(20.0)
 
 
@@ -72,28 +77,41 @@ def test_choose_scale_vanishes_for_huge_budgets():
 def test_choose_scale_validation():
     with pytest.raises(InvalidConfigError):
         choose_price_scale(PriorKnowledge(avg_value_cost=0.3), 1000, 0.0, "at-cost")
-    with pytest.raises(InvalidConfigError):
-        choose_price_scale(PriorKnowledge(), 1000, 100, "at-cost")
-    with pytest.raises(InvalidConfigError):
-        PriorKnowledge(avg_value_cost=1.2)
+    for bad in (
+        {"avg_value_cost": 1.2},
+        {"avg_value_cost": math.nan},
+        {"avg_value_cost": 0.3, "avg_value": -0.1},
+    ):
+        with pytest.raises(InvalidConfigError, match="must lie in \\[0, 1\\]"):
+            PriorKnowledge(**bad)
+    # delta * sqrt(cost) <= delta on every round, so no sequence has
+    # avg_value_cost above avg_value; 0.55 over 0.3 used to give a scale 6x
+    # too small, and the shipped padded coin spent 6 budgets
+    with pytest.raises(
+        InvalidConfigError, match="^avg_value_cost 0.55 exceeds avg_value 0.3; "
+    ):
+        PriorKnowledge(avg_value_cost=0.55, avg_value=0.3)
+    PriorKnowledge(avg_value_cost=0.3, avg_value=0.3)  # the bound itself is a sequence
 
 
 @pytest.mark.parametrize(
     "payment_mode, knowledge, statistic",
     [
-        ("at-cost", PriorKnowledge(avg_value_cost=0.0), "avg_value_cost"),
-        ("at-cost", PriorKnowledge(avg_sqrt_cost=0.0), "avg_sqrt_cost"),
-        ("posted-price", PriorKnowledge(avg_value_cost=0.0, avg_value=0.0), "avg_value"),
-        ("posted-price", PriorKnowledge(avg_value_cost=0.3, avg_value=0.1), "avg_value"),
+        ("at-cost", {"avg_value_cost": 0.0}, "avg_value_cost"),
+        # at cost avg_value cannot make up for a zero avg_value_cost
+        ("at-cost", {"avg_value_cost": 0.0, "avg_value": 0.5}, "avg_value_cost"),
+        ("posted-price", {"avg_value_cost": 0.0, "avg_value": 0.0}, "avg_value"),
+        # refused when built: no sequence has it
+        ("posted-price", {"avg_value_cost": 0.3, "avg_value": 0.1}, "avg_value"),
     ],
 )
 def test_choose_scale_refuses_knowledge_giving_zero_scale(payment_mode, knowledge, statistic):
     # a zero scale would buy every arrival at price 1, whatever the budget
     with pytest.raises(InvalidConfigError, match=statistic):
-        choose_price_scale(knowledge, 1000, 100, payment_mode)
+        choose_price_scale(PriorKnowledge(**knowledge), 1000, 100, payment_mode)
     # the config refuses it, before any run
     with pytest.raises(InvalidConfigError, match=statistic):
-        MechanismConfig(budget=5.0, payment_mode=payment_mode, price_scale=knowledge)
+        MechanismConfig(budget=5.0, payment_mode=payment_mode, price_scale=PriorKnowledge(**knowledge))
 
 
 def test_theory_learning_rate_examples():

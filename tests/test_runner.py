@@ -183,33 +183,47 @@ def test_parse_config_rejects_unknowns():
         with pytest.raises(InvalidConfigError, match=f"^unknown {message}$"):
             parse_config(_base_config(instance=bad))
     # a key no parser reads used to leave its setting at the default
-    for key, config in {
-        "trails": _base_config(trails=5),
-        "epsilion": _base_config(instance={"kind": "coin", "T": 400, "epsilion": 0.3}),
-        "noise": _base_config(instance={"kind": "coin", "T": 400, "noise": 0.3}),
-        "epsilon": _base_config(instance={**linear, "epsilon": 0.3}),
-        "target_groups": _base_config(
+    for key, config in [
+        ("trails", _base_config(trails=5)),
+        ("epsilion", _base_config(instance={"kind": "coin", "T": 400, "epsilion": 0.3})),
+        ("noise", _base_config(instance={"kind": "coin", "T": 400, "noise": 0.3})),
+        ("epsilon", _base_config(instance={**linear, "epsilon": 0.3})),
+        ("target_groups", _base_config(
             instance={
                 **linear,
                 "cost_model": {"kind": "two-point-independent", "target_groups": [0]},
             }
-        ),
-        "hard_stpo": _base_config(mechanism={"budget": 20, "hard_stpo": True}),
-        "value": _base_config(
+        )),
+        ("hard_stpo", _base_config(mechanism={"budget": 20, "hard_stpo": True})),
+        ("value", _base_config(
             mechanism={"budget": 20, "price_scale": {"mode": "adaptive", "value": 2.0}}
-        ),
-        "avg_values": _base_config(
+        )),
+        ("avg_values", _base_config(
             mechanism={
                 "budget": 20,
                 "price_scale": {"mode": "from-knowledge", "avg_values": 0.3},
             }
-        ),
-        "scale": _base_config(
+        )),
+        ("scale", _base_config(
             mechanism={"budget": 20, "learning_rate": {"mode": "fixed", "value": 0.1, "scale": 2}}
-        ),
+        )),
+        # statistics that only restated avg_value_cost, and the theory
+        # rate's multiplier, 1 in every shipped config
+        ("avg_sqrt_cost", _base_config(
+            mechanism={
+                "budget": 20,
+                "price_scale": {"mode": "from-knowledge", "avg_value_cost": 0.3, "avg_sqrt_cost": 0.5},
+            }
+        )),
+        ("avg_cost", _base_config(
+            mechanism={"budget": 20, "price_scale": {"mode": "from-knowledge", "avg_cost": 0.25}}
+        )),
+        ("scale", _base_config(
+            mechanism={"budget": 20, "learning_rate": {"mode": "theory", "scale": 1.0}}
+        )),
         # money is in units of the largest cost, so the cost cap is no key
-        "c_max": _base_config(mechanism={"budget": 20, "c_max": 1.0}),
-    }.items():
+        ("c_max", _base_config(mechanism={"budget": 20, "c_max": 1.0})),
+    ]:
         with pytest.raises(InvalidConfigError, match=f"unknown key.*'{key}'"):
             parse_config(config)
     # an integer key used to be truncated: 2.7 trials ran as 2, T true as 1
@@ -266,7 +280,7 @@ def test_parse_config_rejects_unknowns():
     # without a mode used to fall back to a default written a second time
     for mechanism in (
         {"budget": 20, "price_scale": {}},
-        {"budget": 20, "learning_rate": {"scale": 2.0}},
+        {"budget": 20, "learning_rate": {"value": 0.1}},
     ):
         with pytest.raises(InvalidConfigError, match="missing required key 'mode'"):
             parse_config(_base_config(mechanism=mechanism))
@@ -473,13 +487,13 @@ def test_sweep_rejects_bad_budget_before_any_trial(monkeypatch):
 
 
 def test_fallback_knowledge_runs_end_to_end():
-    # only the mean cost is known: scale comes from the sqrt substitution
+    # avg_value_cost at its bound 1, the scale the deleted avg_cost 1 gave
     config = parse_config(
         _base_config(
             mechanism={
                 "budget": 30.0,
                 "payment_mode": "at-cost",
-                "price_scale": {"mode": "from-knowledge", "avg_cost": 1.0},
+                "price_scale": {"mode": "from-knowledge", "avg_value_cost": 1.0},
             }
         )
     )
