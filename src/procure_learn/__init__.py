@@ -33,19 +33,16 @@ from .environment import (
     TwoPointCost,
     UniformCost,
 )
-from .ftrl import FtrlLearner
+from .ftrl import FixedRate, FtrlLearner, TheoryRate
 from .mechanism import (
     AdaptiveScale,
-    FixedRate,
     FixedScale,
     Mechanism,
     MechanismConfig,
     MechanismStateError,
     PriorKnowledge,
-    TheoryRate,
     Transcript,
     choose_price_scale,
-    theory_learning_rate,
 )
 from .metrics import OfflineSolution, SequenceStats, offline_best, risk
 from .pricing import (

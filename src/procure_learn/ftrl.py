@@ -6,17 +6,19 @@ the ball for the euclidean regularizer, and a softmax of the negated gradient
 sum for negative entropy on the simplex. Updates are linearized at the posted
 hypothesis, which can only overestimate the regret of the true convex losses.
 
-Alongside the iterates the learner accumulates sum((delta / q)^2) over the
-functions it was actually fed; ``regret_bound`` turns that into the realized
-path bound reg_bound / lr + 2 * lr * sum. With every observation probability
-equal to one this is a deterministic upper bound on realized regret; under
-partial observation its expectation matches the guaranteed bound.
+The learning rate is a ``FixedRate`` or the self-tuned ``TheoryRate``,
+which reads the bound sum: sum((delta / q)^2) over the functions the learner
+was actually fed. ``regret_bound`` turns the rates and that sum into a
+realized path bound. With every observation probability equal to one this
+is a deterministic upper bound on realized regret; under partial
+observation its expectation matches the guaranteed bound.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Union
 
 import numpy as np
 
@@ -28,6 +30,26 @@ from .core import (
     _project_ball_rows,
     dual_norm,
 )
+
+
+@dataclass(frozen=True)
+class FixedRate:
+    value: float
+
+    def __post_init__(self):
+        if not 0 < self.value < math.inf:  # NaN fails both
+            raise InvalidConfigError(f"learning rate must be positive and finite, got {self.value}")
+
+
+@dataclass(frozen=True)
+class TheoryRate:
+    """The self-tuned rate (McMahan, JMLR 2017; Streeter and McMahan, "Less
+    Regret via Online Conditioning", 2010): after the bound sum S of the
+    feeds so far, sqrt(2 * reg_bound / max(S, 1)). It reads no budget,
+    horizon or price scale, and only falls as the learner is fed."""
+
+
+RatePolicy = Union[FixedRate, TheoryRate]
 
 
 class FtrlLearner:
@@ -49,16 +71,23 @@ class FtrlLearner:
     inputs; the mechanism's ``_feed`` and ``_feed_rows`` do only the
     update. A rejected round feeds nothing: the zero function leaves the
     sums as they are.
+
+    ``learning_rate`` is the rate the current hypothesis was posted at. A
+    ``TheoryRate`` takes it of the bound sum, with one ``math.sqrt`` a feed
+    and one ``np.sqrt`` a row of a block; both are correctly rounded, as is
+    the division before them, so a block keeps the bits of the feeds one at
+    a time. ``rated_sum`` adds up each feed's (delta / q)^2 times the rate
+    before it, for ``regret_bound``.
     """
 
-    def __init__(self, space: HypothesisSpace, learning_rate: float):
-        if not learning_rate > 0:
-            raise InvalidConfigError("learning rate must be positive")
+    def __init__(self, space: HypothesisSpace, rate: RatePolicy):
         self.space = space
-        self.learning_rate = learning_rate
-        self._negative_rate = np.array(-learning_rate)  # a 0-d array multiplies faster
+        self._tuned = isinstance(rate, TheoryRate)
+        self._twice_reg = 2.0 * space.reg_bound
+        self.learning_rate = math.sqrt(self._twice_reg) if self._tuned else rate.value
         self.grad_sum = np.zeros(space.dim)
         self.bound_sum = 0.0
+        self.rated_sum = 0.0
         self._coords = self._argmin_regularizer()
 
     def _argmin_regularizer(self) -> np.ndarray:
@@ -107,8 +136,12 @@ class FtrlLearner:
         else:
             self.grad_sum += gradient
         weighted = delta * inverse_weight
-        self.bound_sum += weighted * weighted
-        z = self.grad_sum * self._negative_rate  # a fresh array, so it needs no copy
+        square = weighted * weighted
+        self.bound_sum += square
+        self.rated_sum += self.learning_rate * square
+        if self._tuned:
+            self.learning_rate = math.sqrt(self._twice_reg / max(self.bound_sum, 1.0))
+        z = self.grad_sum * -self.learning_rate  # a fresh array, so it needs no copy
         if self.space.kind == L2_BALL:
             self._coords = _project_ball(z, self.space.radius)
         else:
@@ -132,7 +165,15 @@ class FtrlLearner:
         weighted = deltas * inverse_weights
         block[1:, dim] = weighted * weighted
         sums = np.add.accumulate(block)  # a cumulative sum down the rows adds them in order
-        posted = sums[:, :dim] * (-self.learning_rate)
+        if self._tuned:
+            rates = np.sqrt(self._twice_reg / np.maximum(sums[:, dim], 1.0))
+        else:
+            rates = np.full(n + 1, self.learning_rate)
+        rated = np.empty(n + 1)
+        rated[0] = self.rated_sum
+        np.multiply(rates[:-1], block[1:, dim], out=rated[1:])
+        np.add.accumulate(rated, out=rated)
+        posted = sums[:, :dim] * -rates[:, None]
         if self.space.kind == L2_BALL:
             _project_ball_rows(posted, self.space.radius)
         else:
@@ -142,15 +183,32 @@ class FtrlLearner:
             n = keep(posted)
         self.grad_sum = sums[n, :dim].copy()
         self.bound_sum = float(sums[n, dim])
+        self.rated_sum = float(rated[n])
+        self.learning_rate = float(rates[n])
         self._coords = posted[n].copy()
         return posted[: n + 1]
 
     def regret_bound(self) -> float:
-        """Realized-path regret bound for the functions fed so far."""
-        return (
-            self.space.reg_bound / self.learning_rate
-            + 2.0 * self.learning_rate * self.bound_sum
-        )
+        """Realized-path regret bound for the functions fed so far:
+        reg_bound / eta_T + 2 * sum_t eta_{t-1} * (delta_t / q_t)^2, where
+        eta_{t-1} is the rate that posted feed t's hypothesis and eta_T the
+        rate after the last feed. At a fixed rate eta it is
+        reg_bound / eta + 2 * eta * bound_sum.
+
+        Derivation (McMahan, JMLR 2017, Theorem 1, for FTRL with
+        non-negative incremental regularizers). The learner plays
+        x_t = argmin <g_{1:t-1}, x> + r(x) / eta_{t-1}, with r shifted so
+        that its minimum over the space is 0 and its maximum reg_bound.
+        Both rates never rise: a fixed one is constant, and the theory rate
+        falls as the bound sum grows. So each increment
+        (1 / eta_t - 1 / eta_{t-1}) * r is non-negative, and r / eta_{t-1}
+        is 1 / eta_{t-1}-strongly convex in the space's norm. The theorem
+        then bounds the regret of the linearized losses <g_t, x> against
+        any fixed u by r(u) / eta_{T-1} + (1 / 2) * sum_t eta_{t-1} *
+        ||g_t||_*^2, and r(u) / eta_{T-1} <= reg_bound / eta_T. A fed
+        function is g_t = gradient / q_t, with dual norm delta_t / q_t. The
+        bound keeps the looser constant 2 in place of 1 / 2."""
+        return self.space.reg_bound / self.learning_rate + 2.0 * self.rated_sum
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:

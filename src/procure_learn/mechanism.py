@@ -84,7 +84,7 @@ import numpy as np
 
 from .core import Hypothesis, InvalidConfigError, project_coords
 from .environment import ProblemInstance
-from .ftrl import FtrlLearner
+from .ftrl import FixedRate, FtrlLearner, RatePolicy, TheoryRate
 from .pricing import priced_round, priced_rounds
 
 POSTED_PRICE = "posted-price"
@@ -115,7 +115,7 @@ class MechanismStateError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Scale and learning-rate selection
+# Scale selection
 # ---------------------------------------------------------------------------
 
 
@@ -177,12 +177,6 @@ def choose_price_scale(
     return scale
 
 
-def theory_learning_rate(reg_bound: float, horizon: int, budget: float, price_scale: float) -> float:
-    """Rate balancing the regret bound: sqrt(reg_bound) over the larger of
-    sqrt(horizon) and price_scale * sqrt(budget)."""
-    return math.sqrt(reg_bound) / max(math.sqrt(horizon), price_scale * math.sqrt(budget))
-
-
 @dataclass(frozen=True)
 class FixedScale:
     value: float
@@ -199,33 +193,15 @@ class AdaptiveScale:
     """Track the burn rate: scale_t = estimate_t * rounds_left / budget_left.
 
     Starts at zero (buy every arrival with delta > 0 at the maximum price;
-    worthless ones are never bought) and re-estimates the
-    value-cost statistic from purchases, importance-weighted by 1/q. The
-    budget-left denominator is floored and the scale capped at ``SCALE_CAP``
-    so spending shuts off rather than dividing by zero near exhaustion.
+    worthless ones are never bought) and re-estimates the value-cost
+    statistic of ``ledger_entry`` from purchases, importance-weighted by
+    1/q. The budget-left denominator is floored and the scale capped at
+    ``SCALE_CAP`` so spending shuts off rather than dividing by zero near
+    exhaustion.
     """
 
 
 ScalePolicy = Union[FixedScale, PriorKnowledge, AdaptiveScale]
-
-
-@dataclass(frozen=True)
-class FixedRate:
-    value: float
-
-    def __post_init__(self):
-        if not 0 < self.value < math.inf:  # NaN fails both
-            raise InvalidConfigError(f"learning rate must be positive and finite, got {self.value}")
-
-
-@dataclass(frozen=True)
-class TheoryRate:
-    """The rate that balances the regret bound, ``theory_learning_rate`` at
-    the run's price scale: sqrt(reg bound) over the larger of sqrt(T) and
-    price_scale * sqrt(B)."""
-
-
-RatePolicy = Union[FixedRate, TheoryRate]
 
 
 @dataclass(frozen=True)
@@ -299,11 +275,7 @@ class Mechanism:
         self.instance = instance
         self.horizon = instance.horizon
 
-        if config.purchase_policy != PRICED:
-            # naive and baseline never evaluate the price law; a scale would
-            # only leak the budget into their theory learning rate
-            self.price_scale = 0.0
-        elif isinstance(config.price_scale, FixedScale):
+        if isinstance(config.price_scale, FixedScale):
             self.price_scale = config.price_scale.value
         elif isinstance(config.price_scale, PriorKnowledge):
             self.price_scale = choose_price_scale(
@@ -314,14 +286,7 @@ class Mechanism:
         self._adaptive = isinstance(config.price_scale, AdaptiveScale)
         # a tracked run's prices read the spend or the estimate mid-run
         self._tracked = config.purchase_policy == PRICED and (config.hard_stop or self._adaptive)
-
-        if isinstance(config.learning_rate, FixedRate):
-            rate = config.learning_rate.value
-        else:
-            rate = theory_learning_rate(
-                instance.space.reg_bound, instance.horizon, config.budget, self.price_scale
-            )
-        self.learner = FtrlLearner(instance.space, rate)
+        self.learner = FtrlLearner(instance.space, config.learning_rate)
 
         self.spend = 0.0  # kept running for the prices mid-run, then settled
         self.estimate_total = 0.0  # importance-weighted purchase estimate
@@ -332,10 +297,10 @@ class Mechanism:
     # -- estimates -----------------------------------------------------------
 
     def value_cost_estimate(self, t: Optional[int] = None) -> float:
-        """Importance-weighted estimate of mean delta * sqrt(cost) over the
-        rounds before round ``t`` (by default every round done), clipped to
-        [0, 1], the range of delta * sqrt(cost); zero before the first
-        round."""
+        """Importance-weighted estimate of the mean value-cost statistic of
+        ``ledger_entry`` over the rounds before round ``t`` (by default every
+        round done), clipped to [0, 1], the statistic's range; zero before
+        the first round."""
         t = self.rounds_done if t is None else t
         return min(1.0, max(0.0, self.estimate_total / t)) if t else 0.0
 
@@ -403,7 +368,8 @@ class Mechanism:
         bought = np.flatnonzero(accepted)
         payment, estimate = np.zeros(T), np.zeros(T)
         paid, estimate[bought] = ledger_entry(
-            delta[bought], costs[bought], price[bought], q[bought], cfg.payment_mode == AT_COST, np.sqrt
+            delta[bought], costs[bought], price[bought], q[bought], cfg.payment_mode == AT_COST,
+            np.sqrt, np.maximum,
         )
         if cfg.purchase_policy != BASELINE:  # baseline pays nothing
             payment[bought] = paid
@@ -506,7 +472,7 @@ class Mechanism:
                         stop = j + 1
                         break
                     continue
-                payment, term = ledger_entry(d, costs[j], p_j, q_j, at_cost, math.sqrt)
+                payment, term = ledger_entry(d, costs[j], p_j, q_j, at_cost, math.sqrt, max)
                 self.spend += payment  # what the prices of later rounds read
                 self.estimate_total += term
                 price[j], q[j], accepted[j] = p_j, q_j, True
@@ -620,13 +586,20 @@ class Mechanism:
         return self.value_total / max(1, self.rounds_done)
 
 
-def ledger_entry(delta, cost, price, q, at_cost: bool, sqrt):
+def ledger_entry(delta, cost, price, q, at_cost: bool, sqrt, maximum):
     """A bought round's payment (its cost at cost, its price posted) and
-    its term of the adaptive estimate: delta * sqrt(cost) weighted by 1 / q.
-    The tracked walk takes it of one purchase at a time with ``math.sqrt``
-    and the settle pass of arrays of purchases with ``np.sqrt``: the same
-    arithmetic, so the same bits."""
-    return (cost if at_cost else price), delta * sqrt(cost) / q
+    its term of the adaptive estimate, weighted by 1 / q: delta * sqrt(cost)
+    at cost, and delta * max(sqrt(cost), 1/2) under posted-price, where the
+    price is paid whatever the cost. A round's scaled expected posted
+    payment is at most 2 * delta, so the floored statistic is never below a
+    quarter of it, and free purchases raise the scale too.
+    sqrt(max(cost, 1/4)) has the bits of max(sqrt(cost), 1/2): a correctly
+    rounded sqrt is monotone and exact at 1/4. The tracked walk takes it of
+    one purchase at a time with ``math.sqrt`` and ``max``, and the settle
+    pass of arrays of purchases with ``np.sqrt`` and ``np.maximum``: the
+    same arithmetic, so the same bits."""
+    reach = cost if at_cost else maximum(cost, 0.25)
+    return (cost if at_cost else price), delta * sqrt(reach) / q
 
 
 def _margin(x: np.ndarray, w: np.ndarray) -> float:

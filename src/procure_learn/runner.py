@@ -38,16 +38,15 @@ from .environment import (
     TwoPointCost,
     UniformCost,
 )
+from .ftrl import FixedRate, TheoryRate
 from .mechanism import (
     AdaptiveScale,
     BASELINE,
-    FixedRate,
     FixedScale,
     Mechanism,
     MechanismConfig,
     POLICIES,
     PriorKnowledge,
-    TheoryRate,
     Transcript,
 )
 from .metrics import SequenceStats, hindsight_stats, offline_best, risk

@@ -16,11 +16,10 @@ import numpy as np
 
 from . import pricing
 from .environment import CoinSpec, LinearTaskSpec, UniformCost
-from .ftrl import FtrlLearner
+from .ftrl import FixedRate, FtrlLearner, RatePolicy, TheoryRate
 from .mechanism import (
     PAYMENT_MODES,
     AdaptiveScale,
-    FixedRate,
     FixedScale,
     Mechanism,
     MechanismConfig,
@@ -163,7 +162,9 @@ def check_acceptance_probability(
 
 
 def check_full_information_bound(instances: int = 50, seed: int = 17) -> CheckResult:
-    """Realized regret under q = 1 never exceeds the accumulated path bound."""
+    """Realized regret under q = 1 never exceeds the accumulated path
+    bound, at a drawn fixed rate on half the instances of each kind and at
+    the theory rate on the other half."""
     root = np.random.SeedSequence(seed)
     violations = 0
     worst_slack = math.inf
@@ -175,11 +176,9 @@ def check_full_information_bound(instances: int = 50, seed: int = 17) -> CheckRe
             separation = 0.3 + 0.5 * gen_rng.random()
             spec = LinearTaskSpec(300, UniformCost(), dim=3, separation=separation, T_test=0)
             instance = spec.build(gen_rng)
+        rate = FixedRate(0.05 + 0.3 * gen_rng.random()) if i % 4 < 2 else TheoryRate()
         config = MechanismConfig(
-            budget=1.0,
-            purchase_policy="baseline",
-            price_scale=FixedScale(0.0),
-            learning_rate=FixedRate(0.05 + 0.3 * gen_rng.random()),
+            budget=1.0, purchase_policy="baseline", price_scale=FixedScale(0.0), learning_rate=rate
         )
         mech = Mechanism(config, instance).run(np.random.default_rng(child.spawn(1)[0]))
         realized = mech.loss_total - offline_best(instance).lower_bound
@@ -191,17 +190,18 @@ def check_full_information_bound(instances: int = 50, seed: int = 17) -> CheckRe
     return _result("ftrl.full_information_bound", violations, 0, 0, detail)
 
 
-def _coin_run(seed, T: int = 2000, rate: float = 0.05) -> Mechanism:
+def _coin_run(seed, T: int = 2000, rate: RatePolicy = FixedRate(0.05)) -> Mechanism:
     """A priced run on ``T`` coin flips at scale 3: every flip is worth
     delta 1, costs 1 and is bought with q = 1/3."""
     rng = np.random.default_rng(seed)
-    config = MechanismConfig(1.0, price_scale=FixedScale(3.0), learning_rate=FixedRate(rate))
+    config = MechanismConfig(1.0, price_scale=FixedScale(3.0), learning_rate=rate)
     return Mechanism(config, CoinSpec(T=T, epsilon=0.2).build(rng)).run(rng)
 
 
 def _learned(learner: FtrlLearner) -> bytes:
-    """The bytes of a learner's gradient sum, bound sum and hypothesis."""
-    return np.concatenate([learner.grad_sum, [learner.bound_sum], learner.coords]).tobytes()
+    """The bytes of a learner's gradient sum, bound sums, rate and hypothesis."""
+    sums = [learner.bound_sum, learner.rated_sum, learner.learning_rate]
+    return np.concatenate([learner.grad_sum, sums, learner.coords]).tobytes()
 
 
 def check_importance_unbiasedness(n: int = 400, seed: int = 19) -> CheckResult:
@@ -220,7 +220,7 @@ def check_simplex_validity(n: int = 2000, seed: int = 23) -> CheckResult:
     mean sums to one and has no negative coordinate, and so does the
     learner's last hypothesis; every round's loss 1 - w[outcome] lies in
     [0, 1]."""
-    run = _coin_run(seed, T=n, rate=0.4)
+    run = _coin_run(seed, T=n, rate=FixedRate(0.4))
     mean, last, loss = run.hypothesis_sum / n, run.learner.coords, run.transcript.loss
     sums = abs(mean.sum() - 1.0), abs(last.sum() - 1.0)
     worst = max(*sums, -min(mean.min(), last.min(), loss.min(), 0.0), loss.max() - 1.0)
@@ -231,10 +231,10 @@ def check_zero_feed_neutrality(seed: int = 29) -> CheckResult:
     """A coin run's rejected rounds fed nothing: a fresh learner fed the
     run's purchases alone, one ``feed_gradient`` each at weight 1/q, ends
     bit for bit at the learner that the run fed in one ``_feed_rows``
-    block."""
-    run = _coin_run(seed)
+    block, at the theory rate, which each feed takes again."""
+    run = _coin_run(seed, rate=TheoryRate())
     instance, q = run.instance, run.transcript.q
-    replay = FtrlLearner(instance.space, run.learner.learning_rate)
+    replay = FtrlLearner(instance.space, run.config.learning_rate)
     bought = np.flatnonzero(run.transcript.accepted)
     for t in bought.tolist():  # a coin has no filler: every flip has a gradient
         gradient = np.zeros(instance.space.dim)

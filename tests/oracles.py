@@ -17,18 +17,22 @@ import numpy as np
 
 from procure_learn.core import L2_BALL, Hypothesis, HypothesisSpace, project_coords
 from procure_learn.environment import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, ProblemInstance
+from procure_learn.ftrl import FixedRate
 from procure_learn.metrics import SequenceStats
 
 
 class LazyFtrl:
     """Lazy FTRL in plain numpy, one feed at a time: the gradient sum and the
     bound sum, and the hypothesis at the negated, rate-scaled gradient sum,
-    projected onto the ball or softmaxed on the simplex. Each feed takes
+    projected onto the ball or softmaxed on the simplex. The rate is a
+    ``FixedRate``'s value, or else the self-tuned
+    sqrt(2 * reg_bound / max(bound_sum, 1)) after each feed. Each feed takes
     the steps of the package's learner in the same order, so the two end
     bit for bit alike; a rejected round is simply not fed."""
 
-    def __init__(self, space: HypothesisSpace, rate: float):
-        self.space, self.rate, self.bound_sum = space, rate, 0.0
+    def __init__(self, space: HypothesisSpace, rate):
+        self.space, self.fixed, self.bound_sum = space, isinstance(rate, FixedRate), 0.0
+        self.rate = rate.value if self.fixed else math.sqrt(2.0 * space.reg_bound)
         self.grad_sum = np.zeros(space.dim)
         self.coords = np.full(space.dim, 0.0 if space.kind == L2_BALL else 1.0 / space.dim)
 
@@ -39,6 +43,8 @@ class LazyFtrl:
         self.grad_sum = self.grad_sum + gradient * weight
         weighted = delta * weight
         self.bound_sum += weighted * weighted
+        if not self.fixed:
+            self.rate = math.sqrt(2.0 * self.space.reg_bound / max(self.bound_sum, 1.0))
         z = self.grad_sum * -self.rate
         if self.space.kind == L2_BALL:
             norm = math.sqrt(z.dot(z))
@@ -61,13 +67,13 @@ def hinge_row(instance: ProblemInstance, w: np.ndarray, t: int) -> tuple[float, 
 def posted_hypotheses(mech) -> np.ndarray:
     """The hypothesis a finished run posted in each round, one row per round.
 
-    A fresh ``LazyFtrl`` at the run's rate is fed each purchase of the
+    A fresh ``LazyFtrl`` at the run's rate policy is fed each purchase of the
     run's transcript as the mechanism fed it; between purchases the posted
     hypothesis does not change. The replay must end bit for bit where the
     run's own learner did.
     """
     instance, transcript = mech.instance, mech.transcript
-    learner = LazyFtrl(instance.space, mech.learner.learning_rate)
+    learner = LazyFtrl(instance.space, mech.config.learning_rate)
     bought = np.flatnonzero(transcript.accepted)
     posted = []
     for t in bought.tolist():

@@ -261,7 +261,7 @@ def test_coin_cost_above_c_max_exits_2_before_any_output(tmp_path, command, inst
     assert not (tmp_path / "out").exists()
 
 
-def test_padded_coin_of_only_filler_is_accepted_below_unit_c_max(tmp_path):
+def test_padded_coin_of_only_filler_is_accepted(tmp_path):
     # round(0.01 * 40) flips: the stream is all free filler, worthless to
     # the learner, so no run buys or pays for any of it
     cfg_path = tmp_path / "config.json"
@@ -806,19 +806,19 @@ def test_linear_config_roundtrip(tmp_path):
 # assembly or the CSV writer that moves one byte of output fails here
 PINNED_OUTPUT = {
     "coin_at_cost.json": ("run", 3, {
-        "transcript.csv": "da765e8484db52ca0683ebc4a809bf31063cc95ab12c884ac14611e07c6d1ede",
-        "summary.csv": "2cda7f2ab217fe74322b23a0ad2138ff69f2cb45abf4826e6c97113c5d6b013c",
+        "transcript.csv": "04c7078ab988888fb074ae6c8101320ba2c174c86be9f525dcb48c12b0e7d491",
+        "summary.csv": "abe1ef50cc8169c5a3cf568d24d1c235a35bffb41615fc42d8bf2c2e64a01387",
     }),
     "padded_coin_budget.json": ("run", 3, {
-        "transcript.csv": "2e1858502d312079ea505c11ace6bb660b0ae725c968b8309390a2dedee278e7",
-        "summary.csv": "da65feb15311d2accb21b8ec186232f3a13715ba13f1e8a17dccfd629871d52a",
+        "transcript.csv": "78261f00e459d0d3a2c2fba49b4f4234437969c98ceff08e176b3d9509af4478",
+        "summary.csv": "b2125258e4a91996f4142bc2dc6601483861bf8d553a1c1487fe5ecb35ac9a4b",
     }),
     "linear_correlated.json": ("run", 2, {
-        "transcript.csv": "ffa127951b318c054f53ae5ed5311a5af9f3df3ea57d0c4e477f1f43a1e53ae4",
-        "summary.csv": "0b0a1ec73a5d7a95a33401b54aaec9c1b110a3db61f6366c39fc34d1cec34f6f",
+        "transcript.csv": "bf978c6df94fc2d71350ee2173288c6ecd2c86ab38972a55088afaedb46bb1e2",
+        "summary.csv": "e8af116555fe6f8f021df5d8b3fc4effb12638fc29467fc3a28ef156cbe2f68b",
     }),
     "linear_uniform_sweep.json": ("sweep", 1, {
-        "sweep.csv": "e44310f57d7b2cf2d1c2852532c4db34743e0e7e2a1601d261f847503f9df6b6",
+        "sweep.csv": "639db71541f160ef49ef85a3116230b18b211125a631f27692c2c73a146a6462",
     }),
 }
 

@@ -22,10 +22,9 @@ from procure_learn.mechanism import (
     TheoryRate,
     choose_price_scale,
     ledger_entry,
-    theory_learning_rate,
 )
 from procure_learn.metrics import risk
-from procure_learn.pricing import priced_round, priced_rounds, survival
+from procure_learn.pricing import expected_payment, priced_round, priced_rounds, survival
 
 from oracles import mean_round_risk, posted_hypotheses
 
@@ -112,12 +111,6 @@ def test_choose_scale_refuses_knowledge_giving_zero_scale(payment_mode, knowledg
     # the config refuses it, before any run
     with pytest.raises(InvalidConfigError, match=statistic):
         MechanismConfig(budget=5.0, payment_mode=payment_mode, price_scale=PriorKnowledge(**knowledge))
-
-
-def test_theory_learning_rate_examples():
-    assert theory_learning_rate(1.0, 10_000, 100, 3.0) == pytest.approx(0.01)
-    assert theory_learning_rate(1.0, 400, 100, 0.0) == pytest.approx(1.0 / 20.0)
-    assert theory_learning_rate(50.0, 100, 100, 0.0) == pytest.approx(math.sqrt(50) / 10)
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +204,33 @@ def test_pay_never_lowers_a_later_adaptive_scale(payment_mode):
         before = mech.adapted_scales(rounds, mech.estimate_total, mech.spend)
         d, cost, q = float(rng.random()), float(inst.costs[t]), float(rng.uniform(1e-3, 1.0))
         price = float(rng.uniform(cost, 1.0))
-        payment, term = ledger_entry(d, cost, price, q, payment_mode == "at-cost", math.sqrt)
+        payment, term = ledger_entry(d, cost, price, q, payment_mode == "at-cost", math.sqrt, max)
         mech.spend += payment
         mech.estimate_total += term
         after = mech.adapted_scales(rounds, mech.estimate_total, mech.spend)
         assert np.all(after[t + 1:] >= before[t + 1:])
         assert all(mech.adapted_scale(r) >= s for r, s in zip(range(t + 1, inst.horizon), before[t + 1:]))
     assert mech.spend > cfg.budget  # the floor of the budget left was reached
+
+
+def test_ledger_entry_terms_and_their_floor():
+    # at cost the estimate term is delta * sqrt(cost) / q; under posted-price
+    # it is floored at delta / (2 q), which is never below a quarter of the
+    # round's scaled expected payment (at most 2 * delta), so free purchases
+    # raise the adaptive scale too. The scalar and array forms share bits.
+    rng = np.random.default_rng(8)
+    costs = np.concatenate([[0.0, 0.25, 1.0, np.nextafter(0.25, 0)], rng.random(200)])
+    deltas, qs, prices = rng.random(len(costs)), rng.uniform(1e-3, 1.0, len(costs)), rng.random(len(costs))
+    for at_cost in (True, False):
+        paid, terms = ledger_entry(deltas, costs, prices, qs, at_cost, np.sqrt, np.maximum)
+        for d, c, p, q, pay, term in zip(deltas, costs, prices, qs, paid, terms):
+            statistic = math.sqrt(c) if at_cost else max(math.sqrt(c), 0.5)
+            assert (pay, term) == ((c if at_cost else p), d * statistic / q)
+            assert ledger_entry(float(d), float(c), float(p), float(q), at_cost, math.sqrt, max) == (pay, term)
+    for d, c in zip(deltas, costs):
+        for scale in (0.0, 0.3, 1.0, 5.0, 40.0):
+            scaled = scale * expected_payment(float(d), scale, float(c))
+            assert d * max(math.sqrt(c), 0.5) >= scaled / 4
 
 
 def test_priced_round_acceptance_rate_matches_q():

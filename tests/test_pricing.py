@@ -141,7 +141,7 @@ def test_sample_range_and_vector_agreement(rng):
             assert sample_price(float(d), s, float(u)) == p
 
 
-def test_tiny_scale_prices_at_c_max_without_warnings(rng):
+def test_tiny_scale_prices_at_one_without_warnings(rng):
     # at a subnormal-range scale the heavy-tail price (delta / scale)**2
     # overflows, but the atom at the top price 1 takes all the mass, so no
     # warning is due

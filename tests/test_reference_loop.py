@@ -59,11 +59,18 @@ def reference_row(instance, w, t):
     return value, abs(slope) * float(instance.feature_norms[t]), (slope * y) * x
 
 
+def statistic(cost, at_cost):
+    """The adaptive estimate's per-purchase factor of delta: sqrt(cost) at
+    cost, floored at 1/2 under posted-price, where the price is paid
+    whatever the cost."""
+    return math.sqrt(cost) if at_cost else max(math.sqrt(cost), 0.5)
+
+
 def reference_run(config, instance, rng):
     """Contract-level re-implementation of one full mechanism run."""
-    setup = Mechanism(config, instance)  # reuse scale / learning-rate selection
+    setup = Mechanism(config, instance)  # reuse scale selection
     scale = setup.price_scale
-    learner = LazyFtrl(instance.space, setup.learner.learning_rate)
+    learner = LazyFtrl(instance.space, config.learning_rate)
     T = instance.horizon
     budget = config.budget
     at_cost = config.payment_mode == "at-cost"
@@ -103,7 +110,7 @@ def reference_run(config, instance, rng):
             )
             learner.feed(gradient, q, value)
             spend += payment
-            estimate_sum += value * math.sqrt(cost) / q
+            estimate_sum += value * statistic(cost, at_cost) / q
         else:
             payment = 0.0
 
@@ -119,7 +126,7 @@ def reference_end_state(config, instance, rows):
     """The end state a reference transcript implies, accumulated one round at
     a time: the learner is replayed on the accepted rounds."""
     setup = Mechanism(config, instance)
-    learner = LazyFtrl(instance.space, setup.learner.learning_rate)
+    learner = LazyFtrl(instance.space, config.learning_rate)
     hypothesis_sum = np.zeros(instance.space.dim)
     loss_total = value_cost_total = value_total = estimate_total = 0.0
     for t, (value, cost, price, accepted, q, payment, loss, spend) in enumerate(rows):
@@ -129,7 +136,7 @@ def reference_end_state(config, instance, rows):
         value_cost_total += value * math.sqrt(cost)
         value_total += value
         if accepted:
-            estimate_total += value * math.sqrt(cost) / q
+            estimate_total += value * statistic(cost, config.payment_mode == "at-cost") / q
             learner.feed(reference_row(instance, w, t)[2], q, value)
     return {
         "loss_total": loss_total,
@@ -225,6 +232,9 @@ CONFIGS = [
         learning_rate=FixedRate(0.2),
         hard_stop=True,
     ),
+    # the self-tuned rate, fed one purchase at a time and in blocks
+    MechanismConfig(budget=15.0, price_scale=AdaptiveScale(), learning_rate=TheoryRate()),
+    MechanismConfig(budget=6.0, purchase_policy="baseline", learning_rate=TheoryRate()),
 ]
 CONFIG_IDS = [
     "priced-posted-price0",
@@ -236,6 +246,8 @@ CONFIG_IDS = [
     "priced-at-cost-adaptive",
     "naive-at-cost",
     "priced-at-cost-hard-stop",
+    "priced-posted-price-theory",
+    "baseline-theory",
 ]
 
 
@@ -267,6 +279,9 @@ SWEEP_CONFIGS = {
         budget=60.0, price_scale=FixedScale(8.0), learning_rate=FixedRate(0.08), hard_stop=True
     ),
     "naive-200": MechanismConfig(budget=200.0, purchase_policy="naive", learning_rate=FixedRate(0.08)),
+    # the shipped sweep's rate
+    "priced-100-theory": MechanismConfig(budget=100.0, learning_rate=TheoryRate()),
+    "naive-200-theory": MechanismConfig(budget=200.0, purchase_policy="naive"),
 }
 
 
@@ -425,6 +440,7 @@ BLOCK_CONFIGS = {
     "adaptive-hard-stop": MechanismConfig(
         budget=15.0, price_scale=AdaptiveScale(), learning_rate=FixedRate(2.0), hard_stop=True
     ),
+    "baseline-theory": MechanismConfig(budget=6.0, purchase_policy="baseline"),
 }
 
 
@@ -572,7 +588,8 @@ def test_workload_sized_vertex_run_matches_reference(name):
 @st.composite
 def drawn_runs(draw):
     """An instance and a mechanism config drawn over every kind, policy,
-    payment mode, scale policy and hard stop, with costs in [0, 1]."""
+    payment mode, scale policy, rate policy and hard stop, with costs in
+    [0, 1]."""
     T = draw(st.integers(1, 300))
     seed = draw(st.integers(0, 2**16))
     kind = draw(st.sampled_from(["coin", "padded-coin", "linear"]))
@@ -598,7 +615,9 @@ def drawn_runs(draw):
         payment_mode=payment_mode,
         purchase_policy=draw(st.sampled_from(["priced", "naive", "baseline"])),
         price_scale=price_scale,
-        learning_rate=FixedRate(draw(st.floats(0.01, 1.0))),
+        learning_rate=draw(
+            st.one_of(st.just(TheoryRate()), st.floats(0.01, 1.0).map(FixedRate))
+        ),
         hard_stop=draw(st.booleans()),
     )
     return instance, config, seed
