@@ -88,10 +88,12 @@ class FtrlLearner:
         self.grad_sum = np.zeros(space.dim)
         self.bound_sum = 0.0
         self.rated_sum = 0.0
+        # the ball's radius, or None on the simplex
+        self._radius = space.radius if space.kind == L2_BALL else None
         self._coords = self._argmin_regularizer()
 
     def _argmin_regularizer(self) -> np.ndarray:
-        if self.space.kind == L2_BALL:
+        if self._radius is not None:
             return np.zeros(self.space.dim)
         return np.full(self.space.dim, 1.0 / self.space.dim)
 
@@ -142,8 +144,8 @@ class FtrlLearner:
         if self._tuned:
             self.learning_rate = math.sqrt(self._twice_reg / max(self.bound_sum, 1.0))
         z = self.grad_sum * -self.learning_rate  # a fresh array, so it needs no copy
-        if self.space.kind == L2_BALL:
-            self._coords = _project_ball(z, self.space.radius)
+        if self._radius is not None:
+            self._coords = _project_ball(z, self._radius)
         else:
             self._coords = _softmax_rows(z[None])[0]
 
@@ -161,21 +163,25 @@ class FtrlLearner:
         block = np.empty((n + 1, dim + 1))
         block[0, :dim] = self.grad_sum
         block[0, dim] = self.bound_sum
-        np.multiply(gradients, inverse_weights[:, None], out=block[1:, :dim])
+        if (inverse_weights == 1.0).all():  # as ``_feed`` skips a weight of one
+            block[1:, :dim] = gradients
+        else:
+            np.multiply(gradients, inverse_weights[:, None], out=block[1:, :dim])
         weighted = deltas * inverse_weights
         block[1:, dim] = weighted * weighted
         sums = np.add.accumulate(block)  # a cumulative sum down the rows adds them in order
         if self._tuned:
             rates = np.sqrt(self._twice_reg / np.maximum(sums[:, dim], 1.0))
-        else:
+            posted = sums[:, :dim] * -rates[:, None]
+        else:  # one rate scales every row alike
             rates = np.full(n + 1, self.learning_rate)
+            posted = sums[:, :dim] * -self.learning_rate
         rated = np.empty(n + 1)
         rated[0] = self.rated_sum
         np.multiply(rates[:-1], block[1:, dim], out=rated[1:])
         np.add.accumulate(rated, out=rated)
-        posted = sums[:, :dim] * -rates[:, None]
-        if self.space.kind == L2_BALL:
-            _project_ball_rows(posted, self.space.radius)
+        if self._radius is not None:
+            _project_ball_rows(posted, self._radius)
         else:
             _softmax_rows(posted)
         posted[0] = self._coords  # as it is: a fresh learner's need not be what its sums give

@@ -54,17 +54,20 @@ rounds, as lazy FTRL's iterates follow from the fed gradients alone: the
 hinge of each round is guessed from its margin at the block's first
 hypothesis, one ``_feed_rows`` of the guessed feeds gives the hypothesis
 each round posted, each margin is taken again there, and the rounds
-before the first wrong guess are kept. A flat-price list buys each of its
-rounds, a priced one those whose hinge is active (their listed delta is
-then exact). A block's first round is guessed at the hypothesis it posts,
-so every block keeps at least one round.
+before the first wrong guess are kept. The next block starts at that round
+and guesses the rounds the cut block held from their margins there, at
+hypotheses that hold the block's earlier feeds. A flat-price list buys
+each of its rounds, a priced one those whose hinge is active (their listed
+delta is then exact). A block's first round is guessed at the hypothesis
+it posts, so every block keeps at least one round.
 
 Either way one settle pass (``_settle``) replays the hypotheses the run
 posted: the loss and delta of every round at its hypothesis, and their sum.
 A margin has the same bits one row at a time or in a block, as numpy
 reduces each row of a block as it reduces a lone row, so a round's loss is
-the one its visit or its block decided on. The pass then totals and prices
-every round again, and keeps the columns as a transcript.
+the one its visit or its block decided on. The pass then totals the run.
+Pricing every round again for the transcript waits until ``transcript``
+is first read: a sweep reads none, and ``run`` only trial 0's.
 
 A bought round with an inactive hinge pays but is not fed: the gradient
 sum starts at +0.0 and never holds -0.0, so a zero gradient would change
@@ -101,9 +104,10 @@ SCALE_CAP = 1e6
 # A tracked run lists the rounds it could buy CHUNK rounds at a time, and
 # lists them again after STALE visits that the state refused: a list costs
 # about as much as that many visits. A feature run learns a list decided
-# whole BLOCK listed rounds at a time; a guess gone wrong wastes the rest of
-# its block. The settle pass replays the posted hypotheses in blocks of
-# rows capped so that a (rows x dim) block stays a few hundred kilobytes.
+# whole BLOCK listed rounds at a time; a guess gone wrong wastes the feeds
+# of the rest of its block. The settle pass replays the posted hypotheses in
+# blocks of rows capped so that a (rows x dim) block stays a few hundred
+# kilobytes.
 CHUNK = 1024
 STALE = 8
 BLOCK = 128
@@ -288,11 +292,13 @@ class Mechanism:
         self._tracked = config.purchase_policy == PRICED and (config.hard_stop or self._adaptive)
         self.learner = FtrlLearner(instance.space, config.learning_rate)
 
-        self.spend = 0.0  # kept running for the prices mid-run, then settled
+        self.spend = 0.0  # set when the run settles
         self.estimate_total = 0.0  # importance-weighted purchase estimate
         self.rounds_done = 0
         self.hypothesis_sum = np.zeros(instance.space.dim)
-        self.transcript: Optional[Transcript] = None  # set when the run settles
+        self._settled = False
+        self._transcript: Optional[Transcript] = None
+        self._unpriced: Optional[tuple] = None  # the columns the transcript is priced from
 
     # -- estimates -----------------------------------------------------------
 
@@ -328,7 +334,7 @@ class Mechanism:
         engine returns the columns price, q and accepted, the rounds fed,
         and the hypotheses posted before the first feed and after each, one
         row each; the run then settles from them."""
-        if self.transcript is not None:
+        if self._settled:
             raise MechanismStateError("mechanism already ran its full sequence")
         uniforms = rng.random(self.horizon)
         play = self._decide_then_learn if self.instance.outcomes is not None else self._visit
@@ -336,55 +342,75 @@ class Mechanism:
         return self
 
     def _settle(self, price, q, accepted, fed, posted, uniforms) -> None:
-        """Total a played run and keep its columns, with the loss, delta,
-        payment and spend after each round, as its transcript.
+        """Total a played run, and keep what its transcript is priced from.
 
         Round t posted the row of ``posted`` after the feeds of the rounds
         before it. In blocks of at most WINDOW_ELEMENTS values of those
-        rows, the instance gives each round's loss and delta, and a cumulative
-        sum adds the rows to the hypothesis sum in round order, as one round
-        at a time does. One cumulative sum over the rounds then adds up the
-        loss, delta * sqrt(cost), delta, and the payment and estimate term
-        of each bought round (``ledger_entry``), in round order too; a
-        rejected round adds 0.0 to the estimate and the spend, which leaves
-        them as they are: so the spend and the estimate equal bit for bit
-        the running ones that ``_walk`` kept for the rounds to read.
-        ``price`` and ``q`` need to hold only at the accepted rounds: every
-        round is then priced again from the ``uniforms``, at the spend and
-        the estimate before it where the run is tracked."""
+        rows, the instance gives each round's loss and delta, and
+        ``_row_sum`` adds the rows to the hypothesis sum in round order, as
+        one round at a time does. A cumulative sum then adds up the loss,
+        delta * sqrt(cost) and delta of every round, and another the payment
+        and estimate term of each bought round (``ledger_entry``), in round
+        order too. A rejected round would add 0.0 to the estimate and the
+        spend, which leaves them as they are (a sum from +0.0 never holds
+        -0.0), so the spend and the estimate equal bit for bit the running
+        ones that ``_walk`` kept for the rounds to read. ``price`` and ``q``
+        need to hold only at the accepted rounds."""
         cfg, instance = self.config, self.instance
         T, costs, dim = self.horizon, instance.costs, instance.space.dim
         loss, delta = np.empty((2, T))
         total = np.zeros(dim)  # the hypothesis sum starts at zero
+        row = np.zeros(T + 1, dtype=np.intp)  # the row of posted each round posted:
+        row[fed + 1] = 1  # one further after each feed
+        row = np.cumsum(row[:T])
         step = max(1, WINDOW_ELEMENTS // dim)
         for a in range(0, T, step):
             b = min(T, a + step)
             rows = np.empty((b - a + 1, dim))
             rows[0] = total
-            H = posted.take(np.searchsorted(fed, np.arange(a, b)), axis=0, out=rows[1:], mode="clip")
+            H = posted.take(row[a:b], axis=0, out=rows[1:], mode="clip")
             loss[a:b], delta[a:b] = instance.at_posted(H, a, b)
-            total = np.cumsum(rows, axis=0, out=rows)[-1]  # adds the rows in order
-        self.hypothesis_sum = total.copy()
+            total = _row_sum(rows)
+        self.hypothesis_sum = total.copy()  # not a view that keeps a window alive
         bought = np.flatnonzero(accepted)
-        payment, estimate = np.zeros(T), np.zeros(T)
-        paid, estimate[bought] = ledger_entry(
+        ledger = np.zeros((2, len(bought) + 1))  # every total starts at zero
+        paid, ledger[1, 1:] = ledger_entry(
             delta[bought], costs[bought], price[bought], q[bought], cfg.payment_mode == AT_COST,
             np.sqrt, np.maximum,
         )
         if cfg.purchase_policy != BASELINE:  # baseline pays nothing
-            payment[bought] = paid
-        block = np.zeros((5, T + 1))  # every total starts at zero
-        block[:, 1:] = loss, delta * np.sqrt(costs), delta, estimate, payment
-        sums = block.cumsum(axis=1)
-        state = (sums[3, :-1], sums[4, :-1]) if self._tracked else (0.0, 0.0)
-        price, q, _ = self._posted(delta, 0, T, *state, uniforms)
-        self.loss_total, self.value_cost_total, self.value_total = sums[:3, -1].tolist()
-        self.estimate_total, self.spend = sums[3:, -1].tolist()
-        self.purchases = int(np.count_nonzero(accepted))
+            ledger[0, 1:] = paid
+        rounds = np.zeros((3, T + 1))
+        rounds[:, 1:] = loss, delta * np.sqrt(costs), delta
+        totals = rounds.cumsum(axis=1)[:, -1].tolist()
+        self.loss_total, self.value_cost_total, self.value_total = totals
+        self.spend, self.estimate_total = ledger.cumsum(axis=1)[:, -1].tolist()
+        self.purchases = len(bought)
         self.rounds_done = T
-        self.transcript = Transcript(
-            delta, costs.copy(), price, accepted, q, payment, loss, sums[4, 1:].copy()
-        )
+        self._settled = True
+        self._unpriced = (delta, accepted, loss, bought, ledger[:, 1:], uniforms)
+
+    @property
+    def transcript(self) -> Optional[Transcript]:
+        """The per-round log of a finished run, None before it. Every round
+        is priced again from the run's uniforms when it is first read, at
+        the spend and the estimate before it where the run is tracked; a
+        later read returns the same object."""
+        if self._unpriced is not None:
+            delta, accepted, loss, bought, ledger, uniforms = self._unpriced
+            T = self.horizon
+            sums = np.zeros((2, T + 1))  # the spend and the estimate, from zero
+            sums[:, 1 + bought] = ledger
+            payment = sums[0, 1:].copy()
+            np.cumsum(sums, axis=1, out=sums)
+            state = (sums[1, :-1], sums[0, :-1]) if self._tracked else (0.0, 0.0)
+            price, q, _ = self._posted(delta, 0, T, *state, uniforms)
+            costs = self.instance.costs.copy()
+            self._transcript = Transcript(
+                delta, costs, price, accepted, q, payment, loss, sums[0, 1:].copy()
+            )
+            self._unpriced = None
+        return self._transcript
 
     def _posted(self, delta, start, stop, estimate_total, spend, uniforms) -> tuple[np.ndarray, ...]:
         """Price, q and acceptance of the rounds ``start <= t < stop`` under
@@ -435,11 +461,14 @@ class Mechanism:
         ``exact`` delta, taken at the visit, and the current state, and
         ``bought(round, delta, q)`` is called at each purchase right after
         its visit, with no visit between: a feature run keeps only the
-        margin of the round it visited last. STALE refusals, or a purchase
+        row of the round it visited last. STALE refusals, or a purchase
         that crosses the hard stop, start the next list."""
         cfg = self.config
-        T, tracked = self.horizon, self._tracked
-        at_cost = cfg.payment_mode == AT_COST
+        T, tracked, adaptive = self.horizon, self._tracked, self._adaptive
+        budget, hard_stop, scale = cfg.budget, cfg.hard_stop, self.price_scale
+        floor = 1e-6 * budget  # as adapted_scale floors the budget left
+        at_cost, sqrt = cfg.payment_mode == AT_COST, math.sqrt
+        spend = estimate_total = 0.0  # the running totals that later prices read
         costs, u = self.instance.costs, uniforms
         if tracked:  # a visit reads one value at a time, faster from lists
             costs, u = costs.tolist(), u.tolist()
@@ -448,8 +477,8 @@ class Mechanism:
         t = 0
         while t < T:
             stop = min(T, t + CHUNK) if tracked else T
-            listed = self._posted(upper[t:stop], t, stop, self.estimate_total, self.spend, uniforms)
-            flat = cfg.purchase_policy != PRICED or (cfg.hard_stop and self.spend >= cfg.budget)
+            listed = self._posted(upper[t:stop], t, stop, estimate_total, spend, uniforms)
+            flat = cfg.purchase_policy != PRICED or (hard_stop and spend >= budget)
             if flat or not tracked:
                 price[t:stop], q[t:stop], accepted[t:stop] = listed
                 if learn is not None:
@@ -464,21 +493,24 @@ class Mechanism:
                 d = exact(j)
                 if d <= 0.0:  # worthless: never bought, at every scale
                     continue
-                scale = self.adapted_scale(j) if self._adaptive else self.price_scale
-                p_j, q_j, accepted_j = priced_round(d, costs[j], u[j], scale)
+                if adaptive:  # adapted_scale(j), with value_cost_estimate's arithmetic
+                    estimate = min(1.0, max(0.0, estimate_total / j)) if j else 0.0
+                    scale = min(SCALE_CAP, estimate * (T - j) / max(budget - spend, floor))
+                cost = costs[j]
+                p_j, q_j, accepted_j = priced_round(d, cost, u[j], scale)
                 if not accepted_j:
                     stale += 1
                     if stale == STALE:
                         stop = j + 1
                         break
                     continue
-                payment, term = ledger_entry(d, costs[j], p_j, q_j, at_cost, math.sqrt, max)
-                self.spend += payment  # what the prices of later rounds read
-                self.estimate_total += term
+                payment, term = ledger_entry(d, cost, p_j, q_j, at_cost, sqrt, max)
+                spend += payment  # what the prices of later rounds read
+                estimate_total += term
                 price[j], q[j], accepted[j] = p_j, q_j, True
                 if bought is not None:
                     bought(j, d, q_j)
-                if cfg.hard_stop and self.spend >= cfg.budget:
+                if hard_stop and spend >= budget:
                     stop = j + 1
                     break
             t = stop
@@ -486,13 +518,15 @@ class Mechanism:
 
     def _visit(self, uniforms: np.ndarray) -> tuple[np.ndarray, ...]:
         """Play a feature run on the walk. A visited round takes its margin
-        at the current hypothesis, and a purchase whose hinge is active
+        at the current hypothesis, and a purchase (its hinge is then active)
         feeds. A list decided whole is learned in verified blocks of BLOCK
         listed rounds: each round's hinge is guessed from its margin at the
         block's first hypothesis, one ``_feed_rows`` of the guessed feeds
         gives the hypothesis every round posted, and the rounds before the
-        first whose margin there belies its guess are kept. The first round
-        is guessed at the hypothesis it posts, so every block keeps one."""
+        first whose margin there belies its guess are kept. The margins
+        taken there of that round and the rest of the block are the next
+        block's guesses for them. The first round is guessed at the
+        hypothesis it posts, so every block keeps one."""
         instance, learner = self.instance, self.learner
         features, margin = instance.features, _margin
         labels, norms = instance.labels, instance.feature_norms
@@ -501,42 +535,46 @@ class Mechanism:
         # room for a feed in every round; the pages of rows never written stay untouched
         fed, posted = [], np.empty((self.horizon + 1, instance.space.dim))
         posted[0] = w = learner.coords
-        m = 0.0  # the margin of the round visited last, which a purchase follows
+        x = None  # the row of the round visited last, which a purchase follows
 
         def exact(j):  # the delta at the current hypothesis
-            nonlocal m
-            m = labels[j] * margin(features[j], w)
-            return norms[j] if m < 1.0 else 0.0
+            nonlocal x
+            x = features[j]
+            return norms[j] if labels[j] * margin(x, w) < 1.0 else 0.0
 
-        def bought(j, d, q):  # the gradient -label * x; an inactive hinge feeds zero
+        feed, feed_round = learner._feed, fed.append
+
+        def bought(j, d, q):  # the gradient -label * x; its delta is positive, so its hinge active
             nonlocal w
-            if m < 1.0:
-                learner._feed(features[j], 1.0 / q, d, negate=labels[j] > 0)
-                w = learner.coords
-                fed.append(j)
-                posted[len(fed)] = w
+            feed(x, 1.0 / q, d, labels[j] > 0)
+            w = learner.coords
+            feed_round(j)
+            posted[len(fed)] = w
 
         def learn(rounds, q):  # the rounds of a list decided whole
             nonlocal w
             active = np.zeros(len(rounds), dtype=bool)
-            i = 0
+            i, ahead = 0, np.zeros(0, dtype=bool)  # the guesses past the last cut
             while i < len(rounds):
                 block = rounds[i : i + BLOCK]
-                X, y = features[block], instance.labels[block]
-                guess = _margins(X, y, w) < 1.0  # each hinge at the block's first hypothesis
+                X, y = features.take(block, axis=0), instance.labels[block]  # faster than [block]
+                carried = len(ahead)
+                guess = np.concatenate((ahead, _margins(X[carried:], y[carried:], w) < 1.0))
                 feeds = guess.nonzero()[0]
-                kept = len(block)
-                if len(feeds):
+                kept, ahead = len(block), ahead[:0]
+                if len(feeds) or carried:  # a carried guess was not taken at w, so it is checked
                     before = feeds.searchsorted(np.arange(kept))  # guessed feeds before each round
 
                     def verified(H):  # the feeds before the first wrong guess
-                        nonlocal kept
-                        right = (_margins(X, y, H[before]) < 1.0) == guess
+                        nonlocal kept, ahead
+                        seen = _margins(X, y, H.take(before, axis=0)) < 1.0
+                        right = seen == guess
                         first_wrong = int(right.argmin())
-                        kept = kept if right[first_wrong] else first_wrong
+                        if not right[first_wrong]:
+                            kept, ahead = first_wrong, seen[first_wrong:]
                         return int(before[kept]) if kept < len(block) else len(feeds)
 
-                    gradients = X[feeds] * -y[feeds, None]  # -label * x
+                    gradients = X.take(feeds, axis=0) * -y[feeds, None]  # -label * x
                     iw = 1.0 / q[i : i + kept][feeds]
                     deltas = instance.feature_norms[block[feeds]]
                     H = learner._feed_rows(gradients, iw, deltas, verified)
@@ -570,7 +608,7 @@ class Mechanism:
 
     def finalize(self) -> Hypothesis:
         """Mean of the posted hypotheses, the run's single prediction."""
-        if self.transcript is None:
+        if not self._settled:
             raise MechanismStateError("run is incomplete; cannot finalize")
         return Hypothesis(
             self.instance.space,
@@ -600,6 +638,18 @@ def ledger_entry(delta, cost, price, q, at_cost: bool, sqrt, maximum):
     same arithmetic, so the same bits."""
     reach = cost if at_cost else maximum(cost, 0.25)
     return (cost if at_cost else price), delta * sqrt(reach) / q
+
+
+def _row_sum(rows: np.ndarray) -> np.ndarray:
+    """The sum of the rows of a C-contiguous block, added one row at a time
+    in order, as a cumulative sum adds them. ``np.add.reduce`` down the rows
+    does this too for two columns or more, and about three times faster at
+    32 columns, but it pays per row: below 8 columns the cumulative sum is
+    the faster. A single column it would reduce as one axis, summing
+    pairwise, with other bits."""
+    if rows.shape[1] >= 8:
+        return np.add.reduce(rows, axis=0)
+    return np.cumsum(rows, axis=0)[-1]
 
 
 def _margin(x: np.ndarray, w: np.ndarray) -> float:

@@ -71,8 +71,11 @@ class ExperimentConfig:
             raise InvalidConfigError("need at least one trial")
         if self.seed < 0:  # numpy seeds only from nonnegative integers
             raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
-        for budget in self.budget_grid or ():  # refused as the mechanism's budget would be
+        grid = self.budget_grid or ()
+        for i, budget in enumerate(grid):  # refused as the mechanism's budget would be
             dataclasses.replace(self.mechanism, budget=budget)
+            if budget in grid[:i]:  # a sweep would run and write each of its cells twice
+                raise InvalidConfigError(f"budget_grid repeats the budget {budget}")
 
 
 def _require(d: dict, key: str, where: str):

@@ -220,7 +220,7 @@ def test_bad_cost_model_exits_2_before_any_output(tmp_path):
     ],
     ids=["uniform", "c_max", "constant", "two-point", "two-point-never-drawn"],
 )
-def test_cost_model_above_c_max_exits_2_before_any_output(
+def test_cost_model_above_unit_cost_exits_2_before_any_output(
     tmp_path, capsys, cost_model, mechanism, message
 ):
     # money is in units of the largest cost: each cost model refuses a cost
@@ -242,7 +242,7 @@ def test_cost_model_above_c_max_exits_2_before_any_output(
     [{"kind": "coin", "T": 50}, {"kind": "coin", "T": 50, "coin_fraction": 0.5}],
     ids=["coin", "padded-coin"],
 )
-def test_coin_cost_above_c_max_exits_2_before_any_output(tmp_path, command, instance):
+def test_coin_config_with_removed_key_exits_2_before_any_output(tmp_path, command, instance):
     # a coin flip costs 1; a c_max of 0.5 used to pass the parser, make the
     # output directory and then exit 2 in the first trial. The key is gone,
     # money being in units of the largest cost, and both commands refuse it
@@ -357,6 +357,9 @@ LATE_REFUSALS = {
         [], {}, "avg_value_cost 0.55 exceeds avg_value 0.3; every sequence has avg_value_cost <= avg_value",
     ),
     "budget-grid": ({"budget_grid": [-1]}, [], {}, "budget must be positive and finite, got -1.0"),
+    # a sweep used to run every cell of a repeated budget twice and write
+    # each of its sweep.csv rows twice
+    "budget-grid-repeat": ({"budget_grid": [1, 4, 1]}, [], {}, "budget_grid repeats the budget 1.0"),
     "config-seed": ({"seed": -1}, [], {}, "seed must be >= 0, got -1"),
     "flag-seed": ({}, ["--seed", "-2"], {}, "seed must be >= 0, got -2"),
     "idx-files-absent": (

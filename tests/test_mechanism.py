@@ -512,7 +512,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize("field", ["budget"])
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 0.0])
-def test_budget_and_c_max_must_be_positive_and_finite(field, bad):
+def test_budget_must_be_positive_and_finite(field, bad):
     # an infinite budget reached the price scale as 0; c_max, the largest
     # cost, is now the unit of money and no longer a field
     with pytest.raises(InvalidConfigError, match=f"^{field}.*must be positive and finite"):

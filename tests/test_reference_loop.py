@@ -177,6 +177,19 @@ def _vertex_d7(seed):
     )
 
 
+def _ball_d1(seed):
+    """Labelled points on a line, the one-dimensional ball, with costs in
+    [0, 1): the settle pass adds up a single column of posted hypotheses,
+    which ``np.add.reduce`` would sum pairwise."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, size=(3000, 1))
+    labels = np.where((x[:, 0] > 0.0) == (rng.random(3000) < 0.8), 1, -1)
+    return ProblemInstance(
+        space=l2_ball(1, 3.0), costs=rng.random(3000), features=x, labels=labels,
+        feature_norms=np.abs(x[:, 0]),
+    )
+
+
 # T=150 is short; the T=3000 instances let windows between purchases grow;
 # the T=1 instances are the shortest run, one of them a single filler round
 INSTANCES = {
@@ -192,6 +205,7 @@ INSTANCES = {
     "coin-3000": lambda: CoinSpec(3000, 0.15).build(42),
     "padded-coin-3000": lambda: CoinSpec(3000, 0.1, coin_fraction=0.3).build(42),
     "vertex-d7": lambda: _vertex_d7(42),
+    "ball-d1": lambda: _ball_d1(42),
     "linear-d32-uniform": lambda: LinearTaskSpec(
         T=3000, cost_model=UniformCost(), dim=32, clusters=2, separation=0.35, T_test=10,
         noise=0.2
@@ -312,6 +326,18 @@ def test_run_loop_matches_reference_two_point_costs():
         (row[0], row[2], row[7]) for row in expected
     ]
     assert end_state(mech) == reference_end_state(config, instance, expected)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 8, 32])
+@pytest.mark.parametrize("n", [17, 1025, 16385])
+def test_row_sum_adds_rows_in_order(dim, n):
+    """The settle pass's row sum has the bits of adding the rows one at a
+    time, at one column too, where numpy's own reduction sums pairwise."""
+    rows = np.random.default_rng(n * dim).normal(size=(n, dim))
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    assert mechanism._row_sum(rows).tolist() == total.tolist()
 
 
 FORCED_PATHS = {

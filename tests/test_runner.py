@@ -465,6 +465,60 @@ def test_sweep_trial_runs_baseline_once(monkeypatch):
     assert not math.isnan(baseline[0].risk_zero_one)  # the linear task has a test set
 
 
+def _count_pricing_after_walks(monkeypatch):
+    """Count ``Mechanism._posted`` calls; ``walks`` gets the count as each
+    walk ends, so calls past the last entry came after the walk."""
+    calls, walks = [], []
+    posted, walk = Mechanism._posted, Mechanism._walk
+
+    def counted_posted(self, *args):
+        calls.append(1)
+        return posted(self, *args)
+
+    def counted_walk(self, *args):
+        result = walk(self, *args)
+        walks.append(len(calls))
+        return result
+
+    monkeypatch.setattr(Mechanism, "_posted", counted_posted)
+    monkeypatch.setattr(Mechanism, "_walk", counted_walk)
+    return calls, walks
+
+
+@pytest.mark.parametrize("kind", ["linear", "coin"])
+def test_unread_transcript_is_never_priced(monkeypatch, kind):
+    # every run used to price all its rounds again to build a transcript
+    # that only the recorded trial writes
+    instance = {"kind": "coin", "T": 400} if kind == "coin" else {
+        "kind": "linear", "T": 300, "T_test": 50, "dim": 4, "cost_model": {"kind": "uniform"},
+    }
+    config = parse_config(_base_config(instance=instance, budget_grid=[10.0, 40.0]))
+    grid = [
+        dataclasses.replace(config.mechanism, purchase_policy=policy, budget=budget)
+        for policy in POLICIES
+        for budget in config.budget_grid
+    ]
+    calls, walks = _count_pricing_after_walks(monkeypatch)
+    results = run_trial(config, 0, grid)
+    assert len(walks) == 5 and len(calls) == walks[-1]  # baseline runs once
+    assert all(r.transcript is None for r in results)
+    recorded = run_trial(config, 0, grid, record_transcript=True)
+    assert recorded == results
+
+    built = config.instance.build(trial_streams(config.seed, 0)[0])
+    for mcfg in grid:
+        unread = Mechanism(mcfg, built).run(np.random.default_rng(3))
+        assert len(calls) == walks[-1]
+        read = Mechanism(mcfg, built).run(np.random.default_rng(3))
+        transcript = read.transcript
+        assert len(calls) == walks[-1] + 1  # the first read prices the run once
+        assert read.transcript is transcript and len(calls) == walks[-1] + 1
+        for name in ("loss_total", "spend", "estimate_total", "hypothesis_sum"):
+            assert np.asarray(getattr(read, name)).tobytes() == np.asarray(getattr(unread, name)).tobytes()
+        assert unread.finalize().coords.tobytes() == read.finalize().coords.tobytes()
+        assert transcript.cum_spend[-1] == unread.spend
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_one_instance_and_one_oracle_per_trial(monkeypatch, command):
     config = parse_config(_base_config(trials=3, budget_grid=[10.0, 40.0]))
