@@ -207,24 +207,16 @@ class ProblemInstance:
         posted. A run settles from these.
 
         A hinge's subgradient at the kink is zero: where the margin m < 1
-        delta is the row's stored norm, elsewhere 0. The margins are the row
-        sums ``(X * H).sum(axis=1)`` over the block, and the mechanism takes
-        ``np.add.reduce(x * w)`` of a lone row: numpy reduces each row of the
-        block in the same order as the lone row, so the two agree bit for
-        bit at every dimension and block size (a test pins this).
-        ``np.dot`` (and BLAS matvec) sums in a different order and differs
-        from both in the last digits for a large share of rows; the
-        whole-dataset forms (``grad_norms_at``, the risk metric) keep the
-        faster ``X @ w``. A vertex loss's gradient is -1 at the outcome's
-        vertex, so its delta is 1 on every outcome and 0 on filler points,
-        whatever the hypothesis."""
+        (``_margins``) delta is the row's stored norm, elsewhere 0. A vertex
+        loss's gradient is -1 at the outcome's vertex, so its delta is 1 on
+        every outcome and 0 on filler points, whatever the hypothesis."""
         if self.outcomes is not None:
             outcomes = self.outcomes[start:stop]
             observed = outcomes >= 0
             loss = np.ones(len(outcomes))
             loss[observed] = 1.0 - H[observed, outcomes[observed]]
             return loss, observed.astype(np.float64)
-        m = self.labels[start:stop] * (self.features[start:stop] * H).sum(axis=1)
+        m = _margins(self.features[start:stop], self.labels[start:stop], H)
         return np.maximum(0.0, 1.0 - m), np.where(m < 1.0, self.feature_norms[start:stop], 0.0)
 
     def grad_norms_at(self, w: np.ndarray) -> np.ndarray:
@@ -232,6 +224,24 @@ class ProblemInstance:
         if self.outcomes is not None:
             return (self.outcomes >= 0).astype(np.float64)
         return np.where(self.labels * (self.features @ w) < 1.0, self.feature_norms, 0.0)
+
+
+def _margin(x: np.ndarray, w: np.ndarray) -> float:
+    """<x, w> as the sum of x * w: ``_margins`` of one row, unlabelled."""
+    return float(np.add.reduce(x * w))
+
+
+def _margins(X: np.ndarray, y: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """The margin y * <x, h> of each row of ``X`` at its row of ``H``, or
+    at ``H`` itself if it is one hypothesis: the hinge's one kernel. numpy
+    reduces each row of a block in the order it reduces a lone row, so
+    each margin has the bits of ``_margin`` of its row at every dimension
+    and block size (a test pins this), and a round's loss in a block is the
+    one its visit decided on. ``np.dot`` (and BLAS matvec) sums in another
+    order and differs in the last digits for a large share of rows; the
+    whole-dataset forms (``grad_norms_at``, the risk metric) keep the
+    faster ``X @ w``."""
+    return y * np.add.reduce(X * H, axis=1)
 
 
 def _check_labelled(features, labels, n: int, dim: int, prefix: str) -> None:

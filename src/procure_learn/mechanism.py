@@ -63,8 +63,8 @@ it posts, so every block keeps at least one round.
 
 Either way one settle pass (``_settle``) replays the hypotheses the run
 posted: the loss and delta of every round at its hypothesis, and their sum.
-A margin has the same bits one row at a time or in a block, as numpy
-reduces each row of a block as it reduces a lone row, so a round's loss is
+Every margin, one row at a time or in a block, comes from the hinge's one
+kernel (``environment._margins``) with the same bits, so a round's loss is
 the one its visit or its block decided on. The pass then totals the run.
 Pricing every round again for the transcript waits until ``transcript``
 is first read: a sweep reads none, and ``run`` only trial 0's.
@@ -86,7 +86,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import Hypothesis, InvalidConfigError, project_coords
-from .environment import ProblemInstance
+from .environment import ProblemInstance, _margin, _margins
 from .ftrl import FixedRate, FtrlLearner, RatePolicy, TheoryRate
 from .pricing import priced_round, priced_rounds
 
@@ -100,6 +100,10 @@ BASELINE = "baseline"
 POLICIES = (PRICED, NAIVE, BASELINE)
 
 SCALE_CAP = 1e6
+# The smallest budget a config may set: the burn rate's floor of the budget
+# left, 1e-6 of it, is then a normal float, and the rate, at most T over
+# that floor, stays finite for every horizon an array can hold.
+MIN_BUDGET = 1e-100
 
 # A tracked run lists the rounds it could buy CHUNK rounds at a time, and
 # lists them again after STALE visits that the state refused: a list costs
@@ -194,14 +198,18 @@ class FixedScale:
 
 @dataclass(frozen=True)
 class AdaptiveScale:
-    """Track the burn rate: scale_t = estimate_t * rounds_left / budget_left.
+    """Track the burn rate (``burn_rate``): the scale of round t is
 
-    Starts at zero (buy every arrival with delta > 0 at the maximum price;
-    worthless ones are never bought) and re-estimates the value-cost
-    statistic of ``ledger_entry`` from purchases, importance-weighted by
-    1/q. The budget-left denominator is floored and the scale capped at
-    ``SCALE_CAP`` so spending shuts off rather than dividing by zero near
-    exhaustion.
+        min(SCALE_CAP, e_t * (T - t) / max(B - spend_t, 1e-6 * B)),
+        e_t = min(1, max(0, E_t / max(t, 1))),
+
+    where E_t and spend_t are the estimate total and the spend of the
+    rounds before t. E_t sums the estimate term of ``ledger_entry`` over the
+    purchases, importance-weighted by 1/q, so e_t estimates the mean of
+    that statistic, clipped to its range [0, 1]. It starts at zero (buy
+    every arrival with delta > 0 at the maximum price; worthless ones are
+    never bought). The floor of the budget left and the cap shut spending
+    off at exhaustion rather than dividing by zero.
     """
 
 
@@ -220,6 +228,10 @@ class MechanismConfig:
     def __post_init__(self):
         if not 0 < self.budget < math.inf:  # NaN fails both
             raise InvalidConfigError(f"budget must be positive and finite, got {self.budget}")
+        if self.budget < MIN_BUDGET:
+            raise InvalidConfigError(
+                f"budget {self.budget} is below the smallest budget {MIN_BUDGET:g}"
+            )
         if self.payment_mode not in PAYMENT_MODES:
             raise InvalidConfigError(f"unknown payment mode {self.payment_mode!r}")
         if self.purchase_policy not in POLICIES:
@@ -299,33 +311,6 @@ class Mechanism:
         self._settled = False
         self._transcript: Optional[Transcript] = None
         self._unpriced: Optional[tuple] = None  # the columns the transcript is priced from
-
-    # -- estimates -----------------------------------------------------------
-
-    def value_cost_estimate(self, t: Optional[int] = None) -> float:
-        """Importance-weighted estimate of the mean value-cost statistic of
-        ``ledger_entry`` over the rounds before round ``t`` (by default every
-        round done), clipped to [0, 1], the statistic's range; zero before
-        the first round."""
-        t = self.rounds_done if t is None else t
-        return min(1.0, max(0.0, self.estimate_total / t)) if t else 0.0
-
-    def adapted_scale(self, t: int) -> float:
-        """Burn-rate scale of round ``t`` under the adaptive policy, at the
-        current spend and estimate."""
-        floor = 1e-6 * self.config.budget
-        remaining_budget = max(self.config.budget - self.spend, floor)
-        return min(SCALE_CAP, self.value_cost_estimate(t) * (self.horizon - t) / remaining_budget)
-
-    def adapted_scales(self, rounds: np.ndarray, estimate_total, spend) -> np.ndarray:
-        """``adapted_scale`` of each round in ``rounds`` from the estimate
-        total and the spend before it, scalars or one per round, with the
-        same arithmetic."""
-        estimate = np.minimum(1.0, np.maximum(0.0, estimate_total / np.maximum(rounds, 1)))
-        estimate[rounds == 0] = 0.0  # value_cost_estimate before any round
-        floor = 1e-6 * self.config.budget
-        remaining_budget = np.maximum(self.config.budget - spend, floor)
-        return np.minimum(SCALE_CAP, estimate * (self.horizon - rounds) / remaining_budget)
 
     # -- execution ------------------------------------------------------------
 
@@ -433,7 +418,10 @@ class Mechanism:
             accepted = price >= costs
             return price, accepted.astype(np.float64), accepted
         if self._adaptive:
-            scale = self.adapted_scales(np.arange(start, stop), estimate_total, spend)
+            scale = burn_rate(
+                np.arange(start, stop), self.horizon, cfg.budget, estimate_total, spend,
+                np.minimum, np.maximum,
+            )
         else:
             scale = self.price_scale
         price, q, accepted = priced_rounds(delta, costs, uniforms[start:stop], scale)
@@ -459,14 +447,12 @@ class Mechanism:
         rounds whose delta is positive, as it listed them at that delta.
         Any other round on a list is visited: decided again at its
         ``exact`` delta, taken at the visit, and the current state, and
-        ``bought(round, delta, q)`` is called at each purchase right after
-        its visit, with no visit between: a feature run keeps only the
-        row of the round it visited last. STALE refusals, or a purchase
-        that crosses the hard stop, start the next list."""
+        ``bought(round, delta, q)`` is called at each purchase. STALE
+        refusals, or a purchase that crosses the hard stop, start the next
+        list."""
         cfg = self.config
         T, tracked, adaptive = self.horizon, self._tracked, self._adaptive
         budget, hard_stop, scale = cfg.budget, cfg.hard_stop, self.price_scale
-        floor = 1e-6 * budget  # as adapted_scale floors the budget left
         at_cost, sqrt = cfg.payment_mode == AT_COST, math.sqrt
         spend = estimate_total = 0.0  # the running totals that later prices read
         costs, u = self.instance.costs, uniforms
@@ -493,9 +479,8 @@ class Mechanism:
                 d = exact(j)
                 if d <= 0.0:  # worthless: never bought, at every scale
                     continue
-                if adaptive:  # adapted_scale(j), with value_cost_estimate's arithmetic
-                    estimate = min(1.0, max(0.0, estimate_total / j)) if j else 0.0
-                    scale = min(SCALE_CAP, estimate * (T - j) / max(budget - spend, floor))
+                if adaptive:
+                    scale = burn_rate(j, T, budget, estimate_total, spend, min, max)
                 cost = costs[j]
                 p_j, q_j, accepted_j = priced_round(d, cost, u[j], scale)
                 if not accepted_j:
@@ -535,18 +520,15 @@ class Mechanism:
         # room for a feed in every round; the pages of rows never written stay untouched
         fed, posted = [], np.empty((self.horizon + 1, instance.space.dim))
         posted[0] = w = learner.coords
-        x = None  # the row of the round visited last, which a purchase follows
 
         def exact(j):  # the delta at the current hypothesis
-            nonlocal x
-            x = features[j]
-            return norms[j] if labels[j] * margin(x, w) < 1.0 else 0.0
+            return norms[j] if labels[j] * margin(features[j], w) < 1.0 else 0.0
 
         feed, feed_round = learner._feed, fed.append
 
         def bought(j, d, q):  # the gradient -label * x; its delta is positive, so its hinge active
             nonlocal w
-            feed(x, 1.0 / q, d, labels[j] > 0)
+            feed(features[j], 1.0 / q, d, labels[j] > 0)
             w = learner.coords
             feed_round(j)
             posted[len(fed)] = w
@@ -624,6 +606,18 @@ class Mechanism:
         return self.value_total / max(1, self.rounds_done)
 
 
+def burn_rate(t, horizon, budget, estimate_total, spend, minimum, maximum):
+    """The adaptive scale of round ``t`` of ``horizon`` (``AdaptiveScale``)
+    from the estimate total and the spend before it. The tracked walk takes
+    it of one round at a time with ``min`` and ``max``, and ``_posted`` of
+    arrays of rounds with ``np.minimum`` and ``np.maximum``: the same
+    arithmetic, so the same bits. Before round 0 the estimate total is
+    +0.0 on every path, so dividing it by ``max(t, 1)`` gives the zero
+    estimate there."""
+    estimate = minimum(1.0, maximum(0.0, estimate_total / maximum(t, 1)))
+    return minimum(SCALE_CAP, estimate * (horizon - t) / maximum(budget - spend, 1e-6 * budget))
+
+
 def ledger_entry(delta, cost, price, q, at_cost: bool, sqrt, maximum):
     """A bought round's payment (its cost at cost, its price posted) and
     its term of the adaptive estimate, weighted by 1 / q: delta * sqrt(cost)
@@ -650,16 +644,3 @@ def _row_sum(rows: np.ndarray) -> np.ndarray:
     if rows.shape[1] >= 8:
         return np.add.reduce(rows, axis=0)
     return np.cumsum(rows, axis=0)[-1]
-
-
-def _margin(x: np.ndarray, w: np.ndarray) -> float:
-    """<x, w> as the row sum of x * w, the sum ``ProblemInstance.at_posted`` takes."""
-    return float(np.add.reduce(x * w))
-
-
-def _margins(X: np.ndarray, y: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """The margin y * <x, h> of each row of ``X`` at its row of ``H``, or
-    at ``H`` itself if it is one hypothesis: the row sums that
-    ``ProblemInstance.at_posted`` takes, bit for bit ``_margin`` of each
-    row."""
-    return y * np.add.reduce(X * H, axis=1)

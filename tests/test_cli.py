@@ -179,16 +179,23 @@ def test_zero_round_config_exits_2(tmp_path, capsys):
         ({"c_max": math.inf, "price_scale": {"mode": "adaptive"}}, "unknown key(s) 'c_max'"),
         # a knowledge scale used to blame the prior for the scale 0.0
         ({"budget": math.inf}, "budget"),
+        # 1e-6 of it underflowed to 0, and the first adaptive purchase
+        # raised ZeroDivisionError after the output directory was made
+        (
+            {"budget": 1e-320, "price_scale": {"mode": "adaptive"}},
+            "budget 1e-320 is below the smallest budget 1e-100",
+        ),
     ],
-    ids=["c_max", "budget"],
+    ids=["c_max", "budget", "tiny-budget"],
 )
-def test_non_finite_budget_or_c_max_exits_2(tmp_path, capsys, mechanism, message):
+def test_out_of_range_budget_or_deleted_c_max_exits_2(tmp_path, capsys, mechanism, message):
     cfg_path = tmp_path / "config.json"
     _write_config(cfg_path, mechanism=mechanism)
-    assert "Infinity" in cfg_path.read_text()
+    written = json.loads(cfg_path.read_text())["mechanism"]
+    assert all(written[key] == value for key, value in mechanism.items())
     assert main(["run", "--config", str(cfg_path), "--jobs", "1"]) == 2
     assert f"error: {message}" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "transcript.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_cost_model_exits_2_before_any_output(tmp_path):

@@ -25,8 +25,8 @@ from procure_learn.environment import (
     LinearTaskSpec,
     ProblemInstance,
     UniformCost,
+    _margin,
 )
-from procure_learn.mechanism import _margin
 
 from oracles import hinge_row, mean_grad, project, write_idx_images, write_idx_labels
 

@@ -14,12 +14,14 @@ from procure_learn.mechanism import (
     AdaptiveScale,
     FixedRate,
     FixedScale,
+    MIN_BUDGET,
     Mechanism,
     MechanismConfig,
     MechanismStateError,
     PriorKnowledge,
     SCALE_CAP,
     TheoryRate,
+    burn_rate,
     choose_price_scale,
     ledger_entry,
 )
@@ -162,24 +164,34 @@ def test_priced_rounds_match_priced_round_bitwise(rng):
             assert not np.signbit(price[i]) and not np.signbit(q[i])  # no -0.0 in the CSV
 
 
-def test_adapted_scales_match_adapted_scale():
-    inst = CoinSpec(1000, 0.1).build(1)
-    cfg = MechanismConfig(budget=50.0, price_scale=AdaptiveScale(), learning_rate=FixedRate(0.1))
-    mech = Mechanism(cfg, inst)
-    states = ((0.0, 0.0), (3.7, 12.5), (900.0, 3.0), (2.0, 50.0))
+def test_burn_rate_scalar_and_array_forms_agree():
+    # the tracked walk takes one round's scale with min and max; a list
+    # takes a range of rounds at one state, and the transcript every round
+    # at its own state, with np.minimum and np.maximum
+    rng = np.random.default_rng(6)
+    T, budget = 1000, 50.0
+
+    def one_at_a_time(rounds, estimate_total, spend):
+        states = zip(*(a.tolist() for a in np.broadcast_arrays(rounds, estimate_total, spend)))
+        return [burn_rate(t, T, budget, e, s, min, max) for t, e, s in states]
+
+    states = [(0.0, 0.0), (3.7, 12.5), (900.0, 3.0), (2.0, budget), (2.0, budget + 7.0)]
     for estimate_total, spend in states:
-        mech.estimate_total, mech.spend = estimate_total, spend
         for start, stop in ((0, 1), (0, 40), (1, 2), (13, 400), (990, 1000)):
-            expected = [mech.adapted_scale(r) for r in range(start, stop)]
-            scales = mech.adapted_scales(np.arange(start, stop), estimate_total, spend)
-            assert scales.tolist() == expected
-    # one state per round, as a run's settle pass prices every round
-    rounds = np.arange(len(states) * 250)
-    estimate_total, spend = (np.repeat(column, 250) for column in zip(*states))
-    expected = []
-    for r, mech.estimate_total, mech.spend in zip(rounds.tolist(), estimate_total, spend):
-        expected.append(mech.adapted_scale(r))
-    assert mech.adapted_scales(rounds, estimate_total, spend).tolist() == expected
+            rounds = np.arange(start, stop)
+            scales = burn_rate(rounds, T, budget, estimate_total, spend, np.minimum, np.maximum)
+            assert scales.tolist() == one_at_a_time(rounds, estimate_total, spend)
+    # drawn states, one per round: the total is 0 before round 0, and the
+    # spend is below, at or past the budget, where the floor holds
+    rounds = np.concatenate(([0, 0, 1, T - 1], rng.integers(0, T, 4000)))
+    estimate_total = rng.uniform(0.0, 1.2, len(rounds)) * rounds
+    spend = budget * rng.choice([0.0, 0.3, 0.999, 1.0, 1.5], len(rounds)) * rng.random(len(rounds))
+    spend[: len(rounds) // 4] = budget * rng.choice([1.0, 2.0], len(rounds) // 4)
+    scales = burn_rate(rounds, T, budget, estimate_total, spend, np.minimum, np.maximum)
+    assert scales.tolist() == one_at_a_time(rounds, estimate_total, spend)
+    assert not np.signbit(scales).any() and scales[:2].tolist() == [0.0, 0.0]
+    floored = (spend >= budget) & (scales < SCALE_CAP) & (scales > 0.0)
+    assert floored.any() and (scales == SCALE_CAP).any() and (scales < SCALE_CAP).any()
 
 
 @pytest.mark.parametrize("payment_mode", ["posted-price", "at-cost"])
@@ -198,19 +210,23 @@ def test_pay_never_lowers_a_later_adaptive_scale(payment_mode):
         price_scale=AdaptiveScale(),
         learning_rate=FixedRate(0.1),
     )
-    mech = Mechanism(cfg, inst)
-    rounds = np.arange(inst.horizon)
-    for t in range(0, inst.horizon, 3):
-        before = mech.adapted_scales(rounds, mech.estimate_total, mech.spend)
+    T, rounds = inst.horizon, np.arange(inst.horizon)
+    spend = estimate_total = 0.0
+    for t in range(0, T, 3):
+        before = burn_rate(rounds, T, cfg.budget, estimate_total, spend, np.minimum, np.maximum)
         d, cost, q = float(rng.random()), float(inst.costs[t]), float(rng.uniform(1e-3, 1.0))
         price = float(rng.uniform(cost, 1.0))
         payment, term = ledger_entry(d, cost, price, q, payment_mode == "at-cost", math.sqrt, max)
-        mech.spend += payment
-        mech.estimate_total += term
-        after = mech.adapted_scales(rounds, mech.estimate_total, mech.spend)
+        spend += payment
+        estimate_total += term
+        after = burn_rate(rounds, T, cfg.budget, estimate_total, spend, np.minimum, np.maximum)
         assert np.all(after[t + 1:] >= before[t + 1:])
-        assert all(mech.adapted_scale(r) >= s for r, s in zip(range(t + 1, inst.horizon), before[t + 1:]))
-    assert mech.spend > cfg.budget  # the floor of the budget left was reached
+        later = range(t + 1, T)
+        assert all(
+            burn_rate(r, T, cfg.budget, estimate_total, spend, min, max) >= s
+            for r, s in zip(later, before[t + 1:])
+        )
+    assert spend > cfg.budget  # the floor of the budget left was reached
 
 
 def test_ledger_entry_terms_and_their_floor():
@@ -428,30 +444,26 @@ def test_adaptive_starts_at_zero():
 
 
 def test_adaptive_update_rule():
-    inst = CoinSpec(1000, 0.1).build(1)
-    cfg = MechanismConfig(budget=50.0, price_scale=AdaptiveScale(), learning_rate=FixedRate(0.1))
-    mech = Mechanism(cfg, inst)
-    mech.estimate_total = 0.3 * 500  # estimate 0.3 at round 500
-    mech.spend = 0.0
-    assert mech.adapted_scale(500) == pytest.approx(0.3 * 500 / 50.0)
-    assert mech.adapted_scale(0) == 0.0  # no estimate before the first round
-
-    mech.spend = 50.0  # budget exhausted: the scale caps out
-    assert mech.adapted_scale(500) == SCALE_CAP
+    T, budget = 1000, 50.0
+    estimate_total = 0.3 * 500  # estimate 0.3 at round 500
+    scale = burn_rate(500, T, budget, estimate_total, 0.0, min, max)
+    assert scale == pytest.approx(0.3 * 500 / 50.0)
+    assert burn_rate(0, T, budget, 0.0, 0.0, min, max) == 0.0  # nothing is bought before round 0
+    # budget exhausted: the scale caps out
+    assert burn_rate(500, T, budget, estimate_total, budget, min, max) == SCALE_CAP
 
 
-def test_value_cost_estimate_examples():
-    inst = CoinSpec(10, 0.1).build(1)
-    cfg = MechanismConfig(budget=5.0, price_scale=AdaptiveScale(), learning_rate=FixedRate(0.1))
-    mech = Mechanism(cfg, inst)
-    assert mech.value_cost_estimate() == 0.0  # no rounds yet
+def test_burn_rate_estimate_examples():
+    # with as many rounds left as budget, and nothing spent, the scale is
+    # the estimate: the mean term of the rounds before t, clipped to [0, 1]
+    def estimate(t, estimate_total):
+        return burn_rate(t, t + 5, 5.0, estimate_total, 0.0, min, max)
 
-    mech.rounds_done = 1
-    mech.estimate_total = 1.0 * math.sqrt(0.25) / 0.5  # one purchase, q = 0.5
-    assert mech.value_cost_estimate() == 1.0  # clipped
-
-    mech.rounds_done = 4
-    assert mech.value_cost_estimate() == pytest.approx(0.25)
+    assert estimate(0, 0.0) == 0.0  # no rounds yet
+    one_purchase = 1.0 * math.sqrt(0.25) / 0.25  # delta 1, cost 1/4, q = 1/4
+    assert estimate(1, one_purchase) == 1.0  # 2, clipped
+    assert estimate(4, one_purchase) == pytest.approx(0.5)
+    assert estimate(8, 1.0) == pytest.approx(0.125)
 
 
 def test_adaptive_estimate_unweighted_when_q_is_one():
@@ -463,10 +475,9 @@ def test_adaptive_estimate_unweighted_when_q_is_one():
     )
     mech = Mechanism(cfg, inst).run(np.random.default_rng(5))
     # every round with delta > 0 accepted at q=1 (the others add nothing):
-    # the estimate is the plain running mean
+    # the estimate total is the plain sum
     deltas = np.array(mech.transcript.delta)
-    expected = float(np.mean(deltas * np.sqrt(0.25)))
-    assert mech.value_cost_estimate() == pytest.approx(min(1.0, expected))
+    assert mech.estimate_total == pytest.approx(float(np.sum(deltas * np.sqrt(0.25))))
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +528,32 @@ def test_budget_must_be_positive_and_finite(field, bad):
     # cost, is now the unit of money and no longer a field
     with pytest.raises(InvalidConfigError, match=f"^{field}.*must be positive and finite"):
         MechanismConfig(**{"budget": 1.0, field: bad})
+
+
+@pytest.mark.parametrize("hard_stop", [False, True])
+@pytest.mark.parametrize("payment_mode", ["posted-price", "at-cost"])
+def test_adaptive_run_at_the_smallest_budget_is_clean(payment_mode, hard_stop):
+    # 1e-6 of a budget of 1e-320 underflowed to 0, and the walk's first
+    # purchase divided by it; at 1e-310 the listed scales overflowed. Both
+    # are refused now, and a run at the smallest budget accepted pays its
+    # first purchase, then lists and prices every round at the capped scale
+    # with no warning (tier-1 makes a RuntimeWarning an error)
+    for tiny in (1e-320, 1e-310, float(np.nextafter(MIN_BUDGET, 0.0))):
+        message = f"^budget {tiny} is below the smallest budget 1e-100$"
+        with pytest.raises(InvalidConfigError, match=message):
+            MechanismConfig(budget=tiny)
+    inst = LinearTaskSpec(T=200, cost_model=UniformCost(), dim=3, T_test=0).build(3)
+    cfg = MechanismConfig(
+        budget=MIN_BUDGET,
+        payment_mode=payment_mode,
+        price_scale=AdaptiveScale(),
+        learning_rate=TheoryRate(),
+        hard_stop=hard_stop,
+    )
+    mech = Mechanism(cfg, inst).run(np.random.default_rng(3))
+    transcript = mech.transcript
+    assert mech.purchases >= 1 and mech.spend > cfg.budget
+    assert np.isfinite(transcript.price).all() and np.isfinite(transcript.cum_spend).all()
 
 
 @pytest.mark.parametrize("bad_cost", [math.nan, -0.5, math.inf])
