@@ -79,7 +79,7 @@ def simplex(dim: int) -> HypothesisSpace:
     return HypothesisSpace(SIMPLEX, dim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hypothesis:
     """A point of a hypothesis space. Coordinates are copied and frozen."""
 
@@ -163,7 +163,7 @@ def project_coords(space: HypothesisSpace, v: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DataPoint:
     """One arrival's data as ``ProblemInstance.data_point`` hands it out: a
     labelled feature row with its norm, an outcome index, or neither (a

@@ -121,7 +121,7 @@ CostModel = Union[UniformCost, TwoPointCost]
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class ProblemInstance:
     """An arrival sequence plus optional held-out test data.
 

@@ -24,10 +24,11 @@ the spend and the estimate change only when an arrival is bought. The
 learner and the loss reach a purchase only through the round's delta and
 the state its price reads, so both kinds of run decide through one walk.
 It lists with ``_posted`` the rounds that the current state could buy at
-an upper bound of their delta. A list whose prices read no mid-run state
-is decided whole; on any other list the walk visits each round: it takes
-the exact delta and decides the round again with ``priced_round`` at the
-current state.
+an upper bound of their delta. Once no later price can read the state,
+one list decides every round left whole, and it is always the run's last:
+spend never falls, and a run that is not tracked reads no state. On any
+other list the walk visits each round: it takes the exact delta and
+decides the round again with ``priced_round`` at the current state.
 
 A priced run with an adaptive scale or a hard stop is tracked: its later
 prices read the spend and the estimate. The walk pays at each of its
@@ -36,9 +37,10 @@ that crosses the hard stop, start a new list. A list stays complete after
 a purchase: an adaptive scale only rises at a purchase, and a round
 accepted at a scale is accepted at every lower one, as every correctly
 rounded step of the price law is monotone (tests pin both). Past a hard
-stop the price is a flat 0. No other run reads the state mid-run (naive
-reads only its own spend, a prefix sum known up front, and a fixed or
-from-knowledge scale is one number), so its one list covers every round.
+stop the price is a flat 0, so the rest is decided whole there. No other
+run reads the state mid-run (naive reads only its own spend, a prefix sum
+known up front, and a fixed or from-knowledge scale is one number), so it
+is decided whole from round 0.
 
 A vertex run (an outcome task: a coin stream, with or without filler) decides
 first and then learns. Its delta is 1 on every outcome and 0 on filler
@@ -49,17 +51,17 @@ one round at a time does. A feature run (a hinge loss on labelled rows)
 learns as it walks. Its delta is the row's norm where the hinge is active
 and 0 elsewhere, so it lists at the stored norms. A visited round takes
 its margin at the current hypothesis and feeds if bought with an active
-hinge. A list decided whole is learned in verified blocks of BLOCK listed
-rounds, as lazy FTRL's iterates follow from the fed gradients alone: the
-hinge of each round is guessed from its margin at the block's first
-hypothesis, one ``_feed_rows`` of the guessed feeds gives the hypothesis
-each round posted, each margin is taken again there, and the rounds
-before the first wrong guess are kept. The next block starts at that round
-and guesses the rounds the cut block held from their margins there, at
-hypotheses that hold the block's earlier feeds. A flat-price list buys
-each of its rounds, a priced one those whose hinge is active (their listed
-delta is then exact). A block's first round is guessed at the hypothesis
-it posts, so every block keeps at least one round.
+hinge. The rounds decided whole are learned after the walk in verified
+blocks of BLOCK listed rounds, as lazy FTRL's iterates follow from the fed
+gradients alone: the hinge of each round is guessed from its margin at
+the block's first hypothesis, one ``_feed_rows`` of the guessed feeds
+gives the hypothesis each round posted, each margin is taken again there,
+and the rounds before the first wrong guess are kept. The next block
+starts at that round and guesses the rounds the cut block held from their
+margins there, at hypotheses that hold the block's earlier feeds. A
+flat-price list buys each of its rounds, a priced one those whose hinge
+is active (their listed delta is then exact). A block's first round is
+guessed at the hypothesis it posts, so every block keeps at least one.
 
 Either way one settle pass (``_settle``) replays the hypotheses the run
 posted: the loss and delta of every round at its hypothesis, and their sum.
@@ -431,25 +433,24 @@ class Mechanism:
             accepted = np.where(stopped, free, accepted)
         return price, q, accepted
 
-    def _walk(self, upper, exact, uniforms, bought=None, learn=None) -> tuple[np.ndarray, ...]:
+    def _walk(self, upper, exact, uniforms, bought=None) -> tuple:
         """Decide the rounds in order, visiting only those the run could
-        buy. Returns the columns price, q and accepted; price and q hold
-        only at purchases.
+        buy. Returns the columns price, q and accepted (price and q hold
+        only at purchases), and the round where the rounds decided whole
+        start, T if none are.
 
         A list is ``_posted`` at the rounds' ``upper`` deltas and the
-        current state: the next CHUNK rounds of a tracked run, every round
-        of any other. A list whose prices read no mid-run state (every list
-        of an untracked run, and a flat-price list) is decided whole:
-        ``learn(rounds, q)``, if given, learns from its rounds in order at
-        weights 1 / q and returns which of them have a positive delta at the
-        hypothesis they posted. A flat-price list is bought whole and pays
-        nothing that a later price reads; a priced one buys those of its
-        rounds whose delta is positive, as it listed them at that delta.
-        Any other round on a list is visited: decided again at its
-        ``exact`` delta, taken at the visit, and the current state, and
-        ``bought(round, delta, q)`` is called at each purchase. STALE
-        refusals, or a purchase that crosses the hard stop, start the next
-        list."""
+        current state. Once no later price can read it (from round 0 of an
+        untracked run, from the hard stop of a tracked one), one list
+        decides every round left whole; it is the run's last, as spend never
+        falls and an untracked run reads no state. A flat-price list buys its
+        rounds whole; of a priced one the caller keeps those whose delta is
+        positive at the hypothesis they posted. Any other list holds
+        the next CHUNK rounds of a tracked run, and each round on it is
+        visited: decided again at its ``exact`` delta, taken at the visit,
+        and the current state, and ``bought(round, delta, q)`` is called at
+        each purchase. STALE refusals, or a purchase that crosses the hard
+        stop, start the next list."""
         cfg = self.config
         T, tracked, adaptive = self.horizon, self._tracked, self._adaptive
         budget, hard_stop, scale = cfg.budget, cfg.hard_stop, self.price_scale
@@ -462,18 +463,12 @@ class Mechanism:
         accepted = np.zeros(T, dtype=bool)
         t = 0
         while t < T:
-            stop = min(T, t + CHUNK) if tracked else T
+            if not tracked or (hard_stop and spend >= budget):
+                listed = self._posted(upper[t:], t, T, estimate_total, spend, uniforms)
+                price[t:], q[t:], accepted[t:] = listed
+                break
+            stop = min(T, t + CHUNK)
             listed = self._posted(upper[t:stop], t, stop, estimate_total, spend, uniforms)
-            flat = cfg.purchase_policy != PRICED or (hard_stop and spend >= budget)
-            if flat or not tracked:
-                price[t:stop], q[t:stop], accepted[t:stop] = listed
-                if learn is not None:
-                    rounds = np.flatnonzero(listed[2]) + t
-                    valued = learn(rounds, q[rounds])
-                    if not flat:
-                        accepted[rounds] = valued
-                t = stop
-                continue
             stale = 0
             for j in (np.flatnonzero(listed[2]) + t).tolist():
                 d = exact(j)
@@ -499,19 +494,20 @@ class Mechanism:
                     stop = j + 1
                     break
             t = stop
-        return price, q, accepted
+        return price, q, accepted, t
 
     def _visit(self, uniforms: np.ndarray) -> tuple[np.ndarray, ...]:
         """Play a feature run on the walk. A visited round takes its margin
         at the current hypothesis, and a purchase (its hinge is then active)
-        feeds. A list decided whole is learned in verified blocks of BLOCK
-        listed rounds: each round's hinge is guessed from its margin at the
-        block's first hypothesis, one ``_feed_rows`` of the guessed feeds
-        gives the hypothesis every round posted, and the rounds before the
-        first whose margin there belies its guess are kept. The margins
-        taken there of that round and the rest of the block are the next
-        block's guesses for them. The first round is guessed at the
-        hypothesis it posts, so every block keeps one."""
+        feeds. The rounds decided whole, always the run's last, are learned
+        after the walk in verified blocks of BLOCK listed rounds: each
+        round's hinge is guessed from its margin at the block's first
+        hypothesis, one ``_feed_rows`` of the guessed feeds gives the
+        hypothesis every round posted, and the rounds before the first
+        whose margin there belies its guess are kept. The margins taken
+        there of that round and the rest of the block are the next block's
+        guesses for them. The first round is guessed at the hypothesis it
+        posts, so every block keeps one."""
         instance, learner = self.instance, self.learner
         features, margin = instance.features, _margin
         labels, norms = instance.labels, instance.feature_norms
@@ -533,41 +529,41 @@ class Mechanism:
             feed_round(j)
             posted[len(fed)] = w
 
-        def learn(rounds, q):  # the rounds of a list decided whole
-            nonlocal w
-            active = np.zeros(len(rounds), dtype=bool)
-            i, ahead = 0, np.zeros(0, dtype=bool)  # the guesses past the last cut
-            while i < len(rounds):
-                block = rounds[i : i + BLOCK]
-                X, y = features.take(block, axis=0), instance.labels[block]  # faster than [block]
-                carried = len(ahead)
-                guess = np.concatenate((ahead, _margins(X[carried:], y[carried:], w) < 1.0))
-                feeds = guess.nonzero()[0]
-                kept, ahead = len(block), ahead[:0]
-                if len(feeds) or carried:  # a carried guess was not taken at w, so it is checked
-                    before = feeds.searchsorted(np.arange(kept))  # guessed feeds before each round
+        price, q, accepted, whole = self._walk(instance.feature_norms, exact, uniforms, bought)
+        rounds = np.flatnonzero(accepted[whole:]) + whole
+        active = np.zeros(len(rounds), dtype=bool)
+        w = learner.coords
+        i, ahead = 0, np.zeros(0, dtype=bool)  # the guesses past the last cut
+        while i < len(rounds):
+            block = rounds[i : i + BLOCK]
+            X, y = features.take(block, axis=0), instance.labels[block]  # faster than [block]
+            carried = len(ahead)
+            guess = np.concatenate((ahead, _margins(X[carried:], y[carried:], w) < 1.0))
+            feeds = guess.nonzero()[0]
+            kept, ahead = len(block), ahead[:0]
+            if len(feeds) or carried:  # a carried guess was not taken at w, so it is checked
+                before = feeds.searchsorted(np.arange(kept))  # guessed feeds before each round
 
-                    def verified(H):  # the feeds before the first wrong guess
-                        nonlocal kept, ahead
-                        seen = _margins(X, y, H.take(before, axis=0)) < 1.0
-                        right = seen == guess
-                        first_wrong = int(right.argmin())
-                        if not right[first_wrong]:
-                            kept, ahead = first_wrong, seen[first_wrong:]
-                        return int(before[kept]) if kept < len(block) else len(feeds)
+                def verified(H):  # the feeds before the first wrong guess
+                    nonlocal kept, ahead
+                    seen = _margins(X, y, H.take(before, axis=0)) < 1.0
+                    right = seen == guess
+                    first_wrong = int(right.argmin())
+                    if not right[first_wrong]:
+                        kept, ahead = first_wrong, seen[first_wrong:]
+                    return int(before[kept]) if kept < len(block) else len(feeds)
 
-                    gradients = X.take(feeds, axis=0) * -y[feeds, None]  # -label * x
-                    iw = 1.0 / q[i : i + kept][feeds]
-                    deltas = instance.feature_norms[block[feeds]]
-                    H = learner._feed_rows(gradients, iw, deltas, verified)
-                    posted[len(fed) + 1 : len(fed) + len(H)] = H[1:]
-                    fed.extend(block[feeds[: len(H) - 1]].tolist())
-                w = learner.coords
-                active[i : i + kept] = guess[:kept]
-                i += kept
-            return active
-
-        price, q, accepted = self._walk(instance.feature_norms, exact, uniforms, bought, learn)
+                gradients = X.take(feeds, axis=0) * -y[feeds, None]  # -label * x
+                iw = 1.0 / q[block[feeds]]
+                deltas = instance.feature_norms[block[feeds]]
+                H = learner._feed_rows(gradients, iw, deltas, verified)
+                posted[len(fed) + 1 : len(fed) + len(H)] = H[1:]
+                fed.extend(block[feeds[: len(H) - 1]].tolist())
+            w = learner.coords
+            active[i : i + kept] = guess[:kept]
+            i += kept
+        if self.config.purchase_policy == PRICED and not self._tracked:  # a flat price buys all
+            accepted[rounds] = active
         return price, q, accepted, np.array(fed, dtype=np.int64), posted[: len(fed) + 1]
 
     def _decide_then_learn(self, uniforms: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -579,7 +575,7 @@ class Mechanism:
         instance = self.instance
         outcomes = instance.outcomes
         dlt = (outcomes >= 0).astype(np.float64)  # at every hypothesis
-        price, q, accepted = self._walk(dlt, dlt.item, uniforms)
+        price, q, accepted, _ = self._walk(dlt, dlt.item, uniforms)
 
         # a bought filler round has a zero gradient and is not fed
         fed = np.flatnonzero(accepted & (outcomes >= 0))

@@ -38,7 +38,7 @@ from .environment import ProblemInstance
 GAP = 1e-4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OfflineSolution:
     """The smallest total loss lies in ``[lower_bound, total_loss]``;
     ``converged``: it is certified within ``GAP * T``. ``iterations``

@@ -109,9 +109,9 @@ def priced_rounds(
         p = delta / (price_scale * (1.0 - u))
         price = np.where(u >= 1.0 - atom, 1.0, p * p)
         q = np.minimum(1.0, delta / (price_scale * np.sqrt(cost)))
-    price[worthless] = 0.0  # p is 0 / 0 at scale 0
-    q[cost <= 0.0] = 1.0
-    q[worthless] = 0.0
+    np.putmask(price, worthless, 0.0)  # p is 0 / 0 at scale 0
+    np.putmask(q, cost <= 0.0, 1.0)
+    np.putmask(q, worthless, 0.0)
     return price, q, (q > 0.0) & (price >= cost)
 
 

@@ -532,20 +532,31 @@ def test_jobs_below_one_exits_2(tmp_path, capsys, command, jobs):
 
 
 def test_cli_import_leaves_pool_and_verify_unloaded():
-    # a --jobs 1 run or sweep never uses them; only pooled runs and verify load them
-    unloaded = ("concurrent.futures", "multiprocessing", "procure_learn.verify")
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import procure_learn.cli, sys; "
-            f"print([m for m in {unloaded!r} if m in sys.modules])",
-        ],
-        capture_output=True,
-        text=True,
+    # a --jobs 1 run or sweep never uses them; only pooled runs and verify
+    # load them. The import is the start-up every command pays, so it loads
+    # the run path's modules and otherwise only the standard library and
+    # numpy: an import added to it fails here
+    probe = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import procure_learn.cli\n"
+        "added = set(sys.modules) - before\n"
+        "print(json.dumps({m: getattr(sys.modules[m], '__file__', None) is None for m in added}))\n"
     )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    added = json.loads(proc.stdout)  # module name: whether it has no file
+    run_path = ("cli", "core", "environment", "ftrl", "mechanism", "metrics", "pricing", "runner")
+    package = sorted(m for m in added if m.split(".")[0] == "procure_learn")
+    assert package == ["procure_learn"] + [f"procure_learn.{m}" for m in run_path]
+    assert [m for m in ("concurrent.futures", "multiprocessing") if m in added] == []
+    other = [
+        m
+        for m, fileless in added.items()
+        if m.split(".")[0] not in {"procure_learn", "numpy", *sys.stdlib_module_names}
+        and not (fileless and (m == "cython_runtime" or m.startswith("_cython_")))
+    ]
+    assert other == []  # numpy's Cython runtime modules have no file
 
 
 @pytest.mark.parametrize("timeout", [None, "30"])

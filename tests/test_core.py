@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from procure_learn.core import (
     NULL_OUTCOME,
+    DataPoint,
     Hypothesis,
     InvalidConfigError,
     _project_ball,
@@ -27,6 +28,7 @@ from procure_learn.environment import (
     UniformCost,
     _margin,
 )
+from procure_learn.metrics import offline_best
 
 from oracles import hinge_row, mean_grad, project, write_idx_images, write_idx_labels
 
@@ -67,6 +69,23 @@ def test_hypothesis_coords_frozen():
     h = Hypothesis(simplex(2), np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         h.coords[0] = 1.0
+
+
+def test_records_that_hold_arrays_compare_and_hash_by_identity():
+    # compared field by field, == would ask numpy for the truth value of an
+    # array and hash would meet an unhashable array
+    spec = LinearTaskSpec(T=20, cost_model=UniformCost(), dim=3, T_test=5)
+    first, second = spec.build(0), spec.build(0)
+    point = dict(features=np.ones(2), label=1, feature_norm=1.0)
+    pairs = {
+        "ProblemInstance": (first, second),
+        "OfflineSolution": (offline_best(first), offline_best(second)),
+        "Hypothesis": (offline_best(first).hypothesis, offline_best(second).hypothesis),
+        "DataPoint": (DataPoint(**point), DataPoint(**point)),
+    }
+    for name, (record, twin) in pairs.items():
+        assert record == record and record != twin, name
+        assert hash(record) == hash(record) and len({record, twin}) == 2, name
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from procure_learn.environment import (
     UniformCost,
 )
 from procure_learn.mechanism import (
+    CHUNK,
     AdaptiveScale,
     FixedRate,
     FixedScale,
@@ -429,6 +430,32 @@ def test_hard_stop_freezes_spending_not_losses():
     after = stopped[0] + 1
     assert not any(mech.transcript.accepted[after:])
     assert all(l > 0.0 for l in mech.transcript.loss[after:])
+
+
+@pytest.mark.parametrize("scale", [FixedScale(1.0), AdaptiveScale()], ids=["fixed", "adaptive"])
+def test_rounds_decided_whole_are_listed_once(monkeypatch, scale):
+    # past a hard stop no price reads the state, so the rest of the run is
+    # one list decided whole, however many CHUNKs it spans; a run that is
+    # not tracked reads no state, so it is one list from round 0
+    inst = LinearTaskSpec(T=3000, cost_model=UniformCost(), dim=4, T_test=10).build(5)
+    calls, posted = [], Mechanism._posted
+
+    def counted(self, delta, start, stop, estimate_total, spend, uniforms):
+        calls.append((start, stop, spend))
+        return posted(self, delta, start, stop, estimate_total, spend, uniforms)
+
+    monkeypatch.setattr(Mechanism, "_posted", counted)
+    cfg = MechanismConfig(budget=5.0, price_scale=scale, hard_stop=True)
+    Mechanism(cfg, inst).run(np.random.default_rng(3))
+    past = [(start, stop) for start, stop, spend in calls if spend >= cfg.budget]
+    assert len(past) == 1 and past[0][1] == inst.horizon
+    assert inst.horizon - past[0][0] > CHUNK  # the rest spans more than one CHUNK
+
+    calls.clear()
+    Mechanism(dataclasses.replace(cfg, price_scale=FixedScale(1.0), hard_stop=False), inst).run(
+        np.random.default_rng(3)
+    )
+    assert calls == [(0, inst.horizon, 0.0)]
 
 
 # ---------------------------------------------------------------------------
